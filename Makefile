@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint fuzz chaos crash bench cover
+.PHONY: all build test race lint fuzz chaos crash bench bench-e2e cover
 
 all: build test lint
 
@@ -30,7 +30,7 @@ fuzz:
 	$(GO) test ./internal/diskindex -run '^$$' -fuzz FuzzChainRoundTrip -fuzztime 20s
 	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzWALRecordRoundTrip -fuzztime 20s
 
-# Chaos suite: every engine under injected storage faults, race detector on.
+# Chaos suite: every storage configuration under injected faults, race on.
 chaos:
 	$(GO) test -race -run 'TestChaos' -count=1 .
 
@@ -45,6 +45,12 @@ crash:
 
 bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=3x ./...
+
+# The repo's end-to-end benchmark (BENCHMARK.json's command): lshload's four
+# workloads against a real lshserve child and the file-backed facade. Pass
+# driver arguments through ARGS, e.g. ARGS='--workload serve-read --seed 1'.
+bench-e2e:
+	bash cmd/lshload/run.sh $(ARGS)
 
 cover:
 	$(GO) test -coverprofile=cover.out ./internal/...

@@ -14,10 +14,9 @@ type DegradePolicy uint8
 
 const (
 	// DegradeKnobs (the default) degrades execution knobs mid-query —
-	// readahead off, multi-probe halved then off, fan-out halved then
-	// quartered, candidate budget quartered — and only stops the radius
-	// ladder once every knob is exhausted: graceful degradation instead of
-	// shedding.
+	// readahead off, multi-probe halved then off, candidate budget
+	// quartered — and only stops the radius ladder once every knob is
+	// exhausted: graceful degradation instead of shedding.
 	DegradeKnobs DegradePolicy = iota
 	// DegradeStop skips knob degradation: rounds run at full quality and the
 	// ladder stops as soon as the budget cannot cover the next round.
@@ -159,7 +158,6 @@ type autotuned interface {
 // settings.
 func baseKnobs(set searchSettings) autotune.Knobs {
 	return autotune.Knobs{
-		Fanout:     set.fanout,
 		MultiProbe: set.multiProbe,
 		BudgetS:    set.budget,
 		Readahead:  true,

@@ -95,14 +95,16 @@ func injectedFaults(fbs []*faultinject.Backend) int64 {
 func TestChaosEnginesServeUnderFaults(t *testing.T) {
 	d := chaosDataset(t)
 	engines := []chaosBuild{
-		{name: "sequential", parity: true,
-			build: storageChaosBuilder([]SearchOption{WithFanout(1)})},
-		{name: "parallel", parity: true,
-			build: storageChaosBuilder([]SearchOption{WithFanout(4)})},
+		{name: "inline", parity: true,
+			build: storageChaosBuilder(nil)},
+		{name: "inline-multiprobe", parity: true,
+			build: storageChaosBuilder([]SearchOption{WithMultiProbe(2)})},
 		{name: "cached",
 			build: storageChaosBuilder(nil, WithBlockCache(1<<20), WithReadahead(2))},
+		{name: "retry-only", retried: true,
+			build: storageChaosBuilder(nil, WithRetries(3))},
 		{name: "vectored-retry", retried: true,
-			build: storageChaosBuilder(nil, WithIOEngine(8), WithRetries(3))},
+			build: storageChaosBuilder([]SearchOption{WithMultiProbe(2)}, WithIOEngine(8), WithRetries(3))},
 		{name: "sharded", parity: true,
 			build: shardedChaosBuilder()},
 	}

@@ -26,7 +26,6 @@ func main() {
 		dataPath = flag.String("data", "", "dataset file (required)")
 		idxPath  = flag.String("index", "", "index file; built and saved if missing")
 		k        = flag.Int("k", 1, "neighbors per query")
-		fanout   = flag.Int("fanout", 16, "concurrent reads per query")
 		sigma    = flag.Float64("sigma", 8, "candidate budget multiplier (accuracy knob)")
 		maxQ     = flag.Int("queries", 10, "queries to answer (0 = all)")
 		workers  = flag.Int("workers", 0, "batch worker goroutines (0 = GOMAXPROCS)")
@@ -83,7 +82,7 @@ func main() {
 	gt := e2lshos.GroundTruth(ds.Subset(ds.N()), *k)
 	start := time.Now()
 	results, stats, err := ix.BatchSearch(ctx, ds.Queries[:nq],
-		e2lshos.WithK(*k), e2lshos.WithFanout(*fanout), e2lshos.WithWorkers(*workers))
+		e2lshos.WithK(*k), e2lshos.WithWorkers(*workers))
 	if err != nil {
 		fail(err)
 	}

@@ -62,9 +62,9 @@ func run(ctx context.Context, args []string, out io.Writer, ready func(addr net.
 		maxDelay  = fs.Duration("maxdelay", 500*time.Microsecond, "coalescer: max wait for a batch to fill")
 		maxQueue  = fs.Int("maxqueue", 0, "coalescer: admission bound (0 = 4x maxbatch)")
 		cacheMB   = fs.Int("cache", 0, "per-shard block cache for storage shards, in MiB (0 = uncached)")
-		readahead = fs.Int("readahead", 0, "bucket blocks prefetched per chain between radius rounds (needs -cache)")
-		ioDepth   = fs.Int("iodepth", 0, "vectored I/O engine queue depth per storage shard: batched round submission, adjacent-block coalescing, cross-query dedup (0 = off)")
-		retries   = fs.Int("retries", 0, "per-block read retries with backoff before a fault degrades the query (needs -iodepth; 0 = off)")
+		readahead = fs.Int("readahead", 0, "bucket blocks prefetched per chain between radius rounds, into the block cache (0 = off)")
+		ioDepth   = fs.Int("iodepth", 0, "vectored I/O engine queue depth per storage shard: batched round submission, adjacent-block coalescing, cross-query dedup (0 = no engine and in-line reads, or depth 16 when -cache or -retries attach one)")
+		retries   = fs.Int("retries", 0, "per-block read retries with backoff before a fault degrades the query (0 = off)")
 		hedge     = fs.Bool("hedge", false, "hedged shard reads: re-issue a sub-query straggling past its shard's p99 and take the first answer")
 		checksum  = fs.Bool("checksum", true, "per-block CRC32C verification on storage shards (-checksum=false trades fault detection for read throughput)")
 		metrics   = fs.Bool("metrics", true, "enable engine latency telemetry (per-stage histograms folded across shards, served at /metrics)")
@@ -89,26 +89,14 @@ func run(ctx context.Context, args []string, out io.Writer, ready func(addr net.
 	if *recallTgt > 0 || *latBudget > 0 {
 		*autotune = true
 	}
-	var storageOpts []e2lshos.StorageOption
-	if *cacheMB > 0 {
-		storageOpts = append(storageOpts, e2lshos.WithBlockCache(int64(*cacheMB)<<20))
-		if *readahead > 0 {
-			storageOpts = append(storageOpts, e2lshos.WithReadahead(*readahead))
-		}
-	} else if *readahead > 0 {
-		return fmt.Errorf("-readahead needs -cache (prefetched blocks land in the cache)")
-	}
-	if *ioDepth > 0 {
-		storageOpts = append(storageOpts, e2lshos.WithIOEngine(*ioDepth))
-	}
-	if *retries > 0 {
-		if *ioDepth <= 0 {
-			return fmt.Errorf("-retries needs -iodepth (the retry layer lives in the vectored I/O engine)")
-		}
-		storageOpts = append(storageOpts, e2lshos.WithRetries(*retries))
-	}
-	if !*checksum {
-		storageOpts = append(storageOpts, e2lshos.WithChecksums(false))
+	// The facade validates how storage options combine (and the engine
+	// builders below surface its error); zero values are "not asked for".
+	storageOpts := []e2lshos.StorageOption{
+		e2lshos.WithBlockCache(int64(*cacheMB) << 20),
+		e2lshos.WithReadahead(*readahead),
+		e2lshos.WithIOEngine(*ioDepth),
+		e2lshos.WithRetries(*retries),
+		e2lshos.WithChecksums(*checksum),
 	}
 
 	if *fsyncEver != 1 && *walDir == "" {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -447,5 +448,25 @@ func TestRunGracefulShutdown(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "shutting down") {
 		t.Errorf("shutdown not logged:\n%s", out.String())
+	}
+}
+
+// TestRunStorageFlagCoupling: lshserve keeps no copy of the facade's rules
+// for how storage flags combine. -retries alone boots (the retry layer's
+// I/O engine comes with it), and -readahead without -cache fails with the
+// facade's own error.
+func TestRunStorageFlagCoupling(t *testing.T) {
+	small := []string{"-addr", "127.0.0.1:0", "-n", "600", "-queries", "5", "-shards", "1", "-k", "2"}
+
+	err := run(context.Background(), append(small, "-readahead", "2"), io.Discard, nil)
+	if err == nil || !strings.Contains(err.Error(), "WithReadahead requires WithBlockCache") {
+		t.Errorf("-readahead without -cache: err = %v, want the facade's WithBlockCache error", err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var out bytes.Buffer
+	if err := run(ctx, append(small, "-retries", "2"), &out, func(net.Addr) { cancel() }); err != nil {
+		t.Errorf("-retries without -iodepth: %v\noutput:\n%s", err, out.String())
 	}
 }

@@ -76,8 +76,9 @@ func (c Config) derive(data [][]float32) (lsh.Params, int64, uint, error) {
 }
 
 // StorageOption tunes the storage tier of NewStorageIndex and
-// OpenStorageIndex beyond the algorithmic Config: the block cache and
-// readahead that sit between the query paths and the block store. Unlike
+// OpenStorageIndex beyond the algorithmic Config: the I/O engine (queue
+// depth, block cache, readahead, retries) that sits between the query path
+// and the block store, checksums and the write-ahead log. Unlike
 // SearchOptions these are build/open-time choices; the accuracy knobs stay
 // in Config and the per-query options.
 type StorageOption func(*storageSettings)
@@ -97,15 +98,18 @@ type storageSettings struct {
 // WithBlockCache interposes a concurrency-safe, scan-resistant block cache
 // of the given byte capacity between the searchers and the block store.
 // Cache hits never reach the backend, so on repeated or skewed workloads
-// the effective N_IO drops to the miss count (Stats.CacheMisses).
+// the effective N_IO drops to the miss count (Stats.CacheMisses). The cache
+// lives inside the I/O engine; without WithIOEngine the engine runs at the
+// default queue depth.
 func WithBlockCache(bytes int64) StorageOption {
 	return func(s *storageSettings) { s.cacheBytes = bytes }
 }
 
 // WithReadahead enables asynchronous readahead between radius-ladder
-// rounds: while one round's candidates are being verified, a bounded worker
-// pool prefetches the next round's occupied table blocks and up to depth
-// bucket blocks per chain into the block cache. Requires WithBlockCache.
+// rounds: while one round's candidates are being verified, the I/O engine
+// prefetches the next round's occupied table blocks and up to depth bucket
+// blocks per chain into the block cache, as vectored waves under its queue
+// depth. Requires WithBlockCache.
 func WithReadahead(depth int) StorageOption {
 	return func(s *storageSettings) { s.readahead = depth }
 }
@@ -119,7 +123,11 @@ func WithReadahead(depth int) StorageOption {
 // the engine's dedup table in front of the cache tier; alone, the engine
 // still batches, coalesces and dedups against the raw store. Stats then
 // report CoalescedReads and DedupedReads alongside the unchanged logical
-// N_IO.
+// N_IO. The engine is the only place reads overlap: an index built without
+// it (and without WithBlockCache or WithRetries, which attach one at the
+// default depth of 16) reads its store one block at a time on the querying
+// goroutine — the right configuration for a RAM-resident store, where a
+// hand-off costs more than the 512-byte copy it would parallelise.
 func WithIOEngine(depth int) StorageOption {
 	return func(s *storageSettings) { s.ioDepth = depth }
 }
@@ -127,8 +135,8 @@ func WithIOEngine(depth int) StorageOption {
 // WithRetries makes the I/O engine retry failed block reads up to n times
 // with capped exponential backoff and jitter before giving up; addresses
 // that exhaust the budget land in a bounded quarantine set and fail fast
-// afterwards. Requires WithIOEngine (the retry layer lives in the engine).
-// Queries degrade around reads that still fail — the affected chains are
+// afterwards. The retry layer lives in the I/O engine; without WithIOEngine
+// the engine runs at the default queue depth. Queries degrade around reads that still fail — the affected chains are
 // skipped and the result is marked partial (Stats.Partial) instead of the
 // query erroring out.
 func WithRetries(n int) StorageOption {
@@ -172,7 +180,12 @@ func WithStorageBackend(b blockstore.Backend) StorageOption {
 	return func(s *storageSettings) { s.backend = b }
 }
 
-// resolveStorageSettings applies opts and validates the combination.
+// defaultIODepth is the queue depth of an I/O engine attached only because a
+// feature that lives inside it (WithBlockCache, WithRetries) was asked for.
+const defaultIODepth = 16
+
+// resolveStorageSettings applies opts, validates the combination and
+// resolves the engine's queue depth.
 func resolveStorageSettings(opts []StorageOption) (storageSettings, error) {
 	var s storageSettings
 	for _, o := range opts {
@@ -189,12 +202,13 @@ func resolveStorageSettings(opts []StorageOption) (storageSettings, error) {
 		return s, fmt.Errorf("e2lshos: negative I/O engine queue depth %d", s.ioDepth)
 	case s.retries < 0:
 		return s, fmt.Errorf("e2lshos: negative retry budget %d", s.retries)
-	case s.retries > 0 && s.ioDepth == 0:
-		return s, fmt.Errorf("e2lshos: WithRetries requires WithIOEngine (the retry layer lives in the I/O engine)")
 	case s.fsyncEvery < 0:
 		return s, fmt.Errorf("e2lshos: negative fsync interval %d", s.fsyncEvery)
 	case s.fsyncEvery > 0 && s.walDir == "":
 		return s, fmt.Errorf("e2lshos: WithFsyncEvery requires WithWAL (it tunes the log's group commit)")
+	}
+	if s.ioDepth == 0 && (s.cacheBytes > 0 || s.retries > 0) {
+		s.ioDepth = defaultIODepth
 	}
 	return s, nil
 }

@@ -9,8 +9,8 @@
 //   - InMemoryIndex: the original E2LSH algorithm, everything on DRAM.
 //   - StorageIndex: E2LSHoS — 512-byte bucket blocks, on-storage hash
 //     tables, fingerprints, DRAM occupancy bitmaps; persisted to a file and
-//     queried with a concurrent goroutine fan-out, or run against the
-//     simulated storage stack for capacity planning.
+//     queried in vectored read waves at the I/O engine's queue depth, or
+//     run against the simulated storage stack for capacity planning.
 //   - SRSIndex and QALSHIndex: the small-index baselines the paper compares
 //     against.
 //
@@ -19,9 +19,8 @@
 //	Search(ctx, q, opts...) (Result, Stats, error)
 //	BatchSearch(ctx, queries, opts...) ([]Result, Stats, error)
 //
-// where the functional options (WithK, WithBudget, WithFanout,
-// WithMultiProbe, WithWorkers) carry the per-query knobs that used to be
-// positional arguments, Stats surfaces the paper's N_IO / candidate /
+// where the functional options (WithK, WithBudget, WithMultiProbe,
+// WithWorkers) carry the per-query knobs, Stats surfaces the paper's N_IO / candidate /
 // radius-ladder counters, and ctx cancels in-flight work between radius
 // rounds.
 //

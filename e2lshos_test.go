@@ -61,7 +61,7 @@ func TestStorageIndexEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, st, err := ix.Search(ctx, d.Queries[0], WithK(3), WithFanout(8))
+	res, st, err := ix.Search(ctx, d.Queries[0], WithK(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestStorageIndexPersistence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := []SearchOption{WithK(3), WithFanout(4)}
+	opts := []SearchOption{WithK(3)}
 	want, _, err := ix.Search(ctx, d.Queries[1], opts...)
 	if err != nil {
 		t.Fatal(err)
@@ -240,7 +240,6 @@ func TestSearchOptionValidation(t *testing.T) {
 	for _, bad := range [][]SearchOption{
 		{WithK(0)},
 		{WithK(-3)},
-		{WithFanout(0)},
 		{WithBudget(-1)},
 		{WithMultiProbe(-1)},
 		{WithWorkers(-1)},

@@ -25,7 +25,6 @@ import (
 //	knob            InMemory  Storage  SRS  QALSH
 //	WithK              ✓         ✓      ✓     ✓
 //	WithBudget         ✓         ✓      ✓     —
-//	WithFanout         —         ✓      —     —
 //	WithMultiProbe     ✓         ✓      —     —
 //	WithWorkers      (batch)  (batch) (batch) (batch)
 type Engine interface {
@@ -81,30 +80,32 @@ type Stats struct {
 	// BucketIOs counts on-storage bucket block reads, including chains.
 	BucketIOs int
 	// CacheHits and CacheMisses count block-cache outcomes on StorageIndex
-	// reads when the index was built WithBlockCache (zero otherwise). Hits
+	// reads (counted when the index was built WithBlockCache). Hits
 	// never reach the backend, so CacheMisses is the effective N_IO of a
 	// cached engine; IOs() keeps reporting the logical count for
 	// comparability with uncached runs.
 	CacheHits   int
 	CacheMisses int
-	// PrefetchedBlocks counts blocks the WithReadahead pool pulled into the
-	// cache between radius rounds on behalf of these queries.
+	// PrefetchedBlocks counts blocks WithReadahead pulled into the cache
+	// between radius rounds on behalf of these queries.
 	PrefetchedBlocks int
-	// CoalescedReads counts backend reads the WithIOEngine submission layer
+	// CoalescedReads counts backend reads the I/O engine's submission layer
 	// saved by merging runs of adjacent block addresses into single
-	// vectored operations (zero without an engine). IOs() keeps reporting
+	// vectored operations. It, DedupedReads and PhysicalReads are counted
+	// whenever an engine exists — built WithIOEngine, WithBlockCache or
+	// WithRetries — and stay zero on an index that reads its store in
+	// line. IOs() keeps reporting
 	// the logical count; physical backend reads are
 	// IOs() − CacheHits − CoalescedReads with a cache attached (a dedup
 	// join is counted inside CacheHits), and
 	// IOs() − DedupedReads − CoalescedReads without one.
 	CoalescedReads int
 	// DedupedReads counts reads satisfied by joining another query's
-	// in-flight backend read, singleflight style (zero without an engine).
+	// in-flight backend read, singleflight style.
 	DedupedReads int
-	// PhysicalReads counts the backend operations the WithIOEngine
-	// submission layer actually issued after coalescing and dedup (zero
-	// without an engine). With an engine attached this is the true device
-	// operation count; IOs() keeps reporting the logical count.
+	// PhysicalReads counts the backend operations the I/O engine actually
+	// issued after coalescing and dedup: with an engine, the true device
+	// operation count. IOs() keeps reporting the logical count.
 	PhysicalReads int
 	// FaultedReads counts block reads that still failed after the storage
 	// tier's retries (zero on healthy devices and on the in-memory
@@ -133,8 +134,8 @@ type Stats struct {
 	// latency budget could not cover another round.
 	BudgetExhausted int
 	// DegradedKnobs counts knob-degradation steps the controller took
-	// mid-query (readahead off, multi-probe down, fan-out down, candidate
-	// budget down) to stay within latency budgets.
+	// mid-query (readahead off, multi-probe down, candidate budget down) to
+	// stay within latency budgets.
 	DegradedKnobs int
 }
 
@@ -188,14 +189,9 @@ func (s Stats) perQuery(total int) float64 {
 	return float64(total) / float64(s.Queries)
 }
 
-// DefaultFanout is the concurrent read fan-out StorageIndex uses when
-// WithFanout is not given; 8–32 approximates the paper's deep device queues.
-const DefaultFanout = 16
-
 // searchSettings is the resolved option set of one Search or BatchSearch.
 type searchSettings struct {
 	k          int
-	fanout     int
 	budget     int
 	multiProbe int
 	workers    int
@@ -203,18 +199,13 @@ type searchSettings struct {
 	statsInto  []Stats
 }
 
-// SearchOption tunes one Search or BatchSearch call. Options replace the
-// old positional (q, k, fanout|budget) signatures; see the Engine table for
-// which engines honor which.
+// SearchOption tunes one Search or BatchSearch call; see the Engine table
+// for which engines honor which.
 type SearchOption func(*searchSettings)
 
 // WithK sets the number of neighbors to return (default 1, the paper's
 // c²-ANNS setting).
 func WithK(k int) SearchOption { return func(s *searchSettings) { s.k = k } }
-
-// WithFanout sets StorageIndex's concurrent reads per query (default
-// DefaultFanout). Other engines ignore it.
-func WithFanout(n int) SearchOption { return func(s *searchSettings) { s.fanout = n } }
 
 // WithBudget caps verified candidates: per radius for the E2LSH engines
 // (the paper's S = σ·L accuracy knob, no rebuild needed) and per query for
@@ -224,8 +215,8 @@ func WithBudget(s int) SearchOption { return func(st *searchSettings) { st.budge
 
 // WithMultiProbe probes each hash table at its base bucket plus t perturbed
 // neighbors (§8 extension), buying recall without enlarging the index. Only
-// the E2LSH engines honor it; on StorageIndex it selects the sequential
-// prober, so WithFanout is ignored when t > 0.
+// the E2LSH engines honor it; on StorageIndex the extra probes join each
+// radius round's fetch waves.
 func WithMultiProbe(t int) SearchOption { return func(s *searchSettings) { s.multiProbe = t } }
 
 // WithWorkers sets BatchSearch's goroutine pool size (default GOMAXPROCS).
@@ -263,15 +254,13 @@ func WithStatsInto(dst []Stats) SearchOption {
 
 // resolveSettings applies opts over the defaults and validates the result.
 func resolveSettings(opts []SearchOption) (searchSettings, error) {
-	s := searchSettings{k: 1, fanout: DefaultFanout}
+	s := searchSettings{k: 1}
 	for _, o := range opts {
 		o(&s)
 	}
 	switch {
 	case s.k < 1:
 		return s, fmt.Errorf("e2lshos: k must be at least 1, got %d", s.k)
-	case s.fanout < 1:
-		return s, fmt.Errorf("e2lshos: fanout must be at least 1, got %d", s.fanout)
 	case s.budget < 0:
 		return s, fmt.Errorf("e2lshos: negative candidate budget %d", s.budget)
 	case s.multiProbe < 0:

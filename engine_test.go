@@ -3,6 +3,7 @@ package e2lshos
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -65,7 +66,7 @@ func parityEngines(t *testing.T, d *Dataset) []struct {
 		opts   []SearchOption
 	}{
 		{"inmemory", mem, 0.50, nil},
-		{"storage", disk, 0.50, []SearchOption{WithFanout(8)}},
+		{"storage", disk, 0.50, nil},
 		{"srs", srsIx, 0.50, []SearchOption{WithBudget(400)}},
 		{"qalsh", qalshIx, 0.25, nil},
 		{"sharded", sharded, 0.50, nil},
@@ -211,16 +212,22 @@ func TestSearchCancellation(t *testing.T) {
 }
 
 // TestMultiProbeOption: extra probes must visit at least as many buckets on
-// both E2LSH engines, and results must stay valid.
+// both E2LSH engines, and results must stay valid. On storage the extra
+// probes ride the same fetch waves as the base buckets: behind WithIOEngine
+// they go out as vectored reads, and the answers and logical I/O counts are
+// those of the in-line index.
 func TestMultiProbeOption(t *testing.T) {
 	ctx := context.Background()
 	d := parityDataset(t)
+	probedBy := map[string][]Result{}
+	statsBy := map[string]Stats{}
 	for _, build := range []struct {
 		name string
 		make func() (Engine, error)
 	}{
 		{"mem", func() (Engine, error) { return NewInMemoryIndex(d.Vectors, Config{}) }},
 		{"disk", func() (Engine, error) { return NewStorageIndex(d.Vectors, Config{}) }},
+		{"disk+ioengine", func() (Engine, error) { return NewStorageIndex(d.Vectors, Config{}, WithIOEngine(8)) }},
 	} {
 		eng, err := build.make()
 		if err != nil {
@@ -243,5 +250,16 @@ func TestMultiProbeOption(t *testing.T) {
 				t.Errorf("%s: multi-probe query %d found nothing", build.name, qi)
 			}
 		}
+		probedBy[build.name], statsBy[build.name] = res, probed
+	}
+	inline, vectored := statsBy["disk"], statsBy["disk+ioengine"]
+	if !reflect.DeepEqual(probedBy["disk"], probedBy["disk+ioengine"]) {
+		t.Error("multi-probe answers differ between the in-line and the vectored index")
+	}
+	if inline.IOs() != vectored.IOs() || inline.Probes != vectored.Probes || inline.Checked != vectored.Checked {
+		t.Errorf("multi-probe logical work differs: in-line %+v, vectored %+v", inline, vectored)
+	}
+	if inline.PhysicalReads != 0 || vectored.PhysicalReads == 0 {
+		t.Errorf("PhysicalReads: in-line %d (want 0), vectored %d (want > 0)", inline.PhysicalReads, vectored.PhysicalReads)
 	}
 }

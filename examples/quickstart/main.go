@@ -50,8 +50,7 @@ func main() {
 		{"in-memory", mem},
 		{"E2LSHoS", disk},
 	} {
-		results, stats, err := eng.engine.BatchSearch(ctx, ds.Queries,
-			e2lshos.WithK(k), e2lshos.WithFanout(16))
+		results, stats, err := eng.engine.BatchSearch(ctx, ds.Queries, e2lshos.WithK(k))
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -54,8 +54,7 @@ func main() {
 	const k = 10
 	gt := e2lshos.GroundTruth(ds, k)
 	start = time.Now()
-	results, stats, err := reopened.BatchSearch(ctx, ds.Queries,
-		e2lshos.WithK(k), e2lshos.WithFanout(16))
+	results, stats, err := reopened.BatchSearch(ctx, ds.Queries, e2lshos.WithK(k))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -32,7 +32,7 @@ func TestCrossEngineConsistency(t *testing.T) {
 	}
 	gt := GroundTruth(ds, 3)
 
-	opts := []SearchOption{WithK(3), WithFanout(8)}
+	opts := []SearchOption{WithK(3)}
 	memRes, _, err := mem.BatchSearch(ctx, ds.Queries, opts...)
 	if err != nil {
 		t.Fatal(err)
@@ -83,7 +83,7 @@ func TestOnlineUpdatesThroughFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, _, err := ix.Search(ctx, ds.Vectors[1600], WithFanout(4))
+	res, _, err := ix.Search(ctx, ds.Vectors[1600])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestOnlineUpdatesThroughFacade(t *testing.T) {
 	if !removed {
 		t.Fatal("delete removed nothing")
 	}
-	res, _, err = ix.Search(ctx, ds.Vectors[1600], WithFanout(4))
+	res, _, err = ix.Search(ctx, ds.Vectors[1600])
 	if err != nil {
 		t.Fatal(err)
 	}

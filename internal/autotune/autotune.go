@@ -11,7 +11,7 @@
 //   - A per-query controller (Ctl) threaded into the radius-ladder loops:
 //     it stops the ladder early once the estimated recall crosses the
 //     query's target, and under a latency budget degrades the execution
-//     knobs (readahead, multi-probe, fan-out, candidate budget) mid-query
+//     knobs (readahead, multi-probe, candidate budget) mid-query
 //     before giving up rounds — graceful degradation instead of shedding.
 //   - A server-level tuner (ServerTuner) that watches the serving p99 and
 //     adjusts coalescer batch size and I/O engine queue depth.
@@ -37,9 +37,8 @@ type DegradePolicy uint8
 
 const (
 	// DegradeKnobs (the default) walks the degradation ladder — readahead
-	// off, multi-probe halved then off, fan-out halved then quartered,
-	// candidate budget quartered — and only stops the radius ladder once
-	// every knob is exhausted.
+	// off, multi-probe halved then off, candidate budget quartered — and
+	// only stops the radius ladder once every knob is exhausted.
 	DegradeKnobs DegradePolicy = iota
 	// DegradeStop skips knob degradation: the query runs rounds at full
 	// quality and stops the ladder as soon as the budget cannot cover the
@@ -67,8 +66,6 @@ func (t Tuning) Active() bool { return t.RecallTarget > 0 || t.LatencyBudget > 0
 // Knobs are the degradable execution knobs of one ladder round, resolved
 // per round by Ctl.BeforeRound. Engines honor the knobs they have.
 type Knobs struct {
-	// Fanout is the concurrent-read fan-out (StorageIndex pool path).
-	Fanout int
 	// MultiProbe is the number of perturbed probes per table.
 	MultiProbe int
 	// BudgetS is the per-radius verified-candidate cap (the paper's S).
@@ -94,16 +91,10 @@ func applyLevel(kn Knobs, level int) Knobs {
 	}
 	if level >= 3 {
 		kn.MultiProbe = 0
-		if kn.Fanout > 1 {
-			kn.Fanout = kn.Fanout / 2
-		}
 	}
 	if level >= 4 {
 		if kn.BudgetS > 4 {
 			kn.BudgetS = kn.BudgetS / 4
-		}
-		if kn.Fanout > 2 {
-			kn.Fanout = kn.Fanout / 2
 		}
 	}
 	return kn

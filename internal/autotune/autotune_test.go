@@ -162,7 +162,7 @@ func TestLatencyBudgetDegradeThenStop(t *testing.T) {
 	c.EndLadder(ann.NewTopK(1), 0, 0)
 	tn.Finish(c)
 
-	base := Knobs{Fanout: 16, MultiProbe: 4, BudgetS: 400, Readahead: true}
+	base := Knobs{MultiProbe: 4, BudgetS: 400, Readahead: true}
 
 	// 85ms remaining < 100ms predicted and < 90ms at level 1: fits only at
 	// level ≥ 2 (0.75×).
@@ -220,7 +220,7 @@ func TestBudgetNeverStopsEmptyHanded(t *testing.T) {
 	tn.model.ObserveRound(1, 100*time.Millisecond)
 	tn.model.ObserveRound(2, 100*time.Millisecond)
 
-	base := Knobs{Fanout: 16, MultiProbe: 4, BudgetS: 400, Readahead: true}
+	base := Knobs{MultiProbe: 4, BudgetS: 400, Readahead: true}
 	c := tn.Start(Tuning{LatencyBudget: 10 * time.Millisecond}, base, time.Now())
 	if _, proceed := c.BeforeRound(0, 400); !proceed {
 		t.Fatal("round 0 must always proceed")
@@ -249,11 +249,11 @@ func TestBudgetNeverStopsEmptyHanded(t *testing.T) {
 // TestApplyLevelLadder: each degradation level strictly reduces work knobs
 // and never raises one.
 func TestApplyLevelLadder(t *testing.T) {
-	base := Knobs{Fanout: 16, MultiProbe: 4, BudgetS: 400, Readahead: true}
+	base := Knobs{MultiProbe: 4, BudgetS: 400, Readahead: true}
 	prev := base
 	for level := 1; level <= maxDegradeLevel; level++ {
 		kn := applyLevel(base, level)
-		if kn.Fanout > prev.Fanout || kn.MultiProbe > prev.MultiProbe || kn.BudgetS > prev.BudgetS {
+		if kn.MultiProbe > prev.MultiProbe || kn.BudgetS > prev.BudgetS {
 			t.Errorf("level %d raised a knob: %+v after %+v", level, kn, prev)
 		}
 		if kn.Readahead {
@@ -261,10 +261,10 @@ func TestApplyLevelLadder(t *testing.T) {
 		}
 		prev = kn
 	}
-	if prev.MultiProbe != 0 || prev.Fanout >= base.Fanout || prev.BudgetS >= base.BudgetS {
-		t.Errorf("fully degraded knobs = %+v, want multi-probe off, fan-out and budget reduced", prev)
+	if prev.MultiProbe != 0 || prev.BudgetS != base.BudgetS/4 {
+		t.Errorf("fully degraded knobs = %+v, want multi-probe off and the budget quartered", prev)
 	}
-	if kn := applyLevel(Knobs{Fanout: 1, BudgetS: 2}, maxDegradeLevel); kn.Fanout < 1 || kn.BudgetS < 1 {
+	if kn := applyLevel(Knobs{BudgetS: 2}, maxDegradeLevel); kn.BudgetS < 1 {
 		t.Errorf("degradation drove knobs below 1: %+v", kn)
 	}
 }

@@ -1,7 +1,8 @@
 // Package blockcache is the production caching tier of the storage path: a
 // concurrency-safe, sharded block cache that sits between the query engines
-// and a blockstore backend, plus an asynchronous readahead component
-// (prefetch.go) that warms the cache ahead of the radius ladder.
+// and a blockstore backend, plus the walk and handle types (prefetch.go) of
+// the readahead that ioengine runs to warm the cache ahead of the radius
+// ladder.
 //
 // The paper's §6.5 shows the naive mmap baseline suffering a 93% page-cache
 // miss rate because a general-purpose LRU sees E2LSH's access stream as pure
@@ -23,12 +24,6 @@ import (
 
 	"e2lshos/internal/blockstore"
 )
-
-// Reader is the source a cache miss falls through to. *blockstore.Store
-// satisfies it, keeping address validation on the miss path.
-type Reader interface {
-	ReadBlock(a blockstore.Addr, buf []byte) error
-}
 
 // Policy selects the per-shard replacement policy.
 type Policy int
@@ -305,21 +300,6 @@ func (c *Cache) Invalidate(a blockstore.Addr) {
 		delete(s.ghosts, a)
 	}
 	s.mu.Unlock()
-}
-
-// ReadThrough reads block a into buf, serving from the cache when resident
-// and falling through to src (populating the cache) on a miss. It reports
-// whether the read was a hit. Concurrent misses on the same address may both
-// reach src; the duplicate Put is idempotent.
-func (c *Cache) ReadThrough(src Reader, a blockstore.Addr, buf []byte) (bool, error) {
-	if c.Get(a, buf) {
-		return true, nil
-	}
-	if err := src.ReadBlock(a, buf); err != nil {
-		return false, err
-	}
-	c.Put(a, buf)
-	return false, nil
 }
 
 // Hits returns the cumulative hit count.

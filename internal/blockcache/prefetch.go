@@ -1,8 +1,6 @@
 package blockcache
 
 import (
-	"context"
-	"sync"
 	"sync/atomic"
 
 	"e2lshos/internal/blockstore"
@@ -17,46 +15,24 @@ type Walk struct {
 	// Start is the first block of the chase (a hash-table block).
 	Start blockstore.Addr
 	// Steps bounds the walk length including Start, so one runaway chain
-	// cannot monopolize the pool.
+	// cannot monopolize the readahead.
 	Steps int
 	// Next returns the next address given the step number just completed
 	// (0 for Start) and that block's contents, or blockstore.Nil to stop.
-	// It runs on a prefetch worker; it must not retain block.
+	// It runs on the readahead goroutine; it must not retain block.
 	Next func(step int, block []byte) blockstore.Addr
 }
 
-// Prefetcher drives asynchronous readahead: Prefetch fans a set of walks out
-// to a bounded worker pool that reads through the cache, warming it for the
-// reads the query engine is about to issue. It is stateless between calls
-// and safe for concurrent use; every worker goroutine it starts exits when
-// its walks are done or the context is canceled, whichever comes first.
-type Prefetcher struct {
-	cache   *Cache
-	src     Reader
-	workers int
-}
-
-// NewPrefetcher creates a prefetcher reading through cache from src with at
-// most workers concurrent fetches per Prefetch call.
-func NewPrefetcher(cache *Cache, src Reader, workers int) *Prefetcher {
-	if workers < 1 {
-		workers = 1
-	}
-	return &Prefetcher{cache: cache, src: src, workers: workers}
-}
-
-// Handle tracks one prefetch's completion. The pointer-chase pool below
-// returns them, and external readahead implementations (ioengine's vectored
-// waves) create their own through NewHandle so searchers settle either
-// uniformly.
+// Handle tracks one prefetch's completion. The readahead implementation
+// (ioengine's vectored waves) creates one through NewHandle per Prefetch
+// call; the searcher that asked settles it with Wait.
 type Handle struct {
 	done    chan struct{}
 	fetched atomic.Int64
 }
 
-// NewHandle returns an in-progress handle for an external readahead
-// implementation: call Add per block brought into the cache and Finish
-// exactly once when the walk set drains.
+// NewHandle returns an in-progress handle: call Add per block brought into
+// the cache and Finish exactly once when the walk set drains.
 func NewHandle() *Handle {
 	return &Handle{done: make(chan struct{})}
 }
@@ -72,8 +48,8 @@ func (h *Handle) Finish() { close(h.done) }
 func CompletedHandle() *Handle { return noopHandle }
 
 // Wait blocks until every walk finished or gave up (context canceled) and
-// returns the number of blocks actually brought into the cache (misses the
-// pool absorbed; hits on already-resident blocks are free and not counted).
+// returns the number of blocks actually brought into the cache (hits on
+// already-resident blocks are free and not counted).
 func (h *Handle) Wait() int64 {
 	<-h.done
 	return h.fetched.Load()
@@ -92,63 +68,7 @@ func (h *Handle) Done() bool {
 // noopHandle is returned for empty walk sets so callers can Wait
 // unconditionally.
 var noopHandle = func() *Handle {
-	h := &Handle{done: make(chan struct{})}
-	close(h.done)
+	h := NewHandle()
+	h.Finish()
 	return h
 }()
-
-// Prefetch starts walking every walk on the worker pool and returns
-// immediately. Workers check ctx between blocks: after cancellation no new
-// reads are issued and the pool drains, so a canceled query leaks nothing.
-func (p *Prefetcher) Prefetch(ctx context.Context, walks []Walk) *Handle {
-	if len(walks) == 0 {
-		return noopHandle
-	}
-	h := &Handle{done: make(chan struct{})}
-	workers := min(p.workers, len(walks))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			buf := make([]byte, blockstore.BlockSize)
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(walks) || ctx.Err() != nil {
-					return
-				}
-				p.walk(ctx, walks[i], buf, h)
-			}
-		}()
-	}
-	go func() {
-		wg.Wait()
-		close(h.done)
-	}()
-	return h
-}
-
-// walk chases one pointer chain through the cache. It reads via the quiet
-// cache path so prefetch probes never skew the demand Hits/Misses counters;
-// blocks actually brought in count as Prefetched instead.
-func (p *Prefetcher) walk(ctx context.Context, w Walk, buf []byte, h *Handle) {
-	addr := w.Start
-	for step := 0; step < w.Steps && addr != blockstore.Nil; step++ {
-		if ctx.Err() != nil {
-			return
-		}
-		if !p.cache.get(addr, buf) {
-			if err := p.src.ReadBlock(addr, buf); err != nil {
-				return // best effort: the demand read will surface the error
-			}
-			p.cache.Put(addr, buf)
-			h.fetched.Add(1)
-			p.cache.prefetched.Add(1)
-		}
-		if w.Next == nil {
-			return
-		}
-		addr = w.Next(step, buf)
-	}
-}

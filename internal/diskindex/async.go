@@ -62,8 +62,8 @@ func (ix *Index) AsyncQueryFunc(model costmodel.CPUModel, queries [][]float32, k
 
 // AsyncQueryFuncTuned is AsyncQueryFunc with a per-query autotune controller:
 // every query runs under tn with tuning tu (recall-target early stops and the
-// candidate-budget degradation; the wall-clock-only knobs — readahead,
-// fan-out — have no meaning on the simulator). A nil tn disables control.
+// candidate-budget degradation; readahead, a wall-clock-only knob, has no
+// meaning on the simulator). A nil tn disables control.
 func (ix *Index) AsyncQueryFuncTuned(model costmodel.CPUModel, queries [][]float32, k int, results []AsyncResult, tn *autotune.Tuner, tu autotune.Tuning) sched.QueryFunc {
 	if ix.physPerBucket != 1 {
 		panic("diskindex: the engine path requires 512-byte bucket blocks")

@@ -10,89 +10,117 @@ import (
 	"e2lshos/internal/lsh"
 )
 
-// This file wires the blockcache tier between the searchers and the block
-// store. With a cache attached every read on the wall-clock query paths
-// (Searcher, ParallelSearcher, online updates) goes through
-// blockcache.ReadThrough, and the readahead component prefetches the next
-// radius round's bucket chains while the current round is being verified.
-// The virtual-time engine path (async.go) is deliberately not cached: it
+// This file is the index's read seam. Every wall-clock read — both
+// searchers, online updates, the invariant checker — goes through readOne
+// (one block) or readBatch (one wave), and each has exactly two bodies: the
+// attached ioengine, or the block store read in line on the calling
+// goroutine. Queue depth, the
+// block cache, retries, dedup, coalescing and readahead all live inside the
+// engine; without one the index runs at depth 1 with none of them. The
+// virtual-time engine path (async.go) is deliberately outside the seam: it
 // models the paper's raw-device experiments, where §6.5's page cache is a
 // simulation of its own.
 
-// readaheadWorkers bounds the prefetch pool's concurrent backend reads per
-// query: deep enough to overlap a round's table blocks, shallow enough that
-// readahead never starves demand reads.
-const readaheadWorkers = 8
-
-// AttachCache routes the index's read path through c and, when depth > 0,
-// enables readahead: between radius-ladder rounds the searchers prefetch the
-// next round's occupied table blocks and up to depth bucket blocks per
-// chain. Attach before issuing queries; the write path (Insert/Delete)
-// keeps the cache coherent by invalidating every block it rewrites.
-func (ix *Index) AttachCache(c *blockcache.Cache, depth int) {
-	ix.cache = c
-	ix.readahead = 0
-	ix.prefetcher = nil
-	if c != nil && depth > 0 {
-		ix.readahead = depth
-		ix.prefetcher = blockcache.NewPrefetcher(c, ix.store, readaheadWorkers)
-	}
-}
-
-// Cache returns the attached block cache (nil when uncached).
-func (ix *Index) Cache() *blockcache.Cache { return ix.cache }
-
-// AttachIOEngine routes the index's wall-clock read paths through the
-// shared vectored I/O engine: the sequential searcher's demand reads gain
-// the engine's dedup+cache front, the parallel searcher's fetch phase
-// submits each radius round as vectored waves (real.go), and readahead
-// walks go out as vectored waves too. The engine must wrap this index's
-// store; when a cache is attached it must be the engine's cache, so the
-// dedup table sits in front of one coherent cache tier. Attach before
-// issuing queries.
-func (ix *Index) AttachIOEngine(eng *ioengine.Engine) {
+// AttachIOEngine routes the index's reads through the shared vectored I/O
+// engine, which must wrap this index's store. With readahead > 0 and a cache
+// inside the engine, the searchers additionally prefetch the next radius
+// round's occupied table blocks and up to readahead bucket blocks per chain
+// while the current round is being verified. Attach before issuing queries;
+// the write path (Insert/Delete) keeps the engine's cache coherent by
+// invalidating every block it rewrites.
+func (ix *Index) AttachIOEngine(eng *ioengine.Engine, readahead int) {
 	ix.ioeng = eng
+	ix.readahead = 0
+	if eng != nil && eng.Cache() != nil {
+		ix.readahead = readahead
+	}
 }
 
 // IOEngine returns the attached I/O engine (nil when unattached).
 func (ix *Index) IOEngine() *ioengine.Engine { return ix.ioeng }
 
-// ReadaheadDepth returns the configured chain prefetch depth (0 = off).
-func (ix *Index) ReadaheadDepth() int { return ix.readahead }
-
-// readaheadActive reports whether the searchers should issue prefetches.
-func (ix *Index) readaheadActive() bool { return ix.prefetcher != nil }
-
-// readBlock reads one physical block, through the I/O engine or cache when
-// attached, folding the outcome into st (which may be nil on untracked
-// paths). The engine path passes a background context: demand reads always
-// run to completion, and query cancellation stays at its documented
-// radius-round granularity.
-func (ix *Index) readBlock(a blockstore.Addr, buf []byte, st *Stats) error {
-	if ix.ioeng != nil {
-		var bs ioengine.BatchStats
-		//lsh:ctxok demand reads run to completion by design; see the doc comment
-		if err := ix.ioeng.Read(context.Background(), a, buf, &bs); err != nil {
-			return err
-		}
-		foldBatchStats(st, bs)
+// Cache returns the attached engine's block cache (nil when uncached).
+func (ix *Index) Cache() *blockcache.Cache {
+	if ix.ioeng == nil {
 		return nil
 	}
-	if ix.cache == nil {
+	return ix.ioeng.Cache()
+}
+
+// readOne reads one physical block through the attached engine or, without
+// one, straight from the store. The engine body passes a background context:
+// demand reads always run to completion, and query cancellation stays at its
+// documented radius-round granularity.
+//
+//lsh:hotpath
+func (ix *Index) readOne(a blockstore.Addr, buf []byte, bst *ioengine.BatchStats) error {
+	if ix.ioeng == nil {
 		return ix.store.ReadBlock(a, buf)
 	}
-	hit, err := ix.cache.ReadThrough(ix.store, a, buf)
-	if err != nil {
+	//lsh:ctxok demand reads run to completion by design; see the doc comment
+	return ix.ioeng.Read(context.Background(), a, buf, bst)
+}
+
+// readBlock is readOne for the block-at-a-time callers (the reference
+// searcher, updates, the invariant checker), folding the engine's outcome
+// into st (which may be nil on untracked paths).
+func (ix *Index) readBlock(a blockstore.Addr, buf []byte, st *Stats) error {
+	var bs ioengine.BatchStats
+	if err := ix.readOne(a, buf, &bs); err != nil {
 		return err
 	}
-	if st != nil {
-		if hit {
-			st.CacheHits++
-		} else {
-			st.CacheMisses++
+	foldBatchStats(st, bs)
+	return nil
+}
+
+// readBatch reads one wave: addrs[i] into dsts[i], where every `group`
+// consecutive positions are the adjacent physical blocks of one logical
+// block. It returns ok == nil when every block arrived; after a storage
+// fault ok[g] reports whether logical block g is intact, so the caller drops
+// only the chains that are actually unreadable. Any other error aborts.
+//
+// With an engine the wave goes out as one vectored submission (coalescing,
+// dedup, queue depth), under a background context like readOne. Without one
+// — the degenerate configuration: depth 1, no cache, no goroutines — the
+// block-at-a-time loop below is the whole read: each block is read at most
+// once and a logical block is abandoned at its first bad physical block, so
+// one injected fault is exactly one faulted read. The same loop is the
+// engine's cold path behind a wave-level storage fault: the engine already
+// published (and cached) every healthy block of the failed wave and
+// quarantined the condemned addresses, so the re-reads are cache hits or
+// fast fails, not a second trip through the backoff ladder.
+//
+//lsh:hotpath
+func (ix *Index) readBatch(addrs []blockstore.Addr, dsts [][]byte, group int, bst *ioengine.BatchStats) ([]bool, error) {
+	if ix.ioeng != nil {
+		//lsh:ctxok round-granularity cancellation by design; see readOne
+		err := ix.ioeng.ReadBatch(context.Background(), addrs, dsts, bst)
+		if !storageFault(err) {
+			return nil, err
 		}
 	}
-	return nil
+	var ok []bool
+	for g := 0; g*group < len(addrs); g++ {
+		for i := g * group; i < (g+1)*group; i++ {
+			err := ix.readOne(addrs[i], dsts[i], bst)
+			if err == nil {
+				continue
+			}
+			if !storageFault(err) {
+				return nil, err
+			}
+			if ok == nil {
+				//lsh:allocok fault path: per-logical-block verdicts exist only after a failed read
+				ok = make([]bool, len(addrs)/group)
+				for j := range ok {
+					ok[j] = true
+				}
+			}
+			ok[g] = false
+			break
+		}
+	}
+	return ok, nil
 }
 
 // foldBatchStats merges one engine call's outcome counters into st.
@@ -109,10 +137,10 @@ func foldBatchStats(st *Stats, bs ioengine.BatchStats) {
 	st.CoalescedReads += bs.CoalescedReads
 }
 
-// cacheInvalidate drops a rewritten block from the cache.
+// cacheInvalidate drops a rewritten block from the engine's cache.
 func (ix *Index) cacheInvalidate(a blockstore.Addr) {
-	if ix.cache != nil {
-		ix.cache.Invalidate(a)
+	if c := ix.Cache(); c != nil {
+		c.Invalidate(a)
 	}
 }
 
@@ -129,12 +157,12 @@ func (ix *Index) roundHashes(q []float32, rIdx int, proj, projScratch []float64,
 }
 
 // prefetchRound starts readahead for round rIdx given its compound hashes:
-// one walk per occupied bucket, chasing the table block, the head pointer it
-// contains, and up to the configured depth of chain blocks. It returns
-// immediately; the searcher folds the handle in when it reaches the round.
-// With an I/O engine attached the walks go out as vectored waves (all table
-// blocks in one batch, then each chain depth level in one batch) instead of
-// per-chain pointer chasing.
+// one walk per occupied bucket over the table block, the head pointer it
+// contains, and up to the configured depth of chain blocks, submitted to the
+// engine as vectored waves (all table blocks in one batch, then each chain
+// depth level in one batch). It returns immediately; the searcher folds the
+// handle in when it reaches the round. Callers check ix.readahead > 0
+// first: only then is an engine with a cache attached.
 func (ix *Index) prefetchRound(ctx context.Context, rIdx int, hashes []uint32) *blockcache.Handle {
 	walks := make([]blockcache.Walk, 0, len(hashes))
 	for l, h := range hashes {
@@ -156,8 +184,5 @@ func (ix *Index) prefetchRound(ctx context.Context, rIdx int, hashes []uint32) *
 			},
 		})
 	}
-	if ix.ioeng != nil {
-		return ix.ioeng.Prefetch(ctx, walks)
-	}
-	return ix.prefetcher.Prefetch(ctx, walks)
+	return ix.ioeng.Prefetch(ctx, walks)
 }

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"e2lshos/internal/ann"
-	"e2lshos/internal/blockcache"
 	"e2lshos/internal/blockstore"
 	"e2lshos/internal/dataset"
 	"e2lshos/internal/lsh"
@@ -59,7 +58,8 @@ func (b *countingBackend) NumBlocks() uint64 {
 }
 
 // cacheSetup builds a small index over a counting backend, optionally with a
-// cache (capacityBytes > 0) and readahead attached.
+// cache (capacityBytes > 0) and readahead attached — through an I/O engine,
+// the only place a cache lives.
 func cacheSetup(t *testing.T, capacityBytes int64, readahead int) (*dataset.Dataset, *Index, *countingBackend) {
 	t.Helper()
 	d, err := dataset.Generate(dataset.Spec{
@@ -87,11 +87,7 @@ func cacheSetup(t *testing.T, capacityBytes int64, readahead int) (*dataset.Data
 	}
 	backend.reads.Store(0) // ignore build-time traffic
 	if capacityBytes > 0 {
-		cache, err := blockcache.New(capacityBytes, blockcache.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ix.AttachCache(cache, readahead)
+		ix = engineAttached(t, ix, 16, capacityBytes, readahead)
 	}
 	return d, ix, backend
 }
@@ -200,10 +196,10 @@ func TestReadaheadPrefetchesAndAgrees(t *testing.T) {
 	}
 }
 
-// TestCachedParallelSearcherRace: concurrent ParallelSearchers over one
-// shared cache+readahead index must stay correct under the race detector
-// and agree with the sequential reference.
-func TestCachedParallelSearcherRace(t *testing.T) {
+// TestCachedWaveSearcherRace: concurrent WaveSearchers over one shared
+// cache+readahead index must stay correct under the race detector and agree
+// with the sequential reference.
+func TestCachedWaveSearcherRace(t *testing.T) {
 	d, plain, _ := cacheSetup(t, 0, 0)
 	wantRes, _ := runRepeated(t, plain, d, 1)
 
@@ -215,11 +211,7 @@ func TestCachedParallelSearcherRace(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ps, err := cached.NewParallelSearcher(4)
-			if err != nil {
-				errs <- err
-				return
-			}
+			ps := cached.NewWaveSearcher()
 			for qi, q := range d.Queries {
 				res, st, err := ps.SearchContext(context.Background(), q, 1)
 				if err != nil {

@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"math/bits"
 
-	"e2lshos/internal/blockcache"
 	"e2lshos/internal/blockstore"
 	"e2lshos/internal/ioengine"
 	"e2lshos/internal/lsh"
@@ -97,16 +96,12 @@ type Index struct {
 	// occupied[r][l] is the 2^u-bit occupancy bitmap kept on DRAM.
 	occupied [][][]uint64
 
-	// cache, when attached, interposes the blockcache tier on the wall-clock
-	// read paths; readahead > 0 additionally prefetches the next radius
-	// round's chains through prefetcher. See cache.go.
-	cache      *blockcache.Cache
-	readahead  int
-	prefetcher *blockcache.Prefetcher
-	// ioeng, when attached, routes every wall-clock read through the shared
-	// vectored I/O engine: bounded queue depth, adjacent-block coalescing
-	// and cross-query dedup. See cache.go and real.go.
-	ioeng *ioengine.Engine
+	// ioeng, when attached, serves every wall-clock read: bounded queue
+	// depth, the block cache, retries, adjacent-block coalescing and
+	// cross-query dedup. readahead > 0 additionally prefetches the next
+	// radius round's chains through it. See cache.go.
+	ioeng     *ioengine.Engine
+	readahead int
 
 	// upd is the mutation state: the update RWMutex that serializes
 	// Insert/Delete against queries, the optional write-ahead log, and the
@@ -398,9 +393,8 @@ func (ix *Index) bucketBufBytes() int {
 }
 
 // readLogicalBlock reads one logical bucket block into buf, which must be
-// bucketBufBytes long. Only the first BucketBytes are meaningful. Reads go
-// through the cache when one is attached, folding outcomes into st (nil on
-// untracked paths).
+// bucketBufBytes long. Only the first BucketBytes are meaningful. Engine
+// outcomes fold into st (nil on untracked paths).
 func (ix *Index) readLogicalBlock(addr blockstore.Addr, buf []byte, st *Stats) error {
 	for i := 0; i < ix.physPerBucket; i++ {
 		lo := i * blockstore.BlockSize

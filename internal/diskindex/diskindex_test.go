@@ -186,6 +186,43 @@ func TestIOAccounting(t *testing.T) {
 	}
 }
 
+// TestWaveEntryAccounting extends the counter invariant to the serving
+// searcher: every decoded entry is scanned, and every scanned entry is
+// checked, a duplicate or a fingerprint reject — unless the budget cut the
+// round short, which leaves the fetched remainder scanned only. With a tiny
+// table (lots of u-bit collisions) the wave decode must reject by
+// fingerprint exactly as often as the reference does on an untruncated run.
+func TestWaveEntryAccounting(t *testing.T) {
+	opts := DefaultOptions()
+	opts.TableBits = 8
+	for _, sigma := range []float64{1000, 2} {
+		d, ix, _ := testSetup(t, 2000, sigma, opts)
+		ref, ws := ix.NewSearcher(), ix.NewWaveSearcher()
+		rejected := 0
+		for qi, q := range d.Queries {
+			_, rst, err := ref.Search(q, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, st, err := ws.Search(q, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			entries := st.Checked + st.Duplicates + st.FPRejected
+			if entries > st.EntriesScanned {
+				t.Fatalf("sigma %g query %d: entry accounting broken: %+v", sigma, qi, st)
+			}
+			if sigma == 1000 && (entries != st.EntriesScanned || st != rst) {
+				t.Fatalf("query %d: untruncated wave stats differ from the reference\nwave: %+v\nref:  %+v", qi, st, rst)
+			}
+			rejected += st.FPRejected
+		}
+		if rejected == 0 {
+			t.Errorf("sigma %g: u=8 produced no fingerprint rejections on the wave path", sigma)
+		}
+	}
+}
+
 func TestSmallBucketBlocksNeedMoreIOs(t *testing.T) {
 	// Fig 3: smaller B means more bucket-block reads for the same search.
 	big := DefaultOptions()
@@ -330,13 +367,10 @@ func TestAsyncAccuracy(t *testing.T) {
 	}
 }
 
-func TestParallelSearcherMatchesSync(t *testing.T) {
+func TestWaveSearcherMatchesSync(t *testing.T) {
 	d, ix, _ := testSetup(t, 2000, 1000, DefaultOptions())
 	sync := ix.NewSearcher()
-	par, err := ix.NewParallelSearcher(8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	par := ix.NewWaveSearcher()
 	for qi, q := range d.Queries {
 		want, wantSt, err := sync.Search(q, 5)
 		if err != nil {
@@ -347,7 +381,7 @@ func TestParallelSearcherMatchesSync(t *testing.T) {
 			t.Fatal(err)
 		}
 		if len(got.Neighbors) != len(want.Neighbors) {
-			t.Fatalf("query %d: parallel %d neighbors, sync %d", qi, len(got.Neighbors), len(want.Neighbors))
+			t.Fatalf("query %d: wave %d neighbors, sync %d", qi, len(got.Neighbors), len(want.Neighbors))
 		}
 		for i := range want.Neighbors {
 			if got.Neighbors[i] != want.Neighbors[i] {
@@ -355,15 +389,8 @@ func TestParallelSearcherMatchesSync(t *testing.T) {
 			}
 		}
 		if gotSt.Checked != wantSt.Checked {
-			t.Fatalf("query %d: parallel checked %d, sync %d", qi, gotSt.Checked, wantSt.Checked)
+			t.Fatalf("query %d: wave checked %d, sync %d", qi, gotSt.Checked, wantSt.Checked)
 		}
-	}
-}
-
-func TestParallelSearcherValidation(t *testing.T) {
-	_, ix, _ := testSetup(t, 300, 4, DefaultOptions())
-	if _, err := ix.NewParallelSearcher(0); err == nil {
-		t.Error("zero workers accepted")
 	}
 }
 
@@ -411,10 +438,7 @@ func TestSaveLoadFileBacked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := loaded.NewParallelSearcher(4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	par := loaded.NewWaveSearcher()
 	res, _, err := par.Search(d.Queries[0], 1)
 	if err != nil {
 		t.Fatal(err)

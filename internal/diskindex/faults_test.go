@@ -65,21 +65,19 @@ func TestSyncSearchDegradesOnStorageFaults(t *testing.T) {
 	}
 }
 
-// TestParallelSearchDegradesOnStorageFaults: the pool path keeps a probe's
-// partially collected candidates when its chain is cut short, and answers
-// every query.
-func TestParallelSearchDegradesOnStorageFaults(t *testing.T) {
+// TestWaveSearchDegradesOnStorageFaults: the in-line wave path keeps a
+// probe's partially collected candidates when its chain is cut short,
+// answers every query, and counts exactly one faulted read per injected
+// failure (no block is read twice).
+func TestWaveSearchDegradesOnStorageFaults(t *testing.T) {
 	d, ix, _ := testSetup(t, 800, 8, DefaultOptions())
 	faulty, fb := faultyCopy(t, ix, faultinject.Schedule{Seed: 2, FailAfter: 2})
-	ps, err := faulty.NewParallelSearcher(4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ps := faulty.NewWaveSearcher()
 	faulted, partials := 0, 0
 	for _, q := range d.Queries {
 		_, st, err := ps.Search(q, 1)
 		if err != nil {
-			t.Fatalf("parallel query failed instead of degrading: %v", err)
+			t.Fatalf("wave query failed instead of degrading: %v", err)
 		}
 		faulted += st.FaultedReads
 		partials += st.Partial

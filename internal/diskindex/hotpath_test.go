@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"e2lshos/internal/ann"
-	"e2lshos/internal/blockcache"
 	"e2lshos/internal/blockstore"
 	"e2lshos/internal/dataset"
 	"e2lshos/internal/lsh"
@@ -16,11 +15,7 @@ import (
 // searcher answers queries with zero allocations per query.
 func TestCachedSearchIntoZeroAllocs(t *testing.T) {
 	d, ix, _ := testSetup(t, 4000, 8, DefaultOptions())
-	cache, err := blockcache.New(ix.StorageBytes()*2, blockcache.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix.AttachCache(cache, 0)
+	ix = engineAttached(t, ix, 16, ix.StorageBytes()*2, 0)
 	s := ix.NewSearcher()
 	const k = 10
 	ctx := context.Background()
@@ -40,6 +35,34 @@ func TestCachedSearchIntoZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state cached SearchInto allocates %v allocs/query, want 0", allocs)
+	}
+}
+
+// TestWaveSearchIntoZeroAllocs is the contract of the default serving
+// configuration: on a RAM store with no engine attached, readBatch's in-line
+// body reads each wave on the calling goroutine, and the wave searcher
+// answers queries with zero allocations per query after warmup.
+func TestWaveSearchIntoZeroAllocs(t *testing.T) {
+	d, ix, _ := testSetup(t, 4000, 8, DefaultOptions())
+	s := ix.NewWaveSearcher()
+	const k = 10
+	ctx := context.Background()
+	dst := make([]ann.Neighbor, 0, k)
+	for _, q := range d.Queries { // warmup: size the per-probe id arenas
+		if _, _, err := s.SearchInto(ctx, q, k, dst); err != nil {
+			t.Fatal(err)
+		}
+	}
+	qi := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		q := d.Queries[qi%d.NQ()]
+		qi++
+		if _, _, err := s.SearchInto(ctx, q, k, dst); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state wave SearchInto allocates %v allocs/query, want 0", allocs)
 	}
 }
 
@@ -98,10 +121,7 @@ func TestSearchIntoMatchesSearchContext(t *testing.T) {
 	const k = 5
 	ctx := context.Background()
 	seq := ix.NewSearcher()
-	par, err := ix.NewParallelSearcher(4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	par := ix.NewWaveSearcher()
 	dst := make([]ann.Neighbor, 0, k)
 	for qi, q := range d.Queries {
 		want, wantSt, err := seq.SearchContext(ctx, q, k)

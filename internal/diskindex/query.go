@@ -31,7 +31,9 @@ type Stats struct {
 	TableIOs int
 	// BucketIOs counts logical bucket block reads, including chain blocks.
 	BucketIOs int
-	// EntriesScanned counts object infos examined.
+	// EntriesScanned counts object infos decoded from fetched bucket blocks.
+	// Checked + Duplicates + FPRejected ≤ EntriesScanned, with equality
+	// whenever the budget did not cut a round short.
 	EntriesScanned int
 	// FPRejected counts entries dropped by the fingerprint check (§5.2):
 	// u-bit collisions that are not 32-bit collisions.
@@ -41,24 +43,27 @@ type Stats struct {
 	// Checked counts distance computations.
 	Checked int
 	// CacheHits and CacheMisses count block-cache outcomes on the read path
-	// (zero when no cache is attached). Misses are the reads that reached
-	// the backend, so with a cache the effective N_IO is CacheMisses.
+	// (counted when the attached I/O engine holds a cache). Misses are the
+	// reads that reached the backend, so with a cache the effective N_IO is
+	// CacheMisses.
 	CacheHits   int
 	CacheMisses int
-	// Prefetched counts blocks the readahead pool pulled into the cache for
-	// this query's radius rounds.
+	// Prefetched counts blocks the engine's readahead pulled into the cache
+	// for this query's radius rounds.
 	Prefetched int
 	// CoalescedReads counts backend reads the I/O engine saved by merging
 	// runs of adjacent block addresses into single vectored operations
-	// (zero when no engine is attached). The logical N_IO is unchanged;
+	// (counted when an engine is attached). The logical N_IO is unchanged;
 	// these reads simply never became separate physical requests.
 	CoalescedReads int
 	// DedupedReads counts reads satisfied by joining another query's
-	// in-flight backend read, singleflight style (zero without an engine).
+	// in-flight backend read, singleflight style (counted when an engine is
+	// attached).
 	DedupedReads int
 	// PhysicalReads counts the backend operations the I/O engine actually
-	// issued for this query after coalescing and dedup (zero without an
-	// engine). CacheMisses remains the logical backend-reaching count.
+	// issued for this query after coalescing and dedup (counted when an
+	// engine is attached). CacheMisses remains the logical backend-reaching
+	// count.
 	PhysicalReads int
 	// FaultedReads counts block reads that still failed after the I/O
 	// layer's retries (storage faults only; cancellation is not a fault).
@@ -99,9 +104,10 @@ func (st *Stats) skipChain() {
 }
 
 // Searcher executes queries synchronously against the store's data plane:
-// no virtual time, just block reads. It is the reference implementation the
-// asynchronous engine path is tested against, and the I/O-count oracle for
-// the Fig 3–8 analyses. All per-query scratch (projection buffer, hash
+// no virtual time, just block reads, one at a time, stopping the moment a
+// round's budget is spent. It is the reference implementation the serving
+// WaveSearcher and the asynchronous engine path are tested against, and the
+// I/O-count oracle for the Fig 3–8 analyses; it is not on the serving path. All per-query scratch (projection buffer, hash
 // buffer, epoch-stamped visited array, block buffer, top-k accumulator) is
 // searcher-owned, so the SearchInto path allocates nothing per query after
 // warmup. Not safe for concurrent use; create one per worker.
@@ -160,7 +166,7 @@ func (ix *Index) NewSearcher() *Searcher {
 		seen:   make([]uint32, n),
 		buf:    make([]byte, ix.bucketBufBytes()),
 	}
-	if ix.readaheadActive() {
+	if ix.readahead > 0 {
 		s.nextHashes = make([]uint32, ix.params.L)
 		if !ix.opts.ShareProjections {
 			s.raProj = make([]float64, ix.params.L*ix.params.M)
@@ -226,7 +232,7 @@ func (s *Searcher) search(ctx context.Context, q []float32, k int) (Stats, error
 	if s.pending != nil {
 		// Settle readahead issued for a round the ladder never entered, so
 		// no prefetch work outlives the query and the stats stay exact. On
-		// cancellation the pool drains without issuing further reads.
+		// cancellation the engine's walk stops between waves.
 		st.Prefetched += int(s.pending.Wait())
 		s.pending = nil
 	}
@@ -297,7 +303,7 @@ func (s *Searcher) searchContext(ctx context.Context, q []float32, k int) (Stats
 			stBefore = st
 			s.ioNS = 0
 		}
-		if readahead && ix.readaheadActive() && rIdx+1 < p.R() {
+		if readahead && ix.readahead > 0 && rIdx+1 < p.R() {
 			ix.roundHashes(q, rIdx+1, s.proj, s.raProj, s.nextHashes)
 			s.pending = ix.prefetchRound(ctx, rIdx+1, s.nextHashes)
 		}

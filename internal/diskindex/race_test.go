@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"e2lshos/internal/ann"
-	"e2lshos/internal/blockcache"
 )
 
 func neighborIDs(ns []ann.Neighbor) []uint32 {
@@ -30,36 +29,30 @@ func TestConcurrentInsertSearch(t *testing.T) {
 			return neighborIDs(res.Neighbors), err
 		}
 	}
+	mkWave := func(t *testing.T, ix *Index) searchFn {
+		ws := ix.NewWaveSearcher()
+		return func(q []float32, k int) ([]uint32, error) {
+			res, _, err := ws.Search(q, k)
+			return neighborIDs(res.Neighbors), err
+		}
+	}
 	variants := []struct {
 		name  string
-		setup func(t *testing.T, ix *Index) // once, before the workload
+		setup func(t *testing.T, ix *Index) *Index // once, before the workload
 		mk    func(t *testing.T, ix *Index) searchFn
 	}{
 		{"sequential", nil, mkSequential},
-		{"parallel", nil, func(t *testing.T, ix *Index) searchFn {
-			ps, err := ix.NewParallelSearcher(4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return func(q []float32, k int) ([]uint32, error) {
-				res, _, err := ps.Search(q, k)
-				return neighborIDs(res.Neighbors), err
-			}
-		}},
-		{"cached-readahead", func(t *testing.T, ix *Index) {
-			c, err := blockcache.New(1<<20, blockcache.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ix.AttachCache(c, 2)
-		}, mkSequential},
+		{"wave", nil, mkWave},
+		{"cached-readahead", func(t *testing.T, ix *Index) *Index {
+			return engineAttached(t, ix, 16, 1<<20, 2)
+		}, mkWave},
 	}
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
 			const n, extra = 1000, 20
 			d, ix := buildUpdatable(t, n, extra)
 			if v.setup != nil {
-				v.setup(t, ix)
+				ix = v.setup(t, ix)
 			}
 			var (
 				stop = make(chan struct{})

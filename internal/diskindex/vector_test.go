@@ -16,29 +16,29 @@ import (
 )
 
 // engineAttached returns a view of ix whose reads go through a fresh
-// vectored I/O engine (and optionally a fresh cache + readahead), sharing
-// the frozen index structures with the receiver.
-func engineAttached(t *testing.T, ix *Index, depth int, cacheBytes int64, readahead int) *Index {
+// vectored I/O engine (and optionally a fresh cache + readahead inside it),
+// sharing the frozen index structures with the receiver.
+func engineAttached(t testing.TB, ix *Index, depth int, cacheBytes int64, readahead int) *Index {
+	t.Helper()
+	return withEngine(t, ix, ioengine.Options{Depth: depth}, cacheBytes, readahead)
+}
+
+// withEngine is engineAttached with full control of the engine options.
+func withEngine(t testing.TB, ix *Index, opts ioengine.Options, cacheBytes int64, readahead int) *Index {
 	t.Helper()
 	clone := *ix
-	clone.cache = nil
-	clone.prefetcher = nil
-	clone.readahead = 0
-	clone.ioeng = nil
-	var cache *blockcache.Cache
 	if cacheBytes > 0 {
-		var err error
-		cache, err = blockcache.New(cacheBytes, blockcache.Options{})
+		cache, err := blockcache.New(cacheBytes, blockcache.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		clone.AttachCache(cache, readahead)
+		opts.Cache = cache
 	}
-	eng, err := ioengine.New(clone.store, ioengine.Options{Depth: depth, Cache: cache})
+	eng, err := ioengine.New(clone.store, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	clone.AttachIOEngine(eng)
+	clone.AttachIOEngine(eng, readahead)
 	return &clone
 }
 
@@ -54,46 +54,36 @@ func logicalStats(st Stats) Stats {
 	return st
 }
 
-// TestVectoredFetchMatchesSerial is the PR's equivalence criterion: with the
-// I/O engine attached, both diskindex searchers must return identical
-// neighbor sets, distances and logical N_IO to the serial read path — on
-// generous budgets AND under mid-round budget truncation, cached and
-// uncached, across bucket-block sizes.
-func TestVectoredFetchMatchesSerial(t *testing.T) {
-	cases := []struct {
-		name  string
-		sigma float64
-		opts  Options
-	}{
-		{"generous budget", 1000, DefaultOptions()},
-		{"truncating budget", 2, DefaultOptions()},
-		{"multi-block buckets", 64, func() Options {
-			o := DefaultOptions()
-			o.BucketBytes = 4096
-			return o
-		}()},
-		{"chained buckets", 200, func() Options {
-			o := DefaultOptions()
-			o.TableBits = 6
-			return o
-		}()},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			d, ix, _ := testSetup(t, 2000, tc.sigma, tc.opts)
-			for _, cached := range []bool{false, true} {
-				name := "uncached"
-				var cacheBytes int64
-				if cached {
-					name = "cached"
-					cacheBytes = 64 << 20
-				}
-				t.Run(name, func(t *testing.T) {
-					vec := engineAttached(t, ix, 16, cacheBytes, 0)
+// bucketLayouts are the on-storage shapes the equivalence tests sweep: the
+// default one-block buckets, logical blocks spanning eight adjacent physical
+// blocks, and a tiny table whose buckets overflow into chains.
+func bucketLayouts() []struct {
+	name string
+	opts Options
+} {
+	multiBlock, chained := DefaultOptions(), DefaultOptions()
+	multiBlock.BucketBytes = 4096
+	chained.TableBits = 6
+	return []struct {
+		name string
+		opts Options
+	}{{"512B", DefaultOptions()}, {"4096B", multiBlock}, {"chained", chained}}
+}
 
-					// Sequential searcher: read-for-read identical.
+// TestVectoredFetchMatchesSerial: with the I/O engine attached, the reference
+// searcher must stay read-for-read identical to the raw store — same
+// neighbors, distances and logical N_IO — on generous budgets AND under
+// mid-round budget truncation, cached and uncached, across bucket layouts.
+// (The serving searcher's equivalence is TestWaveOptionMatrix.)
+func TestVectoredFetchMatchesSerial(t *testing.T) {
+	for _, lay := range bucketLayouts() {
+		d, built, _ := testSetup(t, 2000, 1000, lay.opts)
+		for _, sigma := range []int{1000, 2} {
+			ix := built.WithBudget(sigma * built.params.L)
+			for _, cacheBytes := range []int64{0, 64 << 20} {
+				t.Run(fmt.Sprintf("%s/sigma%d/cache%d", lay.name, sigma, cacheBytes), func(t *testing.T) {
 					plainSeq := ix.NewSearcher()
-					vecSeq := vec.NewSearcher()
+					vecSeq := engineAttached(t, ix, 16, cacheBytes, 0).NewSearcher()
 					for qi, q := range d.Queries {
 						want, wantSt, err := plainSeq.Search(q, 5)
 						if err != nil {
@@ -103,33 +93,102 @@ func TestVectoredFetchMatchesSerial(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						compareRuns(t, "sequential", qi, want.Neighbors, got.Neighbors, wantSt, gotSt, cached, ix.physPerBucket)
-					}
-
-					// Parallel searcher: the vectored wave fetch must read the
-					// same logical blocks as the goroutine-pool fetch.
-					plainPar, err := ix.NewParallelSearcher(8)
-					if err != nil {
-						t.Fatal(err)
-					}
-					vecPar, err := vec.NewParallelSearcher(8)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for qi, q := range d.Queries {
-						want, wantSt, err := plainPar.Search(q, 5)
-						if err != nil {
-							t.Fatal(err)
-						}
-						got, gotSt, err := vecPar.Search(q, 5)
-						if err != nil {
-							t.Fatal(err)
-						}
-						compareRuns(t, "parallel", qi, want.Neighbors, got.Neighbors, wantSt, gotSt, cached, ix.physPerBucket)
+						compareRuns(t, "sequential", qi, want.Neighbors, got.Neighbors, wantSt, gotSt, cacheBytes > 0, ix.physPerBucket)
 					}
 				})
 			}
-		})
+		}
+	}
+}
+
+// TestWaveOptionMatrix is the serving searcher's equivalence criterion over
+// the whole storage option matrix: whatever sits behind Index.readBatch — no
+// engine (the in-line body), an engine with only a cache, only queue depth,
+// cache + depth + readahead, or retries — the top-k is bitwise the reference
+// Searcher's (same SetMultiProbe), and every logical counter is identical
+// across the configurations. Swept over multi-probe {0, 2}, a generous and a
+// truncating budget, and the 512-byte, 4096-byte and chained bucket layouts.
+func TestWaveOptionMatrix(t *testing.T) {
+	configs := []struct {
+		name       string
+		eng        ioengine.Options // Depth 0: no engine attached
+		cacheBytes int64
+		readahead  int
+	}{
+		{name: "no engine"},
+		{name: "cache only", eng: ioengine.Options{Depth: 16}, cacheBytes: 64 << 20},
+		{name: "engine only", eng: ioengine.Options{Depth: 4}},
+		{name: "cache+engine+readahead", eng: ioengine.Options{Depth: 8}, cacheBytes: 64 << 20, readahead: 2},
+		{name: "engine+retries", eng: ioengine.Options{Depth: 8, Retries: 2}},
+	}
+	const k = 5
+	for _, lay := range bucketLayouts() {
+		d, built, _ := testSetup(t, 2000, 1000, lay.opts)
+		for _, sigma := range []int{1000, 2} {
+			ix := built.WithBudget(sigma * built.params.L)
+			for _, mp := range []int{0, 2} {
+				t.Run(fmt.Sprintf("%s/sigma%d/mp%d", lay.name, sigma, mp), func(t *testing.T) {
+					ref := ix.NewSearcher()
+					ref.SetMultiProbe(mp)
+					want := make([][]ann.Neighbor, len(d.Queries))
+					for qi, q := range d.Queries {
+						res, _, err := ref.Search(q, k)
+						if err != nil {
+							t.Fatal(err)
+						}
+						want[qi] = res.Neighbors
+					}
+					var first []Stats // the no-engine run's per-query logical stats
+					truncated := false
+					for _, cfg := range configs {
+						view, engine := ix, cfg.eng.Depth > 0
+						if engine {
+							view = withEngine(t, ix, cfg.eng, cfg.cacheBytes, cfg.readahead)
+						}
+						ws := view.NewWaveSearcher()
+						ws.SetMultiProbe(mp)
+						var agg Stats
+						for qi, q := range d.Queries {
+							got, st, err := ws.Search(q, k)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if !engine {
+								first = append(first, logicalStats(st))
+							}
+							compareRuns(t, cfg.name, qi, want[qi], got.Neighbors, first[qi], st, cfg.cacheBytes > 0, ix.physPerBucket)
+							entries := st.Checked + st.Duplicates + st.FPRejected
+							if entries > st.EntriesScanned {
+								t.Fatalf("%s query %d: entry accounting broken: %+v", cfg.name, qi, st)
+							}
+							truncated = truncated || entries < st.EntriesScanned
+							if !engine && (st.PhysicalReads != 0 || st.CoalescedReads != 0 || st.DedupedReads != 0) {
+								t.Fatalf("query %d: engine counters without an engine: %+v", qi, st)
+							}
+							agg.PhysicalReads += st.PhysicalReads
+							agg.CoalescedReads += st.CoalescedReads
+							agg.BucketIOs += st.BucketIOs
+							agg.NonEmptyProbes += st.NonEmptyProbes
+						}
+						// With an engine the rounds (multi-probe included) go
+						// out as vectored waves: physical reads are issued,
+						// and adjacent physical blocks coalesce.
+						if engine && agg.PhysicalReads == 0 {
+							t.Errorf("%s: no physical reads reported through the engine", cfg.name)
+						}
+						if engine && ix.physPerBucket > 1 && agg.CoalescedReads == 0 {
+							t.Errorf("%s: %d-block logical blocks never coalesced", cfg.name, ix.physPerBucket)
+						}
+						if lay.name == "chained" && agg.BucketIOs <= agg.NonEmptyProbes {
+							t.Errorf("%s: no chain deeper than one block; fixture is vacuous", cfg.name)
+						}
+					}
+					if (sigma == 2) != truncated {
+						t.Errorf("budget truncated a round: %v, want %v", truncated, sigma == 2)
+					}
+				})
+			}
+		}
 	}
 }
 
@@ -146,7 +205,7 @@ func compareRuns(t *testing.T, which string, qi int, want, got []ann.Neighbor, w
 		}
 	}
 	if w, g := logicalStats(wantSt), logicalStats(gotSt); w != g {
-		t.Fatalf("%s query %d: logical stats diverged\nserial:   %+v\nvectored: %+v", which, qi, w, g)
+		t.Fatalf("%s query %d: logical stats diverged\nwant: %+v\ngot:  %+v", which, qi, w, g)
 	}
 	if cached {
 		// Cache outcomes are per physical block: a logical bucket block of
@@ -163,19 +222,21 @@ func compareRuns(t *testing.T, which string, qi int, want, got []ann.Neighbor, w
 
 // TestEngineAttachedAfterSearcher: AttachIOEngine's contract is "attach
 // before issuing queries", not "before creating searchers" — a searcher
-// built first must allocate its wave arenas lazily instead of panicking.
+// built first must route its next query through the late engine (readahead
+// included) instead of panicking or bypassing it.
 func TestEngineAttachedAfterSearcher(t *testing.T) {
 	d, ix, _ := testSetup(t, 1000, 8, DefaultOptions())
 	clone := *ix
-	ps, err := clone.NewParallelSearcher(4)
+	ps := clone.NewWaveSearcher()
+	cache, err := blockcache.New(1<<20, blockcache.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := ioengine.New(clone.store, ioengine.Options{Depth: 8})
+	eng, err := ioengine.New(clone.store, ioengine.Options{Depth: 8, Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
-	clone.AttachIOEngine(eng)
+	clone.AttachIOEngine(eng, 2)
 	if _, _, err := ps.Search(d.Queries[0], 1); err != nil {
 		t.Fatalf("search after late engine attach: %v", err)
 	}
@@ -192,10 +253,7 @@ func TestVectoredCoalescingSavesReads(t *testing.T) {
 	opts.BucketBytes = 4096 // 8 physical blocks per logical bucket block
 	d, ix, _ := testSetup(t, 2000, 64, opts)
 	vec := engineAttached(t, ix, 16, 0, 0)
-	ps, err := vec.NewParallelSearcher(8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ps := vec.NewWaveSearcher()
 	var agg Stats
 	for _, q := range d.Queries {
 		_, st, err := ps.Search(q, 1)
@@ -267,7 +325,7 @@ func TestVectoredReadaheadAgrees(t *testing.T) {
 	}
 }
 
-// TestVectoredConcurrentSearchersRace: many ParallelSearchers sharing one
+// TestVectoredConcurrentSearchersRace: many WaveSearchers sharing one
 // engine (dedup table, depth semaphore, cache) must stay correct under the
 // race detector and agree with the serial reference.
 func TestVectoredConcurrentSearchersRace(t *testing.T) {
@@ -291,11 +349,7 @@ func TestVectoredConcurrentSearchersRace(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ps, err := vec.NewParallelSearcher(4)
-			if err != nil {
-				errs <- err
-				return
-			}
+			ps := vec.NewWaveSearcher()
 			for qi, q := range d.Queries {
 				res, st, err := ps.SearchContext(context.Background(), q, 1)
 				if err != nil {
@@ -339,18 +393,14 @@ func TestCrossQueryDedupOnSlowDevice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wall.AttachIOEngine(eng)
+	wall.AttachIOEngine(eng, 0)
 	const searchers = 8
 	var wg sync.WaitGroup
 	for w := 0; w < searchers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ps, err := wall.NewParallelSearcher(4)
-			if err != nil {
-				t.Error(err)
-				return
-			}
+			ps := wall.NewWaveSearcher()
 			// Everyone walks the same queries: maximal overlap.
 			for _, q := range d.Queries[:5] {
 				if _, _, err := ps.Search(q, 1); err != nil {
@@ -390,7 +440,7 @@ func wallIndex(t testing.TB, ix *Index, data [][]float32, spec iosim.DeviceSpec,
 }
 
 // TestQueueDepthSpeedsUpSimulatedDevice is the wall-clock acceptance check
-// in miniature: on a cSSD-profile backend, the parallel searcher through the
+// in miniature: on a cSSD-profile backend, the wave searcher through the
 // engine at QD=32 must beat QD=1 by well over the required 25%.
 func TestQueueDepthSpeedsUpSimulatedDevice(t *testing.T) {
 	if testing.Short() {
@@ -406,11 +456,8 @@ func TestQueueDepthSpeedsUpSimulatedDevice(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wall.AttachIOEngine(eng)
-		ps, err := wall.NewParallelSearcher(8)
-		if err != nil {
-			t.Fatal(err)
-		}
+		wall.AttachIOEngine(eng, 0)
+		ps := wall.NewWaveSearcher()
 		start := time.Now()
 		for _, q := range d.Queries {
 			if _, _, err := ps.Search(q, 1); err != nil {
@@ -427,9 +474,9 @@ func TestQueueDepthSpeedsUpSimulatedDevice(t *testing.T) {
 	}
 }
 
-// BenchmarkParallelSearcherQD is the Table 2 analogue on the wall clock: the
-// same parallel searcher, same queries, same simulated cSSD — only the I/O
-// engine's queue depth changes.
+// BenchmarkParallelSearcherQD (named for the BENCH_*.json trajectory) is the
+// Table 2 analogue on the wall clock: the same wave searcher, same queries,
+// same simulated cSSD — only the I/O engine's queue depth changes.
 func BenchmarkParallelSearcherQD(b *testing.B) {
 	d, _, ix := benchSetup(b)
 	for _, depth := range []int{1, 32} {
@@ -439,11 +486,8 @@ func BenchmarkParallelSearcherQD(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			wall.AttachIOEngine(eng)
-			ps, err := wall.NewParallelSearcher(8)
-			if err != nil {
-				b.Fatal(err)
-			}
+			wall.AttachIOEngine(eng, 0)
+			ps := wall.NewWaveSearcher()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, _, err := ps.Search(d.Queries[i%d.NQ()], 1); err != nil {

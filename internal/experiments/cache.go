@@ -8,6 +8,7 @@ import (
 	"e2lshos/internal/blockstore"
 	"e2lshos/internal/dataset"
 	"e2lshos/internal/diskindex"
+	"e2lshos/internal/ioengine"
 	"e2lshos/internal/report"
 )
 
@@ -15,8 +16,8 @@ import (
 // blockcache tier: instead of one fixed mmap page cache (93% miss rate in
 // the paper), the repeated-query workload runs against block caches from a
 // sliver of the index up to the full index, measuring the miss rate and the
-// effective N_IO — reads that actually reach the backend — per engine
-// (sequential Searcher and concurrent ParallelSearcher).
+// effective N_IO — reads that actually reach the backend — per searcher
+// (the sequential reference Searcher and the serving WaveSearcher).
 //
 // The sweep uses plain LRU on a single stripe: LRU's inclusion property
 // guarantees a monotonically non-increasing miss count as capacity grows on
@@ -38,8 +39,8 @@ type CacheSweepRow struct {
 	// on-storage index size.
 	CacheBytes int64
 	CacheFrac  float64
-	// SeqMissRate / SeqNIO are the sequential engine's miss rate and
-	// effective backend reads per query; Par* are the parallel engine's.
+	// SeqMissRate / SeqNIO are the sequential searcher's miss rate and
+	// effective backend reads per query; Par* are the wave searcher's.
 	SeqMissRate float64
 	SeqNIO      float64
 	ParMissRate float64
@@ -89,30 +90,23 @@ func CacheSweep(env *Env) (*CacheSweepResult, error) {
 		}
 		row := CacheSweepRow{CacheBytes: bytes, CacheFrac: frac}
 
-		// Sequential engine: deterministic stream, LRU inclusion applies.
-		seq, err := blockcache.New(bytes, blockcache.Options{Shards: 1, Policy: blockcache.LRU})
+		// Sequential searcher: deterministic stream, LRU inclusion applies.
+		ix, seq, err := sweepCached(disk.WithBudget(budget), bytes)
 		if err != nil {
 			return nil, err
 		}
-		ix := disk.WithBudget(budget)
-		ix.AttachCache(seq, 0)
 		if _, err := runSweepSequential(ix, ws, nq); err != nil {
 			return nil, err
 		}
 		row.SeqMissRate = seq.MissRate()
 		row.SeqNIO = float64(seq.Misses()) / float64(cacheSweepPasses*nq)
 
-		// Parallel engine: same workload through the fan-out prober.
-		par, err := blockcache.New(bytes, blockcache.Options{Shards: 1, Policy: blockcache.LRU})
+		// Wave searcher: same workload, whole rounds fetched as waves.
+		ix, par, err := sweepCached(disk.WithBudget(budget), bytes)
 		if err != nil {
 			return nil, err
 		}
-		ix = disk.WithBudget(budget)
-		ix.AttachCache(par, 0)
-		ps, err := ix.NewParallelSearcher(8)
-		if err != nil {
-			return nil, err
-		}
+		ps := ix.NewWaveSearcher()
 		for pass := 0; pass < cacheSweepPasses; pass++ {
 			for qi := 0; qi < nq; qi++ {
 				if _, _, err := ps.Search(ws.DS.Queries[qi], 1); err != nil {
@@ -126,6 +120,21 @@ func CacheSweep(env *Env) (*CacheSweepResult, error) {
 		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
+}
+
+// sweepCached attaches a fresh single-stripe LRU cache of the given size to
+// ix, inside the I/O engine every cached read goes through.
+func sweepCached(ix *diskindex.Index, bytes int64) (*diskindex.Index, *blockcache.Cache, error) {
+	cache, err := blockcache.New(bytes, blockcache.Options{Shards: 1, Policy: blockcache.LRU})
+	if err != nil {
+		return nil, nil, err
+	}
+	eng, err := ioengine.New(ix.Store(), ioengine.Options{Depth: 8, Cache: cache})
+	if err != nil {
+		return nil, nil, err
+	}
+	ix.AttachIOEngine(eng, 0)
+	return ix, cache, nil
 }
 
 // runSweepSequential answers the repeated workload on a fresh sequential

@@ -54,8 +54,7 @@ type Options struct {
 	// (the device queue depth the engine sustains). Must be >= 1.
 	Depth int
 	// Cache, when non-nil, serves demand hits and receives every miss's
-	// fill. The engine's counters then mirror blockcache.ReadThrough's
-	// accounting, so cached and engine-routed reads stay comparable.
+	// fill: one Get per demand read, one Put per backend read.
 	Cache *blockcache.Cache
 	// Retries is the per-read retry budget: how many times a failed physical
 	// read of one block is re-attempted when the failure classifies as a
@@ -132,8 +131,8 @@ type flight struct {
 
 // Engine is the shared submission layer. All methods are safe for
 // concurrent use; one engine is meant to be shared by every searcher (and
-// the readahead pool) of an index, so the depth bound and the dedup table
-// span the whole serving process.
+// their readahead) of an index, so the depth bound and the dedup table span
+// the whole serving process.
 type Engine struct {
 	src     Source
 	cache   *blockcache.Cache
@@ -676,8 +675,7 @@ func (e *Engine) submitRun(addrs []blockstore.Addr, bufs [][]byte, lead []int, r
 // quiet read wave (PeekQuiet probes, prefetched-counter fills), then each
 // walk advances through its Next decoder. It requires a cache — the whole
 // point is warming it. Cancellation is honored between waves; blocks
-// already submitted complete. The returned handle is the same type the
-// blockcache pointer-chase pool uses, so searchers settle either uniformly.
+// already submitted complete; the caller settles the returned handle.
 func (e *Engine) Prefetch(ctx context.Context, walks []blockcache.Walk) *blockcache.Handle {
 	if len(walks) == 0 || e.cache == nil {
 		return blockcache.CompletedHandle()
@@ -715,9 +713,7 @@ func (e *Engine) Prefetch(ctx context.Context, walks []blockcache.Walk) *blockca
 				}
 				// Best effort, per walk: a failed wave drops only the walks
 				// whose block never made it into the cache (their buffers
-				// hold garbage), matching the pointer-chase pool, which
-				// abandons just the failing chain. The demand read will
-				// surface the error.
+				// hold garbage). The demand read will surface the error.
 				if fetchErr != nil && !e.cache.PeekQuiet(s.addr, s.buf) {
 					continue
 				}

@@ -446,6 +446,27 @@ func TestPrefetchCanceledStopsBetweenWaves(t *testing.T) {
 	}
 }
 
+// TestPrefetchStepBoundAndEmpty: a walk never fetches more than Steps blocks
+// even when its chain keeps going, and an empty walk set completes at once.
+func TestPrefetchStepBoundAndEmpty(t *testing.T) {
+	cache, err := blockcache.New(64*blockstore.BlockSize, blockcache.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := New(testStore(t, 32), Options{Depth: 2, Cache: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	endless := func(step int, block []byte) blockstore.Addr { return blockstore.Addr(step + 2) }
+	h := eng.Prefetch(context.Background(), []blockcache.Walk{{Start: 1, Steps: 3, Next: endless}})
+	if got := h.Wait(); got != 3 {
+		t.Errorf("fetched %d blocks, want the 3-step bound", got)
+	}
+	if h := eng.Prefetch(context.Background(), nil); h.Wait() != 0 || !h.Done() {
+		t.Error("empty prefetch did not complete immediately")
+	}
+}
+
 func TestConcurrentMixedTrafficRace(t *testing.T) {
 	// Demand reads, batches and prefetches over one engine, under -race.
 	st := testStore(t, 256)

@@ -14,9 +14,9 @@ import (
 	"sort"
 )
 
-// DefaultFanout is the node capacity used when Options.Fanout is zero. SRS
-// uses page-sized nodes; 32 entries approximates one cache-friendly node.
-const DefaultFanout = 32
+// DefaultNodeFanout is the node capacity used when Options.Fanout is zero.
+// SRS uses page-sized nodes; 32 entries approximates one cache-friendly node.
+const DefaultNodeFanout = 32
 
 // Options configure tree construction.
 type Options struct {
@@ -60,7 +60,7 @@ func Build(points [][]float32, opts Options) (*Tree, error) {
 	}
 	fanout := opts.Fanout
 	if fanout == 0 {
-		fanout = DefaultFanout
+		fanout = DefaultNodeFanout
 	}
 	if fanout < 2 {
 		return nil, fmt.Errorf("rtree: fanout must be at least 2, got %d", fanout)

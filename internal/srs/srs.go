@@ -132,7 +132,7 @@ func (ix *Index) Config() Config { return ix.cfg }
 func (ix *Index) IndexBytes() int64 {
 	projBytes := int64(len(ix.projSlab)) * 4
 	// Per node: flattened box (2*m float64) + children slice (~fanout int32).
-	nodeBytes := int64(ix.tree.NumNodes()) * int64(2*ix.cfg.ProjDim*8+rtree.DefaultFanout*4)
+	nodeBytes := int64(ix.tree.NumNodes()) * int64(2*ix.cfg.ProjDim*8+rtree.DefaultNodeFanout*4)
 	return projBytes + nodeBytes
 }
 

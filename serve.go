@@ -72,7 +72,6 @@ type ServerConfig struct {
 // queries with different knobs cannot share one BatchSearch call, so the
 // keyed coalescer cuts key-pure batches.
 type tuningKey struct {
-	fanout        int
 	multiProbe    int
 	budget        int
 	recallTarget  float64
@@ -163,7 +162,6 @@ func NewServer(eng Engine, cfg ServerConfig) (*Server, error) {
 		return nil, err
 	}
 	s.baseKey = tuningKey{
-		fanout:        set.fanout,
 		multiProbe:    set.multiProbe,
 		budget:        set.budget,
 		recallTarget:  set.tuning.RecallTarget,
@@ -185,7 +183,6 @@ func (s *Server) runBatch(ctx context.Context, key tuningKey, queries [][]float3
 	per := make([]Stats, len(queries))
 	opts := s.baseOpts[:len(s.baseOpts):len(s.baseOpts)]
 	opts = append(opts,
-		WithFanout(key.fanout),
 		WithMultiProbe(key.multiProbe),
 		WithBudget(key.budget),
 		WithTuning(SearchTuning{
@@ -285,8 +282,6 @@ type searchRequestV1 struct {
 	Query []float32 `json:"query"`
 	K     int       `json:"k,omitempty"`
 	QID   *int      `json:"qid,omitempty"`
-	// Fanout overrides the concurrent read fan-out (StorageIndex).
-	Fanout int `json:"fanout,omitempty"`
 	// MultiProbe overrides the perturbation count; an explicit 0 disables
 	// multi-probe even when the server default enables it.
 	MultiProbe *int `json:"multiprobe,omitempty"`
@@ -676,9 +671,6 @@ func (s *Server) handleSearchV1(w http.ResponseWriter, r *http.Request) {
 	}
 	key := s.baseKey
 	switch {
-	case req.Fanout < 0:
-		http.Error(w, fmt.Sprintf("negative fanout %d", req.Fanout), http.StatusBadRequest)
-		return
 	case req.MultiProbe != nil && *req.MultiProbe < 0:
 		http.Error(w, fmt.Sprintf("negative multiprobe %d", *req.MultiProbe), http.StatusBadRequest)
 		return
@@ -691,9 +683,6 @@ func (s *Server) handleSearchV1(w http.ResponseWriter, r *http.Request) {
 	case req.LatencyBudgetMS < 0:
 		http.Error(w, fmt.Sprintf("negative latency_budget_ms %g", req.LatencyBudgetMS), http.StatusBadRequest)
 		return
-	}
-	if req.Fanout > 0 {
-		key.fanout = req.Fanout
 	}
 	if req.MultiProbe != nil {
 		key.multiProbe = *req.MultiProbe

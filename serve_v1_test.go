@@ -120,7 +120,7 @@ func TestSearchV1PerRequestKnobs(t *testing.T) {
 	eng := &captureEngine{st: Stats{Queries: 1}}
 	srv, err := NewServer(eng, ServerConfig{
 		Dim: 2, K: 1,
-		Opts:   []SearchOption{WithFanout(8), WithMultiProbe(2)},
+		Opts:   []SearchOption{WithBudget(300), WithMultiProbe(2)},
 		Tuning: SearchTuning{RecallTarget: 0.8},
 	})
 	if err != nil {
@@ -131,15 +131,15 @@ func TestSearchV1PerRequestKnobs(t *testing.T) {
 
 	mp := 0
 	rec := postJSON(t, h, "/v1/search", searchRequestV1{
-		Query: []float32{1, 2}, Fanout: 32, MultiProbe: &mp, Budget: 500,
+		Query: []float32{1, 2}, MultiProbe: &mp, Budget: 500,
 		RecallTarget: 0.95, LatencyBudgetMS: 2.5, Degrade: "stop",
 	})
 	if rec.Code != 200 {
 		t.Fatalf("/v1/search returned %d: %s", rec.Code, rec.Body)
 	}
 	set := eng.last(t)
-	if set.fanout != 32 || set.multiProbe != 0 || set.budget != 500 {
-		t.Errorf("knobs = fanout %d multiProbe %d budget %d", set.fanout, set.multiProbe, set.budget)
+	if set.multiProbe != 0 || set.budget != 500 {
+		t.Errorf("knobs = multiProbe %d budget %d", set.multiProbe, set.budget)
 	}
 	if set.tuning.RecallTarget != 0.95 || set.tuning.LatencyBudget != 2500*time.Microsecond || set.tuning.Degrade != DegradeStop {
 		t.Errorf("tuning = %+v", set.tuning)
@@ -152,8 +152,15 @@ func TestSearchV1PerRequestKnobs(t *testing.T) {
 		t.Fatalf("/v1/search returned %d: %s", rec.Code, rec.Body)
 	}
 	set = eng.last(t)
-	if set.fanout != 8 || set.multiProbe != 2 || set.tuning.RecallTarget != 0.8 {
-		t.Errorf("default knobs = fanout %d multiProbe %d target %g", set.fanout, set.multiProbe, set.tuning.RecallTarget)
+	if set.budget != 300 || set.multiProbe != 2 || set.tuning.RecallTarget != 0.8 {
+		t.Errorf("default knobs = budget %d multiProbe %d target %g", set.budget, set.multiProbe, set.tuning.RecallTarget)
+	}
+
+	// A client still sending the retired "fanout" field keeps working: the
+	// decoder ignores fields the request no longer has.
+	rec = postJSON(t, h, "/v1/search", map[string]any{"query": []float32{1, 2}, "fanout": 32})
+	if rec.Code != 200 {
+		t.Errorf("/v1/search with a retired field returned %d: %s", rec.Code, rec.Body)
 	}
 }
 
@@ -170,7 +177,6 @@ func TestSearchV1Validation(t *testing.T) {
 
 	for name, req := range map[string]searchRequestV1{
 		"wrong dim":       {Query: []float32{1}},
-		"negative fanout": {Query: []float32{1, 2}, Fanout: -1},
 		"target too high": {Query: []float32{1, 2}, RecallTarget: 1},
 		"negative budget": {Query: []float32{1, 2}, Budget: -5},
 		"negative ms":     {Query: []float32{1, 2}, LatencyBudgetMS: -1},
@@ -191,7 +197,7 @@ func TestSearchV1Validation(t *testing.T) {
 // server's base tuning.
 func TestLegacySearchShim(t *testing.T) {
 	eng := &captureEngine{st: Stats{Queries: 1}}
-	srv, err := NewServer(eng, ServerConfig{Dim: 2, K: 2, Opts: []SearchOption{WithFanout(4)}})
+	srv, err := NewServer(eng, ServerConfig{Dim: 2, K: 2, Opts: []SearchOption{WithBudget(40)}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,8 +218,8 @@ func TestLegacySearchShim(t *testing.T) {
 	if resp["k"] != float64(1) {
 		t.Errorf("legacy k = %v", resp["k"])
 	}
-	if set := eng.last(t); set.fanout != 4 {
-		t.Errorf("legacy shim lost server opts: fanout %d", set.fanout)
+	if set := eng.last(t); set.budget != 40 {
+		t.Errorf("legacy shim lost server opts: budget %d", set.budget)
 	}
 }
 

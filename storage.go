@@ -34,9 +34,10 @@ func (s *StorageIndex) EnableTelemetry(opts ...TelemetryOption) error {
 }
 
 // NewStorageIndex builds an E2LSHoS index over data into an in-memory block
-// store (persist with SaveFile). Storage options attach the caching tier:
-// WithBlockCache interposes the shared block cache and WithReadahead
-// prefetches the next radius round's chains between rounds.
+// store (persist with SaveFile). Storage options that ask for a feature of
+// the I/O engine — WithIOEngine's queue depth, WithBlockCache (and
+// WithReadahead on top of it), WithRetries — attach one; without any of
+// them queries read the store directly, one block at a time.
 func NewStorageIndex(data [][]float32, cfg Config, opts ...StorageOption) (*StorageIndex, error) {
 	set, err := resolveStorageSettings(opts)
 	if err != nil {
@@ -59,7 +60,7 @@ func NewStorageIndex(data [][]float32, cfg Config, opts ...StorageOption) (*Stor
 	if err != nil {
 		return nil, err
 	}
-	if err := attachCache(ix, set); err != nil {
+	if err := attachEngine(ix, set); err != nil {
 		return nil, err
 	}
 	if set.walDir != "" {
@@ -111,7 +112,7 @@ func OpenStorageIndex(path string, data [][]float32, opts ...StorageOption) (*St
 	if set.checksumOff {
 		ix.Store().SetChecksums(false)
 	}
-	if err := attachCache(ix, set); err != nil {
+	if err := attachEngine(ix, set); err != nil {
 		return nil, err
 	}
 	return &StorageIndex{ix: ix}, nil
@@ -143,7 +144,7 @@ func OpenWALIndex(dir string, data [][]float32, opts ...StorageOption) (*Storage
 	if err != nil {
 		return nil, err
 	}
-	if err := attachCache(ix, set); err != nil {
+	if err := attachEngine(ix, set); err != nil {
 		return nil, err
 	}
 	return &StorageIndex{ix: ix}, nil
@@ -164,10 +165,14 @@ func (s *StorageIndex) RecoveryStats() RecoveryStats { return s.ix.RecoveryStats
 // leaves the previous generation authoritative. Errors without WithWAL.
 func (s *StorageIndex) Checkpoint() error { return s.ix.Checkpoint() }
 
-// attachCache realizes the resolved storage settings on the index: the
-// cache tier first, then (if requested) the vectored I/O engine in front of
-// it, sharing the same cache so dedup sits before one coherent tier.
-func attachCache(ix *diskindex.Index, set storageSettings) error {
+// attachEngine realizes the resolved storage settings on the index: one
+// I/O engine holding the queue depth, the cache and the retry budget, when
+// any of them was asked for (resolveStorageSettings turns "a cache or
+// retries but no depth" into the default depth).
+func attachEngine(ix *diskindex.Index, set storageSettings) error {
+	if set.ioDepth == 0 {
+		return nil
+	}
 	var cache *blockcache.Cache
 	if set.cacheBytes > 0 {
 		var err error
@@ -175,17 +180,14 @@ func attachCache(ix *diskindex.Index, set storageSettings) error {
 		if err != nil {
 			return err
 		}
-		ix.AttachCache(cache, set.readahead)
 	}
-	if set.ioDepth > 0 {
-		eng, err := ioengine.New(ix.Store(), ioengine.Options{
-			Depth: set.ioDepth, Cache: cache, Retries: set.retries,
-		})
-		if err != nil {
-			return err
-		}
-		ix.AttachIOEngine(eng)
+	eng, err := ioengine.New(ix.Store(), ioengine.Options{
+		Depth: set.ioDepth, Cache: cache, Retries: set.retries,
+	})
+	if err != nil {
+		return err
 	}
+	ix.AttachIOEngine(eng, set.readahead)
 	return nil
 }
 
@@ -216,7 +218,7 @@ type IOEngineCounters struct {
 }
 
 // IOCounters reports the cumulative vectored-engine counters across all
-// queries (all zero when the index was built without WithIOEngine).
+// queries (all zero when no storage option attached an engine).
 //
 //lsh:foldall ioengine.Counters
 func (s *StorageIndex) IOCounters() IOEngineCounters {
@@ -265,10 +267,13 @@ func (s *StorageIndex) IODepth() int {
 	return eng.Depth()
 }
 
-// Search answers a top-k query with a concurrent fan-out of the WithFanout
-// width (default DefaultFanout) — the paper's "many parallel read requests"
-// realized with blocking reads on concurrent goroutines. It honors WithK,
-// WithFanout, WithBudget and WithMultiProbe.
+// Search answers a top-k query, fetching each radius round's probes as
+// waves: all table blocks, then one wave per bucket-chain depth. How many of
+// a wave's reads are in flight at once — the paper's "many parallel read
+// requests" — is the attached I/O engine's queue depth (WithIOEngine, or the
+// default depth under WithBlockCache/WithRetries); an index built with none
+// of them reads its store in line. It honors WithK, WithBudget and
+// WithMultiProbe.
 func (s *StorageIndex) Search(ctx context.Context, q []float32, opts ...SearchOption) (Result, Stats, error) {
 	return engineSearch(ctx, s, q, opts)
 }
@@ -303,43 +308,21 @@ func (s *StorageIndex) newQuerier(set searchSettings) (querier, error) {
 	if set.budget > 0 {
 		ix = ix.WithBudget(set.budget)
 	}
-	// Multi-probe exists only on the sequential prober; fan-out only on the
-	// parallel one. Multi-probe wins when both are requested.
-	if set.multiProbe > 0 {
-		sr := ix.NewSearcher()
-		sr.SetMultiProbe(set.multiProbe)
-		return diskSyncQuerier{s: sr}, nil
-	}
-	ps, err := ix.NewParallelSearcher(set.fanout)
-	if err != nil {
-		return nil, err
-	}
-	return diskParQuerier{ps: ps}, nil
+	ws := ix.NewWaveSearcher()
+	ws.SetMultiProbe(set.multiProbe)
+	return diskQuerier{ws: ws}, nil
 }
 
-type diskParQuerier struct {
-	ps *diskindex.ParallelSearcher
+type diskQuerier struct {
+	ws *diskindex.WaveSearcher
 }
 
-func (d diskParQuerier) setTrace(tr *telemetry.Trace) { d.ps.SetTrace(tr) }
+func (d diskQuerier) setTrace(tr *telemetry.Trace) { d.ws.SetTrace(tr) }
 
-func (d diskParQuerier) setController(c *autotune.Ctl) { d.ps.SetController(c) }
+func (d diskQuerier) setController(c *autotune.Ctl) { d.ws.SetController(c) }
 
-func (d diskParQuerier) query(ctx context.Context, q []float32, k int, dst []ann.Neighbor) (Result, Stats, error) {
-	res, st, err := d.ps.SearchInto(ctx, q, k, dst)
-	return res, diskStats(st), err
-}
-
-type diskSyncQuerier struct {
-	s *diskindex.Searcher
-}
-
-func (d diskSyncQuerier) setTrace(tr *telemetry.Trace) { d.s.SetTrace(tr) }
-
-func (d diskSyncQuerier) setController(c *autotune.Ctl) { d.s.SetController(c) }
-
-func (d diskSyncQuerier) query(ctx context.Context, q []float32, k int, dst []ann.Neighbor) (Result, Stats, error) {
-	res, st, err := d.s.SearchInto(ctx, q, k, dst)
+func (d diskQuerier) query(ctx context.Context, q []float32, k int, dst []ann.Neighbor) (Result, Stats, error) {
+	res, st, err := d.ws.SearchInto(ctx, q, k, dst)
 	return res, diskStats(st), err
 }
 

@@ -104,7 +104,7 @@ func TestWALFacadeConcurrentUpdates(t *testing.T) {
 				default:
 				}
 				q := ds.Vectors[(g*113+qi*17)%1000]
-				if _, _, err := ix.Search(ctx, q, WithK(3), WithFanout(2)); err != nil {
+				if _, _, err := ix.Search(ctx, q, WithK(3)); err != nil {
 					t.Errorf("search: %v", err)
 					return
 				}
