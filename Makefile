@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint fuzz chaos crash bench bench-e2e cover
+.PHONY: all build test race lint fuzz chaos crash bench bench-e2e cover size
 
 all: build test lint
 
@@ -36,12 +36,13 @@ chaos:
 
 # Crash-recovery gate: the crash-point sweep (every WAL append, sync, and
 # block write killed in fail-stop and torn-write mode, then recovered) plus
-# the concurrent update/search race tests, all under the race detector.
+# the concurrent update/search race tests (budgeted batches beside Insert
+# included), all under the race detector.
 crash:
 	$(GO) test -race -count=1 \
 		-run 'TestCrashRecoverySweep|TestGroupCommitCrashKeepsPrefix|TestConcurrentInsertSearch' \
 		./internal/diskindex
-	$(GO) test -race -count=1 -run 'TestWALFacadeConcurrentUpdates' .
+	$(GO) test -race -count=1 -run 'TestWALFacadeConcurrentUpdates|TestBudgetedBatchSearchBesideInsert' .
 
 bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=3x ./...
@@ -55,3 +56,9 @@ bench-e2e:
 cover:
 	$(GO) test -coverprofile=cover.out ./internal/...
 	$(GO) tool cover -func=cover.out | tail -1
+
+# The two size numbers CHANGES.md reports: non-test Go lines outside the
+# benchmark driver, and how many //lsh:ladder loops the tree holds.
+size:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './cmd/lshload/*' | xargs cat | wc -l
+	@grep -rn 'lsh:ladder' --include='*.go' . | grep -v _test | grep -v analyzers | grep -v cmd/lshlint | wc -l

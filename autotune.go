@@ -87,7 +87,7 @@ func WithExploreEvery(n int) AutotuneOption { return func(c *autotune.Config) { 
 // recall before comparing against the target (default 0.02).
 func WithRecallMargin(m float64) AutotuneOption { return func(c *autotune.Config) { c.Margin = m } }
 
-// tune is the autotuning anchor every engine embeds, mirroring telem: an
+// tune is the autotuning anchor the E2LSH engines embed, mirroring telem: an
 // atomically-swapped tuner, so autotuning can be enabled on a live engine and
 // the disabled query path costs exactly one atomic load.
 type tune struct {
@@ -137,13 +137,6 @@ func (t *tune) autotuneSnapshot() *autotune.ModelSnapshot {
 	}
 	sp := tn.Snapshot()
 	return &sp
-}
-
-// ctlSetter is implemented by queriers whose searcher honors a per-query
-// autotune controller; the shared search machinery installs it before each
-// query, mirroring traceSetter.
-type ctlSetter interface {
-	setController(c *autotune.Ctl)
 }
 
 // autotuned is the view of an engine the serving layer uses to reach the

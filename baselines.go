@@ -5,18 +5,18 @@ import (
 	"fmt"
 
 	"e2lshos/internal/ann"
-	"e2lshos/internal/autotune"
+	"e2lshos/internal/ladder"
 	"e2lshos/internal/lsh"
 	"e2lshos/internal/qalsh"
 	"e2lshos/internal/srs"
 )
 
-// SRSIndex is the SRS small-index baseline (in-memory). It embeds the tune
-// anchor for interface uniformity, but SRS has no radius ladder, so the
-// controller has nothing to steer and queries hand it straight back.
+// SRSIndex is the SRS small-index baseline (in-memory). Baselines exist for
+// the paper's comparison, not for SLO serving: they take no autotune
+// controller.
 type SRSIndex struct {
 	telem
-	tune
+	searchers
 	ix *srs.Index
 }
 
@@ -37,31 +37,28 @@ func NewSRSIndex(data [][]float32, seed int64) (*SRSIndex, error) {
 // (the paper's T'); budget zero scans until the early-termination test
 // fires. It honors WithK and WithBudget.
 func (s *SRSIndex) Search(ctx context.Context, q []float32, opts ...SearchOption) (Result, Stats, error) {
-	return engineSearch(ctx, s, q, opts)
+	return engineSearch(ctx, s, nil, q, opts)
 }
 
 // BatchSearch answers queries on a worker pool; see Engine.
 func (s *SRSIndex) BatchSearch(ctx context.Context, queries [][]float32, opts ...SearchOption) ([]Result, Stats, error) {
-	return engineBatchSearch(ctx, s, queries, opts)
+	return engineBatchSearch(ctx, s, nil, queries, opts)
 }
 
 // IndexBytes reports the (small) index footprint.
 func (s *SRSIndex) IndexBytes() int64 { return s.ix.IndexBytes() }
 
-func (s *SRSIndex) newQuerier(set searchSettings) (querier, error) {
-	return srsQuerier{s: s.ix.NewSearcher(), budget: set.budget}, nil
-}
+func (s *SRSIndex) newQuerier() querier { return srsQuerier{s: s.ix.NewSearcher()} }
 
 type srsQuerier struct {
-	s      *srs.Searcher
-	budget int
+	s *srs.Searcher
 }
 
 //lsh:foldall srs.Stats
-func (s srsQuerier) query(ctx context.Context, q []float32, k int, dst []ann.Neighbor) (Result, Stats, error) {
+func (s srsQuerier) query(ctx context.Context, q []float32, kn ladder.Knobs, dst []ann.Neighbor) (Result, Stats, error) {
 	// A caller-supplied budget owns the accuracy knob (§3.3), so the
 	// chi-square early stop only runs unbudgeted.
-	res, st, err := s.s.SearchInto(ctx, q, k, s.budget, s.budget <= 0, dst)
+	res, st, err := s.s.SearchInto(ctx, q, kn.K, kn.Budget, kn.Budget <= 0, dst)
 	out := Stats{
 		Queries:        1,
 		EntriesScanned: st.EntriesScanned,
@@ -77,7 +74,7 @@ func (s srsQuerier) query(ctx context.Context, q []float32, k int, dst []ann.Nei
 // QALSHIndex is the QALSH small-index baseline (in-memory).
 type QALSHIndex struct {
 	telem
-	tune
+	searchers
 	ix *qalsh.Index
 }
 
@@ -106,30 +103,26 @@ func NewQALSHIndex(data [][]float32, c float64, seed int64) (*QALSHIndex, error)
 // Search answers a top-k query with QALSH's collision counting. It honors
 // WithK; accuracy is set at build time through c.
 func (s *QALSHIndex) Search(ctx context.Context, q []float32, opts ...SearchOption) (Result, Stats, error) {
-	return engineSearch(ctx, s, q, opts)
+	return engineSearch(ctx, s, nil, q, opts)
 }
 
 // BatchSearch answers queries on a worker pool; see Engine.
 func (s *QALSHIndex) BatchSearch(ctx context.Context, queries [][]float32, opts ...SearchOption) ([]Result, Stats, error) {
-	return engineBatchSearch(ctx, s, queries, opts)
+	return engineBatchSearch(ctx, s, nil, queries, opts)
 }
 
 // IndexBytes reports the (small) index footprint.
 func (s *QALSHIndex) IndexBytes() int64 { return s.ix.IndexBytes() }
 
-func (s *QALSHIndex) newQuerier(searchSettings) (querier, error) {
-	return qalshQuerier{s: s.ix.NewSearcher()}, nil
-}
+func (s *QALSHIndex) newQuerier() querier { return qalshQuerier{s: s.ix.NewSearcher()} }
 
 type qalshQuerier struct {
 	s *qalsh.Searcher
 }
 
-func (q qalshQuerier) setController(c *autotune.Ctl) { q.s.SetController(c) }
-
 //lsh:foldall qalsh.Stats
-func (q qalshQuerier) query(ctx context.Context, v []float32, k int, dst []ann.Neighbor) (Result, Stats, error) {
-	res, st, err := q.s.SearchInto(ctx, v, k, dst)
+func (q qalshQuerier) query(ctx context.Context, v []float32, kn ladder.Knobs, dst []ann.Neighbor) (Result, Stats, error) {
+	res, st, err := q.s.SearchInto(ctx, v, kn.K, dst)
 	return res, Stats{
 		Queries:        1,
 		Radii:          st.Radii,

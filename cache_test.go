@@ -145,13 +145,13 @@ func TestServerStatsSurfaceCacheCounters(t *testing.T) {
 	defer ts.Close()
 
 	body, _ := json.Marshal(map[string]any{"query": d.Queries[0]})
-	resp, err := ts.Client().Post(ts.URL+"/search", "application/json", strings.NewReader(string(body)))
+	resp, err := ts.Client().Post(ts.URL+"/v1/search", "application/json", strings.NewReader(string(body)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != 200 {
-		t.Fatalf("/search returned %d", resp.StatusCode)
+		t.Fatalf("/v1/search returned %d", resp.StatusCode)
 	}
 	stats, err := ts.Client().Get(ts.URL + "/stats")
 	if err != nil {

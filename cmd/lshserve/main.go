@@ -6,7 +6,7 @@
 //
 //	lshserve -addr :8080 -paper SIFT -n 20000 -shards 4 -engine storage
 //	curl -s localhost:8080/healthz
-//	curl -s -X POST localhost:8080/search -d '{"query":[...128 floats...],"k":5}'
+//	curl -s -X POST localhost:8080/v1/search -d '{"query":[...128 floats...],"k":5}'
 //	curl -s -X POST localhost:8080/v1/search \
 //	    -d '{"query":[...],"k":5,"recall_target":0.9,"latency_budget_ms":5}'
 //	curl -s localhost:8080/stats          # cumulative Stats incl. N_IO
@@ -222,7 +222,7 @@ func run(ctx context.Context, args []string, out io.Writer, ready func(addr net.
 	httpSrv := &http.Server{Handler: srv.Handler()}
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.Serve(ln) }()
-	fmt.Fprintf(out, "listening on %s (POST /v1/search, POST /search, GET /stats, GET /metrics, GET /healthz, GET /readyz)\n", ln.Addr())
+	fmt.Fprintf(out, "listening on %s (POST /v1/search, GET /stats, GET /metrics, GET /healthz, GET /readyz)\n", ln.Addr())
 	if ready != nil {
 		ready(ln.Addr())
 	}

@@ -32,7 +32,7 @@ func serveDataset(t *testing.T) *e2lshos.Dataset {
 	return d
 }
 
-// TestServeConcurrentTraffic drives concurrent /search requests through the
+// TestServeConcurrentTraffic drives concurrent /v1/search requests through the
 // coalescer against an httptest server over a sharded index, and checks
 // every caller gets its own query's answer plus live /stats and /healthz.
 func TestServeConcurrentTraffic(t *testing.T) {
@@ -73,7 +73,7 @@ func TestServeConcurrentTraffic(t *testing.T) {
 			go func(qi int) {
 				defer wg.Done()
 				body, _ := json.Marshal(map[string]any{"query": d.Queries[qi], "qid": qi})
-				resp, err := http.Post(ts.URL+"/search", "application/json", bytes.NewReader(body))
+				resp, err := http.Post(ts.URL+"/v1/search", "application/json", bytes.NewReader(body))
 				if err != nil {
 					errs <- err
 					return
@@ -253,7 +253,7 @@ func TestServeBadRequests(t *testing.T) {
 		{"wrong dim", `{"query":[1,2,3]}`, http.StatusBadRequest},
 		{"k too large", fmt.Sprintf(`{"query":%s,"k":99}`, floats(d.Dim)), http.StatusBadRequest},
 	} {
-		resp, err := http.Post(ts.URL+"/search", "application/json", strings.NewReader(tc.body))
+		resp, err := http.Post(ts.URL+"/v1/search", "application/json", strings.NewReader(tc.body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -262,10 +262,10 @@ func TestServeBadRequests(t *testing.T) {
 			t.Errorf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.want)
 		}
 	}
-	if resp, err := http.Get(ts.URL + "/search"); err == nil {
+	if resp, err := http.Get(ts.URL + "/v1/search"); err == nil {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusMethodNotAllowed {
-			t.Errorf("GET /search: status %d, want 405", resp.StatusCode)
+			t.Errorf("GET /v1/search: status %d, want 405", resp.StatusCode)
 		}
 	}
 }
@@ -340,7 +340,7 @@ func TestRunWALRestart(t *testing.T) {
 		t.Fatalf("recovery not logged:\n%s", out.String())
 	}
 	sbody, _ := json.Marshal(map[string]any{"query": vec, "k": 1})
-	sresp, err := http.Post("http://"+addr.String()+"/search", "application/json", bytes.NewReader(sbody))
+	sresp, err := http.Post("http://"+addr.String()+"/v1/search", "application/json", bytes.NewReader(sbody))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,13 +402,13 @@ func TestRunGracefulShutdown(t *testing.T) {
 	resp.Body.Close()
 	q := make([]float32, 128)
 	body, _ := json.Marshal(map[string]any{"query": q})
-	sresp, err := http.Post(base+"/search", "application/json", bytes.NewReader(body))
+	sresp, err := http.Post(base+"/v1/search", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	sresp.Body.Close()
 	if sresp.StatusCode != http.StatusOK {
-		t.Fatalf("/search returned %d", sresp.StatusCode)
+		t.Fatalf("/v1/search returned %d", sresp.StatusCode)
 	}
 	// The SLO flags above wire EnableAutotune plus the server-default recall
 	// target through run(); a per-request /v1/search override must answer

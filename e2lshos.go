@@ -27,7 +27,7 @@
 // On top of the engines sits a serving subsystem: ShardedIndex partitions a
 // dataset across N sub-engines (hash or range placement) and is itself an
 // Engine with globally-correct IDs and folded Stats, while Server exposes
-// any Engine over HTTP behind a micro-batching query coalescer (/search,
+// any Engine over HTTP behind a micro-batching query coalescer (/v1/search,
 // /stats, /healthz — see cmd/lshserve).
 //
 // It also exposes the paper's full experiment harness (RunExperiment) and

@@ -10,6 +10,7 @@ import (
 
 	"e2lshos/internal/ann"
 	"e2lshos/internal/autotune"
+	"e2lshos/internal/ladder"
 	"e2lshos/internal/memindex"
 	"e2lshos/internal/telemetry"
 )
@@ -33,9 +34,9 @@ type Engine interface {
 	// returned together with ctx.Err().
 	Search(ctx context.Context, q []float32, opts ...SearchOption) (Result, Stats, error)
 	// BatchSearch answers a query batch on a pool of worker goroutines,
-	// each reusing one per-goroutine searcher across its share of the
-	// batch. Results are positionally aligned with queries; Stats is the
-	// batch aggregate. On cancellation or error the queries answered so
+	// each reusing one searcher across its share of the batch. Results are
+	// positionally aligned with queries; Stats is the batch aggregate. On
+	// cancellation or error the queries answered so
 	// far — not necessarily a contiguous prefix, since workers interleave
 	// — keep their results, unanswered slots are zero Results, and the
 	// first error is returned.
@@ -277,31 +278,126 @@ func resolveSettings(opts []SearchOption) (searchSettings, error) {
 	return s, nil
 }
 
-// querier is one engine's per-goroutine query context: scratch buffers plus
-// the resolved knobs. dst, when non-nil, provides the backing array for the
-// returned Result's neighbors (its contents are overwritten); BatchSearch
-// hands each query a distinct slab segment so the per-query steady state
-// allocates nothing. A nil dst asks the querier to allocate fresh backing.
-// Not safe for concurrent use; BatchSearch creates one per worker.
+// knobs is the per-query value the E2LSH searchers run under: there is no
+// index view or searcher setting behind WithBudget and WithMultiProbe.
+func (s searchSettings) knobs() ladder.Knobs {
+	return ladder.Knobs{K: s.k, Budget: s.budget, MultiProbe: s.multiProbe}
+}
+
+// querier is one engine's per-goroutine searcher: scratch buffers and
+// nothing else. Everything a query may set arrives in kn (engines ignore the
+// knobs they have no use for), so a querier can serve any query of its
+// engine. dst, when non-nil, provides the backing array for the returned
+// Result's neighbors (its contents are overwritten); BatchSearch hands each
+// query a distinct slab segment so the per-query steady state allocates
+// nothing. A nil dst asks the querier to allocate fresh backing. Not safe
+// for concurrent use.
 type querier interface {
-	query(ctx context.Context, q []float32, k int, dst []ann.Neighbor) (Result, Stats, error)
+	query(ctx context.Context, q []float32, kn ladder.Knobs, dst []ann.Neighbor) (Result, Stats, error)
+}
+
+// searchers is the free list of idle queriers every engine embeds. Search
+// and every BatchSearch worker check one out and hand it back, so the O(n)
+// visited array and the arenas behind a querier are built once per
+// concurrent caller, not once per call. It is a plain mutex-guarded stack
+// rather than a sync.Pool: what it holds must not depend on when the garbage
+// collector last ran. It keeps at most one idle querier per processor (more
+// could never all run at once); what a wider burst hands back beyond that is
+// dropped.
+type searchers struct {
+	mu   sync.Mutex
+	idle []querier
+}
+
+// take pops the most recently returned querier, or nil when none is idle.
+func (s *searchers) take() querier {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := len(s.idle)
+	if n == 0 {
+		return nil
+	}
+	qr := s.idle[n-1]
+	s.idle[n-1] = nil
+	s.idle = s.idle[:n-1]
+	return qr
+}
+
+// give hands a querier back to the free list.
+func (s *searchers) give(qr querier) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.idle) < runtime.GOMAXPROCS(0) {
+		s.idle = append(s.idle, qr)
+	}
 }
 
 // engineCore is what each engine contributes to the shared Search /
-// BatchSearch machinery: a querier factory plus the telemetry and autotune
-// anchors (every engine embeds telem and tune, so collector() and tuner()
-// are always present and usually nil).
+// BatchSearch machinery: a querier factory, the free list in front of it,
+// and the telemetry anchor (every engine embeds searchers and telem).
 type engineCore interface {
-	newQuerier(s searchSettings) (querier, error)
+	newQuerier() querier
+	take() querier
+	give(querier)
 	collector() *telemetry.Collector
-	tuner() *autotune.Tuner
 }
 
-// engineSearch implements Engine.Search over an engineCore. With telemetry
-// enabled it times the query end to end and, when the sampler picks this
-// query, threads a span trace into the querier's searcher; disabled, the
-// only cost is one atomic load.
-func engineSearch(ctx context.Context, e engineCore, q []float32, opts []SearchOption) (Result, Stats, error) {
+// checkout takes an idle querier off e's free list, or builds one.
+func checkout(e engineCore) querier {
+	if qr := e.take(); qr != nil {
+		return qr
+	}
+	return e.newQuerier()
+}
+
+// call is what one Search or BatchSearch resolved before its first query:
+// the settings, the engine's collector and tuner as they stood then, and —
+// for a coalesced batch — how long each query sat in the coalescer.
+type call struct {
+	set   searchSettings
+	col   *telemetry.Collector
+	tn    *autotune.Tuner
+	waits []time.Duration
+}
+
+// run answers query i of the call on qr. With a collector it times the query
+// and, when the sampler picks it, hands the searcher a span trace; with a
+// tuner it checks out a controller — even untuned queries do, since they run
+// the full ladder anyway and train the recall/latency model for free. A
+// coalescer wait is stamped onto the trace, and the controller's clock starts
+// that much earlier, at admission. Both disabled, the cost is two nil checks.
+func (c *call) run(ctx context.Context, qr querier, q []float32, i int, dst []ann.Neighbor) (Result, Stats, error) {
+	kn := c.set.knobs()
+	if c.col == nil && c.tn == nil {
+		return qr.query(ctx, q, kn, dst)
+	}
+	var wait time.Duration
+	if i < len(c.waits) {
+		wait = c.waits[i]
+	}
+	if c.col != nil {
+		kn.Trace = c.col.StartTrace()
+		if kn.Trace != nil && i < len(c.waits) {
+			kn.Trace.Add(telemetry.StageCoalesceWait, -1, 0, wait, 0, 0)
+		}
+	}
+	t0 := time.Now()
+	if c.tn != nil {
+		kn.Ctl = c.tn.Start(c.set.tuning.internal(), baseKnobs(c.set), t0.Add(-wait))
+	}
+	res, st, err := qr.query(ctx, q, kn, dst)
+	if c.col != nil {
+		c.col.FinishQuery(time.Since(t0), kn.Trace)
+	}
+	if c.tn != nil {
+		applyOutcome(&st, c.tn.Finish(kn.Ctl))
+	}
+	return res, st, err
+}
+
+// engineSearch implements Engine.Search over an engineCore; tn is the
+// engine's tuner (nil when autotuning is off or the engine has none).
+func engineSearch(ctx context.Context, e engineCore, tn *autotune.Tuner, q []float32, opts []SearchOption) (Result, Stats, error) {
 	set, err := resolveSettings(opts)
 	if err != nil {
 		return Result{}, Stats{}, err
@@ -309,53 +405,20 @@ func engineSearch(ctx context.Context, e engineCore, q []float32, opts []SearchO
 	if err := ctx.Err(); err != nil {
 		return Result{}, Stats{}, err
 	}
-	qr, err := e.newQuerier(set)
-	if err != nil {
-		return Result{}, Stats{}, err
+	c := call{set: set, col: e.collector(), tn: tn}
+	qr := checkout(e)
+	res, st, err := c.run(ctx, qr, q, 0, nil)
+	e.give(qr)
+	if len(set.statsInto) > 0 {
+		set.statsInto[0] = st
 	}
-	col := e.collector()
-	tn := e.tuner()
-	var ctl *autotune.Ctl
-	if tn != nil {
-		// Even untuned queries check out a controller: they run the full
-		// ladder anyway and train the recall/latency model for free. Engines
-		// without ladder hooks hand the controller straight back.
-		ctl = tn.Start(set.tuning.internal(), baseKnobs(set), time.Now())
-		if cs, ok := qr.(ctlSetter); ok {
-			cs.setController(ctl)
-		} else {
-			tn.Finish(ctl)
-			ctl = nil
-		}
-	}
-	record := func(st *Stats) {
-		if ctl != nil {
-			applyOutcome(st, tn.Finish(ctl))
-		}
-		if len(set.statsInto) > 0 {
-			set.statsInto[0] = *st
-		}
-	}
-	if col == nil {
-		res, st, err := qr.query(ctx, q, set.k, nil)
-		record(&st)
-		return res, st, err
-	}
-	tr := col.StartTrace()
-	if ts, ok := qr.(traceSetter); ok {
-		ts.setTrace(tr)
-	}
-	t0 := time.Now()
-	res, st, err := qr.query(ctx, q, set.k, nil)
-	col.FinishQuery(time.Since(t0), tr)
-	record(&st)
 	return res, st, err
 }
 
 // engineBatchSearch implements Engine.BatchSearch over an engineCore: a
-// worker pool where each goroutine builds one querier and reuses it across
-// the queries it claims.
-func engineBatchSearch(ctx context.Context, e engineCore, queries [][]float32, opts []SearchOption) ([]Result, Stats, error) {
+// worker pool where each goroutine checks out one querier and reuses it
+// across the queries it claims.
+func engineBatchSearch(ctx context.Context, e engineCore, tn *autotune.Tuner, queries [][]float32, opts []SearchOption) ([]Result, Stats, error) {
 	set, err := resolveSettings(opts)
 	if err != nil {
 		return nil, Stats{}, err
@@ -385,11 +448,9 @@ func engineBatchSearch(ctx context.Context, e engineCore, queries [][]float32, o
 	// layer) onto sampled traces. The autotune controller reads the same
 	// waits so a coalesced query's latency budget starts at admission, not
 	// at batch dispatch.
-	col := e.collector()
-	tn := e.tuner()
-	var waits []time.Duration
-	if col != nil || tn != nil {
-		waits = telemetry.QueueWaits(ctx)
+	c := call{set: set, col: e.collector(), tn: tn}
+	if c.col != nil || tn != nil {
+		c.waits = telemetry.QueueWaits(ctx)
 	}
 
 	var (
@@ -399,31 +460,11 @@ func engineBatchSearch(ctx context.Context, e engineCore, queries [][]float32, o
 		agg      Stats
 		firstErr error
 	)
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-		cancel()
-	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if bctx.Err() != nil {
-				return
-			}
-			qr, err := e.newQuerier(set)
-			if err != nil {
-				fail(err)
-				return
-			}
-			ts, _ := qr.(traceSetter)
-			var cs ctlSetter
-			if tn != nil {
-				cs, _ = qr.(ctlSetter)
-			}
+			qr := checkout(e)
 			var local Stats
 			for {
 				i := int(next.Add(1)) - 1
@@ -431,48 +472,14 @@ func engineBatchSearch(ctx context.Context, e engineCore, queries [][]float32, o
 					break
 				}
 				seg := slab[i*set.k : i*set.k : (i+1)*set.k]
-				if col == nil && cs == nil {
-					res, st, err := qr.query(bctx, queries[i], set.k, seg)
-					if err != nil {
-						fail(err)
-						break
-					}
-					if i < len(set.statsInto) {
-						set.statsInto[i] = st
-					}
-					results[i] = res
-					local.Merge(st)
-					continue
-				}
-				var tr *telemetry.Trace
-				if col != nil {
-					tr = col.StartTrace()
-					if ts != nil {
-						ts.setTrace(tr)
-					}
-					if tr != nil && i < len(waits) {
-						tr.Add(telemetry.StageCoalesceWait, -1, 0, waits[i], 0, 0)
-					}
-				}
-				t0 := time.Now()
-				var ctl *autotune.Ctl
-				if cs != nil {
-					start := t0
-					if i < len(waits) {
-						start = start.Add(-waits[i])
-					}
-					ctl = tn.Start(set.tuning.internal(), baseKnobs(set), start)
-					cs.setController(ctl)
-				}
-				res, st, err := qr.query(bctx, queries[i], set.k, seg)
-				if col != nil {
-					col.FinishQuery(time.Since(t0), tr)
-				}
-				if ctl != nil {
-					applyOutcome(&st, tn.Finish(ctl))
-				}
+				res, st, err := c.run(bctx, qr, queries[i], i, seg)
 				if err != nil {
-					fail(err)
+					mu.Lock()
+					if firstErr == nil {
+						firstErr = err
+					}
+					mu.Unlock()
+					cancel()
 					break
 				}
 				if i < len(set.statsInto) {
@@ -481,6 +488,7 @@ func engineBatchSearch(ctx context.Context, e engineCore, queries [][]float32, o
 				results[i] = res
 				local.Merge(st)
 			}
+			e.give(qr)
 			mu.Lock()
 			agg.Merge(local)
 			mu.Unlock()
@@ -498,6 +506,7 @@ func engineBatchSearch(ctx context.Context, e engineCore, queries [][]float32, o
 type InMemoryIndex struct {
 	telem
 	tune
+	searchers
 	ix *memindex.Index
 }
 
@@ -517,42 +526,26 @@ func NewInMemoryIndex(data [][]float32, cfg Config) (*InMemoryIndex, error) {
 // Search answers a top-k c²-ANNS query. It honors WithK, WithBudget and
 // WithMultiProbe.
 func (m *InMemoryIndex) Search(ctx context.Context, q []float32, opts ...SearchOption) (Result, Stats, error) {
-	return engineSearch(ctx, m, q, opts)
+	return engineSearch(ctx, m, m.tuner(), q, opts)
 }
 
 // BatchSearch answers queries on a worker pool; see Engine.
 func (m *InMemoryIndex) BatchSearch(ctx context.Context, queries [][]float32, opts ...SearchOption) ([]Result, Stats, error) {
-	return engineBatchSearch(ctx, m, queries, opts)
+	return engineBatchSearch(ctx, m, m.tuner(), queries, opts)
 }
 
 // IndexBytes reports the DRAM footprint of the hash index.
 func (m *InMemoryIndex) IndexBytes() int64 { return m.ix.IndexBytes() }
 
-func (m *InMemoryIndex) newQuerier(set searchSettings) (querier, error) {
-	ix := m.ix
-	if set.budget > 0 {
-		ix = ix.WithBudget(set.budget)
-	}
-	s := ix.NewSearcher()
-	if set.multiProbe > 0 {
-		s.SetMultiProbe(set.multiProbe)
-	}
-	return memQuerier{s: s}, nil
-}
+func (m *InMemoryIndex) newQuerier() querier { return memQuerier{s: m.ix.NewSearcher()} }
 
 type memQuerier struct {
 	s *memindex.Searcher
 }
 
-func (m memQuerier) setTrace(tr *telemetry.Trace) { m.s.SetTrace(tr) }
-
-func (m memQuerier) setController(c *autotune.Ctl) { m.s.SetController(c) }
-
 //lsh:foldall memindex.QueryStats
-func (m memQuerier) query(ctx context.Context, q []float32, k int, dst []ann.Neighbor) (Result, Stats, error) {
-	// SearchInto with a nil dst allocates exact-capacity backing, so the
-	// single-query path needs no separate branch.
-	res, st, err := m.s.SearchInto(ctx, q, k, dst)
+func (m memQuerier) query(ctx context.Context, q []float32, kn ladder.Knobs, dst []ann.Neighbor) (Result, Stats, error) {
+	res, st, err := m.s.Run(ctx, q, kn, dst)
 	return res, Stats{
 		Queries:        1,
 		Radii:          st.Radii,

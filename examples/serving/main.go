@@ -78,7 +78,7 @@ func main() {
 			for r := w; r < requests; r += workers {
 				qi := r % ds.NQ()
 				body, _ := json.Marshal(map[string]any{"query": ds.Queries[qi], "qid": qi})
-				resp, err := http.Post(ts.URL+"/search", "application/json", bytes.NewReader(body))
+				resp, err := http.Post(ts.URL+"/v1/search", "application/json", bytes.NewReader(body))
 				if err != nil {
 					failed.Store(r, err)
 					continue

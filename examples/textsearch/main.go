@@ -1,8 +1,8 @@
 // Text search: a GloVe-like embedding workload with top-10 retrieval,
 // exercising the persistence path a production deployment would use: build
 // once, save the index file, reopen it and serve the query batch on a
-// worker pool with a concurrent goroutine fan-out per query (the real-I/O
-// counterpart of the paper's asynchronous reads).
+// worker pool, each worker fetching its query's radius rounds as waves of
+// block reads.
 package main
 
 import (

@@ -55,18 +55,22 @@ type asyncPool struct {
 // (batch assembly included), so the same function serves both asynchronous
 // (Fig 1B) and synchronous/mmap (Fig 1A, §6.5) engines; in synchronous mode
 // the vectored waves degrade to blocking per-block reads, exactly the mmap
-// baseline. The engine path requires the default 512-byte bucket blocks.
-func (ix *Index) AsyncQueryFunc(model costmodel.CPUModel, queries [][]float32, k int, results []AsyncResult) sched.QueryFunc {
-	return ix.AsyncQueryFuncTuned(model, queries, k, results, nil, autotune.Tuning{})
+// baseline. budget is the per-radius candidate cap (0 means the index's
+// built-in S). The engine path requires the default 512-byte bucket blocks.
+func (ix *Index) AsyncQueryFunc(model costmodel.CPUModel, queries [][]float32, k, budget int, results []AsyncResult) sched.QueryFunc {
+	return ix.AsyncQueryFuncTuned(model, queries, k, budget, results, nil, autotune.Tuning{})
 }
 
 // AsyncQueryFuncTuned is AsyncQueryFunc with a per-query autotune controller:
 // every query runs under tn with tuning tu (recall-target early stops and the
 // candidate-budget degradation; readahead, a wall-clock-only knob, has no
 // meaning on the simulator). A nil tn disables control.
-func (ix *Index) AsyncQueryFuncTuned(model costmodel.CPUModel, queries [][]float32, k int, results []AsyncResult, tn *autotune.Tuner, tu autotune.Tuning) sched.QueryFunc {
+func (ix *Index) AsyncQueryFuncTuned(model costmodel.CPUModel, queries [][]float32, k, budget int, results []AsyncResult, tn *autotune.Tuner, tu autotune.Tuning) sched.QueryFunc {
 	if ix.physPerBucket != 1 {
 		panic("diskindex: the engine path requires 512-byte bucket blocks")
+	}
+	if budget == 0 {
+		budget = ix.params.S
 	}
 	pool := &asyncPool{}
 	return func(qi int, tc *sched.Ctx, done func()) {
@@ -98,6 +102,7 @@ func (ix *Index) AsyncQueryFuncTuned(model costmodel.CPUModel, queries [][]float
 		run.model = model
 		run.q = queries[qi]
 		run.k = k
+		run.baseS = budget
 		run.out = &results[qi]
 		run.rIdx = 0
 		run.checked = 0
@@ -146,7 +151,8 @@ type asyncRun struct {
 
 	rIdx        int
 	checked     int // per-radius candidate budget consumption
-	budgetS     int // per-radius candidate budget, possibly degraded per round
+	baseS       int // per-radius candidate budget the query asked for
+	budgetS     int // this round's budget, possibly degraded by the controller
 	outstanding int // blocks of the current wave still in flight
 
 	// tn/ctl are the autotune hooks (nil without a tuner).
@@ -167,9 +173,9 @@ func (run *asyncRun) startRadius(tc *sched.Ctx, done func()) {
 		run.finish(done)
 		return
 	}
-	run.budgetS = p.S
+	run.budgetS = run.baseS
 	if run.ctl != nil {
-		kn, proceed := run.ctl.BeforeRound(run.rIdx, p.S)
+		kn, proceed := run.ctl.BeforeRound(run.rIdx, run.baseS)
 		if !proceed {
 			run.finish(done)
 			return

@@ -105,25 +105,12 @@ type Index struct {
 
 	// upd is the mutation state: the update RWMutex that serializes
 	// Insert/Delete against queries, the optional write-ahead log, and the
-	// pooled update scratch. Behind a pointer so WithBudget views share it.
-	// See update.go and recovery.go.
+	// pooled update scratch. See update.go and recovery.go.
 	upd *updState
 }
 
 // Params returns the algorithmic parameters.
 func (ix *Index) Params() lsh.Params { return ix.params }
-
-// WithBudget returns a view of the index whose per-radius candidate budget S
-// is replaced, sharing all storage with the receiver (§3.3: S tunes accuracy
-// without rebuilding).
-func (ix *Index) WithBudget(s int) *Index {
-	if s <= 0 {
-		panic("diskindex: WithBudget requires a positive budget")
-	}
-	clone := *ix
-	clone.params.S = s
-	return &clone
-}
 
 // Options returns the build options (with defaults resolved).
 func (ix *Index) Options() Options { return ix.opts }

@@ -289,7 +289,7 @@ func TestAsyncMatchesSyncWithGenerousBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	results := make([]AsyncResult, d.NQ())
-	_, err = eng.RunBatch(d.NQ(), 4, ix.AsyncQueryFunc(costmodel.Default(), d.Queries, 5, results))
+	_, err = eng.RunBatch(d.NQ(), 4, ix.AsyncQueryFunc(costmodel.Default(), d.Queries, 5, 0, results))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +322,7 @@ func TestAsyncDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		results := make([]AsyncResult, d.NQ())
-		if _, err := eng.RunBatch(d.NQ(), 8, ix.AsyncQueryFunc(costmodel.Default(), d.Queries, 3, results)); err != nil {
+		if _, err := eng.RunBatch(d.NQ(), 8, ix.AsyncQueryFunc(costmodel.Default(), d.Queries, 3, 0, results)); err != nil {
 			t.Fatal(err)
 		}
 		return results
@@ -347,7 +347,7 @@ func TestAsyncAccuracy(t *testing.T) {
 		t.Fatal(err)
 	}
 	results := make([]AsyncResult, d.NQ())
-	if _, err := eng.RunBatch(d.NQ(), 8, ix.AsyncQueryFunc(costmodel.Default(), d.Queries, 1, results)); err != nil {
+	if _, err := eng.RunBatch(d.NQ(), 8, ix.AsyncQueryFunc(costmodel.Default(), d.Queries, 1, 0, results)); err != nil {
 		t.Fatal(err)
 	}
 	var sum float64

@@ -4,15 +4,12 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
-	"time"
 
 	"e2lshos/internal/ann"
-	"e2lshos/internal/autotune"
 	"e2lshos/internal/blockcache"
 	"e2lshos/internal/blockstore"
+	"e2lshos/internal/ladder"
 	"e2lshos/internal/lsh"
-	"e2lshos/internal/telemetry"
-	"e2lshos/internal/vecmath"
 )
 
 // Stats records what one query did against the on-storage index, in the
@@ -103,96 +100,44 @@ func (st *Stats) skipChain() {
 	st.Partial = 1
 }
 
-// Searcher executes queries synchronously against the store's data plane:
-// no virtual time, just block reads, one at a time, stopping the moment a
-// round's budget is spent. It is the reference implementation the serving
-// WaveSearcher and the asynchronous engine path are tested against, and the
-// I/O-count oracle for the Fig 3–8 analyses; it is not on the serving path. All per-query scratch (projection buffer, hash
-// buffer, epoch-stamped visited array, block buffer, top-k accumulator) is
-// searcher-owned, so the SearchInto path allocates nothing per query after
-// warmup. Not safe for concurrent use; create one per worker.
-type Searcher struct {
-	ix     *Index
-	proj   []float64
-	hashes []uint32
-	seen   []uint32
-	epoch  uint32
-	topk   *ann.TopK
-	buf    []byte
-	// multiProbe > 0 probes each table's base bucket plus this many
-	// perturbed neighbors (§8 extension; see lsh.PerturbationSets). On
-	// storage, extra probes trade I/O for recall without growing the index.
-	multiProbe int
-	floors     []int64
-	fracs      []float64
-	pfloors    []int64
-	// Readahead scratch (cache.go): next-round hashes, a projection buffer
-	// for per-radius families, and the in-flight prefetch handle.
+// searcher is what the reference Searcher and the serving WaveSearcher share:
+// the ladder driver with its scratch, the query's Stats, and the disk-only
+// work around a run — the update lock, readahead issue and settle.
+type searcher struct {
+	ix  *Index
+	lad *ladder.Driver
+	// rounds is the embedding searcher, the driver's view of it.
+	rounds ladder.Rounds
+	// st is the running query's counters (the driver's Counts fold in when
+	// the ladder returns).
+	st Stats
+	// Readahead scratch: next-round hashes, a projection buffer for
+	// per-radius families, and the in-flight prefetch handle.
 	nextHashes []uint32
 	raProj     []float64
 	pending    *blockcache.Handle
-	// trace is the active sampled-query span buffer (nil for unsampled
-	// queries, which is almost always). ioNS accumulates demand-read time
-	// across a round so the round's verify time can be computed as the
-	// remainder — reads and distance checks interleave inside probeBucket,
-	// so they cannot be bracketed separately.
-	trace *telemetry.Trace
-	ioNS  time.Duration
-	// ctl is the active autotune controller (nil for uncontrolled queries).
-	ctl *autotune.Ctl
 }
 
-// SetTrace installs the span buffer the next query records into (nil
-// disables tracing). The owner sets it per query; the searcher never
-// outlives its trace.
-func (s *Searcher) SetTrace(tr *telemetry.Trace) { s.trace = tr }
-
-// SetController installs the autotune controller the next query consults
-// per radius round (nil disables control).
-func (s *Searcher) SetController(c *autotune.Ctl) { s.ctl = c }
-
-// NewSearcher returns a fresh synchronous searcher. Safe to call while
-// updates run: sizing the dedup arena reads the dataset length under the
-// update lock (search() regrows it if inserts land later anyway).
-func (ix *Index) NewSearcher() *Searcher {
+// init wires the shared state for the embedding searcher. Safe to call while
+// updates run: the visited array is sized under the update lock (the driver
+// regrows it if inserts land later anyway).
+func (s *searcher) init(ix *Index, rounds ladder.Rounds) {
 	u := ix.upd
 	u.mu.RLock()
 	n := len(ix.data)
 	u.mu.RUnlock()
-	s := &Searcher{
-		ix:     ix,
-		proj:   make([]float64, ix.params.L*ix.params.M),
-		hashes: make([]uint32, ix.params.L),
-		seen:   make([]uint32, n),
-		buf:    make([]byte, ix.bucketBufBytes()),
-	}
-	if ix.readahead > 0 {
-		s.nextHashes = make([]uint32, ix.params.L)
-		if !ix.opts.ShareProjections {
-			s.raProj = make([]float64, ix.params.L*ix.params.M)
-		}
-	}
-	return s
-}
-
-// SetMultiProbe enables Multi-Probe querying with t extra probes per table
-// (t = 0 restores classic probing).
-func (s *Searcher) SetMultiProbe(t int) {
-	if t < 0 {
-		panic("diskindex: negative multi-probe count")
-	}
-	s.multiProbe = t
-	if t > 0 && s.floors == nil {
-		s.floors = make([]int64, s.ix.params.L*s.ix.params.M)
-		s.fracs = make([]float64, s.ix.params.L*s.ix.params.M)
-		s.pfloors = make([]int64, s.ix.params.M)
+	s.ix, s.rounds = ix, rounds
+	s.lad = ladder.New(ix.params, ix.families, ix.opts.ShareProjections, n)
+	s.nextHashes = make([]uint32, ix.params.L)
+	if !ix.opts.ShareProjections {
+		s.raProj = make([]float64, ix.params.L*ix.params.M)
 	}
 }
 
-// Search answers a top-k query by walking the on-storage index, mirroring
-// the in-memory reference algorithm table by table (§5.4 steps 1–3, executed
-// sequentially). It returns the neighbors and the per-query statistics.
-func (s *Searcher) Search(q []float32, k int) (ann.Result, Stats, error) {
+// Search answers a top-k query with the index's built-in budget and classic
+// probing, walking the on-storage index table by table (§5.4 steps 1–3). It
+// returns the neighbors and the per-query statistics.
+func (s *searcher) Search(q []float32, k int) (ann.Result, Stats, error) {
 	//lsh:ctxok ctx-free convenience wrapper; cancellation lives in SearchContext
 	return s.SearchContext(context.Background(), q, k)
 }
@@ -200,191 +145,104 @@ func (s *Searcher) Search(q []float32, k int) (ann.Result, Stats, error) {
 // SearchContext is Search with cancellation: ctx is checked between radius
 // rounds, so a long ladder walk aborts cleanly. On cancellation it returns
 // the neighbors accumulated so far together with ctx.Err().
-func (s *Searcher) SearchContext(ctx context.Context, q []float32, k int) (ann.Result, Stats, error) {
-	st, err := s.search(ctx, q, k)
-	return s.topk.ResultSq(), st, err
+func (s *searcher) SearchContext(ctx context.Context, q []float32, k int) (ann.Result, Stats, error) {
+	return s.Run(ctx, q, ladder.Knobs{K: k}, nil)
 }
 
-// SearchInto is SearchContext with caller-owned result backing: the
-// returned neighbors are appended into dst[:0], so a worker looping over
-// queries with a reused dst allocates nothing per query after warmup.
-func (s *Searcher) SearchInto(ctx context.Context, q []float32, k int, dst []ann.Neighbor) (ann.Result, Stats, error) {
-	st, err := s.search(ctx, q, k)
-	return ann.Result{Neighbors: s.topk.AppendResultSq(dst[:0])}, st, err
+// SearchInto is SearchContext with caller-owned result backing; see Run.
+func (s *searcher) SearchInto(ctx context.Context, q []float32, k int, dst []ann.Neighbor) (ann.Result, Stats, error) {
+	return s.Run(ctx, q, ladder.Knobs{K: k}, dst)
 }
 
-// search runs the ladder, leaving the winners (keyed by squared distance)
-// in s.topk; on an I/O error the accumulator is emptied. The whole query
-// holds the index's update lock shared, so a concurrent Insert/Delete
-// (which holds it exclusively) is observed either fully applied across all
-// its chains or not at all — never a torn chain.
-func (s *Searcher) search(ctx context.Context, q []float32, k int) (Stats, error) {
-	u := s.ix.upd
-	u.mu.RLock()
-	defer u.mu.RUnlock()
-	if n := len(s.ix.data); n > len(s.seen) {
-		// Inserts grew the dataset past this searcher's dedup array.
-		grown := make([]uint32, n)
-		copy(grown, s.seen)
-		s.seen = grown
-	}
-	st, err := s.searchContext(ctx, q, k)
-	if s.pending != nil {
-		// Settle readahead issued for a round the ladder never entered, so
-		// no prefetch work outlives the query and the stats stay exact. On
-		// cancellation the engine's walk stops between waves.
-		st.Prefetched += int(s.pending.Wait())
-		s.pending = nil
-	}
-	return st, err
-}
-
-func (s *Searcher) searchContext(ctx context.Context, q []float32, k int) (Stats, error) {
+// Run answers one query under the given per-query knobs (budget, multi-probe
+// — on storage, extra probes trade I/O for recall without growing the index —
+// trace, controller). The returned neighbors are appended into dst[:0] (nil
+// asks for fresh backing), so a worker looping over queries with a reused dst
+// allocates nothing per query after warmup; on an I/O error the result is
+// empty.
+//
+// The whole query holds the index's update lock shared, so a concurrent
+// Insert/Delete (which holds it exclusively) is observed either fully applied
+// across all its chains or not at all — never a torn chain — and the dataset
+// the candidates are verified against is the one read under that lock.
+//
+//lsh:foldall ladder.Counts
+func (s *searcher) Run(ctx context.Context, q []float32, kn ladder.Knobs, dst []ann.Neighbor) (ann.Result, Stats, error) {
 	ix := s.ix
 	ix.checkDim(q)
-	p := ix.params
-	var st Stats
-	s.epoch++
-	if s.epoch == 0 {
-		clear(s.seen)
-		s.epoch = 1
-	}
-	if s.topk == nil {
-		s.topk = ann.NewTopK(k)
-	} else {
-		s.topk.Reset(k)
-	}
-	topk := s.topk
-	if ix.opts.ShareProjections {
-		ix.families[0].ProjectInto(s.proj, q)
-	}
-	//lsh:ladder
-	for rIdx, radius := range p.Radii {
-		if err := ctx.Err(); err != nil {
-			return st, err
-		}
-		if s.pending != nil {
-			// The readahead issued while the previous round was verifying;
-			// by now it has usually drained, so this settles the count.
-			st.Prefetched += int(s.pending.Wait())
-			s.pending = nil
-		}
-		mp, budgetS, readahead := s.multiProbe, p.S, true
-		if c := s.ctl; c != nil {
-			kn, proceed := c.BeforeRound(rIdx, p.S)
-			if !proceed {
-				break
-			}
-			budgetS, readahead = kn.BudgetS, kn.Readahead
-			// Never raise multi-probe above what the searcher sized its
-			// floor arenas for.
-			if kn.MultiProbe < mp {
-				mp = kn.MultiProbe
-			}
-		}
-		st.Radii++
-		tr := s.trace
-		roundStart := tr.Clock()
-		fam := ix.FamilyFor(rIdx)
-		if !ix.opts.ShareProjections {
-			fam.ProjectInto(s.proj, q)
-		}
-		if mp > 0 {
-			fam.FloorsAt(s.proj, radius, s.floors, s.fracs)
-			for l := 0; l < p.L; l++ {
-				s.hashes[l] = fam.CombineFloors(l, s.floors[l*p.M:(l+1)*p.M])
-			}
-		} else {
-			fam.HashesAt(s.proj, radius, s.hashes)
-		}
-		projEnd := tr.Clock()
-		var stBefore Stats
-		if tr.Active() {
-			stBefore = st
-			s.ioNS = 0
-		}
-		if readahead && ix.readahead > 0 && rIdx+1 < p.R() {
-			ix.roundHashes(q, rIdx+1, s.proj, s.raProj, s.nextHashes)
-			s.pending = ix.prefetchRound(ctx, rIdx+1, s.nextHashes)
-		}
-		checked := 0
-	tables:
-		for l := 0; l < p.L; l++ {
-			full, err := s.probeBucket(rIdx, l, s.hashes[l], q, topk, &st, &checked, budgetS)
-			if err != nil {
-				topk.Reset(k)
-				return st, err
-			}
-			if full {
-				break tables
-			}
-			if mp == 0 {
-				continue
-			}
-			fracs := s.fracs[l*p.M : (l+1)*p.M]
-			base := s.floors[l*p.M : (l+1)*p.M]
-			for _, set := range lsh.PerturbationSets(fracs, mp) {
-				copy(s.pfloors, base)
-				for _, pert := range set {
-					s.pfloors[pert.Coord] += int64(pert.Delta)
-				}
-				full, err := s.probeBucket(rIdx, l, ix.FamilyFor(rIdx).CombineFloors(l, s.pfloors), q, topk, &st, &checked, budgetS)
-				if err != nil {
-					topk.Reset(k)
-					return st, err
-				}
-				if full {
-					break tables
-				}
-			}
-		}
-		if tr.Active() {
-			// The round's reads and distance checks interleave inside
-			// probeBucket, so I/O time is accumulated read-by-read (s.ioNS)
-			// and verify time is the remainder of the table walk.
-			end := tr.Clock()
-			verify := end - projEnd - s.ioNS
-			if verify < 0 {
-				verify = 0
-			}
-			tr.Add(telemetry.StageProject, rIdx, roundStart, projEnd-roundStart, 0, 0)
-			tr.Add(telemetry.StageIO, rIdx, projEnd, s.ioNS,
-				int64(st.TableIOs+st.BucketIOs-stBefore.TableIOs-stBefore.BucketIOs),
-				int64(st.CacheHits-stBefore.CacheHits))
-			tr.Add(telemetry.StageVerify, rIdx, projEnd, verify, int64(st.Checked-stBefore.Checked), 0)
-			tr.Add(telemetry.StageRound, rIdx, roundStart, end-roundStart,
-				int64(st.Probes-stBefore.Probes), int64(st.NonEmptyProbes-stBefore.NonEmptyProbes))
-		}
-		cr := p.C * radius
-		certified := topk.CountWithin(cr * cr)
-		if topk.Full() && certified >= k {
-			break
-		}
-		if c := s.ctl; c != nil && c.AfterRound(rIdx, topk, certified) {
-			break
-		}
-	}
-	if c := s.ctl; c != nil {
-		c.EndLadder(topk, st.Radii, p.R())
-	}
-	return st, nil
+	u := ix.upd
+	u.mu.RLock()
+	defer u.mu.RUnlock()
+	s.st = Stats{}
+	err := s.lad.Run(ctx, s.rounds, q, ix.data, kn)
+	// Settle readahead issued for a round the ladder never entered, so no
+	// prefetch work outlives the query and the stats stay exact. On
+	// cancellation the engine's walk stops between waves.
+	s.settle()
+	c, st := &s.lad.Counts, s.st
+	st.Radii = c.Radii
+	st.Probes = c.Probes
+	st.NonEmptyProbes = c.NonEmptyProbes
+	st.EntriesScanned = c.EntriesScanned
+	st.Checked = c.Checked
+	st.Duplicates = c.Duplicates
+	return ann.Result{Neighbors: s.lad.TopK().AppendResultSq(dst[:0])}, st, err
 }
 
-// probeBucket walks one bucket's chain, verifying fingerprint-matched
-// candidates with partial-distance pruning against the current k-th squared
-// distance (exact; see vecmath.SqDistBounded), and reports whether the
-// per-radius budget was exhausted.
+// BeginRound implements ladder.Rounds for both disk searchers: it settles the
+// readahead issued while the previous round was verifying (by now it has
+// usually drained) and, when allowed, starts prefetching the next round's
+// chains so they load while this round verifies.
+func (s *searcher) BeginRound(ctx context.Context, r int, readahead bool) {
+	s.settle()
+	ix := s.ix
+	if readahead && ix.readahead > 0 && r+1 < ix.params.R() {
+		ix.roundHashes(s.lad.Query(), r+1, s.lad.Proj(), s.raProj, s.nextHashes)
+		s.pending = ix.prefetchRound(ctx, r+1, s.nextHashes)
+	}
+}
+
+// settle folds a finished readahead walk into the stats.
+func (s *searcher) settle() {
+	if s.pending != nil {
+		s.st.Prefetched += int(s.pending.Wait())
+		s.pending = nil
+	}
+}
+
+// Searcher executes queries synchronously against the store's data plane:
+// no virtual time, just block reads, one at a time, stopping the moment a
+// round's budget is spent. It is the reference implementation the serving
+// WaveSearcher and the asynchronous engine path are tested against, and the
+// I/O-count oracle for the Fig 3–8 analyses; it is not on the serving path.
+// Reads and distance checks interleave bucket by bucket, so a traced run
+// reports them together as the round's verify stage. Not safe for concurrent
+// use; create one per worker.
+type Searcher struct {
+	searcher
+	buf []byte
+}
+
+// NewSearcher returns a fresh reference searcher.
+func (ix *Index) NewSearcher() *Searcher {
+	s := &Searcher{buf: make([]byte, ix.bucketBufBytes())}
+	s.init(ix, s)
+	return s
+}
+
+// Visit implements ladder.Rounds: it walks one bucket's chain, offering
+// fingerprint-matched entries to the driver's verification, and reports
+// whether the per-radius budget was exhausted.
 //
 //lsh:hotpath
-func (s *Searcher) probeBucket(rIdx, l int, h uint32, q []float32, topk *ann.TopK, st *Stats, checked *int, budget int) (bool, error) {
-	ix := s.ix
-	st.Probes++
+func (s *Searcher) Visit(r, l int, h uint32) (bool, error) {
+	ix, st, lad := s.ix, &s.st, s.lad
 	idx, fp := lsh.SplitHash(h, ix.u)
-	if !ix.isOccupied(rIdx, l, idx) {
+	if !ix.isOccupied(r, l, idx) {
 		return false, nil
 	}
-	st.NonEmptyProbes++
-	head, err := s.readTableEntry(rIdx, l, idx, st)
+	lad.NonEmptyProbes++
+	head, err := s.readTableEntry(r, l, idx)
 	if err != nil {
 		if storageFault(err) {
 			// Unreadable table block after the I/O layer's retries: skip
@@ -397,7 +255,6 @@ func (s *Searcher) probeBucket(rIdx, l int, h uint32, q []float32, topk *ann.Top
 	}
 	addr := head
 	for addr != blockstore.Nil {
-		t0 := s.trace.Clock()
 		if err := ix.readLogicalBlock(addr, s.buf, st); err != nil {
 			if storageFault(err) {
 				// Abandon the rest of this chain; entries scanned from its
@@ -407,31 +264,18 @@ func (s *Searcher) probeBucket(rIdx, l int, h uint32, q []float32, topk *ann.Top
 			}
 			return false, err
 		}
-		if s.trace != nil {
-			s.ioNS += s.trace.Clock() - t0
-		}
 		st.BucketIOs++
 		next, count := bucketHeader(s.buf)
 		off := HeaderBytes
 		for i := 0; i < count; i++ {
-			st.EntriesScanned++
+			lad.EntriesScanned++
 			id, efp := ix.unpackEntry(getUint40(s.buf[off:]))
 			off += EntryBytes
 			if efp != fp {
 				st.FPRejected++
 				continue
 			}
-			if s.seen[id] == s.epoch {
-				st.Duplicates++
-				continue
-			}
-			s.seen[id] = s.epoch
-			if sq, ok := vecmath.SqDistBounded(ix.data[id], q, topk.Worst()); ok {
-				topk.Push(id, sq)
-			}
-			st.Checked++
-			*checked++
-			if *checked >= budget {
+			if lad.Verify(id) {
 				return true, nil
 			}
 		}
@@ -440,18 +284,17 @@ func (s *Searcher) probeBucket(rIdx, l int, h uint32, q []float32, topk *ann.Top
 	return false, nil
 }
 
+// EndRound implements ladder.Rounds; buckets were verified as visited.
+func (s *Searcher) EndRound(int) (ladder.IO, error) { return ladder.IO{}, nil }
+
 // readTableEntry fetches the bucket head address for table (r,l) entry idx.
 //
 //lsh:hotpath
-func (s *Searcher) readTableEntry(r, l int, idx uint32, st *Stats) (blockstore.Addr, error) {
+func (s *Searcher) readTableEntry(r, l int, idx uint32) (blockstore.Addr, error) {
 	blk, off := s.ix.tableEntryBlock(r, l, idx)
-	t0 := s.trace.Clock()
-	if err := s.ix.readBlock(blk, s.buf[:blockstore.BlockSize], st); err != nil {
+	if err := s.ix.readBlock(blk, s.buf[:blockstore.BlockSize], &s.st); err != nil {
 		return 0, err
 	}
-	if s.trace != nil {
-		s.ioNS += s.trace.Clock() - t0
-	}
-	st.TableIOs++
+	s.st.TableIOs++
 	return blockstore.Addr(binary.LittleEndian.Uint64(s.buf[off : off+8])), nil
 }

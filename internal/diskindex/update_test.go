@@ -1,10 +1,13 @@
 package diskindex
 
 import (
+	"context"
 	"testing"
 
+	"e2lshos/internal/ann"
 	"e2lshos/internal/blockstore"
 	"e2lshos/internal/dataset"
+	"e2lshos/internal/ladder"
 	"e2lshos/internal/lsh"
 )
 
@@ -66,6 +69,35 @@ func TestInsertBecomesSearchable(t *testing.T) {
 	}
 	if found < 18 {
 		t.Errorf("only %d/20 inserted vectors self-found", found)
+	}
+}
+
+// TestBudgetedSearchAfterInsert: a searcher created before a run of inserts
+// answers budgeted self-queries for the inserted vectors. The budget used to
+// live on a copy of the index taken when the searcher was made, whose dataset
+// snapshot ended where the inserts began: verifying an inserted ID indexed
+// past it and panicked. The budget now travels with the query.
+func TestBudgetedSearchAfterInsert(t *testing.T) {
+	d, ix := buildUpdatable(t, 1000, 20)
+	ref, wave := ix.NewSearcher(), ix.NewWaveSearcher()
+	for i := 1000; i < 1020; i++ {
+		if _, err := ix.Insert(d.Vectors[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	kn := ladder.Knobs{K: 1, Budget: 1000 * ix.params.L}
+	for name, s := range map[string]interface {
+		Run(context.Context, []float32, ladder.Knobs, []ann.Neighbor) (ann.Result, Stats, error)
+	}{"reference": ref, "wave": wave} {
+		for i := 1000; i < 1020; i++ {
+			res, _, err := s.Run(context.Background(), d.Vectors[i], kn, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Neighbors) == 0 || res.Neighbors[0].ID != uint32(i) || res.Neighbors[0].Dist != 0 {
+				t.Errorf("%s: inserted vector %d not self-found at distance 0: %+v", name, i, res.Neighbors)
+			}
+		}
 	}
 }
 

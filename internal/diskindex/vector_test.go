@@ -13,6 +13,7 @@ import (
 	"e2lshos/internal/blockstore"
 	"e2lshos/internal/ioengine"
 	"e2lshos/internal/iosim"
+	"e2lshos/internal/ladder"
 )
 
 // engineAttached returns a view of ix whose reads go through a fresh
@@ -77,19 +78,19 @@ func bucketLayouts() []struct {
 // (The serving searcher's equivalence is TestWaveOptionMatrix.)
 func TestVectoredFetchMatchesSerial(t *testing.T) {
 	for _, lay := range bucketLayouts() {
-		d, built, _ := testSetup(t, 2000, 1000, lay.opts)
+		d, ix, _ := testSetup(t, 2000, 1000, lay.opts)
 		for _, sigma := range []int{1000, 2} {
-			ix := built.WithBudget(sigma * built.params.L)
+			kn := ladder.Knobs{K: 5, Budget: sigma * ix.params.L}
 			for _, cacheBytes := range []int64{0, 64 << 20} {
 				t.Run(fmt.Sprintf("%s/sigma%d/cache%d", lay.name, sigma, cacheBytes), func(t *testing.T) {
 					plainSeq := ix.NewSearcher()
 					vecSeq := engineAttached(t, ix, 16, cacheBytes, 0).NewSearcher()
 					for qi, q := range d.Queries {
-						want, wantSt, err := plainSeq.Search(q, 5)
+						want, wantSt, err := plainSeq.Run(context.Background(), q, kn, nil)
 						if err != nil {
 							t.Fatal(err)
 						}
-						got, gotSt, err := vecSeq.Search(q, 5)
+						got, gotSt, err := vecSeq.Run(context.Background(), q, kn, nil)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -105,7 +106,7 @@ func TestVectoredFetchMatchesSerial(t *testing.T) {
 // the whole storage option matrix: whatever sits behind Index.readBatch — no
 // engine (the in-line body), an engine with only a cache, only queue depth,
 // cache + depth + readahead, or retries — the top-k is bitwise the reference
-// Searcher's (same SetMultiProbe), and every logical counter is identical
+// Searcher's (same knobs), and every logical counter is identical
 // across the configurations. Swept over multi-probe {0, 2}, a generous and a
 // truncating budget, and the 512-byte, 4096-byte and chained bucket layouts.
 func TestWaveOptionMatrix(t *testing.T) {
@@ -123,16 +124,15 @@ func TestWaveOptionMatrix(t *testing.T) {
 	}
 	const k = 5
 	for _, lay := range bucketLayouts() {
-		d, built, _ := testSetup(t, 2000, 1000, lay.opts)
+		d, ix, _ := testSetup(t, 2000, 1000, lay.opts)
 		for _, sigma := range []int{1000, 2} {
-			ix := built.WithBudget(sigma * built.params.L)
 			for _, mp := range []int{0, 2} {
+				kn := ladder.Knobs{K: k, Budget: sigma * ix.params.L, MultiProbe: mp}
 				t.Run(fmt.Sprintf("%s/sigma%d/mp%d", lay.name, sigma, mp), func(t *testing.T) {
 					ref := ix.NewSearcher()
-					ref.SetMultiProbe(mp)
 					want := make([][]ann.Neighbor, len(d.Queries))
 					for qi, q := range d.Queries {
-						res, _, err := ref.Search(q, k)
+						res, _, err := ref.Run(context.Background(), q, kn, nil)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -146,10 +146,9 @@ func TestWaveOptionMatrix(t *testing.T) {
 							view = withEngine(t, ix, cfg.eng, cfg.cacheBytes, cfg.readahead)
 						}
 						ws := view.NewWaveSearcher()
-						ws.SetMultiProbe(mp)
 						var agg Stats
 						for qi, q := range d.Queries {
-							got, st, err := ws.Search(q, k)
+							got, st, err := ws.Run(context.Background(), q, kn, nil)
 							if err != nil {
 								t.Fatal(err)
 							}

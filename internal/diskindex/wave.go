@@ -5,13 +5,11 @@ import (
 	"encoding/binary"
 
 	"e2lshos/internal/ann"
-	"e2lshos/internal/autotune"
-	"e2lshos/internal/blockcache"
 	"e2lshos/internal/blockstore"
 	"e2lshos/internal/ioengine"
+	"e2lshos/internal/ladder"
 	"e2lshos/internal/lsh"
 	"e2lshos/internal/telemetry"
-	"e2lshos/internal/vecmath"
 )
 
 // WaveSearcher is the serving searcher. Per search radius it collects every
@@ -23,27 +21,16 @@ import (
 // attached ioengine's queue depth; without an engine the wave is read in
 // line, one block after another, on the calling goroutine.
 //
-// The neighbors are bitwise those of the reference Searcher (same
-// SetMultiProbe): verification visits the same entries in the same order
-// under the same budget. The I/O counts differ only where the budget cuts a
-// round short — the reference stops reading at that point, a wave has
-// already fetched the whole round.
+// The neighbors are bitwise those of the reference Searcher under the same
+// knobs: verification visits the same entries in the same order under the
+// same budget. The I/O counts differ only where the budget cuts a round short
+// — the reference stops reading at that point, a wave has already fetched the
+// whole round.
 //
 // A WaveSearcher is safe for use by one goroutine at a time; run several
 // concurrently to batch queries, matching §6's multithreaded setup.
 type WaveSearcher struct {
-	ix     *Index
-	proj   []float64
-	hashes []uint32
-	seen   []uint32
-	epoch  uint32
-	topk   *ann.TopK
-	// multiProbe > 0 probes each table's base bucket plus this many
-	// perturbed neighbors; see Searcher.multiProbe.
-	multiProbe int
-	floors     []int64
-	fracs      []float64
-	pfloors    []int64
+	searcher
 	// Per-round arenas, sized for every probe a round can issue and reused
 	// across the searcher's queries: the probes (and their ids backing), one
 	// logical-block buffer per probe, and the flattened addr/buf slices of
@@ -56,61 +43,24 @@ type WaveSearcher struct {
 	live     []*probe
 	heads    []blockstore.Addr
 	offs     []int
-	// Readahead scratch (cache.go), mirroring Searcher's.
-	nextHashes []uint32
-	raProj     []float64
-	pending    *blockcache.Handle
-	// trace is the active sampled-query span buffer (nil for unsampled
-	// queries).
-	trace *telemetry.Trace
-	// ctl is the active autotune controller (nil for uncontrolled queries).
-	ctl *autotune.Ctl
 }
 
-// SetTrace installs the span buffer the next query records into (nil
-// disables tracing).
-func (s *WaveSearcher) SetTrace(tr *telemetry.Trace) { s.trace = tr }
-
-// SetController installs the autotune controller the next query consults
-// per radius round (nil disables control).
-func (s *WaveSearcher) SetController(c *autotune.Ctl) { s.ctl = c }
-
-// NewWaveSearcher creates a searcher. Safe to call while updates run: the
-// dedup arena is sized under the update lock (search() regrows it if inserts
-// land later anyway). The I/O engine may be attached before or after.
+// NewWaveSearcher creates a searcher. The I/O engine may be attached before
+// or after.
 func (ix *Index) NewWaveSearcher() *WaveSearcher {
-	u := ix.upd
-	u.mu.RLock()
-	n := len(ix.data)
-	u.mu.RUnlock()
-	s := &WaveSearcher{
-		ix:         ix,
-		proj:       make([]float64, ix.params.L*ix.params.M),
-		hashes:     make([]uint32, ix.params.L),
-		seen:       make([]uint32, n),
-		nextHashes: make([]uint32, ix.params.L),
-	}
-	if !ix.opts.ShareProjections {
-		s.raProj = make([]float64, ix.params.L*ix.params.M)
-	}
+	s := &WaveSearcher{}
+	s.init(ix, s)
 	s.sizeArenas(ix.params.L)
 	return s
 }
 
-// SetMultiProbe enables Multi-Probe querying with t extra probes per table
-// (t = 0 restores classic probing).
-func (s *WaveSearcher) SetMultiProbe(t int) {
-	if t < 0 {
-		panic("diskindex: negative multi-probe count")
-	}
-	s.multiProbe = t
-	p := s.ix.params
-	if t > 0 && s.floors == nil {
-		s.floors = make([]int64, p.L*p.M)
-		s.fracs = make([]float64, p.L*p.M)
-		s.pfloors = make([]int64, p.M)
-	}
-	s.sizeArenas(p.L * (1 + t))
+// Run answers one query under the given per-query knobs; see searcher.Run.
+// It first makes room for the probes multi-probe adds to a round (the
+// promoted Search wrappers never multi-probe and run on the constructor's
+// sizing).
+func (s *WaveSearcher) Run(ctx context.Context, q []float32, kn ladder.Knobs, dst []ann.Neighbor) (ann.Result, Stats, error) {
+	s.sizeArenas(s.ix.params.L * (1 + kn.MultiProbe))
+	return s.searcher.Run(ctx, q, kn, dst)
 }
 
 // sizeArenas makes room for a round of up to n probes.
@@ -139,195 +89,53 @@ type probe struct {
 	ids []uint32 // fingerprint-matched object ids, filled by the fetch phase
 }
 
-// Search answers a top-k query.
-func (s *WaveSearcher) Search(q []float32, k int) (ann.Result, Stats, error) {
-	//lsh:ctxok ctx-free convenience wrapper; cancellation lives in SearchContext
-	return s.SearchContext(context.Background(), q, k)
+// BeginRound implements ladder.Rounds: on top of the shared readahead step
+// it empties the round's probe list.
+func (s *WaveSearcher) BeginRound(ctx context.Context, r int, readahead bool) {
+	s.searcher.BeginRound(ctx, r, readahead)
+	s.probes = s.probes[:0]
 }
 
-// SearchContext is Search with cancellation: ctx is checked between radius
-// rounds, before each fetch, so a long ladder walk aborts cleanly. On
-// cancellation it returns the neighbors accumulated so far with ctx.Err().
-func (s *WaveSearcher) SearchContext(ctx context.Context, q []float32, k int) (ann.Result, Stats, error) {
-	st, err := s.search(ctx, q, k)
-	return s.topk.ResultSq(), st, err
-}
-
-// SearchInto is SearchContext with caller-owned result backing: the
-// returned neighbors are appended into dst[:0].
-func (s *WaveSearcher) SearchInto(ctx context.Context, q []float32, k int, dst []ann.Neighbor) (ann.Result, Stats, error) {
-	st, err := s.search(ctx, q, k)
-	return ann.Result{Neighbors: s.topk.AppendResultSq(dst[:0])}, st, err
-}
-
-// search runs the ladder, leaving the winners (keyed by squared distance)
-// in s.topk; on an I/O error the accumulator is emptied. The whole query
-// holds the index's update lock shared; see Searcher.search for the
-// torn-chain argument.
-func (s *WaveSearcher) search(ctx context.Context, q []float32, k int) (Stats, error) {
-	u := s.ix.upd
-	u.mu.RLock()
-	defer u.mu.RUnlock()
-	if n := len(s.ix.data); n > len(s.seen) {
-		// Inserts grew the dataset past this searcher's dedup array.
-		grown := make([]uint32, n)
-		copy(grown, s.seen)
-		s.seen = grown
-	}
-	st, err := s.searchContext(ctx, q, k)
-	if s.pending != nil {
-		// See Searcher.search: settle readahead for unentered rounds.
-		st.Prefetched += int(s.pending.Wait())
-		s.pending = nil
-	}
-	return st, err
-}
-
-func (s *WaveSearcher) searchContext(ctx context.Context, q []float32, k int) (Stats, error) {
-	ix := s.ix
-	ix.checkDim(q)
-	p := ix.params
-	var st Stats
-	s.epoch++
-	if s.epoch == 0 {
-		clear(s.seen)
-		s.epoch = 1
-	}
-	if s.topk == nil {
-		s.topk = ann.NewTopK(k)
-	} else {
-		s.topk.Reset(k)
-	}
-	topk := s.topk
-	if ix.opts.ShareProjections {
-		ix.families[0].ProjectInto(s.proj, q)
-	}
-	//lsh:ladder
-	for rIdx, radius := range p.Radii {
-		if err := ctx.Err(); err != nil {
-			return st, err
-		}
-		if s.pending != nil {
-			st.Prefetched += int(s.pending.Wait())
-			s.pending = nil
-		}
-		mp, budgetS, readahead := s.multiProbe, p.S, true
-		if c := s.ctl; c != nil {
-			kn, proceed := c.BeforeRound(rIdx, p.S)
-			if !proceed {
-				break
-			}
-			budgetS, readahead = kn.BudgetS, kn.Readahead
-			// Never raise multi-probe above what the arenas were sized for.
-			if kn.MultiProbe < mp {
-				mp = kn.MultiProbe
-			}
-		}
-		st.Radii++
-		tr := s.trace
-		roundStart := tr.Clock()
-		fam := ix.FamilyFor(rIdx)
-		if !ix.opts.ShareProjections {
-			fam.ProjectInto(s.proj, q)
-		}
-		if mp > 0 {
-			fam.FloorsAt(s.proj, radius, s.floors, s.fracs)
-		} else {
-			fam.HashesAt(s.proj, radius, s.hashes)
-		}
-		projEnd := tr.Clock()
-		var stBefore Stats
-		if tr.Active() {
-			stBefore = st
-		}
-		if readahead && ix.readahead > 0 && rIdx+1 < p.R() {
-			ix.roundHashes(q, rIdx+1, s.proj, s.raProj, s.nextHashes)
-			s.pending = ix.prefetchRound(ctx, rIdx+1, s.nextHashes)
-		}
-
-		// Collect the round's occupied buckets in the reference prober's
-		// order: table by table, base bucket first, then its perturbations.
-		s.probes = s.probes[:0]
-		for l := 0; l < p.L; l++ {
-			if mp == 0 {
-				s.addProbe(rIdx, l, s.hashes[l], &st)
-				continue
-			}
-			base := s.floors[l*p.M : (l+1)*p.M]
-			s.addProbe(rIdx, l, fam.CombineFloors(l, base), &st)
-			for _, set := range lsh.PerturbationSets(s.fracs[l*p.M:(l+1)*p.M], mp) {
-				copy(s.pfloors, base)
-				for _, pert := range set {
-					s.pfloors[pert.Coord] += int64(pert.Delta)
-				}
-				s.addProbe(rIdx, l, fam.CombineFloors(l, s.pfloors), &st)
-			}
-		}
-		fetchStart := tr.Clock()
-		if err := s.fetch(rIdx, &st); err != nil {
-			topk.Reset(k)
-			return st, err
-		}
-		fetchEnd := tr.Clock()
-		// Verify phase: deterministic, in probe order, under the budget.
-		checked := 0
-	verify:
-		for _, pr := range s.probes {
-			for _, id := range pr.ids {
-				if s.seen[id] == s.epoch {
-					st.Duplicates++
-					continue
-				}
-				s.seen[id] = s.epoch
-				if sq, ok := vecmath.SqDistBounded(ix.data[id], q, topk.Worst()); ok {
-					topk.Push(id, sq)
-				}
-				st.Checked++
-				checked++
-				if checked >= budgetS {
-					break verify
-				}
-			}
-		}
-		if tr.Active() {
-			end := tr.Clock()
-			tr.Add(telemetry.StageProject, rIdx, roundStart, projEnd-roundStart, 0, 0)
-			tr.Add(telemetry.StageIO, rIdx, fetchStart, fetchEnd-fetchStart,
-				int64(st.TableIOs+st.BucketIOs-stBefore.TableIOs-stBefore.BucketIOs),
-				int64(st.CacheHits-stBefore.CacheHits))
-			tr.Add(telemetry.StageVerify, rIdx, fetchEnd, end-fetchEnd, int64(st.Checked-stBefore.Checked), 0)
-			tr.Add(telemetry.StageRound, rIdx, roundStart, end-roundStart,
-				int64(st.Probes-stBefore.Probes), int64(st.NonEmptyProbes-stBefore.NonEmptyProbes))
-		}
-		cr := p.C * radius
-		certified := topk.CountWithin(cr * cr)
-		if topk.Full() && certified >= k {
-			break
-		}
-		if c := s.ctl; c != nil && c.AfterRound(rIdx, topk, certified) {
-			break
-		}
-	}
-	if c := s.ctl; c != nil {
-		c.EndLadder(topk, st.Radii, p.R())
-	}
-	return st, nil
-}
-
-// addProbe counts one table lookup and, when its bucket is occupied, appends
-// it to the round's probe list.
+// EndRound implements ladder.Rounds: the round's probes are fetched as
+// waves, then verified in probe order — deterministic — under the budget.
 //
 //lsh:hotpath
-func (s *WaveSearcher) addProbe(rIdx, l int, h uint32, st *Stats) {
-	st.Probes++
-	idx, fp := lsh.SplitHash(h, s.ix.u)
-	if !s.ix.isOccupied(rIdx, l, idx) {
-		return
+func (s *WaveSearcher) EndRound(r int) (ladder.IO, error) {
+	st, tr := &s.st, s.lad.Trace()
+	ios, hits := st.IOs(), st.CacheHits
+	fetchStart := tr.Clock()
+	if err := s.fetch(r, st); err != nil {
+		return ladder.IO{}, err
 	}
-	st.NonEmptyProbes++
+	var io ladder.IO
+	if tr.Active() {
+		io = ladder.IO{Start: fetchStart, End: tr.Clock(),
+			Blocks: int64(st.IOs() - ios), CacheHits: int64(st.CacheHits - hits)}
+	}
+	for _, pr := range s.probes {
+		for _, id := range pr.ids {
+			if s.lad.Verify(id) {
+				return io, nil
+			}
+		}
+	}
+	return io, nil
+}
+
+// Visit implements ladder.Rounds: when the probed bucket is occupied it joins
+// the round's probe list; nothing is read until EndRound.
+//
+//lsh:hotpath
+func (s *WaveSearcher) Visit(r, l int, h uint32) (bool, error) {
+	idx, fp := lsh.SplitHash(h, s.ix.u)
+	if !s.ix.isOccupied(r, l, idx) {
+		return false, nil
+	}
+	s.lad.NonEmptyProbes++
 	pr := &s.probeBuf[len(s.probes)]
 	*pr = probe{l: l, idx: idx, fp: fp, ids: pr.ids[:0]}
 	s.probes = append(s.probes, pr)
+	return false, nil
 }
 
 // fetch is the round's fetch phase: every probe's table-entry block as one
@@ -358,7 +166,7 @@ func (s *WaveSearcher) fetch(rIdx int, st *Stats) error {
 		offs = append(offs, off)
 		dsts = append(dsts, s.bufs[i][:blockstore.BlockSize])
 	}
-	tr := s.trace
+	tr := s.lad.Trace()
 	waveStart := tr.Clock()
 	ok, err := ix.readBatch(addrs, dsts, 1, &bst)
 	if err != nil {
@@ -414,7 +222,7 @@ func (s *WaveSearcher) fetch(rIdx int, st *Stats) error {
 			st.BucketIOs++
 			buf := s.bufs[i]
 			next, count := bucketHeader(buf)
-			st.EntriesScanned += count
+			s.lad.EntriesScanned += count
 			off := HeaderBytes
 			for e := 0; e < count; e++ {
 				id, efp := ix.unpackEntry(getUint40(buf[off:]))

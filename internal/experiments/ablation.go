@@ -7,6 +7,7 @@ import (
 
 	"e2lshos/internal/ann"
 	"e2lshos/internal/dataset"
+	"e2lshos/internal/ladder"
 	"e2lshos/internal/memindex"
 	"e2lshos/internal/report"
 )
@@ -72,10 +73,10 @@ func Ablation(env *Env) (*AblationResult, error) {
 			return nil, err
 		}
 		buildMS := float64(time.Since(start).Microseconds()) / 1000
-		s := ix.WithBudget(16 * ws.Params.L).NewSearcher()
+		s := ix.NewSearcher()
 		var ratio float64
 		for qi, q := range ws.DS.Queries {
-			r, _ := s.Search(q, 1)
+			r, _ := searchMem(s, q, ladder.Knobs{K: 1, Budget: 16 * ws.Params.L})
 			ratio += ann.OverallRatio(r, gt[qi], 1)
 		}
 		mode := "independent"
@@ -90,11 +91,11 @@ func Ablation(env *Env) (*AblationResult, error) {
 	// 2. Occupancy bitmap ablation: without bitmaps, every probe must read
 	// its hash-table entry to learn the bucket is empty.
 	for _, sigma := range []float64{2, 32} {
-		ix := ws.Mem.WithBudget(int(math.Ceil(sigma * float64(ws.Params.L))))
-		s := ix.NewSearcher()
+		kn := ladder.Knobs{K: 1, Budget: int(math.Ceil(sigma * float64(ws.Params.L)))}
+		s := ws.Mem.NewSearcher()
 		var acc memindex.StatsAccumulator
 		for _, q := range ws.DS.Queries {
-			_, st := s.Search(q, 1)
+			_, st := searchMem(s, q, kn)
 			acc.Add(st)
 		}
 		nq := float64(acc.Queries)
@@ -109,14 +110,13 @@ func Ablation(env *Env) (*AblationResult, error) {
 	}
 
 	// 3. Multi-probe ablation at a deliberately small budget.
-	ix := ws.Mem.WithBudget(2 * ws.Params.L)
+	s := ws.Mem.NewSearcher()
 	for _, t := range []int{0, 2, 8} {
-		s := ix.NewSearcher()
-		s.SetMultiProbe(t)
+		kn := ladder.Knobs{K: 1, Budget: 2 * ws.Params.L, MultiProbe: t}
 		var acc memindex.StatsAccumulator
 		var ratio float64
 		for qi, q := range ws.DS.Queries {
-			r, st := s.Search(q, 1)
+			r, st := searchMem(s, q, kn)
 			acc.Add(st)
 			ratio += ann.OverallRatio(r, gt[qi], 1)
 		}

@@ -10,6 +10,7 @@ import (
 	"e2lshos/internal/blockstore"
 	"e2lshos/internal/dataset"
 	"e2lshos/internal/diskindex"
+	"e2lshos/internal/ladder"
 	"e2lshos/internal/lsh"
 	"e2lshos/internal/report"
 )
@@ -141,8 +142,7 @@ func AutotuneSweep(env *Env) (*AutotuneSweepResult, error) {
 		for qi, q := range ds.Queries {
 			t0 := time.Now()
 			ctl := tn.Start(autotune.Tuning{}, autotune.Knobs{}, t0)
-			s.SetController(ctl)
-			res, st, err := s.Search(q, k)
+			res, st, err := searchDisk(s, q, ladder.Knobs{K: k, Ctl: ctl})
 			if err != nil {
 				return nil, err
 			}
@@ -152,7 +152,6 @@ func AutotuneSweep(env *Env) (*AutotuneSweepResult, error) {
 			baseDurs = append(baseDurs, time.Since(t0))
 		}
 	}
-	s.SetController(nil)
 
 	res := &AutotuneSweepResult{Dataset: ds.Name}
 	// Strictest target first; see autotuneTargets.
@@ -164,8 +163,7 @@ func AutotuneSweep(env *Env) (*AutotuneSweepResult, error) {
 		for qi, q := range ds.Queries {
 			t0 := time.Now()
 			ctl := tn.Start(autotune.Tuning{RecallTarget: target}, autotune.Knobs{}, t0)
-			s.SetController(ctl)
-			got, st, err := s.Search(q, k)
+			got, st, err := searchDisk(s, q, ladder.Knobs{K: k, Ctl: ctl})
 			if err != nil {
 				return nil, err
 			}
@@ -178,7 +176,6 @@ func AutotuneSweep(env *Env) (*AutotuneSweepResult, error) {
 			}
 			row.RoundsSkipped += out.RoundsSkipped
 		}
-		s.SetController(nil)
 		row.MeanIO = float64(ios) / float64(ds.NQ())
 		row.Retained = retained / float64(ds.NQ())
 		row.P99US = p99us(durs)

@@ -9,6 +9,7 @@ import (
 	"e2lshos/internal/dataset"
 	"e2lshos/internal/diskindex"
 	"e2lshos/internal/ioengine"
+	"e2lshos/internal/ladder"
 	"e2lshos/internal/report"
 )
 
@@ -76,12 +77,16 @@ func CacheSweep(env *Env) (*CacheSweepResult, error) {
 
 	// Uncached baseline: the logical N_IO every configuration pays on the
 	// backend when no cache absorbs repeats.
-	base := disk.WithBudget(budget)
-	st, err := runSweepSequential(base, ws, nq)
+	kn := ladder.Knobs{K: 1, Budget: budget}
+	st, err := runSweepSequential(disk, ws, kn)
 	if err != nil {
 		return nil, err
 	}
 	res.LogicalNIO = float64(st.TableIOs+st.BucketIOs) / float64(cacheSweepPasses*nq)
+
+	// The cached rows attach engines to the workload's shared index; leave
+	// it as found for the next experiment.
+	defer disk.AttachIOEngine(nil, 0)
 
 	for _, frac := range cacheSweepFracs {
 		bytes := int64(float64(disk.StorageBytes()) * frac)
@@ -91,25 +96,25 @@ func CacheSweep(env *Env) (*CacheSweepResult, error) {
 		row := CacheSweepRow{CacheBytes: bytes, CacheFrac: frac}
 
 		// Sequential searcher: deterministic stream, LRU inclusion applies.
-		ix, seq, err := sweepCached(disk.WithBudget(budget), bytes)
+		seq, err := sweepCached(disk, bytes)
 		if err != nil {
 			return nil, err
 		}
-		if _, err := runSweepSequential(ix, ws, nq); err != nil {
+		if _, err := runSweepSequential(disk, ws, kn); err != nil {
 			return nil, err
 		}
 		row.SeqMissRate = seq.MissRate()
 		row.SeqNIO = float64(seq.Misses()) / float64(cacheSweepPasses*nq)
 
 		// Wave searcher: same workload, whole rounds fetched as waves.
-		ix, par, err := sweepCached(disk.WithBudget(budget), bytes)
+		par, err := sweepCached(disk, bytes)
 		if err != nil {
 			return nil, err
 		}
-		ps := ix.NewWaveSearcher()
+		ps := disk.NewWaveSearcher()
 		for pass := 0; pass < cacheSweepPasses; pass++ {
 			for qi := 0; qi < nq; qi++ {
-				if _, _, err := ps.Search(ws.DS.Queries[qi], 1); err != nil {
+				if _, _, err := searchDisk(ps, ws.DS.Queries[qi], kn); err != nil {
 					return nil, err
 				}
 			}
@@ -123,28 +128,29 @@ func CacheSweep(env *Env) (*CacheSweepResult, error) {
 }
 
 // sweepCached attaches a fresh single-stripe LRU cache of the given size to
-// ix, inside the I/O engine every cached read goes through.
-func sweepCached(ix *diskindex.Index, bytes int64) (*diskindex.Index, *blockcache.Cache, error) {
+// ix, inside the I/O engine every cached read goes through, replacing
+// whatever engine was attached before.
+func sweepCached(ix *diskindex.Index, bytes int64) (*blockcache.Cache, error) {
 	cache, err := blockcache.New(bytes, blockcache.Options{Shards: 1, Policy: blockcache.LRU})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	eng, err := ioengine.New(ix.Store(), ioengine.Options{Depth: 8, Cache: cache})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	ix.AttachIOEngine(eng, 0)
-	return ix, cache, nil
+	return cache, nil
 }
 
 // runSweepSequential answers the repeated workload on a fresh sequential
 // searcher over ix and returns the aggregate per-query stats.
-func runSweepSequential(ix *diskindex.Index, ws *Workload, nq int) (diskindex.Stats, error) {
+func runSweepSequential(ix *diskindex.Index, ws *Workload, kn ladder.Knobs) (diskindex.Stats, error) {
 	s := ix.NewSearcher()
 	var agg diskindex.Stats
 	for pass := 0; pass < cacheSweepPasses; pass++ {
-		for qi := 0; qi < nq; qi++ {
-			_, st, err := s.Search(ws.DS.Queries[qi], 1)
+		for qi := 0; qi < ws.DS.NQ(); qi++ {
+			_, st, err := searchDisk(s, ws.DS.Queries[qi], kn)
 			if err != nil {
 				return agg, err
 			}

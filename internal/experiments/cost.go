@@ -6,6 +6,7 @@ import (
 
 	"e2lshos/internal/ann"
 	"e2lshos/internal/costmodel"
+	"e2lshos/internal/ladder"
 	"e2lshos/internal/lsh"
 	"e2lshos/internal/memindex"
 	"e2lshos/internal/qalsh"
@@ -119,8 +120,7 @@ func e2lshSweep(env *Env, ws *Workload, k int, blockSizes []int) []SweepPoint {
 		if budget < 1 {
 			budget = 1
 		}
-		ix := ws.Mem.WithBudget(budget)
-		s := ix.NewSearcher()
+		s := ws.Mem.NewSearcher()
 		ios := make(map[int]float64, len(blockSizes))
 		s.OnBucketVisit(func(size, read int) {
 			for _, b := range blockSizes {
@@ -130,10 +130,10 @@ func e2lshSweep(env *Env, ws *Workload, k int, blockSizes []int) []SweepPoint {
 		pt := SweepPoint{Sigma: sigma, IOs: ios}
 		var ratioSum float64
 		for qi, q := range ws.DS.Queries {
-			res, st := s.Search(q, k)
+			res, st := searchMem(s, q, ladder.Knobs{K: k, Budget: budget})
 			ratioSum += ann.OverallRatio(res, gt[qi], k)
-			pt.MemNS += e2lshQueryNS(env.Model, ix.Params(), st, true, true)
-			pt.ComputeNS += e2lshQueryNS(env.Model, ix.Params(), st, true, false)
+			pt.MemNS += e2lshQueryNS(env.Model, ws.Params, st, true, true)
+			pt.ComputeNS += e2lshQueryNS(env.Model, ws.Params, st, true, false)
 			pt.MeanRadii += float64(st.Radii)
 			pt.MeanChecked += float64(st.Checked)
 		}

@@ -7,6 +7,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"sort"
@@ -16,6 +17,7 @@ import (
 	"e2lshos/internal/costmodel"
 	"e2lshos/internal/dataset"
 	"e2lshos/internal/diskindex"
+	"e2lshos/internal/ladder"
 	"e2lshos/internal/lsh"
 	"e2lshos/internal/memindex"
 	"e2lshos/internal/report"
@@ -163,6 +165,26 @@ func (ws *Workload) Disk(env *Env) (*diskindex.Index, error) {
 	}
 	ws.disk = ix
 	return ix, nil
+}
+
+// searchMem answers one query on the in-memory reference under kn.
+// Experiments run to completion, so there is no context to thread, and
+// without one the in-memory ladder cannot fail.
+func searchMem(s *memindex.Searcher, q []float32, kn ladder.Knobs) (ann.Result, memindex.QueryStats) {
+	//lsh:ctxok experiments run to completion; nothing cancels them
+	res, st, _ := s.Run(context.Background(), q, kn, nil)
+	return res, st
+}
+
+// diskSearcher is either disk searcher: the reference or the wave.
+type diskSearcher interface {
+	Run(context.Context, []float32, ladder.Knobs, []ann.Neighbor) (ann.Result, diskindex.Stats, error)
+}
+
+// searchDisk is searchMem for a disk searcher.
+func searchDisk(s diskSearcher, q []float32, kn ladder.Knobs) (ann.Result, diskindex.Stats, error) {
+	//lsh:ctxok experiments run to completion; nothing cancels them
+	return s.Run(context.Background(), q, kn, nil)
 }
 
 // Renderable is the common result interface: every experiment returns tables

@@ -8,6 +8,7 @@ import (
 	"e2lshos/internal/dataset"
 	"e2lshos/internal/diskindex"
 	"e2lshos/internal/iosim"
+	"e2lshos/internal/ladder"
 	"e2lshos/internal/pagecache"
 	"e2lshos/internal/report"
 	"e2lshos/internal/sched"
@@ -37,17 +38,16 @@ func runDisk(env *Env, ws *Workload, sigma float64, k int, device iosim.DeviceSp
 	if budget < 1 {
 		budget = 1
 	}
-	ix := disk.WithBudget(budget)
 	pool, err := iosim.NewPool(device, count)
 	if err != nil {
 		return nil, err
 	}
-	eng, err := sched.New(sched.Config{CPUs: cpus, Iface: iface, Pool: pool, Store: ix.Store()})
+	eng, err := sched.New(sched.Config{CPUs: cpus, Iface: iface, Pool: pool, Store: disk.Store()})
 	if err != nil {
 		return nil, err
 	}
 	results := make([]diskindex.AsyncResult, ws.DS.NQ())
-	rep, err := eng.RunBatch(ws.DS.NQ(), contextsPerCPU, ix.AsyncQueryFunc(env.Model, ws.DS.Queries, k, results))
+	rep, err := eng.RunBatch(ws.DS.NQ(), contextsPerCPU, disk.AsyncQueryFunc(env.Model, ws.DS.Queries, k, budget, results))
 	if err != nil {
 		return nil, err
 	}
@@ -220,13 +220,12 @@ func memHashVerifyMS(env *Env, ws *Workload, sigma float64) (hashMS, verifyMS fl
 	if budget < 1 {
 		budget = 1
 	}
-	ix := ws.Mem.WithBudget(budget)
-	s := ix.NewSearcher()
+	s := ws.Mem.NewSearcher()
 	var hash, verify float64
 	for _, q := range ws.DS.Queries {
-		_, st := s.Search(q, 1)
-		hash += e2lshHashNS(env.Model, ix.Params(), st, true)
-		verify += e2lshVerifyNS(env.Model, ix.Params(), st)
+		_, st := searchMem(s, q, ladder.Knobs{K: 1, Budget: budget})
+		hash += e2lshHashNS(env.Model, ws.Params, st, true)
+		verify += e2lshVerifyNS(env.Model, ws.Params, st)
 	}
 	nq := float64(ws.DS.NQ())
 	return hash / nq / 1e6, verify / nq / 1e6
@@ -602,7 +601,6 @@ func SyncComparison(env *Env) (*SyncResult, error) {
 	}
 
 	budget := int(math.Ceil(sigma * float64(ws.Params.L)))
-	ix := disk.WithBudget(max(budget, 1))
 	pool, err := iosim.NewPool(iosim.CSSD, 4)
 	if err != nil {
 		return nil, err
@@ -618,14 +616,14 @@ func SyncComparison(env *Env) (*SyncResult, error) {
 		return nil, err
 	}
 	eng, err := sched.New(sched.Config{
-		CPUs: 1, Iface: iosim.IOUring, Pool: pool, Store: ix.Store(),
+		CPUs: 1, Iface: iosim.IOUring, Pool: pool, Store: disk.Store(),
 		Sync: true, PageCache: cache, PageFaultOverhead: 2500, CacheHitCost: 200,
 	})
 	if err != nil {
 		return nil, err
 	}
 	results := make([]diskindex.AsyncResult, ws.DS.NQ())
-	rep, err := eng.RunBatch(ws.DS.NQ(), 1, ix.AsyncQueryFunc(env.Model, ws.DS.Queries, 1, results))
+	rep, err := eng.RunBatch(ws.DS.NQ(), 1, disk.AsyncQueryFunc(env.Model, ws.DS.Queries, 1, max(budget, 1), results))
 	if err != nil {
 		return nil, err
 	}

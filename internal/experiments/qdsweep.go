@@ -72,7 +72,6 @@ func QDSweep(env *Env) (*QDSweepResult, error) {
 	if budget < 1 {
 		budget = 1
 	}
-	ix := disk.WithBudget(budget)
 
 	spec := iosim.CSSD
 	res := &QDSweepResult{Dataset: ws.DS.Name, Device: spec.Name, Dies: spec.Dies}
@@ -87,12 +86,12 @@ func QDSweep(env *Env) (*QDSweepResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		eng, err := sched.New(sched.Config{CPUs: 1, Iface: iosim.IOUring, Pool: pool, Store: ix.Store()})
+		eng, err := sched.New(sched.Config{CPUs: 1, Iface: iosim.IOUring, Pool: pool, Store: disk.Store()})
 		if err != nil {
 			return nil, err
 		}
 		runResults := make([]diskindex.AsyncResult, nq)
-		rep, err := eng.RunBatch(nq, qd, ix.AsyncQueryFunc(env.Model, ws.DS.Queries, 1, runResults))
+		rep, err := eng.RunBatch(nq, qd, disk.AsyncQueryFunc(env.Model, ws.DS.Queries, 1, budget, runResults))
 		if err != nil {
 			return nil, err
 		}

@@ -107,7 +107,6 @@ func runSharded(env *Env, ws *Workload, sigma float64, shards int) (shardedRun, 
 		if budget < 1 {
 			budget = 1
 		}
-		ix = ix.WithBudget(budget)
 		pool, err := iosim.NewPool(iosim.CSSD, 1)
 		if err != nil {
 			return shardedRun{}, err
@@ -117,7 +116,7 @@ func runSharded(env *Env, ws *Workload, sigma float64, shards int) (shardedRun, 
 			return shardedRun{}, err
 		}
 		results := make([]diskindex.AsyncResult, nq)
-		rep, err := eng.RunBatch(nq, contextsPerCPU, ix.AsyncQueryFunc(env.Model, ws.DS.Queries, 1, results))
+		rep, err := eng.RunBatch(nq, contextsPerCPU, ix.AsyncQueryFunc(env.Model, ws.DS.Queries, 1, budget, results))
 		if err != nil {
 			return shardedRun{}, err
 		}

@@ -1,0 +1,154 @@
+package ladder
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"testing"
+
+	"e2lshos/internal/lsh"
+)
+
+// script is a fake searcher: every Visit offers the ids listed for its table
+// to the driver, and the calls it saw are logged in order.
+type script struct {
+	d       *Driver
+	ids     map[int][]uint32 // table -> entries of its bucket, every round
+	log     []string
+	failAt  string // a Visit log line at which to fail
+	onBegin func(r int)
+}
+
+func (s *script) BeginRound(_ context.Context, r int, readahead bool) {
+	s.log = append(s.log, fmt.Sprintf("begin r%d ra=%v", r, readahead))
+	if s.onBegin != nil {
+		s.onBegin(r)
+	}
+}
+
+func (s *script) Visit(r, l int, _ uint32) (bool, error) {
+	line := fmt.Sprintf("visit r%d l%d", r, l)
+	s.log = append(s.log, line)
+	if line == s.failAt {
+		return false, errors.New("boom")
+	}
+	for _, id := range s.ids[l] {
+		if s.d.Verify(id) {
+			return true, nil
+		}
+	}
+	return false, nil
+}
+
+func (s *script) EndRound(r int) (IO, error) {
+	s.log = append(s.log, fmt.Sprintf("end r%d", r))
+	return IO{}, nil
+}
+
+// fixture: 8 points on a line, far enough apart that only the nearest
+// certifies at the small radii. L tables, 3 radii.
+func fixture(t *testing.T, l, budget int) (*Driver, *script, [][]float32) {
+	t.Helper()
+	data := make([][]float32, 8)
+	for i := range data {
+		data[i] = []float32{float32(10 * i), 0}
+	}
+	p := lsh.Params{Config: lsh.DefaultConfig(), N: len(data), Dim: 2, M: 2, L: l, S: budget,
+		Radii: []float64{1, 2, 4}}
+	fams, err := lsh.NewFamilies(p, true, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := New(p, fams, true, len(data))
+	return d, &script{d: d, ids: map[int][]uint32{}}, data
+}
+
+func TestProbeOrderBudgetAndDedup(t *testing.T) {
+	d, s, data := fixture(t, 3, 100)
+	s.ids = map[int][]uint32{0: {1, 2}, 1: {2, 3, 4}, 2: {5}}
+	q := []float32{100, 0} // far from everything: no round certifies
+	if err := d.Run(context.Background(), s, q, data, Knobs{K: 1, Budget: 3}); err != nil {
+		t.Fatal(err)
+	}
+	// Round 0 verifies 1, 2 (table 0), skips the duplicate 2 and spends the
+	// budget on 3 (table 1): table 2 is never visited, EndRound still runs.
+	// Later rounds see only duplicates, so every table is visited.
+	want := []string{
+		"begin r0 ra=true", "visit r0 l0", "visit r0 l1", "end r0",
+		"begin r1 ra=true", "visit r1 l0", "visit r1 l1", "visit r1 l2", "end r1",
+		"begin r2 ra=true", "visit r2 l0", "visit r2 l1", "visit r2 l2", "end r2",
+	}
+	if fmt.Sprint(s.log) != fmt.Sprint(want) {
+		t.Errorf("call order:\n got %v\nwant %v", s.log, want)
+	}
+	// Round 0: 3 checks, 1 duplicate, 2 probes. Rounds 1-2: ids 4 and 5 are
+	// new in round 1 (2 checks, 4 duplicates), all 6 entries duplicates in
+	// round 2; 3 probes each.
+	if got, want := d.Counts, (Counts{Radii: 3, Probes: 8, Checked: 5, Duplicates: 11}); got != want {
+		t.Errorf("counts %+v, want %+v", got, want)
+	}
+	if nb := d.TopK().ResultSq().Neighbors; len(nb) != 1 || nb[0].ID != 5 {
+		t.Errorf("nearest to x=100 among {1..5} should be 5, got %+v", nb)
+	}
+}
+
+func TestTerminatesOnceKCertified(t *testing.T) {
+	d, s, data := fixture(t, 2, 100)
+	s.ids = map[int][]uint32{0: {3}, 1: {4}}
+	// Point 3 sits 3 from the query: outside c·R = 2 at radius 1, inside
+	// c·R = 4 at radius 2, so the ladder stops after its second round. The
+	// zero Budget falls back to Params.S.
+	if err := d.Run(context.Background(), s, []float32{33, 0}, data, Knobs{K: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if d.Radii != 2 {
+		t.Errorf("ran %d rounds, want 2", d.Radii)
+	}
+	if nb := d.TopK().ResultSq().Neighbors; len(nb) != 1 || nb[0].ID != 3 || nb[0].Dist != 3 {
+		t.Errorf("got %+v, want id 3 at 3", nb)
+	}
+}
+
+func TestCancelKeepsNeighborsErrorDropsThem(t *testing.T) {
+	d, s, data := fixture(t, 2, 100)
+	s.ids = map[int][]uint32{0: {1}}
+	q := []float32{100, 0}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	s.onBegin = func(r int) {
+		if r == 0 {
+			cancel() // noticed at the top of round 1
+		}
+	}
+	err := d.Run(ctx, s, q, data, Knobs{K: 1})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if d.Radii != 1 || d.TopK().Len() != 1 {
+		t.Errorf("after cancellation: %d rounds, %d neighbors; want 1 and 1", d.Radii, d.TopK().Len())
+	}
+
+	s.onBegin, s.failAt = nil, "visit r1 l0"
+	if err := d.Run(context.Background(), s, q, data, Knobs{K: 1}); err == nil || err.Error() != "boom" {
+		t.Fatalf("err = %v, want the searcher's", err)
+	}
+	if d.TopK().Len() != 0 {
+		t.Errorf("a searcher error left %d neighbors in the accumulator", d.TopK().Len())
+	}
+}
+
+func TestMultiProbeVisitsPerturbationsPerTable(t *testing.T) {
+	d, s, data := fixture(t, 2, 100)
+	if err := d.Run(context.Background(), s, []float32{100, 0}, data, Knobs{K: 1, MultiProbe: 2}); err != nil {
+		t.Fatal(err)
+	}
+	// Per round: each table's base bucket, then its two perturbed buckets.
+	want := []string{"begin r0 ra=true",
+		"visit r0 l0", "visit r0 l0", "visit r0 l0", "visit r0 l1", "visit r0 l1", "visit r0 l1", "end r0"}
+	if fmt.Sprint(s.log[:len(want)]) != fmt.Sprint(want) {
+		t.Errorf("round 0 calls %v, want %v", s.log[:len(want)], want)
+	}
+	if d.Probes != 3*6 {
+		t.Errorf("%d probes over 3 rounds, want 18", d.Probes)
+	}
+}

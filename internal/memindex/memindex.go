@@ -13,10 +13,8 @@ import (
 	"sync"
 
 	"e2lshos/internal/ann"
-	"e2lshos/internal/autotune"
+	"e2lshos/internal/ladder"
 	"e2lshos/internal/lsh"
-	"e2lshos/internal/telemetry"
-	"e2lshos/internal/vecmath"
 )
 
 // Options configure index construction beyond the algorithmic parameters.
@@ -65,19 +63,6 @@ type Index struct {
 
 // Params returns the parameters the index was built with.
 func (ix *Index) Params() lsh.Params { return ix.params }
-
-// WithBudget returns a view of the index whose per-radius candidate budget S
-// is replaced. The view shares all tables with the receiver; only the budget
-// differs. It is the paper's §3.3 accuracy knob: S tunes accuracy without
-// rebuilding the index.
-func (ix *Index) WithBudget(s int) *Index {
-	if s <= 0 {
-		panic("memindex: WithBudget requires a positive budget")
-	}
-	clone := *ix
-	clone.params.S = s
-	return &clone
-}
 
 // Data returns the indexed vectors.
 func (ix *Index) Data() [][]float32 { return ix.data }
@@ -282,74 +267,35 @@ type QueryStats struct {
 // are built on this hook.
 type BucketVisitFn func(size, read int)
 
-// Searcher holds the per-goroutine scratch state for querying an Index:
-// projection buffer, hash buffer, the epoch-stamped visited array, and the
-// reused top-k accumulator. After its first query a Searcher's steady state
-// allocates nothing per query on the SearchInto path. A Searcher is not
-// safe for concurrent use; create one per worker.
+// Searcher answers queries against an Index through the shared ladder driver
+// (internal/ladder), which owns all per-query scratch: projection and hash
+// buffers, the epoch-stamped visited array and the reused top-k accumulator.
+// After its first query a Searcher's steady state allocates nothing per query
+// on the SearchInto path. It carries no per-query configuration — k, budget,
+// multi-probe, trace and controller arrive with each Run — so one Searcher
+// can serve differently-tuned queries back to back. Not safe for concurrent
+// use; create one per worker.
 type Searcher struct {
 	ix      *Index
-	proj    []float64
-	hashes  []uint32
-	seen    []uint32
-	epoch   uint32
-	topk    *ann.TopK
+	lad     *ladder.Driver
 	onVisit BucketVisitFn
-	// multiProbe > 0 enables Multi-Probe LSH (§8 extension): each table is
-	// probed at its base bucket plus this many perturbed buckets.
-	multiProbe int
-	floors     []int64
-	fracs      []float64
-	pfloors    []int64
-	// trace is the active sampled-query span buffer (nil for unsampled
-	// queries; all its methods are nil-safe no-ops then).
-	trace *telemetry.Trace
-	// ctl is the active autotune controller (nil for uncontrolled queries).
-	ctl *autotune.Ctl
 }
-
-// SetTrace installs the span buffer the next query records into (nil
-// disables tracing).
-func (s *Searcher) SetTrace(tr *telemetry.Trace) { s.trace = tr }
-
-// SetController installs the autotune controller the next query consults
-// per radius round (nil disables control).
-func (s *Searcher) SetController(c *autotune.Ctl) { s.ctl = c }
 
 // NewSearcher returns a fresh searcher over the index.
 func (ix *Index) NewSearcher() *Searcher {
 	return &Searcher{
-		ix:     ix,
-		proj:   make([]float64, ix.params.L*ix.params.M),
-		hashes: make([]uint32, ix.params.L),
-		seen:   make([]uint32, len(ix.data)),
+		ix:  ix,
+		lad: ladder.New(ix.params, ix.families, ix.opts.ShareProjections, len(ix.data)),
 	}
 }
 
 // OnBucketVisit installs an observer called once per non-empty bucket visit.
 func (s *Searcher) OnBucketVisit(fn BucketVisitFn) { s.onVisit = fn }
 
-// SetMultiProbe enables Multi-Probe LSH with t extra probes per table
-// (t = 0 restores classic E2LSH probing). Extra probes examine the
-// neighboring buckets most likely to hold near objects, buying recall
-// without enlarging the index.
-func (s *Searcher) SetMultiProbe(t int) {
-	if t < 0 {
-		panic("memindex: negative multi-probe count")
-	}
-	s.multiProbe = t
-	if t > 0 && s.floors == nil {
-		s.floors = make([]int64, s.ix.params.L*s.ix.params.M)
-		s.fracs = make([]float64, s.ix.params.L*s.ix.params.M)
-		s.pfloors = make([]int64, s.ix.params.M)
-	}
-}
-
-// Search runs top-k c-ANNS for the query and returns the neighbors found
-// together with the per-query statistics. It terminates at the first radius R
-// where k neighbors within c·R have been found, or after exhausting the
-// radius schedule (§2.3). With SetMultiProbe, each table additionally probes
-// its most promising neighboring buckets.
+// Search runs top-k c-ANNS for the query with the index's built-in budget
+// and classic probing, and returns the neighbors found together with the
+// per-query statistics. It terminates at the first radius R where k neighbors
+// within c·R have been found, or after exhausting the radius schedule (§2.3).
 func (s *Searcher) Search(q []float32, k int) (ann.Result, QueryStats) {
 	//lsh:ctxok ctx-free convenience wrapper; cancellation lives in SearchContext
 	res, st, _ := s.SearchContext(context.Background(), q, k)
@@ -360,167 +306,70 @@ func (s *Searcher) Search(q []float32, k int) (ann.Result, QueryStats) {
 // rounds, so a long ladder walk aborts cleanly. On cancellation it returns
 // the neighbors accumulated so far together with ctx.Err().
 func (s *Searcher) SearchContext(ctx context.Context, q []float32, k int) (ann.Result, QueryStats, error) {
-	st, err := s.search(ctx, q, k)
-	return s.topk.ResultSq(), st, err
+	return s.Run(ctx, q, ladder.Knobs{K: k}, nil)
 }
 
-// SearchInto is SearchContext with caller-owned result backing: the
-// returned neighbors are appended into dst[:0] (growing it only if its
-// capacity is below the neighbors found), so a worker looping over queries
-// with a reused dst allocates nothing per query after warmup.
+// SearchInto is SearchContext with caller-owned result backing; see Run.
 func (s *Searcher) SearchInto(ctx context.Context, q []float32, k int, dst []ann.Neighbor) (ann.Result, QueryStats, error) {
-	st, err := s.search(ctx, q, k)
-	return ann.Result{Neighbors: s.topk.AppendResultSq(dst[:0])}, st, err
+	return s.Run(ctx, q, ladder.Knobs{K: k}, dst)
 }
 
-// search runs the radius ladder, leaving the winners (keyed by squared
-// distance) in s.topk.
+// Run answers one query under the given per-query knobs: a candidate budget
+// other than the index's S (the paper's §3.3 accuracy knob, no rebuild
+// needed), Multi-Probe LSH (each table additionally probes its most promising
+// neighboring buckets, buying recall without enlarging the index), a span
+// trace, an autotune controller. The returned neighbors are appended into
+// dst[:0] (growing it only if its capacity is below the neighbors found; nil
+// asks for fresh backing), so a worker looping over queries with a reused
+// dst allocates nothing per query after warmup.
 //
-//lsh:hotpath
-func (s *Searcher) search(ctx context.Context, q []float32, k int) (QueryStats, error) {
-	p := s.ix.params
-	var st QueryStats
-	s.epoch++
-	if s.epoch == 0 { // epoch wrapped: clear stamps
-		clear(s.seen)
-		s.epoch = 1
-	}
-	if s.topk == nil {
-		s.topk = ann.NewTopK(k)
-	} else {
-		s.topk.Reset(k)
-	}
-	topk := s.topk
-	if s.ix.opts.ShareProjections {
-		s.ix.families[0].ProjectInto(s.proj, q)
-	}
-	//lsh:ladder
-	for rIdx, radius := range p.Radii {
-		if err := ctx.Err(); err != nil {
-			return st, err
-		}
-		mp, budgetS := s.multiProbe, p.S
-		if c := s.ctl; c != nil {
-			kn, proceed := c.BeforeRound(rIdx, p.S)
-			if !proceed {
-				break
-			}
-			budgetS = kn.BudgetS
-			// Never raise multi-probe above what the searcher sized its
-			// floor arenas for.
-			if kn.MultiProbe < mp {
-				mp = kn.MultiProbe
-			}
-		}
-		st.Radii++
-		tr := s.trace
-		roundStart := tr.Clock()
-		fam := s.ix.FamilyFor(rIdx)
-		if !s.ix.opts.ShareProjections {
-			fam.ProjectInto(s.proj, q)
-		}
-		if mp > 0 {
-			// Derive base hashes from explicit floors so perturbed probes
-			// stay coherent with the base probe.
-			fam.FloorsAt(s.proj, radius, s.floors, s.fracs)
-			for l := 0; l < p.L; l++ {
-				s.hashes[l] = fam.CombineFloors(l, s.floors[l*p.M:(l+1)*p.M])
-			}
-		} else {
-			fam.HashesAt(s.proj, radius, s.hashes)
-		}
-		projEnd := tr.Clock()
-		var stBefore QueryStats
-		if tr.Active() {
-			stBefore = st
-		}
-		checked := 0 // per-radius candidate budget (the paper's S)
-	tables:
-		for l := 0; l < p.L; l++ {
-			if s.scanBucket(rIdx, l, s.hashes[l], q, topk, &st, &checked, budgetS) {
-				break tables
-			}
-			if mp == 0 {
-				continue
-			}
-			fracs := s.fracs[l*p.M : (l+1)*p.M]
-			base := s.floors[l*p.M : (l+1)*p.M]
-			for _, set := range lsh.PerturbationSets(fracs, mp) {
-				copy(s.pfloors, base)
-				for _, pert := range set {
-					s.pfloors[pert.Coord] += int64(pert.Delta)
-				}
-				h := fam.CombineFloors(l, s.pfloors)
-				if s.scanBucket(rIdx, l, h, q, topk, &st, &checked, budgetS) {
-					break tables
-				}
-			}
-		}
-		if tr.Active() {
-			// In-memory there is no I/O stage: the table walk is all
-			// verification work, so the round splits into project + verify.
-			end := tr.Clock()
-			tr.Add(telemetry.StageProject, rIdx, roundStart, projEnd-roundStart, 0, 0)
-			tr.Add(telemetry.StageVerify, rIdx, projEnd, end-projEnd, int64(st.Checked-stBefore.Checked), 0)
-			tr.Add(telemetry.StageRound, rIdx, roundStart, end-roundStart,
-				int64(st.Probes-stBefore.Probes), int64(st.NonEmptyProbes-stBefore.NonEmptyProbes))
-		}
-		cr := p.C * radius
-		certified := topk.CountWithin(cr * cr)
-		if topk.Full() && certified >= k {
-			break
-		}
-		if c := s.ctl; c != nil && c.AfterRound(rIdx, topk, certified) {
-			break
-		}
-	}
-	if c := s.ctl; c != nil {
-		c.EndLadder(topk, st.Radii, len(p.Radii))
-	}
-	return st, nil
+//lsh:foldall ladder.Counts
+func (s *Searcher) Run(ctx context.Context, q []float32, kn ladder.Knobs, dst []ann.Neighbor) (ann.Result, QueryStats, error) {
+	err := s.lad.Run(ctx, s, q, s.ix.data, kn)
+	c := &s.lad.Counts
+	return ann.Result{Neighbors: s.lad.TopK().AppendResultSq(dst[:0])}, QueryStats{
+		Radii:          c.Radii,
+		Probes:         c.Probes,
+		NonEmptyProbes: c.NonEmptyProbes,
+		EntriesScanned: c.EntriesScanned,
+		Checked:        c.Checked,
+		Duplicates:     c.Duplicates,
+		IOsAtInf:       2 * c.NonEmptyProbes,
+	}, err
 }
 
-// scanBucket probes one bucket and verifies its candidates, reporting
-// whether the per-radius budget was exhausted. Verification is pruned: the
-// partial squared distance abandons as soon as it exceeds the current k-th
-// squared distance, which is exact — an abandoned candidate can never enter
-// the top-k (see vecmath.SqDistBounded).
+// BeginRound implements ladder.Rounds; in memory a round needs no set-up.
+func (s *Searcher) BeginRound(context.Context, int, bool) {}
+
+// Visit implements ladder.Rounds: it scans one bucket, offering every entry
+// to the driver's verification, and reports whether the per-radius budget
+// was exhausted.
 //
 //lsh:hotpath
-func (s *Searcher) scanBucket(rIdx, l int, h uint32, q []float32, topk *ann.TopK, st *QueryStats, checked *int, budget int) bool {
-	st.Probes++
-	ids := s.ix.tables[rIdx][l].bucket(h)
+func (s *Searcher) Visit(r, l int, h uint32) (bool, error) {
+	ids := s.ix.tables[r][l].bucket(h)
 	if len(ids) == 0 {
-		return false
+		return false, nil
 	}
-	st.NonEmptyProbes++
-	st.IOsAtInf += 2
-	read := 0
-	for _, id := range ids {
-		read++
-		st.EntriesScanned++
-		if s.seen[id] == s.epoch {
-			st.Duplicates++
-			continue
-		}
-		s.seen[id] = s.epoch
-		if sq, ok := vecmath.SqDistBounded(s.ix.data[id], q, topk.Worst()); ok {
-			topk.Push(id, sq)
-		}
-		st.Checked++
-		*checked++
-		if *checked >= budget {
+	lad := s.lad
+	lad.NonEmptyProbes++
+	for i, id := range ids {
+		lad.EntriesScanned++
+		if lad.Verify(id) {
 			if s.onVisit != nil {
-				s.onVisit(len(ids), read)
+				s.onVisit(len(ids), i+1)
 			}
-			return true
+			return true, nil
 		}
 	}
 	if s.onVisit != nil {
-		s.onVisit(len(ids), read)
+		s.onVisit(len(ids), len(ids))
 	}
-	return false
+	return false, nil
 }
+
+// EndRound implements ladder.Rounds; buckets were verified as visited.
+func (s *Searcher) EndRound(int) (ladder.IO, error) { return ladder.IO{}, nil }
 
 // StatsAccumulator aggregates QueryStats over a query batch.
 type StatsAccumulator struct {

@@ -1,20 +1,31 @@
 package memindex
 
 import (
+	"context"
 	"testing"
 
 	"e2lshos/internal/ann"
 	"e2lshos/internal/dataset"
+	"e2lshos/internal/ladder"
 )
 
+// searchMP runs one query with the given multi-probe count.
+func searchMP(s *Searcher, q []float32, k, probes int) (ann.Result, QueryStats) {
+	res, st, _ := s.Run(context.Background(), q, ladder.Knobs{K: k, MultiProbe: probes}, nil)
+	return res, st
+}
+
+// A searcher that has served multi-probe queries answers a T=0 query exactly
+// like one that never has: the knob travels with the query and leaves no
+// residue.
 func TestMultiProbeZeroMatchesClassic(t *testing.T) {
 	d, ix := testSetup(t, 1500, true)
 	classic := ix.NewSearcher()
 	mp := ix.NewSearcher()
-	mp.SetMultiProbe(0)
 	for _, q := range d.Queries {
+		searchMP(mp, q, 3, 4)
 		r1, st1 := classic.Search(q, 3)
-		r2, st2 := mp.Search(q, 3)
+		r2, st2 := searchMP(mp, q, 3, 0)
 		if st1 != st2 {
 			t.Fatalf("T=0 multi-probe stats differ: %+v vs %+v", st1, st2)
 		}
@@ -30,12 +41,11 @@ func TestMultiProbeProbesMore(t *testing.T) {
 	d, ix := testSetup(t, 1500, true)
 	base := ix.NewSearcher()
 	mp := ix.NewSearcher()
-	mp.SetMultiProbe(4)
 	var baseProbes, mpProbes int
 	for _, q := range d.Queries {
 		_, st := base.Search(q, 1)
 		baseProbes += st.Probes
-		_, st = mp.Search(q, 1)
+		_, st = searchMP(mp, q, 1, 4)
 		mpProbes += st.Probes
 	}
 	if mpProbes <= baseProbes {
@@ -57,10 +67,9 @@ func TestMultiProbeImprovesRecallAtTightBudget(t *testing.T) {
 	gt := dataset.GroundTruth(d, 1)
 	ratioFor := func(probes int) float64 {
 		s := ix.NewSearcher()
-		s.SetMultiProbe(probes)
 		var sum float64
 		for qi, q := range d.Queries {
-			res, _ := s.Search(q, 1)
+			res, _ := searchMP(s, q, 1, probes)
 			sum += ann.OverallRatio(res, gt[qi], 1)
 		}
 		return sum / float64(len(d.Queries))
@@ -73,11 +82,11 @@ func TestMultiProbeImprovesRecallAtTightBudget(t *testing.T) {
 }
 
 func TestMultiProbePanicsOnNegative(t *testing.T) {
-	_, ix := testSetup(t, 200, true)
+	d, ix := testSetup(t, 200, true)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("negative multi-probe accepted")
 		}
 	}()
-	ix.NewSearcher().SetMultiProbe(-1)
+	searchMP(ix.NewSearcher(), d.Queries[0], 1, -1)
 }

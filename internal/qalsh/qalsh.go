@@ -19,7 +19,6 @@ import (
 	"math/rand"
 
 	"e2lshos/internal/ann"
-	"e2lshos/internal/autotune"
 	"e2lshos/internal/bptree"
 	"e2lshos/internal/lsh"
 	"e2lshos/internal/vecmath"
@@ -245,15 +244,7 @@ type Searcher struct {
 	desc   []bptree.Cursor
 	ascOK  []bool
 	descOK []bool
-	// ctl is the active autotune controller (nil for uncontrolled queries).
-	ctl *autotune.Ctl
 }
-
-// SetController installs the autotune controller the next query consults per
-// virtual rehashing round (nil disables control). QALSH honors the stop
-// decisions and the verification-budget knob; the probing knobs
-// (multi-probe, fan-out, readahead) have no meaning here.
-func (s *Searcher) SetController(c *autotune.Ctl) { s.ctl = c }
 
 // NewSearcher returns a fresh searcher over the index.
 func (ix *Index) NewSearcher() *Searcher {
@@ -330,21 +321,9 @@ func (s *Searcher) search(ctx context.Context, q []float32, k int) (Stats, error
 	threshold := int32(ix.params.L)
 
 	//lsh:ladder
-	for rIdx, radius := range ix.radii {
+	for _, radius := range ix.radii {
 		if err := ctx.Err(); err != nil {
 			return st, err
-		}
-		roundBudget := budget
-		if c := s.ctl; c != nil {
-			kn, proceed := c.BeforeRound(rIdx, budget)
-			if !proceed {
-				break
-			}
-			// QALSH's budget is cumulative across rounds, so the degraded
-			// knob caps the total, never raising it above the configured β.
-			if kn.BudgetS < roundBudget {
-				roundBudget = kn.BudgetS
-			}
 		}
 		st.Radii++
 		half := ix.cfg.W * radius / 2
@@ -356,7 +335,7 @@ func (s *Searcher) search(ctx context.Context, q []float32, k int) (Stats, error
 					s.verify(q, asc[j].Value(), topk, &st)
 				}
 				ascOK[j] = asc[j].Next()
-				if st.Checked >= roundBudget {
+				if st.Checked >= budget {
 					break
 				}
 			}
@@ -366,28 +345,21 @@ func (s *Searcher) search(ctx context.Context, q []float32, k int) (Stats, error
 					s.verify(q, desc[j].Value(), topk, &st)
 				}
 				descOK[j] = desc[j].Next()
-				if st.Checked >= roundBudget {
+				if st.Checked >= budget {
 					break
 				}
 			}
-			if st.Checked >= roundBudget {
+			if st.Checked >= budget {
 				break
 			}
 		}
-		if st.Checked >= roundBudget {
+		if st.Checked >= budget {
 			break
 		}
 		cr := ix.cfg.C * radius
-		certified := topk.CountWithin(cr * cr)
-		if topk.Full() && certified >= k {
+		if topk.Full() && topk.CountWithin(cr*cr) >= k {
 			break
 		}
-		if c := s.ctl; c != nil && c.AfterRound(rIdx, topk, certified) {
-			break
-		}
-	}
-	if c := s.ctl; c != nil {
-		c.EndLadder(topk, st.Radii, len(ix.radii))
 	}
 	return st, nil
 }

@@ -266,22 +266,15 @@ func (s *Server) Stats() Stats {
 	return s.agg
 }
 
-// searchRequest is the legacy /search body.
-type searchRequest struct {
-	Query []float32 `json:"query"`
-	// K asks for the first K neighbors of the server's top-K (optional).
-	K int `json:"k,omitempty"`
-	// QID marks the query as held-out query i for shadow scoring (optional).
-	QID *int `json:"qid,omitempty"`
-}
-
-// searchRequestV1 is the /v1/search body: the legacy fields plus per-request
+// searchRequestV1 is the /v1/search body: the query plus per-request
 // execution knobs and an SLO contract. Every knob is optional; omitted knobs
 // inherit the server's configuration.
 type searchRequestV1 struct {
 	Query []float32 `json:"query"`
-	K     int       `json:"k,omitempty"`
-	QID   *int      `json:"qid,omitempty"`
+	// K asks for the first K neighbors of the server's top-K.
+	K int `json:"k,omitempty"`
+	// QID marks the query as held-out query i for shadow scoring.
+	QID *int `json:"qid,omitempty"`
 	// MultiProbe overrides the perturbation count; an explicit 0 disables
 	// multi-probe even when the server default enables it.
 	MultiProbe *int `json:"multiprobe,omitempty"`
@@ -301,12 +294,6 @@ type searchRequestV1 struct {
 type searchNeighbor struct {
 	ID   uint32  `json:"id"`
 	Dist float64 `json:"dist"`
-}
-
-// searchResponse is the legacy /search reply.
-type searchResponse struct {
-	Neighbors []searchNeighbor `json:"neighbors"`
-	K         int              `json:"k"`
 }
 
 // searchStatsV1 is the per-query work summary in a /v1/search envelope.
@@ -422,7 +409,7 @@ type statsResponse struct {
 }
 
 // Handler returns the HTTP API: POST /v1/search (per-request tuning), POST
-// /search (legacy shim), GET /stats, GET /healthz (pure liveness), GET
+// /v1/insert, DELETE /v1/object/{id}, GET /stats, GET /healthz (pure liveness), GET
 // /readyz (storage probe + error-rate breaker), GET /metrics (Prometheus
 // text exposition), and — when ServerConfig.Pprof is set — net/http/pprof
 // under /debug/pprof/. Every route runs inside a panic-recovery wrapper
@@ -433,7 +420,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/v1/search", s.handleSearchV1)
 	mux.HandleFunc("/v1/insert", s.handleInsertV1)
 	mux.HandleFunc("/v1/object/", s.handleObjectV1)
-	mux.HandleFunc("/search", s.handleSearch)
 	mux.HandleFunc("/stats", s.handleStats)
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -623,34 +609,6 @@ func (s *Server) doSearch(w http.ResponseWriter, r *http.Request, key tuningKey,
 	}
 	s.mu.Unlock()
 	return out, true
-}
-
-// handleSearch is the legacy /search endpoint: a thin shim over the v1 path
-// that runs the query at the server's base tuning and answers in the
-// original response shape.
-func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return
-	}
-	var req searchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, fmt.Sprintf("bad request body: %v", err), http.StatusBadRequest)
-		return
-	}
-	if !s.checkCommon(w, req.Query, req.K) {
-		return
-	}
-	out, ok := s.doSearch(w, r, s.baseKey, req.Query)
-	if !ok {
-		return
-	}
-	s.score(req.QID, out.res, s.baseKey.recallTarget)
-	k := req.K
-	if k == 0 {
-		k = s.cfg.K
-	}
-	writeJSON(w, http.StatusOK, searchResponse{K: k, Neighbors: neighborsPrefix(out.res, k)})
 }
 
 // handleSearchV1 is the versioned search endpoint: per-request execution

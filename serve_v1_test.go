@@ -193,33 +193,32 @@ func TestSearchV1Validation(t *testing.T) {
 	}
 }
 
-// TestLegacySearchShim: /search still answers the original shape at the
-// server's base tuning.
-func TestLegacySearchShim(t *testing.T) {
+// TestLegacySearchRouteGone: the pre-v1 POST /search shim is no longer
+// routed — /v1/search is the one search endpoint, and it still trims the
+// server's top-K to the k a request asks for.
+func TestLegacySearchRouteGone(t *testing.T) {
 	eng := &captureEngine{st: Stats{Queries: 1}}
-	srv, err := NewServer(eng, ServerConfig{Dim: 2, K: 2, Opts: []SearchOption{WithBudget(40)}})
+	srv, err := NewServer(eng, ServerConfig{Dim: 2, K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
 	h := srv.Handler()
 
-	rec := postJSON(t, h, "/search", searchRequest{Query: []float32{1, 2}, K: 1})
-	if rec.Code != 200 {
-		t.Fatalf("/search returned %d: %s", rec.Code, rec.Body)
+	req := searchRequestV1{Query: []float32{1, 2}, K: 1}
+	if rec := postJSON(t, h, "/search", req); rec.Code != 404 {
+		t.Errorf("POST /search returned %d, want 404", rec.Code)
 	}
-	var resp map[string]any
+	rec := postJSON(t, h, "/v1/search", req)
+	if rec.Code != 200 {
+		t.Fatalf("/v1/search returned %d: %s", rec.Code, rec.Body)
+	}
+	var resp searchResponseV1
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
-	if _, has := resp["stats"]; has {
-		t.Error("legacy response grew a stats field; v1 is the envelope endpoint")
-	}
-	if resp["k"] != float64(1) {
-		t.Errorf("legacy k = %v", resp["k"])
-	}
-	if set := eng.last(t); set.budget != 40 {
-		t.Errorf("legacy shim lost server opts: budget %d", set.budget)
+	if resp.K != 1 || len(resp.Neighbors) != 1 {
+		t.Errorf("k=1 request answered k=%d with %d neighbors", resp.K, len(resp.Neighbors))
 	}
 }
 

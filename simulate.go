@@ -135,7 +135,7 @@ func (s *StorageIndex) Simulate(queries [][]float32, cfg SimulationConfig) (*Sim
 		}
 	}
 	results := make([]diskindex.AsyncResult, len(queries))
-	rep, err := eng.RunBatch(len(queries), depth, s.ix.AsyncQueryFunc(costmodel.Default(), queries, k, results))
+	rep, err := eng.RunBatch(len(queries), depth, s.ix.AsyncQueryFunc(costmodel.Default(), queries, k, 0, results))
 	if err != nil {
 		return nil, err
 	}

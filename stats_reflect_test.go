@@ -114,11 +114,11 @@ func TestStatsEndpointExposesEveryCounter(t *testing.T) {
 	defer srv.Close()
 	h := srv.Handler()
 
-	body, _ := json.Marshal(searchRequest{Query: []float32{1, 2}})
+	body, _ := json.Marshal(searchRequestV1{Query: []float32{1, 2}})
 	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("POST", "/search", bytes.NewReader(body)))
+	h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/search", bytes.NewReader(body)))
 	if rec.Code != 200 {
-		t.Fatalf("/search returned %d: %s", rec.Code, rec.Body)
+		t.Fatalf("/v1/search returned %d: %s", rec.Code, rec.Body)
 	}
 
 	rec = httptest.NewRecorder()
@@ -160,11 +160,11 @@ func TestMetricsEndpointExposesEveryCounter(t *testing.T) {
 	defer srv.Close()
 	h := srv.Handler()
 
-	body, _ := json.Marshal(searchRequest{Query: []float32{1, 2}})
+	body, _ := json.Marshal(searchRequestV1{Query: []float32{1, 2}})
 	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("POST", "/search", bytes.NewReader(body)))
+	h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/search", bytes.NewReader(body)))
 	if rec.Code != 200 {
-		t.Fatalf("/search returned %d: %s", rec.Code, rec.Body)
+		t.Fatalf("/v1/search returned %d: %s", rec.Code, rec.Body)
 	}
 
 	rec = httptest.NewRecorder()

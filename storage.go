@@ -5,11 +5,11 @@ import (
 	"fmt"
 
 	"e2lshos/internal/ann"
-	"e2lshos/internal/autotune"
 	"e2lshos/internal/blockcache"
 	"e2lshos/internal/blockstore"
 	"e2lshos/internal/diskindex"
 	"e2lshos/internal/ioengine"
+	"e2lshos/internal/ladder"
 	"e2lshos/internal/telemetry"
 )
 
@@ -17,6 +17,7 @@ import (
 type StorageIndex struct {
 	telem
 	tune
+	searchers
 	ix *diskindex.Index
 }
 
@@ -275,12 +276,12 @@ func (s *StorageIndex) IODepth() int {
 // of them reads its store in line. It honors WithK, WithBudget and
 // WithMultiProbe.
 func (s *StorageIndex) Search(ctx context.Context, q []float32, opts ...SearchOption) (Result, Stats, error) {
-	return engineSearch(ctx, s, q, opts)
+	return engineSearch(ctx, s, s.tuner(), q, opts)
 }
 
 // BatchSearch answers queries on a worker pool; see Engine.
 func (s *StorageIndex) BatchSearch(ctx context.Context, queries [][]float32, opts ...SearchOption) ([]Result, Stats, error) {
-	return engineBatchSearch(ctx, s, queries, opts)
+	return engineBatchSearch(ctx, s, s.tuner(), queries, opts)
 }
 
 // StorageBytes reports the on-storage index size.
@@ -303,26 +304,14 @@ func (s *StorageIndex) Insert(v []float32) (uint32, error) { return s.ix.Insert(
 // WithWAL the delete is durable before it returns.
 func (s *StorageIndex) Delete(id uint32) (bool, error) { return s.ix.Delete(id) }
 
-func (s *StorageIndex) newQuerier(set searchSettings) (querier, error) {
-	ix := s.ix
-	if set.budget > 0 {
-		ix = ix.WithBudget(set.budget)
-	}
-	ws := ix.NewWaveSearcher()
-	ws.SetMultiProbe(set.multiProbe)
-	return diskQuerier{ws: ws}, nil
-}
+func (s *StorageIndex) newQuerier() querier { return diskQuerier{ws: s.ix.NewWaveSearcher()} }
 
 type diskQuerier struct {
 	ws *diskindex.WaveSearcher
 }
 
-func (d diskQuerier) setTrace(tr *telemetry.Trace) { d.ws.SetTrace(tr) }
-
-func (d diskQuerier) setController(c *autotune.Ctl) { d.ws.SetController(c) }
-
-func (d diskQuerier) query(ctx context.Context, q []float32, k int, dst []ann.Neighbor) (Result, Stats, error) {
-	res, st, err := d.ws.SearchInto(ctx, q, k, dst)
+func (d diskQuerier) query(ctx context.Context, q []float32, kn ladder.Knobs, dst []ann.Neighbor) (Result, Stats, error) {
+	res, st, err := d.ws.Run(ctx, q, kn, dst)
 	return res, diskStats(st), err
 }
 

@@ -130,13 +130,6 @@ func summarizeTelemetry(sp *telemetry.Snapshot) []LatencySummary {
 	return out
 }
 
-// traceSetter is implemented by queriers whose searcher can record spans;
-// the shared search machinery installs the sampled trace (or nil) through
-// it before each query.
-type traceSetter interface {
-	setTrace(tr *telemetry.Trace)
-}
-
 // telemetered is the view of an engine the serving layer uses to scrape
 // telemetry without knowing the engine type.
 type telemetered interface {

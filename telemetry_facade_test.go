@@ -209,7 +209,7 @@ func TestServerSlowQueryTraceNamesStages(t *testing.T) {
 		go func(qi int) {
 			defer wg.Done()
 			body, _ := json.Marshal(map[string]any{"query": d.Queries[qi]})
-			resp, err := http.Post(ts.URL+"/search", "application/json", bytes.NewReader(body))
+			resp, err := http.Post(ts.URL+"/v1/search", "application/json", bytes.NewReader(body))
 			if err == nil {
 				resp.Body.Close()
 			}
@@ -232,7 +232,7 @@ type writerFunc func(p []byte) (int, error)
 
 func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
 
-// TestMetricsScrapeVsSearchRace hammers /search and /metrics concurrently:
+// TestMetricsScrapeVsSearchRace hammers /v1/search and /metrics concurrently:
 // the scrape path (histogram snapshots, stats folding) must be safe against
 // live observation. Run under -race, this is the data-race gate for the
 // whole telemetry read side.
@@ -261,7 +261,7 @@ func TestMetricsScrapeVsSearchRace(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 8; i++ {
 				body, _ := json.Marshal(map[string]any{"query": d.Queries[(w*8+i)%d.NQ()]})
-				resp, err := http.Post(ts.URL+"/search", "application/json", bytes.NewReader(body))
+				resp, err := http.Post(ts.URL+"/v1/search", "application/json", bytes.NewReader(body))
 				if err != nil {
 					errs <- err
 					return

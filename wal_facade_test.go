@@ -3,6 +3,7 @@ package e2lshos
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -119,6 +120,66 @@ func TestWALFacadeConcurrentUpdates(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestBudgetedBatchSearchBesideInsert is /v1/search with "budget" next to
+// /v1/insert: budgeted batches over freshly inserted vectors while Insert
+// keeps running. WithBudget used to copy the index per call, reading the
+// dataset slice outside the update lock — a data race with Insert's append,
+// and a stale snapshot that could not see the inserted IDs. Run under -race
+// (make crash does).
+func TestBudgetedBatchSearchBesideInsert(t *testing.T) {
+	ctx := context.Background()
+	ds, err := GenerateDataset(DatasetSpec{
+		Name: "walb", N: 1020, Queries: 5, Dim: 16,
+		Clusters: 4, Spread: 0.05, Seed: 5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := NewStorageIndex(ds.Vectors[:1000], Config{Sigma: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var n atomic.Int64 // vectors inserted so far
+	check := func() {
+		hi := 1000 + int(n.Load())
+		res, _, err := ix.BatchSearch(ctx, ds.Vectors[1000:hi], WithBudget(1<<20), WithWorkers(1))
+		if err != nil {
+			t.Errorf("batch over %d inserted vectors: %v", hi-1000, err)
+			return
+		}
+		for j, r := range res {
+			if len(r.Neighbors) == 0 || r.Neighbors[0].ID != uint32(1000+j) || r.Neighbors[0].Dist != 0 {
+				t.Errorf("vector %d not self-found at distance 0: %+v", 1000+j, r.Neighbors)
+			}
+		}
+	}
+	// The reader announces every batch it is about to run and the writer
+	// inserts on that cue, so each insert lands beside a running batch.
+	cue, stop, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case cue <- struct{}{}:
+				check()
+			case <-stop:
+				return
+			}
+		}
+	}()
+	for i := 1000; i < 1020; i++ {
+		<-cue
+		if _, err := ix.Insert(ds.Vectors[i]); err != nil {
+			t.Errorf("insert %d: %v", i, err)
+			break
+		}
+		n.Add(1)
+	}
+	close(stop)
+	<-done
+	check()
 }
 
 // TestWALOptionValidation pins the option-combination errors.
