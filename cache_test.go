@@ -6,7 +6,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestStorageOptionValidation(t *testing.T) {
@@ -136,7 +135,7 @@ func TestServerStatsSurfaceCacheCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewServer(eng, ServerConfig{Dim: d.Dim, K: 1, MaxBatch: 4, MaxDelay: time.Millisecond})
+	srv, err := NewServer(eng, ServerConfig{Dim: d.Dim, K: 1, MaxBatch: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

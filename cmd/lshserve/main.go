@@ -58,8 +58,7 @@ func run(ctx context.Context, args []string, out io.Writer, ready func(addr net.
 		engine    = fs.String("engine", "storage", "shard engine: mem, storage, or mixed (one hot mem shard, cold storage shards)")
 		k         = fs.Int("k", 10, "top-k searched per query")
 		sigma     = fs.Float64("sigma", 8, "per-radius candidate budget multiplier (accuracy knob)")
-		maxBatch  = fs.Int("maxbatch", 32, "coalescer: max queries per batch")
-		maxDelay  = fs.Duration("maxdelay", 500*time.Microsecond, "coalescer: max wait for a batch to fill")
+		maxBatch  = fs.Int("maxbatch", 32, "coalescer: max queries per batch (batches form while every execution slot is busy: GOMAXPROCS/shards slots, at least one)")
 		maxQueue  = fs.Int("maxqueue", 0, "coalescer: admission bound (0 = 4x maxbatch)")
 		cacheMB   = fs.Int("cache", 0, "per-shard block cache for storage shards, in MiB (0 = uncached)")
 		readahead = fs.Int("readahead", 0, "bucket blocks prefetched per chain between radius rounds, into the block cache (0 = off)")
@@ -199,7 +198,6 @@ func run(ctx context.Context, args []string, out io.Writer, ready func(addr net.
 		Dim:      ds.Dim,
 		K:        *k,
 		MaxBatch: *maxBatch,
-		MaxDelay: *maxDelay,
 		MaxQueue: *maxQueue,
 		Tuning: e2lshos.SearchTuning{
 			RecallTarget:  *recallTgt,

@@ -119,6 +119,7 @@ func TestServeConcurrentTraffic(t *testing.T) {
 		Queries    int     `json:"queries"`
 		NIO        int     `json:"n_io"`
 		Served     uint64  `json:"served"`
+		Batches    uint64  `json:"coalesce_batches"`
 		Scored     int     `json:"scored"`
 		MeanRecall float64 `json:"mean_recall"`
 	}
@@ -130,6 +131,9 @@ func TestServeConcurrentTraffic(t *testing.T) {
 	}
 	if st.NIO == 0 {
 		t.Error("storage shards served traffic but /stats reports zero N_IO")
+	}
+	if st.Batches == 0 || st.Batches > st.Served {
+		t.Errorf("/stats reports %d coalesced batches for %d served queries", st.Batches, st.Served)
 	}
 	if st.Scored != 4*d.NQ() || st.MeanRecall <= 0 {
 		t.Errorf("shadow scoring: scored %d (want %d), mean recall %v", st.Scored, 4*d.NQ(), st.MeanRecall)
@@ -217,6 +221,8 @@ func scrapeMetrics(t *testing.T, base string) {
 		`lsh_http_request_seconds{quantile="0.99"}`,
 		`lsh_http_request_seconds{quantile="0.999"}`,
 		"lsh_coalesce_wait_seconds",
+		"lsh_coalesce_batch_size_sum", "lsh_coalesce_batch_size_count",
+		"lsh_coalesce_executing",
 		// The sharded engine is telemetry-enabled by lshserve's -metrics
 		// default, so the per-stage engine summary must be present too.
 		`lsh_query_latency_seconds{stage="total"`,
@@ -468,5 +474,25 @@ func TestRunStorageFlagCoupling(t *testing.T) {
 	var out bytes.Buffer
 	if err := run(ctx, append(small, "-retries", "2"), &out, func(net.Addr) { cancel() }); err != nil {
 		t.Errorf("-retries without -iodepth: %v\noutput:\n%s", err, out.String())
+	}
+}
+
+// TestRunCoalescerFlags: no sharded engine waits on a timer and the hold an
+// unsharded one keeps is not a flag, so -maxdelay is gone — an unknown flag,
+// not a silently ignored one — while -maxbatch and -maxqueue still parse and
+// boot.
+func TestRunCoalescerFlags(t *testing.T) {
+	small := []string{"-addr", "127.0.0.1:0", "-n", "600", "-queries", "5", "-shards", "1", "-k", "2"}
+
+	err := run(context.Background(), append(small, "-maxdelay", "1ms"), io.Discard, nil)
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -maxdelay") {
+		t.Errorf("-maxdelay: err = %v, want an unknown-flag error", err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var out bytes.Buffer
+	if err := run(ctx, append(small, "-maxbatch", "4", "-maxqueue", "64"), &out, func(net.Addr) { cancel() }); err != nil {
+		t.Errorf("-maxbatch/-maxqueue: %v\noutput:\n%s", err, out.String())
 	}
 }

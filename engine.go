@@ -255,27 +255,36 @@ func WithStatsInto(dst []Stats) SearchOption {
 
 // resolveSettings applies opts over the defaults and validates the result.
 func resolveSettings(opts []SearchOption) (searchSettings, error) {
-	s := searchSettings{k: 1}
+	var s searchSettings
+	err := resolveInto(&s, opts)
+	return s, err
+}
+
+// resolveInto is resolveSettings into caller-owned storage: options are
+// opaque functions over a *searchSettings, so a settings block declared
+// where it is resolved is a heap allocation per call.
+func resolveInto(s *searchSettings, opts []SearchOption) error {
+	*s = searchSettings{k: 1}
 	for _, o := range opts {
-		o(&s)
+		o(s)
 	}
 	switch {
 	case s.k < 1:
-		return s, fmt.Errorf("e2lshos: k must be at least 1, got %d", s.k)
+		return fmt.Errorf("e2lshos: k must be at least 1, got %d", s.k)
 	case s.budget < 0:
-		return s, fmt.Errorf("e2lshos: negative candidate budget %d", s.budget)
+		return fmt.Errorf("e2lshos: negative candidate budget %d", s.budget)
 	case s.multiProbe < 0:
-		return s, fmt.Errorf("e2lshos: negative multi-probe count %d", s.multiProbe)
+		return fmt.Errorf("e2lshos: negative multi-probe count %d", s.multiProbe)
 	case s.workers < 0:
-		return s, fmt.Errorf("e2lshos: negative worker count %d", s.workers)
+		return fmt.Errorf("e2lshos: negative worker count %d", s.workers)
 	case s.tuning.RecallTarget < 0 || s.tuning.RecallTarget >= 1:
-		return s, fmt.Errorf("e2lshos: recall target must be in [0, 1), got %g", s.tuning.RecallTarget)
+		return fmt.Errorf("e2lshos: recall target must be in [0, 1), got %g", s.tuning.RecallTarget)
 	case s.tuning.LatencyBudget < 0:
-		return s, fmt.Errorf("e2lshos: negative latency budget %v", s.tuning.LatencyBudget)
+		return fmt.Errorf("e2lshos: negative latency budget %v", s.tuning.LatencyBudget)
 	case s.tuning.Degrade > DegradeStop:
-		return s, fmt.Errorf("e2lshos: unknown degrade policy %d", s.tuning.Degrade)
+		return fmt.Errorf("e2lshos: unknown degrade policy %d", s.tuning.Degrade)
 	}
-	return s, nil
+	return nil
 }
 
 // knobs is the per-query value the E2LSH searchers run under: there is no
@@ -296,55 +305,66 @@ type querier interface {
 	query(ctx context.Context, q []float32, kn ladder.Knobs, dst []ann.Neighbor) (Result, Stats, error)
 }
 
-// searchers is the free list of idle queriers every engine embeds. Search
-// and every BatchSearch worker check one out and hand it back, so the O(n)
-// visited array and the arenas behind a querier are built once per
-// concurrent caller, not once per call. It is a plain mutex-guarded stack
-// rather than a sync.Pool: what it holds must not depend on when the garbage
-// collector last ran. It keeps at most one idle querier per processor (more
-// could never all run at once); what a wider burst hands back beyond that is
-// dropped.
-type searchers struct {
+// freeList is a stack of idle values behind a mutex: the reuse pattern of
+// everything on the serve path that is expensive or wasteful to rebuild per
+// call — searchers, the per-batch worker-pool state, the server's
+// per-request decode state. It is a plain stack rather than a sync.Pool:
+// what it holds must not depend on when the garbage collector last ran. It
+// keeps at most one idle value per processor (more could never all run at
+// once); what a wider burst hands back beyond that is dropped.
+type freeList[T any] struct {
 	mu   sync.Mutex
-	idle []querier
+	idle []T
 }
 
-// take pops the most recently returned querier, or nil when none is idle.
-func (s *searchers) take() querier {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := len(s.idle)
+// take pops the most recently returned value, or the zero T when none is
+// idle.
+func (f *freeList[T]) take() (v T) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	n := len(f.idle)
 	if n == 0 {
-		return nil
+		return v
 	}
-	qr := s.idle[n-1]
-	s.idle[n-1] = nil
-	s.idle = s.idle[:n-1]
-	return qr
+	var zero T
+	v, f.idle[n-1] = f.idle[n-1], zero
+	f.idle = f.idle[:n-1]
+	return v
 }
 
-// give hands a querier back to the free list.
-func (s *searchers) give(qr querier) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.idle) < runtime.GOMAXPROCS(0) {
-		s.idle = append(s.idle, qr)
+// give hands a value back to the free list.
+func (f *freeList[T]) give(v T) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if len(f.idle) < runtime.GOMAXPROCS(0) {
+		f.idle = append(f.idle, v)
 	}
 }
+
+// searchers is the reusable state every engine embeds: the idle queriers
+// Search and every BatchSearch worker check out and hand back — so the O(n)
+// visited array and the arenas behind a querier are built once per
+// concurrent caller, not once per call — and the idle worker-pool states of
+// finished BatchSearch calls.
+type searchers struct {
+	queriers freeList[querier]
+	runs     freeList[*batchRun]
+}
+
+func (s *searchers) scratch() *searchers { return s }
 
 // engineCore is what each engine contributes to the shared Search /
-// BatchSearch machinery: a querier factory, the free list in front of it,
+// BatchSearch machinery: a querier factory, the free lists in front of it,
 // and the telemetry anchor (every engine embeds searchers and telem).
 type engineCore interface {
 	newQuerier() querier
-	take() querier
-	give(querier)
+	scratch() *searchers
 	collector() *telemetry.Collector
 }
 
 // checkout takes an idle querier off e's free list, or builds one.
 func checkout(e engineCore) querier {
-	if qr := e.take(); qr != nil {
+	if qr := e.scratch().queriers.take(); qr != nil {
 		return qr
 	}
 	return e.newQuerier()
@@ -408,39 +428,102 @@ func engineSearch(ctx context.Context, e engineCore, tn *autotune.Tuner, q []flo
 	c := call{set: set, col: e.collector(), tn: tn}
 	qr := checkout(e)
 	res, st, err := c.run(ctx, qr, q, 0, nil)
-	e.give(qr)
+	e.scratch().queriers.give(qr)
 	if len(set.statsInto) > 0 {
 		set.statsInto[0] = st
 	}
 	return res, st, err
 }
 
+// batchRun is the state one BatchSearch's worker pool shares: the resolved
+// call, the batch, and where the workers claim queries and fold what they
+// did. A finished run goes back to the engine's free list, so a one-query
+// batch — what the serving coalescer cuts whenever the engine keeps up —
+// does not pay for a fresh set of counters, a settings block and a cancel
+// context every time.
+type batchRun struct {
+	call
+	ctx     context.Context
+	e       engineCore
+	queries [][]float32
+	results []Result
+	slab    []ann.Neighbor
+
+	next atomic.Int64
+	stop atomic.Bool // a query failed: claim no more
+	wg   sync.WaitGroup
+
+	mu       sync.Mutex
+	agg      Stats
+	firstErr error
+}
+
+// work is one pool goroutine: it checks out a querier and reuses it across
+// the queries it claims.
+func (r *batchRun) work() {
+	defer r.wg.Done()
+	qr := checkout(r.e)
+	k := r.set.k
+	var local Stats
+	for {
+		i := int(r.next.Add(1)) - 1
+		if i >= len(r.queries) || r.stop.Load() || r.ctx.Err() != nil {
+			break
+		}
+		res, st, err := r.run(r.ctx, qr, r.queries[i], i, r.slab[i*k:i*k:(i+1)*k])
+		if err != nil {
+			r.stop.Store(true)
+			r.mu.Lock()
+			if r.firstErr == nil {
+				r.firstErr = err
+			}
+			r.mu.Unlock()
+			break
+		}
+		if i < len(r.set.statsInto) {
+			r.set.statsInto[i] = st
+		}
+		r.results[i] = res
+		local.Merge(st)
+	}
+	r.e.scratch().queriers.give(qr)
+	r.mu.Lock()
+	r.agg.Merge(local)
+	r.mu.Unlock()
+}
+
 // engineBatchSearch implements Engine.BatchSearch over an engineCore: a
-// worker pool where each goroutine checks out one querier and reuses it
-// across the queries it claims.
+// worker pool over one batchRun.
 func engineBatchSearch(ctx context.Context, e engineCore, tn *autotune.Tuner, queries [][]float32, opts []SearchOption) ([]Result, Stats, error) {
-	set, err := resolveSettings(opts)
-	if err != nil {
+	r := e.scratch().runs.take()
+	if r == nil {
+		r = new(batchRun)
+	}
+	// Whatever the run still references — the caller's batch, its results,
+	// its stats destination — is dropped before the run is shelved.
+	defer func() {
+		*r = batchRun{}
+		e.scratch().runs.give(r)
+	}()
+	if err := resolveInto(&r.set, opts); err != nil {
 		return nil, Stats{}, err
 	}
 	results := make([]Result, len(queries))
 	if len(queries) == 0 {
 		return results, Stats{}, ctx.Err()
 	}
-	workers := set.workers
+	workers := r.set.workers
 	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers > len(queries) {
 		workers = len(queries)
 	}
-	bctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
 	// One neighbor slab backs every result in the batch: queries write into
 	// disjoint k-sized segments, so the workers' steady state runs at zero
 	// allocations per query (the searchers reuse their own scratch).
-	slab := make([]ann.Neighbor, len(queries)*set.k)
+	r.ctx, r.e, r.queries, r.results = ctx, e, queries, results
+	r.slab = make([]ann.Neighbor, len(queries)*r.set.k)
 
 	// With telemetry enabled, each worker times its queries individually —
 	// per-query engine latency, not batch wall time — and stamps the
@@ -448,57 +531,20 @@ func engineBatchSearch(ctx context.Context, e engineCore, tn *autotune.Tuner, qu
 	// layer) onto sampled traces. The autotune controller reads the same
 	// waits so a coalesced query's latency budget starts at admission, not
 	// at batch dispatch.
-	c := call{set: set, col: e.collector(), tn: tn}
-	if c.col != nil || tn != nil {
-		c.waits = telemetry.QueueWaits(ctx)
+	r.col, r.tn = e.collector(), tn
+	if r.col != nil || tn != nil {
+		r.waits = telemetry.QueueWaits(ctx)
 	}
-
-	var (
-		next     atomic.Int64
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		agg      Stats
-		firstErr error
-	)
+	r.wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			qr := checkout(e)
-			var local Stats
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(queries) || bctx.Err() != nil {
-					break
-				}
-				seg := slab[i*set.k : i*set.k : (i+1)*set.k]
-				res, st, err := c.run(bctx, qr, queries[i], i, seg)
-				if err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					cancel()
-					break
-				}
-				if i < len(set.statsInto) {
-					set.statsInto[i] = st
-				}
-				results[i] = res
-				local.Merge(st)
-			}
-			e.give(qr)
-			mu.Lock()
-			agg.Merge(local)
-			mu.Unlock()
-		}()
+		go r.work()
 	}
-	wg.Wait()
-	if firstErr == nil {
-		firstErr = ctx.Err()
+	r.wg.Wait()
+	err := r.firstErr
+	if err == nil {
+		err = ctx.Err()
 	}
-	return results, agg, firstErr
+	return results, r.agg, err
 }
 
 // InMemoryIndex is classic in-memory E2LSH: the algorithmic reference the

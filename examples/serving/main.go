@@ -51,7 +51,7 @@ func main() {
 
 	srv, err := e2lshos.NewServer(ix, e2lshos.ServerConfig{
 		Dim: ds.Dim, K: k,
-		MaxBatch: 32, MaxDelay: 500 * time.Microsecond, MaxQueue: 1 << 14,
+		MaxBatch: 32, MaxQueue: 1 << 14,
 		Exact: e2lshos.GroundTruth(ds, k),
 	})
 	if err != nil {

@@ -11,12 +11,13 @@ import (
 // options: the variadic option slice, one closure per option, the resolved
 // settings those closures write into, and the returned neighbor slice — the
 // checked-out searcher itself allocates nothing. BatchSearch over a 1-query
-// batch with one worker adds the query batch, the results slice, the
-// neighbor slab, the cancel context, and the worker goroutine with the
-// shared counters its closure captures.
+// batch with one worker: the query batch, the option slice and its two
+// closures, the results slice, the neighbor slab, and the worker goroutine —
+// the settings block and the pool's shared counters come off the engine's
+// free list with the rest of the batch's run state.
 const (
 	facadeSearchAllocs = 5
-	facadeBatchAllocs  = 16
+	facadeBatchAllocs  = 7
 )
 
 // TestFacadeSearchZeroAllocs moves the searchers' zero-allocation gate up to

@@ -14,12 +14,13 @@ type KeyedFunc[K comparable, R any] func(ctx context.Context, key K, queries [][
 // incompatible per-request tuning (fanout, multi-probe, recall target …) —
 // queries that cannot share one engine BatchSearch call must not share a
 // batch. Sub-batchers are created lazily per key and all share one admitter,
-// so MaxQueue bounds admitted-but-unanswered queries across the whole
-// family, not per key.
+// so MaxQueue bounds admitted-but-unanswered queries and Slots bounds
+// executing batches across the whole family, not per key, and a freed
+// execution slot goes to the key whose oldest query has waited longest.
 type Keyed[K comparable, R any] struct {
 	run KeyedFunc[K, R]
 	cfg Config
-	adm *admitter
+	adm *admitter[R]
 
 	mu       sync.Mutex
 	subs     map[K]*Batcher[R] //lsh:guardedby mu
@@ -33,7 +34,7 @@ func NewKeyed[K comparable, R any](run KeyedFunc[K, R], cfg Config) *Keyed[K, R]
 	return &Keyed[K, R]{
 		run:      run,
 		cfg:      cfg,
-		adm:      &admitter{max: cfg.MaxQueue},
+		adm:      newAdmitter[R](cfg),
 		subs:     make(map[K]*Batcher[R]),
 		maxBatch: cfg.MaxBatch,
 	}
@@ -51,7 +52,7 @@ func (kb *Keyed[K, R]) Do(ctx context.Context, key K, q []float32) (R, error) {
 	sub, ok := kb.subs[key]
 	if !ok {
 		k := key
-		sub = newShared[R](func(ctx context.Context, queries [][]float32) ([]R, error) {
+		sub = newShared(func(ctx context.Context, queries [][]float32) ([]R, error) {
 			return kb.run(ctx, k, queries)
 		}, kb.cfg, kb.adm)
 		sub.SetMaxBatch(kb.maxBatch)
@@ -73,6 +74,14 @@ func (kb *Keyed[K, R]) Load() (inflight, max int) { return kb.adm.load() }
 // across all keys.
 func (kb *Keyed[K, R]) Panics() uint64 { return kb.adm.panicCount() }
 
+// Executing returns how many batches are executing right now across all
+// keys, at most Slots.
+func (kb *Keyed[K, R]) Executing() int { return kb.adm.executingCount() }
+
+// Batches returns how many batches have been cut across all keys and how
+// many queries they held.
+func (kb *Keyed[K, R]) Batches() (batches, queries uint64) { return kb.adm.batchCounts() }
+
 // SetMaxBatch adjusts the live batch-size knob on every current and future
 // sub-batcher.
 func (kb *Keyed[K, R]) SetMaxBatch(n int) {
@@ -86,8 +95,8 @@ func (kb *Keyed[K, R]) SetMaxBatch(n int) {
 		subs = append(subs, sub)
 	}
 	kb.mu.Unlock()
-	// Outside kb.mu: SetMaxBatch takes each sub's own lock and may cut a
-	// batch, and new Do calls must not block on the fan-out.
+	// Outside kb.mu: each SetMaxBatch takes the family's queue lock, and new
+	// Do calls must not block on the fan-out.
 	for _, sub := range subs {
 		sub.SetMaxBatch(n)
 	}
@@ -100,8 +109,8 @@ func (kb *Keyed[K, R]) MaxBatch() int {
 	return kb.maxBatch
 }
 
-// Close stops admission and closes every sub-batcher, flushing their forming
-// batches and waiting for in-flight batches to deliver.
+// Close stops admission and closes every sub-batcher, waiting for their
+// admitted queries — executing or queued — to be answered.
 func (kb *Keyed[K, R]) Close() {
 	kb.mu.Lock()
 	if kb.closed {

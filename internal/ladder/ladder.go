@@ -161,8 +161,10 @@ func (d *Driver) Run(ctx context.Context, rounds Rounds, q []float32, data [][]f
 	d.Counts = Counts{}
 	d.q, d.data, d.trace = q, data, kn.Trace
 	if n := len(data); n > len(d.seen) {
-		// Inserts grew the dataset past this driver's visited array.
-		grown := make([]uint32, n)
+		// Inserts grew the dataset past this driver's visited array. Grow
+		// with headroom: sized exactly, every insert would cost every
+		// searcher a fresh O(n) array on its next query.
+		grown := make([]uint32, n+n/8)
 		copy(grown, d.seen)
 		d.seen = grown
 	}

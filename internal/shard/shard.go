@@ -222,10 +222,10 @@ func (r *Router[S]) Shards() int { return len(r.globals) }
 // copied; callers must not mutate it.
 func (r *Router[S]) Globals(i int) []uint32 { return r.globals[i] }
 
-// shardOut is one shard's gathered answer.
-type shardOut[S any] struct {
+// shardOut is one shard's gathered answer; its stats go straight into the
+// positional slice the scatter returns.
+type shardOut struct {
 	results []ann.Result
-	stats   S
 	err     error
 }
 
@@ -237,11 +237,11 @@ type shardOut[S any] struct {
 // whatever semantics its stats type wants. Partial answers gathered before
 // an error are merged and returned alongside it.
 func (r *Router[S]) Search(ctx context.Context, q []float32, k int, search SearchFunc[S]) (ann.Result, []S, error) {
-	outs := r.scatter(ctx, func(sctx context.Context, i int) ([]ann.Result, S, error) {
+	outs, stats := r.scatter(ctx, func(sctx context.Context, i int) ([]ann.Result, S, error) {
 		res, st, err := search(sctx, i, q)
 		return []ann.Result{res}, st, err
 	})
-	merged, stats, err := r.gather(outs, 1, k)
+	merged, err := gather(r.globals, outs, 1, k)
 	return merged[0], stats, err
 }
 
@@ -254,18 +254,21 @@ func (r *Router[S]) BatchSearch(ctx context.Context, queries [][]float32, k int,
 		outs := make([]S, len(r.globals))
 		return nil, outs, ctx.Err()
 	}
-	outs := r.scatter(ctx, func(sctx context.Context, i int) ([]ann.Result, S, error) {
+	outs, stats := r.scatter(ctx, func(sctx context.Context, i int) ([]ann.Result, S, error) {
 		return batch(sctx, i, queries)
 	})
-	return r.gather(outs, len(queries), k)
+	merged, err := gather(r.globals, outs, len(queries), k)
+	return merged, stats, err
 }
 
 // scatter runs fn once per shard on its own goroutine under a shared
-// cancelable context and waits for all of them.
-func (r *Router[S]) scatter(ctx context.Context, fn func(ctx context.Context, shard int) ([]ann.Result, S, error)) []shardOut[S] {
+// cancelable context and waits for all of them; the shards' stats come back
+// positionally beside their answers.
+func (r *Router[S]) scatter(ctx context.Context, fn func(ctx context.Context, shard int) ([]ann.Result, S, error)) ([]shardOut, []S) {
 	sctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	outs := make([]shardOut[S], len(r.globals))
+	outs := make([]shardOut, len(r.globals))
+	stats := make([]S, len(r.globals))
 	var start time.Time
 	if r.observe != nil {
 		start = time.Now()
@@ -275,23 +278,23 @@ func (r *Router[S]) scatter(ctx context.Context, fn func(ctx context.Context, sh
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			out := r.runShard(sctx, i, fn)
+			outs[i], stats[i] = r.runShard(sctx, i, fn)
 			if r.observe != nil {
 				r.observe(i, time.Since(start))
 			}
-			outs[i] = out
-			if out.err != nil {
+			if outs[i].err != nil {
 				cancel() // fail fast: stop the sibling shards
 			}
 		}(i)
 	}
 	wg.Wait()
-	return outs
+	return outs, stats
 }
 
 // hedgeResult tags a finished attempt with which of the two it was.
 type hedgeResult[S any] struct {
-	out    shardOut[S]
+	out    shardOut
+	stats  S
 	second bool
 }
 
@@ -301,7 +304,7 @@ type hedgeResult[S any] struct {
 // and its stats are dropped (the duplicate did the same work, so folding
 // both would double-count). Only successful attempts feed the latency
 // history — fast failures must not shrink the hedge delay.
-func (r *Router[S]) runShard(sctx context.Context, i int, fn func(ctx context.Context, shard int) ([]ann.Result, S, error)) shardOut[S] {
+func (r *Router[S]) runShard(sctx context.Context, i int, fn func(ctx context.Context, shard int) ([]ann.Result, S, error)) (out shardOut, stats S) {
 	h := r.hedge
 	var delay time.Duration
 	hedgeable := false
@@ -310,31 +313,30 @@ func (r *Router[S]) runShard(sctx context.Context, i int, fn func(ctx context.Co
 	}
 	if !hedgeable {
 		t0 := time.Now()
-		var out shardOut[S]
-		out.results, out.stats, out.err = fn(sctx, i)
+		out.results, stats, out.err = fn(sctx, i)
 		if h != nil && out.err == nil {
 			h.record(i, time.Since(t0))
 		}
-		return out
+		return out, stats
 	}
 	actx, acancel := context.WithCancel(sctx)
 	defer acancel() // reap the losing attempt once a winner returns
 	ch := make(chan hedgeResult[S], 2)
 	attempt := func(second bool) {
 		t0 := time.Now()
-		var out shardOut[S]
-		out.results, out.stats, out.err = fn(actx, i)
-		if out.err == nil {
+		res := hedgeResult[S]{second: second}
+		res.out.results, res.stats, res.out.err = fn(actx, i)
+		if res.out.err == nil {
 			h.record(i, time.Since(t0))
 		}
-		ch <- hedgeResult[S]{out: out, second: second}
+		ch <- res
 	}
 	go attempt(false)
 	timer := time.NewTimer(delay)
 	defer timer.Stop()
 	select {
 	case res := <-ch:
-		return res.out
+		return res.out, res.stats
 	case <-timer.C:
 	}
 	// The primary is straggling past this shard's p99: issue the duplicate
@@ -345,7 +347,7 @@ func (r *Router[S]) runShard(sctx context.Context, i int, fn func(ctx context.Co
 	if res.second {
 		h.wins.Add(1)
 	}
-	return res.out
+	return res.out, res.stats
 }
 
 // gather merges nq per-query answers across shards in shard order (so the
@@ -353,11 +355,9 @@ func (r *Router[S]) runShard(sctx context.Context, i int, fn func(ctx context.Co
 // to surface: the first real failure if there is one, else the first
 // cancellation — a shard canceled because a sibling failed must not mask the
 // sibling's error.
-func (r *Router[S]) gather(outs []shardOut[S], nq, k int) ([]ann.Result, []S, error) {
-	stats := make([]S, len(outs))
+func gather(globals [][]uint32, outs []shardOut, nq, k int) ([]ann.Result, error) {
 	var firstErr, firstCancel error
-	for i, o := range outs {
-		stats[i] = o.stats
+	for _, o := range outs {
 		if o.err == nil {
 			continue
 		}
@@ -373,21 +373,22 @@ func (r *Router[S]) gather(outs []shardOut[S], nq, k int) ([]ann.Result, []S, er
 		firstErr = firstCancel
 	}
 	merged := make([]ann.Result, nq)
+	top := ann.NewTopK(k)
 	for qi := 0; qi < nq; qi++ {
-		top := ann.NewTopK(k)
+		top.Reset(k)
 		for i, o := range outs {
 			if qi >= len(o.results) {
 				continue
 			}
 			for _, nb := range o.results[qi].Neighbors {
-				top.Push(r.globals[i][nb.ID], nb.Dist)
+				top.Push(globals[i][nb.ID], nb.Dist)
 			}
 		}
 		if top.Len() > 0 {
 			merged[qi] = top.Result()
 		}
 	}
-	return merged, stats, firstErr
+	return merged, firstErr
 }
 
 // MergeTopK folds per-shard result lists into global top-k results without a
@@ -395,15 +396,14 @@ func (r *Router[S]) gather(outs []shardOut[S], nq, k int) ([]ann.Result, []S, er
 // across shards) and globals[i] its local→global table. The virtual-time
 // experiments use this to merge scatter runs they schedule themselves.
 func MergeTopK(k int, globals [][]uint32, perShard [][]ann.Result) []ann.Result {
-	r := Router[struct{}]{globals: globals}
-	outs := make([]shardOut[struct{}], len(perShard))
+	outs := make([]shardOut, len(perShard))
 	nq := 0
 	for i, results := range perShard {
-		outs[i] = shardOut[struct{}]{results: results}
+		outs[i] = shardOut{results: results}
 		if len(results) > nq {
 			nq = len(results)
 		}
 	}
-	merged, _, _ := r.gather(outs, nq, k)
+	merged, _ := gather(globals, outs, nq, k)
 	return merged
 }

@@ -1,6 +1,7 @@
 package e2lshos
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -9,6 +10,7 @@ import (
 	"math/rand/v2"
 	"net/http"
 	"net/http/pprof"
+	"runtime"
 	"strconv"
 	"sync"
 	"time"
@@ -37,11 +39,17 @@ type ServerConfig struct {
 	// K is the top-k every coalesced batch searches for (default 1).
 	// Requests may ask for fewer neighbors; they get a prefix.
 	K int
-	// MaxBatch, MaxDelay and MaxQueue are the query coalescer knobs; see
-	// the coalesce package. Shed load surfaces as 429 with Retry-After.
+	// MaxBatch and MaxQueue are the query coalescer knobs; see the coalesce
+	// package. Shed load surfaces as 429 with Retry-After.
 	MaxBatch int
-	MaxDelay time.Duration
 	MaxQueue int
+	// MaxDelay is how long an unsharded engine's lone query is held for
+	// company before its batch is cut (default 500µs, negative for never).
+	// Sharded engines never hold. The hold buys no throughput: it keeps an
+	// unsharded server's closed-loop rate within what the benchmark can
+	// resolve, and DESIGN.md, "internal/coalesce — admission", says when it
+	// goes.
+	MaxDelay time.Duration
 	// Opts are applied to every coalesced BatchSearch (WithK(K) is implied).
 	Opts []SearchOption
 	// Tuning is the server-default SLO contract; /v1/search requests can
@@ -88,11 +96,11 @@ type searchOutcome struct {
 }
 
 // Server is the serving front-end: an Engine behind a keyed query coalescer
-// with JSON endpoints /v1/search (per-request tuning), /search (legacy
-// shim), /stats and /healthz. Concurrent single-query requests with
-// compatible tuning are grouped into one BatchSearch per tick, so
-// request-at-a-time traffic exercises the batch pool's per-goroutine
-// searcher reuse.
+// with JSON endpoints /v1/search (per-request tuning), /stats, /metrics,
+// /healthz and /readyz. A request that finds an execution slot free runs as
+// a BatchSearch of its own at once (an unsharded engine first holds it for
+// MaxDelay); requests with compatible tuning that arrive while every slot is
+// busy ride together in the next batch, so batches form under load.
 type Server struct {
 	eng      Engine
 	cfg      ServerConfig
@@ -100,6 +108,7 @@ type Server struct {
 	baseOpts []SearchOption
 	baseKey  tuningKey
 	start    time.Time
+	ios      freeList[*searchIO]
 
 	// lat and wait are always on (one atomic add per request): end-to-end
 	// HTTP request latency and per-query coalescer queue wait. They back
@@ -168,8 +177,9 @@ func NewServer(eng Engine, cfg ServerConfig) (*Server, error) {
 		latencyBudget: set.tuning.LatencyBudget,
 		degrade:       set.tuning.Degrade,
 	}
+	slots, hold := admission(eng, cfg.MaxDelay)
 	s.batcher = coalesce.NewKeyed(s.runBatch, coalesce.Config{
-		MaxBatch: cfg.MaxBatch, MaxDelay: cfg.MaxDelay, MaxQueue: cfg.MaxQueue,
+		MaxBatch: cfg.MaxBatch, MaxQueue: cfg.MaxQueue, MaxDelay: hold, Slots: slots,
 		ObserveWait: s.wait.Observe,
 	})
 	if cfg.TargetP99 > 0 {
@@ -178,20 +188,36 @@ func NewServer(eng Engine, cfg ServerConfig) (*Server, error) {
 	return s, nil
 }
 
+// admission sizes the coalescer for eng: how many batches it can run side by
+// side, and how long a lone query is held for company. A lone query occupies
+// as many processors as the engine has shards, so a sharded engine gets the
+// processors divided by its shards (at least one slot) and no hold; an
+// unsharded one gets a slot per processor and holds for maxDelay.
+func admission(eng Engine, maxDelay time.Duration) (slots int, hold time.Duration) {
+	procs := runtime.GOMAXPROCS(0)
+	if sh, ok := eng.(interface{ Shards() int }); ok && sh.Shards() > 1 {
+		return max(procs/sh.Shards(), 1), 0
+	}
+	if maxDelay == 0 {
+		maxDelay = 500 * time.Microsecond
+	}
+	return procs, max(maxDelay, 0)
+}
+
 // runBatch executes one key-pure coalesced batch against the engine.
 func (s *Server) runBatch(ctx context.Context, key tuningKey, queries [][]float32) ([]searchOutcome, error) {
 	per := make([]Stats, len(queries))
-	opts := s.baseOpts[:len(s.baseOpts):len(s.baseOpts)]
-	opts = append(opts,
-		WithMultiProbe(key.multiProbe),
-		WithBudget(key.budget),
-		WithTuning(SearchTuning{
+	opts := make([]SearchOption, len(s.baseOpts), len(s.baseOpts)+1)
+	copy(opts, s.baseOpts)
+	// The key's knobs and the per-query stats destination, as one option.
+	opts = append(opts, func(set *searchSettings) {
+		set.multiProbe, set.budget, set.statsInto = key.multiProbe, key.budget, per
+		set.tuning = SearchTuning{
 			RecallTarget:  key.recallTarget,
 			LatencyBudget: key.latencyBudget,
 			Degrade:       key.degrade,
-		}),
-		WithStatsInto(per),
-	)
+		}
+	})
 	results, st, err := s.eng.BatchSearch(ctx, queries, opts...)
 	s.mu.Lock()
 	s.agg.Merge(st)
@@ -336,6 +362,24 @@ type searchResponseV1 struct {
 	Controller controllerV1  `json:"controller"`
 }
 
+// searchIO is one /v1/search request's reusable state: the body bytes, the
+// decoded request and the response envelope with its neighbor backing. A
+// handler checks one out of the server's free list and hands it back when it
+// returns. The query vector's backing array is not part of it: the engine
+// may still be reading a query after its caller has gone (an abandoned
+// request, a hedged shard attempt that lost), so each request's vector is
+// its own, allocated at its final size.
+type searchIO struct {
+	body bytes.Buffer
+	req  searchRequestV1
+	resp searchResponseV1
+}
+
+// maxPooledBody is the largest body buffer a searchIO may keep when it goes
+// back to the free list, so one oversized request does not pin its size in
+// memory for the life of the server (a 128-d query is about 1 KB of JSON).
+const maxPooledBody = 64 << 10
+
 // statsResponse is the /stats reply: the cumulative Stats counters (the
 // paper's analysis units, N_IO above all) plus serving-level counters and,
 // when shadow scoring is on, the running accuracy means.
@@ -385,6 +429,9 @@ type statsResponse struct {
 	Canceled        uint64  `json:"canceled"`
 	Shed            uint64  `json:"shed"`
 	Degraded        uint64  `json:"degraded"`
+	// CoalesceBatches counts the batches the coalescer has cut; served +
+	// failed queries over it is the mean batch size load has produced.
+	CoalesceBatches uint64 `json:"coalesce_batches"`
 	// Online-update counters: mutations acked through /v1/insert and
 	// /v1/object, plus — when the engine is WAL-backed — its durability
 	// state: the checkpoint generation, cumulative log appends, the records
@@ -537,8 +584,9 @@ func (s *Server) breakerState() (rate float64, n int, open bool) {
 
 // retryAfter derives the Retry-After seconds a backpressured client should
 // wait: the time for the admitted queue to drain at the observed p99 batch
-// latency, bounded to [1, 30] and then jittered up to 2× so the shed cohort
-// does not return as one synchronized herd.
+// latency — its batches spread over the execution slots working it off —
+// bounded to [1, 30] and then jittered up to 2× so the shed cohort does not
+// return as one synchronized herd.
 func (s *Server) retryAfter() string {
 	inflight, _ := s.batcher.Load()
 	var snap telemetry.HistSnapshot
@@ -548,7 +596,9 @@ func (s *Server) retryAfter() string {
 		p99 = 50 * time.Millisecond // no history yet: assume a fast engine
 	}
 	batches := inflight/s.batcher.MaxBatch() + 1
-	secs := int((time.Duration(batches)*p99 + time.Second - 1) / time.Second)
+	slots := max(s.batcher.Executing(), 1)
+	rounds := (batches + slots - 1) / slots
+	secs := int((time.Duration(rounds)*p99 + time.Second - 1) / time.Second)
 	if secs < 1 {
 		secs = 1
 	}
@@ -619,8 +669,23 @@ func (s *Server) handleSearchV1(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST required", http.StatusMethodNotAllowed)
 		return
 	}
-	var req searchRequestV1
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	sio := s.ios.take()
+	if sio == nil {
+		sio = new(searchIO)
+	}
+	defer func() {
+		if sio.body.Cap() <= maxPooledBody {
+			s.ios.give(sio)
+		}
+	}()
+	sio.body.Reset()
+	sio.req = searchRequestV1{Query: make([]float32, 0, s.cfg.Dim)}
+	req := &sio.req
+	if _, err := sio.body.ReadFrom(r.Body); err != nil {
+		http.Error(w, fmt.Sprintf("bad request body: %v", err), http.StatusBadRequest)
+		return
+	}
+	if err := json.Unmarshal(sio.body.Bytes(), req); err != nil {
 		http.Error(w, fmt.Sprintf("bad request body: %v", err), http.StatusBadRequest)
 		return
 	}
@@ -672,9 +737,9 @@ func (s *Server) handleSearchV1(w http.ResponseWriter, r *http.Request) {
 		k = s.cfg.K
 	}
 	st := out.st
-	writeJSON(w, http.StatusOK, searchResponseV1{
+	sio.resp = searchResponseV1{
 		K:         k,
-		Neighbors: neighborsPrefix(out.res, k),
+		Neighbors: appendNeighbors(sio.resp.Neighbors[:0], out.res, k),
 		Partial:   st.Partial > 0,
 		Stats: searchStatsV1{
 			Radii:         st.Radii,
@@ -692,19 +757,19 @@ func (s *Server) handleSearchV1(w http.ResponseWriter, r *http.Request) {
 			BudgetExhausted: st.BudgetExhausted > 0,
 			DegradedKnobs:   st.DegradedKnobs,
 		},
-	})
+	}
+	writeJSON(w, http.StatusOK, &sio.resp)
 }
 
-// neighborsPrefix converts the first k neighbors to the wire shape.
-func neighborsPrefix(res Result, k int) []searchNeighbor {
-	out := make([]searchNeighbor, 0, k)
+// appendNeighbors appends the first k neighbors to dst in the wire shape.
+func appendNeighbors(dst []searchNeighbor, res Result, k int) []searchNeighbor {
 	for i, nb := range res.Neighbors {
 		if i >= k {
 			break
 		}
-		out = append(out, searchNeighbor{ID: nb.ID, Dist: nb.Dist})
+		dst = append(dst, searchNeighbor{ID: nb.ID, Dist: nb.Dist})
 	}
-	return out
+	return dst
 }
 
 // score folds one shadow-scored answer into the running accuracy means and,
@@ -734,6 +799,7 @@ func (s *Server) score(qid *int, res Result, target float64) {
 
 //lsh:foldall Stats
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
+	batches, _ := s.batcher.Batches()
 	s.mu.Lock()
 	st := s.agg
 	resp := statsResponse{
@@ -774,6 +840,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Deletes:          s.deletes,
 		Shed:             s.batcher.Shed(),
 		Panics:           s.panics + s.batcher.Panics(),
+		CoalesceBatches:  batches,
 		UptimeSeconds:    time.Since(s.start).Seconds(),
 		Scored:           s.scored,
 	}
@@ -840,6 +907,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	telemetry.WriteGauge(w, "lsh_uptime_seconds", time.Since(s.start).Seconds())
 	telemetry.WriteGauge(w, "lsh_coalesce_max_batch", float64(s.batcher.MaxBatch()))
+	telemetry.WriteGauge(w, "lsh_coalesce_executing", float64(s.batcher.Executing()))
+	// The natural batch size, as the two halves of a mean: queries cut into
+	// batches over batches cut.
+	batches, batched := s.batcher.Batches()
+	fmt.Fprintf(w, "# TYPE lsh_coalesce_batch_size summary\nlsh_coalesce_batch_size_sum %d\nlsh_coalesce_batch_size_count %d\n", batched, batches)
 	if d, ok := s.eng.(interface{ IODepth() int }); ok {
 		telemetry.WriteGauge(w, "lsh_io_depth", float64(d.IODepth()))
 	}

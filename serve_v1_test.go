@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -237,13 +238,49 @@ func (e blockingEngine) BatchSearch(ctx context.Context, queries [][]float32, op
 	return make([]Result, len(queries)), Stats{Queries: len(queries)}, nil
 }
 
+// shardedStub is an engine that only says how many shards it has.
+type shardedStub struct {
+	blockingEngine
+	shards int
+}
+
+func (e shardedStub) Shards() int { return e.shards }
+
+// TestServerAdmission: the coalescer is sized from what a lone query
+// occupies — a sharded engine gets the processors divided by its shards and
+// never holds; an unsharded one gets a slot per processor and the hold.
+func TestServerAdmission(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	for _, tc := range []struct {
+		name     string
+		eng      Engine
+		maxDelay time.Duration
+		slots    int
+		hold     time.Duration
+	}{
+		{"unsharded, default hold", blockingEngine{}, 0, procs, 500 * time.Microsecond},
+		{"unsharded, given hold", blockingEngine{}, time.Millisecond, procs, time.Millisecond},
+		{"unsharded, hold off", blockingEngine{}, -1, procs, 0},
+		{"one shard is unsharded", shardedStub{shards: 1}, 0, procs, 500 * time.Microsecond},
+		{"as many shards as processors", shardedStub{shards: procs + 1}, time.Millisecond, 1, 0},
+		{"more shards than processors", shardedStub{shards: 4 * (procs + 1)}, 0, 1, 0},
+	} {
+		if slots, hold := admission(tc.eng, tc.maxDelay); slots != tc.slots || hold != tc.hold {
+			t.Errorf("%s: admission = %d slots, hold %v; want %d, %v", tc.name, slots, hold, tc.slots, tc.hold)
+		}
+	}
+	if slots, _ := admission(shardedStub{shards: 2}, 0); slots != max(procs/2, 1) {
+		t.Errorf("two shards on %d processors: %d slots, want %d", procs, slots, max(procs/2, 1))
+	}
+}
+
 // TestOverloadSheds429: a full admission queue sheds with 429 + Retry-After
 // (backpressure, not failure), and /stats counts the shed separately from
 // controller degrades.
 func TestOverloadSheds429(t *testing.T) {
 	eng := blockingEngine{entered: make(chan struct{}, 1), release: make(chan struct{})}
 	srv, err := NewServer(eng, ServerConfig{
-		Dim: 2, K: 1, MaxBatch: 1, MaxQueue: 1, MaxDelay: time.Hour,
+		Dim: 2, K: 1, MaxBatch: 1, MaxQueue: 1,
 	})
 	if err != nil {
 		t.Fatal(err)

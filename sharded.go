@@ -316,7 +316,8 @@ func (x *ShardedIndex) SetIODepth(n int) bool {
 // 90% of it — the scatter-gather adds merge work after the slowest shard,
 // and the headroom keeps the logical query inside its budget.
 func shardTuningOpts(opts []SearchOption, set searchSettings, statsInto []Stats) []SearchOption {
-	out := opts[:len(opts):len(opts)]
+	out := make([]SearchOption, len(opts), len(opts)+2)
+	copy(out, opts)
 	out = append(out, WithStatsInto(statsInto))
 	if set.tuning.LatencyBudget > 0 {
 		out = append(out, WithLatencyBudget(set.tuning.LatencyBudget*9/10))
@@ -395,14 +396,13 @@ func (x *ShardedIndex) BatchSearch(ctx context.Context, queries [][]float32, opt
 		return nil, Stats{}, err
 	}
 	col := x.collector()
-	// With a per-query stats destination, each shard writes into its own
-	// arena and the per-query rows fold after the gather.
-	var shardDst [][]Stats
+	// With a per-query stats destination, each shard writes its rows into
+	// its own stretch of one arena and the per-query rows fold after the
+	// gather.
+	shards, nq := x.router.Shards(), len(queries)
+	var arena []Stats
 	if len(set.statsInto) > 0 {
-		shardDst = make([][]Stats, x.router.Shards())
-		for i := range shardDst {
-			shardDst[i] = make([]Stats, len(queries))
-		}
+		arena = make([]Stats, shards*nq)
 	}
 	var t0 time.Time
 	if col != nil {
@@ -411,8 +411,8 @@ func (x *ShardedIndex) BatchSearch(ctx context.Context, queries [][]float32, opt
 	results, per, err := x.router.BatchSearch(ctx, queries, set.k,
 		func(sctx context.Context, i int, queries [][]float32) ([]Result, Stats, error) {
 			var dst []Stats
-			if shardDst != nil {
-				dst = shardDst[i]
+			if arena != nil {
+				dst = arena[i*nq : (i+1)*nq]
 			}
 			return x.engines[i].BatchSearch(sctx, queries, shardTuningOpts(opts, set, dst)...)
 		})
@@ -427,15 +427,13 @@ func (x *ShardedIndex) BatchSearch(ctx context.Context, queries [][]float32, opt
 	if results == nil {
 		results = make([]Result, len(queries))
 	}
-	if shardDst != nil {
-		n := len(set.statsInto)
-		if n > len(queries) {
-			n = len(queries)
-		}
-		row := make([]Stats, len(shardDst))
-		for qi := 0; qi < n; qi++ {
-			for si := range shardDst {
-				row[si] = shardDst[si][qi]
+	if arena != nil {
+		var rowBuf [8]Stats // the usual shard counts fold without a heap row
+		row := rowBuf[:0]
+		for qi := 0; qi < min(len(set.statsInto), nq); qi++ {
+			row = row[:0]
+			for si := 0; si < shards; si++ {
+				row = append(row, arena[si*nq+qi])
 			}
 			set.statsInto[qi] = foldShardStats(row)
 		}

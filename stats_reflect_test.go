@@ -143,6 +143,9 @@ func TestStatsEndpointExposesEveryCounter(t *testing.T) {
 			t.Errorf("/stats %q = %v, want %v (Stats.%s)", key, raw, want, name)
 		}
 	}
+	if raw, want := got["coalesce_batches"], 1.0; raw != want {
+		t.Errorf("/stats coalesce_batches = %v after one query, want %v", raw, want)
+	}
 }
 
 // TestMetricsEndpointExposesEveryCounter is the Prometheus twin of the /stats
@@ -199,6 +202,12 @@ func TestMetricsEndpointExposesEveryCounter(t *testing.T) {
 		"\nlsh_http_request_seconds_count 1\n",
 		"# TYPE lsh_coalesce_wait_seconds summary\n",
 		"\nlsh_coalesce_wait_seconds_count 1\n",
+		// One query into an idle coalescer: one batch of one, nothing
+		// executing once it is answered.
+		"# TYPE lsh_coalesce_batch_size summary\n",
+		"\nlsh_coalesce_batch_size_sum 1\n",
+		"\nlsh_coalesce_batch_size_count 1\n",
+		"\nlsh_coalesce_executing 0\n",
 	} {
 		if !strings.Contains(page, want) {
 			t.Errorf("/metrics missing %q:\n%s", want, page)
