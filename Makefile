@@ -16,8 +16,8 @@ test:
 race:
 	$(GO) test -race ./...
 
-# vet + lshlint: the five custom analyzers (ctxladder, hotpathalloc,
-# statsfold, guardedby, ioerr) over the whole module. Any finding fails.
+# vet + lshlint: the four custom analyzers (ctxladder, hotpathalloc,
+# guardedby, ioerr) over the whole module. Any finding fails.
 lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/lshlint ./...

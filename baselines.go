@@ -54,11 +54,15 @@ type srsQuerier struct {
 	s *srs.Searcher
 }
 
-//lsh:foldall srs.Stats
-func (s srsQuerier) query(ctx context.Context, q []float32, kn ladder.Knobs, dst []ann.Neighbor) (Result, Stats, error) {
+func (s srsQuerier) Run(ctx context.Context, q []float32, kn ladder.Knobs, dst []ann.Neighbor) (Result, Stats, error) {
 	// A caller-supplied budget owns the accuracy knob (§3.3), so the
 	// chi-square early stop only runs unbudgeted.
 	res, st, err := s.s.SearchInto(ctx, q, kn.K, kn.Budget, kn.Budget <= 0, dst)
+	return res, srsStats(st), err
+}
+
+// srsStats reports one SRS query in the facade's counters.
+func srsStats(st srs.Stats) Stats {
 	out := Stats{
 		Queries:        1,
 		EntriesScanned: st.EntriesScanned,
@@ -68,7 +72,7 @@ func (s srsQuerier) query(ctx context.Context, q []float32, kn ladder.Knobs, dst
 	if st.EarlyStopped {
 		out.EarlyStopped = 1
 	}
-	return res, out, err
+	return out
 }
 
 // QALSHIndex is the QALSH small-index baseline (in-memory).
@@ -120,13 +124,17 @@ type qalshQuerier struct {
 	s *qalsh.Searcher
 }
 
-//lsh:foldall qalsh.Stats
-func (q qalshQuerier) query(ctx context.Context, v []float32, kn ladder.Knobs, dst []ann.Neighbor) (Result, Stats, error) {
+func (q qalshQuerier) Run(ctx context.Context, v []float32, kn ladder.Knobs, dst []ann.Neighbor) (Result, Stats, error) {
 	res, st, err := q.s.SearchInto(ctx, v, kn.K, dst)
-	return res, Stats{
+	return res, qalshStats(st), err
+}
+
+// qalshStats reports one QALSH query in the facade's counters.
+func qalshStats(st qalsh.Stats) Stats {
+	return Stats{
 		Queries:        1,
 		Radii:          st.Radii,
 		EntriesScanned: st.EntriesScanned,
 		Checked:        st.Checked,
-	}, err
+	}
 }

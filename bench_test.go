@@ -361,8 +361,8 @@ func BenchmarkQDSweep(b *testing.B) {
 // benchRepeatedQueries measures the serving-shaped repeated workload: each
 // iteration is one full BatchSearch pass over the held-out queries. The
 // backend-reads/query metric is the effective N_IO: with the cache it
-// collapses after the cold pass, without it every pass pays full price —
-// BENCH_PR3.json carries both so the trajectory proves the ≥2x saving.
+// collapses after the cold pass, without it every pass pays full price: the
+// pair shows the ≥2x saving.
 func benchRepeatedQueries(b *testing.B, opts ...StorageOption) {
 	d, err := GeneratePaperDataset(SIFT, 0, 4000, 20)
 	if err != nil {
@@ -397,9 +397,7 @@ func benchRepeatedQueries(b *testing.B, opts ...StorageOption) {
 
 // BenchmarkSearchLatencyQuantiles runs the single-query serving path with
 // telemetry on and reports the measured latency distribution: p50-ns/op and
-// p99-ns/op land in the BENCH_*.json trajectory next to the ns/op mean, and
-// benchjson -delta renders their movement without gating on baselines that
-// predate percentile reporting.
+// p99-ns/op next to the ns/op mean.
 func BenchmarkSearchLatencyQuantiles(b *testing.B) {
 	d, err := GeneratePaperDataset(SIFT, 0, 4000, 20)
 	if err != nil {
@@ -438,8 +436,7 @@ func BenchmarkRepeatedQueriesCached(b *testing.B) {
 
 // benchChecksums measures the integrity tax: the same query workload with
 // CRC32C verification of every block read (the default) versus the raw
-// path. The pair lands in the BENCH_*.json trajectory so the checksum
-// overhead is a tracked number, not a claim.
+// path.
 func benchChecksums(b *testing.B, on bool) {
 	d, err := GeneratePaperDataset(SIFT, 0, 4000, 20)
 	if err != nil {
@@ -464,10 +461,9 @@ func BenchmarkChecksumOff(b *testing.B) { benchChecksums(b, false) }
 
 // benchInsert measures the online-insert path: ns per durable Insert with
 // the WAL on (append + fsync + block apply) versus the raw in-place update.
-// The pair lands in the BENCH_*.json trajectory so the durability tax is a
-// tracked number. The index rebuilds with the timer stopped whenever the
-// ID headroom (2^idBits - n) runs out; mkOpts runs per build so the WAL
-// variant gets a fresh directory each time.
+// The index rebuilds with the timer stopped whenever the ID headroom
+// (2^idBits - n) runs out; mkOpts runs per build so the WAL variant gets a
+// fresh directory each time.
 func benchInsert(b *testing.B, mkOpts func() []StorageOption) {
 	d, err := GeneratePaperDataset(SIFT, 0, 4096, 1)
 	if err != nil {
@@ -505,9 +501,7 @@ func BenchmarkInsertWALOff(b *testing.B) {
 
 // BenchmarkAutotuneSweep runs the PR-8 recall-target sweep end to end and
 // reports the headline trade: mean N_IO at the 0.9 target against the
-// full-ladder baseline, plus the retained recall the stop kept. The metrics
-// land in the BENCH_*.json trajectory so the controller's I/O savings are a
-// tracked number, not a one-off test assertion.
+// full-ladder baseline, plus the retained recall the stop kept.
 func BenchmarkAutotuneSweep(b *testing.B) {
 	env := benchEnv()
 	for i := 0; i < b.N; i++ {

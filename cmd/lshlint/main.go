@@ -1,8 +1,7 @@
 // Command lshlint is the repo's invariant checker: a multichecker over
-// the five custom analyzers that enforce cancellation discipline
-// (ctxladder), allocation-free hot paths (hotpathalloc), complete
-// counter folding (statsfold), mutex annotations (guardedby) and
-// handled block I/O errors (ioerr).
+// the four custom analyzers that enforce cancellation discipline
+// (ctxladder), allocation-free hot paths (hotpathalloc), mutex
+// annotations (guardedby) and handled block I/O errors (ioerr).
 //
 // Usage:
 //
@@ -11,8 +10,7 @@
 // Findings print as file:line:col: [analyzer] message and make the
 // process exit 1; CI runs it as a gated job. See DESIGN.md "Invariants
 // & enforcement" for the annotation language (//lsh:hotpath,
-// //lsh:ladder, //lsh:guardedby, //lsh:counters, //lsh:foldall and the
-// per-line suppressions //lsh:allocok, //lsh:ctxok, //lsh:nolock,
+// //lsh:ladder, //lsh:guardedby and the per-line suppressions //lsh:allocok, //lsh:ctxok, //lsh:nolock,
 // //lsh:errok).
 package main
 
@@ -22,7 +20,6 @@ import (
 	"e2lshos/internal/analyzers/guardedby"
 	"e2lshos/internal/analyzers/hotpathalloc"
 	"e2lshos/internal/analyzers/ioerr"
-	"e2lshos/internal/analyzers/statsfold"
 )
 
 func main() {
@@ -31,6 +28,5 @@ func main() {
 		guardedby.Analyzer,
 		hotpathalloc.Analyzer,
 		ioerr.Analyzer,
-		statsfold.Analyzer,
 	)
 }

@@ -55,7 +55,7 @@ func run(ctx context.Context, args []string, out io.Writer, ready func(addr net.
 		queries   = fs.Int("queries", 100, "held-out queries kept for shadow scoring")
 		shards    = fs.Int("shards", 4, "number of shards")
 		placement = fs.String("placement", "hash", "shard placement: range or hash")
-		engine    = fs.String("engine", "storage", "shard engine: mem, storage, or mixed (one hot mem shard, cold storage shards)")
+		engine    = fs.String("engine", "storage", "shard engine: mem or storage")
 		k         = fs.Int("k", 10, "top-k searched per query")
 		sigma     = fs.Float64("sigma", 8, "per-radius candidate budget multiplier (accuracy knob)")
 		maxBatch  = fs.Int("maxbatch", 32, "coalescer: max queries per batch (batches form while every execution slot is busy: GOMAXPROCS/shards slots, at least one)")
@@ -157,15 +157,8 @@ func run(ctx context.Context, args []string, out io.Writer, ready func(addr net.
 			build = e2lshos.InMemoryShardBuilder(cfg)
 		case "storage":
 			build = e2lshos.StorageShardBuilder(cfg, storageOpts...)
-		case "mixed":
-			build = func(shardNum int, vectors [][]float32) (e2lshos.Engine, error) {
-				if shardNum == 0 {
-					return e2lshos.NewInMemoryIndex(vectors, cfg)
-				}
-				return e2lshos.NewStorageIndex(vectors, cfg, storageOpts...)
-			}
 		default:
-			return fmt.Errorf("unknown -engine %q (want mem, storage, or mixed)", *engine)
+			return fmt.Errorf("unknown -engine %q (want mem or storage)", *engine)
 		}
 		fmt.Fprintf(out, "building %d %s shards (%s placement)\n", *shards, *engine, place)
 		ix, err := e2lshos.NewShardedIndex(ds.Vectors, *shards, place, build)

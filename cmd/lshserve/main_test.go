@@ -385,7 +385,7 @@ func TestRunGracefulShutdown(t *testing.T) {
 	go func() {
 		done <- run(ctx, []string{
 			"-addr", "127.0.0.1:0", "-n", "2000", "-queries", "10",
-			"-shards", "2", "-engine", "mixed", "-k", "2",
+			"-shards", "2", "-engine", "storage", "-k", "2",
 			"-cache", "8", "-iodepth", "16",
 			"-recall-target", "0.9", "-target-p99", "100ms",
 		}, &out, func(a net.Addr) { addrc <- a })
@@ -494,5 +494,16 @@ func TestRunCoalescerFlags(t *testing.T) {
 	var out bytes.Buffer
 	if err := run(ctx, append(small, "-maxbatch", "4", "-maxqueue", "64"), &out, func(net.Addr) { cancel() }); err != nil {
 		t.Errorf("-maxbatch/-maxqueue: %v\noutput:\n%s", err, out.String())
+	}
+}
+
+// TestRunEngineFlag: -engine takes mem or storage; the mixed deployment (one
+// mem shard beside storage shards) is six lines over the public ShardBuilder,
+// not a flag value, and is refused like any other unknown engine.
+func TestRunEngineFlag(t *testing.T) {
+	small := []string{"-addr", "127.0.0.1:0", "-n", "600", "-queries", "5", "-shards", "2", "-k", "2"}
+	err := run(context.Background(), append(small, "-engine", "mixed"), io.Discard, nil)
+	if err == nil || !strings.Contains(err.Error(), `unknown -engine "mixed" (want mem or storage)`) {
+		t.Errorf("-engine mixed: err = %v, want the unknown-engine error", err)
 	}
 }

@@ -41,6 +41,7 @@ import (
 	"e2lshos/internal/ann"
 	"e2lshos/internal/dataset"
 	"e2lshos/internal/experiments"
+	"e2lshos/internal/ladder"
 )
 
 // Neighbor is one returned neighbor: object ID and Euclidean distance.
@@ -48,6 +49,11 @@ type Neighbor = ann.Neighbor
 
 // Result is the outcome of one top-k query, sorted by ascending distance.
 type Result = ann.Result
+
+// Stats aggregates what one query — or one batch — did, in the units the
+// paper's analysis needs (N_IO above all). Each counter is declared once, in
+// ladder.Stats, with the name /stats and /metrics expose it under.
+type Stats = ladder.Stats
 
 // Dataset is an in-memory point set with a query set.
 type Dataset = dataset.Dataset

@@ -51,145 +51,6 @@ var (
 	_ Engine = (*QALSHIndex)(nil)
 )
 
-// Stats aggregates what one query — or one batch — did, in the units the
-// paper's analysis needs (Table 4, Figs 3–8). Engines leave counters they
-// do not track at zero; Queries counts the queries folded in, so per-query
-// means are Mean* methods away.
-//
-//lsh:counters
-type Stats struct {
-	// Queries is the number of queries aggregated into this Stats.
-	Queries int
-	// Radii is the number of (R,c)-NN ladder rounds executed (r̄·Queries).
-	Radii int
-	// Probes counts bucket/table lookups attempted.
-	Probes int
-	// NonEmptyProbes counts lookups that hit a non-empty bucket; with the
-	// paper's DRAM occupancy bitmaps only these cost I/O.
-	NonEmptyProbes int
-	// EntriesScanned counts bucket or tree entries examined.
-	EntriesScanned int
-	// Checked counts full-dimensional distance computations.
-	Checked int
-	// Duplicates counts entries skipped because the object was already seen.
-	Duplicates int
-	// FPRejected counts entries dropped by the storage fingerprint check
-	// (§5.2): u-bit collisions that are not 32-bit collisions.
-	FPRejected int
-	// TableIOs counts on-storage hash-table block reads.
-	TableIOs int
-	// BucketIOs counts on-storage bucket block reads, including chains.
-	BucketIOs int
-	// CacheHits and CacheMisses count block-cache outcomes on StorageIndex
-	// reads (counted when the index was built WithBlockCache). Hits
-	// never reach the backend, so CacheMisses is the effective N_IO of a
-	// cached engine; IOs() keeps reporting the logical count for
-	// comparability with uncached runs.
-	CacheHits   int
-	CacheMisses int
-	// PrefetchedBlocks counts blocks WithReadahead pulled into the cache
-	// between radius rounds on behalf of these queries.
-	PrefetchedBlocks int
-	// CoalescedReads counts backend reads the I/O engine's submission layer
-	// saved by merging runs of adjacent block addresses into single
-	// vectored operations. It, DedupedReads and PhysicalReads are counted
-	// whenever an engine exists — built WithIOEngine, WithBlockCache or
-	// WithRetries — and stay zero on an index that reads its store in
-	// line. IOs() keeps reporting
-	// the logical count; physical backend reads are
-	// IOs() − CacheHits − CoalescedReads with a cache attached (a dedup
-	// join is counted inside CacheHits), and
-	// IOs() − DedupedReads − CoalescedReads without one.
-	CoalescedReads int
-	// DedupedReads counts reads satisfied by joining another query's
-	// in-flight backend read, singleflight style.
-	DedupedReads int
-	// PhysicalReads counts the backend operations the I/O engine actually
-	// issued after coalescing and dedup: with an engine, the true device
-	// operation count. IOs() keeps reporting the logical count.
-	PhysicalReads int
-	// FaultedReads counts block reads that still failed after the storage
-	// tier's retries (zero on healthy devices and on the in-memory
-	// engines). Cancellation is not a fault.
-	FaultedReads int
-	// SkippedChains counts bucket chains abandoned because a block was
-	// unreadable: the degraded-mode skips behind FaultedReads.
-	SkippedChains int
-	// Partial counts queries that skipped at least one chain and thus
-	// served a possibly-incomplete result (per query it is 0 or 1; Merge
-	// makes it the partial-query count alongside Queries).
-	Partial int
-	// IOsAtInf is the paper's N_IO,∞ for the in-memory reference: what the
-	// query would cost on storage with unlimited block size.
-	IOsAtInf int
-	// NodesVisited counts R-tree nodes expanded (SRS).
-	NodesVisited int
-	// EarlyStopped counts queries ended by SRS's chi-square test rather
-	// than the budget or tree exhaustion.
-	EarlyStopped int
-	// RoundsSkipped counts ladder rounds the autotune controller cut
-	// relative to the full schedule (recall-target early stops and
-	// latency-budget stops; zero without EnableAutotune).
-	RoundsSkipped int
-	// BudgetExhausted counts queries the controller stopped because their
-	// latency budget could not cover another round.
-	BudgetExhausted int
-	// DegradedKnobs counts knob-degradation steps the controller took
-	// mid-query (readahead off, multi-probe down, candidate budget down) to
-	// stay within latency budgets.
-	DegradedKnobs int
-}
-
-// IOs returns the total storage I/O count (the paper's N_IO).
-func (s Stats) IOs() int { return s.TableIOs + s.BucketIOs }
-
-// Merge folds o into s.
-//
-//lsh:foldall Stats
-func (s *Stats) Merge(o Stats) {
-	s.Queries += o.Queries
-	s.Radii += o.Radii
-	s.Probes += o.Probes
-	s.NonEmptyProbes += o.NonEmptyProbes
-	s.EntriesScanned += o.EntriesScanned
-	s.Checked += o.Checked
-	s.Duplicates += o.Duplicates
-	s.FPRejected += o.FPRejected
-	s.TableIOs += o.TableIOs
-	s.BucketIOs += o.BucketIOs
-	s.CacheHits += o.CacheHits
-	s.CacheMisses += o.CacheMisses
-	s.PrefetchedBlocks += o.PrefetchedBlocks
-	s.CoalescedReads += o.CoalescedReads
-	s.DedupedReads += o.DedupedReads
-	s.PhysicalReads += o.PhysicalReads
-	s.FaultedReads += o.FaultedReads
-	s.SkippedChains += o.SkippedChains
-	s.Partial += o.Partial
-	s.IOsAtInf += o.IOsAtInf
-	s.NodesVisited += o.NodesVisited
-	s.EarlyStopped += o.EarlyStopped
-	s.RoundsSkipped += o.RoundsSkipped
-	s.BudgetExhausted += o.BudgetExhausted
-	s.DegradedKnobs += o.DegradedKnobs
-}
-
-// MeanRadii returns the paper's r̄, the average radii searched per query.
-func (s Stats) MeanRadii() float64 { return s.perQuery(s.Radii) }
-
-// MeanIOs returns the average N_IO per query.
-func (s Stats) MeanIOs() float64 { return s.perQuery(s.IOs()) }
-
-// MeanChecked returns the average distance computations per query.
-func (s Stats) MeanChecked() float64 { return s.perQuery(s.Checked) }
-
-func (s Stats) perQuery(total int) float64 {
-	if s.Queries == 0 {
-		return 0
-	}
-	return float64(total) / float64(s.Queries)
-}
-
 // searchSettings is the resolved option set of one Search or BatchSearch.
 type searchSettings struct {
 	k          int
@@ -294,15 +155,16 @@ func (s searchSettings) knobs() ladder.Knobs {
 }
 
 // querier is one engine's per-goroutine searcher: scratch buffers and
-// nothing else. Everything a query may set arrives in kn (engines ignore the
-// knobs they have no use for), so a querier can serve any query of its
-// engine. dst, when non-nil, provides the backing array for the returned
-// Result's neighbors (its contents are overwritten); BatchSearch hands each
-// query a distinct slab segment so the per-query steady state allocates
-// nothing. A nil dst asks the querier to allocate fresh backing. Not safe
-// for concurrent use.
+// nothing else; the E2LSH engines' searchers are queriers as they stand, the
+// baselines' sit behind a two-line adapter. Everything a query may set
+// arrives in kn (engines ignore the knobs they have no use for), so a querier
+// can serve any query of its engine. dst, when non-nil, provides the backing
+// array for the returned Result's neighbors (its contents are overwritten);
+// BatchSearch hands each query a distinct slab segment so the per-query
+// steady state allocates nothing. A nil dst asks the querier to allocate
+// fresh backing. Not safe for concurrent use.
 type querier interface {
-	query(ctx context.Context, q []float32, kn ladder.Knobs, dst []ann.Neighbor) (Result, Stats, error)
+	Run(ctx context.Context, q []float32, kn ladder.Knobs, dst []ann.Neighbor) (Result, Stats, error)
 }
 
 // freeList is a stack of idle values behind a mutex: the reuse pattern of
@@ -389,7 +251,7 @@ type call struct {
 func (c *call) run(ctx context.Context, qr querier, q []float32, i int, dst []ann.Neighbor) (Result, Stats, error) {
 	kn := c.set.knobs()
 	if c.col == nil && c.tn == nil {
-		return qr.query(ctx, q, kn, dst)
+		return qr.Run(ctx, q, kn, dst)
 	}
 	var wait time.Duration
 	if i < len(c.waits) {
@@ -405,7 +267,7 @@ func (c *call) run(ctx context.Context, qr querier, q []float32, i int, dst []an
 	if c.tn != nil {
 		kn.Ctl = c.tn.Start(c.set.tuning.internal(), baseKnobs(c.set), t0.Add(-wait))
 	}
-	res, st, err := qr.query(ctx, q, kn, dst)
+	res, st, err := qr.Run(ctx, q, kn, dst)
 	if c.col != nil {
 		c.col.FinishQuery(time.Since(t0), kn.Trace)
 	}
@@ -583,23 +445,4 @@ func (m *InMemoryIndex) BatchSearch(ctx context.Context, queries [][]float32, op
 // IndexBytes reports the DRAM footprint of the hash index.
 func (m *InMemoryIndex) IndexBytes() int64 { return m.ix.IndexBytes() }
 
-func (m *InMemoryIndex) newQuerier() querier { return memQuerier{s: m.ix.NewSearcher()} }
-
-type memQuerier struct {
-	s *memindex.Searcher
-}
-
-//lsh:foldall memindex.QueryStats
-func (m memQuerier) query(ctx context.Context, q []float32, kn ladder.Knobs, dst []ann.Neighbor) (Result, Stats, error) {
-	res, st, err := m.s.Run(ctx, q, kn, dst)
-	return res, Stats{
-		Queries:        1,
-		Radii:          st.Radii,
-		Probes:         st.Probes,
-		NonEmptyProbes: st.NonEmptyProbes,
-		EntriesScanned: st.EntriesScanned,
-		Checked:        st.Checked,
-		Duplicates:     st.Duplicates,
-		IOsAtInf:       st.IOsAtInf,
-	}, err
-}
+func (m *InMemoryIndex) newQuerier() querier { return m.ix.NewSearcher() }

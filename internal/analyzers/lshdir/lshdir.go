@@ -4,8 +4,6 @@
 //	//lsh:hotpath            function must not allocate   (hotpathalloc)
 //	//lsh:ladder             loop must poll ctx each turn  (ctxladder)
 //	//lsh:guardedby mu       field needs the named mutex   (guardedby)
-//	//lsh:counters           struct is a counter set       (statsfold)
-//	//lsh:foldall T          func must touch every field   (statsfold)
 //	//lsh:allocok reason     suppress one hotpathalloc hit
 //	//lsh:ctxok reason       suppress one ctxladder hit
 //	//lsh:nolock reason      suppress one guardedby hit

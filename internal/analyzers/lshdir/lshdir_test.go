@@ -13,7 +13,7 @@ const src = `package p
 func hot() {}
 
 // Doc text first.
-//lsh:foldall Stats
+//lsh:ctxok runs to completion
 func fold() {}
 
 func plain() {}
@@ -51,11 +51,11 @@ func TestAssociation(t *testing.T) {
 	if !m.Covers("hotpath", decls[0]) {
 		t.Error("hotpath directive not associated with hot()")
 	}
-	d, ok := m.Get("foldall", decls[1])
-	if !ok || d.Args != "Stats" {
-		t.Errorf("foldall on fold() = %+v, %v; want Args Stats", d, ok)
+	d, ok := m.Get("ctxok", decls[1])
+	if !ok || d.Args != "runs to completion" {
+		t.Errorf("ctxok on fold() = %+v, %v; want Args %q", d, ok, "runs to completion")
 	}
-	if m.Covers("hotpath", decls[2]) || m.Covers("foldall", decls[2]) {
+	if m.Covers("hotpath", decls[2]) || m.Covers("ctxok", decls[2]) {
 		t.Error("plain() should carry no directives")
 	}
 	if m.Covers("ladder", decls[3]) {

@@ -56,8 +56,7 @@ func BenchmarkSyncSearch(b *testing.B) {
 }
 
 // BenchmarkParallelSearch measures the serving WaveSearcher with no engine
-// attached (in-line reads). It keeps its name so the BENCH_*.json trajectory
-// and CI's bench gate keep tracking the default serving path.
+// attached (in-line reads): the default serving path.
 func BenchmarkParallelSearch(b *testing.B) {
 	d, _, ix := benchSetup(b)
 	ps := ix.NewWaveSearcher()

@@ -124,8 +124,6 @@ func (ix *Index) readBatch(addrs []blockstore.Addr, dsts [][]byte, group int, bs
 }
 
 // foldBatchStats merges one engine call's outcome counters into st.
-//
-//lsh:foldall ioengine.BatchStats
 func foldBatchStats(st *Stats, bs ioengine.BatchStats) {
 	if st == nil {
 		return

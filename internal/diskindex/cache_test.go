@@ -10,6 +10,8 @@ import (
 	"e2lshos/internal/ann"
 	"e2lshos/internal/blockstore"
 	"e2lshos/internal/dataset"
+	"e2lshos/internal/foldtest"
+	"e2lshos/internal/ioengine"
 	"e2lshos/internal/lsh"
 )
 
@@ -110,7 +112,7 @@ func runRepeated(t *testing.T, ix *Index, d *dataset.Dataset, passes int) ([]ann
 			agg.BucketIOs += st.BucketIOs
 			agg.CacheHits += st.CacheHits
 			agg.CacheMisses += st.CacheMisses
-			agg.Prefetched += st.Prefetched
+			agg.PrefetchedBlocks += st.PrefetchedBlocks
 			results[qi] = res
 		}
 	}
@@ -184,7 +186,7 @@ func TestReadaheadPrefetchesAndAgrees(t *testing.T) {
 	if st.Radii <= len(d.Queries) {
 		t.Skip("ladder ended after one round; no readahead window at this scale")
 	}
-	if st.Prefetched == 0 {
+	if st.PrefetchedBlocks == 0 {
 		t.Error("multi-round queries prefetched nothing")
 	}
 	if st.CacheHits == 0 {
@@ -267,5 +269,18 @@ func TestUpdateInvalidatesCache(t *testing.T) {
 	}
 	if len(res.Neighbors) > 0 && res.Neighbors[0].ID == id && res.Neighbors[0].Dist == 0 {
 		t.Fatal("deleted vector still served from cache")
+	}
+}
+
+// TestFoldBatchStatsEveryField: everything an engine call reports lands in
+// the query's Stats — a counter added to ioengine.BatchStats and not folded
+// here would read zero on /stats.
+func TestFoldBatchStatsEveryField(t *testing.T) {
+	var bs ioengine.BatchStats
+	foldtest.Fill(&bs)
+	var st Stats
+	foldBatchStats(&st, bs)
+	if got, want := foldtest.Sum(st), foldtest.Sum(bs); got != want {
+		t.Errorf("foldBatchStats carried %d of %d: %+v from %+v", got, want, st, bs)
 	}
 }

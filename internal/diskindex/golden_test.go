@@ -15,7 +15,6 @@ import (
 
 	"e2lshos/internal/ann"
 	"e2lshos/internal/ladder"
-	"e2lshos/internal/memindex"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/ladder_golden.txt from this run")
@@ -40,7 +39,7 @@ func queryDigest(nbrs []ann.Neighbor, counters ...int) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-func memDigest(res ann.Result, st memindex.QueryStats) string {
+func memDigest(res ann.Result, st Stats) string {
 	return queryDigest(res.Neighbors, st.Radii, st.Probes, st.NonEmptyProbes,
 		st.EntriesScanned, st.Checked, st.Duplicates, st.IOsAtInf)
 }

@@ -2,6 +2,7 @@ package diskindex
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"e2lshos/internal/ann"
@@ -66,12 +67,10 @@ func TestWaveSearchIntoZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestInsertZeroAllocs is the steady-state contract for the update path:
-// with the WAL off and the dataset slice holding spare capacity, Insert
-// runs entirely on the pooled update scratch — zero allocations per call.
-// (Chain-head overflow, roughly one insert in a hundred per bucket,
-// legitimately allocates a fresh block; the run count stays below that.)
-func TestInsertZeroAllocs(t *testing.T) {
+// insertAllocIndex builds the index the insert allocation tests mutate, with
+// spare capacity so the measured inserts never regrow the dataset slice.
+func insertAllocIndex(t *testing.T, store *blockstore.Store) (*Index, *dataset.Dataset) {
+	t.Helper()
 	const n, spare = 3500, 80
 	d, err := dataset.Generate(dataset.Spec{
 		Name: "insalloc", N: n, Queries: 1, Dim: 16,
@@ -90,13 +89,22 @@ func TestInsertZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Spare capacity so the measured inserts never regrow the dataset slice.
 	data := make([][]float32, n, n+spare)
 	copy(data, d.Vectors)
-	ix, err := Build(data, p, DefaultOptions(), blockstore.NewMem())
+	ix, err := Build(data, p, DefaultOptions(), store)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return ix, d
+}
+
+// TestInsertZeroAllocs is the steady-state contract for the update path:
+// with the WAL off and the dataset slice holding spare capacity, Insert
+// runs entirely on the pooled update scratch — zero allocations per call.
+// (Chain-head overflow, roughly one insert in a hundred per bucket,
+// legitimately allocates a fresh block; the run count stays below that.)
+func TestInsertZeroAllocs(t *testing.T) {
+	ix, d := insertAllocIndex(t, blockstore.NewMem())
 	vec := make([]float32, d.Dim)
 	copy(vec, d.Vectors[0])
 	// Warmup (inside AllocsPerRun too) sizes the scratch and prepends fresh
@@ -111,6 +119,73 @@ func TestInsertZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state Insert allocates %v allocs/op, want 0", allocs)
+	}
+}
+
+// slabBackend is a RAM backend of fixed capacity that never allocates after
+// construction, so a heap-byte count taken around index updates is the
+// index's own garbage and not the store growing.
+type slabBackend struct {
+	data   []byte
+	blocks uint64
+}
+
+func (b *slabBackend) ReadBlock(a blockstore.Addr, buf []byte) error {
+	copy(buf[:blockstore.BlockSize], b.data[int(a)*blockstore.BlockSize:])
+	return nil
+}
+
+func (b *slabBackend) ReadBlocks(addrs []blockstore.Addr, bufs [][]byte) (int, error) {
+	return blockstore.ReadBlocksSerial(b, addrs, bufs)
+}
+
+func (b *slabBackend) WriteBlock(a blockstore.Addr, data []byte) error {
+	dst := b.data[int(a)*blockstore.BlockSize:][:blockstore.BlockSize]
+	clear(dst[copy(dst, data):])
+	b.blocks = max(b.blocks, uint64(a)+1)
+	return nil
+}
+
+func (b *slabBackend) NumBlocks() uint64 { return b.blocks }
+
+// TestInsertFreshChainsAllocBytes bounds the garbage of the expensive kind
+// of insert: a vector far from the data lands in empty buckets, so nearly
+// every one of its L·R chains gets a fresh head block and a rewritten table
+// entry. The rewrite used to read the table block into a local array that
+// escaped to the heap — one block of garbage per chain, 19.8 KB per insert
+// on this index.
+func TestInsertFreshChainsAllocBytes(t *testing.T) {
+	const inserts, maxBytesPerInsert = 32, 2048
+	store := blockstore.NewWithBackend(&slabBackend{data: make([]byte, 64<<20)})
+	store.SetChecksums(false) // the checksum table grows with the store
+	ix, d := insertAllocIndex(t, store)
+	vecs := make([][]float32, inserts+1)
+	for i := range vecs {
+		vecs[i] = make([]float32, d.Dim)
+		for j := range vecs[i] {
+			vecs[i][j] = d.Vectors[0][j] + float32(50*(i+1))
+		}
+	}
+	if _, err := ix.Insert(vecs[inserts]); err != nil { // sizes the scratch
+		t.Fatal(err)
+	}
+	blocks := store.NumBlocks()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, v := range vecs[:inserts] {
+		if _, err := ix.Insert(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perInsert := (after.TotalAlloc - before.TotalAlloc) / inserts
+	fresh := (store.NumBlocks() - blocks) / inserts
+	t.Logf("%d B allocated per insert, %d fresh head blocks per insert", perInsert, fresh)
+	if fresh < 20 {
+		t.Fatalf("inserts opened only %d fresh chains each; the test no longer exercises table rewrites", fresh)
+	}
+	if perInsert > maxBytesPerInsert {
+		t.Errorf("Insert allocated %d B per call, want at most %d", perInsert, maxBytesPerInsert)
 	}
 }
 

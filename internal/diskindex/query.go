@@ -12,71 +12,9 @@ import (
 	"e2lshos/internal/lsh"
 )
 
-// Stats records what one query did against the on-storage index, in the
-// units the paper's analysis uses.
-//
-//lsh:counters
-type Stats struct {
-	// Radii is the number of (R,c)-NN rounds executed.
-	Radii int
-	// Probes counts table lookups attempted (L per radius).
-	Probes int
-	// NonEmptyProbes counts lookups whose occupancy bit was set; only these
-	// cost I/O.
-	NonEmptyProbes int
-	// TableIOs counts hash-table block reads (one per non-empty probe).
-	TableIOs int
-	// BucketIOs counts logical bucket block reads, including chain blocks.
-	BucketIOs int
-	// EntriesScanned counts object infos decoded from fetched bucket blocks.
-	// Checked + Duplicates + FPRejected ≤ EntriesScanned, with equality
-	// whenever the budget did not cut a round short.
-	EntriesScanned int
-	// FPRejected counts entries dropped by the fingerprint check (§5.2):
-	// u-bit collisions that are not 32-bit collisions.
-	FPRejected int
-	// Duplicates counts entries skipped because the object was already seen.
-	Duplicates int
-	// Checked counts distance computations.
-	Checked int
-	// CacheHits and CacheMisses count block-cache outcomes on the read path
-	// (counted when the attached I/O engine holds a cache). Misses are the
-	// reads that reached the backend, so with a cache the effective N_IO is
-	// CacheMisses.
-	CacheHits   int
-	CacheMisses int
-	// Prefetched counts blocks the engine's readahead pulled into the cache
-	// for this query's radius rounds.
-	Prefetched int
-	// CoalescedReads counts backend reads the I/O engine saved by merging
-	// runs of adjacent block addresses into single vectored operations
-	// (counted when an engine is attached). The logical N_IO is unchanged;
-	// these reads simply never became separate physical requests.
-	CoalescedReads int
-	// DedupedReads counts reads satisfied by joining another query's
-	// in-flight backend read, singleflight style (counted when an engine is
-	// attached).
-	DedupedReads int
-	// PhysicalReads counts the backend operations the I/O engine actually
-	// issued for this query after coalescing and dedup (counted when an
-	// engine is attached). CacheMisses remains the logical backend-reaching
-	// count.
-	PhysicalReads int
-	// FaultedReads counts block reads that still failed after the I/O
-	// layer's retries (storage faults only; cancellation is not a fault).
-	FaultedReads int
-	// SkippedChains counts bucket chains abandoned — or never entered —
-	// because a block was unreadable: the degraded-mode skips.
-	SkippedChains int
-	// Partial is 1 when the query skipped any chain and thus served a
-	// possibly-incomplete result, 0 for a complete answer. An int rather
-	// than a bool so it folds through Merge like every other counter
-	// (merged value = number of partial queries).
-	Partial int
-}
-
-// IOs returns the total I/O count of the query (the paper's N_IO).
-func (st Stats) IOs() int { return st.TableIOs + st.BucketIOs }
+// Stats is the one work-counter struct (see ladder.Stats): the disk searchers
+// count their I/O straight into the ladder driver's copy.
+type Stats = ladder.Stats
 
 // storageFault reports whether err is a storage-layer failure the query
 // should degrade around (skip the chain, keep serving) rather than abort
@@ -94,23 +32,20 @@ func storageFault(err error) bool {
 }
 
 // skipChain records one abandoned chain in st.
-func (st *Stats) skipChain() {
+func skipChain(st *Stats) {
 	st.FaultedReads++
 	st.SkippedChains++
 	st.Partial = 1
 }
 
 // searcher is what the reference Searcher and the serving WaveSearcher share:
-// the ladder driver with its scratch, the query's Stats, and the disk-only
-// work around a run — the update lock, readahead issue and settle.
+// the ladder driver with its scratch and the running query's Stats, and the
+// disk-only work around a run — the update lock, readahead issue and settle.
 type searcher struct {
 	ix  *Index
 	lad *ladder.Driver
 	// rounds is the embedding searcher, the driver's view of it.
 	rounds ladder.Rounds
-	// st is the running query's counters (the driver's Counts fold in when
-	// the ladder returns).
-	st Stats
 	// Readahead scratch: next-round hashes, a projection buffer for
 	// per-radius families, and the in-flight prefetch handle.
 	nextHashes []uint32
@@ -165,28 +100,18 @@ func (s *searcher) SearchInto(ctx context.Context, q []float32, k int, dst []ann
 // Insert/Delete (which holds it exclusively) is observed either fully applied
 // across all its chains or not at all — never a torn chain — and the dataset
 // the candidates are verified against is the one read under that lock.
-//
-//lsh:foldall ladder.Counts
 func (s *searcher) Run(ctx context.Context, q []float32, kn ladder.Knobs, dst []ann.Neighbor) (ann.Result, Stats, error) {
 	ix := s.ix
 	ix.checkDim(q)
 	u := ix.upd
 	u.mu.RLock()
 	defer u.mu.RUnlock()
-	s.st = Stats{}
 	err := s.lad.Run(ctx, s.rounds, q, ix.data, kn)
 	// Settle readahead issued for a round the ladder never entered, so no
 	// prefetch work outlives the query and the stats stay exact. On
 	// cancellation the engine's walk stops between waves.
 	s.settle()
-	c, st := &s.lad.Counts, s.st
-	st.Radii = c.Radii
-	st.Probes = c.Probes
-	st.NonEmptyProbes = c.NonEmptyProbes
-	st.EntriesScanned = c.EntriesScanned
-	st.Checked = c.Checked
-	st.Duplicates = c.Duplicates
-	return ann.Result{Neighbors: s.lad.TopK().AppendResultSq(dst[:0])}, st, err
+	return ann.Result{Neighbors: s.lad.TopK().AppendResultSq(dst[:0])}, s.lad.Stats, err
 }
 
 // BeginRound implements ladder.Rounds for both disk searchers: it settles the
@@ -205,7 +130,7 @@ func (s *searcher) BeginRound(ctx context.Context, r int, readahead bool) {
 // settle folds a finished readahead walk into the stats.
 func (s *searcher) settle() {
 	if s.pending != nil {
-		s.st.Prefetched += int(s.pending.Wait())
+		s.lad.PrefetchedBlocks += int(s.pending.Wait())
 		s.pending = nil
 	}
 }
@@ -236,7 +161,7 @@ func (ix *Index) NewSearcher() *Searcher {
 //
 //lsh:hotpath
 func (s *Searcher) Visit(r, l int, h uint32) (bool, error) {
-	ix, st, lad := s.ix, &s.st, s.lad
+	ix, lad, st := s.ix, s.lad, &s.lad.Stats
 	idx, fp := lsh.SplitHash(h, ix.u)
 	if !ix.isOccupied(r, l, idx) {
 		return false, nil
@@ -248,7 +173,7 @@ func (s *Searcher) Visit(r, l int, h uint32) (bool, error) {
 			// Unreadable table block after the I/O layer's retries: skip
 			// this bucket rather than fail the query (degraded mode). The
 			// candidates already pushed from other buckets stand.
-			st.skipChain()
+			skipChain(st)
 			return false, nil
 		}
 		return false, err
@@ -259,7 +184,7 @@ func (s *Searcher) Visit(r, l int, h uint32) (bool, error) {
 			if storageFault(err) {
 				// Abandon the rest of this chain; entries scanned from its
 				// earlier blocks already reached the accumulator and stay.
-				st.skipChain()
+				skipChain(st)
 				return false, nil
 			}
 			return false, err
@@ -292,9 +217,9 @@ func (s *Searcher) EndRound(int) (ladder.IO, error) { return ladder.IO{}, nil }
 //lsh:hotpath
 func (s *Searcher) readTableEntry(r, l int, idx uint32) (blockstore.Addr, error) {
 	blk, off := s.ix.tableEntryBlock(r, l, idx)
-	if err := s.ix.readBlock(blk, s.buf[:blockstore.BlockSize], &s.st); err != nil {
+	if err := s.ix.readBlock(blk, s.buf[:blockstore.BlockSize], &s.lad.Stats); err != nil {
 		return 0, err
 	}
-	s.st.TableIOs++
+	s.lad.TableIOs++
 	return blockstore.Addr(binary.LittleEndian.Uint64(s.buf[off : off+8])), nil
 }

@@ -63,6 +63,7 @@ type updateScratch struct {
 	hashes  []uint32
 	buf     []byte // one logical bucket block
 	headBuf []byte // second block, for delete's head swap
+	table   []byte // one physical block, for a table-entry rewrite
 }
 
 // scratchLocked returns the scratch sized for this index's layout.
@@ -78,6 +79,7 @@ func (u *updState) scratchLocked(ix *Index) *updateScratch {
 	if len(sc.buf) < ix.bucketBufBytes() {
 		sc.buf = make([]byte, ix.bucketBufBytes())
 		sc.headBuf = make([]byte, ix.bucketBufBytes())
+		sc.table = make([]byte, blockstore.BlockSize)
 	}
 	return sc
 }
@@ -192,7 +194,7 @@ func (ix *Index) insertEntryLocked(r, l int, idx, id, fp uint32, idem bool) erro
 	if err := ix.writeLogicalBlock(newHead, buf[:ix.bucketBytes]); err != nil {
 		return err
 	}
-	if err := ix.storeTableEntry(r, l, idx, newHead); err != nil {
+	if err := ix.storeTableEntryLocked(r, l, idx, newHead); err != nil {
 		return err
 	}
 	ix.setOccupied(r, l, idx)
@@ -312,7 +314,7 @@ func (ix *Index) finishHeadShrink(r, l int, idx uint32, head blockstore.Addr, bu
 	// Head emptied: point the table at the rest of the chain (the emptied
 	// block itself is leaked — deletion is lazy, as documented).
 	next, _ := bucketHeader(buf)
-	if err := ix.storeTableEntry(r, l, idx, next); err != nil {
+	if err := ix.storeTableEntryLocked(r, l, idx, next); err != nil {
 		return err
 	}
 	if next == blockstore.Nil {
@@ -331,15 +333,18 @@ func (ix *Index) loadTableEntry(r, l int, idx uint32, buf []byte) (blockstore.Ad
 	return blockstore.Addr(binary.LittleEndian.Uint64(buf[off : off+8])), nil
 }
 
-// storeTableEntry rewrites one bucket head address in the table region.
-func (ix *Index) storeTableEntry(r, l int, idx uint32, head blockstore.Addr) error {
+// storeTableEntryLocked rewrites one bucket head address in the table
+// region. The caller holds the update lock exclusively, so the block goes
+// through the updater's scratch: a local array would escape to the heap on
+// every one of an insert's table rewrites.
+func (ix *Index) storeTableEntryLocked(r, l int, idx uint32, head blockstore.Addr) error {
 	blk, off := ix.tableEntryBlock(r, l, idx)
-	var buf [blockstore.BlockSize]byte
-	if err := ix.readBlock(blk, buf[:], nil); err != nil {
+	buf := ix.upd.scratch.table
+	if err := ix.readBlock(blk, buf, nil); err != nil {
 		return err
 	}
 	binary.LittleEndian.PutUint64(buf[off:off+8], uint64(head))
-	if err := ix.store.WriteBlock(blk, buf[:]); err != nil {
+	if err := ix.store.WriteBlock(blk, buf); err != nil {
 		return err
 	}
 	ix.cacheInvalidate(blk)

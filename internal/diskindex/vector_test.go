@@ -48,7 +48,7 @@ func withEngine(t testing.TB, ix *Index, opts ioengine.Options, cacheBytes int64
 func logicalStats(st Stats) Stats {
 	st.CacheHits = 0
 	st.CacheMisses = 0
-	st.Prefetched = 0
+	st.PrefetchedBlocks = 0
 	st.CoalescedReads = 0
 	st.DedupedReads = 0
 	st.PhysicalReads = 0
@@ -310,13 +310,13 @@ func TestVectoredReadaheadAgrees(t *testing.T) {
 			}
 		}
 		agg.Radii += st.Radii
-		agg.Prefetched += st.Prefetched
+		agg.PrefetchedBlocks += st.PrefetchedBlocks
 		agg.CacheHits += st.CacheHits
 	}
 	if agg.Radii <= len(d.Queries) {
 		t.Skip("ladder ended after one round; no readahead window at this scale")
 	}
-	if agg.Prefetched == 0 {
+	if agg.PrefetchedBlocks == 0 {
 		t.Error("multi-round queries prefetched nothing through the engine")
 	}
 	if agg.CacheHits == 0 {
@@ -473,9 +473,9 @@ func TestQueueDepthSpeedsUpSimulatedDevice(t *testing.T) {
 	}
 }
 
-// BenchmarkParallelSearcherQD (named for the BENCH_*.json trajectory) is the
-// Table 2 analogue on the wall clock: the same wave searcher, same queries,
-// same simulated cSSD — only the I/O engine's queue depth changes.
+// BenchmarkParallelSearcherQD is the Table 2 analogue on the wall clock: the
+// same wave searcher, same queries, same simulated cSSD — only the I/O
+// engine's queue depth changes.
 func BenchmarkParallelSearcherQD(b *testing.B) {
 	d, _, ix := benchSetup(b)
 	for _, depth := range []int{1, 32} {

@@ -101,7 +101,7 @@ func (s *WaveSearcher) BeginRound(ctx context.Context, r int, readahead bool) {
 //
 //lsh:hotpath
 func (s *WaveSearcher) EndRound(r int) (ladder.IO, error) {
-	st, tr := &s.st, s.lad.Trace()
+	st, tr := &s.lad.Stats, s.lad.Trace()
 	ios, hits := st.IOs(), st.CacheHits
 	fetchStart := tr.Clock()
 	if err := s.fetch(r, st); err != nil {
@@ -180,7 +180,7 @@ func (s *WaveSearcher) fetch(rIdx int, st *Stats) error {
 	live, heads := s.live[:0], s.heads[:0]
 	for i, pr := range probes {
 		if ok != nil && !ok[i] {
-			st.skipChain()
+			skipChain(st)
 			continue
 		}
 		st.TableIOs++
@@ -216,7 +216,7 @@ func (s *WaveSearcher) fetch(rIdx int, st *Stats) error {
 		nextLive, nextHeads := live[:0], heads[:0]
 		for i, pr := range live {
 			if ok != nil && !ok[i] {
-				st.skipChain()
+				skipChain(st)
 				continue
 			}
 			st.BucketIOs++

@@ -93,14 +93,14 @@ func Ablation(env *Env) (*AblationResult, error) {
 	for _, sigma := range []float64{2, 32} {
 		kn := ladder.Knobs{K: 1, Budget: int(math.Ceil(sigma * float64(ws.Params.L)))}
 		s := ws.Mem.NewSearcher()
-		var acc memindex.StatsAccumulator
+		var acc ladder.Stats
 		for _, q := range ws.DS.Queries {
 			_, st := searchMem(s, q, kn)
-			acc.Add(st)
+			acc.Merge(st)
 		}
 		nq := float64(acc.Queries)
-		with := float64(acc.Sum.IOsAtInf) / nq
-		without := with + float64(acc.Sum.Probes-acc.Sum.NonEmptyProbes)/nq
+		with := float64(acc.IOsAtInf) / nq
+		without := with + float64(acc.Probes-acc.NonEmptyProbes)/nq
 		res.Bitmap = append(res.Bitmap, AblationBitmapRow{
 			Budget:           fmt.Sprintf("sigma=%g", sigma),
 			IOsWithBitmap:    with,
@@ -113,17 +113,17 @@ func Ablation(env *Env) (*AblationResult, error) {
 	s := ws.Mem.NewSearcher()
 	for _, t := range []int{0, 2, 8} {
 		kn := ladder.Knobs{K: 1, Budget: 2 * ws.Params.L, MultiProbe: t}
-		var acc memindex.StatsAccumulator
+		var acc ladder.Stats
 		var ratio float64
 		for qi, q := range ws.DS.Queries {
 			r, st := searchMem(s, q, kn)
-			acc.Add(st)
+			acc.Merge(st)
 			ratio += ann.OverallRatio(r, gt[qi], 1)
 		}
 		nq := float64(acc.Queries)
 		res.Probe = append(res.Probe, AblationProbeRow{
 			ExtraProbes: t,
-			Probes:      float64(acc.Sum.Probes) / nq,
+			Probes:      float64(acc.Probes) / nq,
 			Checked:     acc.MeanChecked(),
 			Ratio:       ratio / nq,
 		})

@@ -82,7 +82,7 @@ func CacheSweep(env *Env) (*CacheSweepResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res.LogicalNIO = float64(st.TableIOs+st.BucketIOs) / float64(cacheSweepPasses*nq)
+	res.LogicalNIO = st.MeanIOs()
 
 	// The cached rows attach engines to the workload's shared index; leave
 	// it as found for the next experiment.
@@ -154,10 +154,7 @@ func runSweepSequential(ix *diskindex.Index, ws *Workload, kn ladder.Knobs) (dis
 			if err != nil {
 				return agg, err
 			}
-			agg.TableIOs += st.TableIOs
-			agg.BucketIOs += st.BucketIOs
-			agg.CacheHits += st.CacheHits
-			agg.CacheMisses += st.CacheMisses
+			agg.Merge(st)
 		}
 	}
 	return agg, nil

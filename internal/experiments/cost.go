@@ -8,7 +8,6 @@ import (
 	"e2lshos/internal/costmodel"
 	"e2lshos/internal/ladder"
 	"e2lshos/internal/lsh"
-	"e2lshos/internal/memindex"
 	"e2lshos/internal/qalsh"
 	"e2lshos/internal/srs"
 )
@@ -17,7 +16,7 @@ import (
 // GEMV projection (per radius when projections are not shared) plus the
 // quantize-and-mix combines. All engines project through the same MatVec
 // kernel since PR 4, so the charge uses the GEMV op class.
-func e2lshHashNS(m costmodel.CPUModel, p lsh.Params, st memindex.QueryStats, share bool) float64 {
+func e2lshHashNS(m costmodel.CPUModel, p lsh.Params, st ladder.Stats, share bool) float64 {
 	proj := m.ProjectionsGEMV(p.Dim, p.L*p.M)
 	if !share {
 		proj *= float64(st.Radii)
@@ -27,7 +26,7 @@ func e2lshHashNS(m costmodel.CPUModel, p lsh.Params, st memindex.QueryStats, sha
 
 // e2lshVerifyNS is the verify-side CPU charge of one E2LSH query: bucket
 // scanning, dedup stamps and the (pruned) distance computations.
-func e2lshVerifyNS(m costmodel.CPUModel, p lsh.Params, st memindex.QueryStats) float64 {
+func e2lshVerifyNS(m costmodel.CPUModel, p lsh.Params, st ladder.Stats) float64 {
 	return m.Scan(st.EntriesScanned) +
 		m.Dedup(st.Checked+st.Duplicates) +
 		m.Distance(p.Dim)*float64(st.Checked)
@@ -36,7 +35,7 @@ func e2lshVerifyNS(m costmodel.CPUModel, p lsh.Params, st memindex.QueryStats) f
 // e2lshQueryNS charges the cost model for one in-memory E2LSH query's work.
 // stall applies the footprint penalty the paper measured for the large
 // in-memory index (§4.5); E2LSHoS's T_compute omits it.
-func e2lshQueryNS(m costmodel.CPUModel, p lsh.Params, st memindex.QueryStats, share, stall bool) float64 {
+func e2lshQueryNS(m costmodel.CPUModel, p lsh.Params, st ladder.Stats, share, stall bool) float64 {
 	t := m.QueryFixed
 	t += e2lshHashNS(m, p, st, share)
 	t += m.MemPerLine * float64(st.Probes) // hash table lookups

@@ -170,7 +170,7 @@ func (ws *Workload) Disk(env *Env) (*diskindex.Index, error) {
 // searchMem answers one query on the in-memory reference under kn.
 // Experiments run to completion, so there is no context to thread, and
 // without one the in-memory ladder cannot fail.
-func searchMem(s *memindex.Searcher, q []float32, kn ladder.Knobs) (ann.Result, memindex.QueryStats) {
+func searchMem(s *memindex.Searcher, q []float32, kn ladder.Knobs) (ann.Result, ladder.Stats) {
 	//lsh:ctxok experiments run to completion; nothing cancels them
 	res, st, _ := s.Run(context.Background(), q, kn, nil)
 	return res, st

@@ -5,7 +5,7 @@ import (
 
 	"e2lshos/internal/dataset"
 	"e2lshos/internal/iosim"
-	"e2lshos/internal/memindex"
+	"e2lshos/internal/ladder"
 	"e2lshos/internal/report"
 	"e2lshos/internal/simclock"
 )
@@ -164,17 +164,17 @@ func Table4(env *Env) (*Table4Result, error) {
 			return nil, err
 		}
 		s := ws.Mem.NewSearcher()
-		var acc memindex.StatsAccumulator
+		var acc ladder.Stats
 		for _, q := range ws.DS.Queries {
 			_, st := s.Search(q, 1)
-			acc.Add(st)
+			acc.Merge(st)
 		}
 		res.Rows = append(res.Rows, Table4Row{
 			Dataset:    ws.DS.Name,
 			L:          ws.Params.L,
 			TotalRadii: ws.Params.R(),
 			MeanRadii:  acc.MeanRadii(),
-			IOsInf:     acc.MeanIOsAtInf(),
+			IOsInf:     float64(acc.IOsAtInf) / float64(acc.Queries),
 		})
 	}
 	return res, nil

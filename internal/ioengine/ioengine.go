@@ -76,9 +76,7 @@ type Options struct {
 }
 
 // BatchStats reports what one Read or ReadBatch call did, in the per-query
-// units diskindex.Stats folds in.
-//
-//lsh:counters
+// units the searchers fold into their Stats.
 type BatchStats struct {
 	// CacheHits and CacheMisses count cache outcomes (zero without a cache).
 	// A deduped read counts as a hit: it never reached the backend on this
@@ -95,9 +93,17 @@ type BatchStats struct {
 	PhysicalReads int
 }
 
-// Counters are the engine's cumulative totals, for serving-layer /stats.
-//
-//lsh:counters
+// add folds o into s.
+func (s *BatchStats) add(o BatchStats) {
+	s.CacheHits += o.CacheHits
+	s.CacheMisses += o.CacheMisses
+	s.DedupedReads += o.DedupedReads
+	s.CoalescedReads += o.CoalescedReads
+	s.PhysicalReads += o.PhysicalReads
+}
+
+// Counters are the engine's cumulative totals, for the serving layer's
+// /metrics.
 type Counters struct {
 	// Reads is the number of block reads requested (demand traffic;
 	// prefetch waves count only in PhysicalReads/CoalescedReads).
@@ -120,6 +126,19 @@ type Counters struct {
 	QuarantineHits int64
 	// Quarantined is the current size of the quarantine set (a gauge).
 	Quarantined int64
+}
+
+// Add folds o into c, which is how a sharded index totals its shards'
+// engines (Quarantined sums too: the shards' stores are disjoint).
+func (c *Counters) Add(o Counters) {
+	c.Reads += o.Reads
+	c.PhysicalReads += o.PhysicalReads
+	c.CoalescedReads += o.CoalescedReads
+	c.DedupedReads += o.DedupedReads
+	c.RetriedReads += o.RetriedReads
+	c.FaultedReads += o.FaultedReads
+	c.QuarantineHits += o.QuarantineHits
+	c.Quarantined += o.Quarantined
 }
 
 // flight is one in-flight backend read other callers may join.
@@ -215,8 +234,6 @@ func (e *Engine) SetDepth(n int) bool {
 func (e *Engine) Cache() *blockcache.Cache { return e.cache }
 
 // Counters returns the cumulative engine totals.
-//
-//lsh:foldall Counters
 func (e *Engine) Counters() Counters {
 	return Counters{
 		Reads:          e.reads.Load(),
@@ -451,7 +468,6 @@ type run struct{ lo, hi int }
 // engine lock, then submits the misses as coalesced runs.
 //
 //lsh:hotpath
-//lsh:foldall BatchStats
 func (e *Engine) readWave(ctx context.Context, addrs []blockstore.Addr, bufs [][]byte, st *BatchStats, quiet bool, h *blockcache.Handle) error {
 	ws := e.getScratch()
 	var (
@@ -551,11 +567,7 @@ func (e *Engine) readWave(ctx context.Context, addrs []blockstore.Addr, bufs [][
 		}
 	}
 	if st != nil {
-		st.CacheHits += bst.CacheHits
-		st.CacheMisses += bst.CacheMisses
-		st.DedupedReads += bst.DedupedReads
-		st.CoalescedReads += bst.CoalescedReads
-		st.PhysicalReads += bst.PhysicalReads
+		st.add(bst)
 	}
 	return firstErr
 }

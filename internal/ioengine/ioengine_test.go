@@ -12,6 +12,7 @@ import (
 
 	"e2lshos/internal/blockcache"
 	"e2lshos/internal/blockstore"
+	"e2lshos/internal/foldtest"
 )
 
 // slowSource is a Source with per-op latency, call counting and a gate that
@@ -561,5 +562,37 @@ func TestBatchStatsString(t *testing.T) {
 	}
 	if s := fmt.Sprintf("%+v", bst); !bytes.Contains([]byte(s), []byte("CoalescedReads")) {
 		t.Errorf("unexpected stats rendering: %s", s)
+	}
+}
+
+// TestCounterFoldsEveryField: the three places this package copies a counter
+// struct field by field — Counters.Add, BatchStats.add and the snapshot
+// Engine.Counters takes of its atomics — lose no field.
+func TestCounterFoldsEveryField(t *testing.T) {
+	var c, csum Counters
+	foldtest.Fill(&c)
+	csum.Add(c)
+	if csum != c {
+		t.Errorf("zero.Add(filled) = %+v, want %+v", csum, c)
+	}
+	var b, bsum BatchStats
+	foldtest.Fill(&b)
+	bsum.add(b)
+	if bsum != b {
+		t.Errorf("zero.add(filled) = %+v, want %+v", bsum, b)
+	}
+
+	eng, err := New(testStore(t, 4), Options{Depth: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, a := range []*atomic.Int64{
+		&eng.reads, &eng.physical, &eng.coalesced, &eng.deduped, &eng.retried, &eng.faulted, &eng.quarHits,
+	} {
+		a.Store(int64(i + 1))
+	}
+	eng.quar.add(1, errors.New("dead block"))
+	if zero := foldtest.ZeroFields(eng.Counters()); len(zero) > 0 {
+		t.Errorf("Engine.Counters() left %v unset", zero)
 	}
 }

@@ -71,34 +71,15 @@ type IO struct {
 	Blocks, CacheHits int64
 }
 
-// Counts are the logical counters every E2LSH searcher reports, in the
-// paper's units. The driver counts rounds, probes and candidate checks; the
-// searcher's Visit counts the buckets it found occupied and the entries it
-// read.
-//
-//lsh:counters
-type Counts struct {
-	// Radii is the number of (R,c)-NN rounds executed.
-	Radii int
-	// Probes counts bucket lookups attempted.
-	Probes int
-	// NonEmptyProbes counts lookups that found an occupied bucket.
-	NonEmptyProbes int
-	// EntriesScanned counts bucket entries read, duplicates included.
-	EntriesScanned int
-	// Checked counts distance computations.
-	Checked int
-	// Duplicates counts entries skipped because the object was already seen.
-	Duplicates int
-}
-
 // Driver runs the ladder for one searcher and owns the state every run
 // needs: projection and hash buffers, the multi-probe floor arenas, the
-// epoch-stamped visited array, the top-k accumulator and the logical
-// counters. After warm-up a run allocates nothing (multi-probe's
+// epoch-stamped visited array, the top-k accumulator and the running query's
+// Stats. The driver counts rounds, probes, candidate checks and duplicates;
+// the searcher's Visit and EndRound count everything else straight into the
+// same struct. After warm-up a run allocates nothing (multi-probe's
 // perturbation sets aside). Not safe for concurrent use.
 type Driver struct {
-	Counts
+	Stats
 
 	p        lsh.Params
 	families []*lsh.Family // one if shared, else one per radius
@@ -150,7 +131,7 @@ func (d *Driver) Proj() []float64 { return d.proj }
 func (d *Driver) Trace() *telemetry.Trace { return d.trace }
 
 // Run answers one top-k query for q over data, leaving the winners in TopK
-// and the logical counters in Counts. ctx is polled between rounds; on
+// and the query's counters in Stats. ctx is polled between rounds; on
 // cancellation the neighbors accumulated so far stand and ctx.Err() is
 // returned. An error from the searcher empties the accumulator.
 func (d *Driver) Run(ctx context.Context, rounds Rounds, q []float32, data [][]float32, kn Knobs) error {
@@ -158,7 +139,7 @@ func (d *Driver) Run(ctx context.Context, rounds Rounds, q []float32, data [][]f
 		panic("ladder: negative budget or multi-probe count")
 	}
 	p := &d.p
-	d.Counts = Counts{}
+	d.Stats = Stats{Queries: 1}
 	d.q, d.data, d.trace = q, data, kn.Trace
 	if n := len(data); n > len(d.seen) {
 		// Inserts grew the dataset past this driver's visited array. Grow
@@ -225,10 +206,7 @@ func (d *Driver) Run(ctx context.Context, rounds Rounds, q []float32, data [][]f
 			fam.HashesAt(d.proj, radius, d.hashes)
 		}
 		projEnd := tr.Clock()
-		var before Counts
-		if tr.Active() {
-			before = d.Counts
-		}
+		checked0, probes0, nonEmpty0 := d.Checked, d.Probes, d.NonEmptyProbes
 		rounds.BeginRound(ctx, r, readahead)
 		d.checked = 0
 		err := d.probe(rounds, fam, r, mp)
@@ -249,9 +227,9 @@ func (d *Driver) Run(ctx context.Context, rounds Rounds, q []float32, data [][]f
 				tr.Add(telemetry.StageIO, r, io.Start, io.End-io.Start, io.Blocks, io.CacheHits)
 				verifyStart = io.End
 			}
-			tr.Add(telemetry.StageVerify, r, verifyStart, end-verifyStart, int64(d.Checked-before.Checked), 0)
+			tr.Add(telemetry.StageVerify, r, verifyStart, end-verifyStart, int64(d.Checked-checked0), 0)
 			tr.Add(telemetry.StageRound, r, roundStart, end-roundStart,
-				int64(d.Probes-before.Probes), int64(d.NonEmptyProbes-before.NonEmptyProbes))
+				int64(d.Probes-probes0), int64(d.NonEmptyProbes-nonEmpty0))
 		}
 		cr := p.C * radius
 		certified := topk.CountWithin(cr * cr)

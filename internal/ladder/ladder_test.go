@@ -84,7 +84,7 @@ func TestProbeOrderBudgetAndDedup(t *testing.T) {
 	// Round 0: 3 checks, 1 duplicate, 2 probes. Rounds 1-2: ids 4 and 5 are
 	// new in round 1 (2 checks, 4 duplicates), all 6 entries duplicates in
 	// round 2; 3 probes each.
-	if got, want := d.Counts, (Counts{Radii: 3, Probes: 8, Checked: 5, Duplicates: 11}); got != want {
+	if got, want := d.Stats, (Stats{Queries: 1, Radii: 3, Probes: 8, Checked: 5, Duplicates: 11}); got != want {
 		t.Errorf("counts %+v, want %+v", got, want)
 	}
 	if nb := d.TopK().ResultSq().Neighbors; len(nb) != 1 || nb[0].ID != 5 {

@@ -238,29 +238,6 @@ func freezeTable(hashes []uint32) table {
 	return t
 }
 
-// QueryStats records what one query did, in the units the paper's analysis
-// needs (Table 4, Figs 3–8).
-//
-//lsh:counters
-type QueryStats struct {
-	// Radii is the number of (R,c)-NN rounds executed (contributes r̄).
-	Radii int
-	// Probes counts bucket lookups (L per radius).
-	Probes int
-	// NonEmptyProbes counts lookups that hit a non-empty bucket; with the
-	// paper's DRAM occupancy bitmaps, only these cost I/O.
-	NonEmptyProbes int
-	// EntriesScanned counts bucket entries read, including duplicates.
-	EntriesScanned int
-	// Checked counts distance computations (unique candidates examined).
-	Checked int
-	// Duplicates counts entries skipped because the object was already seen.
-	Duplicates int
-	// IOsAtInf is the paper's N_IO,∞: one hash-table read plus one bucket
-	// read per non-empty probed bucket (block size unlimited).
-	IOsAtInf int
-}
-
 // BucketVisitFn observes every non-empty bucket visit of a query: size is
 // the bucket's total entry count, read is how many entries the search
 // actually consumed before moving on. The I/O models for finite block sizes
@@ -296,7 +273,7 @@ func (s *Searcher) OnBucketVisit(fn BucketVisitFn) { s.onVisit = fn }
 // and classic probing, and returns the neighbors found together with the
 // per-query statistics. It terminates at the first radius R where k neighbors
 // within c·R have been found, or after exhausting the radius schedule (§2.3).
-func (s *Searcher) Search(q []float32, k int) (ann.Result, QueryStats) {
+func (s *Searcher) Search(q []float32, k int) (ann.Result, ladder.Stats) {
 	//lsh:ctxok ctx-free convenience wrapper; cancellation lives in SearchContext
 	res, st, _ := s.SearchContext(context.Background(), q, k)
 	return res, st
@@ -305,12 +282,12 @@ func (s *Searcher) Search(q []float32, k int) (ann.Result, QueryStats) {
 // SearchContext is Search with cancellation: ctx is checked between radius
 // rounds, so a long ladder walk aborts cleanly. On cancellation it returns
 // the neighbors accumulated so far together with ctx.Err().
-func (s *Searcher) SearchContext(ctx context.Context, q []float32, k int) (ann.Result, QueryStats, error) {
+func (s *Searcher) SearchContext(ctx context.Context, q []float32, k int) (ann.Result, ladder.Stats, error) {
 	return s.Run(ctx, q, ladder.Knobs{K: k}, nil)
 }
 
 // SearchInto is SearchContext with caller-owned result backing; see Run.
-func (s *Searcher) SearchInto(ctx context.Context, q []float32, k int, dst []ann.Neighbor) (ann.Result, QueryStats, error) {
+func (s *Searcher) SearchInto(ctx context.Context, q []float32, k int, dst []ann.Neighbor) (ann.Result, ladder.Stats, error) {
 	return s.Run(ctx, q, ladder.Knobs{K: k}, dst)
 }
 
@@ -322,20 +299,10 @@ func (s *Searcher) SearchInto(ctx context.Context, q []float32, k int, dst []ann
 // dst[:0] (growing it only if its capacity is below the neighbors found; nil
 // asks for fresh backing), so a worker looping over queries with a reused
 // dst allocates nothing per query after warmup.
-//
-//lsh:foldall ladder.Counts
-func (s *Searcher) Run(ctx context.Context, q []float32, kn ladder.Knobs, dst []ann.Neighbor) (ann.Result, QueryStats, error) {
+func (s *Searcher) Run(ctx context.Context, q []float32, kn ladder.Knobs, dst []ann.Neighbor) (ann.Result, ladder.Stats, error) {
 	err := s.lad.Run(ctx, s, q, s.ix.data, kn)
-	c := &s.lad.Counts
-	return ann.Result{Neighbors: s.lad.TopK().AppendResultSq(dst[:0])}, QueryStats{
-		Radii:          c.Radii,
-		Probes:         c.Probes,
-		NonEmptyProbes: c.NonEmptyProbes,
-		EntriesScanned: c.EntriesScanned,
-		Checked:        c.Checked,
-		Duplicates:     c.Duplicates,
-		IOsAtInf:       2 * c.NonEmptyProbes,
-	}, err
+	s.lad.IOsAtInf = 2 * s.lad.NonEmptyProbes
+	return ann.Result{Neighbors: s.lad.TopK().AppendResultSq(dst[:0])}, s.lad.Stats, err
 }
 
 // BeginRound implements ladder.Rounds; in memory a round needs no set-up.
@@ -370,47 +337,3 @@ func (s *Searcher) Visit(r, l int, h uint32) (bool, error) {
 
 // EndRound implements ladder.Rounds; buckets were verified as visited.
 func (s *Searcher) EndRound(int) (ladder.IO, error) { return ladder.IO{}, nil }
-
-// StatsAccumulator aggregates QueryStats over a query batch.
-type StatsAccumulator struct {
-	Queries int
-	Sum     QueryStats
-}
-
-// Add folds one query's stats into the accumulator.
-//
-//lsh:foldall QueryStats
-func (a *StatsAccumulator) Add(st QueryStats) {
-	a.Queries++
-	a.Sum.Radii += st.Radii
-	a.Sum.Probes += st.Probes
-	a.Sum.NonEmptyProbes += st.NonEmptyProbes
-	a.Sum.EntriesScanned += st.EntriesScanned
-	a.Sum.Checked += st.Checked
-	a.Sum.Duplicates += st.Duplicates
-	a.Sum.IOsAtInf += st.IOsAtInf
-}
-
-// MeanRadii returns the paper's r̄, the average number of radii searched.
-func (a *StatsAccumulator) MeanRadii() float64 {
-	if a.Queries == 0 {
-		return 0
-	}
-	return float64(a.Sum.Radii) / float64(a.Queries)
-}
-
-// MeanIOsAtInf returns the paper's N_IO,∞ per query.
-func (a *StatsAccumulator) MeanIOsAtInf() float64 {
-	if a.Queries == 0 {
-		return 0
-	}
-	return float64(a.Sum.IOsAtInf) / float64(a.Queries)
-}
-
-// MeanChecked returns the average number of distance computations per query.
-func (a *StatsAccumulator) MeanChecked() float64 {
-	if a.Queries == 0 {
-		return 0
-	}
-	return float64(a.Sum.Checked) / float64(a.Queries)
-}

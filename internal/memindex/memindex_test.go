@@ -6,6 +6,7 @@ import (
 
 	"e2lshos/internal/ann"
 	"e2lshos/internal/dataset"
+	"e2lshos/internal/ladder"
 	"e2lshos/internal/lsh"
 )
 
@@ -214,13 +215,13 @@ func TestLargerSigmaChecksMore(t *testing.T) {
 	d, _ := testSetup(t, 1500, true)
 	ixSmall := buildFor(t, d, true, 1.0)
 	ixBig := buildFor(t, d, true, 50.0)
-	var small, big StatsAccumulator
+	var small, big ladder.Stats
 	ss, sb := ixSmall.NewSearcher(), ixBig.NewSearcher()
 	for _, q := range d.Queries {
 		_, st := ss.Search(q, 1)
-		small.Add(st)
+		small.Merge(st)
 		_, st = sb.Search(q, 1)
-		big.Add(st)
+		big.Merge(st)
 	}
 	if big.MeanChecked() < small.MeanChecked() {
 		t.Errorf("sigma=50 checked %v < sigma=1 checked %v", big.MeanChecked(), small.MeanChecked())
@@ -261,21 +262,35 @@ func TestIndexBytesPositive(t *testing.T) {
 	}
 }
 
-func TestStatsAccumulator(t *testing.T) {
-	var acc StatsAccumulator
-	if acc.MeanRadii() != 0 || acc.MeanIOsAtInf() != 0 || acc.MeanChecked() != 0 {
+// TestStatsFoldOverBatch folds per-query stats over a batch the way the
+// experiments do: every run stamps one query, so a merged Stats carries the
+// batch size and its Mean* methods are per-query means.
+func TestStatsFoldOverBatch(t *testing.T) {
+	d, ix := testSetup(t, 1000, true)
+	s := ix.NewSearcher()
+	var acc ladder.Stats
+	if acc.MeanRadii() != 0 || acc.MeanChecked() != 0 {
 		t.Fatal("empty accumulator should report zeros")
 	}
-	acc.Add(QueryStats{Radii: 2, IOsAtInf: 10, Checked: 5})
-	acc.Add(QueryStats{Radii: 4, IOsAtInf: 20, Checked: 15})
-	if acc.MeanRadii() != 3 {
-		t.Errorf("MeanRadii = %v, want 3", acc.MeanRadii())
+	var radii, checked int
+	for _, q := range d.Queries {
+		_, st := s.Search(q, 1)
+		if st.Queries != 1 {
+			t.Fatalf("one query stamped Queries = %d", st.Queries)
+		}
+		radii += st.Radii
+		checked += st.Checked
+		acc.Merge(st)
 	}
-	if acc.MeanIOsAtInf() != 15 {
-		t.Errorf("MeanIOsAtInf = %v, want 15", acc.MeanIOsAtInf())
+	nq := len(d.Queries)
+	if acc.Queries != nq {
+		t.Fatalf("Queries = %d after %d merges", acc.Queries, nq)
 	}
-	if acc.MeanChecked() != 10 {
-		t.Errorf("MeanChecked = %v, want 10", acc.MeanChecked())
+	if got, want := acc.MeanRadii(), float64(radii)/float64(nq); got != want {
+		t.Errorf("MeanRadii = %v, want %v", got, want)
+	}
+	if got, want := acc.MeanChecked(), float64(checked)/float64(nq); got != want {
+		t.Errorf("MeanChecked = %v, want %v", got, want)
 	}
 }
 
@@ -307,10 +322,10 @@ func TestRadiiLadderTermination(t *testing.T) {
 	// not scan the whole ladder.
 	d, ix := testSetup(t, 2000, true)
 	s := ix.NewSearcher()
-	var acc StatsAccumulator
+	var acc ladder.Stats
 	for i := 0; i < 10; i++ {
 		_, st := s.Search(d.Vectors[i*101], 1)
-		acc.Add(st)
+		acc.Merge(st)
 	}
 	if acc.MeanRadii() >= float64(ix.Params().R()) {
 		t.Errorf("self queries searched all %d radii on average (%.1f)", ix.Params().R(), acc.MeanRadii())

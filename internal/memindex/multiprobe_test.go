@@ -10,7 +10,7 @@ import (
 )
 
 // searchMP runs one query with the given multi-probe count.
-func searchMP(s *Searcher, q []float32, k, probes int) (ann.Result, QueryStats) {
+func searchMP(s *Searcher, q []float32, k, probes int) (ann.Result, ladder.Stats) {
 	res, st, _ := s.Run(context.Background(), q, ladder.Knobs{K: k, MultiProbe: probes}, nil)
 	return res, st
 }

@@ -217,8 +217,6 @@ func (ix *Index) IndexBytes() int64 {
 }
 
 // Stats records the work one query performed.
-//
-//lsh:counters
 type Stats struct {
 	// Radii is the number of virtual rehashing rounds executed.
 	Radii int

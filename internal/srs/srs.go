@@ -138,8 +138,6 @@ func (ix *Index) IndexBytes() int64 {
 
 // Stats records the work one query performed, in the units the shared cost
 // model charges for.
-//
-//lsh:counters
 type Stats struct {
 	// NodesVisited counts R-tree nodes expanded.
 	NodesVisited int

@@ -184,8 +184,6 @@ func (c *Collector) Snapshot() *Snapshot {
 // Snapshot is a point-in-time copy of a Collector: one histogram snapshot
 // per stage plus the sampling counters. Like Stats it merges exactly, which
 // is how ShardedIndex folds per-shard telemetry into one report.
-//
-//lsh:counters
 type Snapshot struct {
 	Stages       [NumStages]HistSnapshot
 	Sampled      uint64
@@ -194,8 +192,6 @@ type Snapshot struct {
 }
 
 // Merge folds o into s stage-wise.
-//
-//lsh:foldall Snapshot
 func (s *Snapshot) Merge(o *Snapshot) {
 	if o == nil {
 		return
@@ -213,8 +209,6 @@ func (s *Snapshot) Merge(o *Snapshot) {
 // sharded query's end-to-end latency is measured once at the sharded layer
 // and per-shard answer latency is already observed into StageShardWait by
 // the router hook, so folding shard totals as well would double-count.
-//
-//lsh:foldall Snapshot
 func (s *Snapshot) FoldShard(o *Snapshot) {
 	if o == nil {
 		return

@@ -115,8 +115,6 @@ func (h *Histogram) Snapshot(s *HistSnapshot) {
 // merge exactly, the latency analogue of the Stats counter struct. Count is
 // recomputed from the buckets at snapshot time so it is always internally
 // consistent even when taken concurrently with writers.
-//
-//lsh:counters
 type HistSnapshot struct {
 	Counts [NumBuckets]uint64
 	Count  uint64
@@ -128,8 +126,6 @@ type HistSnapshot struct {
 // and quantiles of the merged snapshot stay within the bucketing scheme's
 // 1/32 relative error of the quantiles of the combined sample population,
 // because both sides bucket identically.
-//
-//lsh:foldall HistSnapshot
 func (s *HistSnapshot) Merge(o *HistSnapshot) {
 	for i := range s.Counts {
 		s.Counts[i] += o.Counts[i]

@@ -17,6 +17,7 @@ import (
 
 	"e2lshos/internal/autotune"
 	"e2lshos/internal/coalesce"
+	"e2lshos/internal/ladder"
 	"e2lshos/internal/telemetry"
 )
 
@@ -380,55 +381,23 @@ type searchIO struct {
 // memory for the life of the server (a 128-d query is about 1 KB of JSON).
 const maxPooledBody = 64 << 10
 
-// statsResponse is the /stats reply: the cumulative Stats counters (the
-// paper's analysis units, N_IO above all) plus serving-level counters and,
-// when shadow scoring is on, the running accuracy means.
+// statsResponse is the /stats reply: the cumulative Stats counters under
+// their own wire names (the paper's analysis units; the embedded struct's
+// json tags are the keys), the derived N_IO and per-query means, plus
+// serving-level counters and, when shadow scoring is on, the running
+// accuracy means. With a cache, cache_misses is the effective N_IO that
+// reached the backend; n_io stays the logical count.
 type statsResponse struct {
-	Queries        int `json:"queries"`
-	Radii          int `json:"radii"`
-	Probes         int `json:"probes"`
-	NonEmptyProbes int `json:"non_empty_probes"`
-	EntriesScanned int `json:"entries_scanned"`
-	Checked        int `json:"checked"`
-	Duplicates     int `json:"duplicates"`
-	FPRejected     int `json:"fp_rejected"`
-	TableIOs       int `json:"table_ios"`
-	BucketIOs      int `json:"bucket_ios"`
-	NIO            int `json:"n_io"`
-	// Block-cache counters (zero unless the engine was built with
-	// WithBlockCache): with a cache, cache_misses is the effective N_IO that
-	// reached the backend, n_io stays the logical count.
-	CacheHits        int `json:"cache_hits"`
-	CacheMisses      int `json:"cache_misses"`
-	PrefetchedBlocks int `json:"prefetched_blocks"`
-	// Vectored I/O engine counters (zero unless the engine was built with
-	// WithIOEngine): reads absorbed by adjacent-run coalescing and by
-	// cross-query singleflight dedup. n_io stays the logical count.
-	CoalescedReads int `json:"coalesced_reads"`
-	DedupedReads   int `json:"deduped_reads"`
-	PhysicalReads  int `json:"physical_reads"`
-	// Fault-tolerance counters: reads that failed after retries, the bucket
-	// chains skipped because of them, and the queries that served partial
-	// results as a consequence.
-	FaultedReads   int `json:"faulted_reads"`
-	SkippedChains  int `json:"skipped_chains"`
-	PartialQueries int `json:"partial_queries"`
-	// In-memory reference and SRS-only counters (zero on other engines).
-	IOsAtInf     int `json:"ios_at_inf"`
-	NodesVisited int `json:"nodes_visited"`
-	EarlyStopped int `json:"early_stopped"`
-	// Autotune controller counters (zero without EnableAutotune).
-	RoundsSkipped   int     `json:"rounds_skipped"`
-	BudgetExhausted int     `json:"budget_exhausted"`
-	DegradedKnobs   int     `json:"degraded_knobs"`
-	MeanIOs         float64 `json:"mean_ios"`
-	MeanRadii       float64 `json:"mean_radii"`
-	MeanChecked     float64 `json:"mean_checked"`
-	Served          uint64  `json:"served"`
-	Failed          uint64  `json:"failed"`
-	Canceled        uint64  `json:"canceled"`
-	Shed            uint64  `json:"shed"`
-	Degraded        uint64  `json:"degraded"`
+	Stats
+	NIO         int     `json:"n_io"`
+	MeanIOs     float64 `json:"mean_ios"`
+	MeanRadii   float64 `json:"mean_radii"`
+	MeanChecked float64 `json:"mean_checked"`
+	Served      uint64  `json:"served"`
+	Failed      uint64  `json:"failed"`
+	Canceled    uint64  `json:"canceled"`
+	Shed        uint64  `json:"shed"`
+	Degraded    uint64  `json:"degraded"`
 	// CoalesceBatches counts the batches the coalescer has cut; served +
 	// failed queries over it is the mean batch size load has produced.
 	CoalesceBatches uint64 `json:"coalesce_batches"`
@@ -797,52 +766,27 @@ func (s *Server) score(qid *int, res Result, target float64) {
 	}
 }
 
-//lsh:foldall Stats
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	batches, _ := s.batcher.Batches()
 	s.mu.Lock()
 	st := s.agg
 	resp := statsResponse{
-		Queries:          st.Queries,
-		Radii:            st.Radii,
-		Probes:           st.Probes,
-		NonEmptyProbes:   st.NonEmptyProbes,
-		EntriesScanned:   st.EntriesScanned,
-		Checked:          st.Checked,
-		Duplicates:       st.Duplicates,
-		FPRejected:       st.FPRejected,
-		TableIOs:         st.TableIOs,
-		BucketIOs:        st.BucketIOs,
-		NIO:              st.IOs(),
-		CacheHits:        st.CacheHits,
-		CacheMisses:      st.CacheMisses,
-		PrefetchedBlocks: st.PrefetchedBlocks,
-		CoalescedReads:   st.CoalescedReads,
-		DedupedReads:     st.DedupedReads,
-		PhysicalReads:    st.PhysicalReads,
-		FaultedReads:     st.FaultedReads,
-		SkippedChains:    st.SkippedChains,
-		PartialQueries:   st.Partial,
-		IOsAtInf:         st.IOsAtInf,
-		NodesVisited:     st.NodesVisited,
-		EarlyStopped:     st.EarlyStopped,
-		RoundsSkipped:    st.RoundsSkipped,
-		BudgetExhausted:  st.BudgetExhausted,
-		DegradedKnobs:    st.DegradedKnobs,
-		MeanIOs:          st.MeanIOs(),
-		MeanRadii:        st.MeanRadii(),
-		MeanChecked:      st.MeanChecked(),
-		Served:           s.served,
-		Failed:           s.failed,
-		Canceled:         s.canceled,
-		Degraded:         s.degraded,
-		Inserts:          s.inserts,
-		Deletes:          s.deletes,
-		Shed:             s.batcher.Shed(),
-		Panics:           s.panics + s.batcher.Panics(),
-		CoalesceBatches:  batches,
-		UptimeSeconds:    time.Since(s.start).Seconds(),
-		Scored:           s.scored,
+		Stats:           st,
+		NIO:             st.IOs(),
+		MeanIOs:         st.MeanIOs(),
+		MeanRadii:       st.MeanRadii(),
+		MeanChecked:     st.MeanChecked(),
+		Served:          s.served,
+		Failed:          s.failed,
+		Canceled:        s.canceled,
+		Degraded:        s.degraded,
+		Inserts:         s.inserts,
+		Deletes:         s.deletes,
+		Shed:            s.batcher.Shed(),
+		Panics:          s.panics + s.batcher.Panics(),
+		CoalesceBatches: batches,
+		UptimeSeconds:   time.Since(s.start).Seconds(),
+		Scored:          s.scored,
 	}
 	if h, ok := s.eng.(interface{ HedgeStats() (int64, int64) }); ok {
 		resp.Hedged, resp.HedgeWins = h.HedgeStats()
@@ -865,8 +809,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // handleMetrics serves GET /metrics in Prometheus text exposition format:
 // every Stats counter (as lsh_stats_<name>_total, names matching the /stats
 // JSON keys), the serving counters, the always-on request-latency and
-// coalescer-wait summaries, the live tuner knob settings, and — when the
-// engine has telemetry or autotuning enabled — its per-stage latency
+// coalescer-wait summaries, the live tuner knob settings, the I/O engine's
+// retry and quarantine counters (lsh_io_*, when the engine has one), and —
+// when the engine has telemetry or autotuning enabled — its per-stage latency
 // summaries and model state under the lsh_ prefix.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
@@ -915,6 +860,14 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if d, ok := s.eng.(interface{ IODepth() int }); ok {
 		telemetry.WriteGauge(w, "lsh_io_depth", float64(d.IODepth()))
 	}
+	if e, ok := s.eng.(interface{ IOCounters() IOEngineCounters }); ok {
+		c := e.IOCounters()
+		telemetry.WriteCounter(w, "lsh_io_reads_total", float64(c.Reads))
+		telemetry.WriteCounter(w, "lsh_io_retried_reads_total", float64(c.RetriedReads))
+		telemetry.WriteCounter(w, "lsh_io_faulted_reads_total", float64(c.FaultedReads))
+		telemetry.WriteCounter(w, "lsh_io_quarantine_hits_total", float64(c.QuarantineHits))
+		telemetry.WriteGauge(w, "lsh_io_quarantined", float64(c.Quarantined))
+	}
 
 	var lat, wait telemetry.HistSnapshot
 	s.lat.Snapshot(&lat)
@@ -934,37 +887,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // writeStatsProm emits every Stats counter as lsh_stats_<json key>_total,
-// plus the derived lsh_stats_n_io_total (the paper's N_IO), so dashboards
-// and the /stats endpoint agree on names.
-//
-//lsh:foldall Stats
+// plus the derived lsh_stats_n_io_total (the paper's N_IO): /metrics and
+// /stats read their names off the same struct tags.
 func writeStatsProm(w io.Writer, st Stats) {
-	telemetry.WriteCounter(w, "lsh_stats_queries_total", float64(st.Queries))
-	telemetry.WriteCounter(w, "lsh_stats_radii_total", float64(st.Radii))
-	telemetry.WriteCounter(w, "lsh_stats_probes_total", float64(st.Probes))
-	telemetry.WriteCounter(w, "lsh_stats_non_empty_probes_total", float64(st.NonEmptyProbes))
-	telemetry.WriteCounter(w, "lsh_stats_entries_scanned_total", float64(st.EntriesScanned))
-	telemetry.WriteCounter(w, "lsh_stats_checked_total", float64(st.Checked))
-	telemetry.WriteCounter(w, "lsh_stats_duplicates_total", float64(st.Duplicates))
-	telemetry.WriteCounter(w, "lsh_stats_fp_rejected_total", float64(st.FPRejected))
-	telemetry.WriteCounter(w, "lsh_stats_table_ios_total", float64(st.TableIOs))
-	telemetry.WriteCounter(w, "lsh_stats_bucket_ios_total", float64(st.BucketIOs))
+	ladder.EachCounter(st, func(name string, v int) {
+		telemetry.WriteCounter(w, "lsh_stats_"+name+"_total", float64(v))
+	})
 	telemetry.WriteCounter(w, "lsh_stats_n_io_total", float64(st.IOs()))
-	telemetry.WriteCounter(w, "lsh_stats_cache_hits_total", float64(st.CacheHits))
-	telemetry.WriteCounter(w, "lsh_stats_cache_misses_total", float64(st.CacheMisses))
-	telemetry.WriteCounter(w, "lsh_stats_prefetched_blocks_total", float64(st.PrefetchedBlocks))
-	telemetry.WriteCounter(w, "lsh_stats_coalesced_reads_total", float64(st.CoalescedReads))
-	telemetry.WriteCounter(w, "lsh_stats_deduped_reads_total", float64(st.DedupedReads))
-	telemetry.WriteCounter(w, "lsh_stats_physical_reads_total", float64(st.PhysicalReads))
-	telemetry.WriteCounter(w, "lsh_stats_faulted_reads_total", float64(st.FaultedReads))
-	telemetry.WriteCounter(w, "lsh_stats_skipped_chains_total", float64(st.SkippedChains))
-	telemetry.WriteCounter(w, "lsh_stats_partial_queries_total", float64(st.Partial))
-	telemetry.WriteCounter(w, "lsh_stats_ios_at_inf_total", float64(st.IOsAtInf))
-	telemetry.WriteCounter(w, "lsh_stats_nodes_visited_total", float64(st.NodesVisited))
-	telemetry.WriteCounter(w, "lsh_stats_early_stopped_total", float64(st.EarlyStopped))
-	telemetry.WriteCounter(w, "lsh_stats_rounds_skipped_total", float64(st.RoundsSkipped))
-	telemetry.WriteCounter(w, "lsh_stats_budget_exhausted_total", float64(st.BudgetExhausted))
-	telemetry.WriteCounter(w, "lsh_stats_degraded_knobs_total", float64(st.DegradedKnobs))
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -10,6 +10,9 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"e2lshos/internal/blockstore"
+	"e2lshos/internal/faultinject"
 )
 
 // panicEngine panics on every batch, like an engine tripping on a poisoned
@@ -190,5 +193,52 @@ func TestRecoveredHandlerPanic(t *testing.T) {
 	srv.mu.Unlock()
 	if panics != 1 {
 		t.Errorf("handler panic counter = %d, want 1", panics)
+	}
+}
+
+// TestMetricsExposeIORetryCounters: the I/O engine's retry and quarantine
+// counters reach a running server's /metrics, with the values the engine
+// reports in process. The device fails its first 64 reads and then recovers:
+// the first query's early waves exhaust their blocks' retry budgets (faulted,
+// quarantined blocks), later reads succeed on a retry, and asking again hits
+// the quarantine.
+func TestMetricsExposeIORetryCounters(t *testing.T) {
+	d := chaosDataset(t)
+	fb := faultinject.Wrap(blockstore.NewMemBackend(), faultinject.Schedule{Seed: 7, FailFirst: 64})
+	fb.Disarm() // the build must land intact
+	ix, err := NewStorageIndex(d.Vectors, Config{Sigma: 8}, WithStorageBackend(fb), WithRetries(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fb.Arm()
+	srv, err := NewServer(ix, ServerConfig{Dim: d.Dim, K: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	h := srv.Handler()
+	for range 2 {
+		if rec := postJSON(t, h, "/v1/search", searchRequestV1{Query: d.Queries[0]}); rec.Code != 200 {
+			t.Fatalf("/v1/search over a recovering device returned %d: %s", rec.Code, rec.Body)
+		}
+	}
+
+	c := ix.IOCounters()
+	if c.RetriedReads == 0 || c.FaultedReads == 0 || c.QuarantineHits == 0 || c.Quarantined == 0 {
+		t.Fatalf("fail-first schedule left no trace in the engine: %+v", c)
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	page := rec.Body.String()
+	for _, want := range []string{
+		fmt.Sprintf("\nlsh_io_reads_total %d\n", c.Reads),
+		fmt.Sprintf("\nlsh_io_retried_reads_total %d\n", c.RetriedReads),
+		fmt.Sprintf("\nlsh_io_faulted_reads_total %d\n", c.FaultedReads),
+		fmt.Sprintf("\nlsh_io_quarantine_hits_total %d\n", c.QuarantineHits),
+		fmt.Sprintf("# TYPE lsh_io_quarantined gauge\nlsh_io_quarantined %d\n", c.Quarantined),
+	} {
+		if !strings.Contains(page, want) {
+			t.Errorf("/metrics missing %q:\n%s", want, page)
+		}
 	}
 }

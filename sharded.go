@@ -297,6 +297,18 @@ func (x *ShardedIndex) ProbeStorage() error {
 	return nil
 }
 
+// IOCounters totals the vectored-engine counters of every shard that has
+// them; see StorageIndex.IOCounters.
+func (x *ShardedIndex) IOCounters() IOEngineCounters {
+	var sum IOEngineCounters
+	for _, eng := range x.engines {
+		if c, ok := eng.(interface{ IOCounters() IOEngineCounters }); ok {
+			sum.Add(c.IOCounters())
+		}
+	}
+	return sum
+}
+
 // SetIODepth adjusts the I/O queue depth on every shard that has a live
 // engine, reporting whether any shard accepted it.
 func (x *ShardedIndex) SetIODepth(n int) bool {
@@ -427,18 +439,28 @@ func (x *ShardedIndex) BatchSearch(ctx context.Context, queries [][]float32, opt
 	if results == nil {
 		results = make([]Result, len(queries))
 	}
+	agg := foldShardStats(per)
 	if arena != nil {
+		// With rows the partial-query count is exact: a query that skipped
+		// chains on several shards is one partial query, which the shards'
+		// batch-level counts cannot tell from several queries that each
+		// skipped on one.
+		agg.Partial = 0
 		var rowBuf [8]Stats // the usual shard counts fold without a heap row
 		row := rowBuf[:0]
-		for qi := 0; qi < min(len(set.statsInto), nq); qi++ {
+		for qi := 0; qi < nq; qi++ {
 			row = row[:0]
 			for si := 0; si < shards; si++ {
 				row = append(row, arena[si*nq+qi])
 			}
-			set.statsInto[qi] = foldShardStats(row)
+			st := foldShardStats(row)
+			agg.Partial += st.Partial
+			if qi < len(set.statsInto) {
+				set.statsInto[qi] = st
+			}
 		}
 	}
-	return results, foldShardStats(per), err
+	return results, agg, err
 }
 
 // foldShardStats folds per-shard Stats into the aggregate for the logical
@@ -446,8 +468,6 @@ func (x *ShardedIndex) BatchSearch(ctx context.Context, queries [][]float32, opt
 // because every shard really did that work, but Queries must count logical
 // queries, not logical queries × shards — so it is the maximum any single
 // shard answered, which on a clean run is exactly the batch size.
-//
-//lsh:foldall Stats
 func foldShardStats(per []Stats) Stats {
 	var agg Stats
 	logical := 0
@@ -459,7 +479,9 @@ func foldShardStats(per []Stats) Stats {
 	}
 	agg.Queries = logical
 	// Partial counts logical queries served degraded, like Queries: a query
-	// that skipped chains on several shards is still one partial query.
+	// that skipped chains on several shards is still one partial query. Over
+	// one query's shard rows the clamp is exact; over shard batch aggregates
+	// it is only an upper bound, which BatchSearch replaces when it has rows.
 	if agg.Partial > agg.Queries {
 		agg.Partial = agg.Queries
 	}

@@ -5,6 +5,8 @@ import (
 	"math"
 	"testing"
 
+	"e2lshos/internal/blockstore"
+	"e2lshos/internal/faultinject"
 	"e2lshos/internal/vecmath"
 )
 
@@ -164,6 +166,49 @@ func TestShardedStatsFold(t *testing.T) {
 
 // TestShardedBuildErrors: bad shapes fail at construction, not at query
 // time.
+// TestShardedPartialCountsLogicalQueries: one query that skips a chain on
+// both shards is one partial query in the batch aggregate (what the server
+// merges into /stats partial_queries), not two.
+func TestShardedPartialCountsLogicalQueries(t *testing.T) {
+	d := chaosDataset(t)
+	var fbs []*faultinject.Backend
+	ix, err := NewShardedIndex(d.Vectors, 2, PlaceRange, func(_ int, vectors [][]float32) (Engine, error) {
+		// Each shard's device fails its first read and then recovers.
+		fb := faultinject.Wrap(blockstore.NewMemBackend(), faultinject.Schedule{FailFirst: 1})
+		fb.Disarm() // the build must land intact
+		fbs = append(fbs, fb)
+		return NewStorageIndex(vectors, Config{Sigma: 8}, WithStorageBackend(fb))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fb := range fbs {
+		fb.Arm()
+	}
+	// One worker per shard answers the batch in order, so the failed first
+	// read belongs to query 0 on both shards.
+	per := make([]Stats, 4)
+	_, agg, err := ix.BatchSearch(context.Background(), d.Queries[:4], WithK(3), WithWorkers(1), WithStatsInto(per))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if agg.Queries != 4 || agg.SkippedChains != 2 {
+		t.Fatalf("aggregate Queries %d, SkippedChains %d; want 4 queries, one skipped chain per shard", agg.Queries, agg.SkippedChains)
+	}
+	if agg.Partial != 1 {
+		t.Errorf("aggregate Partial = %d, want 1: query 0 went partial on both shards and is one query", agg.Partial)
+	}
+	for qi, st := range per {
+		want := 0
+		if qi == 0 {
+			want = 1
+		}
+		if st.Partial != want {
+			t.Errorf("query %d row Partial = %d, want %d", qi, st.Partial, want)
+		}
+	}
+}
+
 func TestShardedBuildErrors(t *testing.T) {
 	d := parityDataset(t)
 	if _, err := NewShardedIndex(d.Vectors, 0, PlaceRange, InMemoryShardBuilder(Config{})); err == nil {

@@ -1,41 +1,36 @@
 package e2lshos
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 
+	"e2lshos/internal/foldtest"
+	"e2lshos/internal/qalsh"
+	"e2lshos/internal/srs"
 	"e2lshos/internal/telemetry"
 )
 
-// fillStats sets every int field of a Stats to a distinct nonzero value via
-// reflection, so a counter dropped anywhere downstream shows up as an exact
-// missing value rather than a silent zero.
-func fillStats(t *testing.T) Stats {
-	t.Helper()
+// fillStats sets field i of a Stats to i+1 via reflection, so a counter
+// dropped anywhere downstream shows up as an exact missing value rather than
+// a silent zero.
+func fillStats() Stats {
 	var st Stats
-	v := reflect.ValueOf(&st).Elem()
-	for i := 0; i < v.NumField(); i++ {
-		f := v.Field(i)
-		if f.Kind() != reflect.Int {
-			t.Fatalf("Stats.%s is %s; this test assumes int counters", v.Type().Field(i).Name, f.Kind())
-		}
-		f.SetInt(int64(i + 1))
-	}
+	foldtest.Fill(&st)
 	return st
 }
 
-// TestStatsMergeEveryField is the runtime twin of the statsfold analyzer:
-// merging a fully-populated Stats into a zero one must reproduce it exactly,
-// and merging twice must double every field. A Merge that forgets a counter
-// fails on the exact field name.
+// TestStatsMergeEveryField: merging a fully-populated Stats into a zero one
+// must reproduce it exactly, and merging twice must double every field. A
+// Merge that forgets a counter fails on the exact field name.
 func TestStatsMergeEveryField(t *testing.T) {
-	filled := fillStats(t)
+	filled := fillStats()
 
 	var sum Stats
 	sum.Merge(filled)
@@ -94,12 +89,27 @@ func (e statsStubEngine) BatchSearch(ctx context.Context, queries [][]float32, o
 	return make([]Result, len(queries)), e.st, nil
 }
 
+// servedOnce returns the handler of a server whose engine reports st for
+// every batch, after one query has gone through it.
+func servedOnce(t *testing.T, st Stats) http.Handler {
+	t.Helper()
+	srv, err := NewServer(statsStubEngine{st: st}, ServerConfig{Dim: 2, K: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	h := srv.Handler()
+	if rec := postJSON(t, h, "/v1/search", searchRequestV1{Query: []float32{1, 2}}); rec.Code != 200 {
+		t.Fatalf("/v1/search returned %d: %s", rec.Code, rec.Body)
+	}
+	return h
+}
+
 // TestStatsEndpointExposesEveryCounter drives one query through the server
 // and asserts /stats carries every Stats counter, by name, with the value
-// the engine reported. This is the wire-level completeness check the
-// statsfold analyzer performs statically on handleStats.
+// the engine reported, under the name pinned in statsJSONKeys.
 func TestStatsEndpointExposesEveryCounter(t *testing.T) {
-	filled := fillStats(t)
+	filled := fillStats()
 	typ := reflect.TypeOf(filled)
 	for i := 0; i < typ.NumField(); i++ {
 		if _, ok := statsJSONKeys[typ.Field(i).Name]; !ok {
@@ -107,21 +117,8 @@ func TestStatsEndpointExposesEveryCounter(t *testing.T) {
 		}
 	}
 
-	srv, err := NewServer(statsStubEngine{st: filled}, ServerConfig{Dim: 2, K: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	h := srv.Handler()
-
-	body, _ := json.Marshal(searchRequestV1{Query: []float32{1, 2}})
+	h := servedOnce(t, filled)
 	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/search", bytes.NewReader(body)))
-	if rec.Code != 200 {
-		t.Fatalf("/v1/search returned %d: %s", rec.Code, rec.Body)
-	}
-
-	rec = httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/stats", nil))
 	if rec.Code != 200 {
 		t.Fatalf("/stats returned %d: %s", rec.Code, rec.Body)
@@ -155,22 +152,9 @@ func TestStatsEndpointExposesEveryCounter(t *testing.T) {
 // summary with its p50/p99/p999 quantiles — all under the exposition-format
 // content type.
 func TestMetricsEndpointExposesEveryCounter(t *testing.T) {
-	filled := fillStats(t)
-	srv, err := NewServer(statsStubEngine{st: filled}, ServerConfig{Dim: 2, K: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	h := srv.Handler()
-
-	body, _ := json.Marshal(searchRequestV1{Query: []float32{1, 2}})
+	filled := fillStats()
+	h := servedOnce(t, filled)
 	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/search", bytes.NewReader(body)))
-	if rec.Code != 200 {
-		t.Fatalf("/v1/search returned %d: %s", rec.Code, rec.Body)
-	}
-
-	rec = httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	if rec.Code != 200 {
 		t.Fatalf("/metrics returned %d: %s", rec.Code, rec.Body)
@@ -221,65 +205,104 @@ func TestMetricsEndpointExposesEveryCounter(t *testing.T) {
 	}
 }
 
-// fillTelemetrySnapshot builds a telemetry.Snapshot with every exported
-// field — including every stage histogram and the per-stage bucket arrays —
-// set to a distinct nonzero value, then verifies by reflection that nothing
-// stayed zero, so a field added to Snapshot or HistSnapshot without merge
-// coverage fails here by name.
-func fillTelemetrySnapshot(t *testing.T) *telemetry.Snapshot {
-	t.Helper()
-	var sp telemetry.Snapshot
-	for i := range sp.Stages {
-		h := &sp.Stages[i]
-		h.Counts[i] = uint64(i + 1)
-		h.Counts[telemetry.NumBuckets-1-i] = 1
-		h.Count = uint64(i+1) + 1
-		h.Sum = int64(1000 * (i + 1))
-		h.Max = int64(100 * (i + 1))
+// TestStatsTagsAreTheWireNames adds nothing by hand: every field of Stats
+// carries a unique snake_case tag, and that tag is the field's /stats key and,
+// as lsh_stats_<tag>_total, its /metrics name, both with the value the engine
+// reported. A new counter therefore needs its field, its tag and the two
+// pinned lists (statsJSONKeys here, statsPromNames in cmd/lshserve), and
+// nothing else.
+func TestStatsTagsAreTheWireNames(t *testing.T) {
+	filled := fillStats()
+	h := servedOnce(t, filled)
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/stats", nil))
+	var stats map[string]any
+	if err := json.Unmarshal(rec.Body.Bytes(), &stats); err != nil {
+		t.Fatal(err)
 	}
-	sp.Sampled, sp.Slow, sp.DroppedSpans = 7, 3, 2
+	rec = httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	page := rec.Body.String()
 
-	v := reflect.ValueOf(sp)
+	snake := regexp.MustCompile(`^[a-z]+(_[a-z]+)*$`)
+	owner := map[string]string{}
+	v := reflect.ValueOf(filled)
 	for i := 0; i < v.NumField(); i++ {
-		if v.Field(i).IsZero() {
-			t.Fatalf("fillTelemetrySnapshot left Snapshot.%s zero; update the filler", v.Type().Field(i).Name)
+		f := v.Type().Field(i)
+		tag := f.Tag.Get("json")
+		if !snake.MatchString(tag) {
+			t.Errorf("Stats.%s: tag %q is not a snake_case wire name", f.Name, tag)
+			continue
+		}
+		if prev, dup := owner[tag]; dup {
+			t.Errorf("Stats.%s and Stats.%s share the wire name %q", prev, f.Name, tag)
+		}
+		owner[tag] = f.Name
+		want := v.Field(i).Int()
+		if got, ok := stats[tag]; !ok || got != float64(want) {
+			t.Errorf("/stats %q = %v, want %d (Stats.%s)", tag, got, want, f.Name)
+		}
+		if line := fmt.Sprintf("\nlsh_stats_%s_total %d\n", tag, want); !strings.Contains(page, line) {
+			t.Errorf("/metrics missing %q for Stats.%s", strings.TrimSpace(line), f.Name)
 		}
 	}
-	h0 := reflect.ValueOf(sp.Stages[0])
-	for i := 0; i < h0.NumField(); i++ {
-		if h0.Field(i).IsZero() {
-			t.Fatalf("fillTelemetrySnapshot left HistSnapshot.%s zero; update the filler", h0.Type().Field(i).Name)
-		}
-	}
-	return &sp
 }
 
-// TestTelemetrySnapshotMergeEveryField is the runtime twin of the statsfold
-// analyzer for the telemetry counters: merging a fully-populated Snapshot
-// into a zero one must reproduce it exactly (Max folds by maximum, every
-// other field additively), and a double merge must double every additive
-// field while Max stays put.
+// TestBaselineStatsEveryField: the two baseline conversions report every
+// counter their algorithm keeps — the sum over the source's fields (a true
+// bool is 1) arrives in the facade's Stats beside the one query it stamps.
+func TestBaselineStatsEveryField(t *testing.T) {
+	var ss srs.Stats
+	foldtest.Fill(&ss)
+	if got, want := foldtest.Sum(srsStats(ss)), foldtest.Sum(ss)+1; got != want {
+		t.Errorf("srsStats(%+v) carries %d, want %d: %+v", ss, got, want, srsStats(ss))
+	}
+	var qs qalsh.Stats
+	foldtest.Fill(&qs)
+	if got, want := foldtest.Sum(qalshStats(qs)), foldtest.Sum(qs)+1; got != want {
+		t.Errorf("qalshStats(%+v) carries %d, want %d: %+v", qs, got, want, qalshStats(qs))
+	}
+}
+
+// TestTelemetrySnapshotMergeEveryField: merging a Snapshot with every field,
+// every stage histogram and every bucket filled into a zero one must
+// reproduce it exactly (Max folds by maximum, every other field additively),
+// a double merge must double every additive field while Max stays put, and
+// FoldShard must do the same for every stage but the end-to-end total, which
+// a sharded engine measures once at its own layer.
 func TestTelemetrySnapshotMergeEveryField(t *testing.T) {
-	filled := fillTelemetrySnapshot(t)
+	var filled telemetry.Snapshot
+	foldtest.Fill(&filled)
 
 	var sum telemetry.Snapshot
-	sum.Merge(filled)
-	if sum != *filled {
+	sum.Merge(&filled)
+	if sum != filled {
 		t.Fatal("zero.Merge(filled) did not reproduce the filled snapshot")
 	}
-	sum.Merge(filled)
+	sum.Merge(&filled)
 	if sum.Sampled != 2*filled.Sampled || sum.Slow != 2*filled.Slow || sum.DroppedSpans != 2*filled.DroppedSpans {
 		t.Errorf("double merge counters: %d/%d/%d", sum.Sampled, sum.Slow, sum.DroppedSpans)
 	}
 	for i := range sum.Stages {
-		if sum.Stages[i].Count != 2*filled.Stages[i].Count {
-			t.Errorf("stage %v count = %d, want %d", telemetry.Stage(i), sum.Stages[i].Count, 2*filled.Stages[i].Count)
+		got, one := &sum.Stages[i], &filled.Stages[i]
+		for b := range got.Counts {
+			if got.Counts[b] != 2*one.Counts[b] {
+				t.Errorf("stage %v bucket %d = %d, want %d", telemetry.Stage(i), b, got.Counts[b], 2*one.Counts[b])
+			}
 		}
-		if sum.Stages[i].Sum != 2*filled.Stages[i].Sum {
-			t.Errorf("stage %v sum = %d, want %d", telemetry.Stage(i), sum.Stages[i].Sum, 2*filled.Stages[i].Sum)
+		if got.Count != 2*one.Count || got.Sum != 2*one.Sum {
+			t.Errorf("stage %v count/sum = %d/%d, want %d/%d", telemetry.Stage(i), got.Count, got.Sum, 2*one.Count, 2*one.Sum)
 		}
-		if sum.Stages[i].Max != filled.Stages[i].Max {
-			t.Errorf("stage %v max = %d, want unchanged %d", telemetry.Stage(i), sum.Stages[i].Max, filled.Stages[i].Max)
+		if got.Max != one.Max {
+			t.Errorf("stage %v max = %d, want unchanged %d", telemetry.Stage(i), got.Max, one.Max)
 		}
+	}
+
+	var shard telemetry.Snapshot
+	shard.FoldShard(&filled)
+	want := filled
+	want.Stages[telemetry.StageTotal] = telemetry.HistSnapshot{}
+	if shard != want {
+		t.Fatal("zero.FoldShard(filled) is not the filled snapshot minus its end-to-end stage")
 	}
 }

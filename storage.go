@@ -4,12 +4,10 @@ import (
 	"context"
 	"fmt"
 
-	"e2lshos/internal/ann"
 	"e2lshos/internal/blockcache"
 	"e2lshos/internal/blockstore"
 	"e2lshos/internal/diskindex"
 	"e2lshos/internal/ioengine"
-	"e2lshos/internal/ladder"
 	"e2lshos/internal/telemetry"
 )
 
@@ -203,49 +201,20 @@ func (s *StorageIndex) CacheStats() (hits, misses, prefetched int64) {
 	return c.Hits(), c.Misses(), c.Prefetched()
 }
 
-// IOEngineCounters is the full vectored-engine counter set, the facade
-// mirror of the ioengine package's Counters: throughput counters plus the
-// fault-tolerance ones (retries issued, reads failed after retries,
-// quarantine fast-fails, and the current quarantine size — a gauge).
-type IOEngineCounters struct {
-	Reads          int64
-	PhysicalReads  int64
-	CoalescedReads int64
-	DedupedReads   int64
-	RetriedReads   int64
-	FaultedReads   int64
-	QuarantineHits int64
-	Quarantined    int64
-}
+// IOEngineCounters is the full vectored-engine counter set: throughput
+// counters plus the fault-tolerance ones (retries issued, reads failed after
+// retries, quarantine fast-fails, and the current quarantine size — a gauge).
+type IOEngineCounters = ioengine.Counters
 
 // IOCounters reports the cumulative vectored-engine counters across all
-// queries (all zero when no storage option attached an engine).
-//
-//lsh:foldall ioengine.Counters
+// queries (all zero when no storage option attached an engine); a Server
+// exposes them on /metrics as lsh_io_*.
 func (s *StorageIndex) IOCounters() IOEngineCounters {
 	eng := s.ix.IOEngine()
 	if eng == nil {
 		return IOEngineCounters{}
 	}
-	c := eng.Counters()
-	return IOEngineCounters{
-		Reads:          c.Reads,
-		PhysicalReads:  c.PhysicalReads,
-		CoalescedReads: c.CoalescedReads,
-		DedupedReads:   c.DedupedReads,
-		RetriedReads:   c.RetriedReads,
-		FaultedReads:   c.FaultedReads,
-		QuarantineHits: c.QuarantineHits,
-		Quarantined:    c.Quarantined,
-	}
-}
-
-// IOEngineStats reports the headline subset of IOCounters: requested block
-// reads, the physical backend operations that served them, and the reads
-// absorbed by adjacent-run coalescing and singleflight dedup.
-func (s *StorageIndex) IOEngineStats() (reads, physical, coalesced, deduped int64) {
-	c := s.IOCounters()
-	return c.Reads, c.PhysicalReads, c.CoalescedReads, c.DedupedReads
+	return eng.Counters()
 }
 
 // SetIODepth adjusts the vectored I/O engine's queue depth on the live
@@ -304,41 +273,4 @@ func (s *StorageIndex) Insert(v []float32) (uint32, error) { return s.ix.Insert(
 // WithWAL the delete is durable before it returns.
 func (s *StorageIndex) Delete(id uint32) (bool, error) { return s.ix.Delete(id) }
 
-func (s *StorageIndex) newQuerier() querier { return diskQuerier{ws: s.ix.NewWaveSearcher()} }
-
-type diskQuerier struct {
-	ws *diskindex.WaveSearcher
-}
-
-func (d diskQuerier) query(ctx context.Context, q []float32, kn ladder.Knobs, dst []ann.Neighbor) (Result, Stats, error) {
-	res, st, err := d.ws.Run(ctx, q, kn, dst)
-	return res, diskStats(st), err
-}
-
-// diskStats converts per-query disk-index counters into the facade's
-// Stats, field for field.
-//
-//lsh:foldall diskindex.Stats
-func diskStats(st diskindex.Stats) Stats {
-	return Stats{
-		Queries:          1,
-		Radii:            st.Radii,
-		Probes:           st.Probes,
-		NonEmptyProbes:   st.NonEmptyProbes,
-		EntriesScanned:   st.EntriesScanned,
-		Checked:          st.Checked,
-		Duplicates:       st.Duplicates,
-		FPRejected:       st.FPRejected,
-		TableIOs:         st.TableIOs,
-		BucketIOs:        st.BucketIOs,
-		CacheHits:        st.CacheHits,
-		CacheMisses:      st.CacheMisses,
-		PrefetchedBlocks: st.Prefetched,
-		CoalescedReads:   st.CoalescedReads,
-		DedupedReads:     st.DedupedReads,
-		PhysicalReads:    st.PhysicalReads,
-		FaultedReads:     st.FaultedReads,
-		SkippedChains:    st.SkippedChains,
-		Partial:          st.Partial,
-	}
-}
+func (s *StorageIndex) newQuerier() querier { return s.ix.NewWaveSearcher() }
