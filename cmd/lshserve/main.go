@@ -12,8 +12,8 @@
 //	curl -s localhost:8080/stats          # cumulative Stats incl. N_IO
 //
 // The -autotune / -recall-target / -latency-budget flags set server-default
-// SLOs (per-request /v1/search knobs override them); -target-p99 starts the
-// server-level AIMD loop on coalescer batch size and I/O queue depth.
+// SLOs (per-request /v1/search knobs override them). -maxbatch and -iodepth
+// are fixed for the life of the process.
 //
 // SIGINT/SIGTERM drain in-flight requests and shut the server down cleanly.
 package main
@@ -64,7 +64,6 @@ func run(ctx context.Context, args []string, out io.Writer, ready func(addr net.
 		readahead = fs.Int("readahead", 0, "bucket blocks prefetched per chain between radius rounds, into the block cache (0 = off)")
 		ioDepth   = fs.Int("iodepth", 0, "vectored I/O engine queue depth per storage shard: batched round submission, adjacent-block coalescing, cross-query dedup (0 = no engine and in-line reads, or depth 16 when -cache or -retries attach one)")
 		retries   = fs.Int("retries", 0, "per-block read retries with backoff before a fault degrades the query (0 = off)")
-		hedge     = fs.Bool("hedge", false, "hedged shard reads: re-issue a sub-query straggling past its shard's p99 and take the first answer")
 		checksum  = fs.Bool("checksum", true, "per-block CRC32C verification on storage shards (-checksum=false trades fault detection for read throughput)")
 		metrics   = fs.Bool("metrics", true, "enable engine latency telemetry (per-stage histograms folded across shards, served at /metrics)")
 		pprofOn   = fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
@@ -74,7 +73,6 @@ func run(ctx context.Context, args []string, out io.Writer, ready func(addr net.
 		recallTgt = fs.Float64("recall-target", 0, "server-default recall target in (0,1): stop each radius ladder once the learned self-recall model clears it (0 = off; implies -autotune)")
 		latBudget = fs.Duration("latency-budget", 0, "server-default per-query latency budget; queries degrade knobs mid-ladder to fit (0 = off; implies -autotune)")
 		degrade   = fs.String("degrade", "knobs", "out-of-budget behavior: knobs (graceful degradation) or stop")
-		targetP99 = fs.Duration("target-p99", 0, "server-level p99 objective: an AIMD loop steers coalescer batch size and I/O queue depth against it (0 = off)")
 		walDir    = fs.String("wal", "", "WAL directory for durable online updates (POST /v1/insert, DELETE /v1/object/{id}): serves one crash-safe storage engine instead of shards, recovering from the directory when it already holds a checkpoint; the dataset flags must match across restarts (generation is deterministic)")
 		fsyncEver = fs.Int("fsync-every", 1, "WAL group commit: fsync the log every N appends (needs -wal; N>1 trades a bounded ack-durability window for update throughput)")
 	)
@@ -119,9 +117,6 @@ func run(ctx context.Context, args []string, out io.Writer, ready func(addr net.
 	if *walDir != "" {
 		// WAL mode: one crash-safe storage engine, not shards (the log and
 		// its checkpoint generations are per-engine state).
-		if *hedge {
-			return fmt.Errorf("-hedge needs shards; -wal serves a single engine")
-		}
 		walOpts := storageOpts
 		if *fsyncEver > 1 {
 			walOpts = append(walOpts, e2lshos.WithFsyncEvery(*fsyncEver))
@@ -165,10 +160,6 @@ func run(ctx context.Context, args []string, out io.Writer, ready func(addr net.
 		if err != nil {
 			return err
 		}
-		if *hedge {
-			ix.EnableHedging(e2lshos.HedgeConfig{})
-			fmt.Fprintln(out, "hedged shard reads on (duplicate sub-queries past each shard's p99)")
-		}
 		eng = ix
 	}
 	if *metrics || *traceSamp > 0 || *slowQuery > 0 {
@@ -197,9 +188,8 @@ func run(ctx context.Context, args []string, out io.Writer, ready func(addr net.
 			LatencyBudget: *latBudget,
 			Degrade:       degradePolicy,
 		},
-		TargetP99: *targetP99,
-		Exact:     e2lshos.GroundTruth(ds, *k),
-		Pprof:     *pprofOn,
+		Exact: e2lshos.GroundTruth(ds, *k),
+		Pprof: *pprofOn,
 	})
 	if err != nil {
 		return err

@@ -9,7 +9,9 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"reflect"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -387,7 +389,7 @@ func TestRunGracefulShutdown(t *testing.T) {
 			"-addr", "127.0.0.1:0", "-n", "2000", "-queries", "10",
 			"-shards", "2", "-engine", "storage", "-k", "2",
 			"-cache", "8", "-iodepth", "16",
-			"-recall-target", "0.9", "-target-p99", "100ms",
+			"-recall-target", "0.9",
 		}, &out, func(a net.Addr) { addrc <- a })
 	}()
 
@@ -478,15 +480,25 @@ func TestRunStorageFlagCoupling(t *testing.T) {
 }
 
 // TestRunCoalescerFlags: no sharded engine waits on a timer and the hold an
-// unsharded one keeps is not a flag, so -maxdelay is gone — an unknown flag,
-// not a silently ignored one — while -maxbatch and -maxqueue still parse and
-// boot.
+// unsharded one keeps is not a flag, a shard sub-query runs once, and batch
+// size and queue depth stay what the flags set them to — so -maxdelay, -hedge
+// and -target-p99 are gone: unknown flags, not silently ignored ones, and the
+// flag set holds 26. -maxbatch and -maxqueue still parse and boot.
 func TestRunCoalescerFlags(t *testing.T) {
 	small := []string{"-addr", "127.0.0.1:0", "-n", "600", "-queries", "5", "-shards", "1", "-k", "2"}
 
-	err := run(context.Background(), append(small, "-maxdelay", "1ms"), io.Discard, nil)
-	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -maxdelay") {
-		t.Errorf("-maxdelay: err = %v, want an unknown-flag error", err)
+	for _, gone := range [][]string{{"-maxdelay", "1ms"}, {"-hedge"}, {"-target-p99", "100ms"}} {
+		err := run(context.Background(), append(small, gone...), io.Discard, nil)
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+gone[0]) {
+			t.Errorf("%s: err = %v, want an unknown-flag error", gone[0], err)
+		}
+	}
+	src, err := os.ReadFile("main.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(regexp.MustCompile(`= fs\.\w+\("`).FindAll(src, -1)); n != 26 {
+		t.Errorf("main.go defines %d flags, want 26", n)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())

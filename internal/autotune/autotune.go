@@ -1,5 +1,5 @@
 // Package autotune adapts per-query work to recall and latency SLOs at
-// runtime, without rebuilding the index. Three cooperating pieces:
+// runtime, without rebuilding the index. Two cooperating pieces:
 //
 //   - A per-engine online Model of self-recall: the fraction of the full
 //     ladder's final top-k already present, conditioned on the query's own
@@ -13,8 +13,6 @@
 //     query's target, and under a latency budget degrades the execution
 //     knobs (readahead, multi-probe, candidate budget) mid-query
 //     before giving up rounds — graceful degradation instead of shedding.
-//   - A server-level tuner (ServerTuner) that watches the serving p99 and
-//     adjusts coalescer batch size and I/O engine queue depth.
 //
 // The Tuner is the engine-side anchor: it owns the Model, pools Ctls so a
 // tuned query allocates nothing in steady state, and keeps a small fraction

@@ -320,10 +320,3 @@ func (c *Cache) MissRate() float64 {
 	}
 	return float64(m) / float64(h+m)
 }
-
-// ResetCounters clears hit/miss/prefetch counters, keeping resident blocks.
-func (c *Cache) ResetCounters() {
-	c.hits.Store(0)
-	c.misses.Store(0)
-	c.prefetched.Store(0)
-}

@@ -216,9 +216,8 @@ type Batcher[R any] struct {
 
 	// Guarded by adm.mu, the family's one lock, and touched only from
 	// functions that hold it.
-	pending  []*request[R] // admitted, waiting for an execution slot
-	maxBatch int           // live batch-size knob (SetMaxBatch)
-	closed   bool
+	pending []*request[R] // admitted, waiting for an execution slot
+	closed  bool
 
 	wg sync.WaitGroup // admitted-but-unanswered queries of this batcher
 }
@@ -232,26 +231,7 @@ func New[R any](run Func[R], cfg Config) *Batcher[R] {
 // newShared builds a batcher on an externally-owned admitter.
 func newShared[R any](run Func[R], cfg Config, adm *admitter[R]) *Batcher[R] {
 	ctx, cancel := context.WithCancel(context.Background()) //lsh:ctxok batcher owns its own lifecycle; Close cancels
-	return &Batcher[R]{run: run, cfg: cfg, adm: adm, maxBatch: cfg.MaxBatch, ctx: ctx, cancel: cancel}
-}
-
-// SetMaxBatch adjusts the live batch-size knob (the server-level autotuner
-// steers it against observed p99). Values below 1 are clamped to 1. It takes
-// effect at the next cut.
-func (b *Batcher[R]) SetMaxBatch(n int) {
-	if n < 1 {
-		n = 1
-	}
-	b.adm.mu.Lock()
-	b.maxBatch = n
-	b.adm.mu.Unlock()
-}
-
-// MaxBatch returns the current batch-size knob.
-func (b *Batcher[R]) MaxBatch() int {
-	b.adm.mu.Lock()
-	defer b.adm.mu.Unlock()
-	return b.maxBatch
+	return &Batcher[R]{run: run, cfg: cfg, adm: adm, ctx: ctx, cancel: cancel}
 }
 
 // Do admits one query, waits for the batch it lands in to execute, and
@@ -281,7 +261,7 @@ func (b *Batcher[R]) Do(ctx context.Context, q []float32) (R, error) {
 	// is gathering: the batch is cut now unless this query starts, or joins
 	// short of MaxBatch, such a hold.
 	var expired <-chan time.Time
-	switch held := b.cfg.MaxDelay > 0 && len(b.pending) < b.maxBatch; {
+	switch held := b.cfg.MaxDelay > 0 && len(b.pending) < b.cfg.MaxBatch; {
 	case a.executing >= a.slots:
 	case !held:
 		b.startLocked()
@@ -370,15 +350,15 @@ func (b *Batcher[R]) admitLocked(ctx context.Context, q []float32) (*request[R],
 	return req, nil
 }
 
-// cutLocked takes up to maxBatch queries off the front of the pending
+// cutLocked takes up to MaxBatch queries off the front of the pending
 // queue. A query whose caller's context is already done is answered
 // ctx.Err() here and its queue slot released: it never reaches the batch
 // function. The result is empty when every pending caller was gone.
 func (b *Batcher[R]) cutLocked() []*request[R] {
 	a := b.adm
-	reqs := make([]*request[R], 0, min(len(b.pending), b.maxBatch))
+	reqs := make([]*request[R], 0, min(len(b.pending), b.cfg.MaxBatch))
 	n := 0
-	for n < len(b.pending) && len(reqs) < b.maxBatch {
+	for n < len(b.pending) && len(reqs) < b.cfg.MaxBatch {
 		req := b.pending[n]
 		n++
 		if err := req.ctx.Err(); err != nil {

@@ -337,19 +337,25 @@ func TestCoalesceHoldEndsWhenHolderLeaves(t *testing.T) {
 // finishes meanwhile — that slot takes the held query with whatever queued.
 func TestCoalesceHoldTakenByFinishingSlot(t *testing.T) {
 	g := newGate()
-	b := New(g.run, Config{MaxBatch: 1, MaxDelay: time.Hour, Slots: 2})
+	b := New(g.run, Config{MaxBatch: 2, MaxDelay: time.Hour, Slots: 2})
 	defer b.Close()
-	waitFirst := callers(t, b, 0, 1) // a full batch of one: cut at once
-	g.next(t)
-	b.SetMaxBatch(8)
-	waitHeld := callers(t, b, 1, 1)
-	waitFor(t, "the held caller admitted", func() bool { return inflight(b) == 2 })
+	var waitFirst [2]func()
+	for c := range waitFirst { // a full batch of two: cut when the second arrives
+		waitFirst[c] = callers(t, b, c, 1)
+		waitFor(t, "the caller admitted", func() bool { return inflight(b) == c+1 })
+	}
+	if qs := g.next(t); len(qs) != 2 {
+		t.Fatalf("the first batch was %v, want the two callers that filled it", qs)
+	}
+	waitHeld := callers(t, b, 2, 1)
+	waitFor(t, "the held caller admitted", func() bool { return inflight(b) == 3 })
 	if got := b.Executing(); got != 1 || len(g.entered) != 0 {
-		t.Fatalf("Executing() = %d, %d more batches started; want the second query held", got, len(g.entered))
+		t.Fatalf("Executing() = %d, %d more batches started; want the third query held", got, len(g.entered))
 	}
 	g.release <- struct{}{}
-	waitFirst()
-	if qs := g.next(t); len(qs) != 1 || qs[0][0] != 1 {
+	waitFirst[0]()
+	waitFirst[1]()
+	if qs := g.next(t); len(qs) != 1 || qs[0][0] != 2 {
 		t.Errorf("the finishing slot cut %v, want the held query", qs)
 	}
 	close(g.release)

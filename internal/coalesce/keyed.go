@@ -22,21 +22,19 @@ type Keyed[K comparable, R any] struct {
 	cfg Config
 	adm *admitter[R]
 
-	mu       sync.Mutex
-	subs     map[K]*Batcher[R] //lsh:guardedby mu
-	maxBatch int               //lsh:guardedby mu — applied to new sub-batchers
-	closed   bool              //lsh:guardedby mu
+	mu     sync.Mutex
+	subs   map[K]*Batcher[R] //lsh:guardedby mu
+	closed bool              //lsh:guardedby mu
 }
 
 // NewKeyed builds a keyed batcher that executes run for every cut batch.
 func NewKeyed[K comparable, R any](run KeyedFunc[K, R], cfg Config) *Keyed[K, R] {
 	cfg = cfg.withDefaults()
 	return &Keyed[K, R]{
-		run:      run,
-		cfg:      cfg,
-		adm:      newAdmitter[R](cfg),
-		subs:     make(map[K]*Batcher[R]),
-		maxBatch: cfg.MaxBatch,
+		run:  run,
+		cfg:  cfg,
+		adm:  newAdmitter[R](cfg),
+		subs: make(map[K]*Batcher[R]),
 	}
 }
 
@@ -55,7 +53,6 @@ func (kb *Keyed[K, R]) Do(ctx context.Context, key K, q []float32) (R, error) {
 		sub = newShared(func(ctx context.Context, queries [][]float32) ([]R, error) {
 			return kb.run(ctx, k, queries)
 		}, kb.cfg, kb.adm)
-		sub.SetMaxBatch(kb.maxBatch)
 		kb.subs[key] = sub
 	}
 	kb.mu.Unlock()
@@ -82,32 +79,8 @@ func (kb *Keyed[K, R]) Executing() int { return kb.adm.executingCount() }
 // many queries they held.
 func (kb *Keyed[K, R]) Batches() (batches, queries uint64) { return kb.adm.batchCounts() }
 
-// SetMaxBatch adjusts the live batch-size knob on every current and future
-// sub-batcher.
-func (kb *Keyed[K, R]) SetMaxBatch(n int) {
-	if n < 1 {
-		n = 1
-	}
-	kb.mu.Lock()
-	kb.maxBatch = n
-	subs := make([]*Batcher[R], 0, len(kb.subs))
-	for _, sub := range kb.subs {
-		subs = append(subs, sub)
-	}
-	kb.mu.Unlock()
-	// Outside kb.mu: each SetMaxBatch takes the family's queue lock, and new
-	// Do calls must not block on the fan-out.
-	for _, sub := range subs {
-		sub.SetMaxBatch(n)
-	}
-}
-
-// MaxBatch returns the current batch-size knob.
-func (kb *Keyed[K, R]) MaxBatch() int {
-	kb.mu.Lock()
-	defer kb.mu.Unlock()
-	return kb.maxBatch
-}
+// MaxBatch returns the largest batch a cut takes.
+func (kb *Keyed[K, R]) MaxBatch() int { return kb.cfg.MaxBatch }
 
 // Close stops admission and closes every sub-batcher, waiting for their
 // admitted queries — executing or queued — to be answered.

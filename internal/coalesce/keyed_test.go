@@ -233,38 +233,6 @@ func TestKeyedSharedQueueBound(t *testing.T) {
 	wg.Wait()
 }
 
-// TestKeyedSetMaxBatch: the live knob propagates to existing sub-batchers
-// and seeds new ones.
-func TestKeyedSetMaxBatch(t *testing.T) {
-	run := func(ctx context.Context, k int, queries [][]float32) ([]float32, error) {
-		return make([]float32, len(queries)), nil
-	}
-	kb := NewKeyed(run, Config{MaxBatch: 32})
-	defer kb.Close()
-	if _, err := kb.Do(context.Background(), 7, []float32{0}); err != nil {
-		t.Fatal(err)
-	}
-	kb.SetMaxBatch(3)
-	if got := kb.MaxBatch(); got != 3 {
-		t.Fatalf("MaxBatch() = %d after SetMaxBatch(3)", got)
-	}
-	kb.mu.Lock()
-	sub := kb.subs[7]
-	kb.mu.Unlock()
-	if got := sub.MaxBatch(); got != 3 {
-		t.Errorf("existing sub-batcher MaxBatch() = %d, want 3", got)
-	}
-	if _, err := kb.Do(context.Background(), 8, []float32{0}); err != nil {
-		t.Fatal(err)
-	}
-	kb.mu.Lock()
-	sub8 := kb.subs[8]
-	kb.mu.Unlock()
-	if got := sub8.MaxBatch(); got != 3 {
-		t.Errorf("new sub-batcher MaxBatch() = %d, want 3", got)
-	}
-}
-
 // TestKeyedClose: Do after Close refuses with ErrClosed on every key.
 func TestKeyedClose(t *testing.T) {
 	run := func(ctx context.Context, k int, queries [][]float32) ([]float32, error) {

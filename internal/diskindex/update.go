@@ -2,6 +2,7 @@ package diskindex
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sync"
 
@@ -201,6 +202,9 @@ func (ix *Index) insertEntryLocked(r, l int, idx, id, fp uint32, idem bool) erro
 	return nil
 }
 
+// ErrUnknownID is wrapped by Delete's error when the ID was never assigned.
+var ErrUnknownID = errors.New("unknown ID")
+
 // Delete removes the object with the given ID from every bucket. The
 // object's vector must still be resident (it is needed to locate its
 // buckets); the caller should treat the ID as retired afterwards. It
@@ -210,7 +214,7 @@ func (ix *Index) Delete(id uint32) (bool, error) {
 	u.mu.Lock()
 	defer u.mu.Unlock()
 	if int(id) >= len(ix.data) {
-		return false, fmt.Errorf("diskindex: delete of unknown ID %d", id)
+		return false, fmt.Errorf("diskindex: delete of %w %d", ErrUnknownID, id)
 	}
 	if u.wal != nil {
 		if err := u.wal.Append(wal.Record{Type: wal.RecordDelete, ID: id}); err != nil {

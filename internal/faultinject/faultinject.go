@@ -49,7 +49,7 @@ type Schedule struct {
 	// with one bit flipped — silent corruption only checksums can catch.
 	BitFlip float64
 	// SlowRead is the probability a read stalls for SlowDelay before
-	// completing normally (a stuck-slow device, the hedging trigger).
+	// completing normally (a stuck-slow device).
 	SlowRead float64
 	// SlowDelay is the stall for SlowRead faults (default 2ms).
 	SlowDelay time.Duration

@@ -155,7 +155,7 @@ type flight struct {
 type Engine struct {
 	src     Source
 	cache   *blockcache.Cache
-	sem     *semaphore
+	sem     chan struct{} // a token per physical operation in flight, Depth of them
 	retries int
 	backoff time.Duration
 	quar    quarantine
@@ -208,7 +208,7 @@ func New(src Source, opts Options) (*Engine, error) {
 	return &Engine{
 		src:      src,
 		cache:    opts.Cache,
-		sem:      newSemaphore(opts.Depth),
+		sem:      make(chan struct{}, opts.Depth),
 		retries:  opts.Retries,
 		backoff:  backoff,
 		quar:     quarantine{limit: quarLimit},
@@ -216,19 +216,8 @@ func New(src Source, opts Options) (*Engine, error) {
 	}, nil
 }
 
-// Depth returns the current queue depth.
-func (e *Engine) Depth() int { return e.sem.limit() }
-
-// SetDepth adjusts the queue depth on the live engine, reporting whether n
-// was accepted (n < 1 is refused). Physical operations already in flight
-// finish at the old depth; new submissions honor the new one.
-func (e *Engine) SetDepth(n int) bool {
-	if n < 1 {
-		return false
-	}
-	e.sem.setLimit(n)
-	return true
-}
+// Depth returns the queue depth the engine was built with.
+func (e *Engine) Depth() int { return cap(e.sem) }
 
 // Cache returns the attached cache (nil when uncached).
 func (e *Engine) Cache() *blockcache.Cache { return e.cache }
@@ -315,9 +304,9 @@ func (e *Engine) readOnce(a blockstore.Addr, buf []byte) error {
 	if lat != nil {
 		t0 = time.Now()
 	}
-	e.sem.acquire()
+	e.sem <- struct{}{}
 	err := e.src.ReadBlock(a, buf)
-	e.sem.release()
+	<-e.sem
 	if lat != nil {
 		lat.Observe(time.Since(t0))
 	}
@@ -652,9 +641,9 @@ func (e *Engine) submitRun(addrs []blockstore.Addr, bufs [][]byte, lead []int, r
 		if lat != nil {
 			t0 = time.Now()
 		}
-		e.sem.acquire()
+		e.sem <- struct{}{}
 		_, err := e.src.ReadBlocks(runAddrs, runBufs)
-		e.sem.release()
+		<-e.sem
 		if lat != nil {
 			lat.Observe(time.Since(t0))
 		}

@@ -15,11 +15,9 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"e2lshos/internal/ann"
-	"e2lshos/internal/telemetry"
 )
 
 // Placement selects how objects are assigned to shards.
@@ -129,72 +127,6 @@ type Router[S any] struct {
 	// closure returning, which includes goroutine scheduling — the quantity
 	// a load balancer or straggler detector actually experiences.
 	observe func(shard int, d time.Duration)
-
-	// hedge, when set, re-issues a straggling shard's sub-query after that
-	// shard's observed p99 and takes whichever attempt answers first — the
-	// tail-tolerance move of every scatter-gather serving tier, rehearsed
-	// in-process here before the ROADMAP's network tier needs it.
-	hedge *hedger
-}
-
-// HedgeConfig tunes hedged reads (EnableHedging).
-type HedgeConfig struct {
-	// MinSamples is how many successful sub-queries a shard must have
-	// answered before its latency history is trusted enough to hedge
-	// against (default 32).
-	MinSamples int
-	// Floor is the lowest hedge delay ever used, so a fast shard's tight
-	// p99 cannot spawn a duplicate on every scheduling hiccup (default
-	// 200µs).
-	Floor time.Duration
-}
-
-// hedger is the per-shard latency history and the hedging counters.
-type hedger struct {
-	min    int
-	floor  time.Duration
-	hists  []telemetry.Histogram
-	hedged atomic.Int64
-	wins   atomic.Int64
-}
-
-// delay returns the hedge delay for shard i — its observed p99, clamped to
-// the floor — and whether enough history exists to hedge at all.
-func (h *hedger) delay(i int) (time.Duration, bool) {
-	var snap telemetry.HistSnapshot
-	h.hists[i].Snapshot(&snap)
-	if snap.Count < uint64(h.min) {
-		return 0, false
-	}
-	d := snap.Quantile(0.99)
-	if d < h.floor {
-		d = h.floor
-	}
-	return d, true
-}
-
-func (h *hedger) record(i int, d time.Duration) { h.hists[i].Observe(d) }
-
-// EnableHedging turns on hedged reads for every subsequent scatter. Like
-// SetObserver it is a setup-time call, not safe concurrently with
-// Search/BatchSearch.
-func (r *Router[S]) EnableHedging(cfg HedgeConfig) {
-	if cfg.MinSamples <= 0 {
-		cfg.MinSamples = 32
-	}
-	if cfg.Floor <= 0 {
-		cfg.Floor = 200 * time.Microsecond
-	}
-	r.hedge = &hedger{min: cfg.MinSamples, floor: cfg.Floor, hists: make([]telemetry.Histogram, len(r.globals))}
-}
-
-// HedgeStats reports how many duplicate sub-queries were issued and how
-// many of them answered before their primary (0, 0 without EnableHedging).
-func (r *Router[S]) HedgeStats() (hedged, wins int64) {
-	if r.hedge == nil {
-		return 0, 0
-	}
-	return r.hedge.hedged.Load(), r.hedge.wins.Load()
 }
 
 // SetObserver installs (or, with nil, removes) the per-shard latency hook.
@@ -217,10 +149,6 @@ func NewRouter[S any](globals [][]uint32) (*Router[S], error) {
 
 // Shards returns the number of shards routed over.
 func (r *Router[S]) Shards() int { return len(r.globals) }
-
-// Globals returns shard i's local→global ID table. The slice is shared, not
-// copied; callers must not mutate it.
-func (r *Router[S]) Globals(i int) []uint32 { return r.globals[i] }
 
 // shardOut is one shard's gathered answer; its stats go straight into the
 // positional slice the scatter returns.
@@ -278,7 +206,7 @@ func (r *Router[S]) scatter(ctx context.Context, fn func(ctx context.Context, sh
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			outs[i], stats[i] = r.runShard(sctx, i, fn)
+			outs[i].results, stats[i], outs[i].err = fn(sctx, i)
 			if r.observe != nil {
 				r.observe(i, time.Since(start))
 			}
@@ -289,65 +217,6 @@ func (r *Router[S]) scatter(ctx context.Context, fn func(ctx context.Context, sh
 	}
 	wg.Wait()
 	return outs, stats
-}
-
-// hedgeResult tags a finished attempt with which of the two it was.
-type hedgeResult[S any] struct {
-	out    shardOut
-	stats  S
-	second bool
-}
-
-// runShard executes shard i's sub-query, hedging it with a duplicate
-// attempt after the shard's observed p99 once enough latency history
-// exists. The first attempt to answer wins; the loser's context is canceled
-// and its stats are dropped (the duplicate did the same work, so folding
-// both would double-count). Only successful attempts feed the latency
-// history — fast failures must not shrink the hedge delay.
-func (r *Router[S]) runShard(sctx context.Context, i int, fn func(ctx context.Context, shard int) ([]ann.Result, S, error)) (out shardOut, stats S) {
-	h := r.hedge
-	var delay time.Duration
-	hedgeable := false
-	if h != nil {
-		delay, hedgeable = h.delay(i)
-	}
-	if !hedgeable {
-		t0 := time.Now()
-		out.results, stats, out.err = fn(sctx, i)
-		if h != nil && out.err == nil {
-			h.record(i, time.Since(t0))
-		}
-		return out, stats
-	}
-	actx, acancel := context.WithCancel(sctx)
-	defer acancel() // reap the losing attempt once a winner returns
-	ch := make(chan hedgeResult[S], 2)
-	attempt := func(second bool) {
-		t0 := time.Now()
-		res := hedgeResult[S]{second: second}
-		res.out.results, res.stats, res.out.err = fn(actx, i)
-		if res.out.err == nil {
-			h.record(i, time.Since(t0))
-		}
-		ch <- res
-	}
-	go attempt(false)
-	timer := time.NewTimer(delay)
-	defer timer.Stop()
-	select {
-	case res := <-ch:
-		return res.out, res.stats
-	case <-timer.C:
-	}
-	// The primary is straggling past this shard's p99: issue the duplicate
-	// and take whichever answers first.
-	h.hedged.Add(1)
-	go attempt(true)
-	res := <-ch
-	if res.second {
-		h.wins.Add(1)
-	}
-	return res.out, res.stats
 }
 
 // gather merges nq per-query answers across shards in shard order (so the

@@ -4,9 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"e2lshos/internal/ann"
 )
@@ -185,60 +183,6 @@ func TestRouterPartialOnCancel(t *testing.T) {
 	}
 	if len(res.Neighbors) != 1 || res.Neighbors[0].ID != 4 {
 		t.Fatalf("partial merge lost the answered shard: %v", res.Neighbors)
-	}
-}
-
-// TestRouterHedgedReads: once a shard has latency history, a straggling
-// sub-query is re-issued after the hedge delay and the duplicate's answer
-// wins; the abandoned primary is released through its canceled context.
-func TestRouterHedgedReads(t *testing.T) {
-	globals := [][]uint32{{42}}
-	r, err := NewRouter[int](globals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const warm = 4
-	r.EnableHedging(HedgeConfig{MinSamples: warm, Floor: time.Millisecond})
-
-	var calls atomic.Int64
-	released := make(chan struct{}, 1)
-	search := func(ctx context.Context, shard int, q []float32) (ann.Result, int, error) {
-		n := calls.Add(1)
-		if n == warm+1 {
-			// The straggling primary: hangs until the router reaps it.
-			<-ctx.Done()
-			released <- struct{}{}
-			return ann.Result{}, 0, ctx.Err()
-		}
-		return ann.Result{Neighbors: []ann.Neighbor{{ID: 0, Dist: 1}}}, 7, nil
-	}
-	for i := 0; i < warm; i++ {
-		if _, _, err := r.Search(context.Background(), []float32{0}, 1, search); err != nil {
-			t.Fatalf("warmup query %d: %v", i, err)
-		}
-	}
-	if hedged, _ := r.HedgeStats(); hedged != 0 {
-		t.Fatalf("hedged %d sub-queries during healthy warmup, want 0", hedged)
-	}
-
-	res, stats, err := r.Search(context.Background(), []float32{0}, 1, search)
-	if err != nil {
-		t.Fatalf("hedged query failed: %v", err)
-	}
-	if len(res.Neighbors) != 1 || res.Neighbors[0].ID != 42 {
-		t.Fatalf("hedged query merged %v, want global ID 42", res.Neighbors)
-	}
-	if len(stats) != 1 || stats[0] != 7 {
-		t.Fatalf("hedged query stats %v, want the winning attempt's [7]", stats)
-	}
-	hedged, wins := r.HedgeStats()
-	if hedged != 1 || wins != 1 {
-		t.Fatalf("HedgeStats() = (%d, %d), want (1, 1)", hedged, wins)
-	}
-	select {
-	case <-released:
-	case <-time.After(5 * time.Second):
-		t.Fatal("abandoned primary attempt was never canceled")
 	}
 }
 

@@ -15,7 +15,6 @@ import (
 	"sync"
 	"time"
 
-	"e2lshos/internal/autotune"
 	"e2lshos/internal/coalesce"
 	"e2lshos/internal/ladder"
 	"e2lshos/internal/telemetry"
@@ -57,13 +56,6 @@ type ServerConfig struct {
 	// override any part of it per request. Needs EnableAutotune on the
 	// engine to have effect.
 	Tuning SearchTuning
-	// TargetP99, when positive, starts the server-level control loop: every
-	// TunerInterval it reads the interval p99 from the request-latency
-	// histogram and steers the coalescer batch size (and, when the engine
-	// exposes one, the I/O queue depth) against the target.
-	TargetP99 time.Duration
-	// TunerInterval is the control-loop tick (default 1s).
-	TunerInterval time.Duration
 	// Exact optionally holds ground-truth results for a held-out query set.
 	// A request carrying "qid": i is scored against Exact[i] with the
 	// facade's Recall / OverallRatio metrics and /stats reports the running
@@ -113,13 +105,9 @@ type Server struct {
 
 	// lat and wait are always on (one atomic add per request): end-to-end
 	// HTTP request latency and per-query coalescer queue wait. They back
-	// /metrics' p50/p99/p999 regardless of engine-side telemetry, and lat
-	// additionally feeds the server-level tuner.
+	// /metrics' p50/p99/p999 regardless of engine-side telemetry.
 	lat  *telemetry.Histogram
 	wait *telemetry.Histogram
-
-	tunerStop chan struct{}
-	tunerWG   sync.WaitGroup
 
 	mu        sync.Mutex
 	agg       Stats   //lsh:guardedby mu
@@ -183,9 +171,6 @@ func NewServer(eng Engine, cfg ServerConfig) (*Server, error) {
 		MaxBatch: cfg.MaxBatch, MaxQueue: cfg.MaxQueue, MaxDelay: hold, Slots: slots,
 		ObserveWait: s.wait.Observe,
 	})
-	if cfg.TargetP99 > 0 {
-		s.startTuner()
-	}
 	return s, nil
 }
 
@@ -233,58 +218,8 @@ func (s *Server) runBatch(ctx context.Context, key tuningKey, queries [][]float3
 	return out, nil
 }
 
-// startTuner launches the server-level AIMD loop against TargetP99.
-func (s *Server) startTuner() {
-	depth := 0
-	if d, ok := s.eng.(interface{ IODepth() int }); ok {
-		depth = d.IODepth()
-	}
-	tuner := autotune.NewServerTuner(autotune.ServerTunerConfig{
-		TargetP99: s.cfg.TargetP99,
-		Batch:     s.batcher.MaxBatch(),
-		Depth:     depth,
-	})
-	interval := s.cfg.TunerInterval
-	if interval <= 0 {
-		interval = time.Second
-	}
-	s.tunerStop = make(chan struct{})
-	s.tunerWG.Add(1)
-	go func() {
-		defer s.tunerWG.Done()
-		tick := time.NewTicker(interval)
-		defer tick.Stop()
-		setDepth, _ := s.eng.(interface{ SetIODepth(int) bool })
-		for {
-			select {
-			case <-s.tunerStop:
-				return
-			case <-tick.C:
-			}
-			var snap telemetry.HistSnapshot
-			s.lat.Snapshot(&snap)
-			act := tuner.Observe(&snap)
-			if act.Samples == 0 {
-				continue
-			}
-			s.batcher.SetMaxBatch(act.Batch)
-			if act.Depth > 0 && setDepth != nil {
-				setDepth.SetIODepth(act.Depth)
-			}
-		}
-	}()
-}
-
-// Close stops the control loop, then flushes and stops the coalescer;
-// pending requests complete first.
-func (s *Server) Close() {
-	if s.tunerStop != nil {
-		close(s.tunerStop)
-		s.tunerWG.Wait()
-		s.tunerStop = nil
-	}
-	s.batcher.Close()
-}
+// Close flushes and stops the coalescer; pending requests complete first.
+func (s *Server) Close() { s.batcher.Close() }
 
 // Stats returns the cumulative Stats of everything served so far.
 func (s *Server) Stats() Stats {
@@ -368,8 +303,7 @@ type searchResponseV1 struct {
 // handler checks one out of the server's free list and hands it back when it
 // returns. The query vector's backing array is not part of it: the engine
 // may still be reading a query after its caller has gone (an abandoned
-// request, a hedged shard attempt that lost), so each request's vector is
-// its own, allocated at its final size.
+// request), so each request's vector is its own, allocated at its final size.
 type searchIO struct {
 	body bytes.Buffer
 	req  searchRequestV1
@@ -380,6 +314,30 @@ type searchIO struct {
 // back to the free list, so one oversized request does not pin its size in
 // memory for the life of the server (a 128-d query is about 1 KB of JSON).
 const maxPooledBody = 64 << 10
+
+// readJSON reads a request body of at most maxBody bytes into buf and decodes
+// it into v as exactly one JSON value, reporting whether the request may
+// proceed: a longer body answers 413 without being read to its end, anything
+// else that does not decode — trailing bytes included — 400.
+func (s *Server) readJSON(w http.ResponseWriter, r *http.Request, buf *bytes.Buffer, v any) bool {
+	// A vector is at most 32 bytes of JSON per coordinate (a float32 prints
+	// in under 16), plus the other fields.
+	maxBody := int64(max(maxPooledBody, 32*s.cfg.Dim+4<<10))
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBody))
+	if err == nil {
+		err = json.Unmarshal(buf.Bytes(), v)
+	}
+	if err != nil {
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, fmt.Sprintf("bad request body: %v", err), status)
+		return false
+	}
+	return true
+}
 
 // statsResponse is the /stats reply: the cumulative Stats counters under
 // their own wire names (the paper's analysis units; the embedded struct's
@@ -413,11 +371,7 @@ type statsResponse struct {
 	WALTornTail   bool   `json:"wal_torn_tail,omitempty"`
 	// Panics counts recovered panics — batch functions and HTTP handlers —
 	// that were converted to errors instead of crashes.
-	Panics uint64 `json:"panics"`
-	// Hedged / HedgeWins report shard-read hedging (zero unless the engine
-	// is a ShardedIndex with EnableHedging).
-	Hedged        int64   `json:"hedged,omitempty"`
-	HedgeWins     int64   `json:"hedge_wins,omitempty"`
+	Panics        uint64  `json:"panics"`
 	UptimeSeconds float64 `json:"uptime_seconds"`
 	Scored        int     `json:"scored,omitempty"`
 	MeanRecall    float64 `json:"mean_recall,omitempty"`
@@ -650,12 +604,7 @@ func (s *Server) handleSearchV1(w http.ResponseWriter, r *http.Request) {
 	sio.body.Reset()
 	sio.req = searchRequestV1{Query: make([]float32, 0, s.cfg.Dim)}
 	req := &sio.req
-	if _, err := sio.body.ReadFrom(r.Body); err != nil {
-		http.Error(w, fmt.Sprintf("bad request body: %v", err), http.StatusBadRequest)
-		return
-	}
-	if err := json.Unmarshal(sio.body.Bytes(), req); err != nil {
-		http.Error(w, fmt.Sprintf("bad request body: %v", err), http.StatusBadRequest)
+	if !s.readJSON(w, r, &sio.body, req) {
 		return
 	}
 	if !s.checkCommon(w, req.Query, req.K) {
@@ -767,6 +716,10 @@ func (s *Server) score(qid *int, res Result, target float64) {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodGet {
+		http.Error(w, "GET required", http.StatusMethodNotAllowed)
+		return
+	}
 	batches, _ := s.batcher.Batches()
 	s.mu.Lock()
 	st := s.agg
@@ -788,9 +741,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		UptimeSeconds:   time.Since(s.start).Seconds(),
 		Scored:          s.scored,
 	}
-	if h, ok := s.eng.(interface{ HedgeStats() (int64, int64) }); ok {
-		resp.Hedged, resp.HedgeWins = h.HedgeStats()
-	}
 	if rec, ok := s.eng.(recoverable); ok {
 		rst := rec.RecoveryStats()
 		resp.WALGeneration = rst.Generation
@@ -809,10 +759,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // handleMetrics serves GET /metrics in Prometheus text exposition format:
 // every Stats counter (as lsh_stats_<name>_total, names matching the /stats
 // JSON keys), the serving counters, the always-on request-latency and
-// coalescer-wait summaries, the live tuner knob settings, the I/O engine's
-// retry and quarantine counters (lsh_io_*, when the engine has one), and —
-// when the engine has telemetry or autotuning enabled — its per-stage latency
-// summaries and model state under the lsh_ prefix.
+// coalescer-wait summaries, the batch-size and queue-depth settings, the I/O
+// engine's retry and quarantine counters (lsh_io_*, when the engine has one),
+// and — when the engine has telemetry or autotuning enabled — its per-stage
+// latency summaries and model state under the lsh_ prefix.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		http.Error(w, "GET required", http.StatusMethodNotAllowed)
@@ -844,11 +794,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			torn = 1
 		}
 		telemetry.WriteGauge(w, "lsh_wal_torn_tail", torn)
-	}
-	if h, ok := s.eng.(interface{ HedgeStats() (int64, int64) }); ok {
-		hedged, wins := h.HedgeStats()
-		telemetry.WriteCounter(w, "lsh_hedged_total", float64(hedged))
-		telemetry.WriteCounter(w, "lsh_hedge_wins_total", float64(wins))
 	}
 	telemetry.WriteGauge(w, "lsh_uptime_seconds", time.Since(s.start).Seconds())
 	telemetry.WriteGauge(w, "lsh_coalesce_max_batch", float64(s.batcher.MaxBatch()))

@@ -1,11 +1,14 @@
 package e2lshos
 
 import (
-	"encoding/json"
+	"bytes"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
 	"strings"
+
+	"e2lshos/internal/diskindex"
 )
 
 // The serving tier's online-mutation surface: POST /v1/insert and DELETE
@@ -65,9 +68,9 @@ func (s *Server) handleInsertV1(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	var body bytes.Buffer
 	var req insertRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, fmt.Sprintf("bad request body: %v", err), http.StatusBadRequest)
+	if !s.readJSON(w, r, &body, &req) {
 		return
 	}
 	if len(req.Vector) != s.cfg.Dim {
@@ -109,7 +112,7 @@ func (s *Server) handleObjectV1(w http.ResponseWriter, r *http.Request) {
 	removed, err := u.Delete(uint32(id64))
 	if err != nil {
 		status := http.StatusInternalServerError
-		if strings.Contains(err.Error(), "unknown ID") {
+		if errors.Is(err, diskindex.ErrUnknownID) {
 			status = http.StatusNotFound
 		} else {
 			s.mu.Lock()

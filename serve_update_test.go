@@ -1,11 +1,17 @@
 package e2lshos
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
+
+	"e2lshos/internal/diskindex"
 )
 
 // newUpdateServer builds a real WAL-backed StorageIndex behind a Server,
@@ -123,15 +129,12 @@ func TestServeUpdateValidation(t *testing.T) {
 		t.Fatalf("short vector: got %d", rec.Code)
 	}
 	// Wrong methods.
-	get := httptest.NewRecorder()
-	h.ServeHTTP(get, httptest.NewRequest("GET", "/v1/insert", nil))
-	if get.Code != http.StatusMethodNotAllowed {
-		t.Fatalf("GET /v1/insert: got %d", get.Code)
-	}
-	post := httptest.NewRecorder()
-	h.ServeHTTP(post, httptest.NewRequest("POST", "/v1/object/3", nil))
-	if post.Code != http.StatusMethodNotAllowed {
-		t.Fatalf("POST /v1/object/3: got %d", post.Code)
+	for _, tc := range [][2]string{{"GET", "/v1/insert"}, {"POST", "/v1/object/3"}, {"POST", "/stats"}} {
+		wrong := httptest.NewRecorder()
+		h.ServeHTTP(wrong, httptest.NewRequest(tc[0], tc[1], nil))
+		if wrong.Code != http.StatusMethodNotAllowed {
+			t.Fatalf("%s %s: got %d", tc[0], tc[1], wrong.Code)
+		}
 	}
 	// Bad and unknown IDs.
 	bad := httptest.NewRecorder()
@@ -156,5 +159,74 @@ func TestServeUpdateValidation(t *testing.T) {
 	rec = postJSON(t, h2, "/v1/insert", insertRequest{Vector: []float32{1, 2}})
 	if rec.Code != http.StatusNotImplemented {
 		t.Fatalf("insert on non-updatable engine: got %d", rec.Code)
+	}
+}
+
+// TestServeBodyBounds: both POST routes stop reading a body at the server's
+// bound and answer 413, refuse bytes after the JSON value with 400, and keep
+// serving afterwards.
+func TestServeBodyBounds(t *testing.T) {
+	ds, _, h := newUpdateServer(t)
+	search, err := json.Marshal(searchRequestV1{Query: ds.Vectors[0]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	insert, err := json.Marshal(insertRequest{Vector: ds.Vectors[1000]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func(path string, body []byte) int {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", path, bytes.NewReader(body)))
+		return rec.Code
+	}
+	// A well-formed request padded to 1 MB: only its length is wrong.
+	padding := bytes.Repeat([]byte(" "), 1<<20)
+	for _, tc := range []struct {
+		path string
+		body []byte
+	}{{"/v1/search", search}, {"/v1/insert", insert}} {
+		if got := post(tc.path, slices.Concat(tc.body, padding)); got != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s with a 1 MB body: got %d, want 413", tc.path, got)
+		}
+		if got := post(tc.path, slices.Concat(tc.body, []byte("{}"))); got != http.StatusBadRequest {
+			t.Errorf("%s with bytes after the value: got %d, want 400", tc.path, got)
+		}
+		if got := post(tc.path, tc.body); got != http.StatusOK {
+			t.Errorf("%s after the refused bodies: got %d, want 200", tc.path, got)
+		}
+	}
+}
+
+// deleteStub is an updatable engine whose Delete fails as told.
+type deleteStub struct {
+	captureEngine
+	err error
+}
+
+func (e *deleteStub) Insert([]float32) (uint32, error) { return 0, nil }
+func (e *deleteStub) Delete(uint32) (bool, error)      { return false, e.err }
+
+// TestServeDeleteNotFoundBySentinel: a delete answers 404 because the
+// engine's error wraps diskindex.ErrUnknownID, whatever its wording, and an
+// unrelated failure that happens to say "unknown ID" stays a 500.
+func TestServeDeleteNotFoundBySentinel(t *testing.T) {
+	for _, tc := range []struct {
+		err  error
+		want int
+	}{
+		{fmt.Errorf("shard 3: no such object: %w", diskindex.ErrUnknownID), http.StatusNotFound},
+		{errors.New("wal: append failed after unknown ID 7 was logged"), http.StatusInternalServerError},
+	} {
+		srv, err := NewServer(&deleteStub{err: tc.err}, ServerConfig{Dim: 2, K: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest("DELETE", "/v1/object/7", nil))
+		srv.Close()
+		if rec.Code != tc.want {
+			t.Errorf("Delete failing with %q: got %d, want %d", tc.err, rec.Code, tc.want)
+		}
 	}
 }

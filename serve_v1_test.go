@@ -318,36 +318,3 @@ func TestOverloadSheds429(t *testing.T) {
 		t.Errorf("sheds leaked into the degraded counter: %d", st.Degraded)
 	}
 }
-
-// TestServerTunerAdjustsBatch: with an unmeetable p99 target the control
-// loop halves the coalescer batch within a few ticks.
-func TestServerTunerAdjustsBatch(t *testing.T) {
-	eng := &captureEngine{st: Stats{Queries: 1}}
-	srv, err := NewServer(eng, ServerConfig{
-		Dim: 2, K: 1, MaxBatch: 32,
-		// The interval must be long enough for the sequential test requests
-		// to clear the tuner's MinSamples bar (16 per interval).
-		TargetP99: time.Nanosecond, TunerInterval: 50 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	h := srv.Handler()
-
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.batcher.MaxBatch() == 32 {
-		for i := 0; i < 8; i++ {
-			if rec := postJSON(t, h, "/v1/search", searchRequestV1{Query: []float32{1, 2}}); rec.Code != 200 {
-				t.Fatalf("search returned %d", rec.Code)
-			}
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("tuner never adjusted the batch size")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if got := srv.batcher.MaxBatch(); got >= 32 {
-		t.Errorf("batch = %d after over-target intervals, want < 32", got)
-	}
-}

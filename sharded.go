@@ -257,30 +257,6 @@ func (x *ShardedIndex) autotuneSnapshot() *autotune.ModelSnapshot {
 	return &out
 }
 
-// HedgeConfig tunes hedged shard reads (ShardedIndex.EnableHedging). The
-// zero value selects the defaults.
-type HedgeConfig struct {
-	// MinSamples is how many successful sub-queries a shard must have
-	// answered before its latency history is trusted enough to hedge
-	// against (default 32).
-	MinSamples int
-	// Floor is the lowest hedge delay ever used (default 200µs).
-	Floor time.Duration
-}
-
-// EnableHedging turns on hedged shard reads: a sub-query straggling past
-// its shard's observed p99 latency is re-issued and the first answer wins,
-// trading a bounded amount of duplicate work (≤1% of sub-queries by
-// construction, since only the slowest percentile is hedged) for a tail cut
-// on every scatter. Install before serving queries, like EnableTelemetry.
-func (x *ShardedIndex) EnableHedging(cfg HedgeConfig) {
-	x.router.EnableHedging(shard.HedgeConfig{MinSamples: cfg.MinSamples, Floor: cfg.Floor})
-}
-
-// HedgeStats reports how many duplicate sub-queries hedging issued and how
-// many of them answered before their primary.
-func (x *ShardedIndex) HedgeStats() (hedged, wins int64) { return x.router.HedgeStats() }
-
 // ProbeStorage probes every shard that has probeable storage, so /readyz on
 // a sharded server reflects the health of the whole tree; the first failing
 // shard is named.
@@ -307,18 +283,6 @@ func (x *ShardedIndex) IOCounters() IOEngineCounters {
 		}
 	}
 	return sum
-}
-
-// SetIODepth adjusts the I/O queue depth on every shard that has a live
-// engine, reporting whether any shard accepted it.
-func (x *ShardedIndex) SetIODepth(n int) bool {
-	applied := false
-	for _, eng := range x.engines {
-		if d, ok := eng.(interface{ SetIODepth(int) bool }); ok && d.SetIODepth(n) {
-			applied = true
-		}
-	}
-	return applied
 }
 
 // shardTuningOpts adapts caller options for forwarding to shards: per-query

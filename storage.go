@@ -217,18 +217,7 @@ func (s *StorageIndex) IOCounters() IOEngineCounters {
 	return eng.Counters()
 }
 
-// SetIODepth adjusts the vectored I/O engine's queue depth on the live
-// index, reporting whether it applied (false without an attached engine or
-// for n < 1). The server-level autotuner steers this against observed p99.
-func (s *StorageIndex) SetIODepth(n int) bool {
-	eng := s.ix.IOEngine()
-	if eng == nil {
-		return false
-	}
-	return eng.SetDepth(n)
-}
-
-// IODepth reports the I/O engine's current queue depth (0 without one).
+// IODepth reports the I/O engine's queue depth (0 without one).
 func (s *StorageIndex) IODepth() int {
 	eng := s.ix.IOEngine()
 	if eng == nil {
