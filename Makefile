@@ -29,6 +29,7 @@ fuzz:
 	$(GO) test ./internal/diskindex -run '^$$' -fuzz FuzzUint40RoundTrip -fuzztime 20s
 	$(GO) test ./internal/diskindex -run '^$$' -fuzz FuzzChainRoundTrip -fuzztime 20s
 	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzWALRecordRoundTrip -fuzztime 20s
+	$(GO) test . -run '^$$' -fuzz FuzzSearchV1Request -fuzztime 20s
 
 # Chaos suite: every storage configuration under injected faults, race on.
 chaos:

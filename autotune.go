@@ -3,74 +3,29 @@ package e2lshos
 import (
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"e2lshos/internal/autotune"
 )
 
-// DegradePolicy selects how a query that runs out of latency budget behaves;
-// see SearchTuning.
-type DegradePolicy uint8
+// SearchTuning is one query's SLO contract, threaded through WithTuning (or
+// the individual WithRecallTarget / WithLatencyBudget / WithDegradePolicy
+// options); the zero value asks for nothing. It is the controller's own type,
+// and has effect only on engines with EnableAutotune on.
+type SearchTuning = autotune.Tuning
+
+// DegradePolicy selects how a query that runs out of latency budget behaves:
+// DegradeKnobs (the default) degrades readahead, multi-probe and the candidate
+// budget before giving up rounds, DegradeStop stops the ladder instead.
+type DegradePolicy = autotune.DegradePolicy
 
 const (
-	// DegradeKnobs (the default) degrades execution knobs mid-query —
-	// readahead off, multi-probe halved then off, candidate budget
-	// quartered — and only stops the radius ladder once every knob is
-	// exhausted: graceful degradation instead of shedding.
-	DegradeKnobs DegradePolicy = iota
-	// DegradeStop skips knob degradation: rounds run at full quality and the
-	// ladder stops as soon as the budget cannot cover the next round.
-	DegradeStop
+	DegradeKnobs = autotune.DegradeKnobs
+	DegradeStop  = autotune.DegradeStop
 )
 
 // ParseDegradePolicy maps the wire/flag spellings ("", "knobs", "stop") to a
 // policy.
-func ParseDegradePolicy(s string) (DegradePolicy, error) {
-	switch s {
-	case "", "knobs":
-		return DegradeKnobs, nil
-	case "stop":
-		return DegradeStop, nil
-	}
-	return 0, fmt.Errorf("e2lshos: unknown degrade policy %q (want \"knobs\" or \"stop\")", s)
-}
-
-// String returns the canonical spelling.
-func (p DegradePolicy) String() string {
-	if p == DegradeStop {
-		return "stop"
-	}
-	return "knobs"
-}
-
-// SearchTuning is one query's SLO contract, threaded through WithTuning (or
-// the individual WithRecallTarget / WithLatencyBudget / WithDegradePolicy
-// options). The zero value asks for nothing: the ladder runs exactly as
-// without autotuning.
-type SearchTuning struct {
-	// RecallTarget in (0,1) stops the radius ladder early once the engine's
-	// online self-recall model estimates the target is met (minus safety
-	// margins). 0 disables. Requires EnableAutotune.
-	RecallTarget float64
-	// LatencyBudget bounds the query's wall time; as the budget runs out the
-	// controller degrades execution knobs mid-query (or stops, per Degrade)
-	// instead of shedding the query. 0 disables. Requires EnableAutotune.
-	LatencyBudget time.Duration
-	// Degrade selects the out-of-budget behavior.
-	Degrade DegradePolicy
-}
-
-// Active reports whether the tuning asks for any control at all.
-func (t SearchTuning) Active() bool { return t.RecallTarget > 0 || t.LatencyBudget > 0 }
-
-// internal converts to the controller package's representation.
-func (t SearchTuning) internal() autotune.Tuning {
-	tu := autotune.Tuning{RecallTarget: t.RecallTarget, LatencyBudget: t.LatencyBudget}
-	if t.Degrade == DegradeStop {
-		tu.Degrade = autotune.DegradeStop
-	}
-	return tu
-}
+func ParseDegradePolicy(s string) (DegradePolicy, error) { return autotune.ParseDegradePolicy(s) }
 
 // AutotuneOption tunes EnableAutotune.
 type AutotuneOption func(*autotune.Config)
@@ -145,16 +100,6 @@ type autotuned interface {
 	tuner() *autotune.Tuner
 	observeServedRecall(target, recall float64)
 	autotuneSnapshot() *autotune.ModelSnapshot
-}
-
-// baseKnobs resolves the query's undegraded execution knobs from its
-// settings.
-func baseKnobs(set searchSettings) autotune.Knobs {
-	return autotune.Knobs{
-		MultiProbe: set.multiProbe,
-		BudgetS:    set.budget,
-		Readahead:  true,
-	}
 }
 
 // applyOutcome folds what the controller did to one query into its Stats.

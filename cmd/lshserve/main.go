@@ -183,11 +183,11 @@ func run(ctx context.Context, args []string, out io.Writer, ready func(addr net.
 		K:        *k,
 		MaxBatch: *maxBatch,
 		MaxQueue: *maxQueue,
-		Tuning: e2lshos.SearchTuning{
+		Opts: []e2lshos.SearchOption{e2lshos.WithTuning(e2lshos.SearchTuning{
 			RecallTarget:  *recallTgt,
 			LatencyBudget: *latBudget,
 			Degrade:       degradePolicy,
-		},
+		})},
 		Exact: e2lshos.GroundTruth(ds, *k),
 		Pprof: *pprofOn,
 	})

@@ -10,6 +10,7 @@ import (
 
 	"e2lshos/internal/ann"
 	"e2lshos/internal/autotune"
+	"e2lshos/internal/coalesce"
 	"e2lshos/internal/ladder"
 	"e2lshos/internal/memindex"
 	"e2lshos/internal/telemetry"
@@ -51,14 +52,16 @@ var (
 	_ Engine = (*QALSHIndex)(nil)
 )
 
-// searchSettings is the resolved option set of one Search or BatchSearch.
+// searchSettings is the resolved option set of one Search or BatchSearch. The
+// embedded Knobs are what every query of the call runs under — unless each is
+// set, and then query i runs under each[i]: a coalesced serving batch holds
+// queries whose requests asked for different things. each is built once per
+// batch and shared read-only by every shard and worker below.
 type searchSettings struct {
-	k          int
-	budget     int
-	multiProbe int
-	workers    int
-	tuning     SearchTuning
-	statsInto  []Stats
+	ladder.Knobs
+	each      []ladder.Knobs
+	workers   int
+	statsInto []Stats
 }
 
 // SearchOption tunes one Search or BatchSearch call; see the Engine table
@@ -67,19 +70,19 @@ type SearchOption func(*searchSettings)
 
 // WithK sets the number of neighbors to return (default 1, the paper's
 // c²-ANNS setting).
-func WithK(k int) SearchOption { return func(s *searchSettings) { s.k = k } }
+func WithK(k int) SearchOption { return func(s *searchSettings) { s.K = k } }
 
 // WithBudget caps verified candidates: per radius for the E2LSH engines
 // (the paper's S = σ·L accuracy knob, no rebuild needed) and per query for
 // SRS (the paper's T'). Zero keeps the engine's built-in budget. QALSH
 // ignores it — its budget is derived from the build-time β.
-func WithBudget(s int) SearchOption { return func(st *searchSettings) { st.budget = s } }
+func WithBudget(s int) SearchOption { return func(st *searchSettings) { st.Budget = s } }
 
 // WithMultiProbe probes each hash table at its base bucket plus t perturbed
-// neighbors (§8 extension), buying recall without enlarging the index. Only
-// the E2LSH engines honor it; on StorageIndex the extra probes join each
-// radius round's fetch waves.
-func WithMultiProbe(t int) SearchOption { return func(s *searchSettings) { s.multiProbe = t } }
+// neighbors (§8 extension), buying recall without enlarging the index, up to
+// maxMultiProbe. Only the E2LSH engines honor it; on StorageIndex the extra
+// probes join each radius round's fetch waves.
+func WithMultiProbe(t int) SearchOption { return func(s *searchSettings) { s.MultiProbe = t } }
 
 // WithWorkers sets BatchSearch's goroutine pool size (default GOMAXPROCS).
 // Search ignores it.
@@ -89,21 +92,21 @@ func WithWorkers(n int) SearchOption { return func(s *searchSettings) { s.worker
 // budget, degradation policy). It has effect only on engines with
 // EnableAutotune on; without a tuner the contract is silently ignored, like
 // any other unsupported knob.
-func WithTuning(t SearchTuning) SearchOption { return func(s *searchSettings) { s.tuning = t } }
+func WithTuning(t SearchTuning) SearchOption { return func(s *searchSettings) { s.Tuning = t } }
 
 // WithRecallTarget sets only the tuning's recall target; see SearchTuning.
 func WithRecallTarget(r float64) SearchOption {
-	return func(s *searchSettings) { s.tuning.RecallTarget = r }
+	return func(s *searchSettings) { s.Tuning.RecallTarget = r }
 }
 
 // WithLatencyBudget sets only the tuning's latency budget; see SearchTuning.
 func WithLatencyBudget(d time.Duration) SearchOption {
-	return func(s *searchSettings) { s.tuning.LatencyBudget = d }
+	return func(s *searchSettings) { s.Tuning.LatencyBudget = d }
 }
 
 // WithDegradePolicy sets only the tuning's degradation policy.
 func WithDegradePolicy(p DegradePolicy) SearchOption {
-	return func(s *searchSettings) { s.tuning.Degrade = p }
+	return func(s *searchSettings) { s.Tuning.Degrade = p }
 }
 
 // WithStatsInto asks for per-query stats: query i of the batch (index 0 for
@@ -114,44 +117,69 @@ func WithStatsInto(dst []Stats) SearchOption {
 	return func(s *searchSettings) { s.statsInto = dst }
 }
 
-// resolveSettings applies opts over the defaults and validates the result.
-func resolveSettings(opts []SearchOption) (searchSettings, error) {
+// withSettings replaces the whole settings block with *set as it stands when
+// the callee resolves: how a layer that has already resolved a call (the
+// server, the shard router) hands the result down as one value.
+func withSettings(set *searchSettings) SearchOption {
+	return func(s *searchSettings) { *s = *set }
+}
+
+// resolveSettings applies opts over the defaults and validates the result for
+// a call of nq queries.
+func resolveSettings(opts []SearchOption, nq int) (searchSettings, error) {
 	var s searchSettings
-	err := resolveInto(&s, opts)
+	err := resolveInto(&s, opts, nq)
 	return s, err
 }
 
 // resolveInto is resolveSettings into caller-owned storage: options are
 // opaque functions over a *searchSettings, so a settings block declared
 // where it is resolved is a heap allocation per call.
-func resolveInto(s *searchSettings, opts []SearchOption) error {
-	*s = searchSettings{k: 1}
+func resolveInto(s *searchSettings, opts []SearchOption, nq int) error {
+	*s = searchSettings{Knobs: ladder.Knobs{K: 1}}
 	for _, o := range opts {
 		o(s)
 	}
-	switch {
-	case s.k < 1:
-		return fmt.Errorf("e2lshos: k must be at least 1, got %d", s.k)
-	case s.budget < 0:
-		return fmt.Errorf("e2lshos: negative candidate budget %d", s.budget)
-	case s.multiProbe < 0:
-		return fmt.Errorf("e2lshos: negative multi-probe count %d", s.multiProbe)
-	case s.workers < 0:
+	if s.workers < 0 {
 		return fmt.Errorf("e2lshos: negative worker count %d", s.workers)
-	case s.tuning.RecallTarget < 0 || s.tuning.RecallTarget >= 1:
-		return fmt.Errorf("e2lshos: recall target must be in [0, 1), got %g", s.tuning.RecallTarget)
-	case s.tuning.LatencyBudget < 0:
-		return fmt.Errorf("e2lshos: negative latency budget %v", s.tuning.LatencyBudget)
-	case s.tuning.Degrade > DegradeStop:
-		return fmt.Errorf("e2lshos: unknown degrade policy %d", s.tuning.Degrade)
+	}
+	if s.each != nil && len(s.each) != nq {
+		return fmt.Errorf("e2lshos: %d per-query settings for %d queries", len(s.each), nq)
+	}
+	if err := checkKnobs(s.Knobs); err != nil {
+		return err
+	}
+	for _, kn := range s.each {
+		if err := checkKnobs(kn); err != nil {
+			return err
+		}
 	}
 	return nil
 }
 
-// knobs is the per-query value the E2LSH searchers run under: there is no
-// index view or searcher setting behind WithBudget and WithMultiProbe.
-func (s searchSettings) knobs() ladder.Knobs {
-	return ladder.Knobs{K: s.k, Budget: s.budget, MultiProbe: s.multiProbe}
+// maxMultiProbe bounds the perturbed probes per table one query may ask for:
+// a searcher sizes its probe arenas by L·(1+multi-probe) and keeps them.
+// Nothing in the tree asks for more than 4.
+const maxMultiProbe = 1024
+
+// checkKnobs is the one validation of what a query may ask for, whether the
+// ask arrived as options or as /v1/search fields.
+func checkKnobs(kn ladder.Knobs) error {
+	switch {
+	case kn.K < 1:
+		return fmt.Errorf("e2lshos: k must be at least 1, got %d", kn.K)
+	case kn.Budget < 0:
+		return fmt.Errorf("e2lshos: negative candidate budget %d", kn.Budget)
+	case kn.MultiProbe < 0 || kn.MultiProbe > maxMultiProbe:
+		return fmt.Errorf("e2lshos: multi-probe count must be in [0, %d], got %d", maxMultiProbe, kn.MultiProbe)
+	case kn.Tuning.RecallTarget < 0 || kn.Tuning.RecallTarget >= 1:
+		return fmt.Errorf("e2lshos: recall target must be in [0, 1), got %g", kn.Tuning.RecallTarget)
+	case kn.Tuning.LatencyBudget < 0:
+		return fmt.Errorf("e2lshos: negative latency budget %v", kn.Tuning.LatencyBudget)
+	case kn.Tuning.Degrade > DegradeStop:
+		return fmt.Errorf("e2lshos: unknown degrade policy %d", kn.Tuning.Degrade)
+	}
+	return nil
 }
 
 // querier is one engine's per-goroutine searcher: scratch buffers and
@@ -249,7 +277,10 @@ type call struct {
 // coalescer wait is stamped onto the trace, and the controller's clock starts
 // that much earlier, at admission. Both disabled, the cost is two nil checks.
 func (c *call) run(ctx context.Context, qr querier, q []float32, i int, dst []ann.Neighbor) (Result, Stats, error) {
-	kn := c.set.knobs()
+	kn := c.set.Knobs
+	if c.set.each != nil {
+		kn = c.set.each[i]
+	}
 	if c.col == nil && c.tn == nil {
 		return qr.Run(ctx, q, kn, dst)
 	}
@@ -265,7 +296,8 @@ func (c *call) run(ctx context.Context, qr querier, q []float32, i int, dst []an
 	}
 	t0 := time.Now()
 	if c.tn != nil {
-		kn.Ctl = c.tn.Start(c.set.tuning.internal(), baseKnobs(c.set), t0.Add(-wait))
+		base := autotune.Knobs{MultiProbe: kn.MultiProbe, BudgetS: kn.Budget, Readahead: true}
+		kn.Ctl = c.tn.Start(kn.Tuning, base, t0.Add(-wait))
 	}
 	res, st, err := qr.Run(ctx, q, kn, dst)
 	if c.col != nil {
@@ -280,7 +312,7 @@ func (c *call) run(ctx context.Context, qr querier, q []float32, i int, dst []an
 // engineSearch implements Engine.Search over an engineCore; tn is the
 // engine's tuner (nil when autotuning is off or the engine has none).
 func engineSearch(ctx context.Context, e engineCore, tn *autotune.Tuner, q []float32, opts []SearchOption) (Result, Stats, error) {
-	set, err := resolveSettings(opts)
+	set, err := resolveSettings(opts, 1)
 	if err != nil {
 		return Result{}, Stats{}, err
 	}
@@ -320,12 +352,28 @@ type batchRun struct {
 	firstErr error
 }
 
+// fail records the batch's first error and stops the workers claiming more.
+func (r *batchRun) fail(err error) {
+	r.stop.Store(true)
+	r.mu.Lock()
+	if r.firstErr == nil {
+		r.firstErr = err
+	}
+	r.mu.Unlock()
+}
+
 // work is one pool goroutine: it checks out a querier and reuses it across
-// the queries it claims.
+// the queries it claims. A panic inside a searcher fails the batch instead of
+// the process, and the querier it happened in is not put back.
 func (r *batchRun) work() {
 	defer r.wg.Done()
+	defer func() {
+		if p := recover(); p != nil {
+			r.fail(fmt.Errorf("%w: %v", coalesce.ErrPanic, p))
+		}
+	}()
 	qr := checkout(r.e)
-	k := r.set.k
+	k := r.set.K
 	var local Stats
 	for {
 		i := int(r.next.Add(1)) - 1
@@ -334,12 +382,7 @@ func (r *batchRun) work() {
 		}
 		res, st, err := r.run(r.ctx, qr, r.queries[i], i, r.slab[i*k:i*k:(i+1)*k])
 		if err != nil {
-			r.stop.Store(true)
-			r.mu.Lock()
-			if r.firstErr == nil {
-				r.firstErr = err
-			}
-			r.mu.Unlock()
+			r.fail(err)
 			break
 		}
 		if i < len(r.set.statsInto) {
@@ -367,7 +410,7 @@ func engineBatchSearch(ctx context.Context, e engineCore, tn *autotune.Tuner, qu
 		*r = batchRun{}
 		e.scratch().runs.give(r)
 	}()
-	if err := resolveInto(&r.set, opts); err != nil {
+	if err := resolveInto(&r.set, opts, len(queries)); err != nil {
 		return nil, Stats{}, err
 	}
 	results := make([]Result, len(queries))
@@ -385,7 +428,7 @@ func engineBatchSearch(ctx context.Context, e engineCore, tn *autotune.Tuner, qu
 	// disjoint k-sized segments, so the workers' steady state runs at zero
 	// allocations per query (the searchers reuse their own scratch).
 	r.ctx, r.e, r.queries, r.results = ctx, e, queries, results
-	r.slab = make([]ann.Neighbor, len(queries)*r.set.k)
+	r.slab = make([]ann.Neighbor, len(queries)*r.set.K)
 
 	// With telemetry enabled, each worker times its queries individually —
 	// per-query engine latency, not batch wall time — and stamps the

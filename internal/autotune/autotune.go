@@ -23,6 +23,7 @@
 package autotune
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -44,6 +45,26 @@ const (
 	DegradeStop
 )
 
+// ParseDegradePolicy maps the wire and flag spellings ("", "knobs", "stop") to
+// a policy.
+func ParseDegradePolicy(s string) (DegradePolicy, error) {
+	switch s {
+	case "", "knobs":
+		return DegradeKnobs, nil
+	case "stop":
+		return DegradeStop, nil
+	}
+	return 0, fmt.Errorf("autotune: unknown degrade policy %q (want \"knobs\" or \"stop\")", s)
+}
+
+// String returns the canonical spelling.
+func (p DegradePolicy) String() string {
+	if p == DegradeStop {
+		return "stop"
+	}
+	return "knobs"
+}
+
 // Tuning is one query's SLO contract. The zero value asks for nothing: the
 // ladder runs exactly as without a controller (such queries still train the
 // model, for free, since they run to natural termination).
@@ -52,7 +73,9 @@ type Tuning struct {
 	// self-recall (minus the safety margin) reaches it. 0 disables.
 	RecallTarget float64
 	// LatencyBudget bounds the query's wall time, measured from Start's
-	// timestamp (admission, for coalesced queries). 0 disables.
+	// timestamp (admission, for coalesced queries); as it runs out the
+	// controller degrades execution knobs mid-query (or stops, per Degrade)
+	// instead of shedding the query. 0 disables.
 	LatencyBudget time.Duration
 	// Degrade selects the out-of-budget behavior.
 	Degrade DegradePolicy

@@ -9,6 +9,15 @@
 // reaches MaxQueue, further callers are shed immediately with ErrOverloaded
 // instead of queuing without bound.
 //
+// There is one queue, and a batch holds whatever was queued: the batcher is
+// generic over the request (a vector, or a vector plus what its caller asked
+// for), so requests that want different things share a batch and the batch
+// function reads each one's ask beside its vector. A sub-queue per distinct
+// ask would keep state per value ever seen and never batch the traffic that
+// differs; the price of one queue is head-of-line — a cheap query waits for
+// the most expensive one in its batch, as queries with short and long radius
+// ladders always have.
+//
 // Slots is how many batches the engine can really run side by side: the
 // processors divided by how many of them one batch occupies. A batch function
 // that fans a lone query out over every processor gets one slot — more would
@@ -78,10 +87,11 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Func executes one coalesced batch. The returned slice must align
-// positionally with queries; it runs on the batcher's own context, not any
-// single caller's, since the batch outlives individual callers.
-type Func[R any] func(ctx context.Context, queries [][]float32) ([]R, error)
+// Func executes one coalesced batch of whatever the callers queue — a vector,
+// or a vector with the knobs its caller asked for. The returned slice must
+// align positionally with queries; it runs on the batcher's own context, not
+// any single caller's, since the batch outlives individual callers.
+type Func[Q, R any] func(ctx context.Context, queries []Q) ([]R, error)
 
 // request is one caller's place in the queue. ctx is the caller's own
 // context: a query whose caller is gone by the time its batch is cut never
@@ -90,10 +100,10 @@ type Func[R any] func(ctx context.Context, queries [][]float32) ([]R, error)
 // caller that gave up waiting. enq stamps admission time so the cut can
 // attribute each query's queue wait. hold is the timer of the holds this
 // request has started, kept across reuse. A caller that received its response
-// hands the request back to the admitter's free list.
-type request[R any] struct {
+// hands the request back to the batcher's free list.
+type request[Q, R any] struct {
 	ctx  context.Context
-	q    []float32
+	q    Q
 	enq  time.Time
 	done chan response[R]
 	hold *time.Timer
@@ -104,134 +114,65 @@ type response[R any] struct {
 	err error
 }
 
-// admitter is the queue state one batcher, or every sub-batcher of a Keyed
-// family, shares under one lock: the bound on admitted-but-unanswered
-// queries, the execution slots, and which batchers hold pending queries. One
-// admitter per family means MaxQueue and the slot bound cover all keys
-// jointly, and a freed slot can go to whichever key has waited longest.
-type admitter[R any] struct {
+// Batcher coalesces concurrent Do calls into batched Func executions. It is
+// one queue under one lock: the bound on admitted-but-unanswered queries, the
+// execution slots and the pending queries all live here.
+type Batcher[Q, R any] struct {
+	run    Func[Q, R]
+	cfg    Config
+	ctx    context.Context
+	cancel context.CancelFunc
+
 	mu        sync.Mutex
-	max       int           // admission bound (MaxQueue)
-	slots     int           // execution-slot bound (Slots)
-	inflight  int           //lsh:guardedby mu — admitted but not yet answered
-	executing int           //lsh:guardedby mu — slots held by batch goroutines
-	waiting   []*Batcher[R] //lsh:guardedby mu — batchers with pending queries
-	free      []*request[R] //lsh:guardedby mu — answered requests, for reuse
-	shed      uint64        //lsh:guardedby mu
-	panics    uint64        //lsh:guardedby mu — recovered batch-function panics
-	batches   uint64        //lsh:guardedby mu — batches cut
-	batched   uint64        //lsh:guardedby mu — queries in those batches
+	inflight  int              //lsh:guardedby mu — admitted but not yet answered
+	executing int              //lsh:guardedby mu — slots held by batch goroutines
+	pending   []*request[Q, R] //lsh:guardedby mu — admitted, waiting for an execution slot
+	free      []*request[Q, R] //lsh:guardedby mu — answered requests, for reuse
+	closed    bool             //lsh:guardedby mu
+	shed      uint64           //lsh:guardedby mu
+	panics    uint64           //lsh:guardedby mu — batches failed by a recovered panic
+	batches   uint64           //lsh:guardedby mu — batches cut
+	batched   uint64           //lsh:guardedby mu — queries in those batches
+
+	wg sync.WaitGroup // admitted-but-unanswered queries
 }
 
-func newAdmitter[R any](cfg Config) *admitter[R] {
-	return &admitter[R]{max: cfg.MaxQueue, slots: cfg.Slots}
-}
-
-// nextLocked cuts the next batch: from the batcher whose head query has
-// waited longest, so no key starves behind a busier one. It returns nil when
-// nothing live is pending.
-func (a *admitter[R]) nextLocked() (*Batcher[R], []*request[R]) {
-	for len(a.waiting) > 0 {
-		oldest := a.waiting[0]
-		for _, b := range a.waiting[1:] {
-			if b.pending[0].enq.Before(oldest.pending[0].enq) {
-				oldest = b
-			}
-		}
-		if reqs := oldest.cutLocked(); len(reqs) > 0 {
-			return oldest, reqs
-		}
-	}
-	return nil, nil
+// New builds a batcher that executes run for every cut batch.
+func New[Q, R any](run Func[Q, R], cfg Config) *Batcher[Q, R] {
+	ctx, cancel := context.WithCancel(context.Background()) //lsh:ctxok batcher owns its own lifecycle; Close cancels
+	return &Batcher[Q, R]{run: run, cfg: cfg.withDefaults(), ctx: ctx, cancel: cancel}
 }
 
 // runSlot owns one execution slot: it runs the batch it was started with,
-// then keeps cutting and running whatever queued meanwhile, and releases
-// the slot only when the whole family has nothing pending. Each batch's
-// answers go out after its queue slots are released and the next batch is
-// cut, so a caller that has its answer never sees its own slot still held.
-func (a *admitter[R]) runSlot(b *Batcher[R], reqs []*request[R]) {
-	for b != nil {
+// then keeps cutting and running whatever queued meanwhile, and releases the
+// slot only when nothing is pending. Each batch's answers go out after its
+// queue slots are released and the next batch is cut, so a caller that has its
+// answer never sees its own slot still held.
+func (b *Batcher[Q, R]) runSlot(reqs []*request[Q, R]) {
+	for len(reqs) > 0 {
 		results, err := b.runBatch(reqs)
-		a.mu.Lock()
-		a.inflight -= len(reqs)
-		next, nextReqs := a.nextLocked()
-		if next == nil {
-			a.executing--
+		b.mu.Lock()
+		b.inflight -= len(reqs)
+		next := b.cutLocked()
+		if len(next) == 0 {
+			b.executing--
 		}
-		a.mu.Unlock()
+		b.mu.Unlock()
 		b.deliver(reqs, results, err)
-		b, reqs = next, nextReqs
+		reqs = next
 	}
 }
 
 // recycle returns an answered request to the free list. The list never
 // needs to hold more than the admission bound.
-func (a *admitter[R]) recycle(req *request[R]) {
-	req.ctx, req.q = nil, nil
-	a.mu.Lock()
-	if len(a.free) < a.max {
-		a.free = append(a.free, req)
+func (b *Batcher[Q, R]) recycle(req *request[Q, R]) {
+	var zero Q
+	req.ctx, req.q = nil, zero
+	b.mu.Lock()
+	if len(b.free) < b.cfg.MaxQueue {
+		b.free = append(b.free, req)
 	}
-	a.mu.Unlock()
-}
-
-func (a *admitter[R]) shedCount() uint64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.shed
-}
-
-func (a *admitter[R]) load() (inflight, max int) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.inflight, a.max
-}
-
-func (a *admitter[R]) panicCount() uint64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.panics
-}
-
-func (a *admitter[R]) executingCount() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.executing
-}
-
-func (a *admitter[R]) batchCounts() (batches, queries uint64) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.batches, a.batched
-}
-
-// Batcher coalesces concurrent Do calls into batched Func executions.
-type Batcher[R any] struct {
-	run    Func[R]
-	cfg    Config
-	adm    *admitter[R]
-	ctx    context.Context
-	cancel context.CancelFunc
-
-	// Guarded by adm.mu, the family's one lock, and touched only from
-	// functions that hold it.
-	pending []*request[R] // admitted, waiting for an execution slot
-	closed  bool
-
-	wg sync.WaitGroup // admitted-but-unanswered queries of this batcher
-}
-
-// New builds a batcher that executes run for every cut batch.
-func New[R any](run Func[R], cfg Config) *Batcher[R] {
-	cfg = cfg.withDefaults()
-	return newShared(run, cfg, newAdmitter[R](cfg))
-}
-
-// newShared builds a batcher on an externally-owned admitter.
-func newShared[R any](run Func[R], cfg Config, adm *admitter[R]) *Batcher[R] {
-	ctx, cancel := context.WithCancel(context.Background()) //lsh:ctxok batcher owns its own lifecycle; Close cancels
-	return &Batcher[R]{run: run, cfg: cfg, adm: adm, ctx: ctx, cancel: cancel}
+	b.mu.Unlock()
 }
 
 // Do admits one query, waits for the batch it lands in to execute, and
@@ -243,26 +184,25 @@ func newShared[R any](run Func[R], cfg Config, adm *admitter[R]) *Batcher[R] {
 // returns ctx.Err(): a query still queued then is dropped at the cut without
 // reaching the batch function, one already cut is computed and its queue slot
 // released when its batch completes.
-func (b *Batcher[R]) Do(ctx context.Context, q []float32) (R, error) {
+func (b *Batcher[Q, R]) Do(ctx context.Context, q Q) (R, error) {
 	var zero R
 	// A dead caller must not occupy a queue slot or burn batch work: under
 	// overload, timed-out clients retrying are exactly the traffic to drop.
 	if err := ctx.Err(); err != nil {
 		return zero, err
 	}
-	a := b.adm
-	a.mu.Lock()
+	b.mu.Lock()
 	req, err := b.admitLocked(ctx, q)
 	if err != nil {
-		a.mu.Unlock()
+		b.mu.Unlock()
 		return zero, err
 	}
-	// With a slot free, nothing of this batcher's was pending but what a hold
-	// is gathering: the batch is cut now unless this query starts, or joins
-	// short of MaxBatch, such a hold.
+	// With a slot free, nothing was pending but what a hold is gathering: the
+	// batch is cut now unless this query starts, or joins short of MaxBatch,
+	// such a hold.
 	var expired <-chan time.Time
 	switch held := b.cfg.MaxDelay > 0 && len(b.pending) < b.cfg.MaxBatch; {
-	case a.executing >= a.slots:
+	case b.executing >= b.cfg.Slots:
 	case !held:
 		b.startLocked()
 	case len(b.pending) == 1:
@@ -273,7 +213,7 @@ func (b *Batcher[R]) Do(ctx context.Context, q []float32) (R, error) {
 		}
 		expired = req.hold.C
 	}
-	a.mu.Unlock()
+	b.mu.Unlock()
 
 	for {
 		select {
@@ -283,7 +223,7 @@ func (b *Batcher[R]) Do(ctx context.Context, q []float32) (R, error) {
 			if expired != nil {
 				req.hold.Stop()
 			}
-			a.recycle(req)
+			b.recycle(req)
 			return r.val, r.err
 		case <-expired:
 			expired = nil
@@ -300,70 +240,65 @@ func (b *Batcher[R]) Do(ctx context.Context, q []float32) (R, error) {
 	}
 }
 
-// startLocked cuts this batcher's pending queries into a batch and starts it
-// on a free execution slot, which the caller has checked for. Nothing starts
-// when every pending caller was already gone.
-func (b *Batcher[R]) startLocked() {
+// startLocked cuts the pending queries into a batch and starts it on a free
+// execution slot, which the caller has checked for. Nothing starts when every
+// pending caller was already gone.
+func (b *Batcher[Q, R]) startLocked() {
 	if reqs := b.cutLocked(); len(reqs) > 0 {
-		b.adm.executing++
-		go b.adm.runSlot(b, reqs)
+		b.executing++
+		go b.runSlot(reqs)
 	}
 }
 
 // endHold ends the hold req started: its batch is cut if req still heads the
 // queue (no slot or full batch took it meanwhile) and a slot is free; with
 // every slot busy, the next one to finish takes it.
-func (b *Batcher[R]) endHold(req *request[R]) {
-	a := b.adm
-	a.mu.Lock()
-	if len(b.pending) > 0 && b.pending[0] == req && a.executing < a.slots {
+func (b *Batcher[Q, R]) endHold(req *request[Q, R]) {
+	b.mu.Lock()
+	if len(b.pending) > 0 && b.pending[0] == req && b.executing < b.cfg.Slots {
 		b.startLocked()
 	}
-	a.mu.Unlock()
+	b.mu.Unlock()
 }
 
 // admitLocked claims a queue slot for one query and appends it to the
 // pending queue, or refuses with ErrClosed / ErrOverloaded (counting the
 // shed).
-func (b *Batcher[R]) admitLocked(ctx context.Context, q []float32) (*request[R], error) {
-	a := b.adm
+func (b *Batcher[Q, R]) admitLocked(ctx context.Context, q Q) (*request[Q, R], error) {
 	if b.closed {
 		return nil, ErrClosed
 	}
-	if a.inflight >= a.max {
-		a.shed++
+	if b.inflight >= b.cfg.MaxQueue {
+		b.shed++
 		return nil, ErrOverloaded
 	}
-	a.inflight++
+	b.inflight++
 	b.wg.Add(1)
-	var req *request[R]
-	if n := len(a.free); n > 0 {
-		req, a.free[n-1] = a.free[n-1], nil
-		a.free = a.free[:n-1]
+	var req *request[Q, R]
+	if n := len(b.free); n > 0 {
+		req, b.free[n-1] = b.free[n-1], nil
+		b.free = b.free[:n-1]
 	} else {
-		req = &request[R]{done: make(chan response[R], 1)}
+		req = &request[Q, R]{done: make(chan response[R], 1)}
 	}
 	req.ctx, req.q, req.enq = ctx, q, time.Now()
-	if b.pending = append(b.pending, req); len(b.pending) == 1 {
-		a.waiting = append(a.waiting, b)
-	}
+	b.pending = append(b.pending, req)
 	return req, nil
 }
 
 // cutLocked takes up to MaxBatch queries off the front of the pending
-// queue. A query whose caller's context is already done is answered
-// ctx.Err() here and its queue slot released: it never reaches the batch
-// function. The result is empty when every pending caller was gone.
-func (b *Batcher[R]) cutLocked() []*request[R] {
-	a := b.adm
-	reqs := make([]*request[R], 0, min(len(b.pending), b.cfg.MaxBatch))
+// queue, oldest first. A query whose caller's context is already done is
+// answered ctx.Err() here and its queue slot released: it never reaches the
+// batch function. The result is empty only when nothing live is pending.
+func (b *Batcher[Q, R]) cutLocked() []*request[Q, R] {
+	reqs := make([]*request[Q, R], 0, min(len(b.pending), b.cfg.MaxBatch))
 	n := 0
 	for n < len(b.pending) && len(reqs) < b.cfg.MaxBatch {
 		req := b.pending[n]
 		n++
 		if err := req.ctx.Err(); err != nil {
 			req.done <- response[R]{err: err}
-			a.inflight--
+			b.inflight--
 			b.wg.Done()
 			continue
 		}
@@ -371,48 +306,63 @@ func (b *Batcher[R]) cutLocked() []*request[R] {
 	}
 	rest := copy(b.pending, b.pending[n:])
 	clear(b.pending[rest:])
-	if b.pending = b.pending[:rest]; rest == 0 {
-		for i, w := range a.waiting {
-			if w == b {
-				a.waiting = append(a.waiting[:i], a.waiting[i+1:]...)
-				break
-			}
-		}
-	}
+	b.pending = b.pending[:rest]
 	if len(reqs) > 0 {
-		a.batches++
-		a.batched += uint64(len(reqs))
+		b.batches++
+		b.batched += uint64(len(reqs))
 	}
 	return reqs
 }
 
-// Shed returns how many calls have been refused with ErrOverloaded (across
-// the whole keyed family when the admitter is shared).
-func (b *Batcher[R]) Shed() uint64 { return b.adm.shedCount() }
+// Shed returns how many calls have been refused with ErrOverloaded.
+func (b *Batcher[Q, R]) Shed() uint64 {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.shed
+}
 
-// Load returns the admitted-but-unanswered query count and the queue bound
-// (shared across the keyed family when the admitter is shared) — the
-// backpressure signal behind Retry-After headers.
-func (b *Batcher[R]) Load() (inflight, max int) { return b.adm.load() }
+// Load returns the admitted-but-unanswered query count and the queue bound —
+// the backpressure signal behind Retry-After headers.
+func (b *Batcher[Q, R]) Load() (inflight, max int) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.inflight, b.cfg.MaxQueue
+}
 
-// Panics returns how many batch executions were recovered from panics.
-func (b *Batcher[R]) Panics() uint64 { return b.adm.panicCount() }
+// Panics returns how many batches failed on a recovered panic: the batch
+// function's own, or one it recovered further down and reported as an error
+// wrapping ErrPanic.
+func (b *Batcher[Q, R]) Panics() uint64 {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.panics
+}
 
-// Executing returns how many batches are executing right now, at most Slots
-// across the family.
-func (b *Batcher[R]) Executing() int { return b.adm.executingCount() }
+// Executing returns how many batches are executing right now, at most Slots.
+func (b *Batcher[Q, R]) Executing() int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.executing
+}
 
 // Batches returns how many batches have been cut and how many queries they
 // held; their ratio is the mean batch size load has produced.
-func (b *Batcher[R]) Batches() (batches, queries uint64) { return b.adm.batchCounts() }
+func (b *Batcher[Q, R]) Batches() (batches, queries uint64) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.batches, b.batched
+}
+
+// MaxBatch returns the largest batch a cut takes.
+func (b *Batcher[Q, R]) MaxBatch() int { return b.cfg.MaxBatch }
 
 // runBatch executes one batch. Each query's queue wait (admission → cut) is
 // measured here: reported to ObserveWait for the full population, and
 // attached to the batch context so the engine below can stamp coalesce-wait
 // spans onto sampled traces.
-func (b *Batcher[R]) runBatch(reqs []*request[R]) ([]R, error) {
+func (b *Batcher[Q, R]) runBatch(reqs []*request[Q, R]) ([]R, error) {
 	cut := time.Now()
-	queries := make([][]float32, len(reqs))
+	queries := make([]Q, len(reqs))
 	waits := make([]time.Duration, len(reqs))
 	for i, req := range reqs {
 		queries[i] = req.q
@@ -425,7 +375,7 @@ func (b *Batcher[R]) runBatch(reqs []*request[R]) ([]R, error) {
 }
 
 // deliver fans a finished batch's slots back out to its callers.
-func (b *Batcher[R]) deliver(reqs []*request[R], results []R, err error) {
+func (b *Batcher[Q, R]) deliver(reqs []*request[Q, R], results []R, err error) {
 	for i, req := range reqs {
 		resp := response[R]{err: err}
 		if i < len(results) {
@@ -440,16 +390,18 @@ func (b *Batcher[R]) deliver(reqs []*request[R], results []R, err error) {
 }
 
 // safeRun executes the batch function, converting a panic into an error so
-// a poisoned batch fails its callers instead of killing the process. The
-// batch goroutine is the blast radius of arbitrary engine code; nothing
-// above it recovers.
-func (b *Batcher[R]) safeRun(ctx context.Context, queries [][]float32) (results []R, err error) {
+// a poisoned batch fails its callers instead of killing the process. It
+// recovers only its own goroutine: a batch function that starts others
+// recovers theirs and returns an error wrapping ErrPanic, counted here too.
+func (b *Batcher[Q, R]) safeRun(ctx context.Context, queries []Q) (results []R, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			b.adm.mu.Lock()
-			b.adm.panics++
-			b.adm.mu.Unlock()
 			results, err = nil, fmt.Errorf("%w: %v", ErrPanic, r)
+		}
+		if errors.Is(err, ErrPanic) {
+			b.mu.Lock()
+			b.panics++
+			b.mu.Unlock()
 		}
 	}()
 	return b.run(ctx, queries)
@@ -459,14 +411,13 @@ func (b *Batcher[R]) safeRun(ctx context.Context, queries [][]float32) (results 
 // executing or still queued behind busy slots — to be answered before
 // canceling the batch context. Do calls racing with Close either complete
 // normally or return ErrClosed.
-func (b *Batcher[R]) Close() {
-	a := b.adm
-	a.mu.Lock()
+func (b *Batcher[Q, R]) Close() {
+	b.mu.Lock()
 	b.closed = true
-	if len(b.pending) > 0 && a.executing < a.slots {
+	if len(b.pending) > 0 && b.executing < b.cfg.Slots {
 		b.startLocked()
 	}
-	a.mu.Unlock()
+	b.mu.Unlock()
 	b.wg.Wait()
 	b.cancel()
 }

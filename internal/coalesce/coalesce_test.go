@@ -32,6 +32,8 @@ func echo(_ context.Context, queries [][]float32) ([]float32, error) {
 type gate struct {
 	entered chan [][]float32
 	release chan struct{}
+	running atomic.Int64
+	peak    atomic.Int64 // most executions ever inside run at once
 }
 
 func newGate() *gate {
@@ -41,6 +43,14 @@ func newGate() *gate {
 }
 
 func (g *gate) run(ctx context.Context, queries [][]float32) ([]float32, error) {
+	now := g.running.Add(1)
+	defer g.running.Add(-1)
+	for {
+		peak := g.peak.Load()
+		if now <= peak || g.peak.CompareAndSwap(peak, now) {
+			break
+		}
+	}
 	g.entered <- queries
 	<-g.release
 	return echo(ctx, queries)
@@ -73,7 +83,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // callers runs n concurrent Do calls with queries {base}, {base+1}, … and
 // checks each gets its own answer back. The returned wait reports once all
 // have returned.
-func callers(t *testing.T, b *Batcher[float32], base, n int) (wait func()) {
+func callers(t *testing.T, b *Batcher[[]float32, float32], base, n int) (wait func()) {
 	t.Helper()
 	var wg sync.WaitGroup
 	for c := base; c < base+n; c++ {
@@ -93,9 +103,9 @@ func callers(t *testing.T, b *Batcher[float32], base, n int) (wait func()) {
 
 // occupy fills every execution slot of b with a one-query batch blocked in
 // g, and returns how many slots there are and the wait for those callers.
-func occupy(t *testing.T, b *Batcher[float32], g *gate) (slots int, wait func()) {
+func occupy(t *testing.T, b *Batcher[[]float32, float32], g *gate) (slots int, wait func()) {
 	t.Helper()
-	slots = b.adm.slots
+	slots = b.cfg.Slots
 	wait = callers(t, b, 0, slots)
 	for i := 0; i < slots; i++ {
 		if qs := g.next(t); len(qs) != 1 {
@@ -108,7 +118,7 @@ func occupy(t *testing.T, b *Batcher[float32], g *gate) (slots int, wait func())
 	return slots, wait
 }
 
-func inflight(b *Batcher[float32]) int {
+func inflight(b *Batcher[[]float32, float32]) int {
 	n, _ := b.Load()
 	return n
 }
@@ -188,6 +198,74 @@ func TestCoalesceBatchesFormUnderLoad(t *testing.T) {
 	if n, _ := b.Load(); n != 0 {
 		t.Errorf("Load() = %d after every caller returned", n)
 	}
+	if peak := g.peak.Load(); peak > int64(slots) {
+		t.Errorf("%d batches executed at once, the slot bound is %d", peak, slots)
+	}
+}
+
+// ask is a request that carries what its caller wants beside the value that
+// names it, as the serving layer's queries carry their knobs.
+type ask struct {
+	budget int
+	v      float32
+}
+
+// TestCoalesceMixedRequestsShareBatch: the queue is one queue whatever each
+// request asks for — requests with different asks that arrive while every
+// slot is busy leave as one batch, in admission order, each ask intact beside
+// its value, and every caller gets its own answer.
+func TestCoalesceMixedRequestsShareBatch(t *testing.T) {
+	entered := make(chan []ask, 8)
+	release := make(chan struct{})
+	b := New(func(_ context.Context, qs []ask) ([]float32, error) {
+		entered <- qs
+		<-release
+		out := make([]float32, len(qs))
+		for i, q := range qs {
+			out[i] = q.v
+		}
+		return out, nil
+	}, Config{MaxBatch: 8, Slots: 1})
+	defer b.Close()
+
+	var wg sync.WaitGroup
+	arrivals := []ask{{0, 0}, {101, 1}, {102, 2}, {101, 3}, {103, 4}}
+	for i, a := range arrivals {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if got, err := b.Do(context.Background(), a); err != nil || got != a.v {
+				t.Errorf("request %+v: got %v, %v", a, got, err)
+			}
+		}()
+		// One at a time, so the admission order is the order above.
+		waitFor(t, "the arrival admitted", func() bool { n, _ := b.Load(); return n == i+1 })
+	}
+	if first := <-entered; len(first) != 1 || first[0] != arrivals[0] {
+		t.Fatalf("the first batch was %v, want the request that found the slot free", first)
+	}
+	if len(entered) != 0 {
+		t.Fatalf("%d batches started beyond the one slot", len(entered))
+	}
+	release <- struct{}{}
+	select {
+	case got := <-entered:
+		if len(got) != 4 {
+			t.Fatalf("the freed slot cut %v, want the four queued requests as one batch", got)
+		}
+		for i, want := range arrivals[1:] {
+			if got[i] != want {
+				t.Errorf("batch position %d holds %+v, want %+v", i, got[i], want)
+			}
+		}
+	case <-time.After(hang):
+		t.Fatal("the queued requests never reached the batch function")
+	}
+	close(release)
+	wg.Wait()
+	if batches, queries := b.Batches(); batches != 2 || queries != 5 {
+		t.Errorf("Batches() = %d, %d; want 2 batches of 5 requests", batches, queries)
+	}
 }
 
 // TestCoalesceDropsDeadCallersAtCut: a queued query whose caller is gone by
@@ -248,8 +326,8 @@ func TestCoalesceDropsDeadCallersAtCut(t *testing.T) {
 // Config.Slots; with one slot a second query queues behind the first however
 // many processors there are.
 func TestCoalesceSlotsConfig(t *testing.T) {
-	if b := New(echo, Config{}); b.adm.slots != runtime.GOMAXPROCS(0) {
-		t.Errorf("default slot bound = %d, want GOMAXPROCS = %d", b.adm.slots, runtime.GOMAXPROCS(0))
+	if b := New(echo, Config{}); b.cfg.Slots != runtime.GOMAXPROCS(0) {
+		t.Errorf("default slot bound = %d, want GOMAXPROCS = %d", b.cfg.Slots, runtime.GOMAXPROCS(0))
 	}
 	g := newGate()
 	b := New(g.run, Config{MaxBatch: 8, Slots: 1})
@@ -460,6 +538,22 @@ func TestCoalescePanic(t *testing.T) {
 	}
 }
 
+// TestCoalesceCountsReportedPanic: a batch function that recovered a panic on
+// a goroutine of its own and reports it as an error wrapping ErrPanic is
+// counted like one that panicked on the batch goroutine.
+func TestCoalesceCountsReportedPanic(t *testing.T) {
+	b := New(func(context.Context, [][]float32) ([]float32, error) {
+		return nil, fmt.Errorf("worker 3: %w: index out of range", ErrPanic)
+	}, Config{})
+	defer b.Close()
+	if _, err := b.Do(context.Background(), []float32{1}); !errors.Is(err, ErrPanic) {
+		t.Fatalf("Do returned %v, want the reported ErrPanic", err)
+	}
+	if b.Panics() != 1 {
+		t.Errorf("Panics() = %d, want 1", b.Panics())
+	}
+}
+
 // TestCoalesceClose: Close waits for queued queries to be answered — they
 // are flushed, not dropped — and Do after Close is ErrClosed.
 func TestCoalesceClose(t *testing.T) {
@@ -476,8 +570,8 @@ func TestCoalesceClose(t *testing.T) {
 		close(closed)
 	}()
 	waitFor(t, "Close refusing admission", func() bool {
-		b.adm.mu.Lock()
-		defer b.adm.mu.Unlock()
+		b.mu.Lock()
+		defer b.mu.Unlock()
 		return b.closed
 	})
 	if _, err := b.Do(context.Background(), []float32{0}); !errors.Is(err, ErrClosed) {

@@ -35,9 +35,7 @@ import (
 
 // updState is the index's mutation state: the update lock, the write-ahead
 // log and recovery bookkeeping, and the pooled scratch buffers that keep
-// the insert path allocation-free. It hangs behind a pointer so WithBudget
-// views (which shallow-copy the Index) share the one lock and log with the
-// index they alias.
+// the insert path allocation-free.
 type updState struct {
 	mu sync.RWMutex
 
@@ -288,7 +286,7 @@ func (ix *Index) deleteEntryLocked(r, l int, idx, id, fp uint32) (bool, error) {
 			if err := ix.readLogicalBlock(head, headBuf, nil); err != nil {
 				return false, err
 			}
-			headNext, headCount := bucketHeader(headBuf)
+			_, headCount := bucketHeader(headBuf)
 			lastOff := HeaderBytes + (headCount-1)*EntryBytes
 			if addr == head {
 				// Same block: move its own last entry into the hole.
@@ -301,7 +299,6 @@ func (ix *Index) deleteEntryLocked(r, l int, idx, id, fp uint32) (bool, error) {
 				return false, err
 			}
 			binary.LittleEndian.PutUint16(headBuf[8:10], uint16(headCount-1))
-			_ = headNext
 			return true, ix.finishHeadShrink(r, l, idx, head, headBuf, headCount-1)
 		}
 		addr = next

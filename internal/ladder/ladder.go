@@ -25,9 +25,13 @@ import (
 	"e2lshos/internal/vecmath"
 )
 
-// Knobs is everything one query may set, passed by value to the run. A
-// searcher carries no per-query configuration of its own, so one searcher
-// can serve queries with different knobs back to back.
+// Knobs is everything one query may ask for, and the one declaration of it:
+// the facade's options fill this struct, the serving layer copies the
+// server's and overrides it from a request's fields, and the value rides
+// beside the query vector — through the coalescer's queue, the shard scatter
+// and the batch workers — to Run. A searcher carries no per-query
+// configuration of its own, so one searcher, and one batch, serve queries
+// with different knobs side by side.
 type Knobs struct {
 	// K is the number of neighbors wanted.
 	K int
@@ -37,6 +41,10 @@ type Knobs struct {
 	// MultiProbe > 0 probes each table's base bucket plus this many
 	// perturbed neighbors (§8 extension; see lsh.PerturbationSets).
 	MultiProbe int
+	// Tuning is the query's SLO contract (recall target, latency budget,
+	// out-of-budget policy). The run itself does not read it: whoever starts
+	// the query's controller does, and hands the controller over as Ctl.
+	Tuning autotune.Tuning
 	// Trace, when non-nil, receives the per-round project/io/verify/round
 	// spans of a sampled query.
 	Trace *telemetry.Trace

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"e2lshos/internal/ann"
+	"e2lshos/internal/coalesce"
 )
 
 // Placement selects how objects are assigned to shards.
@@ -206,6 +207,13 @@ func (r *Router[S]) scatter(ctx context.Context, fn func(ctx context.Context, sh
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
+			// A panicking shard fails the scatter, not the process.
+			defer func() {
+				if p := recover(); p != nil {
+					outs[i].err = fmt.Errorf("shard %d: %w: %v", i, coalesce.ErrPanic, p)
+					cancel()
+				}
+			}()
 			outs[i].results, stats[i], outs[i].err = fn(sctx, i)
 			if r.observe != nil {
 				r.observe(i, time.Since(start))

@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"e2lshos/internal/ann"
+	"e2lshos/internal/coalesce"
 )
 
 // TestPartitionCovers: both placements assign every global ID exactly once
@@ -207,5 +209,30 @@ func TestMergeTopK(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("merged IDs %v, want %v", got, want)
 		}
+	}
+}
+
+// TestScatterRecoversShardPanic: a shard closure that panics fails the
+// scatter with an error wrapping coalesce.ErrPanic — which the serving layer
+// counts — instead of taking the process down, and cancels its siblings.
+func TestScatterRecoversShardPanic(t *testing.T) {
+	globals, err := Partition(8, 2, Range)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewRouter[int](globals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = r.Search(context.Background(), []float32{0}, 1,
+		func(ctx context.Context, shard int, q []float32) (ann.Result, int, error) {
+			if shard == 1 {
+				panic("index out of range")
+			}
+			<-ctx.Done() // the panicking sibling must cancel this one
+			return ann.Result{}, 0, ctx.Err()
+		})
+	if !errors.Is(err, coalesce.ErrPanic) || !strings.Contains(err.Error(), "shard 1") {
+		t.Fatalf("scatter over a panicking shard returned %v, want shard 1's ErrPanic", err)
 	}
 }

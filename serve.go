@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand/v2"
 	"net/http"
 	"net/http/pprof"
@@ -50,12 +51,11 @@ type ServerConfig struct {
 	// resolve, and DESIGN.md, "internal/coalesce — admission", says when it
 	// goes.
 	MaxDelay time.Duration
-	// Opts are applied to every coalesced BatchSearch (WithK(K) is implied).
+	// Opts are the server's defaults for every query (WithK(K) is implied):
+	// /v1/search requests can override the budget, multi-probe and any part of
+	// the SLO contract (WithTuning; needs EnableAutotune on the engine to have
+	// effect) per request.
 	Opts []SearchOption
-	// Tuning is the server-default SLO contract; /v1/search requests can
-	// override any part of it per request. Needs EnableAutotune on the
-	// engine to have effect.
-	Tuning SearchTuning
 	// Exact optionally holds ground-truth results for a held-out query set.
 	// A request carrying "qid": i is scored against Exact[i] with the
 	// facade's Recall / OverallRatio metrics and /stats reports the running
@@ -69,15 +69,11 @@ type ServerConfig struct {
 	Pprof bool
 }
 
-// tuningKey is the per-request knob set a coalesced batch must agree on:
-// queries with different knobs cannot share one BatchSearch call, so the
-// keyed coalescer cuts key-pure batches.
-type tuningKey struct {
-	multiProbe    int
-	budget        int
-	recallTarget  float64
-	latencyBudget time.Duration
-	degrade       DegradePolicy
+// searchQuery is what one /v1/search request queues: its vector and what it
+// asked for — the server's knobs with the request's overrides applied.
+type searchQuery struct {
+	vec []float32
+	kn  ladder.Knobs
 }
 
 // searchOutcome is one query's slot of a coalesced batch: its result plus
@@ -88,20 +84,22 @@ type searchOutcome struct {
 	st  Stats
 }
 
-// Server is the serving front-end: an Engine behind a keyed query coalescer
-// with JSON endpoints /v1/search (per-request tuning), /stats, /metrics,
-// /healthz and /readyz. A request that finds an execution slot free runs as
-// a BatchSearch of its own at once (an unsharded engine first holds it for
-// MaxDelay); requests with compatible tuning that arrive while every slot is
-// busy ride together in the next batch, so batches form under load.
+// Server is the serving front-end: an Engine behind a query coalescer with
+// JSON endpoints /v1/search (per-request tuning), /stats, /metrics, /healthz
+// and /readyz. A request that finds an execution slot free runs as a
+// BatchSearch of its own at once (an unsharded engine first holds it for
+// MaxDelay); requests that arrive while every slot is busy ride together in
+// the next batch, whatever each asked for, so batches form under load. The
+// server keeps no state per knob value: a request copies base's knobs,
+// overrides them from its own fields, and the copy travels with the query.
 type Server struct {
-	eng      Engine
-	cfg      ServerConfig
-	batcher  *coalesce.Keyed[tuningKey, searchOutcome]
-	baseOpts []SearchOption
-	baseKey  tuningKey
-	start    time.Time
-	ios      freeList[*searchIO]
+	eng     Engine
+	cfg     ServerConfig
+	batcher *coalesce.Batcher[searchQuery, searchOutcome]
+	base    searchSettings // WithK(cfg.K) + cfg.Opts, resolved at construction
+	start   time.Time
+	ios     freeList[*searchIO]
+	args    freeList[*batchArgs]
 
 	// lat and wait are always on (one atomic add per request): end-to-end
 	// HTTP request latency and per-query coalescer queue wait. They back
@@ -148,26 +146,15 @@ func NewServer(eng Engine, cfg ServerConfig) (*Server, error) {
 		lat:  new(telemetry.Histogram),
 		wait: new(telemetry.Histogram),
 	}
-	s.baseOpts = append([]SearchOption{WithK(cfg.K)}, cfg.Opts...)
-	if cfg.Tuning.Active() {
-		s.baseOpts = append(s.baseOpts, WithTuning(cfg.Tuning))
-	}
-	// Resolving the base options both validates cfg.Opts at construction
-	// (not first request) and pins the base key every request's overrides
-	// start from.
-	set, err := resolveSettings(s.baseOpts)
+	// Resolving here also validates cfg.Opts at construction, not at the
+	// first request.
+	var err error
+	s.base, err = resolveSettings(append([]SearchOption{WithK(cfg.K)}, cfg.Opts...), 0)
 	if err != nil {
 		return nil, err
 	}
-	s.baseKey = tuningKey{
-		multiProbe:    set.multiProbe,
-		budget:        set.budget,
-		recallTarget:  set.tuning.RecallTarget,
-		latencyBudget: set.tuning.LatencyBudget,
-		degrade:       set.tuning.Degrade,
-	}
 	slots, hold := admission(eng, cfg.MaxDelay)
-	s.batcher = coalesce.NewKeyed(s.runBatch, coalesce.Config{
+	s.batcher = coalesce.New(s.runBatch, coalesce.Config{
 		MaxBatch: cfg.MaxBatch, MaxQueue: cfg.MaxQueue, MaxDelay: hold, Slots: slots,
 		ObserveWait: s.wait.Observe,
 	})
@@ -190,32 +177,44 @@ func admission(eng Engine, maxDelay time.Duration) (slots int, hold time.Duratio
 	return procs, max(maxDelay, 0)
 }
 
-// runBatch executes one key-pure coalesced batch against the engine.
-func (s *Server) runBatch(ctx context.Context, key tuningKey, queries [][]float32) ([]searchOutcome, error) {
-	per := make([]Stats, len(queries))
-	opts := make([]SearchOption, len(s.baseOpts), len(s.baseOpts)+1)
-	copy(opts, s.baseOpts)
-	// The key's knobs and the per-query stats destination, as one option.
-	opts = append(opts, func(set *searchSettings) {
-		set.multiProbe, set.budget, set.statsInto = key.multiProbe, key.budget, per
-		set.tuning = SearchTuning{
-			RecallTarget:  key.recallTarget,
-			LatencyBudget: key.latencyBudget,
-			Degrade:       key.degrade,
-		}
-	})
-	results, st, err := s.eng.BatchSearch(ctx, queries, opts...)
+// batchArgs is what one coalesced batch hands the engine, reused across
+// batches (nothing reads it once BatchSearch has returned): the vectors, the
+// server's settings with each query's knobs and stats row, and the one option
+// that carries those settings down as a value.
+type batchArgs struct {
+	vecs [][]float32
+	set  searchSettings
+	opt  [1]SearchOption
+}
+
+// runBatch executes one coalesced batch against the engine.
+func (s *Server) runBatch(ctx context.Context, qs []searchQuery) ([]searchOutcome, error) {
+	a := s.args.take()
+	if a == nil {
+		a = &batchArgs{set: s.base}
+		a.opt[0] = withSettings(&a.set)
+	}
+	set := &a.set
+	a.vecs, set.each, set.statsInto = a.vecs[:0], set.each[:0], set.statsInto[:0]
+	for _, q := range qs {
+		a.vecs = append(a.vecs, q.vec)
+		set.each = append(set.each, q.kn)
+		set.statsInto = append(set.statsInto, Stats{})
+	}
+	results, st, err := s.eng.BatchSearch(ctx, a.vecs, a.opt[:]...)
 	s.mu.Lock()
 	s.agg.Merge(st)
 	s.mu.Unlock()
-	if err != nil {
-		return nil, err
+	var out []searchOutcome
+	if err == nil {
+		out = make([]searchOutcome, len(results))
+		for i := range results {
+			out[i] = searchOutcome{res: results[i], st: set.statsInto[i]}
+		}
 	}
-	out := make([]searchOutcome, len(results))
-	for i := range results {
-		out[i] = searchOutcome{res: results[i], st: per[i]}
-	}
-	return out, nil
+	clear(a.vecs) // the vectors are their requests', not the free list's
+	s.args.give(a)
+	return out, err
 }
 
 // Close flushes and stops the coalescer; pending requests complete first.
@@ -532,11 +531,11 @@ func (s *Server) retryAfter() string {
 	return strconv.Itoa(secs)
 }
 
-// doSearch runs one admitted query through the keyed coalescer, mapping
-// errors to status codes; ok reports whether a response is still owed.
-func (s *Server) doSearch(w http.ResponseWriter, r *http.Request, key tuningKey, query []float32) (searchOutcome, bool) {
+// doSearch runs one admitted query through the coalescer, mapping errors to
+// status codes; ok reports whether a response is still owed.
+func (s *Server) doSearch(w http.ResponseWriter, r *http.Request, q searchQuery) (searchOutcome, bool) {
 	t0 := time.Now()
-	out, err := s.batcher.Do(r.Context(), key, query)
+	out, err := s.batcher.Do(r.Context(), q)
 	s.lat.Observe(time.Since(t0))
 	if err != nil {
 		switch {
@@ -610,32 +609,25 @@ func (s *Server) handleSearchV1(w http.ResponseWriter, r *http.Request) {
 	if !s.checkCommon(w, req.Query, req.K) {
 		return
 	}
-	key := s.baseKey
-	switch {
-	case req.MultiProbe != nil && *req.MultiProbe < 0:
-		http.Error(w, fmt.Sprintf("negative multiprobe %d", *req.MultiProbe), http.StatusBadRequest)
-		return
-	case req.Budget < 0:
-		http.Error(w, fmt.Sprintf("negative budget %d", req.Budget), http.StatusBadRequest)
-		return
-	case req.RecallTarget < 0 || req.RecallTarget >= 1:
-		http.Error(w, fmt.Sprintf("recall_target must be in [0, 1), got %g", req.RecallTarget), http.StatusBadRequest)
-		return
-	case req.LatencyBudgetMS < 0:
-		http.Error(w, fmt.Sprintf("negative latency_budget_ms %g", req.LatencyBudgetMS), http.StatusBadRequest)
-		return
-	}
+	// What this query asks for: the server's knobs, overridden by the fields
+	// the request sets, validated as one value.
+	kn := s.base.Knobs
 	if req.MultiProbe != nil {
-		key.multiProbe = *req.MultiProbe
+		kn.MultiProbe = *req.MultiProbe
 	}
-	if req.Budget > 0 {
-		key.budget = req.Budget
+	if req.Budget != 0 {
+		kn.Budget = req.Budget
 	}
-	if req.RecallTarget > 0 {
-		key.recallTarget = req.RecallTarget
+	if req.RecallTarget != 0 {
+		kn.Tuning.RecallTarget = req.RecallTarget
 	}
-	if req.LatencyBudgetMS > 0 {
-		key.latencyBudget = time.Duration(req.LatencyBudgetMS * float64(time.Millisecond))
+	if req.LatencyBudgetMS != 0 {
+		ns := req.LatencyBudgetMS * float64(time.Millisecond)
+		if math.Abs(ns) >= math.MaxInt64 {
+			http.Error(w, fmt.Sprintf("latency_budget_ms %g does not fit a duration", req.LatencyBudgetMS), http.StatusBadRequest)
+			return
+		}
+		kn.Tuning.LatencyBudget = time.Duration(ns)
 	}
 	if req.Degrade != "" {
 		p, err := ParseDegradePolicy(req.Degrade)
@@ -643,13 +635,17 @@ func (s *Server) handleSearchV1(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		key.degrade = p
+		kn.Tuning.Degrade = p
 	}
-	out, ok := s.doSearch(w, r, key, req.Query)
+	if err := checkKnobs(kn); err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	out, ok := s.doSearch(w, r, searchQuery{vec: req.Query, kn: kn})
 	if !ok {
 		return
 	}
-	s.score(req.QID, out.res, key.recallTarget)
+	s.score(req.QID, out.res, kn.Tuning.RecallTarget)
 	k := req.K
 	if k == 0 {
 		k = s.cfg.K

@@ -9,10 +9,13 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 
+	"e2lshos/internal/ann"
 	"e2lshos/internal/blockstore"
 	"e2lshos/internal/faultinject"
+	"e2lshos/internal/ladder"
 )
 
 // panicEngine panics on every batch, like an engine tripping on a poisoned
@@ -63,6 +66,79 @@ func TestBatchPanicBecomes500(t *testing.T) {
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	if !strings.Contains(rec.Body.String(), "\nlsh_panics_total 1\n") {
 		t.Errorf("/metrics missing lsh_panics_total 1:\n%s", rec.Body)
+	}
+}
+
+// poolPanicEngine is an engine on the shared Search / BatchSearch machinery
+// whose querier panics while armed: the panic happens on a BatchSearch pool
+// goroutine, where the coalescer's own recover cannot reach.
+type poolPanicEngine struct {
+	telem
+	searchers
+	armed atomic.Bool
+}
+
+func (e *poolPanicEngine) newQuerier() querier { return poolPanicQuerier{e} }
+
+func (e *poolPanicEngine) Search(ctx context.Context, q []float32, opts ...SearchOption) (Result, Stats, error) {
+	return engineSearch(ctx, e, nil, q, opts)
+}
+
+func (e *poolPanicEngine) BatchSearch(ctx context.Context, queries [][]float32, opts ...SearchOption) ([]Result, Stats, error) {
+	return engineBatchSearch(ctx, e, nil, queries, opts)
+}
+
+type poolPanicQuerier struct{ e *poolPanicEngine }
+
+func (p poolPanicQuerier) Run(ctx context.Context, q []float32, kn ladder.Knobs, dst []ann.Neighbor) (Result, Stats, error) {
+	if p.e.armed.Load() {
+		panic("growslice: len out of range")
+	}
+	return Result{}, Stats{Queries: 1}, nil
+}
+
+// TestPoolWorkerPanicBecomes500: a panic inside a searcher, on a pool
+// goroutine — behind a shard scatter's goroutines or not — fails the batch
+// with a 500 wrapping the panic, is counted once, and leaves the server
+// answering.
+func TestPoolWorkerPanicBecomes500(t *testing.T) {
+	for _, shards := range []int{0, 2} {
+		eng := new(poolPanicEngine)
+		var front Engine = eng
+		if shards > 0 {
+			var err error
+			front, err = NewShardedIndex(make([][]float32, shards), shards, PlaceRange,
+				func(int, [][]float32) (Engine, error) { return eng, nil })
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		srv, err := NewServer(front, ServerConfig{Dim: 2, K: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := srv.Handler()
+
+		eng.armed.Store(true)
+		rec := postJSON(t, h, "/v1/search", searchRequestV1{Query: []float32{1, 2}})
+		if rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), "growslice") {
+			t.Errorf("%d shards: a panicking pool worker answered %d %q, want 500 naming the panic", shards, rec.Code, rec.Body)
+		}
+		eng.armed.Store(false)
+		if rec := postJSON(t, h, "/v1/search", searchRequestV1{Query: []float32{1, 2}}); rec.Code != 200 {
+			t.Errorf("%d shards: the request after the panic answered %d: %s", shards, rec.Code, rec.Body)
+		}
+
+		rec = httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", "/stats", nil))
+		var st statsResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+			t.Fatal(err)
+		}
+		if st.Panics != 1 || st.Failed != 1 || st.Served != 1 {
+			t.Errorf("%d shards: /stats panics %d, failed %d, served %d; want 1, 1, 1", shards, st.Panics, st.Failed, st.Served)
+		}
+		srv.Close()
 	}
 }
 

@@ -7,6 +7,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -14,8 +16,9 @@ import (
 	"e2lshos/internal/ann"
 )
 
-// captureEngine records the resolved settings of every BatchSearch and
-// answers with canned per-query stats through WithStatsInto.
+// captureEngine records the resolved settings of every BatchSearch — the
+// per-query knobs a coalesced batch carries are set.each — and answers with
+// canned per-query stats through the stats destination.
 type captureEngine struct {
 	mu   sync.Mutex
 	sets []searchSettings
@@ -28,10 +31,11 @@ func (e *captureEngine) Search(ctx context.Context, q []float32, opts ...SearchO
 }
 
 func (e *captureEngine) BatchSearch(ctx context.Context, queries [][]float32, opts ...SearchOption) ([]Result, Stats, error) {
-	set, err := resolveSettings(opts)
+	set, err := resolveSettings(opts, len(queries))
 	if err != nil {
 		return nil, Stats{}, err
 	}
+	set.each = slices.Clone(set.each) // the server reuses the slice once this call returns
 	e.mu.Lock()
 	e.sets = append(e.sets, set)
 	e.mu.Unlock()
@@ -115,14 +119,13 @@ func TestSearchV1Envelope(t *testing.T) {
 	}
 }
 
-// TestSearchV1PerRequestKnobs: request knobs reach the engine's resolved
-// settings, and omitted knobs inherit the server defaults.
+// TestSearchV1PerRequestKnobs: request knobs reach the engine beside their
+// query, and omitted knobs inherit the server defaults.
 func TestSearchV1PerRequestKnobs(t *testing.T) {
 	eng := &captureEngine{st: Stats{Queries: 1}}
 	srv, err := NewServer(eng, ServerConfig{
 		Dim: 2, K: 1,
-		Opts:   []SearchOption{WithBudget(300), WithMultiProbe(2)},
-		Tuning: SearchTuning{RecallTarget: 0.8},
+		Opts: []SearchOption{WithBudget(300), WithMultiProbe(2), WithTuning(SearchTuning{RecallTarget: 0.8})},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -139,22 +142,26 @@ func TestSearchV1PerRequestKnobs(t *testing.T) {
 		t.Fatalf("/v1/search returned %d: %s", rec.Code, rec.Body)
 	}
 	set := eng.last(t)
-	if set.multiProbe != 0 || set.budget != 500 {
-		t.Errorf("knobs = multiProbe %d budget %d", set.multiProbe, set.budget)
+	if len(set.each) != 1 {
+		t.Fatalf("a one-query batch carried %d per-query knobs", len(set.each))
 	}
-	if set.tuning.RecallTarget != 0.95 || set.tuning.LatencyBudget != 2500*time.Microsecond || set.tuning.Degrade != DegradeStop {
-		t.Errorf("tuning = %+v", set.tuning)
+	kn := set.each[0]
+	if kn.K != 1 || kn.MultiProbe != 0 || kn.Budget != 500 {
+		t.Errorf("knobs = k %d multiProbe %d budget %d", kn.K, kn.MultiProbe, kn.Budget)
+	}
+	if want := (SearchTuning{RecallTarget: 0.95, LatencyBudget: 2500 * time.Microsecond, Degrade: DegradeStop}); kn.Tuning != want {
+		t.Errorf("tuning = %+v, want %+v", kn.Tuning, want)
 	}
 
 	// Omitted knobs inherit the configured defaults (including the server
-	// Tuning).
+	// tuning).
 	rec = postJSON(t, h, "/v1/search", searchRequestV1{Query: []float32{1, 2}})
 	if rec.Code != 200 {
 		t.Fatalf("/v1/search returned %d: %s", rec.Code, rec.Body)
 	}
-	set = eng.last(t)
-	if set.budget != 300 || set.multiProbe != 2 || set.tuning.RecallTarget != 0.8 {
-		t.Errorf("default knobs = budget %d multiProbe %d target %g", set.budget, set.multiProbe, set.tuning.RecallTarget)
+	kn = eng.last(t).each[0]
+	if kn.Budget != 300 || kn.MultiProbe != 2 || kn.Tuning.RecallTarget != 0.8 {
+		t.Errorf("default knobs = budget %d multiProbe %d target %g", kn.Budget, kn.MultiProbe, kn.Tuning.RecallTarget)
 	}
 
 	// A client still sending the retired "fanout" field keeps working: the
@@ -165,8 +172,80 @@ func TestSearchV1PerRequestKnobs(t *testing.T) {
 	}
 }
 
-// TestSearchV1Validation: malformed knobs are rejected with 400 before any
-// engine work.
+// TestSearchV1MixedKnobsShareBatch: requests that ask for different things
+// are not kept apart. With the one execution slot busy, two requests with
+// different budget and multi-probe queue, leave as one batch, and each still
+// reaches the engine with its own knobs.
+func TestSearchV1MixedKnobsShareBatch(t *testing.T) {
+	capture := &captureEngine{st: Stats{Queries: 1}}
+	eng := shardedStub{ // more shards than processors: one slot, no hold
+		blockingEngine: blockingEngine{entered: make(chan struct{}, 4), release: make(chan struct{}), inner: capture},
+		shards:         4 * runtime.GOMAXPROCS(0),
+	}
+	srv, err := NewServer(eng, ServerConfig{Dim: 2, K: 1, Opts: []SearchOption{WithBudget(300)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	h := srv.Handler()
+	batches := func() uint64 { n, _ := srv.batcher.Batches(); return n }
+
+	var wg sync.WaitGroup
+	post := func(req searchRequestV1) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if rec := postJSON(t, h, "/v1/search", req); rec.Code != 200 {
+				t.Errorf("/v1/search returned %d: %s", rec.Code, rec.Body)
+			}
+		}()
+	}
+	post(searchRequestV1{Query: []float32{0, 0}})
+	<-eng.entered // the slot is busy from here on
+	before := batches()
+	mp := 3
+	post(searchRequestV1{Query: []float32{1, 1}, Budget: 111})
+	post(searchRequestV1{Query: []float32{2, 2}, Budget: 222, MultiProbe: &mp})
+	for deadline := time.Now().Add(10 * time.Second); ; runtime.Gosched() {
+		if n, _ := srv.batcher.Load(); n == 3 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the two requests never queued behind the busy slot")
+		}
+	}
+	close(eng.release)
+	wg.Wait()
+
+	if got := batches() - before; got != 1 {
+		t.Errorf("two queued requests with different knobs left as %d batches, want 1", got)
+	}
+	set := capture.last(t)
+	if len(set.each) != 2 {
+		t.Fatalf("the shared batch carried %d per-query knobs, want 2", len(set.each))
+	}
+	for _, kn := range set.each { // admission order is the goroutines' business
+		switch kn.Budget {
+		case 111:
+			if kn.MultiProbe != 0 {
+				t.Errorf("budget-111 request ran with multi-probe %d, want the server's 0", kn.MultiProbe)
+			}
+		case 222:
+			if kn.MultiProbe != 3 {
+				t.Errorf("budget-222 request ran with multi-probe %d, want its own 3", kn.MultiProbe)
+			}
+		default:
+			t.Errorf("a query reached the engine with budget %d, want 111 or 222", kn.Budget)
+		}
+	}
+	if set.each[0].Budget == set.each[1].Budget {
+		t.Errorf("both queries carry budget %d: one request's knobs overwrote the other's", set.each[0].Budget)
+	}
+}
+
+// TestSearchV1Validation: malformed and hostile knobs are rejected with 400
+// before admission — no engine work, no breaker outcome — and the server
+// answers the next well-formed request.
 func TestSearchV1Validation(t *testing.T) {
 	eng := &captureEngine{st: Stats{Queries: 1}}
 	srv, err := NewServer(eng, ServerConfig{Dim: 2, K: 1})
@@ -176,21 +255,43 @@ func TestSearchV1Validation(t *testing.T) {
 	defer srv.Close()
 	h := srv.Handler()
 
-	for name, req := range map[string]searchRequestV1{
-		"wrong dim":       {Query: []float32{1}},
-		"target too high": {Query: []float32{1, 2}, RecallTarget: 1},
-		"negative budget": {Query: []float32{1, 2}, Budget: -5},
-		"negative ms":     {Query: []float32{1, 2}, LatencyBudgetMS: -1},
-		"bad degrade":     {Query: []float32{1, 2}, Degrade: "maybe"},
+	for name, body := range map[string]string{
+		"wrong dim":           `{"query":[1]}`,
+		"target too high":     `{"query":[1,2],"recall_target":1}`,
+		"negative target":     `{"query":[1,2],"recall_target":-0.5}`,
+		"negative budget":     `{"query":[1,2],"budget":-5}`,
+		"negative ms":         `{"query":[1,2],"latency_budget_ms":-1}`,
+		"bad degrade":         `{"query":[1,2],"degrade":"maybe"}`,
+		"negative multiprobe": `{"query":[1,2],"multiprobe":-1}`,
+		// Sized a searcher's probe arenas: the first panicked growslice on a
+		// pool goroutine, the second pinned ≈ 0.9 GB in a pooled searcher.
+		"multiprobe past any slice":  `{"query":[1,2],"multiprobe":4000000000000000000}`,
+		"multiprobe past the bound":  `{"query":[1,2],"multiprobe":300000}`,
+		"multiprobe just past bound": `{"query":[1,2],"multiprobe":1025}`,
+		// Wrapped time.Duration negative; the engine's refusal was a 500 and
+		// a breaker failure.
+		"ms past a duration":  `{"query":[1,2],"latency_budget_ms":1e16}`,
+		"-ms past a duration": `{"query":[1,2],"latency_budget_ms":-1e300}`,
 	} {
-		if rec := postJSON(t, h, "/v1/search", req); rec.Code != 400 {
-			t.Errorf("%s: got %d, want 400", name, rec.Code)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/search", strings.NewReader(body)))
+		if rec.Code != 400 {
+			t.Errorf("%s: got %d, want 400: %s", name, rec.Code, rec.Body)
 		}
 	}
 	eng.mu.Lock()
-	defer eng.mu.Unlock()
-	if len(eng.sets) != 0 {
-		t.Errorf("invalid requests reached the engine %d times", len(eng.sets))
+	reached := len(eng.sets)
+	eng.mu.Unlock()
+	if reached != 0 {
+		t.Errorf("invalid requests reached the engine %d times", reached)
+	}
+	if _, n, open := srv.breakerState(); n != 0 || open {
+		t.Errorf("rejected requests left %d breaker outcomes (open=%v), want none", n, open)
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/search", strings.NewReader(`{"query":[1,2],"multiprobe":1024}`)))
+	if rec.Code != 200 {
+		t.Errorf("a well-formed request after the rejected ones returned %d: %s", rec.Code, rec.Body)
 	}
 }
 
@@ -224,8 +325,12 @@ func TestLegacySearchRouteGone(t *testing.T) {
 }
 
 // blockingEngine stalls every batch until released, to fill the admission
-// queue deterministically; entered signals each batch's start.
-type blockingEngine struct{ entered, release chan struct{} }
+// queue deterministically; entered signals each batch's start. A released
+// batch is answered by inner when there is one.
+type blockingEngine struct {
+	entered, release chan struct{}
+	inner            Engine
+}
 
 func (e blockingEngine) Search(ctx context.Context, q []float32, opts ...SearchOption) (Result, Stats, error) {
 	res, _, err := e.BatchSearch(ctx, [][]float32{q}, opts...)
@@ -235,6 +340,9 @@ func (e blockingEngine) Search(ctx context.Context, q []float32, opts ...SearchO
 func (e blockingEngine) BatchSearch(ctx context.Context, queries [][]float32, opts ...SearchOption) ([]Result, Stats, error) {
 	e.entered <- struct{}{}
 	<-e.release
+	if e.inner != nil {
+		return e.inner.BatchSearch(ctx, queries, opts...)
+	}
 	return make([]Result, len(queries)), Stats{Queries: len(queries)}, nil
 }
 

@@ -7,44 +7,25 @@ import (
 	"time"
 
 	"e2lshos/internal/autotune"
+	"e2lshos/internal/ladder"
 	"e2lshos/internal/lsh"
 	"e2lshos/internal/shard"
 	"e2lshos/internal/telemetry"
 )
 
 // ShardPlacement selects how NewShardedIndex distributes vectors over
-// shards.
-type ShardPlacement int
+// shards; String names it as cmd/lshserve's -placement flag spells it.
+type ShardPlacement = shard.Placement
 
 const (
 	// PlaceRange gives each shard a contiguous slice of the dataset.
-	PlaceRange ShardPlacement = iota
+	PlaceRange = shard.Range
 	// PlaceHash spreads vectors over shards by hashing their global IDs.
-	PlaceHash
+	PlaceHash = shard.Hash
 )
 
-// String names the placement (the same names cmd/lshserve's -placement flag
-// accepts).
-func (p ShardPlacement) String() string { return p.internal().String() }
-
-func (p ShardPlacement) internal() shard.Placement {
-	if p == PlaceHash {
-		return shard.Hash
-	}
-	return shard.Range
-}
-
 // ParseShardPlacement reads "range" or "hash".
-func ParseShardPlacement(s string) (ShardPlacement, error) {
-	p, err := shard.ParsePlacement(s)
-	if err != nil {
-		return 0, err
-	}
-	if p == shard.Hash {
-		return PlaceHash, nil
-	}
-	return PlaceRange, nil
-}
+func ParseShardPlacement(s string) (ShardPlacement, error) { return shard.ParsePlacement(s) }
 
 // ShardBuilder builds one shard's engine over its partition of the dataset.
 // It is called once per shard with the shard number and the vectors placed
@@ -151,7 +132,7 @@ func NewShardedIndex(data [][]float32, shards int, placement ShardPlacement, bui
 	if build == nil {
 		return nil, fmt.Errorf("e2lshos: nil ShardBuilder")
 	}
-	globals, err := shard.Partition(len(data), shards, placement.internal())
+	globals, err := shard.Partition(len(data), shards, placement)
 	if err != nil {
 		return nil, err
 	}
@@ -285,20 +266,22 @@ func (x *ShardedIndex) IOCounters() IOEngineCounters {
 	return sum
 }
 
-// shardTuningOpts adapts caller options for forwarding to shards: per-query
-// stats destinations are overridden (shards report through the router's
-// Stats channel — forwarding the caller's destination would have every shard
-// race on it), and a query-level latency budget is split so each shard gets
-// 90% of it — the scatter-gather adds merge work after the slowest shard,
-// and the headroom keeps the logical query inside its budget.
-func shardTuningOpts(opts []SearchOption, set searchSettings, statsInto []Stats) []SearchOption {
-	out := make([]SearchOption, len(opts), len(opts)+2)
-	copy(out, opts)
-	out = append(out, WithStatsInto(statsInto))
-	if set.tuning.LatencyBudget > 0 {
-		out = append(out, WithLatencyBudget(set.tuning.LatencyBudget*9/10))
+// forShards turns a scatter's resolved settings into what every shard runs
+// under, once per call, and returns the caller's per-query stats destination:
+// that is not forwarded (every shard would race on it; shards report through
+// the router), and every latency budget — the call's and each query's own —
+// shrinks to 90%, headroom for the merge work after the slowest shard. The
+// caller's each is copied, not scaled in place: it is shared read-only.
+func (s *searchSettings) forShards() (statsInto []Stats) {
+	statsInto, s.statsInto = s.statsInto, nil
+	s.Tuning.LatencyBudget = s.Tuning.LatencyBudget * 9 / 10
+	if s.each != nil {
+		s.each = append([]ladder.Knobs(nil), s.each...)
+		for i := range s.each {
+			s.each[i].Tuning.LatencyBudget = s.each[i].Tuning.LatencyBudget * 9 / 10
+		}
 	}
-	return out
+	return statsInto
 }
 
 // telemetrySnapshot folds the shards' telemetry into the router's own
@@ -339,26 +322,27 @@ func (x *ShardedIndex) Shard(i int) Engine { return x.engines[i] }
 // see Engine. On cancellation the neighbors gathered so far are merged and
 // returned with ctx.Err().
 func (x *ShardedIndex) Search(ctx context.Context, q []float32, opts ...SearchOption) (Result, Stats, error) {
-	set, err := resolveSettings(opts)
+	set, err := resolveSettings(opts, 1)
 	if err != nil {
 		return Result{}, Stats{}, err
 	}
 	col := x.collector()
-	shardOpts := shardTuningOpts(opts, set, nil)
+	statsInto := set.forShards()
+	shardOpt := withSettings(&set)
 	var t0 time.Time
 	if col != nil {
 		t0 = time.Now()
 	}
-	res, per, err := x.router.Search(ctx, q, set.k,
+	res, per, err := x.router.Search(ctx, q, set.K,
 		func(sctx context.Context, i int, q []float32) (Result, Stats, error) {
-			return x.engines[i].Search(sctx, q, shardOpts...)
+			return x.engines[i].Search(sctx, q, shardOpt)
 		})
 	if col != nil {
 		col.FinishQuery(time.Since(t0), nil)
 	}
 	st := foldShardStats(per)
-	if len(set.statsInto) > 0 {
-		set.statsInto[0] = st
+	if len(statsInto) > 0 {
+		statsInto[0] = st
 	}
 	return res, st, err
 }
@@ -367,30 +351,31 @@ func (x *ShardedIndex) Search(ctx context.Context, q []float32, opts ...SearchOp
 // each shard runs its own worker pool with per-goroutine searcher reuse —
 // and merges per query; see Engine.
 func (x *ShardedIndex) BatchSearch(ctx context.Context, queries [][]float32, opts ...SearchOption) ([]Result, Stats, error) {
-	set, err := resolveSettings(opts)
+	set, err := resolveSettings(opts, len(queries))
 	if err != nil {
 		return nil, Stats{}, err
 	}
 	col := x.collector()
+	statsInto := set.forShards()
+	shardOpt := withSettings(&set)
 	// With a per-query stats destination, each shard writes its rows into
 	// its own stretch of one arena and the per-query rows fold after the
 	// gather.
 	shards, nq := x.router.Shards(), len(queries)
 	var arena []Stats
-	if len(set.statsInto) > 0 {
+	if len(statsInto) > 0 {
 		arena = make([]Stats, shards*nq)
 	}
 	var t0 time.Time
 	if col != nil {
 		t0 = time.Now()
 	}
-	results, per, err := x.router.BatchSearch(ctx, queries, set.k,
+	results, per, err := x.router.BatchSearch(ctx, queries, set.K,
 		func(sctx context.Context, i int, queries [][]float32) ([]Result, Stats, error) {
-			var dst []Stats
-			if arena != nil {
-				dst = arena[i*nq : (i+1)*nq]
+			if arena == nil {
+				return x.engines[i].BatchSearch(sctx, queries, shardOpt)
 			}
-			return x.engines[i].BatchSearch(sctx, queries, shardTuningOpts(opts, set, dst)...)
+			return x.engines[i].BatchSearch(sctx, queries, shardOpt, WithStatsInto(arena[i*nq:(i+1)*nq]))
 		})
 	if col != nil {
 		// Every query in the batch completes when the batch does, so the
@@ -419,8 +404,8 @@ func (x *ShardedIndex) BatchSearch(ctx context.Context, queries [][]float32, opt
 			}
 			st := foldShardStats(row)
 			agg.Partial += st.Partial
-			if qi < len(set.statsInto) {
-				set.statsInto[qi] = st
+			if qi < len(statsInto) {
+				statsInto[qi] = st
 			}
 		}
 	}

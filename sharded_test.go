@@ -2,8 +2,10 @@ package e2lshos
 
 import (
 	"context"
+	"encoding/json"
 	"math"
 	"testing"
+	"time"
 
 	"e2lshos/internal/blockstore"
 	"e2lshos/internal/faultinject"
@@ -219,5 +221,64 @@ func TestShardedBuildErrors(t *testing.T) {
 	}
 	if _, err := NewShardedIndex(d.Vectors[:1], 2, PlaceRange, InMemoryShardBuilder(Config{})); err == nil {
 		t.Error("more shards than vectors accepted")
+	}
+}
+
+// TestShardedLatencyBudgetReachesShardsAt90: a latency budget arrives at every
+// shard as 90% of what was asked — the call-level one of a library caller,
+// and each request's own in a coalesced serving batch, beside the query it
+// belongs to — and the stats rows still fold per query.
+func TestShardedLatencyBudgetReachesShardsAt90(t *testing.T) {
+	const shards = 3
+	data := make([][]float32, 10*shards) // captureEngine answers local IDs 7 and 9
+	for i := range data {
+		data[i] = []float32{float32(i), 0}
+	}
+	var caps []*captureEngine
+	ix, err := NewShardedIndex(data, shards, PlaceRange, func(int, [][]float32) (Engine, error) {
+		c := &captureEngine{st: Stats{Queries: 1, Probes: 2}}
+		caps = append(caps, c)
+		return c, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	queries := [][]float32{{1, 2}, {3, 4}}
+	if _, _, err := ix.BatchSearch(context.Background(), queries, WithLatencyBudget(10*time.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range caps {
+		if got := c.last(t).Tuning.LatencyBudget; got != 9*time.Millisecond {
+			t.Errorf("shard %d ran a 10ms call under %v, want 9ms", i, got)
+		}
+	}
+
+	srv, err := NewServer(ix, ServerConfig{Dim: 2, K: 2, Opts: []SearchOption{WithLatencyBudget(20 * time.Millisecond)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	for _, tc := range []struct {
+		ms   float64
+		want time.Duration
+	}{{10, 9 * time.Millisecond}, {0, 18 * time.Millisecond}} {
+		rec := postJSON(t, srv.Handler(), "/v1/search", searchRequestV1{Query: []float32{1, 2}, LatencyBudgetMS: tc.ms})
+		if rec.Code != 200 {
+			t.Fatalf("/v1/search returned %d: %s", rec.Code, rec.Body)
+		}
+		for i, c := range caps {
+			set := c.last(t)
+			if len(set.each) != 1 || set.each[0].Tuning.LatencyBudget != tc.want {
+				t.Errorf("latency_budget_ms %g: shard %d got per-query knobs %+v, want one with budget %v", tc.ms, i, set.each, tc.want)
+			}
+		}
+		var resp searchResponseV1
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		if resp.Stats.Probes != 2*shards {
+			t.Errorf("the request's stats row folded %d probes, want %d from %d shards", resp.Stats.Probes, 2*shards, shards)
+		}
 	}
 }
