@@ -2,6 +2,7 @@ package diskindex
 
 import (
 	"context"
+	"path/filepath"
 	"testing"
 
 	"e2lshos/internal/ann"
@@ -10,7 +11,9 @@ import (
 	"e2lshos/internal/lsh"
 )
 
-func benchSetup(b *testing.B) (*dataset.Dataset, lsh.Params, *Index) {
+// benchData is the corpus and the derived parameters every benchmark index
+// is built from.
+func benchData(b *testing.B) (*dataset.Dataset, lsh.Params) {
 	b.Helper()
 	d, err := dataset.Generate(dataset.Spec{
 		Name: "bench", N: 20000, Queries: 50, Dim: 64,
@@ -26,12 +29,67 @@ func benchSetup(b *testing.B) (*dataset.Dataset, lsh.Params, *Index) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	return d, p
+}
+
+func benchSetup(b *testing.B) (*dataset.Dataset, lsh.Params, *Index) {
+	b.Helper()
+	d, p := benchData(b)
 	ix, err := Build(d.Vectors, p, DefaultOptions(), blockstore.NewMem())
 	if err != nil {
 		b.Fatal(err)
 	}
 	return d, p, ix
 }
+
+// fileBenchIndex is benchSetup's index built onto a real file (page-cache warm: the
+// build just wrote it), with an engine of the given depth attached when
+// depth > 0.
+func fileBenchIndex(b *testing.B, depth int) (*dataset.Dataset, *Index) {
+	b.Helper()
+	d, p := benchData(b)
+	store, f, err := blockstore.OpenFile(filepath.Join(b.TempDir(), "bench.blocks"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { f.Close() })
+	ix, err := Build(d.Vectors, p, DefaultOptions(), store)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if depth > 0 {
+		ix = engineAttached(b, ix, depth, 0, 0)
+	}
+	return d, ix
+}
+
+// benchFileWaveSearch is one pass of the wave searcher over every query per
+// iteration (make bench runs three), on the file-backed index. The pair
+// below prints the engine-to-in-line ratio: what routing every wave through
+// the I/O engine costs when the backend answers from the page cache.
+func benchFileWaveSearch(b *testing.B, depth int) {
+	d, ix := fileBenchIndex(b, depth)
+	s := ix.NewWaveSearcher()
+	ctx := context.Background()
+	dst := make([]ann.Neighbor, 0, 1)
+	pass := func() {
+		for _, q := range d.Queries {
+			if _, _, err := s.SearchInto(ctx, q, 1, dst); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	pass() // warmup: size the arenas, touch the pages
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pass()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*d.NQ()), "ns/query")
+}
+
+func BenchmarkFileWaveSearchInline(b *testing.B)        { benchFileWaveSearch(b, 0) }
+func BenchmarkFileWaveSearchEngineDepth16(b *testing.B) { benchFileWaveSearch(b, 16) }
 
 func BenchmarkBuild20k(b *testing.B) {
 	d, p, _ := benchSetup(b)

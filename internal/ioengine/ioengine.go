@@ -18,6 +18,11 @@
 //     sits in front of the cache: a joiner never touches the backend and
 //     never double-counts a miss.
 //
+// Submission: a wave's runs are performed by the goroutine that asked for
+// them, and helpers — up to Depth−1 — are started only once the backend is
+// seen to block. A backend that answers from memory or the page cache pays
+// for no goroutine hand-off; a device still sees the wave at full depth.
+//
 // Cache interaction: when a cache is attached, every miss's fill goes
 // through it (Put on completion), and a demand hit is served from it without
 // reaching the dedup or submission layers; cache probes run outside the
@@ -27,11 +32,12 @@
 package ioengine
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math/rand/v2"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -141,11 +147,24 @@ func (c *Counters) Add(o Counters) {
 	c.Quarantined += o.Quarantined
 }
 
-// flight is one in-flight backend read other callers may join.
+// flight is one in-flight backend read other callers may join. It carries no
+// payload: a joiner registers its own destination buffer, and the leader
+// copies the block into every registered buffer when it publishes. Flights
+// live in their leader's waveScratch; the dedup table points at them only
+// between registration and publish.
 type flight struct {
-	done chan struct{}
-	data [blockstore.BlockSize]byte
+	waiters *waiter // guarded by Engine.mu
+}
+
+// waiter is one destination buffer registered on a flight. It lives in the
+// joining call's waveScratch; every field is guarded by Engine.mu until the
+// leader clears fl, after which the joiner owns it again.
+type waiter struct {
+	buf  []byte
 	err  error
+	fl   *flight // nil once the leader has filled buf (or set err)
+	ws   *waveScratch
+	next *waiter
 }
 
 // Engine is the shared submission layer. All methods are safe for
@@ -158,14 +177,20 @@ type Engine struct {
 	sem     chan struct{} // a token per physical operation in flight, Depth of them
 	retries int
 	backoff time.Duration
+	epoch   time.Time // what operate's clock readings are offsets from
 	quar    quarantine
 
 	mu       sync.Mutex
 	inflight map[blockstore.Addr]*flight //lsh:guardedby mu
 
-	// scratch pools readWave's classification slices, so a fully
-	// cache-resident wave allocates nothing in steady state.
+	// scratch pools the per-call arenas (*waveScratch), so neither a fully
+	// cache-resident wave nor an all-miss one allocates in steady state.
 	scratch sync.Pool
+
+	// fast is whether the latest backend operation returned within
+	// blockingOp. While it holds, a wave runs on its calling goroutine alone;
+	// the zero value has a new engine fan its first wave out.
+	fast atomic.Bool
 
 	reads     atomic.Int64
 	physical  atomic.Int64
@@ -211,6 +236,7 @@ func New(src Source, opts Options) (*Engine, error) {
 		sem:      make(chan struct{}, opts.Depth),
 		retries:  opts.Retries,
 		backoff:  backoff,
+		epoch:    time.Now(),
 		quar:     quarantine{limit: quarLimit},
 		inflight: make(map[blockstore.Addr]*flight),
 	}, nil
@@ -236,14 +262,6 @@ func (e *Engine) Counters() Counters {
 	}
 }
 
-// lookupFlight returns the in-flight read for a, if any.
-func (e *Engine) lookupFlight(a blockstore.Addr) *flight {
-	e.mu.Lock()
-	fl := e.inflight[a]
-	e.mu.Unlock()
-	return fl
-}
-
 // Read fetches one block into buf (len >= BlockSize): dedup table, then
 // cache (probed outside the engine lock), then backend. ctx only bounds
 // waiting on another caller's flight; a read this call leads always
@@ -252,25 +270,38 @@ func (e *Engine) lookupFlight(a blockstore.Addr) *flight {
 //lsh:hotpath
 func (e *Engine) Read(ctx context.Context, a blockstore.Addr, buf []byte, st *BatchStats) error {
 	e.reads.Add(1)
-	if fl := e.lookupFlight(a); fl != nil {
-		return e.join(ctx, fl, buf, st)
-	}
-	if e.cache != nil && e.cache.Get(a, buf) {
-		if st != nil {
-			st.CacheHits++
-		}
-		return nil
-	}
-	// Miss: re-check the dedup table before becoming the leader — another
-	// caller may have registered while we probed the cache.
 	e.mu.Lock()
-	if fl := e.inflight[a]; fl != nil {
+	fl := e.inflight[a]
+	if fl == nil && e.cache != nil {
 		e.mu.Unlock()
-		return e.join(ctx, fl, buf, st)
+		if e.cache.Get(a, buf) {
+			if st != nil {
+				st.CacheHits++
+			}
+			return nil
+		}
+		// Miss: re-check the dedup table before becoming the leader — another
+		// caller may have registered while we probed the cache.
+		e.mu.Lock()
+		fl = e.inflight[a]
 	}
-	//lsh:allocok miss path: the flight outlives the call and must escape
-	fl := &flight{done: make(chan struct{})}
-	e.inflight[a] = fl
+	// Off the hit path. The arena is taken with the lock held: finding the
+	// flight and enlisting on it (or registering one) must be one step.
+	ws := e.getScratch(1)
+	defer e.putScratch(ws)
+	if fl != nil {
+		ws.enlist(fl, buf)
+		e.mu.Unlock()
+		e.deduped.Add(1)
+		if st != nil {
+			st.DedupedReads++
+			if e.cache != nil {
+				st.CacheHits++
+			}
+		}
+		return e.await(ctx, ws)
+	}
+	e.inflight[a] = ws.lead(a, buf)
 	e.mu.Unlock()
 	if st != nil {
 		if e.cache != nil {
@@ -278,8 +309,8 @@ func (e *Engine) Read(ctx context.Context, a blockstore.Addr, buf []byte, st *Ba
 		}
 		st.PhysicalReads++
 	}
-	err := e.readPhysical(a, buf)
-	e.publish(a, fl, buf, err, false, nil)
+	err := e.readPhysical(ws, 0)
+	e.publish(ws, 0, 1, err)
 	return err
 }
 
@@ -296,40 +327,64 @@ func retryable(err error) bool {
 		!errors.Is(err, blockstore.ErrInvalidAddr)
 }
 
-// readOnce is one physical single-block backend attempt, with the engine's
-// depth bound and latency accounting.
-func (e *Engine) readOnce(a blockstore.Addr, buf []byte) error {
+// blockingOp is the backend time above which an operation counts as having
+// blocked: a few goroutine hand-offs. Under it (a page-cache pread, a memory
+// slab) handing the next run to another goroutine costs more than performing
+// it; over it (any real device) the wave's runs are worth overlapping.
+const blockingOp = 10 * time.Microsecond
+
+// operate performs one physical backend operation — block k of ws alone, or
+// the run of blocks [k, hi) — under the engine's depth bound, and remembers
+// whether the backend blocked. Times are offsets from the engine's epoch
+// (time.Since reads the monotonic clock only, half the price of time.Now).
+// The latency histogram observes submit→done, depth-slot wait included; the
+// blocking test looks at the backend alone, so fanned-out waves contending
+// for slots over a fast backend cannot keep the engine fanning out.
+//
+//lsh:hotpath
+func (e *Engine) operate(ws *waveScratch, k, hi int) (err error) {
 	lat := e.lat.Load()
-	var t0 time.Time
+	var submitted time.Duration
 	if lat != nil {
-		t0 = time.Now()
+		submitted = time.Since(e.epoch)
 	}
 	e.sem <- struct{}{}
-	err := e.src.ReadBlock(a, buf)
+	started := time.Since(e.epoch)
+	if hi-k == 1 {
+		// Not through ReadBlocks: a run of one has nothing to coalesce.
+		err = e.src.ReadBlock(ws.addrs[k], ws.bufs[k])
+	} else {
+		_, err = e.src.ReadBlocks(ws.addrs[k:hi], ws.bufs[k:hi])
+	}
+	done := time.Since(e.epoch)
 	<-e.sem
+	if fast := done-started <= blockingOp; fast != e.fast.Load() {
+		e.fast.Store(fast)
+	}
 	if lat != nil {
-		lat.Observe(time.Since(t0))
+		lat.Observe(done - submitted)
 	}
 	e.physical.Add(1)
 	return err
 }
 
-// readPhysical is the fault-tolerant single-block read every leader path
-// funnels through: quarantine fast-fail, then up to 1+Retries attempts with
+// readPhysical is the fault-tolerant read of ws's block k that every leader
+// path funnels through: quarantine fast-fail, then up to 1+Retries attempts with
 // capped exponential backoff. The depth slot is held per attempt, never
 // across a backoff sleep. An address that exhausts its budget is
 // quarantined so later queries fail it fast instead of re-paying the
 // ladder.
-func (e *Engine) readPhysical(a blockstore.Addr, buf []byte) error {
+func (e *Engine) readPhysical(ws *waveScratch, k int) error {
+	a := ws.addrs[k]
 	if qerr := e.quar.check(a); qerr != nil {
 		e.quarHits.Add(1)
 		return qerr
 	}
-	err := e.readOnce(a, buf)
+	err := e.operate(ws, k, k+1)
 	for attempt := 0; attempt < e.retries && retryable(err); attempt++ {
 		e.retried.Add(1)
 		e.sleepBackoff(attempt)
-		err = e.readOnce(a, buf)
+		err = e.operate(ws, k, k+1)
 	}
 	if retryable(err) {
 		e.faulted.Add(1)
@@ -348,54 +403,109 @@ func (e *Engine) sleepBackoff(attempt int) {
 	time.Sleep(d)
 }
 
-// join waits for another caller's flight and copies its result out.
-func (e *Engine) join(ctx context.Context, fl *flight, buf []byte, st *BatchStats) error {
-	e.deduped.Add(1)
-	if st != nil {
-		st.DedupedReads++
-		if e.cache != nil {
-			st.CacheHits++
-		}
-	}
-	return e.joinQuiet(ctx, fl, buf)
+// enlist registers buf on fl as one more destination of its block. The
+// caller holds the engine lock and sized ws.waiters beforehand: fl points
+// into it, so it must not regrow.
+//
+//lsh:hotpath
+func (ws *waveScratch) enlist(fl *flight, buf []byte) {
+	ws.waiters = append(ws.waiters, waiter{buf: buf, fl: fl, ws: ws, next: fl.waiters})
+	fl.waiters = &ws.waiters[len(ws.waiters)-1]
+	ws.pending++
 }
 
-// joinQuiet is join without counter updates (batch paths count at
-// classification time).
-func (e *Engine) joinQuiet(ctx context.Context, fl *flight, buf []byte) error {
-	select {
-	case <-fl.done:
-	case <-ctx.Done():
-		return ctx.Err()
+// lead appends a read this call will perform itself and returns its flight
+// for the dedup table. The caller sized ws.flights beforehand, like enlist.
+//
+//lsh:hotpath
+func (ws *waveScratch) lead(a blockstore.Addr, buf []byte) *flight {
+	ws.addrs = append(ws.addrs, a)
+	ws.bufs = append(ws.bufs, buf)
+	ws.flights = append(ws.flights, flight{})
+	return &ws.flights[len(ws.flights)-1]
+}
+
+// await blocks until every buffer ws enlisted has been filled by its leader,
+// and returns the first error among them. When ctx ends first, the buffers
+// still registered are withdrawn under the engine lock — the leader copies
+// under the same lock, so once await returns nothing writes to the caller's
+// buffers again — and the flights themselves carry on for their other
+// waiters. A wake-up left over from an earlier call costs one more pass.
+func (e *Engine) await(ctx context.Context, ws *waveScratch) error {
+	for {
+		e.mu.Lock()
+		pending := ws.pending
+		e.mu.Unlock()
+		if pending == 0 {
+			break
+		}
+		select {
+		case <-ws.wake:
+		case <-ctx.Done():
+			e.mu.Lock()
+			for i := range ws.waiters {
+				w := &ws.waiters[i]
+				if w.fl == nil {
+					continue // filled already
+				}
+				p := &w.fl.waiters
+				for *p != w {
+					p = &(*p).next
+				}
+				*p = w.next
+			}
+			ws.pending = 0
+			e.mu.Unlock()
+			return ctx.Err()
+		}
 	}
-	if fl.err != nil {
-		return fl.err
+	for i := range ws.waiters {
+		if err := ws.waiters[i].err; err != nil {
+			return err
+		}
 	}
-	copy(buf[:blockstore.BlockSize], fl.data[:])
 	return nil
 }
 
-// publish completes a flight: fill the cache, retire the dedup entry, wake
-// waiters. The cache fill lands before the dedup entry is removed, so a
-// request arriving in between finds the block somewhere. Quiet fills count
-// as prefetched (into h) instead of demand traffic.
-func (e *Engine) publish(a blockstore.Addr, fl *flight, buf []byte, err error, quiet bool, h *blockcache.Handle) {
-	fl.err = err
-	if err == nil {
-		copy(fl.data[:], buf[:blockstore.BlockSize])
-		if e.cache != nil {
-			if quiet {
-				e.cache.PutPrefetched(a, buf)
-				h.Add(1)
+// publish completes the flights of ws's reads [lo, hi), which all ended
+// with err: fill the cache, then under the engine lock retire each dedup
+// entry and copy the block (or the error) into every buffer registered on
+// it, waking the calls whose last buffer that was. The cache fill lands
+// before the dedup entry is removed, so a request arriving in between finds
+// the block somewhere. Quiet fills count as prefetched (into ws.h) instead
+// of demand traffic.
+//
+//lsh:hotpath
+func (e *Engine) publish(ws *waveScratch, lo, hi int, err error) {
+	if err == nil && e.cache != nil {
+		for k := lo; k < hi; k++ {
+			if ws.quiet {
+				e.cache.PutPrefetched(ws.addrs[k], ws.bufs[k])
+				ws.h.Add(1)
 			} else {
-				e.cache.Put(a, buf)
+				e.cache.Put(ws.addrs[k], ws.bufs[k])
 			}
 		}
 	}
 	e.mu.Lock()
-	delete(e.inflight, a)
+	for k := lo; k < hi; k++ {
+		delete(e.inflight, ws.addrs[k])
+		fl := &ws.flights[k]
+		for w := fl.waiters; w != nil; w = w.next {
+			if err == nil {
+				copy(w.buf[:blockstore.BlockSize], ws.bufs[k][:blockstore.BlockSize])
+			}
+			w.err, w.fl = err, nil
+			if w.ws.pending--; w.ws.pending == 0 {
+				select {
+				case w.ws.wake <- struct{}{}:
+				default: // a wake-up is already waiting there
+				}
+			}
+		}
+		fl.waiters = nil
+	}
 	e.mu.Unlock()
-	close(fl.done)
 }
 
 // ReadBatch fetches addrs[i] into bufs[i] for every i, as one vectored
@@ -416,38 +526,91 @@ func (e *Engine) ReadBatch(ctx context.Context, addrs []blockstore.Addr, bufs []
 	return e.readWave(ctx, addrs, bufs, st, false, nil)
 }
 
-// join1 is one position waiting on a flight.
-type join1 struct {
-	pos int
-	fl  *flight
+// miss is one position of a wave that neither joined a flight nor hit the
+// cache.
+type miss struct {
+	addr blockstore.Addr
+	pos  int
 }
 
-// waveScratch is one readWave call's reusable classification arena.
-type waveScratch struct {
-	joins   []join1
-	unknown []int
-	lead    []int
-	sorted  []blockstore.Addr
-	runs    []run
-}
-
-//lsh:hotpath
-func (e *Engine) getScratch() *waveScratch {
-	if ws, ok := e.scratch.Get().(*waveScratch); ok {
-		ws.joins = ws.joins[:0]
-		ws.unknown = ws.unknown[:0]
-		ws.lead = ws.lead[:0]
-		ws.sorted = ws.sorted[:0]
-		ws.runs = ws.runs[:0]
-		return ws
-	}
-	//lsh:allocok cold pool miss: one arena per concurrent wave, then reused
-	return &waveScratch{}
-}
-
-// run is one coalesced submission: positions batch[i] for i in [lo, hi)
-// whose addresses are adjacent.
+// run is one coalesced submission: the wave's reads [lo, hi), whose
+// addresses are adjacent.
 type run struct{ lo, hi int }
+
+// walkState is one live readahead walk of a Prefetch call.
+type walkState struct {
+	w    blockcache.Walk
+	addr blockstore.Addr
+	step int
+	buf  []byte
+}
+
+// waveScratch is the pooled arena of one Read, readWave or Prefetch call, so
+// that none of them allocates in steady state — an all-miss wave included.
+type waveScratch struct {
+	misses []miss // positions not joined in pass 1, then not served by the cache
+
+	// The reads this call leads, in address order: reads [lo, hi) of a run
+	// are one backend call on addrs[lo:hi], bufs[lo:hi]. The dedup table
+	// points into flights and other calls' flights point into waiters, so
+	// both are sized before the first registration and never regrown.
+	// (Prefetch, which leads nothing itself, keeps the wave it is about to
+	// submit in addrs and bufs.)
+	addrs   []blockstore.Addr
+	bufs    [][]byte
+	flights []flight
+	runs    []run
+	waiters []waiter
+
+	pending int           // waiters not yet filled; guarded by Engine.mu
+	wake    chan struct{} // capacity 1: a leader filled the last pending waiter
+
+	// Submission state, shared with the helpers of a fanned-out wave.
+	quiet  bool
+	h      *blockcache.Handle
+	cursor atomic.Int32 // next unclaimed run
+	fanned bool         // helpers were started; set before the first of them
+	wg     sync.WaitGroup
+	errMu  sync.Mutex
+	err    error //lsh:guardedby errMu — the first error any run ended with
+
+	// Prefetch's walks and their buffers, one block of slab each.
+	walks []walkState
+	slab  []byte
+}
+
+// getScratch returns an arena with room to enlist joins buffers.
+//
+//lsh:hotpath
+func (e *Engine) getScratch(joins int) *waveScratch {
+	ws, ok := e.scratch.Get().(*waveScratch)
+	if !ok {
+		//lsh:allocok cold pool miss: one arena per concurrent call, then reused
+		ws = &waveScratch{wake: make(chan struct{}, 1)}
+	}
+	if cap(ws.waiters) < joins {
+		//lsh:allocok growth to the largest wave seen, then reused
+		ws.waiters = make([]waiter, 0, joins)
+	}
+	return ws
+}
+
+// putScratch empties ws, dropping its references to caller buffers and walk
+// closures, and returns it to the pool. Every flight it led is published and
+// every buffer it enlisted is filled or withdrawn by now, so nothing points
+// into it.
+//
+//lsh:hotpath
+func (e *Engine) putScratch(ws *waveScratch) {
+	clear(ws.bufs)
+	clear(ws.waiters)
+	clear(ws.walks)
+	ws.misses, ws.addrs, ws.bufs = ws.misses[:0], ws.addrs[:0], ws.bufs[:0]
+	ws.flights, ws.runs, ws.waiters = ws.flights[:0], ws.runs[:0], ws.waiters[:0]
+	ws.walks = ws.walks[:0]
+	ws.quiet, ws.h = false, nil
+	e.scratch.Put(ws)
+}
 
 // readWave is the one implementation behind ReadBatch (quiet=false, demand
 // accounting into st) and the prefetcher's waves (quiet=true: cache probes
@@ -458,100 +621,90 @@ type run struct{ lo, hi int }
 //
 //lsh:hotpath
 func (e *Engine) readWave(ctx context.Context, addrs []blockstore.Addr, bufs [][]byte, st *BatchStats, quiet bool, h *blockcache.Handle) error {
-	ws := e.getScratch()
-	var (
-		joins   = ws.joins
-		unknown = ws.unknown
-		lead    = ws.lead
-		flights map[blockstore.Addr]*flight // lazy: only miss-bearing waves pay for it
-		bst     BatchStats
-	)
-	// Hand the (possibly regrown) backing arrays back to the pool. Safe:
-	// submit waits for its goroutines and every join resolves before return.
-	defer func() {
-		ws.joins, ws.unknown, ws.lead = joins, unknown, lead
-		e.scratch.Put(ws)
-	}()
-	// Pass 1, under the lock: peel off joins against reads already in
-	// flight. Everything else is unknown until the cache is probed.
+	ws := e.getScratch(len(addrs))
+	defer e.putScratch(ws)
+	ws.quiet, ws.h = quiet, h
+	var bst BatchStats
+
+	// Pass 1, under the lock: enlist on reads already in flight. Everything
+	// else is unknown until the cache is probed.
+	misses := ws.misses
 	e.mu.Lock()
 	for i, a := range addrs {
 		if fl := e.inflight[a]; fl != nil {
-			joins = append(joins, join1{i, fl})
+			ws.enlist(fl, bufs[i])
 			continue
 		}
-		unknown = append(unknown, i)
+		misses = append(misses, miss{a, i})
 	}
 	e.mu.Unlock()
-	if !quiet {
-		bst.DedupedReads += len(joins)
-		if e.cache != nil {
-			bst.CacheHits += len(joins)
-		}
-		e.deduped.Add(int64(len(joins)))
-	}
 
-	// Pass 2, lock-free: cache probes (the cache has its own lock stripes).
-	misses := unknown[:0]
-	for _, i := range unknown {
-		if e.cache != nil && e.cacheProbe(addrs[i], bufs[i], quiet) {
-			if !quiet {
-				bst.CacheHits++
-			}
-			continue
-		}
-		misses = append(misses, i)
-	}
-
-	// Pass 3, under the lock: re-check the dedup table (a leader may have
-	// registered while we probed), dedup duplicates within the batch, and
-	// register this call's flights.
-	if len(misses) > 0 {
-		e.mu.Lock()
-		for _, i := range misses {
-			a := addrs[i]
-			if fl := e.inflight[a]; fl != nil {
-				joins = append(joins, join1{i, fl})
+	// Pass 2, lock-free: cache probes (the cache has its own lock stripes)
+	// drop the hits; what is left goes in address order, the order it is
+	// read in.
+	if e.cache != nil {
+		unknown := misses
+		misses = misses[:0]
+		for _, m := range unknown {
+			if e.cacheProbe(m.addr, bufs[m.pos], quiet) {
 				if !quiet {
-					bst.DedupedReads++
-					if e.cache != nil {
-						bst.CacheHits++
-					}
-					e.deduped.Add(1)
+					bst.CacheHits++
 				}
 				continue
 			}
-			//lsh:allocok miss path: flights escape into the dedup table
-			fl := &flight{done: make(chan struct{})}
-			e.inflight[a] = fl
-			if flights == nil {
-				//lsh:allocok miss path: only miss-bearing waves pay for the table
-				flights = make(map[blockstore.Addr]*flight, len(misses))
+			misses = append(misses, m)
+		}
+	}
+	ws.misses = misses
+	slices.SortFunc(misses, func(x, y miss) int { return cmp.Compare(x.addr, y.addr) })
+	if cap(ws.flights) < len(misses) {
+		//lsh:allocok growth to the largest wave seen, then reused
+		ws.flights = make([]flight, 0, len(misses))
+	}
+
+	// Pass 3, under the lock: re-check the dedup table (a leader may have
+	// registered while we probed; a duplicate within the batch finds the
+	// flight its first occurrence just registered), and register this
+	// call's flights.
+	if len(misses) > 0 {
+		e.mu.Lock()
+		for _, m := range misses {
+			if fl := e.inflight[m.addr]; fl != nil {
+				ws.enlist(fl, bufs[m.pos])
+				continue
 			}
-			flights[a] = fl
-			lead = append(lead, i)
-			if !quiet && e.cache != nil {
-				bst.CacheMisses++
-			}
+			e.inflight[m.addr] = ws.lead(m.addr, bufs[m.pos])
 		}
 		e.mu.Unlock()
 	}
+	if joins := len(ws.waiters); joins > 0 && !quiet {
+		bst.DedupedReads += joins
+		if e.cache != nil {
+			bst.CacheHits += joins
+		}
+		e.deduped.Add(int64(joins))
+	}
 
 	var firstErr error
-	if len(lead) > 0 {
-		//lsh:allocok miss path: sort.Slice boxes its less closure
-		sort.Slice(lead, func(x, y int) bool { return addrs[lead[x]] < addrs[lead[y]] })
-		runs := splitRuns(addrs, lead, ws)
-		bst.CoalescedReads += len(lead) - len(runs)
-		bst.PhysicalReads += len(runs)
-		e.coalesced.Add(int64(len(lead) - len(runs)))
-		firstErr = e.submit(addrs, bufs, lead, runs, flights, quiet, h)
+	if leads := len(ws.addrs); leads > 0 {
+		if !quiet && e.cache != nil {
+			bst.CacheMisses += leads
+		}
+		// Runs of adjacent addresses, by the backends' own rule: a submission
+		// unit is exactly one physical operation.
+		for i := 0; i < leads; i = ws.runs[len(ws.runs)-1].hi {
+			ws.runs = append(ws.runs, run{i, blockstore.NextRun(ws.addrs, i)})
+		}
+		bst.CoalescedReads += leads - len(ws.runs)
+		bst.PhysicalReads += len(ws.runs)
+		e.coalesced.Add(int64(leads - len(ws.runs)))
+		firstErr = e.submit(ws)
 	}
 
 	// Resolve joins last: our own flights are done, foreign flights may
 	// still be in progress. Only here does ctx apply.
-	for _, j := range joins {
-		if err := e.joinQuiet(ctx, j.fl, bufs[j.pos]); err != nil && firstErr == nil {
+	if len(ws.waiters) > 0 {
+		if err := e.await(ctx, ws); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
@@ -572,53 +725,61 @@ func (e *Engine) cacheProbe(a blockstore.Addr, buf []byte, quiet bool) bool {
 	return e.cache.Get(a, buf)
 }
 
-// splitRuns partitions the address-sorted lead positions into runs of
-// adjacent addresses, delegating the run boundary to blockstore.NextRun so
-// the engine's submission units are exactly the backends' physical
-// operations. Both working slices live in the wave scratch.
+// submit performs the wave's runs and publishes every flight. The calling
+// goroutine claims runs off a shared cursor and performs them itself; while
+// the backend answers without blocking (see blockingOp) that is the whole
+// submission. Once an operation is seen to block — or from the first run,
+// when the engine's latest operation did — up to Depth−1 helpers are
+// started on the same cursor, so a device still sees the wave at the
+// engine's queue depth.
 //
 //lsh:hotpath
-func splitRuns(addrs []blockstore.Addr, lead []int, ws *waveScratch) []run {
-	sorted := ws.sorted[:0]
-	for _, pos := range lead {
-		sorted = append(sorted, addrs[pos])
+func (e *Engine) submit(ws *waveScratch) error {
+	ws.cursor.Store(0)
+	e.work(ws)
+	if ws.fanned {
+		ws.wg.Wait()
+		ws.fanned = false
 	}
-	runs := ws.runs[:0]
-	for i := 0; i < len(sorted); {
-		j := blockstore.NextRun(sorted, i)
-		runs = append(runs, run{i, j})
-		i = j
-	}
-	ws.sorted, ws.runs = sorted, runs
-	return runs
+	ws.errMu.Lock()
+	err := ws.err
+	ws.err = nil
+	ws.errMu.Unlock()
+	return err
 }
 
-// submit drives the runs at the engine's queue depth and publishes every
-// flight. Single-run batches run inline; larger batches fan out.
-func (e *Engine) submit(addrs []blockstore.Addr, bufs [][]byte, lead []int, runs []run, flights map[blockstore.Addr]*flight, quiet bool, h *blockcache.Handle) error {
-	if len(runs) == 1 {
-		return e.submitRun(addrs, bufs, lead, runs[0], flights, quiet, h)
-	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	for _, r := range runs {
-		wg.Add(1)
-		go func(r run) {
-			defer wg.Done()
-			if err := e.submitRun(addrs, bufs, lead, r, flights, quiet, h); err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
+// work performs runs off the wave's cursor until none are left. Only the
+// calling goroutine can find the wave not fanned out yet.
+//
+//lsh:hotpath
+func (e *Engine) work(ws *waveScratch) {
+	for {
+		if !ws.fanned && !e.fast.Load() {
+			// One run stays with this goroutine; helpers take the rest.
+			if n := min(cap(e.sem), len(ws.runs)-int(ws.cursor.Load())) - 1; n > 0 {
+				ws.fanned = true
+				ws.wg.Add(n)
+				for ; n > 0; n-- {
+					//lsh:allocok blocking backend only: a goroutine per overlapped operation
+					go func() {
+						defer ws.wg.Done()
+						e.work(ws)
+					}()
 				}
-				mu.Unlock()
 			}
-		}(r)
+		}
+		i := int(ws.cursor.Add(1)) - 1
+		if i >= len(ws.runs) {
+			return
+		}
+		if err := e.submitRun(ws, ws.runs[i]); err != nil {
+			ws.errMu.Lock()
+			if ws.err == nil {
+				ws.err = err
+			}
+			ws.errMu.Unlock()
+		}
 	}
-	wg.Wait()
-	return firstErr
 }
 
 // submitRun performs one coalesced physical operation and publishes its
@@ -626,44 +787,23 @@ func (e *Engine) submit(addrs []blockstore.Addr, bufs [][]byte, lead []int, runs
 // per-block salvage — each block gets its own retry ladder — so one bad
 // block cannot poison its run-mates; runs containing a quarantined address
 // skip the doomed vectored attempt and go straight to salvage.
-func (e *Engine) submitRun(addrs []blockstore.Addr, bufs [][]byte, lead []int, r run, flights map[blockstore.Addr]*flight, quiet bool, h *blockcache.Handle) error {
-	n := r.hi - r.lo
-	runAddrs := make([]blockstore.Addr, n)
-	runBufs := make([][]byte, n)
-	for k := 0; k < n; k++ {
-		pos := lead[r.lo+k]
-		runAddrs[k] = addrs[pos]
-		runBufs[k] = bufs[pos]
-	}
-	if !e.quar.containsAny(runAddrs) {
-		lat := e.lat.Load()
-		var t0 time.Time
-		if lat != nil {
-			t0 = time.Now()
-		}
-		e.sem <- struct{}{}
-		_, err := e.src.ReadBlocks(runAddrs, runBufs)
-		<-e.sem
-		if lat != nil {
-			lat.Observe(time.Since(t0))
-		}
-		e.physical.Add(1)
+//
+//lsh:hotpath
+func (e *Engine) submitRun(ws *waveScratch, r run) error {
+	if !e.quar.containsAny(ws.addrs[r.lo:r.hi]) {
+		err := e.operate(ws, r.lo, r.hi)
 		if err == nil || e.retries == 0 || !retryable(err) {
 			if err != nil && retryable(err) {
 				e.faulted.Add(1)
 			}
-			for k := 0; k < n; k++ {
-				pos := lead[r.lo+k]
-				e.publish(addrs[pos], flights[addrs[pos]], bufs[pos], err, quiet, h)
-			}
+			e.publish(ws, r.lo, r.hi, err)
 			return err
 		}
 	}
 	var firstErr error
-	for k := 0; k < n; k++ {
-		pos := lead[r.lo+k]
-		berr := e.readPhysical(addrs[pos], bufs[pos])
-		e.publish(addrs[pos], flights[addrs[pos]], bufs[pos], berr, quiet, h)
+	for k := r.lo; k < r.hi; k++ {
+		berr := e.readPhysical(ws, k)
+		e.publish(ws, k, k+1, berr)
 		if berr != nil && firstErr == nil {
 			firstErr = berr
 		}
@@ -676,7 +816,10 @@ func (e *Engine) submitRun(addrs []blockstore.Addr, bufs [][]byte, lead []int, r
 // quiet read wave (PeekQuiet probes, prefetched-counter fills), then each
 // walk advances through its Next decoder. It requires a cache — the whole
 // point is warming it. Cancellation is honored between waves; blocks
-// already submitted complete; the caller settles the returned handle.
+// already submitted complete; the caller settles the returned handle. The
+// walk states and their block buffers come out of the engine's scratch pool,
+// so a call allocates a constant (the handle and its goroutine) however many
+// walks it is given.
 func (e *Engine) Prefetch(ctx context.Context, walks []blockcache.Walk) *blockcache.Handle {
 	if len(walks) == 0 || e.cache == nil {
 		return blockcache.CompletedHandle()
@@ -684,29 +827,29 @@ func (e *Engine) Prefetch(ctx context.Context, walks []blockcache.Walk) *blockca
 	h := blockcache.NewHandle()
 	go func() {
 		defer h.Finish()
-		type state struct {
-			w    blockcache.Walk
-			addr blockstore.Addr
-			step int
-			buf  []byte
-		}
-		live := make([]*state, 0, len(walks))
+		ws := e.getScratch(0)
+		live := ws.walks[:0]
 		for _, w := range walks {
 			if w.Start == blockstore.Nil || w.Steps <= 0 {
 				continue
 			}
-			live = append(live, &state{w: w, addr: w.Start, buf: make([]byte, blockstore.BlockSize)})
+			live = append(live, walkState{w: w, addr: w.Start})
 		}
-		addrs := make([]blockstore.Addr, 0, len(live))
-		bufs := make([][]byte, 0, len(live))
+		ws.walks = live
+		defer e.putScratch(ws)
+		if need := len(live) * blockstore.BlockSize; cap(ws.slab) < need {
+			ws.slab = make([]byte, need)
+		}
+		for i := range live {
+			live[i].buf = ws.slab[i*blockstore.BlockSize : (i+1)*blockstore.BlockSize]
+		}
 		for len(live) > 0 && ctx.Err() == nil {
-			addrs = addrs[:0]
-			bufs = bufs[:0]
-			for _, s := range live {
-				addrs = append(addrs, s.addr)
-				bufs = append(bufs, s.buf)
+			ws.addrs, ws.bufs = ws.addrs[:0], ws.bufs[:0]
+			for i := range live {
+				ws.addrs = append(ws.addrs, live[i].addr)
+				ws.bufs = append(ws.bufs, live[i].buf)
 			}
-			fetchErr := e.readWave(ctx, addrs, bufs, nil, true, h)
+			fetchErr := e.readWave(ctx, ws.addrs, ws.bufs, nil, true, h)
 			next := live[:0]
 			for _, s := range live {
 				if s.w.Next == nil {

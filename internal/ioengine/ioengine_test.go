@@ -211,60 +211,104 @@ func TestCrossCallDedupSharesInflightRead(t *testing.T) {
 	}
 }
 
-// TestCanceledWaiterDoesNotPoisonFlight is the satellite regression test: a
-// waiter whose context dies while joined to another caller's in-flight read
-// must return ctx.Err() promptly, and the read itself — plus every other
-// waiter — must complete with clean data.
+// TestCanceledWaiterDoesNotPoisonFlight: a waiter whose context dies while
+// its buffers are registered on another caller's in-flight reads returns
+// ctx.Err() promptly and owns its buffers again at once — the test scribbles
+// over them while the leader is still reading, and under -race a late copy
+// by the leader would be reported — while the reads themselves, and every
+// other waiter, complete with clean data. Joining through Read and through
+// ReadBatch withdraw the same way.
 func TestCanceledWaiterDoesNotPoisonFlight(t *testing.T) {
-	st := testStore(t, 10)
-	src := &slowSource{store: st, gate: make(chan struct{})}
-	eng, err := New(src, Options{Depth: 2})
-	if err != nil {
-		t.Fatal(err)
+	blocks := []blockstore.Addr{4, 7}
+	newBufs := func() [][]byte {
+		bufs := make([][]byte, len(blocks))
+		for i := range bufs {
+			bufs[i] = make([]byte, blockstore.BlockSize)
+		}
+		return bufs
 	}
+	// join reads every block into bufs, through one ReadBatch or one Read
+	// per block.
+	join := func(eng *Engine, ctx context.Context, batch bool, bufs [][]byte) error {
+		if batch {
+			return eng.ReadBatch(ctx, blocks, bufs, nil)
+		}
+		errs := make(chan error, len(blocks))
+		for i, a := range blocks {
+			go func() { errs <- eng.Read(ctx, a, bufs[i], nil) }()
+		}
+		var first error
+		for range blocks {
+			if err := <-errs; err != nil && first == nil {
+				first = err
+			}
+		}
+		return first
+	}
+	for _, batch := range []bool{false, true} {
+		t.Run(fmt.Sprintf("batch=%v", batch), func(t *testing.T) {
+			src := &slowSource{store: testStore(t, 10), gate: make(chan struct{})}
+			eng, err := New(src, Options{Depth: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			leaderDone := make(chan error, 1)
+			leaderBufs := newBufs()
+			go func() { leaderDone <- eng.ReadBatch(context.Background(), blocks, leaderBufs, nil) }()
+			time.Sleep(20 * time.Millisecond) // the leader's reads are parked at the gate
 
-	leaderDone := make(chan error, 1)
-	leaderBuf := make([]byte, blockstore.BlockSize)
-	go func() { leaderDone <- eng.Read(context.Background(), 4, leaderBuf, nil) }()
-	time.Sleep(20 * time.Millisecond) // leader is parked at the gate
+			ctx, cancel := context.WithCancel(context.Background())
+			canceledDone := make(chan error, 1)
+			canceledBufs := newBufs()
+			go func() { canceledDone <- join(eng, ctx, batch, canceledBufs) }()
+			survivorDone := make(chan error, 1)
+			survivorBufs := newBufs()
+			go func() { survivorDone <- join(eng, context.Background(), batch, survivorBufs) }()
 
-	ctx, cancel := context.WithCancel(context.Background())
-	canceledDone := make(chan error, 1)
-	go func() {
-		canceledDone <- eng.Read(ctx, 4, make([]byte, blockstore.BlockSize), nil)
-	}()
-	survivorDone := make(chan error, 1)
-	survivorBuf := make([]byte, blockstore.BlockSize)
-	go func() { survivorDone <- eng.Read(context.Background(), 4, survivorBuf, nil) }()
+			time.Sleep(20 * time.Millisecond) // both joined the leader's flights
+			cancel()
+			if err := <-canceledDone; !errors.Is(err, context.Canceled) {
+				t.Fatalf("canceled waiter returned %v, want context.Canceled", err)
+			}
+			for _, buf := range canceledBufs { // the caller reuses its buffers at once
+				for i := range buf {
+					buf[i] = 0xEE
+				}
+			}
 
-	time.Sleep(20 * time.Millisecond) // both joined the leader's flight
-	cancel()
-	if err := <-canceledDone; !errors.Is(err, context.Canceled) {
-		t.Fatalf("canceled waiter returned %v, want context.Canceled", err)
-	}
+			for range blocks {
+				src.gate <- struct{}{} // release the backend reads
+			}
+			if err := <-leaderDone; err != nil {
+				t.Fatalf("leader failed after a waiter was canceled: %v", err)
+			}
+			if err := <-survivorDone; err != nil {
+				t.Fatalf("surviving waiter failed after another waiter was canceled: %v", err)
+			}
+			for i, a := range blocks {
+				checkBlock(t, a, leaderBufs[i])
+				checkBlock(t, a, survivorBufs[i])
+				for _, b := range canceledBufs[i] {
+					if b != 0xEE {
+						t.Fatalf("block %d: the leader wrote into a withdrawn buffer", a)
+					}
+				}
+			}
+			if got, want := src.reads.Load(), int64(len(blocks)); got != want {
+				t.Errorf("backend served %d reads, want %d", got, want)
+			}
 
-	src.gate <- struct{}{} // release the backend read
-	if err := <-leaderDone; err != nil {
-		t.Fatalf("leader failed after a waiter was canceled: %v", err)
-	}
-	if err := <-survivorDone; err != nil {
-		t.Fatalf("surviving waiter failed after another waiter was canceled: %v", err)
-	}
-	checkBlock(t, 4, leaderBuf)
-	checkBlock(t, 4, survivorBuf)
-	if src.reads.Load() != 1 {
-		t.Errorf("backend served %d reads, want 1", src.reads.Load())
-	}
-
-	// The flight is fully retired: a fresh read goes to the backend again.
-	go func() { src.gate <- struct{}{} }()
-	fresh := make([]byte, blockstore.BlockSize)
-	if err := eng.Read(context.Background(), 4, fresh, nil); err != nil {
-		t.Fatalf("fresh read after retirement: %v", err)
-	}
-	checkBlock(t, 4, fresh)
-	if src.reads.Load() != 2 {
-		t.Errorf("backend served %d reads after retirement, want 2", src.reads.Load())
+			// The flights are fully retired: a fresh read goes to the backend again.
+			go func() { src.gate <- struct{}{} }()
+			fresh := make([]byte, blockstore.BlockSize)
+			if err := eng.Read(context.Background(), blocks[0], fresh, nil); err != nil {
+				t.Fatalf("fresh read after retirement: %v", err)
+			}
+			checkBlock(t, blocks[0], fresh)
+			if got, want := src.reads.Load(), int64(len(blocks)+1); got != want {
+				t.Errorf("backend served %d reads after retirement, want %d", got, want)
+			}
+		})
 	}
 }
 
@@ -298,6 +342,86 @@ func TestDepthBoundsBackendConcurrency(t *testing.T) {
 	if m := src.maxIn.Load(); m > depth {
 		t.Errorf("backend saw %d concurrent ops, depth is %d", m, depth)
 	}
+}
+
+// TestDepthReachedOnBlockingSource is the lower bound to the test above: a
+// lone wave over a source that blocks is still overlapped to the engine's
+// depth, although a wave over an instant source runs on its caller alone. A
+// new engine fans its first wave out from the first run. An engine that has
+// only seen instant operations performs one run in line, sees it block, and
+// overlaps the rest — Depth−1 in flight and two service times — and the next
+// wave is at full depth again.
+func TestDepthReachedOnBlockingSource(t *testing.T) {
+	const depth, service = 16, 2 * time.Millisecond
+	addrs := make([]blockstore.Addr, depth)
+	bufs := make([][]byte, depth)
+	for i := range addrs {
+		addrs[i] = blockstore.Addr(2*i + 1) // non-adjacent: one operation per block
+		bufs[i] = make([]byte, blockstore.BlockSize)
+	}
+	// wave times one lone ReadBatch and reports the overlap the source saw.
+	wave := func(t *testing.T, eng *Engine, src *slowSource) (inFlight int64, took time.Duration) {
+		t.Helper()
+		src.maxIn.Store(0)
+		start := time.Now()
+		if err := eng.ReadBatch(context.Background(), addrs, bufs, nil); err != nil {
+			t.Fatal(err)
+		}
+		took = time.Since(start)
+		for i, a := range addrs {
+			checkBlock(t, a, bufs[i])
+		}
+		return src.maxIn.Load(), took
+	}
+	// Wall-clock bounds on a shared machine: a scenario passes on its best
+	// of three attempts.
+	attempt := func(t *testing.T, scenario func(t *testing.T) string) {
+		t.Helper()
+		var complaint string
+		for try := 0; try < 3; try++ {
+			if complaint = scenario(t); complaint == "" {
+				return
+			}
+		}
+		t.Error(complaint)
+	}
+	check := func(what string, inFlight, wantInFlight int64, took time.Duration) string {
+		if inFlight < wantInFlight || took > 3*service {
+			return fmt.Sprintf("%s: %d operations in flight in %v, want %d within %v",
+				what, inFlight, took, wantInFlight, 3*service)
+		}
+		return ""
+	}
+	t.Run("first wave", func(t *testing.T) {
+		attempt(t, func(t *testing.T) string {
+			src := &slowSource{store: testStore(t, 2*depth), delay: service}
+			eng, err := New(src, Options{Depth: depth})
+			if err != nil {
+				t.Fatal(err)
+			}
+			inFlight, took := wave(t, eng, src)
+			return check("first wave", inFlight, depth, took)
+		})
+	})
+	t.Run("after 100 waves on an instant source", func(t *testing.T) {
+		attempt(t, func(t *testing.T) string {
+			src := &slowSource{store: testStore(t, 2*depth)}
+			eng, err := New(src, Options{Depth: depth})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 100; i++ {
+				wave(t, eng, src)
+			}
+			src.delay = service
+			inFlight, took := wave(t, eng, src)
+			if c := check("the wave that finds the source blocking", inFlight, depth-1, took); c != "" {
+				return c
+			}
+			inFlight, took = wave(t, eng, src)
+			return check("the wave after it", inFlight, depth, took)
+		})
+	})
 }
 
 func TestCacheInteraction(t *testing.T) {
@@ -594,5 +718,109 @@ func TestCounterFoldsEveryField(t *testing.T) {
 	eng.quar.add(1, errors.New("dead block"))
 	if zero := foldtest.ZeroFields(eng.Counters()); len(zero) > 0 {
 		t.Errorf("Engine.Counters() left %v unset", zero)
+	}
+}
+
+// TestAllMissWaveZeroAllocs is the engine's allocation gate: once its arenas
+// are warm, a wave in which every block is a miss — flights registered, runs
+// sorted and split, every block read and published — allocates nothing on a
+// memory source. With a cache attached the wave allocates exactly what
+// filling the cache with its blocks allocates (blockcache.Put builds an entry
+// per new block), and nothing of its own.
+func TestAllMissWaveZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops arenas at random under the race detector")
+	}
+	// 30 lone blocks and one adjacent pair: both backend call shapes.
+	addrs := make([]blockstore.Addr, 0, 32)
+	for i := 0; i < 30; i++ {
+		addrs = append(addrs, blockstore.Addr(2*i+1))
+	}
+	addrs = append(addrs, 100, 101)
+	bufs := make([][]byte, len(addrs))
+	for i := range bufs {
+		bufs[i] = make([]byte, blockstore.BlockSize)
+	}
+	for _, cached := range []bool{false, true} {
+		t.Run(fmt.Sprintf("cache=%v", cached), func(t *testing.T) {
+			opts := Options{Depth: 16}
+			fill := func() {}
+			if cached {
+				cache, err := blockcache.New(256*blockstore.BlockSize, blockcache.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				opts.Cache = cache
+				fill = func() {
+					for i, a := range addrs {
+						cache.Invalidate(a)
+						cache.Put(a, bufs[i])
+					}
+				}
+			}
+			eng, err := New(testStore(t, 128), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var bst BatchStats
+			wave := func() {
+				for _, a := range addrs {
+					if cached {
+						opts.Cache.Invalidate(a)
+					}
+				}
+				bst = BatchStats{}
+				if err := eng.ReadBatch(context.Background(), addrs, bufs, &bst); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 3; i++ { // warm-up: the arena, the dedup table, the first wave's fan-out
+				wave()
+			}
+			want := testing.AllocsPerRun(100, fill)
+			if got := testing.AllocsPerRun(100, wave); got != want {
+				t.Errorf("a warmed all-miss wave of %d blocks allocates %v times, want %v (the cache fills alone)",
+					len(addrs), got, want)
+			}
+			if bst.PhysicalReads != 31 || bst.CoalescedReads != 1 {
+				t.Errorf("measured wave was not all-miss: %+v", bst)
+			}
+			for i, a := range addrs {
+				checkBlock(t, a, bufs[i])
+			}
+		})
+	}
+}
+
+// TestPrefetchAllocatesAConstant: the walk states and their block buffers
+// come out of the engine's pool, so a readahead round costs the same few
+// allocations (the handle, its goroutine) whether it walks 4 chains or 64.
+func TestPrefetchAllocatesAConstant(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops arenas at random under the race detector")
+	}
+	cache, err := blockcache.New(4096*blockstore.BlockSize, blockcache.Options{}) // every shard holds its share of 128
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := New(testStore(t, 200), Options{Depth: 4, Cache: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := func(step int, block []byte) blockstore.Addr { return blockstore.Addr(block[0]) + 64 }
+	round := func(walks []blockcache.Walk) func() {
+		return func() { eng.Prefetch(context.Background(), walks).Wait() }
+	}
+	walks := make([]blockcache.Walk, 64)
+	for i := range walks {
+		walks[i] = blockcache.Walk{Start: blockstore.Addr(i + 1), Steps: 2, Next: next}
+	}
+	round(walks)() // warm-up: fills the cache, sizes the arena
+	if got := cache.Prefetched(); got != 128 {
+		t.Fatalf("warm-up prefetched %d blocks, want 128", got)
+	}
+	few, many := testing.AllocsPerRun(50, round(walks[:4])), testing.AllocsPerRun(50, round(walks))
+	if many != few {
+		t.Errorf("Prefetch allocates %v times for 64 walks but %v for 4", many, few)
 	}
 }
