@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint fuzz chaos crash bench bench-e2e cover size serve-allocs
+.PHONY: all build test race lint fuzz purego chaos crash bench bench-e2e cover size serve-allocs
 
 all: build test lint
 
@@ -30,6 +30,11 @@ fuzz:
 	$(GO) test ./internal/diskindex -run '^$$' -fuzz FuzzChainRoundTrip -fuzztime 20s
 	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzWALRecordRoundTrip -fuzztime 20s
 	$(GO) test . -run '^$$' -fuzz FuzzSearchV1Request -fuzztime 20s
+	$(GO) test ./internal/vecmath -run '^$$' -fuzz FuzzSqDistBounded -fuzztime 20s
+
+# The portable kernels, as CI's purego step builds them.
+purego:
+	$(GO) test -tags purego ./internal/vecmath ./internal/diskindex ./internal/memindex
 
 # Chaos suite: every storage configuration under injected faults, race on.
 chaos:

@@ -3,6 +3,7 @@ package diskindex
 import (
 	"context"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"e2lshos/internal/ann"
@@ -90,6 +91,43 @@ func benchFileWaveSearch(b *testing.B, depth int) {
 
 func BenchmarkFileWaveSearchInline(b *testing.B)        { benchFileWaveSearch(b, 0) }
 func BenchmarkFileWaveSearchEngineDepth16(b *testing.B) { benchFileWaveSearch(b, 16) }
+
+// BenchmarkFileWaveSearchEngineDepth16Parallel is the pair's engine side
+// with a searcher per RunParallel goroutine (GOMAXPROCS of them) sharing one
+// engine, the shape of BatchSearch: what the engine costs when its callers
+// contend. An iteration is one pass over every query by one searcher.
+func BenchmarkFileWaveSearchEngineDepth16Parallel(b *testing.B) {
+	d, ix := fileBenchIndex(b, 16)
+	ctx := context.Background()
+	pass := func(s *WaveSearcher, dst []ann.Neighbor) error {
+		for _, q := range d.Queries {
+			if _, _, err := s.SearchInto(ctx, q, 1, dst); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	searchers := make(chan *WaveSearcher, runtime.GOMAXPROCS(0))
+	for range cap(searchers) {
+		s := ix.NewWaveSearcher()
+		if err := pass(s, nil); err != nil { // warmup: size the arenas
+			b.Fatal(err)
+		}
+		searchers <- s
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		s, dst := <-searchers, make([]ann.Neighbor, 0, 1)
+		for pb.Next() {
+			if err := pass(s, dst); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*d.NQ()), "ns/query")
+}
 
 func BenchmarkBuild20k(b *testing.B) {
 	d, p, _ := benchSetup(b)

@@ -10,6 +10,7 @@ import (
 	"e2lshos/internal/ladder"
 	"e2lshos/internal/lsh"
 	"e2lshos/internal/telemetry"
+	"e2lshos/internal/vecmath"
 )
 
 // WaveSearcher is the serving searcher. Per search radius it collects every
@@ -33,8 +34,9 @@ type WaveSearcher struct {
 	searcher
 	// Per-round arenas, sized for every probe a round can issue and reused
 	// across the searcher's queries: the probes (and their ids backing), one
-	// logical-block buffer per probe, and the flattened addr/buf slices of
-	// the current wave.
+	// logical-block buffer per probe, the flattened addr/buf slices of the
+	// current wave, and the round's candidates in verification order (grown
+	// to the largest round seen).
 	probeBuf []probe
 	probes   []*probe
 	bufs     [][]byte
@@ -43,6 +45,7 @@ type WaveSearcher struct {
 	live     []*probe
 	heads    []blockstore.Addr
 	offs     []int
+	cands    []candidate
 }
 
 // NewWaveSearcher creates a searcher. The I/O engine may be attached before
@@ -112,15 +115,41 @@ func (s *WaveSearcher) EndRound(r int) (ladder.IO, error) {
 		io = ladder.IO{Start: fetchStart, End: tr.Clock(),
 			Blocks: int64(st.IOs() - ios), CacheHits: int64(st.CacheHits - hits)}
 	}
+	// The whole round's candidates are known before the first is verified.
+	// Gathering their vectors first lets the slice headers' cache misses
+	// overlap; then each vector is prefetched verifyAhead candidates early,
+	// so the distance kernel finds it in cache instead of waiting on DRAM.
+	data, cands := s.ix.data, s.cands[:0]
 	for _, pr := range s.probes {
 		for _, id := range pr.ids {
-			if s.lad.Verify(id) {
-				return io, nil
-			}
+			cands = append(cands, candidate{id, data[id]})
+		}
+	}
+	s.cands = cands
+	for _, c := range cands[:min(verifyAhead, len(cands))] {
+		vecmath.Prefetch(c.vec)
+	}
+	for i, c := range cands {
+		if j := i + verifyAhead; j < len(cands) {
+			vecmath.Prefetch(cands[j].vec)
+		}
+		if s.lad.Verify(c.id) {
+			return io, nil
 		}
 	}
 	return io, nil
 }
+
+// candidate is one bucket entry of a round, in verification order.
+type candidate struct {
+	id  uint32
+	vec []float32
+}
+
+// verifyAhead is how many candidates ahead of the one being verified
+// EndRound prefetches: enough verifications to cover a DRAM miss, few enough
+// that the lines are still cached when their turn comes.
+const verifyAhead = 16
 
 // Visit implements ladder.Rounds: when the probed bucket is occupied it joins
 // the round's probe list; nothing is read until EndRound.

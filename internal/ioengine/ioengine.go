@@ -12,11 +12,16 @@
 //   - Coalescing: the batch's cache misses are sorted and runs of adjacent
 //     addresses merge into single vectored backend calls (one pread on the
 //     file backend), bounded by blockstore.MaxCoalesce.
-//   - Dedup: concurrent requests for the same block — coalescer fan-in and
-//     shard fan-out routinely hash different queries to the same buckets —
-//     share one in-flight backend read, singleflight style. The dedup table
-//     sits in front of the cache: a joiner never touches the backend and
-//     never double-counts a miss.
+//   - Dedup: duplicates within one batch always share one backend read.
+//     While the backend blocks, concurrent requests for the same block —
+//     coalescer fan-in and shard fan-out routinely hash different queries
+//     to the same buckets — also share one in-flight read, singleflight
+//     style, through a dedup table in front of the cache: a joiner never
+//     touches the backend and never double-counts a miss. The table exists
+//     only while the engine's latest operation blocked (see blockingOp);
+//     while it does not, DedupedReads counts in-batch duplicates alone,
+//     because a ≈ 0.5 µs page-cache pread is cheaper than a contended map
+//     insert and delete under the engine lock.
 //
 // Submission: a wave's runs are performed by the goroutine that asked for
 // them, and helpers — up to Depth−1 — are started only once the backend is
@@ -172,9 +177,14 @@ type waiter struct {
 // their readahead) of an index, so the depth bound and the dedup table span
 // the whole serving process.
 type Engine struct {
-	src     Source
-	cache   *blockcache.Cache
-	sem     chan struct{} // a token per physical operation in flight, Depth of them
+	src   Source
+	cache *blockcache.Cache
+	// The depth bound: slots counts operations holding a slot or waiting for
+	// one. Under depth a slot costs two atomic adds and no lock; over it an
+	// operation waits on handoff, where the next one to finish passes its on.
+	depth   int64
+	slots   atomic.Int64
+	handoff chan struct{} // buffered like a semaphore of depth slots
 	retries int
 	backoff time.Duration
 	epoch   time.Time // what operate's clock readings are offsets from
@@ -188,8 +198,9 @@ type Engine struct {
 	scratch sync.Pool
 
 	// fast is whether the latest backend operation returned within
-	// blockingOp. While it holds, a wave runs on its calling goroutine alone;
-	// the zero value has a new engine fan its first wave out.
+	// blockingOp. While it holds, a wave runs on its calling goroutine alone
+	// and bypasses the dedup table; the zero value has a new engine fan its
+	// first wave out and share its reads.
 	fast atomic.Bool
 
 	reads     atomic.Int64
@@ -233,7 +244,8 @@ func New(src Source, opts Options) (*Engine, error) {
 	return &Engine{
 		src:      src,
 		cache:    opts.Cache,
-		sem:      make(chan struct{}, opts.Depth),
+		depth:    int64(opts.Depth),
+		handoff:  make(chan struct{}, opts.Depth),
 		retries:  opts.Retries,
 		backoff:  backoff,
 		epoch:    time.Now(),
@@ -243,7 +255,7 @@ func New(src Source, opts Options) (*Engine, error) {
 }
 
 // Depth returns the queue depth the engine was built with.
-func (e *Engine) Depth() int { return cap(e.sem) }
+func (e *Engine) Depth() int { return int(e.depth) }
 
 // Cache returns the attached cache (nil when uncached).
 func (e *Engine) Cache() *blockcache.Cache { return e.cache }
@@ -262,31 +274,41 @@ func (e *Engine) Counters() Counters {
 	}
 }
 
-// Read fetches one block into buf (len >= BlockSize): dedup table, then
-// cache (probed outside the engine lock), then backend. ctx only bounds
-// waiting on another caller's flight; a read this call leads always
-// completes, so sharers are never poisoned.
+// Read fetches one block into buf (len >= BlockSize): dedup table (only
+// while the backend blocks; see readWave), then cache (probed outside the
+// engine lock), then backend. ctx only bounds waiting on another caller's
+// flight; a read this call leads always completes, so sharers are never
+// poisoned.
 //
 //lsh:hotpath
 func (e *Engine) Read(ctx context.Context, a blockstore.Addr, buf []byte, st *BatchStats) error {
 	e.reads.Add(1)
-	e.mu.Lock()
-	fl := e.inflight[a]
+	shared := !e.fast.Load()
+	var fl *flight
+	if shared {
+		e.mu.Lock()
+		fl = e.inflight[a]
+	}
 	if fl == nil && e.cache != nil {
-		e.mu.Unlock()
+		if shared {
+			e.mu.Unlock()
+		}
 		if e.cache.Get(a, buf) {
 			if st != nil {
 				st.CacheHits++
 			}
 			return nil
 		}
-		// Miss: re-check the dedup table before becoming the leader — another
-		// caller may have registered while we probed the cache.
-		e.mu.Lock()
-		fl = e.inflight[a]
+		if shared {
+			// Miss: re-check the dedup table before becoming the leader —
+			// another caller may have registered while we probed the cache.
+			e.mu.Lock()
+			fl = e.inflight[a]
+		}
 	}
-	// Off the hit path. The arena is taken with the lock held: finding the
-	// flight and enlisting on it (or registering one) must be one step.
+	// Off the hit path. While shared, the arena is taken with the lock held:
+	// finding the flight and enlisting on it (or registering one) must be
+	// one step.
 	ws := e.getScratch(1)
 	defer e.putScratch(ws)
 	if fl != nil {
@@ -301,8 +323,11 @@ func (e *Engine) Read(ctx context.Context, a blockstore.Addr, buf []byte, st *Ba
 		}
 		return e.await(ctx, ws)
 	}
-	e.inflight[a] = ws.lead(a, buf)
-	e.mu.Unlock()
+	ws.shared = shared
+	if lead := ws.lead(a, buf); shared {
+		e.inflight[a] = lead
+		e.mu.Unlock()
+	}
 	if st != nil {
 		if e.cache != nil {
 			st.CacheMisses++
@@ -348,7 +373,9 @@ func (e *Engine) operate(ws *waveScratch, k, hi int) (err error) {
 	if lat != nil {
 		submitted = time.Since(e.epoch)
 	}
-	e.sem <- struct{}{}
+	if e.slots.Add(1) > e.depth {
+		<-e.handoff // every slot is held: take the next one released
+	}
 	started := time.Since(e.epoch)
 	if hi-k == 1 {
 		// Not through ReadBlocks: a run of one has nothing to coalesce.
@@ -357,7 +384,9 @@ func (e *Engine) operate(ws *waveScratch, k, hi int) (err error) {
 		_, err = e.src.ReadBlocks(ws.addrs[k:hi], ws.bufs[k:hi])
 	}
 	done := time.Since(e.epoch)
-	<-e.sem
+	if e.slots.Add(-1) >= e.depth {
+		e.handoff <- struct{}{} // an operation is waiting: hand it this slot
+	}
 	if fast := done-started <= blockingOp; fast != e.fast.Load() {
 		e.fast.Store(fast)
 	}
@@ -473,7 +502,8 @@ func (e *Engine) await(ctx context.Context, ws *waveScratch) error {
 // it, waking the calls whose last buffer that was. The cache fill lands
 // before the dedup entry is removed, so a request arriving in between finds
 // the block somewhere. Quiet fills count as prefetched (into ws.h) instead
-// of demand traffic.
+// of demand traffic. A call that registered nothing in the table has nothing
+// to retire and no one to copy to, and stops after the fill.
 //
 //lsh:hotpath
 func (e *Engine) publish(ws *waveScratch, lo, hi int, err error) {
@@ -486,6 +516,9 @@ func (e *Engine) publish(ws *waveScratch, lo, hi int, err error) {
 				e.cache.Put(ws.addrs[k], ws.bufs[k])
 			}
 		}
+	}
+	if !ws.shared {
+		return
 	}
 	e.mu.Lock()
 	for k := lo; k < hi; k++ {
@@ -566,6 +599,7 @@ type waveScratch struct {
 	wake    chan struct{} // capacity 1: a leader filled the last pending waiter
 
 	// Submission state, shared with the helpers of a fanned-out wave.
+	shared bool // this call's flights are in the dedup table
 	quiet  bool
 	h      *blockcache.Handle
 	cursor atomic.Int32 // next unclaimed run
@@ -608,7 +642,7 @@ func (e *Engine) putScratch(ws *waveScratch) {
 	ws.misses, ws.addrs, ws.bufs = ws.misses[:0], ws.addrs[:0], ws.bufs[:0]
 	ws.flights, ws.runs, ws.waiters = ws.flights[:0], ws.runs[:0], ws.waiters[:0]
 	ws.walks = ws.walks[:0]
-	ws.quiet, ws.h = false, nil
+	ws.shared, ws.quiet, ws.h = false, false, nil
 	e.scratch.Put(ws)
 }
 
@@ -619,25 +653,36 @@ func (e *Engine) putScratch(ws *waveScratch) {
 // dedup join, cache hit, or leader miss — probing the cache outside the
 // engine lock, then submits the misses as coalesced runs.
 //
+// The dedup table steps (passes 1 and 3, and publish's retirement) run only
+// while the engine's latest operation blocked (see the package comment); a
+// wave over a fast backend takes no lock, and its in-wave duplicates,
+// adjacent once sorted, are copied from their leader's buffer after the read.
+//
 //lsh:hotpath
 func (e *Engine) readWave(ctx context.Context, addrs []blockstore.Addr, bufs [][]byte, st *BatchStats, quiet bool, h *blockcache.Handle) error {
 	ws := e.getScratch(len(addrs))
 	defer e.putScratch(ws)
-	ws.quiet, ws.h = quiet, h
+	ws.shared, ws.quiet, ws.h = !e.fast.Load(), quiet, h
 	var bst BatchStats
 
 	// Pass 1, under the lock: enlist on reads already in flight. Everything
 	// else is unknown until the cache is probed.
 	misses := ws.misses
-	e.mu.Lock()
-	for i, a := range addrs {
-		if fl := e.inflight[a]; fl != nil {
-			ws.enlist(fl, bufs[i])
-			continue
+	if ws.shared {
+		e.mu.Lock()
+		for i, a := range addrs {
+			if fl := e.inflight[a]; fl != nil {
+				ws.enlist(fl, bufs[i])
+				continue
+			}
+			misses = append(misses, miss{a, i})
 		}
-		misses = append(misses, miss{a, i})
+		e.mu.Unlock()
+	} else {
+		for i, a := range addrs {
+			misses = append(misses, miss{a, i})
+		}
 	}
-	e.mu.Unlock()
 
 	// Pass 2, lock-free: cache probes (the cache has its own lock stripes)
 	// drop the hits; what is left goes in address order, the order it is
@@ -665,8 +710,9 @@ func (e *Engine) readWave(ctx context.Context, addrs []blockstore.Addr, bufs [][
 	// Pass 3, under the lock: re-check the dedup table (a leader may have
 	// registered while we probed; a duplicate within the batch finds the
 	// flight its first occurrence just registered), and register this
-	// call's flights.
-	if len(misses) > 0 {
+	// call's flights. Without the table, a duplicate is just counted.
+	dups := 0
+	if ws.shared && len(misses) > 0 {
 		e.mu.Lock()
 		for _, m := range misses {
 			if fl := e.inflight[m.addr]; fl != nil {
@@ -676,8 +722,16 @@ func (e *Engine) readWave(ctx context.Context, addrs []blockstore.Addr, bufs [][
 			e.inflight[m.addr] = ws.lead(m.addr, bufs[m.pos])
 		}
 		e.mu.Unlock()
+	} else {
+		for j, m := range misses {
+			if j > 0 && m.addr == misses[j-1].addr {
+				dups++
+				continue
+			}
+			ws.lead(m.addr, bufs[m.pos])
+		}
 	}
-	if joins := len(ws.waiters); joins > 0 && !quiet {
+	if joins := len(ws.waiters) + dups; joins > 0 && !quiet {
 		bst.DedupedReads += joins
 		if e.cache != nil {
 			bst.CacheHits += joins
@@ -699,6 +753,16 @@ func (e *Engine) readWave(ctx context.Context, addrs []blockstore.Addr, bufs [][
 		bst.PhysicalReads += len(ws.runs)
 		e.coalesced.Add(int64(leads - len(ws.runs)))
 		firstErr = e.submit(ws)
+	}
+	if dups > 0 {
+		var lead []byte
+		for j, m := range misses {
+			if j == 0 || m.addr != misses[j-1].addr {
+				lead = bufs[m.pos]
+				continue
+			}
+			copy(bufs[m.pos][:blockstore.BlockSize], lead[:blockstore.BlockSize])
+		}
 	}
 
 	// Resolve joins last: our own flights are done, foreign flights may
@@ -756,7 +820,7 @@ func (e *Engine) work(ws *waveScratch) {
 	for {
 		if !ws.fanned && !e.fast.Load() {
 			// One run stays with this goroutine; helpers take the rest.
-			if n := min(cap(e.sem), len(ws.runs)-int(ws.cursor.Load())) - 1; n > 0 {
+			if n := min(e.Depth(), len(ws.runs)-int(ws.cursor.Load())) - 1; n > 0 {
 				ws.fanned = true
 				ws.wg.Add(n)
 				for ; n > 0; n-- {

@@ -15,12 +15,14 @@ import (
 	"e2lshos/internal/foldtest"
 )
 
-// slowSource is a Source with per-op latency, call counting and a gate that
-// can hold reads open, for dedup/cancellation/depth tests.
+// slowSource is a Source with per-op latency, call counting, a gate that
+// can hold reads open and a hook that runs inside every op, for
+// dedup/cancellation/depth tests.
 type slowSource struct {
 	store    *blockstore.Store
 	delay    time.Duration
 	gate     chan struct{} // when non-nil, every op blocks until it can receive
+	hook     func()        // when non-nil, called by every op
 	reads    atomic.Int64  // logical blocks served
 	ops      atomic.Int64  // physical operations
 	inflight atomic.Int64
@@ -30,6 +32,9 @@ type slowSource struct {
 func (s *slowSource) enter() {
 	if s.gate != nil {
 		<-s.gate
+	}
+	if s.hook != nil {
+		s.hook()
 	}
 	in := s.inflight.Add(1)
 	for {
@@ -170,12 +175,89 @@ func TestReadBatchDuplicatesShareOneRead(t *testing.T) {
 }
 
 func TestCrossCallDedupSharesInflightRead(t *testing.T) {
-	st := testStore(t, 10)
-	src := &slowSource{store: st, gate: make(chan struct{})}
+	src := &slowSource{store: testStore(t, 10), gate: make(chan struct{})}
 	eng, err := New(src, Options{Depth: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkCrossCallDedup(t, eng, src)
+}
+
+// TestDedupTableOnlyWhileBackendBlocks: an engine whose latest operation
+// answered without blocking keeps no dedup table — a source hook sampling it
+// mid-read finds it empty — yet duplicates within one batch still cost one
+// backend read each. When the same engine then meets a backend that blocks,
+// concurrent reads of one block share a single backend read again.
+func TestDedupTableOnlyWhileBackendBlocks(t *testing.T) {
+	src := &slowSource{store: testStore(t, 10)}
+	eng, err := New(src, Options{Depth: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	newBufs := func(n int) [][]byte {
+		bufs := make([][]byte, n)
+		for i := range bufs {
+			bufs[i] = make([]byte, blockstore.BlockSize)
+		}
+		return bufs
+	}
+	// Warm-up: instant operations put the engine in its fast state (retried:
+	// a preempted operation on a busy machine can take longer than
+	// blockingOp).
+	for try := 0; !eng.fast.Load(); try++ {
+		if try == 100 {
+			t.Fatal("100 waves of instant operations left the engine thinking its backend blocks")
+		}
+		if err := eng.ReadBatch(context.Background(), []blockstore.Addr{1, 3}, newBufs(2), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var tableSizes []int // appended under eng.mu: a wave may still fan out
+	src.hook = func() {
+		eng.mu.Lock()
+		tableSizes = append(tableSizes, len(eng.inflight))
+		eng.mu.Unlock()
+	}
+	addrs := []blockstore.Addr{5, 5, 5, 7, 7}
+	bufs := newBufs(len(addrs))
+	reads0, deduped0 := src.reads.Load(), eng.Counters().DedupedReads
+	var bst BatchStats
+	if err := eng.ReadBatch(context.Background(), addrs, bufs, &bst); err != nil {
+		t.Fatal(err)
+	}
+	src.hook = nil
+	for i, a := range addrs {
+		checkBlock(t, a, bufs[i])
+	}
+	if got := src.reads.Load() - reads0; got != 2 {
+		t.Errorf("backend served %d blocks, want 2 (5 and 7 once each)", got)
+	}
+	if got := eng.Counters().DedupedReads - deduped0; bst.DedupedReads != 3 || got != 3 {
+		t.Errorf("DedupedReads = %d per call, %d engine-wide; want 3 and 3", bst.DedupedReads, got)
+	}
+	if len(tableSizes) == 0 {
+		t.Fatal("the source hook never ran")
+	}
+	for _, n := range tableSizes {
+		if n != 0 {
+			t.Fatalf("the dedup table held %d flights during a read on a fast engine: %v", n, tableSizes)
+		}
+	}
+
+	// One operation that blocks, and the table is back.
+	src.delay = time.Millisecond
+	if err := eng.Read(context.Background(), 2, bufs[0], nil); err != nil {
+		t.Fatal(err)
+	}
+	src.delay, src.gate = 0, make(chan struct{})
+	checkCrossCallDedup(t, eng, src)
+}
+
+// checkCrossCallDedup holds eight concurrent Reads of one block at src's
+// gate, which must be set, and requires that they share one backend read.
+func checkCrossCallDedup(t *testing.T, eng *Engine, src *slowSource) {
+	t.Helper()
+	reads0, deduped0 := src.reads.Load(), eng.Counters().DedupedReads
 	const waiters = 8
 	var wg sync.WaitGroup
 	errs := make([]error, waiters)
@@ -203,11 +285,11 @@ func TestCrossCallDedupSharesInflightRead(t *testing.T) {
 		}
 		checkBlock(t, 3, bufs[w])
 	}
-	if src.reads.Load() != 1 {
-		t.Errorf("backend served %d reads for %d concurrent requests, want 1", src.reads.Load(), waiters)
+	if got := src.reads.Load() - reads0; got != 1 {
+		t.Errorf("backend served %d reads for %d concurrent requests, want 1", got, waiters)
 	}
-	if eng.Counters().DedupedReads != waiters-1 {
-		t.Errorf("DedupedReads = %d, want %d", eng.Counters().DedupedReads, waiters-1)
+	if got := eng.Counters().DedupedReads - deduped0; got != waiters-1 {
+		t.Errorf("DedupedReads = %d, want %d", got, waiters-1)
 	}
 }
 

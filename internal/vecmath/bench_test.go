@@ -1,6 +1,7 @@
 package vecmath
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -45,6 +46,16 @@ func BenchmarkSqDistBounded128(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		SqDistBounded(x, y, bound)
+	}
+}
+
+// BenchmarkSqDistBounded128Full never abandons: the cost of a candidate that
+// enters (or nearly enters) the top-k, all 16 bound tests included.
+func BenchmarkSqDistBounded128Full(b *testing.B) {
+	x, y := benchVecs(128)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		SqDistBounded(x, y, math.Inf(1))
 	}
 }
 

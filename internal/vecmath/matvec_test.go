@@ -1,6 +1,7 @@
 package vecmath
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -113,6 +114,44 @@ func TestSqDistBoundedMatchesSqDist(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzSqDistBounded holds the amd64 kernel to the portable loop bit for bit
+// — distance (or abandonment value) bits and ok flag — over lengths 0–300,
+// every remainder modulo 8 and 4 among them, with bounds 0, +Inf and a
+// random fraction of the full distance (which makes the kernel abandon at
+// an arbitrary 8-element block). Under purego the two are the same loop.
+func FuzzSqDistBounded(f *testing.F) {
+	for n := 0; n <= 300; n += 7 {
+		for kind := uint8(0); kind < 3; kind++ {
+			f.Add(int64(n), uint16(n), kind, 0.5)
+		}
+	}
+	for _, n := range []uint16{1, 3, 4, 5, 8, 12, 13, 127, 128, 129, 300} {
+		f.Add(int64(n)*31, n, uint8(1), 0.97)
+	}
+	f.Fuzz(func(t *testing.T, seed int64, n uint16, kind uint8, frac float64) {
+		r := rand.New(rand.NewSource(seed))
+		dim := int(n) % 301
+		scale := math.Ldexp(1, r.Intn(40)-20)
+		a, b := make([]float32, dim), make([]float32, dim)
+		for i := range a {
+			a[i] = float32(r.NormFloat64() * scale)
+			b[i] = float32(r.NormFloat64() * scale)
+		}
+		var bound float64
+		switch kind % 3 {
+		case 1:
+			bound = SqDist(a, b) * math.Abs(math.Mod(frac, 2))
+		case 2:
+			bound = math.Inf(1)
+		}
+		got, gotOK := sqDistBounded(a, b, bound)
+		want, wantOK := sqDistBoundedGo(a, b, bound)
+		if math.Float64bits(got) != math.Float64bits(want) || gotOK != wantOK {
+			t.Fatalf("dim=%d bound=%v: kernel (%v, %v), portable loop (%v, %v)", dim, bound, got, gotOK, want, wantOK)
+		}
+	})
 }
 
 // The headline micro-benchmark pair: one GEMV over the packed 200×128 panel

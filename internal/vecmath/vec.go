@@ -7,9 +7,11 @@
 // gamma, chi-square CDF).
 //
 // The paper accelerates these kernels with AVX-512; this package
-// substitutes manually unrolled, bounds-check-free loops, and on amd64 a
-// packed SSE2 GEMV for the projection hot path (matvec_amd64.s; build with
-// the purego tag to force the portable kernel). Every kernel preserves
+// substitutes manually unrolled, bounds-check-free loops, and on amd64
+// packed SSE2 kernels for the projection GEMV (matvec_amd64.s) and the
+// bounded distance of candidate verification (sqdist_amd64.s), plus a
+// cache-line prefetch for the vectors verification reads next; build with
+// the purego tag to force the portable kernels. Every kernel preserves
 // Dot's exact IEEE accumulation order — see DESIGN.md, "Compute kernels".
 package vecmath
 
@@ -83,13 +85,24 @@ func Dist(a, b []float32) float64 {
 //
 // The accumulation uses exactly SqDist's four-lane order, so a full
 // (non-abandoned) run returns a result bitwise identical to SqDist: pruning
-// never changes a reported distance.
+// never changes a reported distance. On amd64 the loop runs as a packed SSE2
+// kernel whose vector lanes are those four accumulators (build with the
+// purego tag for the portable loop); both return the same bits.
 //
 //lsh:hotpath
 func SqDistBounded(a, b []float32, bound float64) (float64, bool) {
 	if len(a) != len(b) {
 		panic("vecmath: SqDistBounded length mismatch")
 	}
+	return sqDistBounded(a, b, bound)
+}
+
+// sqDistBoundedGo is SqDistBounded's portable loop: the purego kernel, and
+// the reference the amd64 kernel is tested against bit for bit. The bound is
+// tested once per 8 elements.
+//
+//lsh:hotpath
+func sqDistBoundedGo(a, b []float32, bound float64) (float64, bool) {
 	var s0, s1, s2, s3 float64
 	i := 0
 	for ; i+8 <= len(a); i += 8 {
