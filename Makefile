@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint fuzz purego chaos crash bench bench-e2e cover size serve-allocs
+.PHONY: all build test race lint fuzz purego fma chaos crash bench bench-e2e cover size serve-allocs
 
 all: build test lint
 
@@ -31,10 +31,22 @@ fuzz:
 	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzWALRecordRoundTrip -fuzztime 20s
 	$(GO) test . -run '^$$' -fuzz FuzzSearchV1Request -fuzztime 20s
 	$(GO) test ./internal/vecmath -run '^$$' -fuzz FuzzSqDistBounded -fuzztime 20s
+	$(GO) test ./internal/lsh -run '^$$' -fuzz FuzzHashesAt -fuzztime 20s
+	$(GO) test ./internal/lsh -run '^$$' -fuzz FuzzProjectBatch -fuzztime 20s
 
 # The portable kernels, as CI's purego step builds them.
 purego:
-	$(GO) test -tags purego ./internal/vecmath ./internal/diskindex ./internal/memindex
+	$(GO) test -tags purego ./internal/vecmath ./internal/diskindex ./internal/memindex ./internal/lsh ./internal/dataset
+
+# No fused multiply-add in the bit-pinned kernels. The arm64 compiler fuses
+# x*y + z into one instruction unless the product is explicitly converted,
+# and a fused result changes the hashes and distances the golden digests
+# pin. special.go is not bit-pinned and is not checked.
+fma:
+	@out=$$(GOARCH=arm64 $(GO) build -gcflags=-S ./internal/lsh ./internal/vecmath 2>&1) || { echo "$$out"; exit 1; }; \
+	echo "$$out" | grep -q 'TEXT' || { echo "fma: the compiler printed no assembly"; exit 1; }; \
+	bad=$$(echo "$$out" | grep -E '/(lsh|multiprobe|vec|matvec|matvec_generic)\.go:[0-9]+\).*(FMADD|FMSUB|FNMADD|FNMSUB)'); \
+	if [ -n "$$bad" ]; then echo "fused multiply-add in a bit-pinned kernel:"; echo "$$bad"; exit 1; fi
 
 # Chaos suite: every storage configuration under injected faults, race on.
 chaos:
@@ -50,8 +62,13 @@ crash:
 		./internal/diskindex
 	$(GO) test -race -count=1 -run 'TestWALFacadeConcurrentUpdates|TestBudgetedBatchSearchBesideInsert' .
 
+# Every benchmark three times over, then the build's hash pass at counts
+# that time it: the hash and projection kernels at lib-file-batch's shape
+# (L=15, M=25, d=128), and HashKeys at n=20000, d=128.
 bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=3x ./...
+	$(GO) test -run='^$$' -bench='HashesAt|ProjectBatch' -benchtime=20000x ./internal/lsh
+	$(GO) test -run='^$$' -bench=HashKeys -benchtime=5x ./internal/memindex
 
 # The repo's end-to-end benchmark (BENCHMARK.json's command): lshload's four
 # workloads against a real lshserve child and the file-backed facade. Pass

@@ -332,12 +332,22 @@ func Recall(got Result, exact Result, k int) float64 {
 // It is the ground-truth oracle for every experiment.
 func BruteForce(data [][]float32, query []float32, k int) Result {
 	t := NewTopK(k)
+	t.Scan(data, 0, query)
+	return t.Result()
+}
+
+// Scan offers every data[i], as ID first+i, in order, abandoning each
+// distance at the current k-th distance: BruteForce's loop. Scanning
+// consecutive slices of a database one after another leaves the accumulator
+// exactly as one scan of the whole would.
+//
+//lsh:hotpath
+func (t *TopK) Scan(data [][]float32, first int, query []float32) {
 	for i, v := range data {
 		bound := t.Worst()
 		sq, ok := vecmath.SqDistBounded(v, query, bound*bound)
 		if ok || !t.Full() {
-			t.Push(uint32(i), math.Sqrt(sq))
+			t.Push(uint32(first+i), math.Sqrt(sq))
 		}
 	}
-	return t.Result()
 }

@@ -217,28 +217,44 @@ func sliceViews(slab []float32, n, dim int) [][]float32 {
 
 // GroundTruth computes exact top-k results for every query by parallel brute
 // force. The result order matches the query order.
+//
+// A worker takes gtQueryBlock queries at a time and scans the database in
+// tiles of gtTile vectors, every query of the block over one tile before the
+// next tile: the tile is read from memory once per block instead of once per
+// query. Each query still meets the vectors in database order with its own
+// accumulator, so every result is ann.BruteForce's, distance bits and ties
+// included.
 func GroundTruth(d *Dataset, k int) []ann.Result {
+	const gtQueryBlock, gtTile = 32, 256
 	results := make([]ann.Result, d.NQ())
+	blocks := (d.NQ() + gtQueryBlock - 1) / gtQueryBlock
 	var wg sync.WaitGroup
-	workers := runtime.GOMAXPROCS(0)
-	if workers > d.NQ() {
-		workers = d.NQ()
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers := min(runtime.GOMAXPROCS(0), blocks)
 	next := make(chan int)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for qi := range next {
-				results[qi] = ann.BruteForce(d.Vectors, d.Queries[qi], k)
+			for lo := range next {
+				queries := d.Queries[lo:min(lo+gtQueryBlock, d.NQ())]
+				tops := make([]*ann.TopK, len(queries))
+				for qi := range tops {
+					tops[qi] = ann.NewTopK(k)
+				}
+				for t0 := 0; t0 < d.N(); t0 += gtTile {
+					tile := d.Vectors[t0:min(t0+gtTile, d.N())]
+					for qi, q := range queries {
+						tops[qi].Scan(tile, t0, q)
+					}
+				}
+				for qi, t := range tops {
+					results[lo+qi] = t.Result()
+				}
 			}
 		}()
 	}
-	for qi := 0; qi < d.NQ(); qi++ {
-		next <- qi
+	for b := 0; b < blocks; b++ {
+		next <- b * gtQueryBlock
 	}
 	close(next)
 	wg.Wait()

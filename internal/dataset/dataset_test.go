@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"math"
 	"testing"
+
+	"e2lshos/internal/ann"
 )
 
 func mustGenerate(t *testing.T, spec Spec) *Dataset {
@@ -103,21 +105,41 @@ func TestUniformRange(t *testing.T) {
 	}
 }
 
+// TestGroundTruthMatchesBruteForce holds the blocked, tiled GroundTruth to
+// per-query ann.BruteForce: IDs and distance bits, over a query count that
+// leaves a partial block and a database that leaves a partial tile. Byte
+// values, duplicated vectors and queries copied from the database make ties,
+// which only the scan order breaks.
 func TestGroundTruthMatchesBruteForce(t *testing.T) {
-	d := mustGenerate(t, Spec{Name: "g", N: 300, Queries: 10, Dim: 12, Clusters: 5, Spread: 0.08, Seed: 5})
-	gt := GroundTruth(d, 4)
+	d := mustGenerate(t, Spec{Name: "g", N: 1000, Queries: 45, Dim: 12, Clusters: 5, Spread: 0.08, Values: ByteValues, Seed: 5})
+	for i := 0; i < d.N(); i += 7 {
+		copy(d.Vectors[i], d.Vectors[(i*31+3)%d.N()])
+	}
+	for qi := 0; qi < d.NQ(); qi += 3 {
+		copy(d.Queries[qi], d.Vectors[qi*17])
+	}
+	const k = 10
+	gt := GroundTruth(d, k)
 	if len(gt) != d.NQ() {
 		t.Fatalf("ground truth size %d, want %d", len(gt), d.NQ())
 	}
+	ties := 0
 	for qi, res := range gt {
-		if len(res.Neighbors) != 4 {
-			t.Fatalf("query %d: %d neighbors, want 4", qi, len(res.Neighbors))
+		want := ann.BruteForce(d.Vectors, d.Queries[qi], k).Neighbors
+		if len(res.Neighbors) != len(want) {
+			t.Fatalf("query %d: %d neighbors, want %d", qi, len(res.Neighbors), len(want))
 		}
-		for i := 1; i < len(res.Neighbors); i++ {
-			if res.Neighbors[i].Dist < res.Neighbors[i-1].Dist {
-				t.Fatalf("query %d: not sorted", qi)
+		for i, nb := range res.Neighbors {
+			if nb.ID != want[i].ID || math.Float64bits(nb.Dist) != math.Float64bits(want[i].Dist) {
+				t.Fatalf("query %d rank %d: (%d, %v), BruteForce (%d, %v)", qi, i, nb.ID, nb.Dist, want[i].ID, want[i].Dist)
+			}
+			if i > 0 && nb.Dist == res.Neighbors[i-1].Dist {
+				ties++
 			}
 		}
+	}
+	if ties == 0 {
+		t.Fatal("no tied distances: the test does not exercise tie order")
 	}
 }
 

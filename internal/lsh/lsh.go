@@ -92,12 +92,70 @@ func (f *Family) Project(v []float32, out []float64) {
 	f.ProjectInto(out, v)
 }
 
+// ProjectBatch fills dst[k] with the projections of vs[k], four vectors in
+// one pass over the projection matrix (vecmath.Panels.MatVec4); each dst[k]
+// is bitwise what ProjectInto writes. scratch comes from BatchScratch and may
+// be reused across calls.
+//
+//lsh:hotpath
+func (f *Family) ProjectBatch(dst *[4][]float64, vs *[4][]float32, scratch []float64) {
+	f.a.MatVec4(dst, vs, scratch)
+}
+
+// BatchScratch returns a scratch buffer for ProjectBatch.
+func (f *Family) BatchScratch() []float64 {
+	return make([]float64, vecmath.MatVec4Scratch(f.Dim))
+}
+
 // HashesAt quantizes a projection buffer at search radius r and mixes each
 // compound hash into a 32-bit value, one per table, written into out
-// (length L).
+// (length L). The explicit float64 conversion keeps the multiply from fusing
+// with the add into an FMA on platforms that have one: the hashes are
+// persisted, so every platform must compute the same bits.
 //
 //lsh:hotpath
 func (f *Family) HashesAt(proj []float64, r float64, out []uint32) {
+	f.checkHashes(proj, r, out)
+	inv := 1 / r
+	for l := 0; l < f.L; l++ {
+		h := f.seeds[l]
+		base := l * f.M
+		for j := 0; j < f.M; j++ {
+			floor := int64(math.Floor((float64(proj[base+j]*inv) + f.b[base+j]) / f.W))
+			h = mix64(h, uint64(floor))
+		}
+		out[l] = fold32(h)
+	}
+}
+
+// HashesAtBulk is HashesAt for the index build's hash pass, bit for bit: on
+// CPUs with AVX512F and AVX512DQ a kernel hashes eight tables per zmm
+// register. Queries, updates and readahead keep HashesAt: called once per
+// radius between verification rounds, the kernel measured lower BatchSearch
+// throughput than the loop (DESIGN.md, "Compute kernels").
+//
+//lsh:hotpath
+func (f *Family) HashesAtBulk(proj []float64, r float64, out []uint32) {
+	if !useAVX512 {
+		f.HashesAt(proj, r, out)
+		return
+	}
+	f.checkHashes(proj, r, out)
+	// x/W and x·(1/W) round alike only when 1/W is exact: W a power of two
+	// whose reciprocal is finite. Otherwise the kernel divides, as the loop
+	// does.
+	w, mul := f.W, false
+	if frac, _ := math.Frexp(w); frac == 0.5 && !math.IsInf(1/w, 0) {
+		w, mul = 1/w, true
+	}
+	hashesAVX512(&proj[0], &f.b[0], &f.seeds[0], &out[0], f.L, f.M, 1/r, w, mul)
+}
+
+// useAVX512 selects HashesAtBulk's AVX-512 kernel; it follows
+// vecmath.HasAVX512, and tests clear it to force the portable loop.
+var useAVX512 = vecmath.HasAVX512()
+
+func (f *Family) checkHashes(proj []float64, r float64, out []uint32) {
 	if len(proj) != f.NumProjections() {
 		panic(fmt.Sprintf("lsh: HashesAt projection length %d, want %d", len(proj), f.NumProjections()))
 	}
@@ -106,16 +164,6 @@ func (f *Family) HashesAt(proj []float64, r float64, out []uint32) {
 	}
 	if r <= 0 {
 		panic("lsh: HashesAt requires positive radius")
-	}
-	inv := 1 / r
-	for l := 0; l < f.L; l++ {
-		h := f.seeds[l]
-		base := l * f.M
-		for j := 0; j < f.M; j++ {
-			floor := int64(math.Floor((proj[base+j]*inv + f.b[base+j]) / f.W))
-			h = mix64(h, uint64(floor))
-		}
-		out[l] = fold32(h)
 	}
 }
 
@@ -128,7 +176,7 @@ func (f *Family) Hash32(v []float32, l int, r float64) uint32 {
 	inv := 1 / r
 	for j := 0; j < f.M; j++ {
 		p := f.a.RowDot(base+j, v)
-		floor := int64(math.Floor((p*inv + f.b[base+j]) / f.W))
+		floor := int64(math.Floor((float64(p*inv) + f.b[base+j]) / f.W))
 		h = mix64(h, uint64(floor))
 	}
 	return fold32(h)

@@ -34,7 +34,7 @@ func (f *Family) FloorsAt(proj []float64, r float64, floors []int64, fracs []flo
 	}
 	inv := 1 / r
 	for i := range proj {
-		x := (proj[i]*inv + f.b[i]) / f.W
+		x := (float64(proj[i]*inv) + f.b[i]) / f.W
 		fl := math.Floor(x)
 		floors[i] = int64(fl)
 		fracs[i] = x - fl

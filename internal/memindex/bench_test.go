@@ -122,3 +122,25 @@ func benchSearchInto(b *testing.B, k int) {
 		}
 	}
 }
+
+// BenchmarkHashKeys is the build's hash pass alone at n = 20000, d = 128:
+// every object's projections and its hash at every (radius, table).
+func BenchmarkHashKeys(b *testing.B) {
+	d, err := dataset.Generate(dataset.Spec{
+		Name: "bench", N: 20000, Queries: 1, Dim: 128,
+		Clusters: 16, Spread: 0.05, Seed: 1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := lshParamsFor(b, d)
+	fams, err := lsh.NewFamilies(p, true, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Logf("L=%d M=%d radii=%d", p.L, p.M, p.R())
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		HashKeys(d.Vectors, fams, p, true, 0)
+	}
+}

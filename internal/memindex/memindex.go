@@ -148,24 +148,35 @@ func HashKeys(data [][]float32, families []*lsh.Family, p lsh.Params, share bool
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			proj := make([]float64, p.L*p.M)
+			var proj [4][]float64
+			for k := range proj {
+				proj[k] = make([]float64, p.L*p.M)
+			}
+			scratch := families[0].BatchScratch()
 			hashes := make([]uint32, p.L)
-			for obj := lo; obj < hi; obj++ {
-				v := data[obj]
-				if share {
-					families[0].Project(v, proj)
-					for r := 0; r < p.R(); r++ {
-						families[0].HashesAt(proj, p.Radii[r], hashes)
-						for l := 0; l < p.L; l++ {
-							keys[r][l][obj] = hashes[l]
+			for obj := lo; obj < hi; obj += 4 {
+				vs := data[obj:min(obj+4, hi)]
+				for r := 0; r < p.R(); r++ {
+					fam := families[0]
+					if !share {
+						fam = families[r]
+					}
+					// Shared projections are computed once and re-quantized
+					// at every radius; four vectors take one pass over the
+					// matrix, a shorter tail one pass each.
+					if r == 0 || !share {
+						if len(vs) == 4 {
+							fam.ProjectBatch(&proj, (*[4][]float32)(vs), scratch)
+						} else {
+							for k, v := range vs {
+								fam.Project(v, proj[k])
+							}
 						}
 					}
-				} else {
-					for r := 0; r < p.R(); r++ {
-						families[r].Project(v, proj)
-						families[r].HashesAt(proj, p.Radii[r], hashes)
+					for k := range vs {
+						fam.HashesAtBulk(proj[k], p.Radii[r], hashes)
 						for l := 0; l < p.L; l++ {
-							keys[r][l][obj] = hashes[l]
+							keys[r][l][obj+k] = hashes[l]
 						}
 					}
 				}

@@ -97,3 +97,85 @@ done:
 	MOVUPD X6, 96(DX)
 	MOVUPD X7, 112(DX)
 	RET
+
+// func matvec4Panel(a, e *float64, cols int, acc *[4][16]float64)
+//
+// matvecKernelSSE2 for four vectors per pass over the panel. e holds the
+// vectors pre-expanded (vector k's column c at e[k*4*cols + 4c + i], i < 4),
+// so the zmm load of columns c, c+1 (rows 0..3 each) meets the zmm load of
+// [v[c] x4, v[c+1] x4] lane for lane. Accumulator register map, vector k:
+//
+//	Z(2k)   = acc[k][0..7]  (lane 0 rows 0..3, lane 1 rows 0..3)
+//	Z(2k+1) = acc[k][8..15] (lane 2 rows 0..3, lane 3 rows 0..3)
+//
+// exactly matvecKernelSSE2's acc layout, so each VMULPD/VADDPD lane is one
+// of its scalar accumulator chains in the same order: separate multiply and
+// add (never FMA), bitwise the SSE2 kernel's results.
+TEXT ·matvec4Panel(SB), NOSPLIT, $0-32
+	MOVQ a+0(FP), DI
+	MOVQ e+8(FP), SI
+	MOVQ cols+16(FP), CX
+	MOVQ acc+24(FP), R8
+
+	// R9..R11: vectors 1..3's expansions, 4*cols float64 apart.
+	MOVQ CX, DX
+	SHLQ $5, DX
+	LEAQ (SI)(DX*1), R9
+	LEAQ (R9)(DX*1), R10
+	LEAQ (R10)(DX*1), R11
+
+	VMOVUPD 0(R8), Z0
+	VMOVUPD 64(R8), Z1
+	VMOVUPD 128(R8), Z2
+	VMOVUPD 192(R8), Z3
+	VMOVUPD 256(R8), Z4
+	VMOVUPD 320(R8), Z5
+	VMOVUPD 384(R8), Z6
+	VMOVUPD 448(R8), Z7
+
+loop4:
+	CMPQ CX, $4
+	JL   done4
+
+	VMOVUPD 0(DI), Z8
+	VMOVUPD 64(DI), Z9
+
+	VMULPD 0(SI), Z8, Z10
+	VMULPD 64(SI), Z9, Z11
+	VADDPD Z10, Z0, Z0
+	VADDPD Z11, Z1, Z1
+
+	VMULPD 0(R9), Z8, Z12
+	VMULPD 64(R9), Z9, Z13
+	VADDPD Z12, Z2, Z2
+	VADDPD Z13, Z3, Z3
+
+	VMULPD 0(R10), Z8, Z14
+	VMULPD 64(R10), Z9, Z15
+	VADDPD Z14, Z4, Z4
+	VADDPD Z15, Z5, Z5
+
+	VMULPD 0(R11), Z8, Z16
+	VMULPD 64(R11), Z9, Z17
+	VADDPD Z16, Z6, Z6
+	VADDPD Z17, Z7, Z7
+
+	ADDQ $128, DI
+	ADDQ $128, SI
+	ADDQ $128, R9
+	ADDQ $128, R10
+	ADDQ $128, R11
+	SUBQ $4, CX
+	JMP  loop4
+
+done4:
+	VMOVUPD Z0, 0(R8)
+	VMOVUPD Z1, 64(R8)
+	VMOVUPD Z2, 128(R8)
+	VMOVUPD Z3, 192(R8)
+	VMOVUPD Z4, 256(R8)
+	VMOVUPD Z5, 320(R8)
+	VMOVUPD Z6, 384(R8)
+	VMOVUPD Z7, 448(R8)
+	VZEROUPPER
+	RET

@@ -44,6 +44,22 @@ func TestMatVecMatchesDot(t *testing.T) {
 					t.Fatalf("MatVec free function diverged at row %d", r)
 				}
 			}
+			// MatVec4 (the AVX-512 kernel where the CPU has one) gives
+			// each of its four vectors MatVec's bits.
+			var vs [4][]float32
+			var dsts [4][]float64
+			for k := range vs {
+				vs[k], dsts[k] = benchMatrix(1, dim, int64(rows+dim+k)), make([]float64, rows)
+			}
+			p.MatVec4(&dsts, &vs, make([]float64, MatVec4Scratch(dim)))
+			for k := range vs {
+				p.MatVec(dst, vs[k])
+				for r := range dst {
+					if dsts[k][r] != dst[r] {
+						t.Fatalf("rows=%d dim=%d vector %d row %d: MatVec4 %v != MatVec %v", rows, dim, k, r, dsts[k][r], dst[r])
+					}
+				}
+			}
 		}
 	}
 }
@@ -74,6 +90,11 @@ func TestPackPanelsPanics(t *testing.T) {
 		func() { PackPanels(make([]float32, 8), 2, 4).MatVec(make([]float64, 3), make([]float32, 4)) },
 		func() { PackPanels(make([]float32, 8), 2, 4).RowDot(2, make([]float32, 4)) },
 		func() { PackPanels(make([]float32, 8), 2, 4).Row(make([]float32, 4), -1) },
+		func() {
+			var dst [4][]float64
+			var v [4][]float32
+			PackPanels(make([]float32, 8), 2, 4).MatVec4(&dst, &v, nil)
+		},
 	} {
 		func() {
 			defer func() {

@@ -6,13 +6,15 @@
 // derivation and the SRS early-termination test (normal CDF, incomplete
 // gamma, chi-square CDF).
 //
-// The paper accelerates these kernels with AVX-512; this package
-// substitutes manually unrolled, bounds-check-free loops, and on amd64
+// The kernels are manually unrolled, bounds-check-free loops, and on amd64
 // packed SSE2 kernels for the projection GEMV (matvec_amd64.s) and the
-// bounded distance of candidate verification (sqdist_amd64.s), plus a
-// cache-line prefetch for the vectors verification reads next; build with
-// the purego tag to force the portable kernels. Every kernel preserves
-// Dot's exact IEEE accumulation order — see DESIGN.md, "Compute kernels".
+// bounded distance of candidate verification (sqdist_amd64.s), an AVX-512
+// GEMV over four vectors at once where the CPU has AVX512F/DQ (MatVec4),
+// plus a cache-line prefetch for the vectors verification reads next; build
+// with the purego tag to force the portable kernels. Every kernel preserves
+// Dot's exact IEEE accumulation order, and every product in the portable
+// loops is rounded by an explicit float64 conversion so that no platform
+// fuses it into an FMA — see DESIGN.md, "Compute kernels".
 package vecmath
 
 import "math"
@@ -31,13 +33,13 @@ func Dot(a, b []float32) float64 {
 	for ; i+4 <= len(a); i += 4 {
 		x := a[i : i+4 : i+4]
 		y := b[i : i+4 : i+4]
-		s0 += float64(x[0]) * float64(y[0])
-		s1 += float64(x[1]) * float64(y[1])
-		s2 += float64(x[2]) * float64(y[2])
-		s3 += float64(x[3]) * float64(y[3])
+		s0 += float64(float64(x[0]) * float64(y[0]))
+		s1 += float64(float64(x[1]) * float64(y[1]))
+		s2 += float64(float64(x[2]) * float64(y[2]))
+		s3 += float64(float64(x[3]) * float64(y[3]))
 	}
 	for ; i < len(a); i++ {
-		s0 += float64(a[i]) * float64(b[i])
+		s0 += float64(float64(a[i]) * float64(b[i]))
 	}
 	return s0 + s1 + s2 + s3
 }
@@ -59,14 +61,14 @@ func SqDist(a, b []float32) float64 {
 		d1 := float64(x[1]) - float64(y[1])
 		d2 := float64(x[2]) - float64(y[2])
 		d3 := float64(x[3]) - float64(y[3])
-		s0 += d0 * d0
-		s1 += d1 * d1
-		s2 += d2 * d2
-		s3 += d3 * d3
+		s0 += float64(d0 * d0)
+		s1 += float64(d1 * d1)
+		s2 += float64(d2 * d2)
+		s3 += float64(d3 * d3)
 	}
 	for ; i < len(a); i++ {
 		d := float64(a[i]) - float64(b[i])
-		s0 += d * d
+		s0 += float64(d * d)
 	}
 	return s0 + s1 + s2 + s3
 }
@@ -112,18 +114,18 @@ func sqDistBoundedGo(a, b []float32, bound float64) (float64, bool) {
 		d1 := float64(x[1]) - float64(y[1])
 		d2 := float64(x[2]) - float64(y[2])
 		d3 := float64(x[3]) - float64(y[3])
-		s0 += d0 * d0
-		s1 += d1 * d1
-		s2 += d2 * d2
-		s3 += d3 * d3
+		s0 += float64(d0 * d0)
+		s1 += float64(d1 * d1)
+		s2 += float64(d2 * d2)
+		s3 += float64(d3 * d3)
 		d4 := float64(x[4]) - float64(y[4])
 		d5 := float64(x[5]) - float64(y[5])
 		d6 := float64(x[6]) - float64(y[6])
 		d7 := float64(x[7]) - float64(y[7])
-		s0 += d4 * d4
-		s1 += d5 * d5
-		s2 += d6 * d6
-		s3 += d7 * d7
+		s0 += float64(d4 * d4)
+		s1 += float64(d5 * d5)
+		s2 += float64(d6 * d6)
+		s3 += float64(d7 * d7)
 		if s := s0 + s1 + s2 + s3; s > bound {
 			return s, false
 		}
@@ -135,15 +137,15 @@ func sqDistBoundedGo(a, b []float32, bound float64) (float64, bool) {
 		d1 := float64(x[1]) - float64(y[1])
 		d2 := float64(x[2]) - float64(y[2])
 		d3 := float64(x[3]) - float64(y[3])
-		s0 += d0 * d0
-		s1 += d1 * d1
-		s2 += d2 * d2
-		s3 += d3 * d3
+		s0 += float64(d0 * d0)
+		s1 += float64(d1 * d1)
+		s2 += float64(d2 * d2)
+		s3 += float64(d3 * d3)
 		i += 4
 	}
 	for ; i < len(a); i++ {
 		d := float64(a[i]) - float64(b[i])
-		s0 += d * d
+		s0 += float64(d * d)
 	}
 	s := s0 + s1 + s2 + s3
 	return s, s <= bound
@@ -168,7 +170,7 @@ func AddScaled(a, b []float32, s float32) {
 		panic("vecmath: AddScaled length mismatch")
 	}
 	for i := range a {
-		a[i] += s * b[i]
+		a[i] += float32(s * b[i])
 	}
 }
 
