@@ -85,8 +85,11 @@ cover:
 	$(GO) test -coverprofile=cover.out ./internal/...
 	$(GO) tool cover -func=cover.out | tail -1
 
-# The two size numbers CHANGES.md reports: non-test Go lines outside the
-# benchmark driver, and how many //lsh:ladder loops the tree holds.
+# The size numbers CHANGES.md reports: non-test Go lines outside the
+# benchmark driver, how many //lsh:ladder loops the tree holds, how many
+# flags lshserve defines, and how many With* options the facade exports.
 size:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './cmd/lshload/*' | xargs cat | wc -l
 	@grep -rn 'lsh:ladder' --include='*.go' . | grep -v _test | grep -v analyzers | grep -v cmd/lshlint | wc -l
+	@echo "lshserve flags: $$(grep -cE '= fs\.[A-Za-z0-9]+\("' cmd/lshserve/main.go)"
+	@echo "facade With* options: $$(ls *.go | grep -v '_test\.go$$' | xargs cat | grep -c '^func With')"

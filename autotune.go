@@ -7,10 +7,9 @@ import (
 	"e2lshos/internal/autotune"
 )
 
-// SearchTuning is one query's SLO contract, threaded through WithTuning (or
-// the individual WithRecallTarget / WithLatencyBudget / WithDegradePolicy
-// options); the zero value asks for nothing. It is the controller's own type,
-// and has effect only on engines with EnableAutotune on.
+// SearchTuning is one query's SLO contract, threaded through WithTuning; the
+// zero value asks for nothing. It is the controller's own type, and has
+// effect only on engines with EnableAutotune on.
 type SearchTuning = autotune.Tuning
 
 // DegradePolicy selects how a query that runs out of latency budget behaves:
@@ -38,10 +37,6 @@ func WithMinTrain(n int) AutotuneOption { return func(c *autotune.Config) { c.Mi
 // the model keeps learning under sustained tuned traffic (default 32).
 func WithExploreEvery(n int) AutotuneOption { return func(c *autotune.Config) { c.Explore = n } }
 
-// WithRecallMargin sets the base safety margin subtracted from the estimated
-// recall before comparing against the target (default 0.02).
-func WithRecallMargin(m float64) AutotuneOption { return func(c *autotune.Config) { c.Margin = m } }
-
 // tune is the autotuning anchor the E2LSH engines embed, mirroring telem: an
 // atomically-swapped tuner, so autotuning can be enabled on a live engine and
 // the disabled query path costs exactly one atomic load.
@@ -67,8 +62,6 @@ func (t *tune) EnableAutotune(opts ...AutotuneOption) error {
 		return fmt.Errorf("e2lshos: negative autotune min-train %d", cfg.MinTrain)
 	case cfg.Explore < 0:
 		return fmt.Errorf("e2lshos: negative autotune explore period %d", cfg.Explore)
-	case cfg.Margin < 0 || cfg.Margin >= 1:
-		return fmt.Errorf("e2lshos: autotune recall margin must be in [0, 1), got %g", cfg.Margin)
 	}
 	t.tn.Store(autotune.New(cfg))
 	return nil

@@ -98,7 +98,7 @@ func TestRecallTargetCutsIOs(t *testing.T) {
 	var tunedSt Stats
 	var recallSum float64
 	for qi, q := range d.Queries {
-		res, st, err := ix.Search(ctx, q, WithK(k), WithRecallTarget(0.9))
+		res, st, err := ix.Search(ctx, q, WithK(k), WithTuning(SearchTuning{RecallTarget: 0.9}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,7 +185,7 @@ func TestLatencyBudgetBoundsTail(t *testing.T) {
 	tuned := make([]time.Duration, 0, d.NQ())
 	for _, q := range d.Queries {
 		t0 := time.Now()
-		res, st, err := ix.Search(ctx, q, WithK(k), WithLatencyBudget(budget))
+		res, st, err := ix.Search(ctx, q, WithK(k), WithTuning(SearchTuning{LatencyBudget: budget}))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -434,31 +434,6 @@ func BenchmarkRepeatedQueriesCached(b *testing.B) {
 	benchRepeatedQueries(b, WithBlockCache(64<<20), WithReadahead(2))
 }
 
-// benchChecksums measures the integrity tax: the same query workload with
-// CRC32C verification of every block read (the default) versus the raw
-// path.
-func benchChecksums(b *testing.B, on bool) {
-	d, err := GeneratePaperDataset(SIFT, 0, 4000, 20)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ix, err := NewStorageIndex(d.Vectors, Config{Sigma: 8}, WithChecksums(on))
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := ix.BatchSearch(ctx, d.Queries, WithK(10)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkChecksumOn(b *testing.B) { benchChecksums(b, true) }
-
-func BenchmarkChecksumOff(b *testing.B) { benchChecksums(b, false) }
-
 // benchInsert measures the online-insert path: ns per durable Insert with
 // the WAL on (append + fsync + block apply) versus the raw in-place update.
 // The index rebuilds with the timer stopped whenever the ID headroom

@@ -1,10 +1,10 @@
 // Command lshserve serves approximate nearest neighbor queries over HTTP
-// from a sharded index: N sub-engines behind the shard router, fronted by
-// the query coalescer, exposed as a JSON API.
+// from a sharded index: N storage shards under hash placement behind the
+// shard router, fronted by the query coalescer, exposed as a JSON API.
 //
 // Usage:
 //
-//	lshserve -addr :8080 -paper SIFT -n 20000 -shards 4 -engine storage
+//	lshserve -addr :8080 -paper SIFT -n 20000 -shards 4
 //	curl -s localhost:8080/healthz
 //	curl -s -X POST localhost:8080/v1/search -d '{"query":[...128 floats...],"k":5}'
 //	curl -s -X POST localhost:8080/v1/search \
@@ -54,8 +54,6 @@ func run(ctx context.Context, args []string, out io.Writer, ready func(addr net.
 		n         = fs.Int("n", 20000, "database size")
 		queries   = fs.Int("queries", 100, "held-out queries kept for shadow scoring")
 		shards    = fs.Int("shards", 4, "number of shards")
-		placement = fs.String("placement", "hash", "shard placement: range or hash")
-		engine    = fs.String("engine", "storage", "shard engine: mem or storage")
 		k         = fs.Int("k", 10, "top-k searched per query")
 		sigma     = fs.Float64("sigma", 8, "per-radius candidate budget multiplier (accuracy knob)")
 		maxBatch  = fs.Int("maxbatch", 32, "coalescer: max queries per batch (batches form while every execution slot is busy: GOMAXPROCS/shards slots, at least one)")
@@ -64,7 +62,6 @@ func run(ctx context.Context, args []string, out io.Writer, ready func(addr net.
 		readahead = fs.Int("readahead", 0, "bucket blocks prefetched per chain between radius rounds, into the block cache (0 = off)")
 		ioDepth   = fs.Int("iodepth", 0, "vectored I/O engine queue depth per storage shard: batched round submission, adjacent-block coalescing, cross-query dedup (0 = no engine and in-line reads, or depth 16 when -cache or -retries attach one)")
 		retries   = fs.Int("retries", 0, "per-block read retries with backoff before a fault degrades the query (0 = off)")
-		checksum  = fs.Bool("checksum", true, "per-block CRC32C verification on storage shards (-checksum=false trades fault detection for read throughput)")
 		metrics   = fs.Bool("metrics", true, "enable engine latency telemetry (per-stage histograms folded across shards, served at /metrics)")
 		pprofOn   = fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 		traceSamp = fs.Float64("trace-sample", 0, "fraction of queries traced per stage, in [0,1] (0 = histograms only)")
@@ -93,10 +90,16 @@ func run(ctx context.Context, args []string, out io.Writer, ready func(addr net.
 		e2lshos.WithReadahead(*readahead),
 		e2lshos.WithIOEngine(*ioDepth),
 		e2lshos.WithRetries(*retries),
-		e2lshos.WithChecksums(*checksum),
 	}
 
-	if *fsyncEver != 1 && *walDir == "" {
+	// Checked before the dataset is generated: a bad value should not cost
+	// the whole build first.
+	switch {
+	case *k < 1:
+		return fmt.Errorf("-k must be at least 1, got %d", *k)
+	case *fsyncEver < 1:
+		return fmt.Errorf("-fsync-every must be at least 1, got %d", *fsyncEver)
+	case *fsyncEver != 1 && *walDir == "":
 		return fmt.Errorf("-fsync-every needs -wal (it tunes the log's group commit)")
 	}
 
@@ -117,10 +120,7 @@ func run(ctx context.Context, args []string, out io.Writer, ready func(addr net.
 	if *walDir != "" {
 		// WAL mode: one crash-safe storage engine, not shards (the log and
 		// its checkpoint generations are per-engine state).
-		walOpts := storageOpts
-		if *fsyncEver > 1 {
-			walOpts = append(walOpts, e2lshos.WithFsyncEvery(*fsyncEver))
-		}
+		walOpts := append(storageOpts, e2lshos.WithFsyncEvery(*fsyncEver))
 		six, err := e2lshos.OpenWALIndex(*walDir, ds.Vectors, walOpts...)
 		switch {
 		case err == nil:
@@ -139,24 +139,12 @@ func run(ctx context.Context, args []string, out io.Writer, ready func(addr net.
 		}
 		eng = six
 	} else {
-		place, err := e2lshos.ParseShardPlacement(*placement)
-		if err != nil {
-			return err
-		}
 		// ShardConfig keeps per-shard table counts and the radius ladder at the
 		// unsharded level, so accuracy does not degrade as -shards grows.
 		cfg := e2lshos.ShardConfig(e2lshos.Config{Sigma: *sigma}, ds.Vectors, *shards)
-		var build e2lshos.ShardBuilder
-		switch *engine {
-		case "mem":
-			build = e2lshos.InMemoryShardBuilder(cfg)
-		case "storage":
-			build = e2lshos.StorageShardBuilder(cfg, storageOpts...)
-		default:
-			return fmt.Errorf("unknown -engine %q (want mem or storage)", *engine)
-		}
-		fmt.Fprintf(out, "building %d %s shards (%s placement)\n", *shards, *engine, place)
-		ix, err := e2lshos.NewShardedIndex(ds.Vectors, *shards, place, build)
+		fmt.Fprintf(out, "building %d storage shards (%s placement)\n", *shards, e2lshos.PlaceHash)
+		ix, err := e2lshos.NewShardedIndex(ds.Vectors, *shards, e2lshos.PlaceHash,
+			e2lshos.StorageShardBuilder(cfg, storageOpts...))
 		if err != nil {
 			return err
 		}

@@ -179,8 +179,6 @@ var statsPromNames = []string{
 	"lsh_stats_skipped_chains_total",
 	"lsh_stats_partial_queries_total",
 	"lsh_stats_ios_at_inf_total",
-	"lsh_stats_nodes_visited_total",
-	"lsh_stats_early_stopped_total",
 	"lsh_stats_rounds_skipped_total",
 	"lsh_stats_budget_exhausted_total",
 	"lsh_stats_degraded_knobs_total",
@@ -387,7 +385,7 @@ func TestRunGracefulShutdown(t *testing.T) {
 	go func() {
 		done <- run(ctx, []string{
 			"-addr", "127.0.0.1:0", "-n", "2000", "-queries", "10",
-			"-shards", "2", "-engine", "storage", "-k", "2",
+			"-shards", "2", "-k", "2",
 			"-cache", "8", "-iodepth", "16",
 			"-recall-target", "0.9",
 		}, &out, func(a net.Addr) { addrc <- a })
@@ -482,23 +480,29 @@ func TestRunStorageFlagCoupling(t *testing.T) {
 // TestRunCoalescerFlags: no sharded engine waits on a timer and the hold an
 // unsharded one keeps is not a flag, a shard sub-query runs once, and batch
 // size and queue depth stay what the flags set them to — so -maxdelay, -hedge
-// and -target-p99 are gone: unknown flags, not silently ignored ones, and the
-// flag set holds 26. -maxbatch and -maxqueue still parse and boot.
+// and -target-p99 are gone: unknown flags, not silently ignored ones. So are
+// -engine, -checksum and -placement: every shard is a checksummed storage
+// shard under hash placement. The flag set holds 23. -maxbatch and -maxqueue
+// still parse and boot.
 func TestRunCoalescerFlags(t *testing.T) {
 	small := []string{"-addr", "127.0.0.1:0", "-n", "600", "-queries", "5", "-shards", "1", "-k", "2"}
 
-	for _, gone := range [][]string{{"-maxdelay", "1ms"}, {"-hedge"}, {"-target-p99", "100ms"}} {
+	for _, gone := range [][]string{
+		{"-maxdelay", "1ms"}, {"-hedge"}, {"-target-p99", "100ms"},
+		{"-engine", "mem"}, {"-checksum=false"}, {"-placement", "range"},
+	} {
+		name, _, _ := strings.Cut(gone[0], "=")
 		err := run(context.Background(), append(small, gone...), io.Discard, nil)
-		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+gone[0]) {
-			t.Errorf("%s: err = %v, want an unknown-flag error", gone[0], err)
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+name) {
+			t.Errorf("%s: err = %v, want an unknown-flag error", name, err)
 		}
 	}
 	src, err := os.ReadFile("main.go")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := len(regexp.MustCompile(`= fs\.\w+\("`).FindAll(src, -1)); n != 26 {
-		t.Errorf("main.go defines %d flags, want 26", n)
+	if n := len(regexp.MustCompile(`= fs\.\w+\("`).FindAll(src, -1)); n != 23 {
+		t.Errorf("main.go defines %d flags, want 23", n)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -509,13 +513,31 @@ func TestRunCoalescerFlags(t *testing.T) {
 	}
 }
 
-// TestRunEngineFlag: -engine takes mem or storage; the mixed deployment (one
-// mem shard beside storage shards) is six lines over the public ShardBuilder,
-// not a flag value, and is refused like any other unknown engine.
-func TestRunEngineFlag(t *testing.T) {
-	small := []string{"-addr", "127.0.0.1:0", "-n", "600", "-queries", "5", "-shards", "2", "-k", "2"}
-	err := run(context.Background(), append(small, "-engine", "mixed"), io.Discard, nil)
-	if err == nil || !strings.Contains(err.Error(), `unknown -engine "mixed" (want mem or storage)`) {
-		t.Errorf("-engine mixed: err = %v, want the unknown-engine error", err)
+// TestRunRejectsBadCounts: -k and -fsync-every below 1 are refused before the
+// dataset is generated, rather than -k 0 panicking in the ground-truth
+// workers after a full build and -fsync-every 0 being run as 1. Should a bad
+// value get through, the ready callback stops the server it booted.
+func TestRunRejectsBadCounts(t *testing.T) {
+	small := []string{"-addr", "127.0.0.1:0", "-n", "600", "-queries", "5", "-shards", "1"}
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-k", "0"}, "-k must be at least 1, got 0"},
+		{[]string{"-k", "-2"}, "-k must be at least 1, got -2"},
+		{[]string{"-wal", dir, "-fsync-every", "0"}, "-fsync-every must be at least 1, got 0"},
+		{[]string{"-wal", dir, "-fsync-every", "-3"}, "-fsync-every must be at least 1, got -3"},
+	} {
+		ctx, cancel := context.WithCancel(context.Background())
+		var out bytes.Buffer
+		err := run(ctx, append(small, tc.args...), &out, func(net.Addr) { cancel() })
+		cancel()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v: err = %v, want %q", tc.args, err, tc.want)
+		}
+		if strings.Contains(out.String(), "generating") {
+			t.Errorf("%v: rejected only after generating the dataset:\n%s", tc.args, out.String())
+		}
 	}
 }

@@ -78,21 +78,21 @@ func (c Config) derive(data [][]float32) (lsh.Params, int64, uint, error) {
 // StorageOption tunes the storage tier of NewStorageIndex and
 // OpenStorageIndex beyond the algorithmic Config: the I/O engine (queue
 // depth, block cache, readahead, retries) that sits between the query path
-// and the block store, checksums and the write-ahead log. Unlike
-// SearchOptions these are build/open-time choices; the accuracy knobs stay
-// in Config and the per-query options.
+// and the block store, and the write-ahead log. No option turns off the
+// CRC32C check of every block read. Unlike SearchOptions these are
+// build/open-time choices; the accuracy knobs stay in Config and the
+// per-query options.
 type StorageOption func(*storageSettings)
 
 // storageSettings is the resolved storage option set.
 type storageSettings struct {
-	cacheBytes  int64
-	readahead   int
-	ioDepth     int
-	retries     int
-	checksumOff bool
-	backend     blockstore.Backend
-	walDir      string
-	fsyncEvery  int
+	cacheBytes int64
+	readahead  int
+	ioDepth    int
+	retries    int
+	backend    blockstore.Backend
+	walDir     string
+	fsyncEvery int
 }
 
 // WithBlockCache interposes a concurrency-safe, scan-resistant block cache
@@ -136,20 +136,11 @@ func WithIOEngine(depth int) StorageOption {
 // with capped exponential backoff and jitter before giving up; addresses
 // that exhaust the budget land in a bounded quarantine set and fail fast
 // afterwards. The retry layer lives in the I/O engine; without WithIOEngine
-// the engine runs at the default queue depth. Queries degrade around reads that still fail — the affected chains are
-// skipped and the result is marked partial (Stats.Partial) instead of the
-// query erroring out.
+// the engine runs at the default queue depth. Queries degrade around reads
+// that still fail: the affected chains are skipped and the result is marked
+// partial (Stats.Partial) instead of the query erroring out.
 func WithRetries(n int) StorageOption {
 	return func(s *storageSettings) { s.retries = n }
-}
-
-// WithChecksums toggles CRC32C verification of every block read (on by
-// default). Turning it off skips both recording and verifying sums — for
-// measuring raw-path overhead, or for trusting a device with its own
-// end-to-end integrity. Images written by pre-checksum builds load fine
-// either way.
-func WithChecksums(on bool) StorageOption {
-	return func(s *storageSettings) { s.checksumOff = !on }
 }
 
 // WithWAL makes online updates durable: Insert and Delete append a

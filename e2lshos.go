@@ -3,16 +3,17 @@
 // approximate nearest neighbor search with its large hash index held in
 // external memory and queried with asynchronous reads.
 //
-// The package exposes four search engines over the same p-stable LSH core,
-// all satisfying the single Engine interface:
+// The package exposes two search engines over the same p-stable LSH core,
+// both satisfying the single Engine interface:
 //
 //   - InMemoryIndex: the original E2LSH algorithm, everything on DRAM.
 //   - StorageIndex: E2LSHoS — 512-byte bucket blocks, on-storage hash
 //     tables, fingerprints, DRAM occupancy bitmaps; persisted to a file and
 //     queried in vectored read waves at the I/O engine's queue depth, or
 //     run against the simulated storage stack for capacity planning.
-//   - SRSIndex and QALSHIndex: the small-index baselines the paper compares
-//     against.
+//
+// The small-index baselines the paper compares against (SRS, QALSH) run
+// inside the experiment harness, not behind Engine.
 //
 // Every engine answers queries through
 //
@@ -20,7 +21,7 @@
 //	BatchSearch(ctx, queries, opts...) ([]Result, Stats, error)
 //
 // where the functional options (WithK, WithBudget, WithMultiProbe,
-// WithWorkers) carry the per-query knobs, Stats surfaces the paper's N_IO / candidate /
+// WithTuning, WithWorkers) carry the per-query knobs, Stats surfaces the paper's N_IO / candidate /
 // radius-ladder counters, and ctx cancels in-flight work between radius
 // rounds.
 //

@@ -158,47 +158,6 @@ func TestSimulateValidation(t *testing.T) {
 	}
 }
 
-func TestBaselines(t *testing.T) {
-	ctx := context.Background()
-	d := facadeDataset(t)
-	gt := GroundTruth(d, 1)
-
-	srsIx, err := NewSRSIndex(d.Vectors, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	qalshIx, err := NewQALSHIndex(d.Vectors, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var srsSum, qalshSum float64
-	for qi, q := range d.Queries {
-		sres, _, err := srsIx.Search(ctx, q, WithBudget(200))
-		if err != nil {
-			t.Fatal(err)
-		}
-		srsSum += OverallRatio(sres, gt[qi], 1)
-		qres, _, err := qalshIx.Search(ctx, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		qalshSum += OverallRatio(qres, gt[qi], 1)
-	}
-	nq := float64(d.NQ())
-	if srsSum/nq > 1.6 {
-		t.Errorf("SRS ratio %v too weak", srsSum/nq)
-	}
-	if qalshSum/nq > 1.8 {
-		t.Errorf("QALSH ratio %v too weak", qalshSum/nq)
-	}
-	if srsIx.IndexBytes() <= 0 {
-		t.Error("SRS IndexBytes not positive")
-	}
-	if qalshIx.IndexBytes() <= 0 {
-		t.Error("QALSH IndexBytes not positive")
-	}
-}
-
 // TestBudgetOption checks that WithBudget really moves the candidate knob:
 // a larger budget must verify at least as many candidates.
 func TestBudgetOption(t *testing.T) {
@@ -285,9 +244,6 @@ func TestConfigDeriveErrors(t *testing.T) {
 		t.Error("empty data accepted")
 	}
 	if _, err := NewStorageIndex(nil, Config{}); err == nil {
-		t.Error("empty data accepted")
-	}
-	if _, err := NewQALSHIndex(nil, 0, 0); err == nil {
 		t.Error("empty data accepted")
 	}
 }

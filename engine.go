@@ -16,19 +16,19 @@ import (
 	"e2lshos/internal/telemetry"
 )
 
-// Engine is the one query interface all four ANN engines satisfy:
-// InMemoryIndex, StorageIndex, SRSIndex and QALSHIndex. Engine-generic code
-// (benchmark harnesses, serving layers, shards) programs against it and
-// never needs to know which algorithm answers.
+// Engine is the one query interface the E2LSH engines satisfy: InMemoryIndex,
+// StorageIndex, and ShardedIndex over either. Engine-generic code (benchmark
+// harnesses, serving layers, shards) programs against it and never needs to
+// know where the index lives.
 //
-// Engines differ in which knobs they honor; options an engine has no use
-// for are ignored, so the same option list can drive heterogeneous engines:
+// Both engines honor the same knobs, so one option list drives a
+// heterogeneous sharded tree:
 //
-//	knob            InMemory  Storage  SRS  QALSH
-//	WithK              ✓         ✓      ✓     ✓
-//	WithBudget         ✓         ✓      ✓     —
-//	WithMultiProbe     ✓         ✓      —     —
-//	WithWorkers      (batch)  (batch) (batch) (batch)
+//	knob            InMemory  Storage
+//	WithK              ✓         ✓
+//	WithBudget         ✓         ✓
+//	WithMultiProbe     ✓         ✓
+//	WithWorkers      (batch)  (batch)
 type Engine interface {
 	// Search answers one top-k query. ctx cancels the radius-ladder walk
 	// between rounds; on cancellation the neighbors found so far are
@@ -44,12 +44,11 @@ type Engine interface {
 	BatchSearch(ctx context.Context, queries [][]float32, opts ...SearchOption) ([]Result, Stats, error)
 }
 
-// Compile-time interface conformance for all four engines.
+// Compile-time interface conformance for all three engines.
 var (
 	_ Engine = (*InMemoryIndex)(nil)
 	_ Engine = (*StorageIndex)(nil)
-	_ Engine = (*SRSIndex)(nil)
-	_ Engine = (*QALSHIndex)(nil)
+	_ Engine = (*ShardedIndex)(nil)
 )
 
 // searchSettings is the resolved option set of one Search or BatchSearch. The
@@ -72,16 +71,14 @@ type SearchOption func(*searchSettings)
 // c²-ANNS setting).
 func WithK(k int) SearchOption { return func(s *searchSettings) { s.K = k } }
 
-// WithBudget caps verified candidates: per radius for the E2LSH engines
-// (the paper's S = σ·L accuracy knob, no rebuild needed) and per query for
-// SRS (the paper's T'). Zero keeps the engine's built-in budget. QALSH
-// ignores it — its budget is derived from the build-time β.
+// WithBudget caps verified candidates per radius: the paper's S = σ·L
+// accuracy knob, no rebuild needed. Zero keeps the engine's built-in budget.
 func WithBudget(s int) SearchOption { return func(st *searchSettings) { st.Budget = s } }
 
 // WithMultiProbe probes each hash table at its base bucket plus t perturbed
 // neighbors (§8 extension), buying recall without enlarging the index, up to
-// maxMultiProbe. Only the E2LSH engines honor it; on StorageIndex the extra
-// probes join each radius round's fetch waves.
+// maxMultiProbe. On StorageIndex the extra probes join each radius round's
+// fetch waves.
 func WithMultiProbe(t int) SearchOption { return func(s *searchSettings) { s.MultiProbe = t } }
 
 // WithWorkers sets BatchSearch's goroutine pool size (default GOMAXPROCS).
@@ -93,21 +90,6 @@ func WithWorkers(n int) SearchOption { return func(s *searchSettings) { s.worker
 // EnableAutotune on; without a tuner the contract is silently ignored, like
 // any other unsupported knob.
 func WithTuning(t SearchTuning) SearchOption { return func(s *searchSettings) { s.Tuning = t } }
-
-// WithRecallTarget sets only the tuning's recall target; see SearchTuning.
-func WithRecallTarget(r float64) SearchOption {
-	return func(s *searchSettings) { s.Tuning.RecallTarget = r }
-}
-
-// WithLatencyBudget sets only the tuning's latency budget; see SearchTuning.
-func WithLatencyBudget(d time.Duration) SearchOption {
-	return func(s *searchSettings) { s.Tuning.LatencyBudget = d }
-}
-
-// WithDegradePolicy sets only the tuning's degradation policy.
-func WithDegradePolicy(p DegradePolicy) SearchOption {
-	return func(s *searchSettings) { s.Tuning.Degrade = p }
-}
 
 // WithStatsInto asks for per-query stats: query i of the batch (index 0 for
 // Search) writes its individual Stats into dst[i], in addition to the
@@ -183,14 +165,13 @@ func checkKnobs(kn ladder.Knobs) error {
 }
 
 // querier is one engine's per-goroutine searcher: scratch buffers and
-// nothing else; the E2LSH engines' searchers are queriers as they stand, the
-// baselines' sit behind a two-line adapter. Everything a query may set
-// arrives in kn (engines ignore the knobs they have no use for), so a querier
-// can serve any query of its engine. dst, when non-nil, provides the backing
-// array for the returned Result's neighbors (its contents are overwritten);
-// BatchSearch hands each query a distinct slab segment so the per-query
-// steady state allocates nothing. A nil dst asks the querier to allocate
-// fresh backing. Not safe for concurrent use.
+// nothing else; the engines' searchers are queriers as they stand.
+// Everything a query may set arrives in kn, so a querier can serve any query
+// of its engine. dst, when non-nil, provides the backing array for the
+// returned Result's neighbors (its contents are overwritten); BatchSearch
+// hands each query a distinct slab segment so the per-query steady state
+// allocates nothing. A nil dst asks the querier to allocate fresh backing.
+// Not safe for concurrent use.
 type querier interface {
 	Run(ctx context.Context, q []float32, kn ladder.Knobs, dst []ann.Neighbor) (Result, Stats, error)
 }
@@ -245,11 +226,13 @@ func (s *searchers) scratch() *searchers { return s }
 
 // engineCore is what each engine contributes to the shared Search /
 // BatchSearch machinery: a querier factory, the free lists in front of it,
-// and the telemetry anchor (every engine embeds searchers and telem).
+// and the telemetry and autotune anchors (every engine embeds searchers,
+// telem and tune).
 type engineCore interface {
 	newQuerier() querier
 	scratch() *searchers
 	collector() *telemetry.Collector
+	tuner() *autotune.Tuner
 }
 
 // checkout takes an idle querier off e's free list, or builds one.
@@ -309,9 +292,8 @@ func (c *call) run(ctx context.Context, qr querier, q []float32, i int, dst []an
 	return res, st, err
 }
 
-// engineSearch implements Engine.Search over an engineCore; tn is the
-// engine's tuner (nil when autotuning is off or the engine has none).
-func engineSearch(ctx context.Context, e engineCore, tn *autotune.Tuner, q []float32, opts []SearchOption) (Result, Stats, error) {
+// engineSearch implements Engine.Search over an engineCore.
+func engineSearch(ctx context.Context, e engineCore, q []float32, opts []SearchOption) (Result, Stats, error) {
 	set, err := resolveSettings(opts, 1)
 	if err != nil {
 		return Result{}, Stats{}, err
@@ -319,7 +301,7 @@ func engineSearch(ctx context.Context, e engineCore, tn *autotune.Tuner, q []flo
 	if err := ctx.Err(); err != nil {
 		return Result{}, Stats{}, err
 	}
-	c := call{set: set, col: e.collector(), tn: tn}
+	c := call{set: set, col: e.collector(), tn: e.tuner()}
 	qr := checkout(e)
 	res, st, err := c.run(ctx, qr, q, 0, nil)
 	e.scratch().queriers.give(qr)
@@ -399,7 +381,7 @@ func (r *batchRun) work() {
 
 // engineBatchSearch implements Engine.BatchSearch over an engineCore: a
 // worker pool over one batchRun.
-func engineBatchSearch(ctx context.Context, e engineCore, tn *autotune.Tuner, queries [][]float32, opts []SearchOption) ([]Result, Stats, error) {
+func engineBatchSearch(ctx context.Context, e engineCore, queries [][]float32, opts []SearchOption) ([]Result, Stats, error) {
 	r := e.scratch().runs.take()
 	if r == nil {
 		r = new(batchRun)
@@ -436,8 +418,8 @@ func engineBatchSearch(ctx context.Context, e engineCore, tn *autotune.Tuner, qu
 	// layer) onto sampled traces. The autotune controller reads the same
 	// waits so a coalesced query's latency budget starts at admission, not
 	// at batch dispatch.
-	r.col, r.tn = e.collector(), tn
-	if r.col != nil || tn != nil {
+	r.col, r.tn = e.collector(), e.tuner()
+	if r.col != nil || r.tn != nil {
 		r.waits = telemetry.QueueWaits(ctx)
 	}
 	r.wg.Add(workers)
@@ -452,8 +434,8 @@ func engineBatchSearch(ctx context.Context, e engineCore, tn *autotune.Tuner, qu
 	return results, r.agg, err
 }
 
-// InMemoryIndex is classic in-memory E2LSH: the algorithmic reference the
-// three other engines are measured against.
+// InMemoryIndex is classic in-memory E2LSH: the algorithmic reference
+// StorageIndex is measured against.
 type InMemoryIndex struct {
 	telem
 	tune
@@ -477,12 +459,12 @@ func NewInMemoryIndex(data [][]float32, cfg Config) (*InMemoryIndex, error) {
 // Search answers a top-k c²-ANNS query. It honors WithK, WithBudget and
 // WithMultiProbe.
 func (m *InMemoryIndex) Search(ctx context.Context, q []float32, opts ...SearchOption) (Result, Stats, error) {
-	return engineSearch(ctx, m, m.tuner(), q, opts)
+	return engineSearch(ctx, m, q, opts)
 }
 
 // BatchSearch answers queries on a worker pool; see Engine.
 func (m *InMemoryIndex) BatchSearch(ctx context.Context, queries [][]float32, opts ...SearchOption) ([]Result, Stats, error) {
-	return engineBatchSearch(ctx, m, m.tuner(), queries, opts)
+	return engineBatchSearch(ctx, m, queries, opts)
 }
 
 // IndexBytes reports the DRAM footprint of the hash index.

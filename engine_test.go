@@ -22,8 +22,8 @@ func parityDataset(t *testing.T) *Dataset {
 	return d
 }
 
-// parityEngines builds all four engines over the dataset and pairs each
-// with the recall floor it must clear and the options that tune it there.
+// parityEngines builds every engine over the dataset and pairs each with the
+// recall floor it must clear and the options that tune it there.
 func parityEngines(t *testing.T, d *Dataset) []struct {
 	name   string
 	engine Engine
@@ -36,14 +36,6 @@ func parityEngines(t *testing.T, d *Dataset) []struct {
 		t.Fatal(err)
 	}
 	disk, err := NewStorageIndex(d.Vectors, Config{Sigma: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srsIx, err := NewSRSIndex(d.Vectors, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	qalshIx, err := NewQALSHIndex(d.Vectors, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,14 +59,12 @@ func parityEngines(t *testing.T, d *Dataset) []struct {
 	}{
 		{"inmemory", mem, 0.50, nil},
 		{"storage", disk, 0.50, nil},
-		{"srs", srsIx, 0.50, []SearchOption{WithBudget(400)}},
-		{"qalsh", qalshIx, 0.25, nil},
 		{"sharded", sharded, 0.50, nil},
 	}
 }
 
-// TestEngineParity runs the same dataset and queries through all four
-// engines via the Engine interface alone and asserts each clears its
+// TestEngineParity runs the same dataset and queries through every engine
+// via the Engine interface alone and asserts each clears its
 // brute-force-sanity recall floor. This is the contract the interface
 // exists for: heterogeneous engines, one calling convention, comparable
 // answers.

@@ -49,26 +49,23 @@ func main() {
 			log.Fatal(err)
 		}
 
-		// SRS at a comparable accuracy: T' = 2% of n, timed with the same
-		// virtual cost model the simulator charges. Per-query stats from the
-		// unified Search API feed the model.
-		srsIx, err := e2lshos.NewSRSIndex(sub.Vectors, 0)
+		// SRS at a comparable accuracy: T' = 2% of n with the chi-square
+		// early stop off, timed with the same virtual cost model the
+		// simulator charges.
+		srsCfg := srs.DefaultConfig()
+		srsIx, err := srs.Build(sub.Vectors, srsCfg)
 		if err != nil {
 			log.Fatal(err)
 		}
+		searcher := srsIx.NewSearcher()
 		model := costmodel.Default()
-		projDim := srs.DefaultConfig().ProjDim
 		var srsNS float64
 		for _, q := range sub.Queries {
-			_, st, err := srsIx.Search(ctx, q, e2lshos.WithBudget(n/50))
+			_, st, err := searcher.SearchContext(ctx, q, 1, n/50, false)
 			if err != nil {
 				log.Fatal(err)
 			}
-			srsNS += experiments.SRSQueryNS(model, sub.Dim, projDim, srs.Stats{
-				NodesVisited:   st.NodesVisited,
-				EntriesScanned: st.EntriesScanned,
-				Checked:        st.Checked,
-			})
+			srsNS += experiments.SRSQueryNS(model, sub.Dim, srsCfg.ProjDim, st)
 		}
 		srsMS := srsNS / float64(sub.NQ()) / 1e6
 

@@ -214,3 +214,31 @@ func TestChecksumShortWriteMatchesPadded(t *testing.T) {
 		t.Fatal("Checksum(short) != Checksum(zero-padded)")
 	}
 }
+
+// benchReadBlock reads full blocks round-robin through ReadBlock over a
+// store with checksumming on or off: the gap between the two is the CRC32C
+// integrity tax every block read of a storage index pays.
+func benchReadBlock(b *testing.B, checksums bool) {
+	const n = 1024
+	s := NewMem()
+	s.SetChecksums(checksums)
+	block := make([]byte, BlockSize)
+	for i := 0; i < n; i++ {
+		block[0], block[BlockSize-1] = byte(i), byte(i>>8)
+		if err := s.WriteBlock(s.Allocate(), block); err != nil {
+			b.Fatal(err)
+		}
+	}
+	buf := make([]byte, BlockSize)
+	b.SetBytes(BlockSize)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := s.ReadBlock(Addr(1+i%n), buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkChecksumOn(b *testing.B) { benchReadBlock(b, true) }
+
+func BenchmarkChecksumOff(b *testing.B) { benchReadBlock(b, false) }

@@ -24,7 +24,7 @@ type Stats struct {
 	// NonEmptyProbes counts lookups that hit a non-empty bucket; with the
 	// paper's DRAM occupancy bitmaps only these cost I/O.
 	NonEmptyProbes int `json:"non_empty_probes"`
-	// EntriesScanned counts bucket or tree entries examined, duplicates
+	// EntriesScanned counts bucket entries examined, duplicates
 	// included. On storage Checked + Duplicates + FPRejected ≤
 	// EntriesScanned, with equality whenever the budget did not cut a round
 	// short.
@@ -83,11 +83,6 @@ type Stats struct {
 	// query would cost on storage with unlimited block size, one hash-table
 	// read plus one bucket read per non-empty probed bucket.
 	IOsAtInf int `json:"ios_at_inf"`
-	// NodesVisited counts R-tree nodes expanded (SRS).
-	NodesVisited int `json:"nodes_visited"`
-	// EarlyStopped counts queries ended by SRS's chi-square test rather
-	// than the budget or tree exhaustion.
-	EarlyStopped int `json:"early_stopped"`
 	// RoundsSkipped counts ladder rounds the autotune controller cut
 	// relative to the full schedule (recall-target early stops and
 	// latency-budget stops; zero without EnableAutotune).

@@ -34,7 +34,7 @@ const (
 	Hash
 )
 
-// String names the placement for flags and reports.
+// String names the placement for logs and reports.
 func (p Placement) String() string {
 	switch p {
 	case Range:
@@ -43,17 +43,6 @@ func (p Placement) String() string {
 		return "hash"
 	}
 	return fmt.Sprintf("placement(%d)", int(p))
-}
-
-// ParsePlacement reads a placement name as written by String.
-func ParsePlacement(s string) (Placement, error) {
-	switch s {
-	case "range":
-		return Range, nil
-	case "hash":
-		return Hash, nil
-	}
-	return 0, fmt.Errorf("shard: unknown placement %q (want range or hash)", s)
 }
 
 // Partition assigns n objects to shards and returns, per shard, the global

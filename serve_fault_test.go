@@ -74,6 +74,7 @@ func TestBatchPanicBecomes500(t *testing.T) {
 // goroutine, where the coalescer's own recover cannot reach.
 type poolPanicEngine struct {
 	telem
+	tune
 	searchers
 	armed atomic.Bool
 }
@@ -81,11 +82,11 @@ type poolPanicEngine struct {
 func (e *poolPanicEngine) newQuerier() querier { return poolPanicQuerier{e} }
 
 func (e *poolPanicEngine) Search(ctx context.Context, q []float32, opts ...SearchOption) (Result, Stats, error) {
-	return engineSearch(ctx, e, nil, q, opts)
+	return engineSearch(ctx, e, q, opts)
 }
 
 func (e *poolPanicEngine) BatchSearch(ctx context.Context, queries [][]float32, opts ...SearchOption) ([]Result, Stats, error) {
-	return engineBatchSearch(ctx, e, nil, queries, opts)
+	return engineBatchSearch(ctx, e, queries, opts)
 }
 
 type poolPanicQuerier struct{ e *poolPanicEngine }

@@ -14,7 +14,7 @@ import (
 )
 
 // ShardPlacement selects how NewShardedIndex distributes vectors over
-// shards; String names it as cmd/lshserve's -placement flag spells it.
+// shards.
 type ShardPlacement = shard.Placement
 
 const (
@@ -23,9 +23,6 @@ const (
 	// PlaceHash spreads vectors over shards by hashing their global IDs.
 	PlaceHash = shard.Hash
 )
-
-// ParseShardPlacement reads "range" or "hash".
-func ParseShardPlacement(s string) (ShardPlacement, error) { return shard.ParsePlacement(s) }
 
 // ShardBuilder builds one shard's engine over its partition of the dataset.
 // It is called once per shard with the shard number and the vectors placed
@@ -124,8 +121,6 @@ type ShardedIndex struct {
 	router  *shard.Router[Stats]
 	engines []Engine
 }
-
-var _ Engine = (*ShardedIndex)(nil)
 
 // NewShardedIndex places data on shards and builds one engine per shard.
 func NewShardedIndex(data [][]float32, shards int, placement ShardPlacement, build ShardBuilder) (*ShardedIndex, error) {

@@ -245,7 +245,7 @@ func TestShardedLatencyBudgetReachesShardsAt90(t *testing.T) {
 	}
 
 	queries := [][]float32{{1, 2}, {3, 4}}
-	if _, _, err := ix.BatchSearch(context.Background(), queries, WithLatencyBudget(10*time.Millisecond)); err != nil {
+	if _, _, err := ix.BatchSearch(context.Background(), queries, WithTuning(SearchTuning{LatencyBudget: 10 * time.Millisecond})); err != nil {
 		t.Fatal(err)
 	}
 	for i, c := range caps {
@@ -254,7 +254,7 @@ func TestShardedLatencyBudgetReachesShardsAt90(t *testing.T) {
 		}
 	}
 
-	srv, err := NewServer(ix, ServerConfig{Dim: 2, K: 2, Opts: []SearchOption{WithLatencyBudget(20 * time.Millisecond)}})
+	srv, err := NewServer(ix, ServerConfig{Dim: 2, K: 2, Opts: []SearchOption{WithTuning(SearchTuning{LatencyBudget: 20 * time.Millisecond})}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,9 +50,6 @@ func NewStorageIndex(data [][]float32, cfg Config, opts ...StorageOption) (*Stor
 	if set.backend != nil {
 		store = blockstore.NewWithBackend(set.backend)
 	}
-	if set.checksumOff {
-		store.SetChecksums(false)
-	}
 	ix, err := diskindex.Build(data, p, diskindex.Options{
 		ShareProjections: true, Seed: seed, TableBits: tableBits,
 	}, store)
@@ -108,9 +105,6 @@ func OpenStorageIndex(path string, data [][]float32, opts ...StorageOption) (*St
 	if err != nil {
 		return nil, err
 	}
-	if set.checksumOff {
-		ix.Store().SetChecksums(false)
-	}
 	if err := attachEngine(ix, set); err != nil {
 		return nil, err
 	}
@@ -135,11 +129,7 @@ func OpenWALIndex(dir string, data [][]float32, opts ...StorageOption) (*Storage
 	if set.backend != nil {
 		return nil, fmt.Errorf("e2lshos: WithStorageBackend applies to NewStorageIndex only; a recovered index owns its store")
 	}
-	store := blockstore.NewMem()
-	if set.checksumOff {
-		store.SetChecksums(false)
-	}
-	ix, err := diskindex.OpenWAL(dir, data, store, diskindex.WALConfig{FsyncEvery: set.fsyncEvery})
+	ix, err := diskindex.OpenWAL(dir, data, blockstore.NewMem(), diskindex.WALConfig{FsyncEvery: set.fsyncEvery})
 	if err != nil {
 		return nil, err
 	}
@@ -234,12 +224,12 @@ func (s *StorageIndex) IODepth() int {
 // of them reads its store in line. It honors WithK, WithBudget and
 // WithMultiProbe.
 func (s *StorageIndex) Search(ctx context.Context, q []float32, opts ...SearchOption) (Result, Stats, error) {
-	return engineSearch(ctx, s, s.tuner(), q, opts)
+	return engineSearch(ctx, s, q, opts)
 }
 
 // BatchSearch answers queries on a worker pool; see Engine.
 func (s *StorageIndex) BatchSearch(ctx context.Context, queries [][]float32, opts ...SearchOption) ([]Result, Stats, error) {
-	return engineBatchSearch(ctx, s, s.tuner(), queries, opts)
+	return engineBatchSearch(ctx, s, queries, opts)
 }
 
 // StorageBytes reports the on-storage index size.
