@@ -439,6 +439,11 @@ func TestRunGracefulShutdown(t *testing.T) {
 	if !strings.Contains(out.String(), "autotune on") {
 		t.Errorf("autotune wiring not logged:\n%s", out.String())
 	}
+	// Before listening, the heap an operator reads RSS against: the live Go
+	// heap after the post-build collection and the store held outside it.
+	if !regexp.MustCompile(`live Go heap [0-9.]+ MB; index store [0-9.]+ MB held outside it\n`).MatchString(out.String()) {
+		t.Errorf("start-up memory line missing:\n%s", out.String())
+	}
 	// The run() flag defaults (-metrics on) must yield a complete scrape on
 	// the real serving loop, exactly as CI asserts on the httptest server.
 	scrapeMetrics(t, base)
@@ -477,10 +482,10 @@ func TestRunStorageFlagCoupling(t *testing.T) {
 	}
 }
 
-// TestRunCoalescerFlags: no sharded engine waits on a timer and the hold an
-// unsharded one keeps is not a flag, a shard sub-query runs once, and batch
-// size and queue depth stay what the flags set them to — so -maxdelay, -hedge
-// and -target-p99 are gone: unknown flags, not silently ignored ones. So are
+// TestRunCoalescerFlags: no engine waits on a timer, so there is no hold to
+// tune, a shard sub-query runs once, and batch size and queue depth stay what
+// the flags set them to — so -maxdelay, -hedge and -target-p99 are gone:
+// unknown flags, not silently ignored ones. So are
 // -engine, -checksum and -placement: every shard is a checksummed storage
 // shard under hash placement. The flag set holds 23. -maxbatch and -maxqueue
 // still parse and boot.

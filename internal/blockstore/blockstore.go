@@ -203,10 +203,11 @@ func (s *Store) WriteBlock(a Addr, data []byte) error {
 }
 
 // memBackend stores blocks in fixed-size chunks to avoid one giant
-// allocation and to grow smoothly. The chunk table is guarded by an RWMutex
-// so vectored reads may race writes to other blocks (writes to the same
-// block as a concurrent read remain the caller's responsibility, as on a
-// real device).
+// allocation and to grow smoothly. On unix the chunks are mapped outside the
+// Go heap and unmapped once the backend is unreachable (chunk_mmap.go). The
+// chunk table is guarded by an RWMutex so vectored reads may race writes to
+// other blocks (writes to the same block as a concurrent read remain the
+// caller's responsibility, as on a real device).
 type memBackend struct {
 	mu     sync.RWMutex
 	chunks [][]byte //lsh:guardedby mu
@@ -222,10 +223,18 @@ func (m *memBackend) locate(a Addr) (chunk, offset uint64) {
 }
 
 // ensureLocked grows the chunk table under a held write lock.
-func (m *memBackend) ensureLocked(chunk uint64) {
+func (m *memBackend) ensureLocked(chunk uint64) error {
 	for uint64(len(m.chunks)) <= chunk {
-		m.chunks = append(m.chunks, make([]byte, chunkBlocks*BlockSize))
+		c, err := newChunk()
+		if err != nil {
+			return err
+		}
+		if len(m.chunks) == 0 {
+			unmapOnGC(m)
+		}
+		m.chunks = append(m.chunks, c)
 	}
+	return nil
 }
 
 func (m *memBackend) ReadBlock(a Addr, buf []byte) error {
@@ -282,7 +291,9 @@ func (m *memBackend) WriteBlock(a Addr, data []byte) error {
 	c, off := m.locate(a)
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.ensureLocked(c)
+	if err := m.ensureLocked(c); err != nil {
+		return err
+	}
 	dst := m.chunks[c][off : off+BlockSize]
 	n := copy(dst, data)
 	clear(dst[n:])
@@ -364,6 +375,10 @@ func (fb *fileBackend) ReadBlock(a Addr, buf []byte) error {
 	return fb.readRange(a, 1, buf)
 }
 
+// runBufs holds the scratch a coalesced pread lands in: one run's worth of
+// blocks (NextRun bounds a run at MaxCoalesce), reused across calls.
+var runBufs = sync.Pool{New: func() any { return new([MaxCoalesce * BlockSize]byte) }}
+
 // ReadBlocks coalesces runs of adjacent addresses into single preads,
 // scattering the data back into the per-block buffers.
 func (fb *fileBackend) ReadBlocks(addrs []Addr, bufs [][]byte) (int, error) {
@@ -371,7 +386,12 @@ func (fb *fileBackend) ReadBlocks(addrs []Addr, bufs [][]byte) (int, error) {
 		return 0, fmt.Errorf("blockstore: %d addresses but %d buffers", len(addrs), len(bufs))
 	}
 	ops := 0
-	var scratch []byte
+	var scratch *[MaxCoalesce * BlockSize]byte
+	defer func() {
+		if scratch != nil {
+			runBufs.Put(scratch)
+		}
+	}()
 	for i := 0; i < len(addrs); {
 		j := NextRun(addrs, i)
 		n := j - i
@@ -380,8 +400,8 @@ func (fb *fileBackend) ReadBlocks(addrs []Addr, bufs [][]byte) (int, error) {
 				return ops, err
 			}
 		} else {
-			if cap(scratch) < n*BlockSize {
-				scratch = make([]byte, n*BlockSize)
+			if scratch == nil {
+				scratch = runBufs.Get().(*[MaxCoalesce * BlockSize]byte)
 			}
 			if err := fb.readRange(addrs[i], n, scratch[:n*BlockSize]); err != nil {
 				return ops, err

@@ -44,12 +44,10 @@ type ServerConfig struct {
 	// package. Shed load surfaces as 429 with Retry-After.
 	MaxBatch int
 	MaxQueue int
-	// MaxDelay is how long an unsharded engine's lone query is held for
-	// company before its batch is cut (default 500µs, negative for never).
-	// Sharded engines never hold. The hold buys no throughput: it keeps an
-	// unsharded server's closed-loop rate within what the benchmark can
-	// resolve, and DESIGN.md, "internal/coalesce — admission", says when it
-	// goes.
+	// MaxDelay, when positive, holds an unsharded engine's lone query for
+	// company that long before its batch is cut; zero (the default) never
+	// holds, and sharded engines never hold. The hold buys no throughput: it
+	// is kept only for the benchmark's traced path, which still sets it.
 	MaxDelay time.Duration
 	// Opts are the server's defaults for every query (WithK(K) is implied):
 	// /v1/search requests can override the budget, multi-probe and any part of
@@ -87,11 +85,11 @@ type searchOutcome struct {
 // Server is the serving front-end: an Engine behind a query coalescer with
 // JSON endpoints /v1/search (per-request tuning), /stats, /metrics, /healthz
 // and /readyz. A request that finds an execution slot free runs as a
-// BatchSearch of its own at once (an unsharded engine first holds it for
-// MaxDelay); requests that arrive while every slot is busy ride together in
-// the next batch, whatever each asked for, so batches form under load. The
-// server keeps no state per knob value: a request copies base's knobs,
-// overrides them from its own fields, and the copy travels with the query.
+// BatchSearch of its own at once; requests that arrive while every slot is
+// busy ride together in the next batch, whatever each asked for, so batches
+// form under load. The server keeps no state per knob value: a request copies
+// base's knobs, overrides them from its own fields, and the copy travels with
+// the query.
 type Server struct {
 	eng     Engine
 	cfg     ServerConfig
@@ -164,15 +162,13 @@ func NewServer(eng Engine, cfg ServerConfig) (*Server, error) {
 // admission sizes the coalescer for eng: how many batches it can run side by
 // side, and how long a lone query is held for company. A lone query occupies
 // as many processors as the engine has shards, so a sharded engine gets the
-// processors divided by its shards (at least one slot) and no hold; an
-// unsharded one gets a slot per processor and holds for maxDelay.
+// processors divided by its shards (at least one slot) and never holds; an
+// unsharded one gets a slot per processor and holds only for a positive
+// maxDelay.
 func admission(eng Engine, maxDelay time.Duration) (slots int, hold time.Duration) {
 	procs := runtime.GOMAXPROCS(0)
 	if sh, ok := eng.(interface{ Shards() int }); ok && sh.Shards() > 1 {
 		return max(procs/sh.Shards(), 1), 0
-	}
-	if maxDelay == 0 {
-		maxDelay = 500 * time.Microsecond
 	}
 	return procs, max(maxDelay, 0)
 }

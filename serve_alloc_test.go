@@ -19,8 +19,8 @@ import (
 // pooled its per-request and per-batch state this test body read 13 487 B /
 // 121 allocations on four shards and 6 905 B / 70 on one; with it, 5 853 B /
 // 58 and 3 112 B / 37 (6 831 B / 62 and 4 295 B / 41 under the race
-// detector, which the ceilings leave room for; the one-shard figures include
-// the hold an unsharded engine's lone query starts, whose timer is reused).
+// detector, which the ceilings leave room for; the one-shard figures were
+// taken while an unsharded engine still held a lone query on a reused timer).
 // Every byte ceiling is under 70% of the earlier reading.
 const (
 	handleSearchBytes4Shards  = 7400

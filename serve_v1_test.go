@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -356,7 +357,8 @@ func (e shardedStub) Shards() int { return e.shards }
 
 // TestServerAdmission: the coalescer is sized from what a lone query
 // occupies — a sharded engine gets the processors divided by its shards and
-// never holds; an unsharded one gets a slot per processor and the hold.
+// never holds; an unsharded one gets a slot per processor and holds only
+// when MaxDelay asks for it.
 func TestServerAdmission(t *testing.T) {
 	procs := runtime.GOMAXPROCS(0)
 	for _, tc := range []struct {
@@ -366,10 +368,11 @@ func TestServerAdmission(t *testing.T) {
 		slots    int
 		hold     time.Duration
 	}{
-		{"unsharded, default hold", blockingEngine{}, 0, procs, 500 * time.Microsecond},
+		{"unsharded, default no hold", blockingEngine{}, 0, procs, 0},
 		{"unsharded, given hold", blockingEngine{}, time.Millisecond, procs, time.Millisecond},
-		{"unsharded, hold off", blockingEngine{}, -1, procs, 0},
-		{"one shard is unsharded", shardedStub{shards: 1}, 0, procs, 500 * time.Microsecond},
+		{"unsharded, negative is no hold", blockingEngine{}, -1, procs, 0},
+		{"one shard is unsharded", shardedStub{shards: 1}, 0, procs, 0},
+		{"one shard, given hold", shardedStub{shards: 1}, time.Millisecond, procs, time.Millisecond},
 		{"as many shards as processors", shardedStub{shards: procs + 1}, time.Millisecond, 1, 0},
 		{"more shards than processors", shardedStub{shards: 4 * (procs + 1)}, 0, 1, 0},
 	} {
@@ -379,6 +382,42 @@ func TestServerAdmission(t *testing.T) {
 	}
 	if slots, _ := admission(shardedStub{shards: 2}, 0); slots != max(procs/2, 1) {
 		t.Errorf("two shards on %d processors: %d slots, want %d", procs, slots, max(procs/2, 1))
+	}
+}
+
+// TestLoneQueryNotHeld: on an idle unsharded server a lone /v1/search is cut
+// into a batch the moment it is admitted, so its coalescer wait is the
+// queue's own bookkeeping, not a hold for company that never comes.
+func TestLoneQueryNotHeld(t *testing.T) {
+	srv, err := NewServer(&captureEngine{}, ServerConfig{Dim: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	h := srv.Handler()
+	const n = 50
+	for range n {
+		if rec := postJSON(t, h, "/v1/search", searchRequestV1{Query: []float32{1, 2}}); rec.Code != http.StatusOK {
+			t.Fatalf("/v1/search: %d %s", rec.Code, rec.Body)
+		}
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	var sum float64
+	var count int
+	for _, line := range strings.Split(rec.Body.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, "lsh_coalesce_wait_seconds_sum "); ok {
+			fmt.Sscan(v, &sum)
+		}
+		if v, ok := strings.CutPrefix(line, "lsh_coalesce_wait_seconds_count "); ok {
+			fmt.Sscan(v, &count)
+		}
+	}
+	if count != n {
+		t.Fatalf("lsh_coalesce_wait_seconds_count = %d, want %d", count, n)
+	}
+	if mean := time.Duration(sum / n * float64(time.Second)); mean >= 100*time.Microsecond {
+		t.Errorf("mean coalescer wait of a lone query = %v, want under 100µs (no hold)", mean)
 	}
 }
 
