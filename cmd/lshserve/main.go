@@ -1,6 +1,7 @@
 // Command lshserve serves approximate nearest neighbor queries over HTTP
-// from a sharded index: N storage shards under hash placement behind the
-// shard router, fronted by the query coalescer, exposed as a JSON API.
+// from one storage index whose objects are split into N hash partitions, each
+// with its own radius ladder and top-k over one walk of the hash tables,
+// fronted by the query coalescer, exposed as a JSON API.
 //
 // Usage:
 //
@@ -56,16 +57,16 @@ func run(ctx context.Context, args []string, out io.Writer, ready func(addr net.
 		paper     = fs.String("paper", "SIFT", "paper dataset to clone (Table 1 name)")
 		n         = fs.Int("n", 20000, "database size")
 		queries   = fs.Int("queries", 100, "held-out queries kept for shadow scoring")
-		shards    = fs.Int("shards", 4, "number of shards")
+		shards    = fs.Int("shards", 4, "hash partitions of one index, each with its own ladder and top-k (one walk of the hash tables serves all of them)")
 		k         = fs.Int("k", 10, "top-k searched per query")
 		sigma     = fs.Float64("sigma", 8, "per-radius candidate budget multiplier (accuracy knob)")
-		maxBatch  = fs.Int("maxbatch", 32, "coalescer: max queries per batch (batches form while every execution slot is busy: GOMAXPROCS/shards slots, at least one)")
+		maxBatch  = fs.Int("maxbatch", 32, "coalescer: max queries per batch (batches form while every execution slot is busy: one slot per processor)")
 		maxQueue  = fs.Int("maxqueue", 0, "coalescer: admission bound (0 = 4x maxbatch)")
-		cacheMB   = fs.Int("cache", 0, "per-shard block cache for storage shards, in MiB (0 = uncached)")
+		cacheMB   = fs.Int("cache", 0, "block cache in MiB (0 = uncached)")
 		readahead = fs.Int("readahead", 0, "bucket blocks prefetched per chain between radius rounds, into the block cache (0 = off)")
-		ioDepth   = fs.Int("iodepth", 0, "vectored I/O engine queue depth per storage shard: batched round submission, adjacent-block coalescing, cross-query dedup (0 = no engine and in-line reads, or depth 16 when -cache or -retries attach one)")
+		ioDepth   = fs.Int("iodepth", 0, "vectored I/O engine queue depth: batched round submission, adjacent-block coalescing, cross-query dedup (0 = no engine and in-line reads, or depth 16 when -cache or -retries attach one)")
 		retries   = fs.Int("retries", 0, "per-block read retries with backoff before a fault degrades the query (0 = off)")
-		metrics   = fs.Bool("metrics", true, "enable engine latency telemetry (per-stage histograms folded across shards, served at /metrics)")
+		metrics   = fs.Bool("metrics", true, "enable engine latency telemetry (per-stage histograms, served at /metrics)")
 		pprofOn   = fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 		traceSamp = fs.Float64("trace-sample", 0, "fraction of queries traced per stage, in [0,1] (0 = histograms only)")
 		slowQuery = fs.Duration("slowquery", 0, "dump the span trace of sampled queries slower than this to stderr (0 = off)")
@@ -73,7 +74,7 @@ func run(ctx context.Context, args []string, out io.Writer, ready func(addr net.
 		recallTgt = fs.Float64("recall-target", 0, "server-default recall target in (0,1): stop each radius ladder once the learned self-recall model clears it (0 = off; implies -autotune)")
 		latBudget = fs.Duration("latency-budget", 0, "server-default per-query latency budget; queries degrade knobs mid-ladder to fit (0 = off; implies -autotune)")
 		degrade   = fs.String("degrade", "knobs", "out-of-budget behavior: knobs (graceful degradation) or stop")
-		walDir    = fs.String("wal", "", "WAL directory for durable online updates (POST /v1/insert, DELETE /v1/object/{id}): serves one crash-safe storage engine instead of shards, recovering from the directory when it already holds a checkpoint; the dataset flags must match across restarts (generation is deterministic)")
+		walDir    = fs.String("wal", "", "WAL directory for durable online updates (POST /v1/insert, DELETE /v1/object/{id}): serves one crash-safe, unpartitioned storage engine, recovering from the directory when it already holds a checkpoint; the dataset flags must match across restarts (generation is deterministic)")
 		fsyncEver = fs.Int("fsync-every", 1, "WAL group commit: fsync the log every N appends (needs -wal; N>1 trades a bounded ack-durability window for update throughput)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -100,6 +101,8 @@ func run(ctx context.Context, args []string, out io.Writer, ready func(addr net.
 	switch {
 	case *k < 1:
 		return fmt.Errorf("-k must be at least 1, got %d", *k)
+	case *shards < 1:
+		return fmt.Errorf("-shards must be at least 1, got %d", *shards)
 	case *fsyncEver < 1:
 		return fmt.Errorf("-fsync-every must be at least 1, got %d", *fsyncEver)
 	case *fsyncEver != 1 && *walDir == "":
@@ -121,8 +124,8 @@ func run(ctx context.Context, args []string, out io.Writer, ready func(addr net.
 	}
 	var eng tunable
 	if *walDir != "" {
-		// WAL mode: one crash-safe storage engine, not shards (the log and
-		// its checkpoint generations are per-engine state).
+		// WAL mode: one crash-safe storage engine, unpartitioned (the log
+		// and its checkpoint generations do not yet cover partitions).
 		walOpts := append(storageOpts, e2lshos.WithFsyncEvery(*fsyncEver))
 		six, err := e2lshos.OpenWALIndex(*walDir, ds.Vectors, walOpts...)
 		switch {
@@ -142,12 +145,13 @@ func run(ctx context.Context, args []string, out io.Writer, ready func(addr net.
 		}
 		eng = six
 	} else {
-		// ShardConfig keeps per-shard table counts and the radius ladder at the
-		// unsharded level, so accuracy does not degrade as -shards grows.
-		cfg := e2lshos.ShardConfig(e2lshos.Config{Sigma: *sigma}, ds.Vectors, *shards)
-		fmt.Fprintf(out, "building %d storage shards (%s placement)\n", *shards, e2lshos.PlaceHash)
-		ix, err := e2lshos.NewShardedIndex(ds.Vectors, *shards, e2lshos.PlaceHash,
-			e2lshos.StorageShardBuilder(cfg, storageOpts...))
+		// One index, one walk of its tables per query; each hash partition
+		// climbs its own ladder, so the answers are those of -shards storage
+		// shards behind a router, at one partition's I/O.
+		fmt.Fprintf(out, "building one storage index in %d hash partitions (a ladder and top-k each over one table walk); %d execution slots\n",
+			*shards, runtime.GOMAXPROCS(0))
+		ix, err := e2lshos.NewStorageIndex(ds.Vectors, e2lshos.Config{Sigma: *sigma},
+			append(storageOpts, e2lshos.WithShards(*shards))...)
 		if err != nil {
 			return err
 		}

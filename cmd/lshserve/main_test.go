@@ -518,7 +518,7 @@ func TestRunCoalescerFlags(t *testing.T) {
 	}
 }
 
-// TestRunRejectsBadCounts: -k and -fsync-every below 1 are refused before the
+// TestRunRejectsBadCounts: -k, -shards and -fsync-every below 1 are refused before the
 // dataset is generated, rather than -k 0 panicking in the ground-truth
 // workers after a full build and -fsync-every 0 being run as 1. Should a bad
 // value get through, the ready callback stops the server it booted.
@@ -531,6 +531,7 @@ func TestRunRejectsBadCounts(t *testing.T) {
 	}{
 		{[]string{"-k", "0"}, "-k must be at least 1, got 0"},
 		{[]string{"-k", "-2"}, "-k must be at least 1, got -2"},
+		{[]string{"-shards", "0"}, "-shards must be at least 1, got 0"},
 		{[]string{"-wal", dir, "-fsync-every", "0"}, "-fsync-every must be at least 1, got 0"},
 		{[]string{"-wal", dir, "-fsync-every", "-3"}, "-fsync-every must be at least 1, got -3"},
 	} {

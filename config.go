@@ -5,8 +5,8 @@ import (
 	"math/rand"
 	"sort"
 
-	"e2lshos/internal/ann"
 	"e2lshos/internal/blockstore"
+	"e2lshos/internal/dataset"
 	"e2lshos/internal/lsh"
 )
 
@@ -93,6 +93,7 @@ type storageSettings struct {
 	backend    blockstore.Backend
 	walDir     string
 	fsyncEvery int
+	shards     int
 }
 
 // WithBlockCache interposes a concurrency-safe, scan-resistant block cache
@@ -171,6 +172,21 @@ func WithStorageBackend(b blockstore.Backend) StorageOption {
 	return func(s *storageSettings) { s.backend = b }
 }
 
+// WithShards splits the index's objects into s hash partitions — object g
+// belongs to partition splitmix64(g) mod s, the shard router's hash placement —
+// each with its own radius ladder, candidate budget and top-k, over one
+// index. A query walks the hash tables once (one projection, each block read
+// once) and feeds every partition still climbing; the answers are exactly
+// those of NewShardedIndex over s StorageShardBuilder(ShardConfig(cfg, data,
+// s)) shards with PlaceHash, which derive the same parameters and hash
+// families, at the I/O of the deepest partition's ladder instead of the sum
+// of s ladders. The index is still one engine: a lone query runs on one
+// goroutine. WithShards(1) is the unpartitioned index. Every partition must
+// own at least one object. Not yet combinable with WithWAL.
+func WithShards(s int) StorageOption {
+	return func(st *storageSettings) { st.shards = s }
+}
+
 // defaultIODepth is the queue depth of an I/O engine attached only because a
 // feature that lives inside it (WithBlockCache, WithRetries) was asked for.
 const defaultIODepth = 16
@@ -197,6 +213,10 @@ func resolveStorageSettings(opts []StorageOption) (storageSettings, error) {
 		return s, fmt.Errorf("e2lshos: negative fsync interval %d", s.fsyncEvery)
 	case s.fsyncEvery > 0 && s.walDir == "":
 		return s, fmt.Errorf("e2lshos: WithFsyncEvery requires WithWAL (it tunes the log's group commit)")
+	case s.shards < 0:
+		return s, fmt.Errorf("e2lshos: negative shard count %d", s.shards)
+	case s.shards > 1 && s.walDir != "":
+		return s, fmt.Errorf("e2lshos: WithShards(%d) does not combine with WithWAL yet; a crash-safe index is unpartitioned", s.shards)
 	}
 	if s.ioDepth == 0 && (s.cacheBytes > 0 || s.retries > 0) {
 		s.ioDepth = defaultIODepth
@@ -205,17 +225,16 @@ func resolveStorageSettings(opts []StorageOption) (storageSettings, error) {
 }
 
 // estimateRMin samples nearest-neighbor distances within the dataset and
-// returns a low quantile, the starting radius of the ladder.
+// returns a low quantile, the starting radius of the ladder. The samples'
+// exact 2-NN run as one tiled, parallel pass over the data.
 func estimateRMin(data [][]float32, seed int64) float64 {
 	rng := rand.New(rand.NewSource(seed))
-	samples := 30
-	if samples > len(data) {
-		samples = len(data)
+	samples := make([][]float32, min(30, len(data)))
+	for i := range samples {
+		samples[i] = data[rng.Intn(len(data))]
 	}
-	dists := make([]float64, 0, samples)
-	for i := 0; i < samples; i++ {
-		q := data[rng.Intn(len(data))]
-		res := ann.BruteForce(data, q, 2)
+	dists := make([]float64, 0, len(samples))
+	for _, res := range dataset.KNN(data, samples, 2) {
 		// Rank 0 is the point itself (distance 0); rank 1 is its NN.
 		if len(res.Neighbors) > 1 && res.Neighbors[1].Dist > 0 {
 			dists = append(dists, res.Neighbors[1].Dist)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"sync"
+	"sync/atomic"
 )
 
 // Block checksums. Bucket blocks use 511 of their 512 bytes (16-byte header
@@ -74,35 +75,65 @@ func IsCorrupt(err error) bool {
 // and degraded query paths must not swallow it.
 var ErrInvalidAddr = errors.New("invalid block address")
 
-// sumTable is the out-of-band checksum side table, guarded so vectored
-// verifies may race background fills on other blocks (the same contract the
-// backends give reads vs writes).
+// sumTable is the out-of-band checksum side table. Every verified read looks
+// a block up, so lookups take no lock: each block's entry is one word (the
+// CRC32C in the low 32 bits, sumRecorded once a sum was recorded), loaded
+// atomically from fixed-size chunks that the directory publishes through an
+// atomic pointer. A chunk never moves once published; growth copies only the
+// directory of chunk pointers, under mu, so a concurrent lookup sees the old
+// directory or the new one and reaches the same chunk through either.
 type sumTable struct {
-	mu   sync.RWMutex
-	sums []uint32 //lsh:guardedby mu — indexed by Addr; parallel to has
-	has  []bool   //lsh:guardedby mu
+	mu  sync.Mutex // serializes growth of the directory
+	dir atomic.Pointer[[]*sumChunk]
 }
+
+// sumChunkBlocks is how many blocks one chunk of the table covers (32 KiB
+// of words).
+const sumChunkBlocks = 1 << 12
+
+// sumRecorded marks a word holding a recorded checksum.
+const sumRecorded = uint64(1) << 32
+
+type sumChunk [sumChunkBlocks]atomic.Uint64
 
 // record stores the checksum for block a.
 func (t *sumTable) record(a Addr, sum uint32) {
-	t.mu.Lock()
-	for uint64(len(t.has)) <= uint64(a) {
-		t.sums = append(t.sums, 0)
-		t.has = append(t.has, false)
+	t.word(a).Store(sumRecorded | uint64(sum))
+}
+
+// word returns block a's entry, growing the directory to cover it.
+func (t *sumTable) word(a Addr) *atomic.Uint64 {
+	ci, off := uint64(a)/sumChunkBlocks, uint64(a)%sumChunkBlocks
+	if dir := t.dir.Load(); dir != nil && ci < uint64(len(*dir)) {
+		return &(*dir)[ci][off]
 	}
-	t.sums[a] = sum
-	t.has[a] = true
-	t.mu.Unlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	var grown []*sumChunk
+	if dir := t.dir.Load(); dir != nil {
+		grown = *dir
+	}
+	if ci >= uint64(len(grown)) {
+		grown = append(grown[:len(grown):len(grown)], make([]*sumChunk, ci+1-uint64(len(grown)))...)
+		for i := range grown {
+			if grown[i] == nil {
+				grown[i] = new(sumChunk)
+			}
+		}
+		t.dir.Store(&grown)
+	}
+	return &grown[ci][off]
 }
 
 // lookup returns the recorded checksum for block a, if any.
 func (t *sumTable) lookup(a Addr) (uint32, bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if uint64(a) >= uint64(len(t.has)) || !t.has[a] {
+	dir := t.dir.Load()
+	ci := uint64(a) / sumChunkBlocks
+	if dir == nil || ci >= uint64(len(*dir)) {
 		return 0, false
 	}
-	return t.sums[a], true
+	w := (*dir)[ci][uint64(a)%sumChunkBlocks].Load()
+	return uint32(w), w&sumRecorded != 0
 }
 
 // verify checks buf against block a's recorded checksum. Blocks without a
@@ -134,12 +165,16 @@ func (s *Store) Checksums() bool { return !s.ckOff }
 // checksum (diagnostics; equals NumBlocks on a store built with checksums
 // on).
 func (s *Store) ChecksummedBlocks() uint64 {
-	s.sums.mu.RLock()
-	defer s.sums.mu.RUnlock()
+	dir := s.sums.dir.Load()
+	if dir == nil {
+		return 0
+	}
 	n := uint64(0)
-	for _, h := range s.sums.has {
-		if h {
-			n++
+	for _, c := range *dir {
+		for i := range c {
+			if c[i].Load()&sumRecorded != 0 {
+				n++
+			}
 		}
 	}
 	return n

@@ -3,6 +3,9 @@ package blockstore
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -242,3 +245,64 @@ func benchReadBlock(b *testing.B, checksums bool) {
 func BenchmarkChecksumOn(b *testing.B) { benchReadBlock(b, true) }
 
 func BenchmarkChecksumOff(b *testing.B) { benchReadBlock(b, false) }
+
+// TestSumTableConcurrentRecordLookup: lookups take no lock, yet a reader
+// racing writers — growth of the table included — sees each block either
+// unrecorded or holding one of the sums recorded for it, never a torn or
+// foreign word; afterwards every block holds its last sum. Meant for -race.
+func TestSumTableConcurrentRecordLookup(t *testing.T) {
+	var tab sumTable
+	const blocks, writers, readers = 3*sumChunkBlocks + 17, 2, 4
+	sumOf := func(a Addr, gen uint32) uint32 { return uint32(a)*2654435761 ^ gen<<31 }
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for gen := uint32(0); gen < 2; gen++ {
+				for a := Addr(w); a < blocks; a += writers {
+					tab.record(a, sumOf(a, gen))
+				}
+			}
+		}(w)
+	}
+	var rwg sync.WaitGroup
+	errs := make(chan error, readers)
+	for r := 0; r < readers; r++ {
+		rwg.Add(1)
+		go func(seed int64) {
+			defer rwg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				a := Addr(rng.Intn(blocks + sumChunkBlocks))
+				sum, ok := tab.lookup(a)
+				switch {
+				case ok && a >= blocks:
+					errs <- fmt.Errorf("block %d never recorded but looked up as %08x", a, sum)
+					return
+				case ok && sum != sumOf(a, 0) && sum != sumOf(a, 1):
+					errs <- fmt.Errorf("block %d looked up as %08x, recorded %08x then %08x", a, sum, sumOf(a, 0), sumOf(a, 1))
+					return
+				}
+			}
+		}(int64(r))
+	}
+	wg.Wait()
+	close(stop)
+	rwg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	for a := Addr(0); a < blocks; a++ {
+		if sum, ok := tab.lookup(a); !ok || sum != sumOf(a, 1) {
+			t.Fatalf("block %d: lookup %08x, %v; want %08x", a, sum, ok, sumOf(a, 1))
+		}
+	}
+}

@@ -217,33 +217,40 @@ func sliceViews(slab []float32, n, dim int) [][]float32 {
 
 // GroundTruth computes exact top-k results for every query by parallel brute
 // force. The result order matches the query order.
+func GroundTruth(d *Dataset, k int) []ann.Result { return KNN(d.Vectors, d.Queries, k) }
+
+// KNN returns ann.BruteForce(data, q, k) for every query q, in query order,
+// in one tiled, parallel pass.
 //
-// A worker takes gtQueryBlock queries at a time and scans the database in
-// tiles of gtTile vectors, every query of the block over one tile before the
-// next tile: the tile is read from memory once per block instead of once per
-// query. Each query still meets the vectors in database order with its own
-// accumulator, so every result is ann.BruteForce's, distance bits and ties
-// included.
-func GroundTruth(d *Dataset, k int) []ann.Result {
-	const gtQueryBlock, gtTile = 32, 256
-	results := make([]ann.Result, d.NQ())
-	blocks := (d.NQ() + gtQueryBlock - 1) / gtQueryBlock
+// A worker takes a block of queries at a time and scans the database in
+// tiles of knnTile vectors, every query of the block over one tile before
+// the next tile: the tile is read from memory once per block instead of once
+// per query. Blocks hold up to 32 queries, fewer when that would leave a
+// processor idle (30 queries on 2 processors run as two blocks of 15). Each
+// query still meets the vectors in database order with its own accumulator,
+// so every result is ann.BruteForce's, distance bits and ties included.
+func KNN(data, queries [][]float32, k int) []ann.Result {
+	const knnTile = 256
+	results := make([]ann.Result, len(queries))
+	procs := runtime.GOMAXPROCS(0)
+	block := min(32, max(1, (len(queries)+procs-1)/procs))
+	blocks := (len(queries) + block - 1) / block
 	var wg sync.WaitGroup
-	workers := min(runtime.GOMAXPROCS(0), blocks)
+	workers := min(procs, blocks)
 	next := make(chan int)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for lo := range next {
-				queries := d.Queries[lo:min(lo+gtQueryBlock, d.NQ())]
-				tops := make([]*ann.TopK, len(queries))
+				qs := queries[lo:min(lo+block, len(queries))]
+				tops := make([]*ann.TopK, len(qs))
 				for qi := range tops {
 					tops[qi] = ann.NewTopK(k)
 				}
-				for t0 := 0; t0 < d.N(); t0 += gtTile {
-					tile := d.Vectors[t0:min(t0+gtTile, d.N())]
-					for qi, q := range queries {
+				for t0 := 0; t0 < len(data); t0 += knnTile {
+					tile := data[t0:min(t0+knnTile, len(data))]
+					for qi, q := range qs {
 						tops[qi].Scan(tile, t0, q)
 					}
 				}
@@ -254,7 +261,7 @@ func GroundTruth(d *Dataset, k int) []ann.Result {
 		}()
 	}
 	for b := 0; b < blocks; b++ {
-		next <- b * gtQueryBlock
+		next <- b * block
 	}
 	close(next)
 	wg.Wait()

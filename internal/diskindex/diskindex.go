@@ -103,6 +103,11 @@ type Index struct {
 	ioeng     *ioengine.Engine
 	readahead int
 
+	// parts > 1 splits the objects into that many hash partitions, each
+	// climbing its own radius ladder over one walk of the tables (see
+	// internal/ladder). Set before searchers are created.
+	parts int
+
 	// upd is the mutation state: the update RWMutex that serializes
 	// Insert/Delete against queries, the optional write-ahead log, and the
 	// pooled update scratch. See update.go and recovery.go.
@@ -120,6 +125,16 @@ func (ix *Index) Store() *blockstore.Store { return ix.store }
 
 // Data returns the indexed vectors (resident on DRAM, as in the paper).
 func (ix *Index) Data() [][]float32 { return ix.data }
+
+// SetPartitions makes every searcher created afterwards run one radius
+// ladder per hash partition of the objects (shard.Of), over one walk of the
+// hash tables: what a shard router would answer from parts indexes built
+// with this index's parameters and hash families, read once. parts ≤ 1 runs
+// one ladder.
+func (ix *Index) SetPartitions(parts int) { ix.parts = parts }
+
+// Partitions returns the hash partition count (0 or 1: unpartitioned).
+func (ix *Index) Partitions() int { return ix.parts }
 
 // TableBits returns the paper's u.
 func (ix *Index) TableBits() uint { return ix.u }

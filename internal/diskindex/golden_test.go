@@ -64,6 +64,8 @@ func TestLadderGoldenDigest(t *testing.T) {
 		opts := DefaultOptions()
 		opts.ShareProjections = share
 		d, disk, mem := testSetup(t, 2000, 1000, opts)
+		// One hash partition is the unpartitioned ladder, digest for digest.
+		disk.SetPartitions(1)
 		budgets := []struct {
 			name string
 			s    int

@@ -62,7 +62,7 @@ func (s *searcher) init(ix *Index, rounds ladder.Rounds) {
 	n := len(ix.data)
 	u.mu.RUnlock()
 	s.ix, s.rounds = ix, rounds
-	s.lad = ladder.New(ix.params, ix.families, ix.opts.ShareProjections, n)
+	s.lad = ladder.New(ix.params, ix.families, ix.opts.ShareProjections, n, ix.parts)
 	s.nextHashes = make([]uint32, ix.params.L)
 	if !ix.opts.ShareProjections {
 		s.raProj = make([]float64, ix.params.L*ix.params.M)
@@ -111,7 +111,7 @@ func (s *searcher) Run(ctx context.Context, q []float32, kn ladder.Knobs, dst []
 	// prefetch work outlives the query and the stats stay exact. On
 	// cancellation the engine's walk stops between waves.
 	s.settle()
-	return ann.Result{Neighbors: s.lad.TopK().AppendResultSq(dst[:0])}, s.lad.Stats, err
+	return ann.Result{Neighbors: s.lad.AppendResult(dst[:0])}, s.lad.Stats, err
 }
 
 // BeginRound implements ladder.Rounds for both disk searchers: it settles the

@@ -8,6 +8,13 @@
 // dedup and termination are therefore literally the same code on every
 // engine, which is what lets them be compared at equal accuracy.
 //
+// A driver may split the index's objects into hash partitions (shard.Of):
+// each partition then climbs the ladder on its own — its own budget per
+// round, top-k and termination test — while the hash tables are walked once
+// for all of them. The answer is exactly what a shard router would merge from
+// one index per partition built with the same parameters and hash families,
+// and the walk reads what the deepest partition's ladder reads, not the sum.
+//
 // The virtual-time engine path (diskindex's asyncRun) is deliberately not a
 // client: a callback state machine on the simulator's clock cannot share a
 // blocking loop, and staying separate makes it the independent cross-check
@@ -21,6 +28,7 @@ import (
 	"e2lshos/internal/ann"
 	"e2lshos/internal/autotune"
 	"e2lshos/internal/lsh"
+	"e2lshos/internal/shard"
 	"e2lshos/internal/telemetry"
 	"e2lshos/internal/vecmath"
 )
@@ -52,6 +60,11 @@ type Knobs struct {
 	// round; it may lower the budget and multi-probe, gate readahead, and
 	// stop the ladder early.
 	Ctl *autotune.Ctl
+	// Ctls replaces Ctl on a partitioned driver: one controller per
+	// partition, each steering its partition's ladder. A round probes with
+	// the largest multi-probe any live partition's controller allows and
+	// reads ahead if any allows it.
+	Ctls []*autotune.Ctl
 }
 
 // Rounds is the searcher's side of a run. The driver calls BeginRound once
@@ -81,11 +94,13 @@ type IO struct {
 
 // Driver runs the ladder for one searcher and owns the state every run
 // needs: projection and hash buffers, the multi-probe floor arenas, the
-// epoch-stamped visited array, the top-k accumulator and the running query's
-// Stats. The driver counts rounds, probes, candidate checks and duplicates;
-// the searcher's Visit and EndRound count everything else straight into the
-// same struct. After warm-up a run allocates nothing (multi-probe's
-// perturbation sets aside). Not safe for concurrent use.
+// epoch-stamped visited array, the top-k accumulator (one per partition on a
+// partitioned driver) and the running query's Stats. The driver counts
+// rounds, probes, candidate checks and duplicates; the searcher's Visit and
+// EndRound count everything else straight into the same struct. Radii counts
+// the rounds walked, however many partitions took part in each. After
+// warm-up a run allocates nothing (multi-probe's perturbation sets aside).
+// Not safe for concurrent use.
 type Driver struct {
 	Stats
 
@@ -102,6 +117,13 @@ type Driver struct {
 	epoch   uint32
 	topk    *ann.TopK
 
+	// parts holds the partitions' ladders of a partitioned driver (nil
+	// otherwise); live counts those still verifying in the current round.
+	parts  []partition
+	live   int
+	merged *ann.TopK
+	nbs    []ann.Neighbor
+
 	// The running query.
 	q       []float32
 	data    [][]float32
@@ -110,11 +132,25 @@ type Driver struct {
 	checked int // candidates verified this round
 }
 
+// partition is one hash partition's ladder: what a shard's own driver would
+// hold. A partition that is done (certified, or stopped by its controller)
+// or has spent its round's budget has checked ≥ budget, which is the one
+// test Verify makes before skipping its candidate.
+type partition struct {
+	topk    *ann.TopK
+	ctl     *autotune.Ctl
+	budget  int
+	checked int
+	radii   int // rounds this partition took part in
+	done    bool
+}
+
 // New returns a driver over an index's parameters and hash families (one
 // shared family, or one per radius), with the visited array sized for n
-// objects.
-func New(p lsh.Params, families []*lsh.Family, share bool, n int) *Driver {
-	return &Driver{
+// objects. parts > 1 splits the objects into that many hash partitions, each
+// climbing its own ladder over the one table walk; parts ≤ 1 runs one ladder.
+func New(p lsh.Params, families []*lsh.Family, share bool, n, parts int) *Driver {
+	d := &Driver{
 		p:        p,
 		families: families,
 		share:    share,
@@ -122,11 +158,31 @@ func New(p lsh.Params, families []*lsh.Family, share bool, n int) *Driver {
 		hashes:   make([]uint32, p.L),
 		seen:     make([]uint32, n),
 	}
+	if parts > 1 {
+		d.parts = make([]partition, parts)
+	}
+	return d
 }
 
-// TopK returns the accumulator holding the last run's winners, keyed by
-// squared distance.
-func (d *Driver) TopK() *ann.TopK { return d.topk }
+// AppendResult appends the last run's neighbors to dst, sorted by ascending
+// distance then ID, and returns the extended slice (nil dst gets fresh
+// backing). A partitioned driver merges its partitions' winners in partition
+// order, keyed on the rounded distance: exactly the shard router's merge of
+// one index per partition.
+func (d *Driver) AppendResult(dst []ann.Neighbor) []ann.Neighbor {
+	if d.parts == nil {
+		return d.topk.AppendResultSq(dst)
+	}
+	m := d.merged
+	m.Reset(d.parts[0].topk.K())
+	for i := range d.parts {
+		d.nbs = d.parts[i].topk.AppendResultSq(d.nbs[:0])
+		for _, nb := range d.nbs {
+			m.Push(nb.ID, nb.Dist)
+		}
+	}
+	return m.AppendResult(dst)
+}
 
 // Query returns the running query's vector.
 func (d *Driver) Query() []float32 { return d.q }
@@ -172,6 +228,9 @@ func (d *Driver) Run(ctx context.Context, rounds Rounds, q []float32, data [][]f
 	if budget == 0 {
 		budget = p.S
 	}
+	if d.parts != nil {
+		d.startParts(kn)
+	}
 	if kn.MultiProbe > 0 && d.floors == nil {
 		d.floors = make([]int64, p.L*p.M)
 		d.fracs = make([]float64, p.L*p.M)
@@ -188,7 +247,11 @@ func (d *Driver) Run(ctx context.Context, rounds Rounds, q []float32, data [][]f
 		}
 		mp, readahead := kn.MultiProbe, true
 		d.budget = budget
-		if c := kn.Ctl; c != nil {
+		if d.parts != nil {
+			if mp, readahead = d.beginParts(r, budget, mp); d.live == 0 {
+				break
+			}
+		} else if c := kn.Ctl; c != nil {
 			res, proceed := c.BeforeRound(r, budget)
 			if !proceed {
 				break
@@ -224,6 +287,9 @@ func (d *Driver) Run(ctx context.Context, rounds Rounds, q []float32, data [][]f
 		}
 		if err != nil {
 			topk.Reset(kn.K)
+			for i := range d.parts {
+				d.parts[i].topk.Reset(kn.K)
+			}
 			return err
 		}
 		if tr.Active() {
@@ -240,6 +306,12 @@ func (d *Driver) Run(ctx context.Context, rounds Rounds, q []float32, data [][]f
 				int64(d.Probes-probes0), int64(d.NonEmptyProbes-nonEmpty0))
 		}
 		cr := p.C * radius
+		if d.parts != nil {
+			if d.endParts(r, cr*cr, kn.K) {
+				break
+			}
+			continue
+		}
 		certified := topk.CountWithin(cr * cr)
 		if topk.Full() && certified >= kn.K {
 			break
@@ -248,10 +320,90 @@ func (d *Driver) Run(ctx context.Context, rounds Rounds, q []float32, data [][]f
 			break
 		}
 	}
+	for i := range d.parts {
+		if pt := &d.parts[i]; pt.ctl != nil {
+			pt.ctl.EndLadder(pt.topk, pt.radii, p.R())
+		}
+	}
 	if c := kn.Ctl; c != nil {
 		c.EndLadder(topk, d.Radii, p.R())
 	}
 	return nil
+}
+
+// startParts resets every partition's ladder for a new query.
+func (d *Driver) startParts(kn Knobs) {
+	if kn.Ctl != nil || (kn.Ctls != nil && len(kn.Ctls) != len(d.parts)) {
+		panic("ladder: a partitioned run takes one controller per partition in Knobs.Ctls")
+	}
+	if d.merged == nil {
+		d.merged = ann.NewTopK(kn.K)
+	}
+	for i := range d.parts {
+		pt := &d.parts[i]
+		if pt.topk == nil {
+			pt.topk = ann.NewTopK(kn.K)
+		} else {
+			pt.topk.Reset(kn.K)
+		}
+		pt.ctl, pt.radii, pt.done = nil, 0, false
+		if kn.Ctls != nil {
+			pt.ctl = kn.Ctls[i]
+		}
+	}
+}
+
+// beginParts opens round r for every partition still climbing: it consults
+// each partition's controller, sets each live partition's budget (a done one
+// gets none), counts the live ones, and returns the round's multi-probe
+// count and readahead permission.
+func (d *Driver) beginParts(r, budget, mp int) (int, bool) {
+	d.live = 0
+	probeMP, readahead := 0, false
+	for i := range d.parts {
+		pt := &d.parts[i]
+		pt.budget, pt.checked = 0, 0
+		if pt.done {
+			continue
+		}
+		b, pmp, ra := budget, mp, true
+		if pt.ctl != nil {
+			res, proceed := pt.ctl.BeforeRound(r, budget)
+			if !proceed {
+				pt.done = true
+				continue
+			}
+			b, pmp, ra = res.BudgetS, min(res.MultiProbe, mp), res.Readahead
+		}
+		// Verify spends a round once checked reaches the budget, so a zero
+		// budget still verifies one candidate, as it does unpartitioned.
+		pt.budget = max(b, 1)
+		pt.radii++
+		d.live++
+		probeMP, readahead = max(probeMP, pmp), readahead || ra
+	}
+	return probeMP, readahead
+}
+
+// endParts runs every live partition's termination test after round r
+// (c·R squared is cr2) and reports whether every partition is done.
+func (d *Driver) endParts(r int, cr2 float64, k int) bool {
+	all := true
+	for i := range d.parts {
+		pt := &d.parts[i]
+		if pt.done {
+			continue
+		}
+		certified := pt.topk.CountWithin(cr2)
+		if pt.topk.Full() && certified >= k {
+			pt.done = true
+		} else if pt.ctl != nil && pt.ctl.AfterRound(r, pt.topk, certified) {
+			pt.done = true
+		} else {
+			all = false
+		}
+	}
+	return all
 }
 
 // probe enumerates round r's probes in the reference order, stopping at the
@@ -291,10 +443,14 @@ func (d *Driver) probe(rounds Rounds, fam *lsh.Family, r, mp int) error {
 // this query counts as a duplicate, a new one costs a distance check, pruned
 // against the current k-th squared distance (exact — an abandoned candidate
 // can never enter the top-k; see vecmath.SqDistBounded). It reports whether
-// the round's budget is now spent.
+// the round's budget is now spent — on a partitioned driver, every live
+// partition's.
 //
 //lsh:hotpath
 func (d *Driver) Verify(id uint32) bool {
+	if d.parts != nil {
+		return d.verifyPart(id)
+	}
 	if d.seen[id] == d.epoch {
 		d.Duplicates++
 		return false
@@ -306,4 +462,32 @@ func (d *Driver) Verify(id uint32) bool {
 	d.Checked++
 	d.checked++
 	return d.checked >= d.budget
+}
+
+// verifyPart is Verify on a partitioned driver: the candidate goes to its
+// partition's ladder. A partition that is done or has spent this round's
+// budget skips it without marking it seen, exactly as a shard's round that
+// stopped verifying leaves its remaining candidates for a later round.
+//
+//lsh:hotpath
+func (d *Driver) verifyPart(id uint32) bool {
+	pt := &d.parts[shard.Of(id, len(d.parts))]
+	if pt.checked >= pt.budget {
+		return false
+	}
+	if d.seen[id] == d.epoch {
+		d.Duplicates++
+		return false
+	}
+	d.seen[id] = d.epoch
+	if sq, ok := vecmath.SqDistBounded(d.data[id], d.q, pt.topk.Worst()); ok {
+		pt.topk.Push(id, sq)
+	}
+	d.Checked++
+	pt.checked++
+	if pt.checked < pt.budget {
+		return false
+	}
+	d.live--
+	return d.live == 0
 }

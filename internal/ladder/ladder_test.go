@@ -4,9 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
+	"e2lshos/internal/ann"
 	"e2lshos/internal/lsh"
+	"e2lshos/internal/shard"
 )
 
 // script is a fake searcher: every Visit offers the ids listed for its table
@@ -17,6 +21,9 @@ type script struct {
 	log     []string
 	failAt  string // a Visit log line at which to fail
 	onBegin func(r int)
+	// part ≥ 0 offers only the entries hash partition part of parts owns:
+	// what a shard built over that partition holds.
+	part, parts int
 }
 
 func (s *script) BeginRound(_ context.Context, r int, readahead bool) {
@@ -33,6 +40,9 @@ func (s *script) Visit(r, l int, _ uint32) (bool, error) {
 		return false, errors.New("boom")
 	}
 	for _, id := range s.ids[l] {
+		if s.part >= 0 && shard.Of(id, s.parts) != s.part {
+			continue
+		}
 		if s.d.Verify(id) {
 			return true, nil
 		}
@@ -59,8 +69,8 @@ func fixture(t *testing.T, l, budget int) (*Driver, *script, [][]float32) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := New(p, fams, true, len(data))
-	return d, &script{d: d, ids: map[int][]uint32{}}, data
+	d := New(p, fams, true, len(data), 1)
+	return d, &script{d: d, ids: map[int][]uint32{}, part: -1}, data
 }
 
 func TestProbeOrderBudgetAndDedup(t *testing.T) {
@@ -87,7 +97,7 @@ func TestProbeOrderBudgetAndDedup(t *testing.T) {
 	if got, want := d.Stats, (Stats{Queries: 1, Radii: 3, Probes: 8, Checked: 5, Duplicates: 11}); got != want {
 		t.Errorf("counts %+v, want %+v", got, want)
 	}
-	if nb := d.TopK().ResultSq().Neighbors; len(nb) != 1 || nb[0].ID != 5 {
+	if nb := d.AppendResult(nil); len(nb) != 1 || nb[0].ID != 5 {
 		t.Errorf("nearest to x=100 among {1..5} should be 5, got %+v", nb)
 	}
 }
@@ -104,7 +114,7 @@ func TestTerminatesOnceKCertified(t *testing.T) {
 	if d.Radii != 2 {
 		t.Errorf("ran %d rounds, want 2", d.Radii)
 	}
-	if nb := d.TopK().ResultSq().Neighbors; len(nb) != 1 || nb[0].ID != 3 || nb[0].Dist != 3 {
+	if nb := d.AppendResult(nil); len(nb) != 1 || nb[0].ID != 3 || nb[0].Dist != 3 {
 		t.Errorf("got %+v, want id 3 at 3", nb)
 	}
 }
@@ -124,16 +134,16 @@ func TestCancelKeepsNeighborsErrorDropsThem(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if d.Radii != 1 || d.TopK().Len() != 1 {
-		t.Errorf("after cancellation: %d rounds, %d neighbors; want 1 and 1", d.Radii, d.TopK().Len())
+	if d.Radii != 1 || len(d.AppendResult(nil)) != 1 {
+		t.Errorf("after cancellation: %d rounds, %d neighbors; want 1 and 1", d.Radii, len(d.AppendResult(nil)))
 	}
 
 	s.onBegin, s.failAt = nil, "visit r1 l0"
 	if err := d.Run(context.Background(), s, q, data, Knobs{K: 1}); err == nil || err.Error() != "boom" {
 		t.Fatalf("err = %v, want the searcher's", err)
 	}
-	if d.TopK().Len() != 0 {
-		t.Errorf("a searcher error left %d neighbors in the accumulator", d.TopK().Len())
+	if len(d.AppendResult(nil)) != 0 {
+		t.Errorf("a searcher error left %d neighbors in the accumulator", len(d.AppendResult(nil)))
 	}
 }
 
@@ -150,5 +160,67 @@ func TestMultiProbeVisitsPerturbationsPerTable(t *testing.T) {
 	}
 	if d.Probes != 3*6 {
 		t.Errorf("%d probes over 3 rounds, want 18", d.Probes)
+	}
+}
+
+// TestPartitionsMatchPerPartitionLadders: a partitioned driver over one walk
+// answers exactly what one driver per partition, each offered only its own
+// objects, merges to the way the shard router does, and spends the same
+// distance checks and duplicates in total. The budget is small, so rounds end
+// with candidates of spent partitions left unverified for later rounds.
+func TestPartitionsMatchPerPartitionLadders(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	const n, l = 200, 6
+	data := make([][]float32, n)
+	for i := range data {
+		data[i] = []float32{rng.Float32() * 100, rng.Float32() * 100}
+	}
+	p := lsh.Params{Config: lsh.DefaultConfig(), N: n, Dim: 2, M: 2, L: l, S: 4,
+		Radii: []float64{1, 2, 4, 8, 16, 32, 64}}
+	fams, err := lsh.NewFamilies(p, true, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for trial := 0; trial < 40; trial++ {
+		ids := map[int][]uint32{}
+		for tb := 0; tb < l; tb++ {
+			for range 5 + rng.Intn(30) {
+				ids[tb] = append(ids[tb], uint32(rng.Intn(n)))
+			}
+		}
+		q := []float32{rng.Float32() * 100, rng.Float32() * 100}
+		parts := 2 + trial%3
+		kn := Knobs{K: 1 + trial%4, Budget: 1 + trial%5}
+
+		d := New(p, fams, true, n, parts)
+		if err := d.Run(context.Background(), &script{d: d, ids: ids, part: -1}, q, data, kn); err != nil {
+			t.Fatal(err)
+		}
+		got := d.AppendResult(nil)
+
+		merged := ann.NewTopK(kn.K)
+		var sum Stats
+		radii := 0
+		for part := 0; part < parts; part++ {
+			pd := New(p, fams, true, n, 1)
+			s := &script{d: pd, ids: ids, part: part, parts: parts}
+			if err := pd.Run(context.Background(), s, q, data, kn); err != nil {
+				t.Fatal(err)
+			}
+			for _, nb := range pd.AppendResult(nil) {
+				merged.Push(nb.ID, nb.Dist)
+			}
+			sum.Merge(pd.Stats)
+			radii = max(radii, pd.Radii)
+		}
+		want := merged.Result().Neighbors
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d (%d partitions, %+v): partitioned %v, per-partition ladders %v",
+				trial, parts, kn, got, want)
+		}
+		if d.Checked != sum.Checked || d.Duplicates != sum.Duplicates || d.Radii != radii {
+			t.Errorf("trial %d: %d checks, %d duplicates, %d rounds; per-partition ladders %d, %d, deepest %d",
+				trial, d.Checked, d.Duplicates, d.Radii, sum.Checked, sum.Duplicates, radii)
+		}
 	}
 }

@@ -273,7 +273,7 @@ type Searcher struct {
 func (ix *Index) NewSearcher() *Searcher {
 	return &Searcher{
 		ix:  ix,
-		lad: ladder.New(ix.params, ix.families, ix.opts.ShareProjections, len(ix.data)),
+		lad: ladder.New(ix.params, ix.families, ix.opts.ShareProjections, len(ix.data), 1),
 	}
 }
 
@@ -313,7 +313,7 @@ func (s *Searcher) SearchInto(ctx context.Context, q []float32, k int, dst []ann
 func (s *Searcher) Run(ctx context.Context, q []float32, kn ladder.Knobs, dst []ann.Neighbor) (ann.Result, ladder.Stats, error) {
 	err := s.lad.Run(ctx, s, q, s.ix.data, kn)
 	s.lad.IOsAtInf = 2 * s.lad.NonEmptyProbes
-	return ann.Result{Neighbors: s.lad.TopK().AppendResultSq(dst[:0])}, s.lad.Stats, err
+	return ann.Result{Neighbors: s.lad.AppendResult(dst[:0])}, s.lad.Stats, err
 }
 
 // BeginRound implements ladder.Rounds; in memory a round needs no set-up.

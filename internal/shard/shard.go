@@ -76,7 +76,7 @@ func Partition(n, shards int, p Placement) ([][]uint32, error) {
 		}
 	case Hash:
 		for g := 0; g < n; g++ {
-			i := int(mix64(uint64(g)) % uint64(shards))
+			i := Of(uint32(g), shards)
 			globals[i] = append(globals[i], uint32(g))
 		}
 		for i, part := range globals {
@@ -89,6 +89,12 @@ func Partition(n, shards int, p Placement) ([][]uint32, error) {
 	}
 	return globals, nil
 }
+
+// Of is the hash placement of object g over shards: mix64(g) mod shards. A
+// hash-partitioned index (one index whose ladder runs per partition) routes
+// candidates with the same function, so its partition p holds exactly the
+// objects Hash placement gives shard p.
+func Of(g uint32, shards int) int { return int(mix64(uint64(g)) % uint64(shards)) }
 
 // mix64 is the splitmix64 finalizer: a cheap, well-distributed integer hash
 // so sequential global IDs land on uncorrelated shards.

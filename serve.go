@@ -161,10 +161,11 @@ func NewServer(eng Engine, cfg ServerConfig) (*Server, error) {
 
 // admission sizes the coalescer for eng: how many batches it can run side by
 // side, and how long a lone query is held for company. A lone query occupies
-// as many processors as the engine has shards, so a sharded engine gets the
-// processors divided by its shards (at least one slot) and never holds; an
-// unsharded one gets a slot per processor and holds only for a positive
-// maxDelay.
+// as many processors as the engine has shards, so a sharded engine (a shard
+// router) gets the processors divided by its shards (at least one slot) and
+// never holds; an unsharded one — a StorageIndex split into hash partitions
+// included, whose partitions share one goroutine — gets a slot per processor
+// and holds only for a positive maxDelay.
 func admission(eng Engine, maxDelay time.Duration) (slots int, hold time.Duration) {
 	procs := runtime.GOMAXPROCS(0)
 	if sh, ok := eng.(interface{ Shards() int }); ok && sh.Shards() > 1 {

@@ -383,6 +383,16 @@ func TestServerAdmission(t *testing.T) {
 	if slots, _ := admission(shardedStub{shards: 2}, 0); slots != max(procs/2, 1) {
 		t.Errorf("two shards on %d processors: %d slots, want %d", procs, slots, max(procs/2, 1))
 	}
+	// Hash partitions are one engine: a lone query runs on one goroutine, so
+	// a partitioned index gets a slot per processor, like any other.
+	d := shardsDataset(t)
+	part, err := NewStorageIndex(d.Vectors, Config{}, WithShards(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slots, hold := admission(part, 0); slots != procs || hold != 0 {
+		t.Errorf("4 hash partitions on %d processors: %d slots, hold %v; want %d, no hold", procs, slots, hold, procs)
+	}
 }
 
 // TestLoneQueryNotHeld: on an idle unsharded server a lone /v1/search is cut

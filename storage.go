@@ -8,6 +8,7 @@ import (
 	"e2lshos/internal/blockstore"
 	"e2lshos/internal/diskindex"
 	"e2lshos/internal/ioengine"
+	"e2lshos/internal/shard"
 	"e2lshos/internal/telemetry"
 )
 
@@ -59,6 +60,9 @@ func NewStorageIndex(data [][]float32, cfg Config, opts ...StorageOption) (*Stor
 	if err := attachEngine(ix, set); err != nil {
 		return nil, err
 	}
+	if err := partition(ix, set.shards); err != nil {
+		return nil, err
+	}
 	if set.walDir != "" {
 		if err := ix.InitWAL(set.walDir, diskindex.WALConfig{FsyncEvery: set.fsyncEvery}); err != nil {
 			return nil, err
@@ -106,6 +110,9 @@ func OpenStorageIndex(path string, data [][]float32, opts ...StorageOption) (*St
 		return nil, err
 	}
 	if err := attachEngine(ix, set); err != nil {
+		return nil, err
+	}
+	if err := partition(ix, set.shards); err != nil {
 		return nil, err
 	}
 	return &StorageIndex{ix: ix}, nil
@@ -177,6 +184,20 @@ func attachEngine(ix *diskindex.Index, set storageSettings) error {
 		return err
 	}
 	ix.AttachIOEngine(eng, set.readahead)
+	return nil
+}
+
+// partition realizes WithShards on the index, refusing a partition that would
+// own no object as the shard router refuses an empty shard: with the same
+// placement check.
+func partition(ix *diskindex.Index, shards int) error {
+	if shards <= 1 {
+		return nil
+	}
+	if _, err := shard.Partition(len(ix.Data()), shards, shard.Hash); err != nil {
+		return fmt.Errorf("e2lshos: %w", err)
+	}
+	ix.SetPartitions(shards)
 	return nil
 }
 
@@ -253,3 +274,5 @@ func (s *StorageIndex) Insert(v []float32) (uint32, error) { return s.ix.Insert(
 func (s *StorageIndex) Delete(id uint32) (bool, error) { return s.ix.Delete(id) }
 
 func (s *StorageIndex) newQuerier() querier { return s.ix.NewWaveSearcher() }
+
+func (s *StorageIndex) partitions() int { return s.ix.Partitions() }
