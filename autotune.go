@@ -94,12 +94,3 @@ type autotuned interface {
 	observeServedRecall(target, recall float64)
 	autotuneSnapshot() *autotune.ModelSnapshot
 }
-
-// applyOutcome folds what the controller did to one query into its Stats.
-func applyOutcome(st *Stats, o autotune.Outcome) {
-	st.RoundsSkipped += o.RoundsSkipped
-	if o.BudgetExhausted {
-		st.BudgetExhausted++
-	}
-	st.DegradedKnobs += o.DegradedKnobs
-}

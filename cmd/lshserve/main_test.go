@@ -182,6 +182,7 @@ var statsPromNames = []string{
 	"lsh_stats_rounds_skipped_total",
 	"lsh_stats_budget_exhausted_total",
 	"lsh_stats_degraded_knobs_total",
+	"lsh_stats_recall_stopped_total",
 }
 
 // scrapeMetrics asserts the /metrics page carries every Stats counter by

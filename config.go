@@ -174,15 +174,17 @@ func WithStorageBackend(b blockstore.Backend) StorageOption {
 
 // WithShards splits the index's objects into s hash partitions — object g
 // belongs to partition splitmix64(g) mod s, the shard router's hash placement —
-// each with its own radius ladder, candidate budget and top-k, over one
-// index. A query walks the hash tables once (one projection, each block read
-// once) and feeds every partition still climbing; the answers are exactly
-// those of NewShardedIndex over s StorageShardBuilder(ShardConfig(cfg, data,
-// s)) shards with PlaceHash, which derive the same parameters and hash
-// families, at the I/O of the deepest partition's ladder instead of the sum
-// of s ladders. The index is still one engine: a lone query runs on one
-// goroutine. WithShards(1) is the unpartitioned index. Every partition must
-// own at least one object. Not yet combinable with WithWAL.
+// each with its own radius ladder, candidate budget, top-k and autotune
+// controller, over one index. A query walks the hash tables once (one
+// projection, each block read once) and feeds every partition still
+// climbing; the answers are exactly those of NewShardedIndex over s
+// StorageShardBuilder(ShardConfig(cfg, data, s)) shards with PlaceHash, which
+// derive the same parameters and hash families, at the I/O of the deepest
+// partition's ladder instead of the sum of s ladders. The index is still one
+// engine: a lone query runs on one goroutine. Every index is partitioned: the
+// default, WithShards(1), is one partition holding every object, the plain
+// E2LSH ladder. Every partition must own at least one object. Not yet
+// combinable with WithWAL.
 func WithShards(s int) StorageOption {
 	return func(st *storageSettings) { st.shards = s }
 }

@@ -224,19 +224,12 @@ type searchers struct {
 
 func (s *searchers) scratch() *searchers { return s }
 
-// partitions is how many hash partitions a querier's ladder runs: one,
-// unless the engine says otherwise (StorageIndex under WithShards).
-func (s *searchers) partitions() int { return 1 }
-
 // engineCore is what each engine contributes to the shared Search /
 // BatchSearch machinery: a querier factory, the free lists in front of it,
 // and the telemetry and autotune anchors (every engine embeds searchers,
 // telem and tune).
 type engineCore interface {
 	newQuerier() querier
-	// partitions is how many hash partitions a querier's ladder runs
-	// (≤ 1: one ladder); each takes its own autotune controller.
-	partitions() int
 	scratch() *searchers
 	collector() *telemetry.Collector
 	tuner() *autotune.Tuner
@@ -258,15 +251,15 @@ type call struct {
 	col   *telemetry.Collector
 	tn    *autotune.Tuner
 	waits []time.Duration
-	parts int
 }
 
 // run answers query i of the call on qr. With a collector it times the query
 // and, when the sampler picks it, hands the searcher a span trace; with a
-// tuner it checks out a controller — even untuned queries do, since they run
-// the full ladder anyway and train the recall/latency model for free. A
-// coalescer wait is stamped onto the trace, and the controller's clock starts
-// that much earlier, at admission. Both disabled, the cost is two nil checks.
+// tuner it hands the ladder the tuner, which starts the query's controllers —
+// even untuned queries get them, since they run the full ladder anyway and
+// train the recall/latency model for free. A coalescer wait is stamped onto
+// the trace, and the controllers' clock starts that much earlier, at
+// admission. Both disabled, the cost is two nil checks.
 func (c *call) run(ctx context.Context, qr querier, q []float32, i int, dst []ann.Neighbor) (Result, Stats, error) {
 	kn := c.set.Knobs
 	if c.set.each != nil {
@@ -286,29 +279,10 @@ func (c *call) run(ctx context.Context, qr querier, q []float32, i int, dst []an
 		}
 	}
 	t0 := time.Now()
-	if c.tn != nil {
-		base := autotune.Knobs{MultiProbe: kn.MultiProbe, BudgetS: kn.Budget, Readahead: true}
-		if c.parts > 1 {
-			kn.Ctls = make([]*autotune.Ctl, c.parts)
-			for p := range kn.Ctls {
-				kn.Ctls[p] = c.tn.Start(kn.Tuning, base, t0.Add(-wait))
-			}
-		} else {
-			kn.Ctl = c.tn.Start(kn.Tuning, base, t0.Add(-wait))
-		}
-	}
+	kn.Tuner, kn.Admitted = c.tn, t0.Add(-wait)
 	res, st, err := qr.Run(ctx, q, kn, dst)
 	if c.col != nil {
 		c.col.FinishQuery(time.Since(t0), kn.Trace)
-	}
-	if c.tn != nil {
-		// A partition's outcome folds in like a shard's would.
-		for _, ctl := range kn.Ctls {
-			applyOutcome(&st, c.tn.Finish(ctl))
-		}
-		if kn.Ctl != nil {
-			applyOutcome(&st, c.tn.Finish(kn.Ctl))
-		}
 	}
 	return res, st, err
 }
@@ -322,7 +296,7 @@ func engineSearch(ctx context.Context, e engineCore, q []float32, opts []SearchO
 	if err := ctx.Err(); err != nil {
 		return Result{}, Stats{}, err
 	}
-	c := call{set: set, col: e.collector(), tn: e.tuner(), parts: e.partitions()}
+	c := call{set: set, col: e.collector(), tn: e.tuner()}
 	qr := checkout(e)
 	res, st, err := c.run(ctx, qr, q, 0, nil)
 	e.scratch().queriers.give(qr)
@@ -439,7 +413,7 @@ func engineBatchSearch(ctx context.Context, e engineCore, queries [][]float32, o
 	// layer) onto sampled traces. The autotune controller reads the same
 	// waits so a coalesced query's latency budget starts at admission, not
 	// at batch dispatch.
-	r.col, r.tn, r.parts = e.collector(), e.tuner(), e.partitions()
+	r.col, r.tn = e.collector(), e.tuner()
 	if r.col != nil || r.tn != nil {
 		r.waits = telemetry.QueueWaits(ctx)
 	}

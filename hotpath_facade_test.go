@@ -2,6 +2,7 @@ package e2lshos
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"testing"
 )
@@ -115,4 +116,51 @@ func bytesPerRun(runs int, f func()) float64 {
 	}
 	runtime.ReadMemStats(&after)
 	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// TestTunedSearchZeroAllocs: a tuned Search allocates what the same call
+// allocates with autotuning off, on one hash partition and on four. The
+// ladder starts one controller per partition from the engine's tuner, and
+// controllers come out of the tuner's pool, so the controller hand-off costs
+// no allocation however many partitions the index has.
+func TestTunedSearchZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector has sync.Pool drop pooled controllers at random")
+	}
+	ctx := context.Background()
+	ds, err := GenerateDataset(DatasetSpec{
+		Name: "alloc", N: 2000, Queries: 20, Dim: 16, Clusters: 8, Spread: 0.05, Seed: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			ix, err := NewStorageIndex(ds.Vectors, Config{Sigma: 8}, WithShards(shards))
+			if err != nil {
+				t.Fatal(err)
+			}
+			qi := 0
+			search := func() {
+				q := ds.Queries[qi%len(ds.Queries)]
+				qi++
+				if _, _, err := ix.Search(ctx, q, WithK(10), WithTuning(SearchTuning{RecallTarget: 0.9})); err != nil {
+					t.Fatal(err)
+				}
+			}
+			measure := func() float64 {
+				for range ds.Queries { // warm-up: the pooled searcher and controllers
+					search()
+				}
+				return testing.AllocsPerRun(100, search)
+			}
+			untuned := measure()
+			if err := ix.EnableAutotune(); err != nil {
+				t.Fatal(err)
+			}
+			if tuned := measure(); tuned != untuned {
+				t.Errorf("a tuned Search allocates %v times, an untuned one %v", tuned, untuned)
+			}
+		})
+	}
 }

@@ -230,9 +230,10 @@ func (t *Tuner) ObserveServedRecall(target, recall float64) {
 // Snapshot exposes the model state for metrics and tests.
 func (t *Tuner) Snapshot() ModelSnapshot { return t.model.Snapshot() }
 
-// Ctl is one query's controller. It is checked out of a Tuner, installed on
-// a searcher, called from the ladder loop (BeforeRound / AfterRound /
-// EndLadder), and returned via Tuner.Finish. Not safe for concurrent use.
+// Ctl steers one query's ladder (with hash partitions, one partition's). The
+// ladder loop checks it out of a Tuner, calls it around every round
+// (BeforeRound / AfterRound, then EndLadder), and returns it via
+// Tuner.Finish. Not safe for concurrent use.
 type Ctl struct {
 	t     *Tuner
 	tu    Tuning

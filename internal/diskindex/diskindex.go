@@ -103,9 +103,9 @@ type Index struct {
 	ioeng     *ioengine.Engine
 	readahead int
 
-	// parts > 1 splits the objects into that many hash partitions, each
-	// climbing its own radius ladder over one walk of the tables (see
-	// internal/ladder). Set before searchers are created.
+	// parts splits the objects into that many hash partitions (at least
+	// one), each climbing its own radius ladder over one walk of the tables
+	// (see internal/ladder). Set before searchers are created.
 	parts int
 
 	// upd is the mutation state: the update RWMutex that serializes
@@ -129,12 +129,9 @@ func (ix *Index) Data() [][]float32 { return ix.data }
 // SetPartitions makes every searcher created afterwards run one radius
 // ladder per hash partition of the objects (shard.Of), over one walk of the
 // hash tables: what a shard router would answer from parts indexes built
-// with this index's parameters and hash families, read once. parts ≤ 1 runs
-// one ladder.
+// with this index's parameters and hash families, read once. parts ≤ 1 gives
+// one partition holding every object: the plain ladder.
 func (ix *Index) SetPartitions(parts int) { ix.parts = parts }
-
-// Partitions returns the hash partition count (0 or 1: unpartitioned).
-func (ix *Index) Partitions() int { return ix.parts }
 
 // TableBits returns the paper's u.
 func (ix *Index) TableBits() uint { return ix.u }

@@ -141,12 +141,10 @@ func AutotuneSweep(env *Env) (*AutotuneSweepResult, error) {
 		baseDurs = baseDurs[:0]
 		for qi, q := range ds.Queries {
 			t0 := time.Now()
-			ctl := tn.Start(autotune.Tuning{}, autotune.Knobs{}, t0)
-			res, st, err := searchDisk(s, q, ladder.Knobs{K: k, Ctl: ctl})
+			res, st, err := searchDisk(s, q, ladder.Knobs{K: k, Tuner: tn, Admitted: t0})
 			if err != nil {
 				return nil, err
 			}
-			tn.Finish(ctl)
 			shadow[qi] = res
 			baseIO += st.IOs()
 			baseDurs = append(baseDurs, time.Since(t0))
@@ -162,19 +160,16 @@ func AutotuneSweep(env *Env) (*AutotuneSweepResult, error) {
 		durs := make([]time.Duration, 0, ds.NQ())
 		for qi, q := range ds.Queries {
 			t0 := time.Now()
-			ctl := tn.Start(autotune.Tuning{RecallTarget: target}, autotune.Knobs{}, t0)
-			got, st, err := searchDisk(s, q, ladder.Knobs{K: k, Ctl: ctl})
+			kn := ladder.Knobs{K: k, Tuning: autotune.Tuning{RecallTarget: target}, Tuner: tn, Admitted: t0}
+			got, st, err := searchDisk(s, q, kn)
 			if err != nil {
 				return nil, err
 			}
-			out := tn.Finish(ctl)
 			ios += st.IOs()
 			retained += retainedFrac(got, shadow[qi])
 			durs = append(durs, time.Since(t0))
-			if out.RecallStopped {
-				row.Stopped++
-			}
-			row.RoundsSkipped += out.RoundsSkipped
+			row.Stopped += st.RecallStopped
+			row.RoundsSkipped += st.RoundsSkipped
 		}
 		row.MeanIO = float64(ios) / float64(ds.NQ())
 		row.Retained = retained / float64(ds.NQ())

@@ -355,8 +355,9 @@ func retryable(err error) bool {
 // blockingOp is the backend time above which an operation counts as having
 // blocked: a few goroutine hand-offs. Under it (a page-cache pread, a memory
 // slab) handing the next run to another goroutine costs more than performing
-// it; over it (any real device) the wave's runs are worth overlapping.
-const blockingOp = 10 * time.Microsecond
+// it; over it (any real device) the wave's runs are worth overlapping. A
+// variable only so that tests can pin which side of it an operation falls.
+var blockingOp = 10 * time.Microsecond
 
 // operate performs one physical backend operation — block k of ws alone, or
 // the run of blocks [k, hi) — under the engine's depth bound, and remembers

@@ -8,12 +8,14 @@
 // dedup and termination are therefore literally the same code on every
 // engine, which is what lets them be compared at equal accuracy.
 //
-// A driver may split the index's objects into hash partitions (shard.Of):
-// each partition then climbs the ladder on its own — its own budget per
-// round, top-k and termination test — while the hash tables are walked once
-// for all of them. The answer is exactly what a shard router would merge from
-// one index per partition built with the same parameters and hash families,
-// and the walk reads what the deepest partition's ladder reads, not the sum.
+// A driver splits the index's objects into one or more hash partitions
+// (shard.Of), and each partition climbs the ladder on its own — its own budget
+// per round, top-k, termination test and autotune controller — while the hash
+// tables are walked once for all of them. One partition is the plain E2LSH
+// ladder; with more, the answer is exactly what a shard router would merge
+// from one index per partition built with the same parameters and hash
+// families, and the walk reads what the deepest partition's ladder reads, not
+// the sum.
 //
 // The virtual-time engine path (diskindex's asyncRun) is deliberately not a
 // client: a callback state machine on the simulator's clock cannot share a
@@ -50,21 +52,22 @@ type Knobs struct {
 	// perturbed neighbors (§8 extension; see lsh.PerturbationSets).
 	MultiProbe int
 	// Tuning is the query's SLO contract (recall target, latency budget,
-	// out-of-budget policy). The run itself does not read it: whoever starts
-	// the query's controller does, and hands the controller over as Ctl.
+	// out-of-budget policy), which the controllers Tuner starts steer by.
 	Tuning autotune.Tuning
 	// Trace, when non-nil, receives the per-round project/io/verify/round
 	// spans of a sampled query.
 	Trace *telemetry.Trace
-	// Ctl, when non-nil, is the autotune controller consulted around every
-	// round; it may lower the budget and multi-probe, gate readahead, and
-	// stop the ladder early.
-	Ctl *autotune.Ctl
-	// Ctls replaces Ctl on a partitioned driver: one controller per
-	// partition, each steering its partition's ladder. A round probes with
-	// the largest multi-probe any live partition's controller allows and
-	// reads ahead if any allows it.
-	Ctls []*autotune.Ctl
+	// Tuner, when non-nil, steers the run: Run starts one controller per
+	// partition, consults it around every round of that partition's ladder —
+	// it may lower the budget and multi-probe, gate readahead, and stop the
+	// ladder early — and finishes it before returning, folding what it did
+	// into Stats. A round probes with the largest multi-probe any live
+	// partition's controller allows and reads ahead if any allows it.
+	Tuner *autotune.Tuner
+	// Admitted is when the query entered the system, where its controllers'
+	// latency budget starts (for a coalesced query, admission, so queue wait
+	// counts against it); the zero value means when Run starts.
+	Admitted time.Time
 }
 
 // Rounds is the searcher's side of a run. The driver calls BeginRound once
@@ -94,13 +97,13 @@ type IO struct {
 
 // Driver runs the ladder for one searcher and owns the state every run
 // needs: projection and hash buffers, the multi-probe floor arenas, the
-// epoch-stamped visited array, the top-k accumulator (one per partition on a
-// partitioned driver) and the running query's Stats. The driver counts
-// rounds, probes, candidate checks and duplicates; the searcher's Visit and
-// EndRound count everything else straight into the same struct. Radii counts
-// the rounds walked, however many partitions took part in each. After
-// warm-up a run allocates nothing (multi-probe's perturbation sets aside).
-// Not safe for concurrent use.
+// epoch-stamped visited array, each partition's ladder and the running
+// query's Stats. The driver counts rounds, probes, candidate checks,
+// duplicates and what the controllers did; the searcher's Visit and EndRound
+// count everything else straight into the same struct. Radii counts the
+// rounds walked, however many partitions took part in each. After warm-up a
+// run allocates nothing (multi-probe's perturbation sets aside). Not safe for
+// concurrent use.
 type Driver struct {
 	Stats
 
@@ -115,21 +118,18 @@ type Driver struct {
 	pfloors []int64
 	seen    []uint32
 	epoch   uint32
-	topk    *ann.TopK
 
-	// parts holds the partitions' ladders of a partitioned driver (nil
-	// otherwise); live counts those still verifying in the current round.
+	// parts holds the hash partitions' ladders, at least one; live counts
+	// those still verifying in the current round.
 	parts  []partition
 	live   int
 	merged *ann.TopK
 	nbs    []ann.Neighbor
 
 	// The running query.
-	q       []float32
-	data    [][]float32
-	trace   *telemetry.Trace
-	budget  int // this round's candidate budget
-	checked int // candidates verified this round
+	q     []float32
+	data  [][]float32
+	trace *telemetry.Trace
 }
 
 // partition is one hash partition's ladder: what a shard's own driver would
@@ -147,34 +147,35 @@ type partition struct {
 
 // New returns a driver over an index's parameters and hash families (one
 // shared family, or one per radius), with the visited array sized for n
-// objects. parts > 1 splits the objects into that many hash partitions, each
-// climbing its own ladder over the one table walk; parts ≤ 1 runs one ladder.
+// objects. The objects are split into max(parts, 1) hash partitions, each
+// climbing its own ladder over the one table walk.
 func New(p lsh.Params, families []*lsh.Family, share bool, n, parts int) *Driver {
-	d := &Driver{
+	return &Driver{
 		p:        p,
 		families: families,
 		share:    share,
 		proj:     make([]float64, p.L*p.M),
 		hashes:   make([]uint32, p.L),
 		seen:     make([]uint32, n),
+		parts:    make([]partition, max(parts, 1)),
 	}
-	if parts > 1 {
-		d.parts = make([]partition, parts)
-	}
-	return d
 }
 
 // AppendResult appends the last run's neighbors to dst, sorted by ascending
 // distance then ID, and returns the extended slice (nil dst gets fresh
-// backing). A partitioned driver merges its partitions' winners in partition
-// order, keyed on the rounded distance: exactly the shard router's merge of
-// one index per partition.
+// backing). Several partitions' winners are merged in partition order, keyed
+// on the rounded distance: exactly the shard router's merge of one index per
+// partition.
 func (d *Driver) AppendResult(dst []ann.Neighbor) []ann.Neighbor {
-	if d.parts == nil {
-		return d.topk.AppendResultSq(dst)
+	if len(d.parts) == 1 {
+		return d.parts[0].topk.AppendResultSq(dst)
+	}
+	k := d.parts[0].topk.K()
+	if d.merged == nil {
+		d.merged = ann.NewTopK(k)
 	}
 	m := d.merged
-	m.Reset(d.parts[0].topk.K())
+	m.Reset(k)
 	for i := range d.parts {
 		d.nbs = d.parts[i].topk.AppendResultSq(d.nbs[:0])
 		for _, nb := range d.nbs {
@@ -194,10 +195,12 @@ func (d *Driver) Proj() []float64 { return d.proj }
 // Trace returns the running query's span buffer (nil when unsampled).
 func (d *Driver) Trace() *telemetry.Trace { return d.trace }
 
-// Run answers one top-k query for q over data, leaving the winners in TopK
-// and the query's counters in Stats. ctx is polled between rounds; on
-// cancellation the neighbors accumulated so far stand and ctx.Err() is
-// returned. An error from the searcher empties the accumulator.
+// Run answers one top-k query for q over data, leaving the winners for
+// AppendResult and the query's counters in Stats. ctx is polled between
+// rounds; on cancellation the neighbors accumulated so far stand and
+// ctx.Err() is returned. An error from the searcher empties the
+// accumulators. Every controller Run starts is finished before it returns,
+// whichever way the run ends.
 func (d *Driver) Run(ctx context.Context, rounds Rounds, q []float32, data [][]float32, kn Knobs) error {
 	if kn.Budget < 0 || kn.MultiProbe < 0 {
 		panic("ladder: negative budget or multi-probe count")
@@ -218,19 +221,11 @@ func (d *Driver) Run(ctx context.Context, rounds Rounds, q []float32, data [][]f
 		clear(d.seen)
 		d.epoch = 1
 	}
-	if d.topk == nil {
-		d.topk = ann.NewTopK(kn.K)
-	} else {
-		d.topk.Reset(kn.K)
-	}
-	topk := d.topk
 	budget := kn.Budget
 	if budget == 0 {
 		budget = p.S
 	}
-	if d.parts != nil {
-		d.startParts(kn)
-	}
+	d.startParts(kn)
 	if kn.MultiProbe > 0 && d.floors == nil {
 		d.floors = make([]int64, p.L*p.M)
 		d.fracs = make([]float64, p.L*p.M)
@@ -240,27 +235,15 @@ func (d *Driver) Run(ctx context.Context, rounds Rounds, q []float32, data [][]f
 		d.families[0].ProjectInto(d.proj, q)
 	}
 	tr := kn.Trace
+	var err error
 	//lsh:ladder
 	for r, radius := range p.Radii {
-		if err := ctx.Err(); err != nil {
-			return err
+		if err = ctx.Err(); err != nil {
+			break
 		}
-		mp, readahead := kn.MultiProbe, true
-		d.budget = budget
-		if d.parts != nil {
-			if mp, readahead = d.beginParts(r, budget, mp); d.live == 0 {
-				break
-			}
-		} else if c := kn.Ctl; c != nil {
-			res, proceed := c.BeforeRound(r, budget)
-			if !proceed {
-				break
-			}
-			d.budget, readahead = res.BudgetS, res.Readahead
-			// The controller only ever degrades multi-probe.
-			if res.MultiProbe < mp {
-				mp = res.MultiProbe
-			}
+		mp, readahead := d.beginParts(r, budget, kn.MultiProbe)
+		if d.live == 0 {
+			break
 		}
 		d.Radii++
 		roundStart := tr.Clock()
@@ -279,18 +262,15 @@ func (d *Driver) Run(ctx context.Context, rounds Rounds, q []float32, data [][]f
 		projEnd := tr.Clock()
 		checked0, probes0, nonEmpty0 := d.Checked, d.Probes, d.NonEmptyProbes
 		rounds.BeginRound(ctx, r, readahead)
-		d.checked = 0
-		err := d.probe(rounds, fam, r, mp)
 		var io IO
-		if err == nil {
+		if err = d.probe(rounds, fam, r, mp); err == nil {
 			io, err = rounds.EndRound(r)
 		}
 		if err != nil {
-			topk.Reset(kn.K)
 			for i := range d.parts {
 				d.parts[i].topk.Reset(kn.K)
 			}
-			return err
+			break
 		}
 		if tr.Active() {
 			// Without an I/O stage of its own (in memory, or reads and checks
@@ -306,38 +286,21 @@ func (d *Driver) Run(ctx context.Context, rounds Rounds, q []float32, data [][]f
 				int64(d.Probes-probes0), int64(d.NonEmptyProbes-nonEmpty0))
 		}
 		cr := p.C * radius
-		if d.parts != nil {
-			if d.endParts(r, cr*cr, kn.K) {
-				break
-			}
-			continue
-		}
-		certified := topk.CountWithin(cr * cr)
-		if topk.Full() && certified >= kn.K {
-			break
-		}
-		if c := kn.Ctl; c != nil && c.AfterRound(r, topk, certified) {
+		if d.endParts(r, cr*cr, kn.K) {
 			break
 		}
 	}
-	for i := range d.parts {
-		if pt := &d.parts[i]; pt.ctl != nil {
-			pt.ctl.EndLadder(pt.topk, pt.radii, p.R())
-		}
-	}
-	if c := kn.Ctl; c != nil {
-		c.EndLadder(topk, d.Radii, p.R())
-	}
-	return nil
+	d.finishParts(kn.Tuner, err == nil)
+	return err
 }
 
-// startParts resets every partition's ladder for a new query.
+// startParts resets every partition's ladder for a new query and, with a
+// tuner, starts each partition's controller from the query's knobs.
 func (d *Driver) startParts(kn Knobs) {
-	if kn.Ctl != nil || (kn.Ctls != nil && len(kn.Ctls) != len(d.parts)) {
-		panic("ladder: a partitioned run takes one controller per partition in Knobs.Ctls")
-	}
-	if d.merged == nil {
-		d.merged = ann.NewTopK(kn.K)
+	base := autotune.Knobs{MultiProbe: kn.MultiProbe, BudgetS: kn.Budget, Readahead: true}
+	start := kn.Admitted
+	if kn.Tuner != nil && start.IsZero() {
+		start = time.Now()
 	}
 	for i := range d.parts {
 		pt := &d.parts[i]
@@ -347,8 +310,34 @@ func (d *Driver) startParts(kn Knobs) {
 			pt.topk.Reset(kn.K)
 		}
 		pt.ctl, pt.radii, pt.done = nil, 0, false
-		if kn.Ctls != nil {
-			pt.ctl = kn.Ctls[i]
+		if kn.Tuner != nil {
+			pt.ctl = kn.Tuner.Start(kn.Tuning, base, start)
+		}
+	}
+}
+
+// finishParts hands every partition's controller back to tn and folds its
+// outcome into Stats. Only a run that walked its ladder to the end (ended
+// is false on a cancellation or a searcher error) closes the ladder first,
+// which is what lets the controller train the model on it.
+func (d *Driver) finishParts(tn *autotune.Tuner, ended bool) {
+	for i := range d.parts {
+		pt := &d.parts[i]
+		if pt.ctl == nil {
+			continue
+		}
+		if ended {
+			pt.ctl.EndLadder(pt.topk, pt.radii, d.p.R())
+		}
+		o := tn.Finish(pt.ctl)
+		pt.ctl = nil
+		d.RoundsSkipped += o.RoundsSkipped
+		d.DegradedKnobs += o.DegradedKnobs
+		if o.BudgetExhausted {
+			d.BudgetExhausted++
+		}
+		if o.RecallStopped {
+			d.RecallStopped++
 		}
 	}
 }
@@ -373,10 +362,11 @@ func (d *Driver) beginParts(r, budget, mp int) (int, bool) {
 				pt.done = true
 				continue
 			}
+			// The controller only ever degrades multi-probe.
 			b, pmp, ra = res.BudgetS, min(res.MultiProbe, mp), res.Readahead
 		}
 		// Verify spends a round once checked reaches the budget, so a zero
-		// budget still verifies one candidate, as it does unpartitioned.
+		// budget still verifies one candidate.
 		pt.budget = max(b, 1)
 		pt.radii++
 		d.live++
@@ -439,39 +429,22 @@ func (d *Driver) probe(rounds Rounds, fam *lsh.Family, r, mp int) error {
 	return nil
 }
 
-// Verify offers one bucket entry as a candidate: an object already seen by
-// this query counts as a duplicate, a new one costs a distance check, pruned
-// against the current k-th squared distance (exact — an abandoned candidate
-// can never enter the top-k; see vecmath.SqDistBounded). It reports whether
-// the round's budget is now spent — on a partitioned driver, every live
-// partition's.
+// Verify offers one bucket entry as a candidate to its partition's ladder:
+// an object already seen by this query counts as a duplicate, a new one costs
+// a distance check, pruned against the partition's current k-th squared
+// distance (exact — an abandoned candidate can never enter the top-k; see
+// vecmath.SqDistBounded). A partition that is done or has spent this round's
+// budget skips the candidate without marking it seen, exactly as a shard's
+// round that stopped verifying leaves its remaining candidates for a later
+// round. Verify reports whether every live partition's budget is now spent,
+// which ends the round.
 //
 //lsh:hotpath
 func (d *Driver) Verify(id uint32) bool {
-	if d.parts != nil {
-		return d.verifyPart(id)
+	pt := &d.parts[0]
+	if n := len(d.parts); n > 1 {
+		pt = &d.parts[shard.Of(id, n)]
 	}
-	if d.seen[id] == d.epoch {
-		d.Duplicates++
-		return false
-	}
-	d.seen[id] = d.epoch
-	if sq, ok := vecmath.SqDistBounded(d.data[id], d.q, d.topk.Worst()); ok {
-		d.topk.Push(id, sq)
-	}
-	d.Checked++
-	d.checked++
-	return d.checked >= d.budget
-}
-
-// verifyPart is Verify on a partitioned driver: the candidate goes to its
-// partition's ladder. A partition that is done or has spent this round's
-// budget skips it without marking it seen, exactly as a shard's round that
-// stopped verifying leaves its remaining candidates for a later round.
-//
-//lsh:hotpath
-func (d *Driver) verifyPart(id uint32) bool {
-	pt := &d.parts[shard.Of(id, len(d.parts))]
 	if pt.checked >= pt.budget {
 		return false
 	}

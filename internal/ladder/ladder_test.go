@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"e2lshos/internal/ann"
+	"e2lshos/internal/autotune"
 	"e2lshos/internal/lsh"
 	"e2lshos/internal/shard"
 )
@@ -222,5 +223,108 @@ func TestPartitionsMatchPerPartitionLadders(t *testing.T) {
 			t.Errorf("trial %d: %d checks, %d duplicates, %d rounds; per-partition ladders %d, %d, deepest %d",
 				trial, d.Checked, d.Duplicates, d.Radii, sum.Checked, sum.Duplicates, radii)
 		}
+	}
+}
+
+// TestTunerRunFinishesItsControllers: with Knobs.Tuner the driver starts one
+// controller per partition and finishes every one of them however the run
+// ends. Controllers that ask for nothing leave the answer and the counters
+// exactly as without a tuner, and each partition's full ladder trains the
+// model once. A cancelled run and a run failed by its searcher train nothing
+// and return their controllers once: the next run still checks out one
+// distinct controller per partition and trains exactly that many ladders.
+func TestTunerRunFinishesItsControllers(t *testing.T) {
+	const n, l = 200, 4
+	rng := rand.New(rand.NewSource(3))
+	data := make([][]float32, n)
+	ids := map[int][]uint32{}
+	for i := range data {
+		data[i] = []float32{rng.Float32() * 100, rng.Float32() * 100}
+		// Table 0's bucket holds every object, so every partition's ladder
+		// finds candidates and ends with a non-empty top-k to train on.
+		ids[0] = append(ids[0], uint32(i))
+	}
+	for tb := 1; tb < l; tb++ {
+		for range 20 {
+			ids[tb] = append(ids[tb], uint32(rng.Intn(n)))
+		}
+	}
+	p := lsh.Params{Config: lsh.DefaultConfig(), N: n, Dim: 2, M: 2, L: l, S: 4,
+		Radii: []float64{1, 2, 4, 8, 16}}
+	fams, err := lsh.NewFamilies(p, true, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := []float32{50, 50}
+	for _, parts := range []int{1, 3} {
+		plain := New(p, fams, true, n, parts)
+		if err := plain.Run(context.Background(), &script{d: plain, ids: ids, part: -1}, q, data, Knobs{K: 3}); err != nil {
+			t.Fatal(err)
+		}
+		want, wantStats := plain.AppendResult(nil), plain.Stats
+
+		tn := autotune.New(autotune.Config{})
+		d := New(p, fams, true, n, parts)
+		s := &script{d: d, ids: ids, part: -1}
+		kn := Knobs{K: 3, Tuner: tn}
+		run := func(ctx context.Context) error {
+			s.log = s.log[:0]
+			return d.Run(ctx, s, q, data, kn)
+		}
+		finished := func(what string) {
+			for i := range d.parts {
+				if d.parts[i].ctl != nil {
+					t.Errorf("%d partitions, %s: partition %d's controller not finished", parts, what, i)
+				}
+			}
+		}
+		trains := func(what string, want int) {
+			if got := tn.Snapshot().Ladders; got != want {
+				t.Errorf("%d partitions, %s: model trained on %d ladders, want %d", parts, what, got, want)
+			}
+		}
+
+		if err := run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if got := d.AppendResult(nil); !slices.Equal(got, want) || d.Stats != wantStats {
+			t.Errorf("%d partitions: tuned run %v %+v, untuned %v %+v", parts, got, d.Stats, want, wantStats)
+		}
+		finished("normal end")
+		trains("one run", parts)
+
+		ctx, cancel := context.WithCancel(context.Background())
+		s.onBegin = func(int) { cancel() }
+		if err := run(ctx); !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+		finished("cancelled")
+		s.onBegin, s.failAt = nil, "visit r1 l0"
+		if err := run(context.Background()); err == nil || err.Error() != "boom" {
+			t.Fatalf("err = %v, want the searcher's", err)
+		}
+		finished("searcher error")
+		trains("after a cancelled and a failed run", parts)
+
+		// A controller put back twice would come out of the pool twice.
+		s.failAt = ""
+		s.onBegin = func(r int) {
+			if r != 0 {
+				return
+			}
+			seen := map[*autotune.Ctl]bool{}
+			for i := range d.parts {
+				if c := d.parts[i].ctl; c == nil || seen[c] {
+					t.Errorf("%d partitions: partition %d runs controller %p, shared or missing", parts, i, c)
+				} else {
+					seen[c] = true
+				}
+			}
+		}
+		if err := run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		finished("next run")
+		trains("the next run", 2*parts)
 	}
 }

@@ -94,6 +94,9 @@ type Stats struct {
 	// mid-query (readahead off, multi-probe down, candidate budget down) to
 	// stay within latency budgets.
 	DegradedKnobs int `json:"degraded_knobs"`
+	// RecallStopped counts ladders the controller stopped early because the
+	// estimated recall had reached the query's target.
+	RecallStopped int `json:"recall_stopped"`
 }
 
 // numCounters is the number of fields of Stats.

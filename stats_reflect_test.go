@@ -71,6 +71,7 @@ var statsJSONKeys = map[string]string{
 	"RoundsSkipped":    "rounds_skipped",
 	"BudgetExhausted":  "budget_exhausted",
 	"DegradedKnobs":    "degraded_knobs",
+	"RecallStopped":    "recall_stopped",
 }
 
 // statsStubEngine answers every batch with a fixed Stats, so the serving

@@ -274,5 +274,3 @@ func (s *StorageIndex) Insert(v []float32) (uint32, error) { return s.ix.Insert(
 func (s *StorageIndex) Delete(id uint32) (bool, error) { return s.ix.Delete(id) }
 
 func (s *StorageIndex) newQuerier() querier { return s.ix.NewWaveSearcher() }
-
-func (s *StorageIndex) partitions() int { return s.ix.Partitions() }
