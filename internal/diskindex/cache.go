@@ -14,12 +14,12 @@ import (
 // searchers, online updates, the invariant checker — goes through readOne
 // (one block) or readBatch (one wave), and each has exactly two bodies: the
 // attached ioengine, or the block store read in line on the calling
-// goroutine. Queue depth, the
-// block cache, retries, dedup, coalescing and readahead all live inside the
-// engine; without one the index runs at depth 1 with none of them. The
-// virtual-time engine path (async.go) is deliberately outside the seam: it
-// models the paper's raw-device experiments, where §6.5's page cache is a
-// simulation of its own.
+// goroutine. Queue depth, the block cache, retries, dedup, coalescing and
+// readahead all live inside the engine; without one the index runs at depth
+// 1 with none of them. The virtual-time engine (sim.go) gives the
+// WaveSearcher its own read hook in place of readBatch: it models the
+// paper's raw-device experiments, where §6.5's page cache is a simulation of
+// its own.
 
 // AttachIOEngine routes the index's reads through the shared vectored I/O
 // engine, which must wrap this index's store. With readahead > 0 and a cache

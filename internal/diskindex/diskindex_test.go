@@ -2,6 +2,8 @@ package diskindex
 
 import (
 	"bytes"
+	"context"
+	"fmt"
 	"testing"
 
 	"e2lshos/internal/ann"
@@ -9,6 +11,7 @@ import (
 	"e2lshos/internal/costmodel"
 	"e2lshos/internal/dataset"
 	"e2lshos/internal/iosim"
+	"e2lshos/internal/ladder"
 	"e2lshos/internal/lsh"
 	"e2lshos/internal/memindex"
 	"e2lshos/internal/sched"
@@ -276,39 +279,75 @@ func TestChainTraversal(t *testing.T) {
 	}
 }
 
-func TestAsyncMatchesSyncWithGenerousBudget(t *testing.T) {
-	d, ix, _ := testSetup(t, 2000, 1000, DefaultOptions())
-	sync := ix.NewSearcher()
-
-	pool, err := iosim.NewPool(iosim.CSSD, 1)
-	if err != nil {
-		t.Fatal(err)
+// TestAsyncMatchesServingSearcher: a virtual-time query runs the serving
+// WaveSearcher's ladder, so at any budget, k, projection mode, block size and
+// scheduling mode its neighbors are bitwise the reference Searcher's and its
+// work counters — reads included — are exactly the WaveSearcher's under the
+// same knobs, and the engine's I/O count is those logical reads in physical
+// blocks.
+func TestAsyncMatchesServingSearcher(t *testing.T) {
+	ctx := context.Background()
+	type schedMode struct {
+		name string
+		cpus int
+		sync bool
 	}
-	eng, err := sched.New(sched.Config{CPUs: 1, Iface: iosim.IOUring, Pool: pool, Store: ix.Store()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	results := make([]AsyncResult, d.NQ())
-	_, err = eng.RunBatch(d.NQ(), 4, ix.AsyncQueryFunc(costmodel.Default(), d.Queries, 5, 0, results))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for qi, q := range d.Queries {
-		want, wantSt, err := sync.Search(q, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := results[qi]
-		if len(got.Result.Neighbors) != len(want.Neighbors) {
-			t.Fatalf("query %d: async %d neighbors, sync %d", qi, len(got.Result.Neighbors), len(want.Neighbors))
-		}
-		for i := range want.Neighbors {
-			if got.Result.Neighbors[i] != want.Neighbors[i] {
-				t.Fatalf("query %d rank %d: async %+v, sync %+v", qi, i, got.Result.Neighbors[i], want.Neighbors[i])
+	modes := []schedMode{{"sync", 1, true}, {"async1", 1, false}, {"async2", 2, false}}
+	for _, bucketBytes := range []int{512, 1024} {
+		for _, share := range []bool{true, false} {
+			opts := Options{ShareProjections: share, Seed: 1, BucketBytes: bucketBytes}
+			d, ix, _ := testSetup(t, 2000, 1000, opts)
+			ref, wave := ix.NewSearcher(), ix.NewWaveSearcher()
+			for _, budget := range []int{0, 2, 8, ix.Params().S / 2} {
+				for _, k := range []int{1, 5} {
+					kn := ladder.Knobs{K: k, Budget: budget}
+					for _, m := range modes {
+						name := fmt.Sprintf("B=%d/share=%v/budget=%d/k=%d/%s", bucketBytes, share, budget, k, m.name)
+						pool, err := iosim.NewPool(iosim.CSSD, 2)
+						if err != nil {
+							t.Fatal(err)
+						}
+						eng, err := sched.New(sched.Config{CPUs: m.cpus, Iface: iosim.IOUring, Pool: pool, Store: ix.Store(), Sync: m.sync})
+						if err != nil {
+							t.Fatal(err)
+						}
+						results := make([]AsyncResult, d.NQ())
+						rep, err := eng.RunBatch(d.NQ(), 4, ix.AsyncQueryFunc(costmodel.Default(), d.Queries, k, budget, results))
+						if err != nil {
+							t.Fatal(err)
+						}
+						var physical int64
+						for qi, q := range d.Queries {
+							want, _, err := ref.Run(ctx, q, kn, nil)
+							if err != nil {
+								t.Fatal(err)
+							}
+							_, wst, err := wave.Run(ctx, q, kn, nil)
+							if err != nil {
+								t.Fatal(err)
+							}
+							got, gst := results[qi].Result, results[qi].Stats
+							if fmt.Sprint(got.Neighbors) != fmt.Sprint(want.Neighbors) {
+								t.Fatalf("%s query %d:\n async     %v\n reference %v", name, qi, got.Neighbors, want.Neighbors)
+							}
+							type counters struct {
+								Radii, Probes, NonEmptyProbes, EntriesScanned, Checked, Duplicates, TableIOs, BucketIOs int
+							}
+							of := func(st Stats) counters {
+								return counters{st.Radii, st.Probes, st.NonEmptyProbes, st.EntriesScanned,
+									st.Checked, st.Duplicates, st.TableIOs, st.BucketIOs}
+							}
+							if of(gst) != of(wst) {
+								t.Fatalf("%s query %d:\n async %+v\n wave  %+v", name, qi, of(gst), of(wst))
+							}
+							physical += int64(gst.TableIOs + gst.BucketIOs*ix.physPerBucket)
+						}
+						if rep.IOs != physical {
+							t.Fatalf("%s: engine read %d blocks, the queries %d", name, rep.IOs, physical)
+						}
+					}
+				}
 			}
-		}
-		if got.Stats.Checked != wantSt.Checked {
-			t.Fatalf("query %d: async checked %d, sync %d", qi, got.Stats.Checked, wantSt.Checked)
 		}
 	}
 }

@@ -138,11 +138,10 @@ func (s *searcher) settle() {
 // Searcher executes queries synchronously against the store's data plane:
 // no virtual time, just block reads, one at a time, stopping the moment a
 // round's budget is spent. It is the reference implementation the serving
-// WaveSearcher and the asynchronous engine path are tested against, and the
-// I/O-count oracle for the Fig 3–8 analyses; it is not on the serving path.
-// Reads and distance checks interleave bucket by bucket, so a traced run
-// reports them together as the round's verify stage. Not safe for concurrent
-// use; create one per worker.
+// WaveSearcher is tested against, and the I/O-count oracle for the Fig 3–8
+// analyses; it is not on the serving path. Reads and distance checks
+// interleave bucket by bucket, so a traced run reports them together as the
+// round's verify stage. Not safe for concurrent use; create one per worker.
 type Searcher struct {
 	searcher
 	buf []byte

@@ -46,6 +46,12 @@ type WaveSearcher struct {
 	heads    []blockstore.Addr
 	offs     []int
 	cands    []candidate
+	// read fetches one wave; it is Index.readBatch except under the
+	// virtual-time engine, which suspends the query there (see sim.go).
+	// bst is the running fetch's engine outcome, a field so that passing
+	// it through read does not move it to the heap.
+	read func(addrs []blockstore.Addr, dsts [][]byte, group int, bst *ioengine.BatchStats) ([]bool, error)
+	bst  ioengine.BatchStats
 }
 
 // NewWaveSearcher creates a searcher. The I/O engine may be attached before
@@ -54,6 +60,7 @@ func (ix *Index) NewWaveSearcher() *WaveSearcher {
 	s := &WaveSearcher{}
 	s.init(ix, s)
 	s.sizeArenas(ix.params.L)
+	s.read = ix.readBatch
 	return s
 }
 
@@ -184,7 +191,8 @@ func (s *WaveSearcher) fetch(rIdx int, st *Stats) error {
 		return nil
 	}
 	ix := s.ix
-	var bst ioengine.BatchStats
+	bst := &s.bst
+	*bst = ioengine.BatchStats{}
 
 	// Wave 0: all table-entry blocks, stashing each probe's head-pointer
 	// byte offset for the decode loop.
@@ -197,7 +205,7 @@ func (s *WaveSearcher) fetch(rIdx int, st *Stats) error {
 	}
 	tr := s.lad.Trace()
 	waveStart := tr.Clock()
-	ok, err := ix.readBatch(addrs, dsts, 1, &bst)
+	ok, err := s.read(addrs, dsts, 1, bst)
 	if err != nil {
 		return err
 	}
@@ -231,7 +239,7 @@ func (s *WaveSearcher) fetch(rIdx int, st *Stats) error {
 			}
 		}
 		waveStart = tr.Clock()
-		ok, err = ix.readBatch(addrs, dsts, phys, &bst)
+		ok, err = s.read(addrs, dsts, phys, bst)
 		if err != nil {
 			return err
 		}
@@ -269,6 +277,6 @@ func (s *WaveSearcher) fetch(rIdx int, st *Stats) error {
 		}
 		live, heads = nextLive, nextHeads
 	}
-	foldBatchStats(st, bst)
+	foldBatchStats(st, *bst)
 	return nil
 }

@@ -1,12 +1,12 @@
-// Package ladder is the E2LSH query algorithm's one wall-clock loop (paper
-// §2.3, §5.4): walk the geometric radius schedule, per radius hash the query,
-// probe the L buckets (plus their multi-probe perturbations), verify at most
-// S distinct candidates, and stop once k neighbors sit inside c·R. The
-// in-memory searcher, the block-at-a-time disk reference and the serving wave
-// searcher all run this loop; they differ only in what visiting a bucket and
-// finishing a round mean, which is the Rounds interface. Budget, probe order,
-// dedup and termination are therefore literally the same code on every
-// engine, which is what lets them be compared at equal accuracy.
+// Package ladder is the E2LSH query algorithm's one loop (paper §2.3, §5.4):
+// walk the geometric radius schedule, per radius hash the query, probe the L
+// buckets (plus their multi-probe perturbations), verify at most S distinct
+// candidates, and stop once k neighbors sit inside c·R. The in-memory
+// searcher, the block-at-a-time disk reference and the serving wave searcher
+// all run this loop; they differ only in what visiting a bucket and finishing
+// a round mean, which is the Rounds interface. Budget, probe order, dedup and
+// termination are therefore literally the same code on every engine, which is
+// what lets them be compared at equal accuracy.
 //
 // A driver splits the index's objects into one or more hash partitions
 // (shard.Of), and each partition climbs the ladder on its own — its own budget
@@ -17,10 +17,10 @@
 // families, and the walk reads what the deepest partition's ladder reads, not
 // the sum.
 //
-// The virtual-time engine path (diskindex's asyncRun) is deliberately not a
-// client: a callback state machine on the simulator's clock cannot share a
-// blocking loop, and staying separate makes it the independent cross-check
-// of this one.
+// The virtual-time simulator is a client too: each simulated query runs
+// Driver.Run over the serving wave searcher inside an iter.Pull coroutine,
+// which suspends at every read wave until the scheduler's clock has
+// delivered the wave's blocks.
 package ladder
 
 import (

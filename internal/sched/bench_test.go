@@ -28,7 +28,7 @@ func BenchmarkEngineThroughput(b *testing.B) {
 		_, err = e.RunBatch(256, 16, func(q int, tc *Ctx, done func()) {
 			remaining := 8
 			for j := 0; j < 8; j++ {
-				tc.Read(blockstore.Addr(1+(q+j)%64), func(block []byte) {
+				readOne(tc, blockstore.Addr(1+(q+j)%64), func(block []byte) {
 					remaining--
 					if remaining == 0 {
 						done()

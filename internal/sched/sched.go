@@ -67,7 +67,7 @@ func (c Config) Validate() error {
 }
 
 // QueryFunc is the body of one query. It runs as the query's first segment;
-// it may Charge CPU time, issue Reads, and must eventually call done
+// it may Charge CPU time, issue ReadVec batches, and must eventually call done
 // (possibly from a read continuation).
 type QueryFunc func(q int, tc *Ctx, done func())
 
@@ -117,7 +117,7 @@ func New(cfg Config) (*Engine, error) {
 
 // Ctx is a query's execution context. One Ctx accompanies a query through
 // all of its segments; the engine rebinds its clock at every segment start,
-// so Charge, Read and done always act at the query's current virtual time.
+// so Charge, ReadVec and done always act at the query's current virtual time.
 // Methods may only be called while one of the query's segments is executing.
 type Ctx struct {
 	e      *Engine
@@ -145,47 +145,16 @@ func (tc *Ctx) Charge(ns simclock.Time) {
 	tc.e.compute += ns
 }
 
-// Read requests one block. In asynchronous mode the CPU pays the interface
-// overhead now and cont runs on the same CPU (with this same Ctx) when the
-// data arrives; in synchronous mode the CPU blocks until the data is
-// available and cont runs inline. The block buffer passed to cont is only
-// valid during cont's execution.
-func (tc *Ctx) Read(addr blockstore.Addr, cont func(block []byte)) {
-	e := tc.e
-	e.ios++
-	if e.cfg.Sync {
-		tc.syncRead(addr, cont)
-		return
-	}
-	// Fig 1(B): pay T_request on this CPU, then hand off to the device.
-	tc.t += e.cfg.Iface.RequestOverhead
-	e.ioOverhead += e.cfg.Iface.RequestOverhead
-	issueAt := tc.t
-	e.q.Schedule(issueAt, func() {
-		doneAt := e.cfg.Pool.Submit(e.q.Now(), uint64(addr))
-		e.q.Schedule(doneAt, func() {
-			buf := e.getBuf()
-			e.readBlockDegraded(tc, addr, buf)
-			e.enqueue(tc.cpu, segment{
-				ctx:       tc,
-				notBefore: e.q.Now(),
-				fn:        func() { cont(buf) },
-				buf:       buf,
-			})
-		})
-	})
-}
-
-// ReadVec submits a batch of block reads as one vectored round (§5.4 with
-// the PR-5 submission path): the CPU pays the interface overhead once per
-// coalesced run of adjacent addresses — the request-merging a vectored
-// submission interface (preadv, io_uring linked SQEs) performs — instead of
-// once per block, then every block is handed to the device pool at the same
-// issue time, so the device sees the whole batch as its queue depth. cont
-// runs on the issuing CPU as each block arrives, with this same Ctx; the
-// order of continuations follows device completion order. It returns the
-// number of coalesced runs charged, so callers can report
-// len(addrs) − runs as reads saved by coalescing.
+// ReadVec submits a batch of block reads as one vectored round (§5.4): the
+// CPU pays the interface overhead once per coalesced run of adjacent
+// addresses — the request-merging a vectored submission interface (preadv,
+// io_uring linked SQEs) performs — instead of once per block, then every
+// block is handed to the device pool at the same issue time, so the device
+// sees the whole batch as its queue depth. cont runs on the issuing CPU as
+// each block arrives, with this same Ctx; the order of continuations follows
+// device completion order, and the block buffer passed to cont is only valid
+// during cont's execution. It returns the number of coalesced runs charged,
+// so callers can report len(addrs) − runs as reads saved by coalescing.
 //
 // In synchronous mode (Fig 1A) there is no vectored submission to model:
 // the batch degrades to the blocking per-read path, overhead and all, and

@@ -33,6 +33,12 @@ func newEngine(t *testing.T, cfg Config) *Engine {
 	return e
 }
 
+// readOne reads one block as a one-address ReadVec, which charges one
+// request's overhead and counts one I/O.
+func readOne(tc *Ctx, a blockstore.Addr, cont func(block []byte)) {
+	tc.ReadVec([]blockstore.Addr{a}, func(_ int, block []byte) { cont(block) })
+}
+
 func mustPool(t *testing.T, spec iosim.DeviceSpec, n int) *iosim.Pool {
 	t.Helper()
 	p, err := iosim.NewPool(spec, n)
@@ -115,7 +121,7 @@ func TestSyncMatchesEquation6(t *testing.T) {
 				done()
 				return
 			}
-			tc.Read(blockstore.Addr(i+1), func(block []byte) {
+			readOne(tc, blockstore.Addr(i+1), func(block []byte) {
 				chain(i + 1)
 			})
 		}
@@ -145,7 +151,7 @@ func TestAsyncIOBoundMatchesEquation7(t *testing.T) {
 	rep, err := e.RunBatch(queries, 64, func(q int, tc *Ctx, done func()) {
 		remaining := iosPerQuery
 		for i := 0; i < iosPerQuery; i++ {
-			tc.Read(blockstore.Addr(1+(q*iosPerQuery+i)%256), func(block []byte) {
+			readOne(tc, blockstore.Addr(1+(q*iosPerQuery+i)%256), func(block []byte) {
 				remaining--
 				if remaining == 0 {
 					done()
@@ -181,7 +187,7 @@ func TestAsyncCPUBoundMatchesEquation7(t *testing.T) {
 		tc.Charge(computePerQuery)
 		remaining := iosPerQuery
 		for i := 0; i < iosPerQuery; i++ {
-			tc.Read(blockstore.Addr(1+(q+i)%64), func(block []byte) {
+			readOne(tc, blockstore.Addr(1+(q+i)%64), func(block []byte) {
 				remaining--
 				if remaining == 0 {
 					done()
@@ -216,9 +222,9 @@ func TestAsyncFasterThanSync(t *testing.T) {
 					done()
 					return
 				}
-				tc.Read(blockstore.Addr(1+q%64), func(block []byte) { chain() })
+				readOne(tc, blockstore.Addr(1+q%64), func(block []byte) { chain() })
 			}
-			tc.Read(blockstore.Addr(1+q%64), func(block []byte) { chain() })
+			readOne(tc, blockstore.Addr(1+q%64), func(block []byte) { chain() })
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -236,7 +242,7 @@ func TestInterleavingRaisesThroughput(t *testing.T) {
 		store := testStore(t, 64)
 		e := newEngine(t, Config{CPUs: 1, Iface: iosim.SPDK, Pool: mustPool(t, iosim.CSSD, 1), Store: store})
 		rep, err := e.RunBatch(256, contexts, func(q int, tc *Ctx, done func()) {
-			tc.Read(blockstore.Addr(1+q%64), func(block []byte) { done() })
+			readOne(tc, blockstore.Addr(1+q%64), func(block []byte) { done() })
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -257,8 +263,8 @@ func TestPageCacheMode(t *testing.T) {
 	})
 	rep, err := e.RunBatch(1, 1, func(q int, tc *Ctx, done func()) {
 		// Two reads of the same block: first faults, second hits.
-		tc.Read(1, func(b []byte) {
-			tc.Read(1, func(b []byte) { done() })
+		readOne(tc, 1, func(b []byte) {
+			readOne(tc, 1, func(b []byte) { done() })
 		})
 	})
 	if err != nil {
@@ -279,7 +285,7 @@ func TestDeterministicRuns(t *testing.T) {
 		e := newEngine(t, Config{CPUs: 4, Iface: iosim.SPDK, Pool: mustPool(t, iosim.ESSD, 2), Store: store})
 		rep, err := e.RunBatch(128, 8, func(q int, tc *Ctx, done func()) {
 			tc.Charge(simclock.Time(100 * (q%7 + 1)))
-			tc.Read(blockstore.Addr(1+q%64), func(block []byte) {
+			readOne(tc, blockstore.Addr(1+q%64), func(block []byte) {
 				tc.Charge(500)
 				done()
 			})
@@ -305,7 +311,7 @@ func TestBlockDataDelivered(t *testing.T) {
 	e := newEngine(t, Config{CPUs: 1, Iface: iosim.IOUring, Pool: mustPool(t, iosim.XLFDD, 1), Store: store})
 	var got []byte
 	_, err := e.RunBatch(1, 1, func(q int, tc *Ctx, done func()) {
-		tc.Read(5, func(block []byte) {
+		readOne(tc, 5, func(block []byte) {
 			got = append([]byte(nil), block[:4]...)
 			done()
 		})
@@ -406,7 +412,7 @@ func TestSharedPageCacheAcrossEngines(t *testing.T) {
 				return
 			}
 			if _, err := e.RunBatch(queries, 1, func(q int, tc *Ctx, done func()) {
-				tc.Read(blockstore.Addr(q%64+1), func(b []byte) { done() })
+				readOne(tc, blockstore.Addr(q%64+1), func(b []byte) { done() })
 			}); err != nil {
 				errs <- err
 			}

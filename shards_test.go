@@ -101,6 +101,44 @@ func TestShardsMatchRouter(t *testing.T) {
 	}
 }
 
+// TestSimulateMatchesBatchSearch: the virtual-time engine runs the serving
+// ladder over the index's hash partitions, so Simulate answers bit for bit
+// as BatchSearch does and its N_IO is the mean of the queries' Stats.IOs().
+func TestSimulateMatchesBatchSearch(t *testing.T) {
+	ctx := context.Background()
+	d := shardsDataset(t)
+	for _, s := range []int{1, 4} {
+		ix, err := NewStorageIndex(d.Vectors, Config{Sigma: 2}, WithShards(s))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range []int{1, 10} {
+			name := fmt.Sprintf("s=%d/k=%d", s, k)
+			sts := make([]Stats, len(d.Queries))
+			want, _, err := ix.BatchSearch(ctx, d.Queries, WithK(k), WithStatsInto(sts))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := ix.Simulate(d.Queries, SimulationConfig{
+				Device: ConsumerSSD, Iface: IOUring, Threads: 2, K: k, QueueDepth: 4,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var ios int
+			for qi := range want {
+				if fmt.Sprint(rep.Results[qi].Neighbors) != fmt.Sprint(want[qi].Neighbors) {
+					t.Fatalf("%s query %d:\n simulated %v\n batch     %v", name, qi, rep.Results[qi].Neighbors, want[qi].Neighbors)
+				}
+				ios += sts[qi].IOs()
+			}
+			if mean := float64(ios) / float64(len(want)); rep.MeanIOsPerQuery != mean {
+				t.Errorf("%s: simulated N_IO %v, searched %v", name, rep.MeanIOsPerQuery, mean)
+			}
+		}
+	}
+}
+
 // TestShardsInsertFindsItself: a vector inserted into a partitioned index
 // lands in its own partition and comes back as its own nearest neighbor.
 func TestShardsInsertFindsItself(t *testing.T) {

@@ -85,8 +85,8 @@ type SimulationReport struct {
 	// MeanIOsPerQuery is the paper's N_IO.
 	MeanIOsPerQuery float64
 	// FaultedReads is how many block reads failed at the store during the
-	// simulation and were served degraded (the async path's zero-block
-	// degrade); nonzero only over a faulty backend.
+	// simulation; the simulator serves such a read as a zero block, which
+	// ends its chain. Nonzero only over a faulty backend.
 	FaultedReads int64
 	// Results are the per-query answers.
 	Results []Result
