@@ -118,13 +118,12 @@ func WithReadahead(depth int) StorageOption {
 // WithIOEngine routes every read of the index through a shared vectored
 // asynchronous I/O engine driving the backend at the given queue depth:
 // each radius round's table entries and bucket-chain waves are submitted as
-// vectored batches, runs of adjacent blocks coalesce into single physical
-// reads, and concurrent requests for the same block across queries share
-// one backend read (singleflight dedup). Combine with WithBlockCache to put
-// the engine's dedup table in front of the cache tier; alone, the engine
-// still batches, coalesces and dedups against the raw store. Stats then
-// report CoalescedReads and DedupedReads alongside the unchanged logical
-// N_IO. The engine is the only place reads overlap: an index built without
+// vectored batches, a block asked for twice in one wave is read once, and
+// runs of adjacent blocks coalesce into single physical reads. Combine with
+// WithBlockCache to serve hits before any of that; alone, the engine still
+// batches and coalesces against the raw store. Stats then report
+// PhysicalReads, CoalescedReads and DedupedReads alongside the unchanged
+// logical N_IO. The engine is the only place reads overlap: an index built without
 // it (and without WithBlockCache or WithRetries, which attach one at the
 // default depth of 16) reads its store one block at a time on the querying
 // goroutine — the right configuration for a RAM-resident store, where a

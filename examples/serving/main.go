@@ -1,9 +1,8 @@
-// Serving: the full serving subsystem in one process. A dataset is
-// partitioned across heterogeneous shards (a hot in-memory shard in front of
-// cold storage shards), served through lshserve's HTTP handler with the
-// query coalescer batching concurrent callers, and hammered by a concurrent
-// client load; throughput comes from the wall clock and recall from the
-// server's own shadow scoring.
+// Serving: the full serving subsystem in one process. One storage index is
+// split into hash partitions (WithShards, as lshserve -shards builds it),
+// served through lshserve's HTTP handler with the query coalescer batching
+// concurrent callers, and hammered by a concurrent client load; throughput
+// comes from the wall clock and recall from the server's own shadow scoring.
 package main
 
 import (
@@ -32,22 +31,15 @@ func main() {
 		k      = 5
 	)
 
-	// One hot in-memory shard, three cold storage shards — the router folds
-	// their different Stats (the storage shards contribute N_IO) into one
-	// stream. ShardConfig keeps per-shard accuracy at the unsharded level.
-	cfg := e2lshos.ShardConfig(e2lshos.Config{Sigma: 64}, ds.Vectors, shards)
-	ix, err := e2lshos.NewShardedIndex(ds.Vectors, shards, e2lshos.PlaceHash,
-		func(shardNum int, vectors [][]float32) (e2lshos.Engine, error) {
-			if shardNum == 0 {
-				return e2lshos.NewInMemoryIndex(vectors, cfg)
-			}
-			return e2lshos.NewStorageIndex(vectors, cfg)
-		})
+	// One index, four hash partitions: a query walks the hash tables once
+	// and each partition climbs its own radius ladder with its own budget
+	// and top-k.
+	ix, err := e2lshos.NewStorageIndex(ds.Vectors, e2lshos.Config{Sigma: 64},
+		e2lshos.WithShards(shards))
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("sharded index: %d shards (1 hot in-memory + %d cold storage), n=%d\n",
-		shards, shards-1, ds.N())
+	fmt.Printf("storage index: %d hash partitions, n=%d\n", shards, ds.N())
 
 	srv, err := e2lshos.NewServer(ix, e2lshos.ServerConfig{
 		Dim: ds.Dim, K: k,
@@ -116,7 +108,7 @@ func main() {
 	fmt.Printf("%d requests on %d client workers in %v (%d failed, %d shed)\n",
 		requests, workers, elapsed.Round(time.Millisecond), nFailed, stats.Shed)
 	fmt.Printf("throughput: %.0f queries/s end to end\n", float64(requests)/elapsed.Seconds())
-	fmt.Printf("per query:  %.1f I/Os, %.1f radius rounds (cold shards only pay I/O)\n",
+	fmt.Printf("per query:  %.1f I/Os, %.1f radius rounds\n",
 		stats.MeanIOs, stats.MeanRadii)
 	fmt.Printf("accuracy:   recall@%d %.3f, overall ratio %.4f (server shadow scoring)\n",
 		k, stats.MeanRecall, stats.MeanRatio)

@@ -14,9 +14,9 @@ import (
 // searchers, online updates, the invariant checker — goes through readOne
 // (one block) or readBatch (one wave), and each has exactly two bodies: the
 // attached ioengine, or the block store read in line on the calling
-// goroutine. Queue depth, the block cache, retries, dedup, coalescing and
-// readahead all live inside the engine; without one the index runs at depth
-// 1 with none of them. The virtual-time engine (sim.go) gives the
+// goroutine. Queue depth, the block cache, retries, coalescing, sharing one
+// read among a wave's duplicates and readahead all live inside the engine;
+// without one the index runs at depth 1 with none of them. The virtual-time engine (sim.go) gives the
 // WaveSearcher its own read hook in place of readBatch: it models the
 // paper's raw-device experiments, where §6.5's page cache is a simulation of
 // its own.
@@ -48,17 +48,15 @@ func (ix *Index) Cache() *blockcache.Cache {
 }
 
 // readOne reads one physical block through the attached engine or, without
-// one, straight from the store. The engine body passes a background context:
-// demand reads always run to completion, and query cancellation stays at its
-// documented radius-round granularity.
+// one, straight from the store. Demand reads always run to completion; query
+// cancellation stays at its documented radius-round granularity.
 //
 //lsh:hotpath
 func (ix *Index) readOne(a blockstore.Addr, buf []byte, bst *ioengine.BatchStats) error {
 	if ix.ioeng == nil {
 		return ix.store.ReadBlock(a, buf)
 	}
-	//lsh:ctxok demand reads run to completion by design; see the doc comment
-	return ix.ioeng.Read(context.Background(), a, buf, bst)
+	return ix.ioeng.Read(a, buf, bst)
 }
 
 // readBlock is readOne for the block-at-a-time callers (the reference
@@ -80,20 +78,21 @@ func (ix *Index) readBlock(a blockstore.Addr, buf []byte, st *Stats) error {
 // only the chains that are actually unreadable. Any other error aborts.
 //
 // With an engine the wave goes out as one vectored submission (coalescing,
-// dedup, queue depth), under a background context like readOne. Without one
+// in-wave dedup, queue depth), which the engine runs to completion like
+// readOne. Without one
 // — the degenerate configuration: depth 1, no cache, no goroutines — the
 // block-at-a-time loop below is the whole read: each block is read at most
 // once and a logical block is abandoned at its first bad physical block, so
 // one injected fault is exactly one faulted read. The same loop is the
 // engine's cold path behind a wave-level storage fault: the engine already
-// published (and cached) every healthy block of the failed wave and
+// cached every healthy block of the failed wave and
 // quarantined the condemned addresses, so the re-reads are cache hits or
 // fast fails, not a second trip through the backoff ladder.
 //
 //lsh:hotpath
 func (ix *Index) readBatch(addrs []blockstore.Addr, dsts [][]byte, group int, bst *ioengine.BatchStats) ([]bool, error) {
 	if ix.ioeng != nil {
-		//lsh:ctxok round-granularity cancellation by design; see readOne
+		//lsh:ctxok the engine runs a wave to completion; cancellation is round-granular
 		err := ix.ioeng.ReadBatch(context.Background(), addrs, dsts, bst)
 		if !storageFault(err) {
 			return nil, err

@@ -97,8 +97,8 @@ type Index struct {
 	occupied [][][]uint64
 
 	// ioeng, when attached, serves every wall-clock read: bounded queue
-	// depth, the block cache, retries, adjacent-block coalescing and
-	// cross-query dedup. readahead > 0 additionally prefetches the next
+	// depth, the block cache, retries, adjacent-block coalescing and one
+	// read per block per wave. readahead > 0 additionally prefetches the next
 	// radius round's chains through it. See cache.go.
 	ioeng     *ioengine.Engine
 	readahead int

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -261,6 +262,8 @@ func TestVectoredCoalescingSavesReads(t *testing.T) {
 		}
 		agg.BucketIOs += st.BucketIOs
 		agg.CoalescedReads += st.CoalescedReads
+		agg.PhysicalReads += st.PhysicalReads
+		agg.DedupedReads += st.DedupedReads
 	}
 	if agg.BucketIOs == 0 {
 		t.Fatal("no bucket reads; test is vacuous")
@@ -271,16 +274,13 @@ func TestVectoredCoalescingSavesReads(t *testing.T) {
 		t.Errorf("coalesced %d reads over %d logical bucket IOs; want >= %d",
 			agg.CoalescedReads, agg.BucketIOs, agg.BucketIOs*7)
 	}
-	reads, physical, coalesced, _ := engCounters(vec)
-	if physical+coalesced != reads {
-		t.Errorf("engine counters inconsistent: %d phys + %d coalesced != %d reads",
-			physical, coalesced, reads)
+	// Every block the engine was asked for is one physical, coalesced or
+	// deduped read of some query.
+	reads := vec.IOEngine().Counters().Reads
+	if got := int64(agg.PhysicalReads + agg.CoalescedReads + agg.DedupedReads); got != reads {
+		t.Errorf("per-query stats inconsistent: %d phys + %d coalesced + %d deduped != %d engine reads",
+			agg.PhysicalReads, agg.CoalescedReads, agg.DedupedReads, reads)
 	}
-}
-
-func engCounters(ix *Index) (reads, physical, coalesced, deduped int64) {
-	c := ix.IOEngine().Counters()
-	return c.Reads, c.PhysicalReads, c.CoalescedReads, c.DedupedReads
 }
 
 // TestVectoredReadaheadAgrees: engine-attached readahead (vectored prefetch
@@ -325,7 +325,7 @@ func TestVectoredReadaheadAgrees(t *testing.T) {
 }
 
 // TestVectoredConcurrentSearchersRace: many WaveSearchers sharing one
-// engine (dedup table, depth semaphore, cache) must stay correct under the
+// engine (depth bound, cache) must stay correct under the
 // race detector and agree with the serial reference.
 func TestVectoredConcurrentSearchersRace(t *testing.T) {
 	d, ix, _ := testSetup(t, 2000, 8, DefaultOptions())
@@ -376,12 +376,12 @@ func TestVectoredConcurrentSearchersRace(t *testing.T) {
 	}
 }
 
-// TestCrossQueryDedupOnSlowDevice: on a device-timed backend, reads stay in
-// flight long enough for concurrent searchers walking the same buckets to
-// join each other's reads — the integrated singleflight path. (On a DRAM
-// backend flights retire in nanoseconds and dedup rarely triggers; the
-// timing-free mechanism tests live in the ioengine package.)
-func TestCrossQueryDedupOnSlowDevice(t *testing.T) {
+// TestConcurrentSearchersOnSlowDevice: on a device-timed backend, where
+// every wave fans out to helper goroutines, eight concurrent searchers over
+// the same queries each return the neighbors and logical stats of a lone
+// searcher, and no query reports more backend, coalesced and deduped reads
+// than its logical N_IO.
+func TestConcurrentSearchersOnSlowDevice(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock timing test")
 	}
@@ -393,6 +393,20 @@ func TestCrossQueryDedupOnSlowDevice(t *testing.T) {
 		t.Fatal(err)
 	}
 	wall.AttachIOEngine(eng, 0)
+	queries := d.Queries[:5]
+	type answer struct {
+		res ann.Result
+		st  Stats
+	}
+	lone := make([]answer, len(queries))
+	ps := wall.NewWaveSearcher()
+	for qi, q := range queries {
+		res, st, err := ps.Search(q, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lone[qi] = answer{res, st}
+	}
 	const searchers = 8
 	var wg sync.WaitGroup
 	for w := 0; w < searchers; w++ {
@@ -401,22 +415,26 @@ func TestCrossQueryDedupOnSlowDevice(t *testing.T) {
 			defer wg.Done()
 			ps := wall.NewWaveSearcher()
 			// Everyone walks the same queries: maximal overlap.
-			for _, q := range d.Queries[:5] {
-				if _, _, err := ps.Search(q, 1); err != nil {
+			for qi, q := range queries {
+				res, st, err := ps.Search(q, 1)
+				if err != nil {
 					t.Error(err)
 					return
+				}
+				want := lone[qi]
+				if !slices.Equal(res.Neighbors, want.res.Neighbors) {
+					t.Errorf("query %d: neighbors diverged under concurrency", qi)
+				}
+				if w, g := logicalStats(want.st), logicalStats(st); w != g {
+					t.Errorf("query %d: logical stats diverged\nwant: %+v\ngot:  %+v", qi, w, g)
+				}
+				if st.PhysicalReads+st.CoalescedReads+st.DedupedReads > st.IOs() {
+					t.Errorf("query %d: engine counters exceed N_IO: %+v", qi, st)
 				}
 			}
 		}()
 	}
 	wg.Wait()
-	c := eng.Counters()
-	if c.DedupedReads == 0 {
-		t.Errorf("%d concurrent searchers over identical queries shared no reads: %+v", searchers, c)
-	}
-	if c.PhysicalReads+c.CoalescedReads+c.DedupedReads > c.Reads {
-		t.Errorf("counters overlap: %+v", c)
-	}
 }
 
 // wallIndex reloads ix onto a store timed like the given device (scaled), so

@@ -178,8 +178,9 @@ func (s *WaveSearcher) Visit(r, l int, h uint32) (bool, error) {
 // wave, then every live chain's current logical block as one wave per chain
 // depth, until all chains drain. With an engine attached each wave is one
 // vectored submission, so adjacent blocks coalesce (a logical block spanning
-// several physical blocks contributes adjacent addresses), concurrent
-// queries dedup, and the backend sees the configured queue depth. It fills
+// several physical blocks contributes adjacent addresses), a block probed
+// twice in one wave is read once, and the backend sees the configured queue
+// depth. It fills
 // each probe's fingerprint-matched ids and folds the I/O, entry and engine
 // counters into st. A chain cut short by an unreadable block is skipped
 // (degraded mode); the ids it collected before the cut still verify.

@@ -5,35 +5,25 @@
 // The paper's Table 2 shows that SSD-class devices only reach their rated
 // random-read IOPS at high queue depth; issuing one blocking ReadBlock at a
 // time leaves the device at queue depth 1. The engine accepts *vectored*
-// batches of block addresses — one radius round's table entries, one wave of
-// bucket-chain blocks — and drives the backend with up to Depth concurrent
-// physical operations, after two traffic-reducing passes:
+// waves of block addresses — one radius round's table entries, one level of
+// bucket-chain blocks — and serves each in two steps:
 //
-//   - Coalescing: the batch's cache misses are sorted and runs of adjacent
-//     addresses merge into single vectored backend calls (one pread on the
-//     file backend), bounded by blockstore.MaxCoalesce.
-//   - Dedup: duplicates within one batch always share one backend read.
-//     While the backend blocks, concurrent requests for the same block —
-//     coalescer fan-in and shard fan-out routinely hash different queries
-//     to the same buckets — also share one in-flight read, singleflight
-//     style, through a dedup table in front of the cache: a joiner never
-//     touches the backend and never double-counts a miss. The table exists
-//     only while the engine's latest operation blocked (see blockingOp);
-//     while it does not, DedupedReads counts in-batch duplicates alone,
-//     because a ≈ 0.5 µs page-cache pread is cheaper than a contended map
-//     insert and delete under the engine lock.
+//   - Cache: when a cache is attached, every position is probed first, and a
+//     hit never reaches the backend. Every backend read fills the cache.
+//   - Coalesced reads at queue depth: the wave's misses are sorted, the
+//     first of each run of equal addresses leads the read (its duplicates
+//     copy from it afterwards), and runs of adjacent addresses merge into
+//     single vectored backend calls (one pread on the file backend), bounded
+//     by blockstore.MaxCoalesce. Up to Depth of them are in flight at once.
 //
-// Submission: a wave's runs are performed by the goroutine that asked for
-// them, and helpers — up to Depth−1 — are started only once the backend is
-// seen to block. A backend that answers from memory or the page cache pays
-// for no goroutine hand-off; a device still sees the wave at full depth.
+// A wave's runs are performed by the goroutine that asked for them, and
+// helpers — up to Depth−1 — are started only once the backend is seen to
+// block. A backend that answers from memory or the page cache pays for no
+// goroutine hand-off; a device still sees the wave at full depth.
 //
-// Cache interaction: when a cache is attached, every miss's fill goes
-// through it (Put on completion), and a demand hit is served from it without
-// reaching the dedup or submission layers; cache probes run outside the
-// engine lock, so hits keep the cache's lock-striped concurrency. Leaders
-// complete their reads even if a waiter's context is canceled, so a canceled
-// query can never poison a read another query is waiting on.
+// Reads are never shared between calls: two queries that miss on the same
+// block both read it, as in the paper. Every read a call starts runs to
+// completion; cancellation is the caller's business between waves.
 package ioengine
 
 import (
@@ -90,12 +80,11 @@ type Options struct {
 // units the searchers fold into their Stats.
 type BatchStats struct {
 	// CacheHits and CacheMisses count cache outcomes (zero without a cache).
-	// A deduped read counts as a hit: it never reached the backend on this
-	// caller's behalf.
+	// A deduped read counts as a hit: it never reached the backend.
 	CacheHits   int
 	CacheMisses int
-	// DedupedReads counts reads satisfied by joining another caller's
-	// in-flight backend read.
+	// DedupedReads counts reads satisfied by an earlier position of the same
+	// wave that asked for the same block.
 	DedupedReads int
 	// CoalescedReads counts backend reads saved by merging runs of adjacent
 	// addresses into single physical operations.
@@ -116,16 +105,10 @@ func (s *BatchStats) add(o BatchStats) {
 // Counters are the engine's cumulative totals, for the serving layer's
 // /metrics.
 type Counters struct {
-	// Reads is the number of block reads requested (demand traffic;
-	// prefetch waves count only in PhysicalReads/CoalescedReads).
+	// Reads is the number of block reads requested (demand traffic; prefetch
+	// waves are not counted). The per-call BatchStats break a call's reads
+	// down into cache hits, dedups, coalesced and physical reads.
 	Reads int64
-	// PhysicalReads is the number of physical backend operations issued
-	// (retry attempts included).
-	PhysicalReads int64
-	// CoalescedReads is the reads absorbed by adjacent-run merging.
-	CoalescedReads int64
-	// DedupedReads is the demand reads absorbed by singleflight sharing.
-	DedupedReads int64
 	// RetriedReads is the number of retry attempts issued after transient
 	// read failures.
 	RetriedReads int64
@@ -143,39 +126,16 @@ type Counters struct {
 // engines (Quarantined sums too: the shards' stores are disjoint).
 func (c *Counters) Add(o Counters) {
 	c.Reads += o.Reads
-	c.PhysicalReads += o.PhysicalReads
-	c.CoalescedReads += o.CoalescedReads
-	c.DedupedReads += o.DedupedReads
 	c.RetriedReads += o.RetriedReads
 	c.FaultedReads += o.FaultedReads
 	c.QuarantineHits += o.QuarantineHits
 	c.Quarantined += o.Quarantined
 }
 
-// flight is one in-flight backend read other callers may join. It carries no
-// payload: a joiner registers its own destination buffer, and the leader
-// copies the block into every registered buffer when it publishes. Flights
-// live in their leader's waveScratch; the dedup table points at them only
-// between registration and publish.
-type flight struct {
-	waiters *waiter // guarded by Engine.mu
-}
-
-// waiter is one destination buffer registered on a flight. It lives in the
-// joining call's waveScratch; every field is guarded by Engine.mu until the
-// leader clears fl, after which the joiner owns it again.
-type waiter struct {
-	buf  []byte
-	err  error
-	fl   *flight // nil once the leader has filled buf (or set err)
-	ws   *waveScratch
-	next *waiter
-}
-
 // Engine is the shared submission layer. All methods are safe for
 // concurrent use; one engine is meant to be shared by every searcher (and
-// their readahead) of an index, so the depth bound and the dedup table span
-// the whole serving process.
+// their readahead) of an index, so the depth bound and the cache span the
+// whole serving process.
 type Engine struct {
 	src   Source
 	cache *blockcache.Cache
@@ -190,26 +150,19 @@ type Engine struct {
 	epoch   time.Time // what operate's clock readings are offsets from
 	quar    quarantine
 
-	mu       sync.Mutex
-	inflight map[blockstore.Addr]*flight //lsh:guardedby mu
-
 	// scratch pools the per-call arenas (*waveScratch), so neither a fully
 	// cache-resident wave nor an all-miss one allocates in steady state.
 	scratch sync.Pool
 
 	// fast is whether the latest backend operation returned within
-	// blockingOp. While it holds, a wave runs on its calling goroutine alone
-	// and bypasses the dedup table; the zero value has a new engine fan its
-	// first wave out and share its reads.
+	// blockingOp. While it holds, a wave runs on its calling goroutine
+	// alone; the zero value has a new engine fan its first wave out.
 	fast atomic.Bool
 
-	reads     atomic.Int64
-	physical  atomic.Int64
-	coalesced atomic.Int64
-	deduped   atomic.Int64
-	retried   atomic.Int64
-	faulted   atomic.Int64
-	quarHits  atomic.Int64
+	reads    atomic.Int64
+	retried  atomic.Int64
+	faulted  atomic.Int64
+	quarHits atomic.Int64
 
 	// lat, when set, receives the submit→complete latency of every physical
 	// backend operation (semaphore wait + device time, the paper's
@@ -242,15 +195,14 @@ func New(src Source, opts Options) (*Engine, error) {
 		quarLimit = 1024
 	}
 	return &Engine{
-		src:      src,
-		cache:    opts.Cache,
-		depth:    int64(opts.Depth),
-		handoff:  make(chan struct{}, opts.Depth),
-		retries:  opts.Retries,
-		backoff:  backoff,
-		epoch:    time.Now(),
-		quar:     quarantine{limit: quarLimit},
-		inflight: make(map[blockstore.Addr]*flight),
+		src:     src,
+		cache:   opts.Cache,
+		depth:   int64(opts.Depth),
+		handoff: make(chan struct{}, opts.Depth),
+		retries: opts.Retries,
+		backoff: backoff,
+		epoch:   time.Now(),
+		quar:    quarantine{limit: quarLimit},
 	}, nil
 }
 
@@ -264,9 +216,6 @@ func (e *Engine) Cache() *blockcache.Cache { return e.cache }
 func (e *Engine) Counters() Counters {
 	return Counters{
 		Reads:          e.reads.Load(),
-		PhysicalReads:  e.physical.Load(),
-		CoalescedReads: e.coalesced.Load(),
-		DedupedReads:   e.deduped.Load(),
 		RetriedReads:   e.retried.Load(),
 		FaultedReads:   e.faulted.Load(),
 		QuarantineHits: e.quarHits.Load(),
@@ -274,59 +223,19 @@ func (e *Engine) Counters() Counters {
 	}
 }
 
-// Read fetches one block into buf (len >= BlockSize): dedup table (only
-// while the backend blocks; see readWave), then cache (probed outside the
-// engine lock), then backend. ctx only bounds waiting on another caller's
-// flight; a read this call leads always completes, so sharers are never
-// poisoned.
+// Read fetches one block into buf (len >= BlockSize): from the cache when
+// it holds the block, else from the backend — one physical operation under
+// the depth bound, retried and quarantined like any other — filling the
+// cache.
 //
 //lsh:hotpath
-func (e *Engine) Read(ctx context.Context, a blockstore.Addr, buf []byte, st *BatchStats) error {
+func (e *Engine) Read(a blockstore.Addr, buf []byte, st *BatchStats) error {
 	e.reads.Add(1)
-	shared := !e.fast.Load()
-	var fl *flight
-	if shared {
-		e.mu.Lock()
-		fl = e.inflight[a]
-	}
-	if fl == nil && e.cache != nil {
-		if shared {
-			e.mu.Unlock()
-		}
-		if e.cache.Get(a, buf) {
-			if st != nil {
-				st.CacheHits++
-			}
-			return nil
-		}
-		if shared {
-			// Miss: re-check the dedup table before becoming the leader —
-			// another caller may have registered while we probed the cache.
-			e.mu.Lock()
-			fl = e.inflight[a]
-		}
-	}
-	// Off the hit path. While shared, the arena is taken with the lock held:
-	// finding the flight and enlisting on it (or registering one) must be
-	// one step.
-	ws := e.getScratch(1)
-	defer e.putScratch(ws)
-	if fl != nil {
-		ws.enlist(fl, buf)
-		e.mu.Unlock()
-		e.deduped.Add(1)
+	if e.cache != nil && e.cache.Get(a, buf) {
 		if st != nil {
-			st.DedupedReads++
-			if e.cache != nil {
-				st.CacheHits++
-			}
+			st.CacheHits++
 		}
-		return e.await(ctx, ws)
-	}
-	ws.shared = shared
-	if lead := ws.lead(a, buf); shared {
-		e.inflight[a] = lead
-		e.mu.Unlock()
+		return nil
 	}
 	if st != nil {
 		if e.cache != nil {
@@ -334,8 +243,11 @@ func (e *Engine) Read(ctx context.Context, a blockstore.Addr, buf []byte, st *Ba
 		}
 		st.PhysicalReads++
 	}
+	ws := e.getScratch()
+	defer e.putScratch(ws)
+	ws.lead(a, buf)
 	err := e.readPhysical(ws, 0)
-	e.publish(ws, 0, 1, err)
+	e.fill(ws, 0, 1, err)
 	return err
 }
 
@@ -394,16 +306,15 @@ func (e *Engine) operate(ws *waveScratch, k, hi int) (err error) {
 	if lat != nil {
 		lat.Observe(done - submitted)
 	}
-	e.physical.Add(1)
 	return err
 }
 
-// readPhysical is the fault-tolerant read of ws's block k that every leader
-// path funnels through: quarantine fast-fail, then up to 1+Retries attempts with
-// capped exponential backoff. The depth slot is held per attempt, never
-// across a backoff sleep. An address that exhausts its budget is
-// quarantined so later queries fail it fast instead of re-paying the
-// ladder.
+// readPhysical is the fault-tolerant read of ws's block k behind Read and a
+// failed run's per-block salvage: quarantine fast-fail, then up to 1+Retries
+// attempts with capped exponential backoff. The depth slot is held per
+// attempt, never across a backoff sleep. An address that exhausts its
+// budget is quarantined so later queries fail it fast instead of re-paying
+// the ladder.
 func (e *Engine) readPhysical(ws *waveScratch, k int) error {
 	a := ws.addrs[k]
 	if qerr := e.quar.check(a); qerr != nil {
@@ -433,122 +344,38 @@ func (e *Engine) sleepBackoff(attempt int) {
 	time.Sleep(d)
 }
 
-// enlist registers buf on fl as one more destination of its block. The
-// caller holds the engine lock and sized ws.waiters beforehand: fl points
-// into it, so it must not regrow.
+// lead appends a read this call will perform itself.
 //
 //lsh:hotpath
-func (ws *waveScratch) enlist(fl *flight, buf []byte) {
-	ws.waiters = append(ws.waiters, waiter{buf: buf, fl: fl, ws: ws, next: fl.waiters})
-	fl.waiters = &ws.waiters[len(ws.waiters)-1]
-	ws.pending++
-}
-
-// lead appends a read this call will perform itself and returns its flight
-// for the dedup table. The caller sized ws.flights beforehand, like enlist.
-//
-//lsh:hotpath
-func (ws *waveScratch) lead(a blockstore.Addr, buf []byte) *flight {
+func (ws *waveScratch) lead(a blockstore.Addr, buf []byte) {
 	ws.addrs = append(ws.addrs, a)
 	ws.bufs = append(ws.bufs, buf)
-	ws.flights = append(ws.flights, flight{})
-	return &ws.flights[len(ws.flights)-1]
 }
 
-// await blocks until every buffer ws enlisted has been filled by its leader,
-// and returns the first error among them. When ctx ends first, the buffers
-// still registered are withdrawn under the engine lock — the leader copies
-// under the same lock, so once await returns nothing writes to the caller's
-// buffers again — and the flights themselves carry on for their other
-// waiters. A wake-up left over from an earlier call costs one more pass.
-func (e *Engine) await(ctx context.Context, ws *waveScratch) error {
-	for {
-		e.mu.Lock()
-		pending := ws.pending
-		e.mu.Unlock()
-		if pending == 0 {
-			break
-		}
-		select {
-		case <-ws.wake:
-		case <-ctx.Done():
-			e.mu.Lock()
-			for i := range ws.waiters {
-				w := &ws.waiters[i]
-				if w.fl == nil {
-					continue // filled already
-				}
-				p := &w.fl.waiters
-				for *p != w {
-					p = &(*p).next
-				}
-				*p = w.next
-			}
-			ws.pending = 0
-			e.mu.Unlock()
-			return ctx.Err()
-		}
-	}
-	for i := range ws.waiters {
-		if err := ws.waiters[i].err; err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// publish completes the flights of ws's reads [lo, hi), which all ended
-// with err: fill the cache, then under the engine lock retire each dedup
-// entry and copy the block (or the error) into every buffer registered on
-// it, waking the calls whose last buffer that was. The cache fill lands
-// before the dedup entry is removed, so a request arriving in between finds
-// the block somewhere. Quiet fills count as prefetched (into ws.h) instead
-// of demand traffic. A call that registered nothing in the table has nothing
-// to retire and no one to copy to, and stops after the fill.
+// fill puts ws's reads [lo, hi), which all ended with err, into the cache.
+// Quiet fills count as prefetched (into ws.h) instead of demand traffic.
 //
 //lsh:hotpath
-func (e *Engine) publish(ws *waveScratch, lo, hi int, err error) {
-	if err == nil && e.cache != nil {
-		for k := lo; k < hi; k++ {
-			if ws.quiet {
-				e.cache.PutPrefetched(ws.addrs[k], ws.bufs[k])
-				ws.h.Add(1)
-			} else {
-				e.cache.Put(ws.addrs[k], ws.bufs[k])
-			}
-		}
-	}
-	if !ws.shared {
+func (e *Engine) fill(ws *waveScratch, lo, hi int, err error) {
+	if err != nil || e.cache == nil {
 		return
 	}
-	e.mu.Lock()
 	for k := lo; k < hi; k++ {
-		delete(e.inflight, ws.addrs[k])
-		fl := &ws.flights[k]
-		for w := fl.waiters; w != nil; w = w.next {
-			if err == nil {
-				copy(w.buf[:blockstore.BlockSize], ws.bufs[k][:blockstore.BlockSize])
-			}
-			w.err, w.fl = err, nil
-			if w.ws.pending--; w.ws.pending == 0 {
-				select {
-				case w.ws.wake <- struct{}{}:
-				default: // a wake-up is already waiting there
-				}
-			}
+		if ws.quiet {
+			e.cache.PutPrefetched(ws.addrs[k], ws.bufs[k])
+			ws.h.Add(1)
+		} else {
+			e.cache.Put(ws.addrs[k], ws.bufs[k])
 		}
-		fl.waiters = nil
 	}
-	e.mu.Unlock()
 }
 
 // ReadBatch fetches addrs[i] into bufs[i] for every i, as one vectored
-// round: in-flight joins and cache hits are peeled off, the remaining misses
-// are sorted, coalesced into adjacent runs and submitted with up to Depth
-// physical operations in flight. Duplicate addresses within the batch share
-// one read. The call returns when every block is resolved; like Read, reads
-// this call leads run to completion regardless of ctx, which only bounds
-// waiting on other callers' flights.
+// round: cache hits are peeled off, the remaining misses are sorted,
+// coalesced into adjacent runs and submitted with up to Depth physical
+// operations in flight. Duplicate addresses within the batch share one read.
+// The call returns when every block is resolved; ctx is not consulted, as
+// every read the call starts runs to completion.
 func (e *Engine) ReadBatch(ctx context.Context, addrs []blockstore.Addr, bufs [][]byte, st *BatchStats) error {
 	if len(addrs) != len(bufs) {
 		return fmt.Errorf("ioengine: %d addresses but %d buffers", len(addrs), len(bufs))
@@ -557,11 +384,10 @@ func (e *Engine) ReadBatch(ctx context.Context, addrs []blockstore.Addr, bufs []
 		return nil
 	}
 	e.reads.Add(int64(len(addrs)))
-	return e.readWave(ctx, addrs, bufs, st, false, nil)
+	return e.readWave(addrs, bufs, st, false, nil)
 }
 
-// miss is one position of a wave that neither joined a flight nor hit the
-// cache.
+// miss is one position of a wave that the cache did not serve.
 type miss struct {
 	addr blockstore.Addr
 	pos  int
@@ -582,25 +408,16 @@ type walkState struct {
 // waveScratch is the pooled arena of one Read, readWave or Prefetch call, so
 // that none of them allocates in steady state — an all-miss wave included.
 type waveScratch struct {
-	misses []miss // positions not joined in pass 1, then not served by the cache
+	misses []miss // positions the cache did not serve, in address order
 
 	// The reads this call leads, in address order: reads [lo, hi) of a run
-	// are one backend call on addrs[lo:hi], bufs[lo:hi]. The dedup table
-	// points into flights and other calls' flights point into waiters, so
-	// both are sized before the first registration and never regrown.
-	// (Prefetch, which leads nothing itself, keeps the wave it is about to
-	// submit in addrs and bufs.)
-	addrs   []blockstore.Addr
-	bufs    [][]byte
-	flights []flight
-	runs    []run
-	waiters []waiter
-
-	pending int           // waiters not yet filled; guarded by Engine.mu
-	wake    chan struct{} // capacity 1: a leader filled the last pending waiter
+	// are one backend call on addrs[lo:hi], bufs[lo:hi]. (Prefetch keeps the
+	// wave it is about to submit in addrs and bufs.)
+	addrs []blockstore.Addr
+	bufs  [][]byte
+	runs  []run
 
 	// Submission state, shared with the helpers of a fanned-out wave.
-	shared bool // this call's flights are in the dedup table
 	quiet  bool
 	h      *blockcache.Handle
 	cursor atomic.Int32 // next unclaimed run
@@ -614,137 +431,73 @@ type waveScratch struct {
 	slab  []byte
 }
 
-// getScratch returns an arena with room to enlist joins buffers.
+// getScratch returns a pooled arena.
 //
 //lsh:hotpath
-func (e *Engine) getScratch(joins int) *waveScratch {
-	ws, ok := e.scratch.Get().(*waveScratch)
-	if !ok {
-		//lsh:allocok cold pool miss: one arena per concurrent call, then reused
-		ws = &waveScratch{wake: make(chan struct{}, 1)}
+func (e *Engine) getScratch() *waveScratch {
+	if ws, ok := e.scratch.Get().(*waveScratch); ok {
+		return ws
 	}
-	if cap(ws.waiters) < joins {
-		//lsh:allocok growth to the largest wave seen, then reused
-		ws.waiters = make([]waiter, 0, joins)
-	}
-	return ws
+	//lsh:allocok cold pool miss: one arena per concurrent call, then reused
+	return &waveScratch{}
 }
 
 // putScratch empties ws, dropping its references to caller buffers and walk
-// closures, and returns it to the pool. Every flight it led is published and
-// every buffer it enlisted is filled or withdrawn by now, so nothing points
-// into it.
+// closures, and returns it to the pool.
 //
 //lsh:hotpath
 func (e *Engine) putScratch(ws *waveScratch) {
 	clear(ws.bufs)
-	clear(ws.waiters)
 	clear(ws.walks)
 	ws.misses, ws.addrs, ws.bufs = ws.misses[:0], ws.addrs[:0], ws.bufs[:0]
-	ws.flights, ws.runs, ws.waiters = ws.flights[:0], ws.runs[:0], ws.waiters[:0]
-	ws.walks = ws.walks[:0]
-	ws.shared, ws.quiet, ws.h = false, false, nil
+	ws.runs, ws.walks = ws.runs[:0], ws.walks[:0]
+	ws.quiet, ws.h = false, nil
 	e.scratch.Put(ws)
 }
 
 // readWave is the one implementation behind ReadBatch (quiet=false, demand
 // accounting into st) and the prefetcher's waves (quiet=true: cache probes
 // through PeekQuiet so demand Hits/Misses stay pure, fills through
-// PutPrefetched into h, no per-call stats). It classifies every position —
-// dedup join, cache hit, or leader miss — probing the cache outside the
-// engine lock, then submits the misses as coalesced runs.
-//
-// The dedup table steps (passes 1 and 3, and publish's retirement) run only
-// while the engine's latest operation blocked (see the package comment); a
-// wave over a fast backend takes no lock, and its in-wave duplicates,
-// adjacent once sorted, are copied from their leader's buffer after the read.
+// PutPrefetched into h, no per-call stats). It probes the cache, sorts the
+// misses, leads the first read of each run of equal addresses, submits the
+// leads as coalesced runs, and copies each duplicate from its lead.
 //
 //lsh:hotpath
-func (e *Engine) readWave(ctx context.Context, addrs []blockstore.Addr, bufs [][]byte, st *BatchStats, quiet bool, h *blockcache.Handle) error {
-	ws := e.getScratch(len(addrs))
+func (e *Engine) readWave(addrs []blockstore.Addr, bufs [][]byte, st *BatchStats, quiet bool, h *blockcache.Handle) error {
+	ws := e.getScratch()
 	defer e.putScratch(ws)
-	ws.shared, ws.quiet, ws.h = !e.fast.Load(), quiet, h
+	ws.quiet, ws.h = quiet, h
 	var bst BatchStats
 
-	// Pass 1, under the lock: enlist on reads already in flight. Everything
-	// else is unknown until the cache is probed.
 	misses := ws.misses
-	if ws.shared {
-		e.mu.Lock()
-		for i, a := range addrs {
-			if fl := e.inflight[a]; fl != nil {
-				ws.enlist(fl, bufs[i])
-				continue
+	for i, a := range addrs {
+		if e.cache != nil && e.cacheProbe(a, bufs[i], quiet) {
+			if !quiet {
+				bst.CacheHits++
 			}
-			misses = append(misses, miss{a, i})
+			continue
 		}
-		e.mu.Unlock()
-	} else {
-		for i, a := range addrs {
-			misses = append(misses, miss{a, i})
-		}
-	}
-
-	// Pass 2, lock-free: cache probes (the cache has its own lock stripes)
-	// drop the hits; what is left goes in address order, the order it is
-	// read in.
-	if e.cache != nil {
-		unknown := misses
-		misses = misses[:0]
-		for _, m := range unknown {
-			if e.cacheProbe(m.addr, bufs[m.pos], quiet) {
-				if !quiet {
-					bst.CacheHits++
-				}
-				continue
-			}
-			misses = append(misses, m)
-		}
+		misses = append(misses, miss{a, i})
 	}
 	ws.misses = misses
 	slices.SortFunc(misses, func(x, y miss) int { return cmp.Compare(x.addr, y.addr) })
-	if cap(ws.flights) < len(misses) {
-		//lsh:allocok growth to the largest wave seen, then reused
-		ws.flights = make([]flight, 0, len(misses))
-	}
-
-	// Pass 3, under the lock: re-check the dedup table (a leader may have
-	// registered while we probed; a duplicate within the batch finds the
-	// flight its first occurrence just registered), and register this
-	// call's flights. Without the table, a duplicate is just counted.
-	dups := 0
-	if ws.shared && len(misses) > 0 {
-		e.mu.Lock()
-		for _, m := range misses {
-			if fl := e.inflight[m.addr]; fl != nil {
-				ws.enlist(fl, bufs[m.pos])
-				continue
-			}
-			e.inflight[m.addr] = ws.lead(m.addr, bufs[m.pos])
-		}
-		e.mu.Unlock()
-	} else {
-		for j, m := range misses {
-			if j > 0 && m.addr == misses[j-1].addr {
-				dups++
-				continue
-			}
+	for j, m := range misses {
+		if j == 0 || m.addr != misses[j-1].addr {
 			ws.lead(m.addr, bufs[m.pos])
 		}
 	}
-	if joins := len(ws.waiters) + dups; joins > 0 && !quiet {
-		bst.DedupedReads += joins
+	leads := len(ws.addrs)
+	dups := len(misses) - leads
+	if !quiet {
+		bst.DedupedReads += dups
 		if e.cache != nil {
-			bst.CacheHits += joins
-		}
-		e.deduped.Add(int64(joins))
-	}
-
-	var firstErr error
-	if leads := len(ws.addrs); leads > 0 {
-		if !quiet && e.cache != nil {
+			bst.CacheHits += dups
 			bst.CacheMisses += leads
 		}
+	}
+
+	var err error
+	if leads > 0 {
 		// Runs of adjacent addresses, by the backends' own rule: a submission
 		// unit is exactly one physical operation.
 		for i := 0; i < leads; i = ws.runs[len(ws.runs)-1].hi {
@@ -752,8 +505,7 @@ func (e *Engine) readWave(ctx context.Context, addrs []blockstore.Addr, bufs [][
 		}
 		bst.CoalescedReads += leads - len(ws.runs)
 		bst.PhysicalReads += len(ws.runs)
-		e.coalesced.Add(int64(leads - len(ws.runs)))
-		firstErr = e.submit(ws)
+		err = e.submit(ws)
 	}
 	if dups > 0 {
 		var lead []byte
@@ -765,18 +517,10 @@ func (e *Engine) readWave(ctx context.Context, addrs []blockstore.Addr, bufs [][
 			copy(bufs[m.pos][:blockstore.BlockSize], lead[:blockstore.BlockSize])
 		}
 	}
-
-	// Resolve joins last: our own flights are done, foreign flights may
-	// still be in progress. Only here does ctx apply.
-	if len(ws.waiters) > 0 {
-		if err := e.await(ctx, ws); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
 	if st != nil {
 		st.add(bst)
 	}
-	return firstErr
+	return err
 }
 
 // cacheProbe checks the cache on the demand (counted) or quiet path.
@@ -790,7 +534,7 @@ func (e *Engine) cacheProbe(a blockstore.Addr, buf []byte, quiet bool) bool {
 	return e.cache.Get(a, buf)
 }
 
-// submit performs the wave's runs and publishes every flight. The calling
+// submit performs the wave's runs and fills the cache. The calling
 // goroutine claims runs off a shared cursor and performs them itself; while
 // the backend answers without blocking (see blockingOp) that is the whole
 // submission. Once an operation is seen to block — or from the first run,
@@ -847,11 +591,11 @@ func (e *Engine) work(ws *waveScratch) {
 	}
 }
 
-// submitRun performs one coalesced physical operation and publishes its
-// flights. A failed vectored read over a retry-enabled engine degrades to
-// per-block salvage — each block gets its own retry ladder — so one bad
-// block cannot poison its run-mates; runs containing a quarantined address
-// skip the doomed vectored attempt and go straight to salvage.
+// submitRun performs one coalesced physical operation and fills the cache
+// with its blocks. A failed vectored read over a retry-enabled engine
+// degrades to per-block salvage — each block gets its own retry ladder — so
+// one bad block cannot poison its run-mates; runs containing a quarantined
+// address skip the doomed vectored attempt and go straight to salvage.
 //
 //lsh:hotpath
 func (e *Engine) submitRun(ws *waveScratch, r run) error {
@@ -861,14 +605,14 @@ func (e *Engine) submitRun(ws *waveScratch, r run) error {
 			if err != nil && retryable(err) {
 				e.faulted.Add(1)
 			}
-			e.publish(ws, r.lo, r.hi, err)
+			e.fill(ws, r.lo, r.hi, err)
 			return err
 		}
 	}
 	var firstErr error
 	for k := r.lo; k < r.hi; k++ {
 		berr := e.readPhysical(ws, k)
-		e.publish(ws, k, k+1, berr)
+		e.fill(ws, k, k+1, berr)
 		if berr != nil && firstErr == nil {
 			firstErr = berr
 		}
@@ -892,7 +636,7 @@ func (e *Engine) Prefetch(ctx context.Context, walks []blockcache.Walk) *blockca
 	h := blockcache.NewHandle()
 	go func() {
 		defer h.Finish()
-		ws := e.getScratch(0)
+		ws := e.getScratch()
 		live := ws.walks[:0]
 		for _, w := range walks {
 			if w.Start == blockstore.Nil || w.Steps <= 0 {
@@ -914,7 +658,7 @@ func (e *Engine) Prefetch(ctx context.Context, walks []blockcache.Walk) *blockca
 				ws.addrs = append(ws.addrs, live[i].addr)
 				ws.bufs = append(ws.bufs, live[i].buf)
 			}
-			fetchErr := e.readWave(ctx, ws.addrs, ws.bufs, nil, true, h)
+			fetchErr := e.readWave(ws.addrs, ws.bufs, nil, true, h)
 			next := live[:0]
 			for _, s := range live {
 				if s.w.Next == nil {

@@ -15,28 +15,19 @@ import (
 	"e2lshos/internal/foldtest"
 )
 
-// slowSource is a Source with per-op latency, call counting, a gate that
-// can hold reads open and a hook that runs inside every op, for
-// dedup/cancellation/depth tests.
+// slowSource is a Source with per-op latency and call counting, for
+// dedup and depth tests.
 type slowSource struct {
-	store    *blockstore.Store
-	delay    time.Duration
-	gate     chan struct{} // when non-nil, every op blocks until it can receive
-	hook     func()        // when non-nil, called by every op
-	reads    atomic.Int64  // logical blocks served
-	ops      atomic.Int64  // physical operations
-	inflight atomic.Int64
-	maxIn    atomic.Int64
+	store  *blockstore.Store
+	delay  time.Duration
+	reads  atomic.Int64 // logical blocks served
+	ops    atomic.Int64 // physical operations
+	active atomic.Int64
+	maxIn  atomic.Int64
 }
 
 func (s *slowSource) enter() {
-	if s.gate != nil {
-		<-s.gate
-	}
-	if s.hook != nil {
-		s.hook()
-	}
-	in := s.inflight.Add(1)
+	in := s.active.Add(1)
 	for {
 		m := s.maxIn.Load()
 		if in <= m || s.maxIn.CompareAndSwap(m, in) {
@@ -48,7 +39,7 @@ func (s *slowSource) enter() {
 	}
 }
 
-func (s *slowSource) exit() { s.inflight.Add(-1) }
+func (s *slowSource) exit() { s.active.Add(-1) }
 
 func (s *slowSource) ReadBlock(a blockstore.Addr, buf []byte) error {
 	s.enter()
@@ -136,259 +127,45 @@ func TestReadBatchCoalescesAdjacentRuns(t *testing.T) {
 	if src.ops.Load() != 3 {
 		t.Errorf("backend saw %d physical ops, want 3", src.ops.Load())
 	}
-	c := eng.Counters()
-	if c.Reads != int64(len(addrs)) || c.PhysicalReads != 3 || c.CoalescedReads != int64(len(addrs)-3) {
-		t.Errorf("counters = %+v", c)
+	if c := eng.Counters(); c.Reads != int64(len(addrs)) {
+		t.Errorf("Counters().Reads = %d, want %d", c.Reads, len(addrs))
 	}
 }
 
+// TestReadBatchDuplicatesShareOneRead: duplicates within one wave cost one
+// backend read per distinct block, on an instant source (the wave runs on
+// its caller) and on a blocking one (the wave fans out to helpers), and
+// every duplicate gets a copy of its block.
 func TestReadBatchDuplicatesShareOneRead(t *testing.T) {
-	st := testStore(t, 10)
-	src := &slowSource{store: st}
-	eng, err := New(src, Options{Depth: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	addrs := []blockstore.Addr{5, 5, 5, 7, 7}
-	bufs := make([][]byte, len(addrs))
-	for i := range bufs {
-		bufs[i] = make([]byte, blockstore.BlockSize)
-	}
-	var bst BatchStats
-	if err := eng.ReadBatch(context.Background(), addrs, bufs, &bst); err != nil {
-		t.Fatal(err)
-	}
-	for i, a := range addrs {
-		checkBlock(t, a, bufs[i])
-	}
-	if src.reads.Load() != 2 {
-		t.Errorf("backend served %d blocks, want 2 (5 and 7 once each)", src.reads.Load())
-	}
-	if bst.DedupedReads != 3 {
-		t.Errorf("DedupedReads = %d, want 3", bst.DedupedReads)
-	}
-	// The engine-wide counter must agree with the per-call stats: in-batch
-	// duplicates are dedups too.
-	if c := eng.Counters(); c.DedupedReads != 3 {
-		t.Errorf("Counters().DedupedReads = %d, want 3", c.DedupedReads)
-	}
-}
-
-func TestCrossCallDedupSharesInflightRead(t *testing.T) {
-	src := &slowSource{store: testStore(t, 10), gate: make(chan struct{})}
-	eng, err := New(src, Options{Depth: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkCrossCallDedup(t, eng, src)
-}
-
-// TestDedupTableOnlyWhileBackendBlocks: an engine whose latest operation
-// answered without blocking keeps no dedup table — a source hook sampling it
-// mid-read finds it empty — yet duplicates within one batch still cost one
-// backend read each. When the same engine then meets a backend that blocks,
-// concurrent reads of one block share a single backend read again.
-func TestDedupTableOnlyWhileBackendBlocks(t *testing.T) {
-	src := &slowSource{store: testStore(t, 10)}
-	eng, err := New(src, Options{Depth: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	newBufs := func(n int) [][]byte {
-		bufs := make([][]byte, n)
-		for i := range bufs {
-			bufs[i] = make([]byte, blockstore.BlockSize)
-		}
-		return bufs
-	}
-	// Warm-up: instant operations put the engine in its fast state (retried:
-	// a preempted operation on a busy machine can take longer than
-	// blockingOp).
-	for try := 0; !eng.fast.Load(); try++ {
-		if try == 100 {
-			t.Fatal("100 waves of instant operations left the engine thinking its backend blocks")
-		}
-		if err := eng.ReadBatch(context.Background(), []blockstore.Addr{1, 3}, newBufs(2), nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var tableSizes []int // appended under eng.mu: a wave may still fan out
-	src.hook = func() {
-		eng.mu.Lock()
-		tableSizes = append(tableSizes, len(eng.inflight))
-		eng.mu.Unlock()
-	}
-	addrs := []blockstore.Addr{5, 5, 5, 7, 7}
-	bufs := newBufs(len(addrs))
-	reads0, deduped0 := src.reads.Load(), eng.Counters().DedupedReads
-	var bst BatchStats
-	if err := eng.ReadBatch(context.Background(), addrs, bufs, &bst); err != nil {
-		t.Fatal(err)
-	}
-	src.hook = nil
-	for i, a := range addrs {
-		checkBlock(t, a, bufs[i])
-	}
-	if got := src.reads.Load() - reads0; got != 2 {
-		t.Errorf("backend served %d blocks, want 2 (5 and 7 once each)", got)
-	}
-	if got := eng.Counters().DedupedReads - deduped0; bst.DedupedReads != 3 || got != 3 {
-		t.Errorf("DedupedReads = %d per call, %d engine-wide; want 3 and 3", bst.DedupedReads, got)
-	}
-	if len(tableSizes) == 0 {
-		t.Fatal("the source hook never ran")
-	}
-	for _, n := range tableSizes {
-		if n != 0 {
-			t.Fatalf("the dedup table held %d flights during a read on a fast engine: %v", n, tableSizes)
-		}
-	}
-
-	// One operation that blocks, and the table is back.
-	src.delay = time.Millisecond
-	if err := eng.Read(context.Background(), 2, bufs[0], nil); err != nil {
-		t.Fatal(err)
-	}
-	src.delay, src.gate = 0, make(chan struct{})
-	checkCrossCallDedup(t, eng, src)
-}
-
-// checkCrossCallDedup holds eight concurrent Reads of one block at src's
-// gate, which must be set, and requires that they share one backend read.
-func checkCrossCallDedup(t *testing.T, eng *Engine, src *slowSource) {
-	t.Helper()
-	reads0, deduped0 := src.reads.Load(), eng.Counters().DedupedReads
-	const waiters = 8
-	var wg sync.WaitGroup
-	errs := make([]error, waiters)
-	bufs := make([][]byte, waiters)
-	for w := 0; w < waiters; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			bufs[w] = make([]byte, blockstore.BlockSize)
-			errs[w] = eng.Read(context.Background(), 3, bufs[w], nil)
-		}(w)
-	}
-	// Let one leader reach the gate, then release exactly one backend op.
-	time.Sleep(20 * time.Millisecond)
-	src.gate <- struct{}{}
-	wg.Wait()
-	select {
-	case src.gate <- struct{}{}:
-		t.Fatal("a second backend read was waiting; dedup failed")
-	default:
-	}
-	for w := 0; w < waiters; w++ {
-		if errs[w] != nil {
-			t.Fatalf("waiter %d: %v", w, errs[w])
-		}
-		checkBlock(t, 3, bufs[w])
-	}
-	if got := src.reads.Load() - reads0; got != 1 {
-		t.Errorf("backend served %d reads for %d concurrent requests, want 1", got, waiters)
-	}
-	if got := eng.Counters().DedupedReads - deduped0; got != waiters-1 {
-		t.Errorf("DedupedReads = %d, want %d", got, waiters-1)
-	}
-}
-
-// TestCanceledWaiterDoesNotPoisonFlight: a waiter whose context dies while
-// its buffers are registered on another caller's in-flight reads returns
-// ctx.Err() promptly and owns its buffers again at once — the test scribbles
-// over them while the leader is still reading, and under -race a late copy
-// by the leader would be reported — while the reads themselves, and every
-// other waiter, complete with clean data. Joining through Read and through
-// ReadBatch withdraw the same way.
-func TestCanceledWaiterDoesNotPoisonFlight(t *testing.T) {
-	blocks := []blockstore.Addr{4, 7}
-	newBufs := func() [][]byte {
-		bufs := make([][]byte, len(blocks))
-		for i := range bufs {
-			bufs[i] = make([]byte, blockstore.BlockSize)
-		}
-		return bufs
-	}
-	// join reads every block into bufs, through one ReadBatch or one Read
-	// per block.
-	join := func(eng *Engine, ctx context.Context, batch bool, bufs [][]byte) error {
-		if batch {
-			return eng.ReadBatch(ctx, blocks, bufs, nil)
-		}
-		errs := make(chan error, len(blocks))
-		for i, a := range blocks {
-			go func() { errs <- eng.Read(ctx, a, bufs[i], nil) }()
-		}
-		var first error
-		for range blocks {
-			if err := <-errs; err != nil && first == nil {
-				first = err
-			}
-		}
-		return first
-	}
-	for _, batch := range []bool{false, true} {
-		t.Run(fmt.Sprintf("batch=%v", batch), func(t *testing.T) {
-			src := &slowSource{store: testStore(t, 10), gate: make(chan struct{})}
+	for _, delay := range []time.Duration{0, 5 * time.Millisecond} {
+		t.Run(fmt.Sprintf("delay=%v", delay), func(t *testing.T) {
+			src := &slowSource{store: testStore(t, 10), delay: delay}
 			eng, err := New(src, Options{Depth: 2})
 			if err != nil {
 				t.Fatal(err)
 			}
-			leaderDone := make(chan error, 1)
-			leaderBufs := newBufs()
-			go func() { leaderDone <- eng.ReadBatch(context.Background(), blocks, leaderBufs, nil) }()
-			time.Sleep(20 * time.Millisecond) // the leader's reads are parked at the gate
-
-			ctx, cancel := context.WithCancel(context.Background())
-			canceledDone := make(chan error, 1)
-			canceledBufs := newBufs()
-			go func() { canceledDone <- join(eng, ctx, batch, canceledBufs) }()
-			survivorDone := make(chan error, 1)
-			survivorBufs := newBufs()
-			go func() { survivorDone <- join(eng, context.Background(), batch, survivorBufs) }()
-
-			time.Sleep(20 * time.Millisecond) // both joined the leader's flights
-			cancel()
-			if err := <-canceledDone; !errors.Is(err, context.Canceled) {
-				t.Fatalf("canceled waiter returned %v, want context.Canceled", err)
+			addrs := []blockstore.Addr{5, 7, 5, 5, 7}
+			bufs := make([][]byte, len(addrs))
+			for i := range bufs {
+				bufs[i] = make([]byte, blockstore.BlockSize)
 			}
-			for _, buf := range canceledBufs { // the caller reuses its buffers at once
-				for i := range buf {
-					buf[i] = 0xEE
-				}
+			var bst BatchStats
+			if err := eng.ReadBatch(context.Background(), addrs, bufs, &bst); err != nil {
+				t.Fatal(err)
 			}
-
-			for range blocks {
-				src.gate <- struct{}{} // release the backend reads
+			for i, a := range addrs {
+				checkBlock(t, a, bufs[i])
 			}
-			if err := <-leaderDone; err != nil {
-				t.Fatalf("leader failed after a waiter was canceled: %v", err)
+			if src.reads.Load() != 2 {
+				t.Errorf("backend served %d blocks, want 2 (5 and 7 once each)", src.reads.Load())
 			}
-			if err := <-survivorDone; err != nil {
-				t.Fatalf("surviving waiter failed after another waiter was canceled: %v", err)
+			if bst.DedupedReads != 3 || bst.PhysicalReads != 2 {
+				t.Errorf("DedupedReads = %d, PhysicalReads = %d; want 3 and 2", bst.DedupedReads, bst.PhysicalReads)
 			}
-			for i, a := range blocks {
-				checkBlock(t, a, leaderBufs[i])
-				checkBlock(t, a, survivorBufs[i])
-				for _, b := range canceledBufs[i] {
-					if b != 0xEE {
-						t.Fatalf("block %d: the leader wrote into a withdrawn buffer", a)
-					}
-				}
-			}
-			if got, want := src.reads.Load(), int64(len(blocks)); got != want {
-				t.Errorf("backend served %d reads, want %d", got, want)
-			}
-
-			// The flights are fully retired: a fresh read goes to the backend again.
-			go func() { src.gate <- struct{}{} }()
-			fresh := make([]byte, blockstore.BlockSize)
-			if err := eng.Read(context.Background(), blocks[0], fresh, nil); err != nil {
-				t.Fatalf("fresh read after retirement: %v", err)
-			}
-			checkBlock(t, blocks[0], fresh)
-			if got, want := src.reads.Load(), int64(len(blocks)+1); got != want {
-				t.Errorf("backend served %d reads after retirement, want %d", got, want)
+			// A new engine fans its first wave out: over a blocking source
+			// the two reads overlap.
+			if delay > 0 && src.maxIn.Load() != 2 {
+				t.Errorf("the blocking wave had %d reads in flight, want 2 (fanned out)", src.maxIn.Load())
 			}
 		})
 	}
@@ -558,8 +335,8 @@ func TestReadBatchPropagatesErrors(t *testing.T) {
 	if err := eng.ReadBatch(context.Background(), addrs, bufs, nil); err == nil {
 		t.Error("invalid address in batch produced no error")
 	}
-	// The failed flight must be retired, not wedged.
-	if err := eng.Read(context.Background(), 1, bufs[0], nil); err != nil {
+	// A failed wave leaves the engine serving.
+	if err := eng.Read(1, bufs[0], nil); err != nil {
 		t.Fatalf("engine wedged after batch error: %v", err)
 	}
 }
@@ -620,7 +397,7 @@ func TestPrefetchWalksWarmCache(t *testing.T) {
 	var bst BatchStats
 	buf := make([]byte, blockstore.BlockSize)
 	for _, a := range addrs {
-		if err := eng.Read(context.Background(), a, buf, &bst); err != nil {
+		if err := eng.Read(a, buf, &bst); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -685,15 +462,26 @@ func TestConcurrentMixedTrafficRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var wg sync.WaitGroup
+	var (
+		wg    sync.WaitGroup
+		mu    sync.Mutex
+		total BatchStats
+	)
+	fold := func(bst BatchStats) {
+		mu.Lock()
+		total.add(bst)
+		mu.Unlock()
+	}
 	for w := 0; w < 6; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			var bst BatchStats
+			defer func() { fold(bst) }()
 			buf := make([]byte, blockstore.BlockSize)
 			for i := 0; i < 50; i++ {
 				a := blockstore.Addr(1 + (w*37+i*11)%256)
-				if err := eng.Read(context.Background(), a, buf, nil); err != nil {
+				if err := eng.Read(a, buf, &bst); err != nil {
 					t.Error(err)
 					return
 				}
@@ -703,6 +491,8 @@ func TestConcurrentMixedTrafficRace(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			var bst BatchStats
+			defer func() { fold(bst) }()
 			addrs := make([]blockstore.Addr, 16)
 			bufs := make([][]byte, 16)
 			for i := range bufs {
@@ -712,7 +502,7 @@ func TestConcurrentMixedTrafficRace(t *testing.T) {
 				for j := range addrs {
 					addrs[j] = blockstore.Addr(1 + (w*53+i*16+j)%256)
 				}
-				if err := eng.ReadBatch(context.Background(), addrs, bufs, nil); err != nil {
+				if err := eng.ReadBatch(context.Background(), addrs, bufs, &bst); err != nil {
 					t.Error(err)
 					return
 				}
@@ -723,12 +513,16 @@ func TestConcurrentMixedTrafficRace(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	c := eng.Counters()
-	if c.Reads == 0 || c.PhysicalReads == 0 {
-		t.Errorf("no traffic recorded: %+v", c)
+	reads := eng.Counters().Reads
+	if reads != 6*(50+10*16) || total.PhysicalReads == 0 {
+		t.Errorf("traffic: %d reads requested, per-call stats %+v", reads, total)
 	}
-	if c.PhysicalReads > c.Reads {
-		t.Errorf("more physical reads (%d) than requests (%d)", c.PhysicalReads, c.Reads)
+	if int64(total.PhysicalReads+total.CoalescedReads) != int64(total.CacheMisses) {
+		t.Errorf("%d physical + %d coalesced reads do not cover %d cache misses",
+			total.PhysicalReads, total.CoalescedReads, total.CacheMisses)
+	}
+	if int64(total.CacheHits+total.CacheMisses) != reads {
+		t.Errorf("%d hits + %d misses do not cover %d reads", total.CacheHits, total.CacheMisses, reads)
 	}
 }
 
@@ -793,7 +587,7 @@ func TestCounterFoldsEveryField(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, a := range []*atomic.Int64{
-		&eng.reads, &eng.physical, &eng.coalesced, &eng.deduped, &eng.retried, &eng.faulted, &eng.quarHits,
+		&eng.reads, &eng.retried, &eng.faulted, &eng.quarHits,
 	} {
 		a.Store(int64(i + 1))
 	}
@@ -804,8 +598,8 @@ func TestCounterFoldsEveryField(t *testing.T) {
 }
 
 // TestAllMissWaveZeroAllocs is the engine's allocation gate: once its arenas
-// are warm, a wave in which every block is a miss — flights registered, runs
-// sorted and split, every block read and published — allocates nothing on a
+// are warm, a wave in which every block is a miss — misses sorted, runs
+// split, every block read and filled — allocates nothing on a
 // memory source. With a cache attached the wave allocates exactly what
 // filling the cache with its blocks allocates (blockcache.Put builds an entry
 // per new block), and nothing of its own.
@@ -856,7 +650,7 @@ func TestAllMissWaveZeroAllocs(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			for i := 0; i < 3; i++ { // warm-up: the arena, the dedup table, the first wave's fan-out
+			for i := 0; i < 3; i++ { // warm-up: the arena, the first wave's fan-out
 				wave()
 			}
 			// The measured waves run in line. A memory read preempted past

@@ -45,7 +45,7 @@ func TestRetryHealsTransientFaults(t *testing.T) {
 	e := retryEngine(t, s, 4, nil)
 	buf := make([]byte, blockstore.BlockSize)
 	for a := blockstore.Addr(1); a <= blockstore.Addr(s.NumBlocks()); a++ {
-		if err := e.Read(context.Background(), a, buf, nil); err != nil {
+		if err := e.Read(a, buf, nil); err != nil {
 			t.Fatalf("block %d not healed by retries: %v", a, err)
 		}
 		if buf[2] != 0x5A {
@@ -72,7 +72,7 @@ func TestRetryHealsBitRot(t *testing.T) {
 	e := retryEngine(t, s, 5, nil)
 	buf := make([]byte, blockstore.BlockSize)
 	for a := blockstore.Addr(1); a <= blockstore.Addr(s.NumBlocks()); a++ {
-		if err := e.Read(context.Background(), a, buf, nil); err != nil {
+		if err := e.Read(a, buf, nil); err != nil {
 			t.Fatalf("block %d: corruption not healed: %v", a, err)
 		}
 	}
@@ -87,7 +87,7 @@ func TestExhaustedRetriesQuarantine(t *testing.T) {
 	e := retryEngine(t, s, 2, nil)
 	buf := make([]byte, blockstore.BlockSize)
 
-	err := e.Read(context.Background(), dead, buf, nil)
+	err := e.Read(dead, buf, nil)
 	if !errors.Is(err, faultinject.ErrInjected) {
 		t.Fatalf("dead block read: %v", err)
 	}
@@ -104,7 +104,7 @@ func TestExhaustedRetriesQuarantine(t *testing.T) {
 
 	// Second read fails fast: no backend attempts, no retries.
 	before := fb.Counters().Reads
-	err = e.Read(context.Background(), dead, buf, nil)
+	err = e.Read(dead, buf, nil)
 	if !errors.Is(err, faultinject.ErrInjected) {
 		t.Fatalf("quarantined read must keep the original cause: %v", err)
 	}
@@ -116,7 +116,7 @@ func TestExhaustedRetriesQuarantine(t *testing.T) {
 	}
 
 	// Healthy neighbors are unaffected.
-	if err := e.Read(context.Background(), 4, buf, nil); err != nil {
+	if err := e.Read(4, buf, nil); err != nil {
 		t.Fatalf("healthy block: %v", err)
 	}
 }
@@ -178,7 +178,7 @@ func TestCorruptReadNeverCached(t *testing.T) {
 	// the cache.
 	e := retryEngine(t, s, 0, cache)
 	buf := make([]byte, blockstore.BlockSize)
-	if err := e.Read(context.Background(), 1, buf, nil); !blockstore.IsCorrupt(err) {
+	if err := e.Read(1, buf, nil); !blockstore.IsCorrupt(err) {
 		t.Fatalf("flipped block read: %v", err)
 	}
 	if cache.Len() != 0 {
@@ -194,7 +194,7 @@ func TestInvalidAddrNotRetried(t *testing.T) {
 	e := retryEngine(t, s, 5, nil)
 	buf := make([]byte, blockstore.BlockSize)
 	before := fb.Counters().Reads
-	err := e.Read(context.Background(), 99, buf, nil)
+	err := e.Read(99, buf, nil)
 	if !errors.Is(err, blockstore.ErrInvalidAddr) {
 		t.Fatalf("out-of-range read: %v", err)
 	}
@@ -226,7 +226,7 @@ func TestQuarantineBound(t *testing.T) {
 	}
 	buf := make([]byte, blockstore.BlockSize)
 	for a := blockstore.Addr(1); a <= 6; a++ {
-		if err := e.Read(context.Background(), a, buf, nil); err == nil {
+		if err := e.Read(a, buf, nil); err == nil {
 			t.Fatalf("permanent block %d read succeeded", a)
 		}
 	}

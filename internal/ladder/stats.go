@@ -50,22 +50,21 @@ type Stats struct {
 	// PrefetchedBlocks counts blocks WithReadahead pulled into the cache
 	// between radius rounds on behalf of these queries.
 	PrefetchedBlocks int `json:"prefetched_blocks"`
-	// CoalescedReads counts backend reads the I/O engine's submission layer
-	// saved by merging runs of adjacent block addresses into single
-	// vectored operations. It, DedupedReads and PhysicalReads are counted
-	// whenever an engine exists — built WithIOEngine, WithBlockCache or
-	// WithRetries — and stay zero on an index that reads its store in
-	// line. IOs() keeps reporting the logical count; physical backend reads
-	// are IOs() − CacheHits − CoalescedReads with a cache attached (a dedup
-	// join is counted inside CacheHits), and IOs() − DedupedReads −
-	// CoalescedReads without one.
+	// CoalescedReads counts backend reads the I/O engine saved by merging
+	// runs of adjacent block addresses into single vectored operations. It,
+	// DedupedReads and PhysicalReads are counted whenever an engine exists —
+	// built WithIOEngine, WithBlockCache or WithRetries — and stay zero on an
+	// index that reads its store in line. IOs() keeps reporting the logical
+	// count; physical backend operations are IOs() − CacheHits −
+	// CoalescedReads with a cache attached (a deduped read is counted inside
+	// CacheHits), and IOs() − DedupedReads − CoalescedReads without one.
 	CoalescedReads int `json:"coalesced_reads"`
-	// DedupedReads counts reads satisfied by joining another query's
-	// in-flight backend read, singleflight style.
+	// DedupedReads counts reads served by another read of the same block in
+	// the same wave of the same query.
 	DedupedReads int `json:"deduped_reads"`
-	// PhysicalReads counts the backend operations the I/O engine actually
-	// issued after coalescing and dedup: with an engine, the true device
-	// operation count. IOs() keeps reporting the logical count.
+	// PhysicalReads counts the backend operations the I/O engine issued for
+	// the query after coalescing and dedup, retries not included. IOs()
+	// keeps reporting the logical count.
 	PhysicalReads int `json:"physical_reads"`
 	// FaultedReads counts block reads that still failed after the storage
 	// tier's retries (zero on healthy devices and on the in-memory

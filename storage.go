@@ -212,9 +212,11 @@ func (s *StorageIndex) CacheStats() (hits, misses, prefetched int64) {
 	return c.Hits(), c.Misses(), c.Prefetched()
 }
 
-// IOEngineCounters is the full vectored-engine counter set: throughput
-// counters plus the fault-tolerance ones (retries issued, reads failed after
-// retries, quarantine fast-fails, and the current quarantine size — a gauge).
+// IOEngineCounters is the vectored engine's cumulative counter set: block
+// reads requested plus the fault-tolerance counters (retries issued, reads
+// failed after retries, quarantine fast-fails, and the current quarantine
+// size — a gauge). How those reads split into cache hits, coalesced and
+// physical reads is per query, in Stats.
 type IOEngineCounters = ioengine.Counters
 
 // IOCounters reports the cumulative vectored-engine counters across all
