@@ -53,12 +53,13 @@ chaos:
 	$(GO) test -race -run 'TestChaos' -count=1 .
 
 # Crash-recovery gate: the crash-point sweep (every WAL append, sync, and
-# block write killed in fail-stop and torn-write mode, then recovered) plus
-# the concurrent update/search race tests (budgeted batches beside Insert
-# included), all under the race detector.
+# block write killed in fail-stop and torn-write mode, then recovered), the
+# concurrent update/search race tests (budgeted batches beside Insert
+# included) and the mutation-history golden digests, all under the race
+# detector.
 crash:
 	$(GO) test -race -count=1 \
-		-run 'TestCrashRecoverySweep|TestGroupCommitCrashKeepsPrefix|TestConcurrentInsertSearch' \
+		-run 'TestCrashRecoverySweep|TestGroupCommitCrashKeepsPrefix|TestConcurrentInsertSearch|TestMutationGoldenDigest' \
 		./internal/diskindex
 	$(GO) test -race -count=1 -run 'TestWALFacadeConcurrentUpdates|TestBudgetedBatchSearchBesideInsert' .
 

@@ -154,8 +154,8 @@ func (ix *Index) roundHashes(q []float32, rIdx int, proj, projScratch []float64,
 }
 
 // prefetchRound starts readahead for round rIdx given its compound hashes:
-// one walk per occupied bucket over the table block, the head pointer it
-// contains, and up to the configured depth of chain blocks, submitted to the
+// one walk per occupied bucket over the table block, the block its slot
+// names, and up to the configured depth of chain blocks, submitted to the
 // engine as vectored waves (all table blocks in one batch, then each chain
 // depth level in one batch). It returns immediately; the searcher folds the
 // handle in when it reaches the round. Callers check ix.readahead > 0
@@ -173,10 +173,11 @@ func (ix *Index) prefetchRound(ctx context.Context, rIdx int, hashes []uint32) *
 			Steps: 1 + ix.readahead,
 			Next: func(step int, block []byte) blockstore.Addr {
 				if step == 0 {
-					// The table block: decode this bucket's head address.
-					return blockstore.Addr(binary.LittleEndian.Uint64(block[off : off+8]))
+					// The table block: decode this bucket's first block.
+					return decodeSlot(binary.LittleEndian.Uint64(block[off : off+8])).addr
 				}
-				// A bucket block: follow the chain link in its header.
+				// A bucket block: follow the chain link in its header (Nil
+				// in a packed block).
 				return blockstore.Addr(binary.LittleEndian.Uint64(block[0:8]))
 			},
 		})

@@ -3,12 +3,23 @@
 //
 // Layout (§5.1, Fig 9/10). The index lives in a 512-byte block store. For
 // every (search radius, compound hash) pair there is a hash table region —
-// an array of 2^u bucket head addresses — plus linked chains of bucket
-// blocks. A bucket block holds a 16-byte header (8-byte next-block address,
-// 2-byte entry count, 6 bytes reserved) followed by 5-byte object infos.
-// Each object info packs the object ID together with the fingerprint: the
-// high (32−u) bits of the 32-bit compound hash whose low u bits selected the
-// bucket (§5.2), restoring full 32-bit precision at scan time.
+// an array of 2^u 8-byte slots — plus the bucket blocks. A bucket block holds
+// a 16-byte header (8-byte next-block address, 2-byte entry count, 6 bytes
+// reserved) followed by 5-byte object infos. Each object info packs the
+// object ID together with the fingerprint: the high (32−u) bits of the 32-bit
+// compound hash whose low u bits selected the bucket (§5.2), restoring full
+// 32-bit precision at scan time.
+//
+// A slot names a block address (44 bits), an entry offset and an entry count
+// (10 bits each). The build packs each table's buckets into shared blocks in
+// index order, first fit, never straddling a block: a packed bucket's slot
+// names its block and its entry range, and the block's header says next =
+// Nil with the block's fill as count. A bucket longer than one block is a
+// chain of blocks of its own, and its slot has count 0 and names the head.
+// Either way a probe costs one table-block read plus one read per block of
+// the bucket, as with the paper's one block per bucket, at a third of the
+// bytes. Online updates copy a packed bucket to a chain of its own before
+// changing it (update.go).
 //
 // DRAM keeps only the table base addresses, per-table occupancy bitmaps
 // (so empty buckets cost zero I/O) and the hash functions — the small
@@ -31,9 +42,52 @@ const (
 	HeaderBytes = 16
 	// EntryBytes is the packed object info size (§5.2).
 	EntryBytes = 5
-	// addrsPerTableBlock is how many 8-byte bucket addresses fit one block.
+	// addrsPerTableBlock is how many 8-byte slots fit one block.
 	addrsPerTableBlock = blockstore.BlockSize / 8
+
+	// A slot's bit fields: the block address, then the entry offset and the
+	// entry count of a packed bucket.
+	slotAddrBits  = 44
+	slotFieldBits = 10
+	// maxBlockEntries bounds entries per block so that a packed offset and
+	// count fit their fields: BucketBytes up to 5131.
+	maxBlockEntries = 1<<slotFieldBits - 1
 )
+
+// slot is a decoded table entry. With count 0, addr is the head of the
+// bucket's chain (Nil for an empty bucket). With count > 0, the bucket is
+// entries [off, off+count) of the packed block at addr.
+type slot struct {
+	addr       blockstore.Addr
+	off, count int
+}
+
+func decodeSlot(v uint64) slot {
+	return slot{
+		addr:  blockstore.Addr(v & (1<<slotAddrBits - 1)),
+		off:   int(v>>slotAddrBits) & maxBlockEntries,
+		count: int(v >> (slotAddrBits + slotFieldBits)),
+	}
+}
+
+func (s slot) encode() uint64 {
+	return uint64(s.addr) | uint64(s.off)<<slotAddrBits | uint64(s.count)<<(slotAddrBits+slotFieldBits)
+}
+
+// span returns which entries of block, the bucket block at s.addr, belong to
+// the bucket, and the next block of its chain. A packed range beyond the
+// block's fill — a zeroed block, as the simulator delivers a failed read —
+// holds nothing.
+func (s slot) span(block []byte) (next blockstore.Addr, lo, hi int) {
+	next, n := bucketHeader(block)
+	if s.count == 0 {
+		return next, 0, n
+	}
+	if s.off+s.count > n {
+		return blockstore.Nil, 0, 0
+	}
+	return blockstore.Nil, s.off, s.off + s.count
+}
 
 // Options configure index construction.
 type Options struct {
@@ -177,7 +231,7 @@ func (ix *Index) setOccupied(r, l int, idx uint32) {
 }
 
 // tableEntryBlock returns the block holding table entry idx of (r,l) and the
-// byte offset of the 8-byte address within that block.
+// byte offset of its 8-byte slot within that block.
 func (ix *Index) tableEntryBlock(r, l int, idx uint32) (blockstore.Addr, int) {
 	return ix.tableBase[r][l] + blockstore.Addr(idx/addrsPerTableBlock),
 		int(idx%addrsPerTableBlock) * 8
@@ -218,6 +272,9 @@ func Build(data [][]float32, p lsh.Params, opts Options, store *blockstore.Store
 	}
 	if opts.BucketBytes < HeaderBytes+EntryBytes {
 		return nil, fmt.Errorf("diskindex: bucket block of %d bytes cannot hold any entry", opts.BucketBytes)
+	}
+	if (opts.BucketBytes-HeaderBytes)/EntryBytes > maxBlockEntries {
+		return nil, fmt.Errorf("diskindex: bucket block of %d bytes holds more than %d entries", opts.BucketBytes, maxBlockEntries)
 	}
 	u := opts.TableBits
 	if u == 0 {
@@ -275,8 +332,9 @@ func (ix *Index) build() error {
 	counts := make([]int32, numBuckets)
 	starts := make([]int32, numBuckets+1)
 	sorted := make([]uint32, n) // object ids grouped by bucket index
-	table := make([]blockstore.Addr, numBuckets)
-	blockBuf := make([]byte, ix.bucketBytes)
+	slots := make([]uint64, numBuckets)
+	packBuf := make([]byte, ix.bucketBytes)
+	chainBuf := make([]byte, ix.bucketBytes)
 
 	ix.tableBase = make([][]blockstore.Addr, p.R())
 	ix.occupied = make([][][]uint64, p.R())
@@ -302,35 +360,77 @@ func (ix *Index) build() error {
 				fill[idx]++
 			}
 
-			// Allocate the table region, then write bucket chains.
-			tableBlocks := uint64(numBuckets / addrsPerTableBlock)
-			if numBuckets%addrsPerTableBlock != 0 {
-				tableBlocks++
-			}
-			ix.tableBase[r][l] = ix.store.AllocateRange(tableBlocks)
+			// Allocate the table region, then write the buckets.
+			ix.tableBase[r][l] = ix.store.AllocateRange(ix.expectedTableBlocks())
 			bm := make([]uint64, (numBuckets+63)/64)
 			ix.occupied[r][l] = bm
-
-			clear(table)
-			for idx := uint32(0); idx < numBuckets; idx++ {
-				cnt := int(counts[idx])
-				if cnt == 0 {
-					continue
+			for idx, c := range counts {
+				if c > 0 {
+					bm[idx>>6] |= 1 << (idx & 63)
 				}
-				head, err := ix.writeChain(hashes, sorted[starts[idx]:starts[idx+1]], blockBuf)
-				if err != nil {
-					return err
-				}
-				table[idx] = head
-				bm[idx>>6] |= 1 << (idx & 63)
 			}
-			if err := ix.writeTableRegion(ix.tableBase[r][l], table); err != nil {
+			if err := ix.writeBuckets(hashes, sorted, starts, slots, packBuf, chainBuf); err != nil {
+				return err
+			}
+			if err := ix.writeTableRegion(ix.tableBase[r][l], slots); err != nil {
 				return err
 			}
 			keys[r][l] = nil // release hash memory as tables freeze
 		}
 	}
 	return nil
+}
+
+// writeBuckets writes one hash table's buckets — bucket idx holds
+// objs[starts[idx]:starts[idx+1]] — and sets slots[idx] to each bucket's
+// slot. Buckets that fit one block are packed in index order, first fit, into
+// shared blocks (packBuf holds the block being filled); longer ones get
+// chains of their own (chainBuf).
+func (ix *Index) writeBuckets(hashes, objs []uint32, starts []int32, slots []uint64, packBuf, chainBuf []byte) error {
+	var open blockstore.Addr // the block being filled; Nil when none
+	fill := 0
+	for idx := range slots {
+		bucket := objs[starts[idx]:starts[idx+1]]
+		switch {
+		case len(bucket) == 0:
+			slots[idx] = 0
+			continue
+		case len(bucket) > ix.entriesPerBlock:
+			head, err := ix.writeChain(hashes, bucket, chainBuf)
+			if err != nil {
+				return err
+			}
+			slots[idx] = slot{addr: head}.encode()
+			continue
+		}
+		if open == blockstore.Nil || fill+len(bucket) > ix.entriesPerBlock {
+			if err := ix.closePacked(open, fill, packBuf); err != nil {
+				return err
+			}
+			open, fill = ix.store.AllocateRange(uint64(ix.physPerBucket)), 0
+			clear(packBuf)
+		}
+		ix.putEntries(packBuf[HeaderBytes+fill*EntryBytes:], hashes, bucket)
+		slots[idx] = slot{addr: open, off: fill, count: len(bucket)}.encode()
+		fill += len(bucket)
+	}
+	return ix.closePacked(open, fill, packBuf)
+}
+
+// closePacked writes a filled packed block: next = Nil, count = fill.
+func (ix *Index) closePacked(addr blockstore.Addr, fill int, buf []byte) error {
+	if addr == blockstore.Nil {
+		return nil
+	}
+	binary.LittleEndian.PutUint16(buf[8:10], uint16(fill))
+	return ix.writeLogicalBlock(addr, buf)
+}
+
+// putEntries encodes objs' object infos into dst, one after another.
+func (ix *Index) putEntries(dst []byte, hashes, objs []uint32) {
+	for i, obj := range objs {
+		putUint40(dst[i*EntryBytes:], ix.packEntry(obj, hashes[obj]>>ix.u))
+	}
 }
 
 // writeChain writes one bucket's entries as a chain of bucket blocks and
@@ -351,13 +451,7 @@ func (ix *Index) writeChain(hashes []uint32, objs []uint32, buf []byte) (blockst
 		}
 		binary.LittleEndian.PutUint64(buf[0:8], uint64(next))
 		binary.LittleEndian.PutUint16(buf[8:10], uint16(hi-lo))
-		off := HeaderBytes
-		for _, obj := range objs[lo:hi] {
-			fp := hashes[obj] >> ix.u
-			packed := ix.packEntry(obj, fp)
-			putUint40(buf[off:], packed)
-			off += EntryBytes
-		}
+		ix.putEntries(buf[HeaderBytes:], hashes, objs[lo:hi])
 		if err := ix.writeLogicalBlock(base+blockstore.Addr(b*ix.physPerBucket), buf); err != nil {
 			return 0, err
 		}
@@ -404,8 +498,8 @@ func (ix *Index) readLogicalBlock(addr blockstore.Addr, buf []byte, st *Stats) e
 	return nil
 }
 
-// writeTableRegion writes the bucket head addresses of one hash table.
-func (ix *Index) writeTableRegion(base blockstore.Addr, table []blockstore.Addr) error {
+// writeTableRegion writes the encoded slots of one hash table.
+func (ix *Index) writeTableRegion(base blockstore.Addr, table []uint64) error {
 	var buf [blockstore.BlockSize]byte
 	for blk := 0; blk*addrsPerTableBlock < len(table); blk++ {
 		clear(buf[:])
@@ -415,7 +509,7 @@ func (ix *Index) writeTableRegion(base blockstore.Addr, table []blockstore.Addr)
 			hi = len(table)
 		}
 		for i, a := range table[lo:hi] {
-			binary.LittleEndian.PutUint64(buf[i*8:], uint64(a))
+			binary.LittleEndian.PutUint64(buf[i*8:], a)
 		}
 		if err := ix.store.WriteBlock(base+blockstore.Addr(blk), buf[:]); err != nil {
 			return err

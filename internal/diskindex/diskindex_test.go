@@ -551,21 +551,21 @@ func TestStoreBlocksConsistent(t *testing.T) {
 				if err := ix.store.ReadBlock(blk, buf[:blockstore.BlockSize]); err != nil {
 					t.Fatal(err)
 				}
-				addr := blockstore.Addr(getUint64(buf[off : off+8]))
-				if addr == blockstore.Nil {
+				sl := decodeSlot(getUint64(buf[off : off+8]))
+				if sl.addr == blockstore.Nil {
 					t.Fatalf("occupied bucket (%d,%d,%d) has nil head", r, l, idx)
 				}
 				total := 0
-				for addr != blockstore.Nil {
-					if err := ix.readLogicalBlock(addr, buf, nil); err != nil {
+				for w := sl; w.addr != blockstore.Nil; {
+					if err := ix.readLogicalBlock(w.addr, buf, nil); err != nil {
 						t.Fatal(err)
 					}
-					next, count := bucketHeader(buf)
-					if count == 0 {
+					next, lo, hi := w.span(buf)
+					if hi == lo {
 						t.Fatalf("empty block in chain of bucket (%d,%d,%d)", r, l, idx)
 					}
-					total += count
-					addr = next
+					total += hi - lo
+					w = slot{addr: next}
 				}
 				if total == 0 {
 					t.Fatalf("occupied bucket (%d,%d,%d) holds no entries", r, l, idx)

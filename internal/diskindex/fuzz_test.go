@@ -22,84 +22,99 @@ func FuzzUint40RoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzChainRoundTrip builds a bucket chain from arbitrary object streams
-// through the production writeChain encoder and walks it back with the
-// production decoders (bucketHeader, getUint40, unpackEntry), asserting
-// every (id, fingerprint) pair survives the on-storage format — across
-// fuzzed id widths, table bits and entries-per-block splits.
+// FuzzChainRoundTrip writes one hash table's buckets, sized from an
+// arbitrary byte stream, through the production packer (writeBuckets: packed
+// blocks plus chains for buckets longer than one block) and reads every
+// bucket back through the production slot decoder (decodeSlot, span,
+// getUint40, unpackEntry), asserting that every (id, fingerprint) pair comes
+// back in order — across fuzzed id widths and table bits, and bucket blocks
+// of 128, 512 and 4096 bytes.
 func FuzzChainRoundTrip(f *testing.F) {
-	f.Add([]byte{0, 1, 2, 3, 4, 5}, uint8(10), uint8(12), uint8(3))
-	f.Add([]byte{255, 0, 255}, uint8(1), uint8(31), uint8(1))
-	f.Add([]byte{}, uint8(20), uint8(8), uint8(50))
-	f.Fuzz(func(t *testing.T, raw []byte, idBitsRaw, uRaw, perBlockRaw uint8) {
+	f.Add([]byte{0, 1, 2, 3, 4, 5}, uint8(10), uint8(12), uint8(1))
+	f.Add([]byte{255, 0, 255, 99, 0x80, 0xc0}, uint8(1), uint8(31), uint8(0))
+	f.Add([]byte{200, 7, 250, 13, 0xff}, uint8(14), uint8(16), uint8(2))
+	f.Add([]byte{}, uint8(20), uint8(8), uint8(1))
+	f.Fuzz(func(t *testing.T, raw []byte, idBitsRaw, uRaw, sizeSel uint8) {
 		idBits := uint(idBitsRaw)%20 + 1 // 1..20
 		u := uint(uRaw)%31 + 1           // 1..31; fp has 32-u bits
 		if idBits+(32-u) > 8*EntryBytes {
 			t.Skip("id+fp wider than an object info")
 		}
-		maxEntries := (blockstore.BlockSize - HeaderBytes) / EntryBytes
-		perBlock := int(perBlockRaw)%maxEntries + 1
-
-		objs := make([]uint32, 0, len(raw))
-		maxID := uint32(0)
-		for _, b := range raw {
-			id := uint32(b) % (1 << idBits)
-			objs = append(objs, id)
-			if id > maxID {
-				maxID = id
-			}
+		bucketBytes := []int{128, 512, 4096}[int(sizeSel)%3]
+		ix := &Index{
+			store:           blockstore.NewMem(),
+			u:               u,
+			idBits:          idBits,
+			bucketBytes:     bucketBytes,
+			physPerBucket:   (bucketBytes + blockstore.BlockSize - 1) / blockstore.BlockSize,
+			entriesPerBlock: (bucketBytes - HeaderBytes) / EntryBytes,
 		}
-		hashes := make([]uint32, maxID+1)
+		// A byte with its top bit clear is a bucket of that many entries; one
+		// with it set scales its low bits up to three blocks' worth. A table
+		// of 64 buckets is plenty to pack several blocks.
+		raw = raw[:min(len(raw), 64)]
+		epb := ix.entriesPerBlock
+		starts := []int32{0}
+		for _, b := range raw {
+			size := int(b)
+			if b&0x80 != 0 {
+				size = int(b&0x7f) * 3 * epb / 0x7f
+			}
+			starts = append(starts, starts[len(starts)-1]+int32(size))
+		}
+		total := int(starts[len(starts)-1])
+		m := min(max(total, 1), 1<<idBits)
+		objs := make([]uint32, total)
+		for i := range objs {
+			objs[i] = uint32(i*7919) % uint32(m)
+		}
+		hashes := make([]uint32, m)
 		for i := range hashes {
 			// Any deterministic per-object hash will do; the fingerprint is
 			// its high 32-u bits.
 			hashes[i] = uint32(i)*2654435761 + 12345
 		}
-
-		ix := &Index{
-			store:           blockstore.NewMem(),
-			u:               u,
-			idBits:          idBits,
-			bucketBytes:     blockstore.BlockSize,
-			physPerBucket:   1,
-			entriesPerBlock: perBlock,
-		}
-		buf := make([]byte, ix.bucketBufBytes())
-		head, err := ix.writeChain(hashes, objs, buf)
-		if err != nil {
+		slots := make([]uint64, len(raw))
+		packBuf, chainBuf := make([]byte, bucketBytes), make([]byte, bucketBytes)
+		if err := ix.writeBuckets(hashes, objs, starts, slots, packBuf, chainBuf); err != nil {
 			t.Fatal(err)
 		}
-		if len(objs) == 0 {
-			return
-		}
 
-		// Walk the chain back with the production decoders.
-		var got []uint32
-		for addr := head; addr != 0; {
-			if err := ix.readLogicalBlock(addr, buf, nil); err != nil {
-				t.Fatal(err)
-			}
-			next, count := bucketHeader(buf)
-			if count > ix.entriesPerBlock {
-				t.Fatalf("block %d claims %d entries, split is %d per block", addr, count, ix.entriesPerBlock)
-			}
-			off := HeaderBytes
-			for i := 0; i < count; i++ {
-				id, fp := ix.unpackEntry(getUint40(buf[off:]))
-				off += EntryBytes
-				if want := hashes[id] >> u; fp != want {
-					t.Fatalf("object %d: fingerprint %#x, want %#x", id, fp, want)
+		buf := make([]byte, ix.bucketBufBytes())
+		for b, v := range slots {
+			want := objs[starts[b]:starts[b+1]]
+			sl := decodeSlot(v)
+			if len(want) == 0 {
+				if v != 0 {
+					t.Fatalf("empty bucket %d has slot %+v", b, sl)
 				}
-				got = append(got, id)
+				continue
 			}
-			addr = next
-		}
-		if len(got) != len(objs) {
-			t.Fatalf("chain decoded %d entries, wrote %d", len(got), len(objs))
-		}
-		for i := range objs {
-			if got[i] != objs[i] {
-				t.Fatalf("entry %d: decoded id %d, wrote %d", i, got[i], objs[i])
+			var got []uint32
+			for w := sl; w.addr != blockstore.Nil; {
+				if err := ix.readLogicalBlock(w.addr, buf, nil); err != nil {
+					t.Fatal(err)
+				}
+				next, lo, hi := w.span(buf)
+				if hi > epb {
+					t.Fatalf("bucket %d: block %d holds entries up to %d, a block holds %d", b, w.addr, hi, epb)
+				}
+				for i := lo; i < hi; i++ {
+					id, fp := ix.unpackEntry(getUint40(buf[HeaderBytes+i*EntryBytes:]))
+					if want := hashes[id] >> u; fp != want {
+						t.Fatalf("object %d: fingerprint %#x, want %#x", id, fp, want)
+					}
+					got = append(got, id)
+				}
+				w = slot{addr: next}
+			}
+			if len(got) != len(want) {
+				t.Fatalf("bucket %d decoded %d entries, wrote %d", b, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("bucket %d entry %d: decoded id %d, wrote %d", b, i, got[i], want[i])
+				}
 			}
 		}
 	})

@@ -1,8 +1,11 @@
 package diskindex
 
 import (
+	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
+	"strings"
 	"testing"
 
 	"e2lshos/internal/blockstore"
@@ -12,7 +15,7 @@ import (
 
 // imageDigest is the SHA-256 of the saved n=20000, d=128 index below,
 // recorded with the portable Go projection and hash loops.
-const imageDigest = "01f08641d448ad21b81cb1a36fee4cba099fdc5ec267827b3d077ccaede20bc6"
+const imageDigest = "6031a442cc6527390eb0305ce4235715b832be52d48708699a2b8842e0d4525b"
 
 // TestImageDigest pins every byte of a built index's image — header, table
 // bitmaps and the block store's WriteTo bytes, which hold every hash the
@@ -48,5 +51,22 @@ func TestImageDigest(t *testing.T) {
 	}
 	if got := hex.EncodeToString(h.Sum(nil)); got != imageDigest {
 		t.Fatalf("index image digest %s, want %s (L=%d M=%d radii=%d)", got, imageDigest, p.L, p.M, p.R())
+	}
+}
+
+// TestLoadRefusesVersion1 checks that an image written with one block per
+// bucket (version 1) is refused with an error that names the version, not
+// decoded as slots it does not hold.
+func TestLoadRefusesVersion1(t *testing.T) {
+	d, ix := buildUpdatable(t, 300, 0)
+	var img bytes.Buffer
+	if err := ix.Save(&img); err != nil {
+		t.Fatal(err)
+	}
+	b := img.Bytes()
+	binary.LittleEndian.PutUint32(b[len(indexMagic):], 1)
+	_, err := Load(bytes.NewReader(b), d.Vectors[:300], blockstore.NewMem())
+	if err == nil || !strings.Contains(err.Error(), "version 1") {
+		t.Fatalf("Load of a version 1 image: %v, want a version 1 refusal", err)
 	}
 }

@@ -18,7 +18,7 @@ import (
 // which lsh.NewFamilies guarantees to be deterministic.
 const (
 	indexMagic   = "E2IX"
-	indexVersion = 1
+	indexVersion = 2 // 2: buckets packed into shared blocks (see the package doc)
 )
 
 // Save writes the index (metadata + blocks) to w. The database vectors are
@@ -110,6 +110,9 @@ func Load(r io.Reader, data [][]float32, store *blockstore.Store) (*Index, error
 		if err := binary.Read(br, binary.LittleEndian, f); err != nil {
 			return nil, fmt.Errorf("diskindex: read header: %w", err)
 		}
+	}
+	if version == 1 {
+		return nil, fmt.Errorf("diskindex: image version 1 gives every bucket a block of its own; this build reads version %d only, so rebuild the index", indexVersion)
 	}
 	if version != indexVersion {
 		return nil, fmt.Errorf("diskindex: unsupported version %d", version)

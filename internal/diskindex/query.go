@@ -166,7 +166,7 @@ func (s *Searcher) Visit(r, l int, h uint32) (bool, error) {
 		return false, nil
 	}
 	lad.NonEmptyProbes++
-	head, err := s.readTableEntry(r, l, idx)
+	sl, err := s.readTableEntry(r, l, idx)
 	if err != nil {
 		if storageFault(err) {
 			// Unreadable table block after the I/O layer's retries: skip
@@ -177,9 +177,8 @@ func (s *Searcher) Visit(r, l int, h uint32) (bool, error) {
 		}
 		return false, err
 	}
-	addr := head
-	for addr != blockstore.Nil {
-		if err := ix.readLogicalBlock(addr, s.buf, st); err != nil {
+	for sl.addr != blockstore.Nil {
+		if err := ix.readLogicalBlock(sl.addr, s.buf, st); err != nil {
 			if storageFault(err) {
 				// Abandon the rest of this chain; entries scanned from its
 				// earlier blocks already reached the accumulator and stay.
@@ -189,9 +188,9 @@ func (s *Searcher) Visit(r, l int, h uint32) (bool, error) {
 			return false, err
 		}
 		st.BucketIOs++
-		next, count := bucketHeader(s.buf)
-		off := HeaderBytes
-		for i := 0; i < count; i++ {
+		next, lo, hi := sl.span(s.buf)
+		off := HeaderBytes + lo*EntryBytes
+		for i := lo; i < hi; i++ {
 			lad.EntriesScanned++
 			id, efp := ix.unpackEntry(getUint40(s.buf[off:]))
 			off += EntryBytes
@@ -203,7 +202,7 @@ func (s *Searcher) Visit(r, l int, h uint32) (bool, error) {
 				return true, nil
 			}
 		}
-		addr = next
+		sl = slot{addr: next}
 	}
 	return false, nil
 }
@@ -211,14 +210,14 @@ func (s *Searcher) Visit(r, l int, h uint32) (bool, error) {
 // EndRound implements ladder.Rounds; buckets were verified as visited.
 func (s *Searcher) EndRound(int) (ladder.IO, error) { return ladder.IO{}, nil }
 
-// readTableEntry fetches the bucket head address for table (r,l) entry idx.
+// readTableEntry fetches the slot of table (r,l) entry idx.
 //
 //lsh:hotpath
-func (s *Searcher) readTableEntry(r, l int, idx uint32) (blockstore.Addr, error) {
+func (s *Searcher) readTableEntry(r, l int, idx uint32) (slot, error) {
 	blk, off := s.ix.tableEntryBlock(r, l, idx)
 	if err := s.ix.readBlock(blk, s.buf[:blockstore.BlockSize], &s.lad.Stats); err != nil {
-		return 0, err
+		return slot{}, err
 	}
 	s.lad.TableIOs++
-	return blockstore.Addr(binary.LittleEndian.Uint64(s.buf[off : off+8])), nil
+	return decodeSlot(binary.LittleEndian.Uint64(s.buf[off : off+8])), nil
 }

@@ -172,15 +172,15 @@ func (s *simSearcher) resume() {
 }
 
 // onBlock is ReadVec's continuation for block i of the wave: it copies the
-// block out of the engine's buffer and charges its scan — the head pointer
-// of a table block, the entries of a bucket block.
+// block out of the engine's buffer and charges its scan — the slot of a
+// table block, the probed bucket's entries of a bucket block.
 func (s *simSearcher) onBlock(i int, block []byte) {
 	copy(s.into[i], block)
 	if s.table {
 		s.tc.Charge(costmodel.ToTime(s.model.Scan(1)))
 	} else if i%s.group == 0 {
-		_, count := bucketHeader(block)
-		s.tc.Charge(costmodel.ToTime(s.model.Scan(count)))
+		_, lo, hi := s.heads[i/s.group].span(block)
+		s.tc.Charge(costmodel.ToTime(s.model.Scan(hi - lo)))
 	}
 	s.arrived()
 }

@@ -22,6 +22,13 @@ import (
 //   - Delete removes the object's entries in place by swapping the last
 //     entry of the chain head into the vacated slot (lazy: blocks are never
 //     reclaimed, matching the paper's advice to rebuild sparingly).
+//   - Both copy on write: a bucket still packed into a block it shares with
+//     other buckets (see the package doc) is first copied into a chain block
+//     of its own, with the same entries in the same order, and its table
+//     slot is repointed with one table-block write. The shared block is
+//     never written, so the other buckets' bytes stay as built, and every
+//     bucket holds the entries, in the order, that one block per bucket
+//     would hold.
 //
 // Updates are safe concurrently with queries: every mutation holds the
 // index's update lock exclusively and every searcher holds it shared for
@@ -147,57 +154,97 @@ func (ix *Index) applyInsertLocked(id uint32, v []float32, idem bool) error {
 }
 
 // insertEntryLocked adds one object info to bucket (r, l, idx), skipping
-// the add when idem is set and the entry is already present in the chain.
+// the add when idem is set and the entry is already present in the bucket.
 //
 //lsh:hotpath
 func (ix *Index) insertEntryLocked(r, l int, idx, id, fp uint32, idem bool) error {
 	buf := ix.upd.scratch.buf
-	head, err := ix.loadTableEntry(r, l, idx, buf)
+	sl, err := ix.loadTableEntry(r, l, idx, buf)
 	if err != nil {
 		return err
 	}
-	if head != blockstore.Nil {
-		if idem {
-			packed := ix.packEntry(id, fp)
-			for addr := head; addr != blockstore.Nil; {
-				if err := ix.readLogicalBlock(addr, buf, nil); err != nil {
-					return err
-				}
-				next, count := bucketHeader(buf)
-				for i := 0; i < count; i++ {
-					if getUint40(buf[HeaderBytes+i*EntryBytes:]) == packed {
-						return nil // already applied
-					}
-				}
-				addr = next
+	entry := ix.packEntry(id, fp)
+	if idem {
+		for w := sl; w.addr != blockstore.Nil; {
+			if err := ix.readLogicalBlock(w.addr, buf, nil); err != nil {
+				return err
 			}
+			next, lo, hi := w.span(buf)
+			for i := lo; i < hi; i++ {
+				if getUint40(buf[HeaderBytes+i*EntryBytes:]) == entry {
+					return nil // already applied
+				}
+			}
+			w = slot{addr: next}
 		}
+	}
+	head := sl.addr
+	if head != blockstore.Nil {
 		// Try to append into the head block.
-		if err := ix.readLogicalBlock(head, buf, nil); err != nil {
+		count, err := ix.readHead(sl, buf)
+		if err != nil {
 			return err
 		}
-		_, count := bucketHeader(buf)
 		if count < ix.entriesPerBlock {
-			off := HeaderBytes + count*EntryBytes
-			putUint40(buf[off:], ix.packEntry(id, fp))
+			putUint40(buf[HeaderBytes+count*EntryBytes:], entry)
 			binary.LittleEndian.PutUint16(buf[8:10], uint16(count+1))
-			return ix.writeLogicalBlock(head, buf[:ix.bucketBytes])
+			return ix.writeHead(r, l, idx, sl, buf)
+		}
+		if sl.count > 0 {
+			// A full packed bucket: its copy becomes the chain's second block.
+			head = ix.store.AllocateRange(uint64(ix.physPerBucket))
+			if err := ix.writeLogicalBlock(head, buf[:ix.bucketBytes]); err != nil {
+				return err
+			}
 		}
 	}
 	// Prepend a fresh head block chaining to the old head.
 	clear(buf)
 	binary.LittleEndian.PutUint64(buf[0:8], uint64(head))
 	binary.LittleEndian.PutUint16(buf[8:10], 1)
-	putUint40(buf[HeaderBytes:], ix.packEntry(id, fp))
+	putUint40(buf[HeaderBytes:], entry)
 	newHead := ix.store.AllocateRange(uint64(ix.physPerBucket))
 	if err := ix.writeLogicalBlock(newHead, buf[:ix.bucketBytes]); err != nil {
 		return err
 	}
-	if err := ix.storeTableEntryLocked(r, l, idx, newHead); err != nil {
+	if err := ix.storeTableEntryLocked(r, l, idx, slot{addr: newHead}); err != nil {
 		return err
 	}
 	ix.setOccupied(r, l, idx)
 	return nil
+}
+
+// readHead reads the head block of bucket sl into buf and returns its entry
+// count. A packed bucket's entries move to the front of buf under a header of
+// their own (next = Nil): buf is then the chain block of its own the bucket
+// becomes when writeHead writes it.
+func (ix *Index) readHead(sl slot, buf []byte) (int, error) {
+	if err := ix.readLogicalBlock(sl.addr, buf, nil); err != nil {
+		return 0, err
+	}
+	if sl.count == 0 {
+		_, count := bucketHeader(buf)
+		return count, nil
+	}
+	n := copy(buf[HeaderBytes:], buf[HeaderBytes+sl.off*EntryBytes:HeaderBytes+(sl.off+sl.count)*EntryBytes])
+	clear(buf[HeaderBytes+n:])
+	binary.LittleEndian.PutUint64(buf[0:8], uint64(blockstore.Nil))
+	binary.LittleEndian.PutUint16(buf[8:10], uint16(sl.count))
+	return sl.count, nil
+}
+
+// writeHead writes buf as bucket (r, l, idx)'s head block: in place for a
+// chain, or, for a packed bucket, to a new block the slot is repointed at
+// (copy-on-write).
+func (ix *Index) writeHead(r, l int, idx uint32, sl slot, buf []byte) error {
+	if sl.count == 0 {
+		return ix.writeLogicalBlock(sl.addr, buf[:ix.bucketBytes])
+	}
+	head := ix.store.AllocateRange(uint64(ix.physPerBucket))
+	if err := ix.writeLogicalBlock(head, buf[:ix.bucketBytes]); err != nil {
+		return err
+	}
+	return ix.storeTableEntryLocked(r, l, idx, slot{addr: head})
 }
 
 // ErrUnknownID is wrapped by Delete's error when the ID was never assigned.
@@ -265,41 +312,48 @@ func (ix *Index) applyDeleteLocked(id uint32) (bool, error) {
 func (ix *Index) deleteEntryLocked(r, l int, idx, id, fp uint32) (bool, error) {
 	sc := &ix.upd.scratch
 	buf, headBuf := sc.buf, sc.headBuf
-	head, err := ix.loadTableEntry(r, l, idx, buf)
-	if err != nil || head == blockstore.Nil {
+	sl, err := ix.loadTableEntry(r, l, idx, buf)
+	if err != nil || sl.addr == blockstore.Nil {
 		return false, err
 	}
-	// Locate the entry.
-	addr := head
-	for addr != blockstore.Nil {
-		if err := ix.readLogicalBlock(addr, buf, nil); err != nil {
+	entry := ix.packEntry(id, fp)
+	// Locate the entry. The head block is read as readHead gives it: a
+	// packed bucket is its own copy, the only block of its chain.
+	head := sl.addr
+	for addr := head; addr != blockstore.Nil; {
+		if addr == head {
+			_, err = ix.readHead(sl, buf)
+		} else {
+			err = ix.readLogicalBlock(addr, buf, nil)
+		}
+		if err != nil {
 			return false, err
 		}
 		next, count := bucketHeader(buf)
 		for i := 0; i < count; i++ {
 			off := HeaderBytes + i*EntryBytes
-			eid, efp := ix.unpackEntry(getUint40(buf[off:]))
-			if eid != id || efp != fp {
+			if getUint40(buf[off:]) != entry {
 				continue
 			}
-			// Found: replace with the last entry of the head block.
+			if addr == head {
+				// Same block: move its own last entry into the hole.
+				lastOff := HeaderBytes + (count-1)*EntryBytes
+				copy(buf[off:off+EntryBytes], buf[lastOff:lastOff+EntryBytes])
+				binary.LittleEndian.PutUint16(buf[8:10], uint16(count-1))
+				return true, ix.finishHeadShrink(r, l, idx, sl, buf, count-1)
+			}
+			// Found deeper in a chain: replace it with the head's last entry.
 			if err := ix.readLogicalBlock(head, headBuf, nil); err != nil {
 				return false, err
 			}
 			_, headCount := bucketHeader(headBuf)
 			lastOff := HeaderBytes + (headCount-1)*EntryBytes
-			if addr == head {
-				// Same block: move its own last entry into the hole.
-				copy(buf[off:off+EntryBytes], buf[lastOff:lastOff+EntryBytes])
-				binary.LittleEndian.PutUint16(buf[8:10], uint16(count-1))
-				return true, ix.finishHeadShrink(r, l, idx, head, buf, count-1)
-			}
 			copy(buf[off:off+EntryBytes], headBuf[lastOff:lastOff+EntryBytes])
 			if err := ix.writeLogicalBlock(addr, buf[:ix.bucketBytes]); err != nil {
 				return false, err
 			}
 			binary.LittleEndian.PutUint16(headBuf[8:10], uint16(headCount-1))
-			return true, ix.finishHeadShrink(r, l, idx, head, headBuf, headCount-1)
+			return true, ix.finishHeadShrink(r, l, idx, sl, headBuf, headCount-1)
 		}
 		addr = next
 	}
@@ -308,14 +362,14 @@ func (ix *Index) deleteEntryLocked(r, l int, idx, id, fp uint32) (bool, error) {
 
 // finishHeadShrink writes back a head block whose count dropped by one,
 // unlinking it when it became empty.
-func (ix *Index) finishHeadShrink(r, l int, idx uint32, head blockstore.Addr, buf []byte, newCount int) error {
+func (ix *Index) finishHeadShrink(r, l int, idx uint32, sl slot, buf []byte, newCount int) error {
 	if newCount > 0 {
-		return ix.writeLogicalBlock(head, buf[:ix.bucketBytes])
+		return ix.writeHead(r, l, idx, sl, buf)
 	}
 	// Head emptied: point the table at the rest of the chain (the emptied
 	// block itself is leaked — deletion is lazy, as documented).
 	next, _ := bucketHeader(buf)
-	if err := ix.storeTableEntryLocked(r, l, idx, next); err != nil {
+	if err := ix.storeTableEntryLocked(r, l, idx, slot{addr: next}); err != nil {
 		return err
 	}
 	if next == blockstore.Nil {
@@ -324,27 +378,27 @@ func (ix *Index) finishHeadShrink(r, l int, idx uint32, head blockstore.Addr, bu
 	return nil
 }
 
-// loadTableEntry reads the bucket head address of (r, l, idx). buf must be
-// at least one block long.
-func (ix *Index) loadTableEntry(r, l int, idx uint32, buf []byte) (blockstore.Addr, error) {
+// loadTableEntry reads the slot of (r, l, idx). buf must be at least one
+// block long.
+func (ix *Index) loadTableEntry(r, l int, idx uint32, buf []byte) (slot, error) {
 	blk, off := ix.tableEntryBlock(r, l, idx)
 	if err := ix.readBlock(blk, buf[:blockstore.BlockSize], nil); err != nil {
-		return 0, err
+		return slot{}, err
 	}
-	return blockstore.Addr(binary.LittleEndian.Uint64(buf[off : off+8])), nil
+	return decodeSlot(binary.LittleEndian.Uint64(buf[off : off+8])), nil
 }
 
-// storeTableEntryLocked rewrites one bucket head address in the table
-// region. The caller holds the update lock exclusively, so the block goes
-// through the updater's scratch: a local array would escape to the heap on
-// every one of an insert's table rewrites.
-func (ix *Index) storeTableEntryLocked(r, l int, idx uint32, head blockstore.Addr) error {
+// storeTableEntryLocked rewrites one slot in the table region. The caller
+// holds the update lock exclusively, so the block goes through the updater's
+// scratch: a local array would escape to the heap on every one of an
+// insert's table rewrites.
+func (ix *Index) storeTableEntryLocked(r, l int, idx uint32, sl slot) error {
 	blk, off := ix.tableEntryBlock(r, l, idx)
 	buf := ix.upd.scratch.table
 	if err := ix.readBlock(blk, buf, nil); err != nil {
 		return err
 	}
-	binary.LittleEndian.PutUint64(buf[off:off+8], uint64(head))
+	binary.LittleEndian.PutUint64(buf[off:off+8], sl.encode())
 	if err := ix.store.WriteBlock(blk, buf); err != nil {
 		return err
 	}

@@ -2,6 +2,7 @@ package diskindex
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"e2lshos/internal/ann"
@@ -13,6 +14,12 @@ import (
 
 // buildUpdatable builds a small index with ID headroom for inserts.
 func buildUpdatable(t *testing.T, n, extra int) (*dataset.Dataset, *Index) {
+	t.Helper()
+	return buildUpdatableWith(t, n, extra, DefaultOptions())
+}
+
+// buildUpdatableWith is buildUpdatable under the given build options.
+func buildUpdatableWith(t *testing.T, n, extra int, opts Options) (*dataset.Dataset, *Index) {
 	t.Helper()
 	d, err := dataset.Generate(dataset.Spec{
 		Name: "upd", N: n + extra, Queries: 10, Dim: 16,
@@ -36,7 +43,7 @@ func buildUpdatable(t *testing.T, n, extra int) (*dataset.Dataset, *Index) {
 	// Copy the vector views so Insert can append without touching d.
 	data := make([][]float32, base.N())
 	copy(data, base.Vectors)
-	ix, err := Build(data, p, DefaultOptions(), blockstore.NewMem())
+	ix, err := Build(data, p, opts, blockstore.NewMem())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,4 +303,117 @@ func TestChainGrowthOnManyInserts(t *testing.T) {
 	if zeroDist < 150 {
 		t.Errorf("only %d duplicates found after chain growth", zeroDist)
 	}
+}
+
+// packedBlocks returns a copy of every block that holds packed buckets, and
+// how many buckets are packed.
+func packedBlocks(t *testing.T, ix *Index) (map[blockstore.Addr][]byte, int) {
+	t.Helper()
+	blocks := map[blockstore.Addr][]byte{}
+	packed := 0
+	buf := make([]byte, blockstore.BlockSize)
+	p := ix.params
+	for r := 0; r < p.R(); r++ {
+		for l := 0; l < p.L; l++ {
+			for idx := uint32(0); idx < 1<<ix.u; idx++ {
+				sl, err := ix.loadTableEntry(r, l, idx, buf)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if sl.count == 0 {
+					continue
+				}
+				packed++
+				if blocks[sl.addr] == nil {
+					b := make([]byte, blockstore.BlockSize)
+					if err := ix.store.ReadBlock(sl.addr, b); err != nil {
+						t.Fatal(err)
+					}
+					blocks[sl.addr] = b
+				}
+			}
+		}
+	}
+	return blocks, packed
+}
+
+// TestMutationLeavesSharedBlocks: inserts and deletes copy the packed buckets
+// they touch into blocks of their own, so the blocks those buckets shared
+// keep every byte as built, for the buckets still packed in them.
+func TestMutationLeavesSharedBlocks(t *testing.T) {
+	d, ix := buildUpdatable(t, 600, 20)
+	before, packed := packedBlocks(t, ix)
+	if packed <= len(before) {
+		t.Fatalf("%d packed buckets in %d blocks: no block is shared", packed, len(before))
+	}
+	for i := 600; i < 620; i++ {
+		if _, err := ix.Insert(d.Vectors[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for id := uint32(3); id < 600; id += 37 {
+		if _, err := ix.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	after, stillPacked := packedBlocks(t, ix)
+	if stillPacked >= packed {
+		t.Fatalf("%d buckets packed before the updates, %d after: nothing was copied on write", packed, stillPacked)
+	}
+	for a, b := range before {
+		got := make([]byte, blockstore.BlockSize)
+		if err := ix.store.ReadBlock(a, got); err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(b) {
+			t.Fatalf("packed block %d was rewritten by an update", a)
+		}
+	}
+	for a := range after {
+		if before[a] == nil {
+			t.Fatalf("an update packed a bucket into block %d", a)
+		}
+	}
+	if err := ix.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCheckInvariantsCatchesOverlap seeds the defect the packed layout must
+// never have: two buckets of one block that share an entry. Moving a packed
+// bucket's range one entry back, over its neighbor's last entry, must fail
+// the audit on the overlap.
+func TestCheckInvariantsCatchesOverlap(t *testing.T) {
+	_, ix := buildUpdatable(t, 600, 0)
+	if err := ix.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, blockstore.BlockSize)
+	var prev slot
+	for idx := uint32(0); idx < 1<<ix.u; idx++ {
+		sl, err := ix.loadTableEntry(0, 0, idx, buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sl.count == 0 {
+			continue
+		}
+		if prev.count > 0 && sl.addr == prev.addr && sl.off == prev.off+prev.count {
+			ix.upd.mu.Lock()
+			ix.upd.scratchLocked(ix)
+			err := ix.storeTableEntryLocked(0, 0, idx, slot{addr: sl.addr, off: sl.off - 1, count: sl.count + 1})
+			ix.upd.mu.Unlock()
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = ix.CheckInvariants()
+			if err == nil || !strings.Contains(err.Error(), "overlaps another bucket") {
+				t.Fatalf("overlapping buckets: CheckInvariants = %v, want an overlap error", err)
+			}
+			t.Logf("seeded overlap: %v", err)
+			return
+		}
+		prev = sl
+	}
+	t.Fatal("table (0,0) has no two neighboring buckets in one block")
 }

@@ -43,7 +43,7 @@ type WaveSearcher struct {
 	addrs    []blockstore.Addr
 	dsts     [][]byte
 	live     []*probe
-	heads    []blockstore.Addr
+	heads    []slot
 	offs     []int
 	cands    []candidate
 	// read fetches one wave; it is Index.readBatch except under the
@@ -85,7 +85,7 @@ func (s *WaveSearcher) sizeArenas(n int) {
 	}
 	s.probes = make([]*probe, 0, n)
 	s.live = make([]*probe, 0, n)
-	s.heads = make([]blockstore.Addr, 0, n)
+	s.heads = make([]slot, 0, n)
 	s.offs = make([]int, 0, n)
 	s.addrs = make([]blockstore.Addr, 0, n*phys)
 	s.dsts = make([][]byte, 0, n*phys)
@@ -195,8 +195,8 @@ func (s *WaveSearcher) fetch(rIdx int, st *Stats) error {
 	bst := &s.bst
 	*bst = ioengine.BatchStats{}
 
-	// Wave 0: all table-entry blocks, stashing each probe's head-pointer
-	// byte offset for the decode loop.
+	// Wave 0: all table-entry blocks, stashing each probe's slot byte offset
+	// for the decode loop.
 	addrs, dsts, offs := s.addrs[:0], s.dsts[:0], s.offs[:0]
 	for i, pr := range probes {
 		blk, off := ix.tableEntryBlock(rIdx, pr.l, pr.idx)
@@ -222,23 +222,25 @@ func (s *WaveSearcher) fetch(rIdx int, st *Stats) error {
 			continue
 		}
 		st.TableIOs++
-		head := blockstore.Addr(binary.LittleEndian.Uint64(s.bufs[i][offs[i] : offs[i]+8]))
-		if head != blockstore.Nil {
+		sl := decodeSlot(binary.LittleEndian.Uint64(s.bufs[i][offs[i] : offs[i]+8]))
+		if sl.addr != blockstore.Nil {
 			live = append(live, pr)
-			heads = append(heads, head)
+			heads = append(heads, sl)
 		}
 	}
 
-	// Chain waves: one logical bucket block per live probe.
+	// Chain waves: one logical bucket block per live probe. s.heads holds the
+	// wave's slots while it is read, for the simulator's scan charge.
 	phys := ix.physPerBucket
 	for len(live) > 0 {
 		addrs, dsts = addrs[:0], dsts[:0]
 		for i := range live {
 			for b := 0; b < phys; b++ {
-				addrs = append(addrs, heads[i]+blockstore.Addr(b))
+				addrs = append(addrs, heads[i].addr+blockstore.Addr(b))
 				dsts = append(dsts, s.bufs[i][b*blockstore.BlockSize:(b+1)*blockstore.BlockSize])
 			}
 		}
+		s.heads = heads
 		waveStart = tr.Clock()
 		ok, err = s.read(addrs, dsts, phys, bst)
 		if err != nil {
@@ -259,10 +261,10 @@ func (s *WaveSearcher) fetch(rIdx int, st *Stats) error {
 			}
 			st.BucketIOs++
 			buf := s.bufs[i]
-			next, count := bucketHeader(buf)
-			s.lad.EntriesScanned += count
-			off := HeaderBytes
-			for e := 0; e < count; e++ {
+			next, lo, hi := heads[i].span(buf)
+			s.lad.EntriesScanned += hi - lo
+			off := HeaderBytes + lo*EntryBytes
+			for e := lo; e < hi; e++ {
 				id, efp := ix.unpackEntry(getUint40(buf[off:]))
 				off += EntryBytes
 				if efp != pr.fp {
@@ -273,7 +275,7 @@ func (s *WaveSearcher) fetch(rIdx int, st *Stats) error {
 			}
 			if next != blockstore.Nil {
 				nextLive = append(nextLive, pr)
-				nextHeads = append(nextHeads, next)
+				nextHeads = append(nextHeads, slot{addr: next})
 			}
 		}
 		live, heads = nextLive, nextHeads

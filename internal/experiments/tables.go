@@ -256,9 +256,12 @@ type Table6Result struct {
 // Table6Row is one dataset's sizes.
 type Table6Row struct {
 	Dataset string
-	// E2LSHoS: index bytes on storage, total runtime DRAM (database + index
-	// metadata), and the index-metadata share of that DRAM.
+	// E2LSHoS: index bytes on storage (buckets packed into shared blocks),
+	// the same index with one block per bucket as the paper lays it out
+	// (computed from the bucket sizes, not built), total runtime DRAM
+	// (database + index metadata), and the index-metadata share of that DRAM.
 	DiskIndexStorage int64
+	DiskIndexPaper   int64
 	DiskMemUsage     int64
 	DiskIndexMem     int64
 	// SRS: total runtime DRAM and its index share.
@@ -278,10 +281,15 @@ func Table6(env *Env) (*Table6Result, error) {
 		if err != nil {
 			return nil, err
 		}
+		paper, err := disk.UnpackedStorageBytes()
+		if err != nil {
+			return nil, err
+		}
 		db := ws.DS.Bytes()
 		res.Rows = append(res.Rows, Table6Row{
 			Dataset:          ws.DS.Name,
 			DiskIndexStorage: disk.StorageBytes(),
+			DiskIndexPaper:   paper,
 			DiskMemUsage:     db + disk.MemBytes(),
 			DiskIndexMem:     disk.MemBytes(),
 			SRSMemUsage:      db + ws.SRS.IndexBytes(),
@@ -294,11 +302,11 @@ func Table6(env *Env) (*Table6Result, error) {
 // Render implements Renderable.
 func (r *Table6Result) Render() []*report.Table {
 	t := report.New("Table 6: index size and runtime memory usage",
-		"Dataset", "E2LSHoS index storage", "E2LSHoS mem usage", "(index mem)",
+		"Dataset", "E2LSHoS index storage", "(block per bucket)", "E2LSHoS mem usage", "(index mem)",
 		"SRS mem usage", "(index mem)")
 	for _, row := range r.Rows {
 		t.AddRow(row.Dataset,
-			report.Bytes(row.DiskIndexStorage),
+			report.Bytes(row.DiskIndexStorage), report.Bytes(row.DiskIndexPaper),
 			report.Bytes(row.DiskMemUsage), report.Bytes(row.DiskIndexMem),
 			report.Bytes(row.SRSMemUsage), report.Bytes(row.SRSIndexMem))
 	}
