@@ -88,6 +88,9 @@ type simSearcher struct {
 	done  func()
 	next  func() (struct{}, bool)
 	yield func(struct{}) bool
+	// checked and dups are the driver's counters at the last verification
+	// charge.
+	checked, dups int
 
 	// The suspended wave: its addresses and destinations, the blocks per
 	// logical block, whether it is a round's table wave, the coalesced runs
@@ -126,29 +129,41 @@ func (s *simSearcher) BeginRound(ctx context.Context, r int, _ bool) {
 	s.WaveSearcher.BeginRound(ctx, r, false)
 }
 
-// EndRound implements ladder.Rounds: the WaveSearcher fetches and verifies
-// the round, then the verifications are charged and the round's faulted
-// reads folded in. Each faulted block ends exactly one chain — a zero table
-// block is a Nil head, a zero bucket block an empty tail — so SkippedChains
-// equals FaultedReads.
+// EndRound implements ladder.Rounds: the WaveSearcher reads and verifies
+// the round, the verifications after its last wave are charged (suspend
+// charges those before each wave), and the round's faulted reads are folded
+// in. Each faulted block ends exactly one chain — a zero table block is a
+// Nil head, a zero bucket block an empty tail — so SkippedChains equals
+// FaultedReads.
 func (s *simSearcher) EndRound(r int) (ladder.IO, error) {
 	st := &s.lad.Stats
-	checked, dups := st.Checked, st.Duplicates
+	s.checked, s.dups = st.Checked, st.Duplicates
 	io, err := s.WaveSearcher.EndRound(r)
-	checked = st.Checked - checked
-	s.tc.Charge(costmodel.ToTime(s.model.Dedup(checked + st.Duplicates - dups)))
-	s.tc.Charge(simclock.Time(checked) * costmodel.ToTime(s.model.Distance(s.ix.params.Dim)))
+	s.chargeVerified()
 	if f := int(s.tc.FaultedReads()); f > st.FaultedReads {
 		st.FaultedReads, st.SkippedChains, st.Partial = f, f, 1
 	}
 	return io, err
 }
 
-// suspend is the read hook, on the coroutine's side: it charges the batch
+// chargeVerified charges the verifications done since the last charge: one
+// seen-set operation per candidate offered, one distance per candidate
+// checked.
+func (s *simSearcher) chargeVerified() {
+	st := &s.lad.Stats
+	checked := st.Checked - s.checked
+	s.tc.Charge(costmodel.ToTime(s.model.Dedup(checked + st.Duplicates - s.dups)))
+	s.tc.Charge(simclock.Time(checked) * costmodel.ToTime(s.model.Distance(s.ix.params.Dim)))
+	s.checked, s.dups = st.Checked, st.Duplicates
+}
+
+// suspend is the read hook, on the coroutine's side: it charges the
+// verifications the WaveSearcher ran since its previous wave and the batch
 // assembly, stashes the wave and yields until every block has been copied
 // into dsts. Failed reads arrived as zero blocks, so every logical block is
 // reported intact.
 func (s *simSearcher) suspend(addrs []blockstore.Addr, dsts [][]byte, group int, bst *ioengine.BatchStats) ([]bool, error) {
+	s.chargeVerified()
 	s.tc.Charge(costmodel.ToTime(s.model.BatchSubmit(len(addrs))))
 	s.wave, s.into, s.group = addrs, dsts, group
 	s.yield(struct{}{})

@@ -107,9 +107,11 @@ func TestVectoredFetchMatchesSerial(t *testing.T) {
 // the whole storage option matrix: whatever sits behind Index.readBatch — no
 // engine (the in-line body), an engine with only a cache, only queue depth,
 // cache + depth + readahead, or retries — the top-k is bitwise the reference
-// Searcher's (same knobs), and every logical counter is identical
-// across the configurations. Swept over multi-probe {0, 2}, a generous and a
-// truncating budget, and the 512-byte, 4096-byte and chained bucket layouts.
+// Searcher's (same knobs), the reference never reads more blocks than the
+// wave, and every logical counter is identical across the configurations.
+// Swept over multi-probe {0, 2}, a generous and a truncating budget, one and
+// four hash partitions, and the 512-byte, 4096-byte and chained bucket
+// layouts.
 func TestWaveOptionMatrix(t *testing.T) {
 	configs := []struct {
 		name       string
@@ -130,61 +132,74 @@ func TestWaveOptionMatrix(t *testing.T) {
 			for _, mp := range []int{0, 2} {
 				kn := ladder.Knobs{K: k, Budget: sigma * ix.params.L, MultiProbe: mp}
 				t.Run(fmt.Sprintf("%s/sigma%d/mp%d", lay.name, sigma, mp), func(t *testing.T) {
-					ref := ix.NewSearcher()
-					want := make([][]ann.Neighbor, len(d.Queries))
-					for qi, q := range d.Queries {
-						res, _, err := ref.Run(context.Background(), q, kn, nil)
-						if err != nil {
-							t.Fatal(err)
-						}
-						want[qi] = res.Neighbors
-					}
-					var first []Stats // the no-engine run's per-query logical stats
-					truncated := false
-					for _, cfg := range configs {
-						view, engine := ix, cfg.eng.Depth > 0
-						if engine {
-							view = withEngine(t, ix, cfg.eng, cfg.cacheBytes, cfg.readahead)
-						}
-						ws := view.NewWaveSearcher()
-						var agg Stats
-						for qi, q := range d.Queries {
-							got, st, err := ws.Run(context.Background(), q, kn, nil)
-							if err != nil {
-								t.Fatal(err)
+					for _, parts := range []int{1, 4} {
+						t.Run(fmt.Sprintf("parts%d", parts), func(t *testing.T) {
+							ix.SetPartitions(parts)
+							if lay.name == "chained" && !probesChain(t, ix, d.Queries, kn) {
+								t.Fatal("no probed slot names a chain; fixture is vacuous")
 							}
-							if !engine {
-								first = append(first, logicalStats(st))
+							ref := ix.NewSearcher()
+							want := make([][]ann.Neighbor, len(d.Queries))
+							refIOs := make([]int, len(d.Queries))
+							for qi, q := range d.Queries {
+								res, st, err := ref.Run(context.Background(), q, kn, nil)
+								if err != nil {
+									t.Fatal(err)
+								}
+								want[qi], refIOs[qi] = res.Neighbors, st.IOs()
 							}
-							compareRuns(t, cfg.name, qi, want[qi], got.Neighbors, first[qi], st, cfg.cacheBytes > 0, ix.physPerBucket)
-							entries := st.Checked + st.Duplicates + st.FPRejected
-							if entries > st.EntriesScanned {
-								t.Fatalf("%s query %d: entry accounting broken: %+v", cfg.name, qi, st)
+							var first []Stats // the no-engine run's per-query logical stats
+							truncated := false
+							for _, cfg := range configs {
+								view, engine := ix, cfg.eng.Depth > 0
+								if engine {
+									view = withEngine(t, ix, cfg.eng, cfg.cacheBytes, cfg.readahead)
+								}
+								ws := view.NewWaveSearcher()
+								var agg Stats
+								for qi, q := range d.Queries {
+									got, st, err := ws.Run(context.Background(), q, kn, nil)
+									if err != nil {
+										t.Fatal(err)
+									}
+									if !engine {
+										first = append(first, logicalStats(st))
+									}
+									compareRuns(t, cfg.name, qi, want[qi], got.Neighbors, first[qi], st, cfg.cacheBytes > 0, ix.physPerBucket)
+									if refIOs[qi] > st.IOs() {
+										t.Fatalf("%s query %d: the reference read %d blocks, the wave %d", cfg.name, qi, refIOs[qi], st.IOs())
+									}
+									entries := st.Checked + st.Duplicates + st.FPRejected
+									if entries > st.EntriesScanned {
+										t.Fatalf("%s query %d: entry accounting broken: %+v", cfg.name, qi, st)
+									}
+									truncated = truncated || entries < st.EntriesScanned
+									if !engine && (st.PhysicalReads != 0 || st.CoalescedReads != 0 || st.DedupedReads != 0) {
+										t.Fatalf("query %d: engine counters without an engine: %+v", qi, st)
+									}
+									agg.PhysicalReads += st.PhysicalReads
+									agg.CoalescedReads += st.CoalescedReads
+								}
+								// With an engine the rounds (multi-probe included) go
+								// out as vectored waves: physical reads are issued,
+								// and adjacent physical blocks coalesce.
+								if engine && agg.PhysicalReads == 0 {
+									t.Errorf("%s: no physical reads reported through the engine", cfg.name)
+								}
+								if engine && ix.physPerBucket > 1 && agg.CoalescedReads == 0 {
+									t.Errorf("%s: %d-block logical blocks never coalesced", cfg.name, ix.physPerBucket)
+								}
 							}
-							truncated = truncated || entries < st.EntriesScanned
-							if !engine && (st.PhysicalReads != 0 || st.CoalescedReads != 0 || st.DedupedReads != 0) {
-								t.Fatalf("query %d: engine counters without an engine: %+v", qi, st)
+							// A partition that is done leaves its later candidates
+							// unverified too, so only with one partition does every
+							// short count mean the budget cut a round.
+							if sigma == 2 && !truncated {
+								t.Error("the truncating budget cut no round short")
 							}
-							agg.PhysicalReads += st.PhysicalReads
-							agg.CoalescedReads += st.CoalescedReads
-							agg.BucketIOs += st.BucketIOs
-							agg.NonEmptyProbes += st.NonEmptyProbes
-						}
-						// With an engine the rounds (multi-probe included) go
-						// out as vectored waves: physical reads are issued,
-						// and adjacent physical blocks coalesce.
-						if engine && agg.PhysicalReads == 0 {
-							t.Errorf("%s: no physical reads reported through the engine", cfg.name)
-						}
-						if engine && ix.physPerBucket > 1 && agg.CoalescedReads == 0 {
-							t.Errorf("%s: %d-block logical blocks never coalesced", cfg.name, ix.physPerBucket)
-						}
-						if lay.name == "chained" && agg.BucketIOs <= agg.NonEmptyProbes {
-							t.Errorf("%s: no chain deeper than one block; fixture is vacuous", cfg.name)
-						}
-					}
-					if (sigma == 2) != truncated {
-						t.Errorf("budget truncated a round: %v, want %v", truncated, sigma == 2)
+							if sigma != 2 && parts == 1 && truncated {
+								t.Error("the generous budget cut a round short")
+							}
+						})
 					}
 				})
 			}

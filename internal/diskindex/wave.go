@@ -3,6 +3,7 @@ package diskindex
 import (
 	"context"
 	"encoding/binary"
+	"time"
 
 	"e2lshos/internal/ann"
 	"e2lshos/internal/blockstore"
@@ -15,18 +16,21 @@ import (
 
 // WaveSearcher is the serving searcher. Per search radius it collects every
 // probe of the round — each table's base bucket and, with multi-probe, its
-// perturbed neighbors — fetches them as waves through Index.readBatch (all
-// table-entry blocks, then one wave per chain depth), and only then verifies
-// candidates in probe order under the budget. How many of a wave's reads are
-// in flight at once — the paper's "many parallel read requests" — is the
-// attached ioengine's queue depth; without an engine the wave is read in
-// line, one block after another, on the calling goroutine.
+// perturbed neighbors — and fetches them as waves through Index.readBatch:
+// all table-entry blocks, then one wave per chain depth. After each wave it
+// verifies candidates in probe order under the budget, as far as the chains
+// read so far allow, and once the budget decides the round it reads no
+// further wave. How many of a wave's reads are in flight at once — the
+// paper's "many parallel read requests" — is the attached ioengine's queue
+// depth; without an engine the wave is read in line, one block after
+// another, on the calling goroutine.
 //
 // The neighbors are bitwise those of the reference Searcher under the same
 // knobs: verification visits the same entries in the same order under the
-// same budget. The I/O counts differ only where the budget cuts a round short
-// — the reference stops reading at that point, a wave has already fetched the
-// whole round.
+// same budget. The I/O counts differ only where the budget cuts a round
+// short: the reference stops reading at that block, a wave reads every table
+// block of the round and every chain to the depth of the wave that decided
+// it. So a wave never reads fewer blocks than the reference.
 //
 // A WaveSearcher is safe for use by one goroutine at a time; run several
 // concurrently to batch queries, matching §6's multithreaded setup.
@@ -46,12 +50,17 @@ type WaveSearcher struct {
 	heads    []slot
 	offs     []int
 	cands    []candidate
+	// The round's verification cursor: the next probe to verify, and how
+	// many of its ids are already verified.
+	vp, vi int
 	// read fetches one wave; it is Index.readBatch except under the
 	// virtual-time engine, which suspends the query there (see sim.go).
 	// bst is the running fetch's engine outcome, a field so that passing
-	// it through read does not move it to the heap.
+	// it through read does not move it to the heap. wait sums the round's
+	// wave waits on the trace clock (0 untraced).
 	read func(addrs []blockstore.Addr, dsts [][]byte, group int, bst *ioengine.BatchStats) ([]bool, error)
 	bst  ioengine.BatchStats
+	wait time.Duration
 }
 
 // NewWaveSearcher creates a searcher. The I/O engine may be attached before
@@ -96,7 +105,7 @@ type probe struct {
 	l   int
 	idx uint32
 	fp  uint32
-	ids []uint32 // fingerprint-matched object ids, filled by the fetch phase
+	ids []uint32 // fingerprint-matched object ids, filled as the chain is read
 }
 
 // BeginRound implements ladder.Rounds: on top of the shared readahead step
@@ -106,55 +115,31 @@ func (s *WaveSearcher) BeginRound(ctx context.Context, r int, readahead bool) {
 	s.probes = s.probes[:0]
 }
 
-// EndRound implements ladder.Rounds: the round's probes are fetched as
-// waves, then verified in probe order — deterministic — under the budget.
+// EndRound implements ladder.Rounds: the round's probes are read as waves
+// and verified as their blocks land; see fetch.
 //
 //lsh:hotpath
 func (s *WaveSearcher) EndRound(r int) (ladder.IO, error) {
-	st, tr := &s.lad.Stats, s.lad.Trace()
+	st := &s.lad.Stats
 	ios, hits := st.IOs(), st.CacheHits
-	fetchStart := tr.Clock()
 	if err := s.fetch(r, st); err != nil {
 		return ladder.IO{}, err
 	}
-	var io ladder.IO
-	if tr.Active() {
-		io = ladder.IO{Start: fetchStart, End: tr.Clock(),
-			Blocks: int64(st.IOs() - ios), CacheHits: int64(st.CacheHits - hits)}
+	if !s.lad.Trace().Active() {
+		return ladder.IO{}, nil
 	}
-	// The whole round's candidates are known before the first is verified.
-	// Gathering their vectors first lets the slice headers' cache misses
-	// overlap; then each vector is prefetched verifyAhead candidates early,
-	// so the distance kernel finds it in cache instead of waiting on DRAM.
-	data, cands := s.ix.data, s.cands[:0]
-	for _, pr := range s.probes {
-		for _, id := range pr.ids {
-			cands = append(cands, candidate{id, data[id]})
-		}
-	}
-	s.cands = cands
-	for _, c := range cands[:min(verifyAhead, len(cands))] {
-		vecmath.Prefetch(c.vec)
-	}
-	for i, c := range cands {
-		if j := i + verifyAhead; j < len(cands) {
-			vecmath.Prefetch(cands[j].vec)
-		}
-		if s.lad.Verify(c.id) {
-			return io, nil
-		}
-	}
-	return io, nil
+	return ladder.IO{Wait: s.wait, Blocks: int64(st.IOs() - ios), CacheHits: int64(st.CacheHits - hits)}, nil
 }
 
-// candidate is one bucket entry of a round, in verification order.
+// candidate is one bucket entry of a round, in verification order, with the
+// vector the driver will check (nil when Driver.Skips it).
 type candidate struct {
 	id  uint32
 	vec []float32
 }
 
 // verifyAhead is how many candidates ahead of the one being verified
-// EndRound prefetches: enough verifications to cover a DRAM miss, few enough
+// verify prefetches: enough verifications to cover a DRAM miss, few enough
 // that the lines are still cached when their turn comes.
 const verifyAhead = 16
 
@@ -174,19 +159,22 @@ func (s *WaveSearcher) Visit(r, l int, h uint32) (bool, error) {
 	return false, nil
 }
 
-// fetch is the round's fetch phase: every probe's table-entry block as one
-// wave, then every live chain's current logical block as one wave per chain
-// depth, until all chains drain. With an engine attached each wave is one
-// vectored submission, so adjacent blocks coalesce (a logical block spanning
-// several physical blocks contributes adjacent addresses), a block probed
-// twice in one wave is read once, and the backend sees the configured queue
-// depth. It fills
+// fetch is the round's read-and-verify loop: every probe's table-entry
+// block as one wave, then every live chain's current logical block as one
+// wave per chain depth, until all chains drain or the round is decided.
+// After each wave it runs verify, so verification follows the reads wave by
+// wave, and once the driver reports the round decided no further wave is
+// issued. With an engine attached each wave is one vectored submission, so
+// adjacent blocks coalesce (a logical block spanning several physical
+// blocks contributes adjacent addresses), a block probed twice in one wave
+// is read once, and the backend sees the configured queue depth. It fills
 // each probe's fingerprint-matched ids and folds the I/O, entry and engine
 // counters into st. A chain cut short by an unreadable block is skipped
 // (degraded mode); the ids it collected before the cut still verify.
 //
 //lsh:hotpath
 func (s *WaveSearcher) fetch(rIdx int, st *Stats) error {
+	s.wait = 0
 	probes := s.probes
 	if len(probes) == 0 {
 		return nil
@@ -194,6 +182,7 @@ func (s *WaveSearcher) fetch(rIdx int, st *Stats) error {
 	ix := s.ix
 	bst := &s.bst
 	*bst = ioengine.BatchStats{}
+	s.vp, s.vi = 0, 0
 
 	// Wave 0: all table-entry blocks, stashing each probe's slot byte offset
 	// for the decode loop.
@@ -204,17 +193,10 @@ func (s *WaveSearcher) fetch(rIdx int, st *Stats) error {
 		offs = append(offs, off)
 		dsts = append(dsts, s.bufs[i][:blockstore.BlockSize])
 	}
-	tr := s.lad.Trace()
-	waveStart := tr.Clock()
-	ok, err := s.read(addrs, dsts, 1, bst)
+	ok, err := s.readWave(rIdx, addrs, dsts, 1)
 	if err != nil {
 		return err
 	}
-	if tr.Active() {
-		tr.Add(telemetry.StageIOWait, rIdx, waveStart, tr.Clock()-waveStart,
-			int64(len(addrs)), int64(bst.PhysicalReads))
-	}
-	physSeen := bst.PhysicalReads
 	live, heads := s.live[:0], s.heads[:0]
 	for i, pr := range probes {
 		if ok != nil && !ok[i] {
@@ -232,7 +214,7 @@ func (s *WaveSearcher) fetch(rIdx int, st *Stats) error {
 	// Chain waves: one logical bucket block per live probe. s.heads holds the
 	// wave's slots while it is read, for the simulator's scan charge.
 	phys := ix.physPerBucket
-	for len(live) > 0 {
+	for !s.verify(live) && len(live) > 0 {
 		addrs, dsts = addrs[:0], dsts[:0]
 		for i := range live {
 			for b := 0; b < phys; b++ {
@@ -241,15 +223,9 @@ func (s *WaveSearcher) fetch(rIdx int, st *Stats) error {
 			}
 		}
 		s.heads = heads
-		waveStart = tr.Clock()
-		ok, err = s.read(addrs, dsts, phys, bst)
+		ok, err = s.readWave(rIdx, addrs, dsts, phys)
 		if err != nil {
 			return err
-		}
-		if tr.Active() {
-			tr.Add(telemetry.StageIOWait, rIdx, waveStart, tr.Clock()-waveStart,
-				int64(len(addrs)), int64(bst.PhysicalReads-physSeen))
-			physSeen = bst.PhysicalReads
 		}
 		// live and heads compact in place: position i is consumed before any
 		// position ≤ i is rewritten.
@@ -282,4 +258,70 @@ func (s *WaveSearcher) fetch(rIdx int, st *Stats) error {
 	}
 	foldBatchStats(st, *bst)
 	return nil
+}
+
+// readWave reads one wave through s.read; on a traced query it records the
+// wave's wait as a StageIOWait span (N blocks asked for, M physical reads
+// they became) and adds it to s.wait.
+//
+//lsh:hotpath
+func (s *WaveSearcher) readWave(rIdx int, addrs []blockstore.Addr, dsts [][]byte, group int) ([]bool, error) {
+	tr := s.lad.Trace()
+	start, phys := tr.Clock(), s.bst.PhysicalReads
+	ok, err := s.read(addrs, dsts, group, &s.bst)
+	if err == nil && tr.Active() {
+		d := tr.Clock() - start
+		tr.Add(telemetry.StageIOWait, rIdx, start, d, int64(len(addrs)), int64(s.bst.PhysicalReads-phys))
+		s.wait += d
+	}
+	return ok, err
+}
+
+// verify is the round's verification step after a wave: it offers the
+// driver, in probe order, every fetched id from where the previous step
+// stopped up to the first probe whose chain is still being read (live[0]),
+// that probe's ids fetched so far included; once live is empty, every
+// remaining id. It reports whether the driver decided the round. The step's
+// candidates are gathered first, so that their slice-header loads overlap;
+// then each vector is prefetched verifyAhead candidates early, so the
+// distance kernel finds it in cache instead of waiting on DRAM. A candidate
+// the driver will settle without a distance check (Driver.Skips) keeps its
+// place in the order but loads and prefetches nothing.
+//
+//lsh:hotpath
+func (s *WaveSearcher) verify(live []*probe) bool {
+	var reading *probe
+	if len(live) > 0 {
+		reading = live[0]
+	}
+	lad, data, cands := s.lad, s.ix.data, s.cands[:0]
+	for ; s.vp < len(s.probes); s.vp, s.vi = s.vp+1, 0 {
+		pr := s.probes[s.vp]
+		for _, id := range pr.ids[s.vi:] {
+			c := candidate{id: id}
+			if !lad.Skips(id) {
+				c.vec = data[id]
+			}
+			cands = append(cands, c)
+		}
+		if pr == reading {
+			s.vi = len(pr.ids)
+			break
+		}
+	}
+	s.cands = cands
+	for _, c := range cands[:min(verifyAhead, len(cands))] {
+		if c.vec != nil {
+			vecmath.Prefetch(c.vec)
+		}
+	}
+	for i, c := range cands {
+		if j := i + verifyAhead; j < len(cands) && cands[j].vec != nil {
+			vecmath.Prefetch(cands[j].vec)
+		}
+		if lad.Verify(c.id) {
+			return true
+		}
+	}
+	return false
 }

@@ -1,0 +1,261 @@
+package diskindex
+
+import (
+	"context"
+	"encoding/binary"
+	"math/rand"
+	"testing"
+
+	"e2lshos/internal/blockstore"
+	"e2lshos/internal/ladder"
+	"e2lshos/internal/lsh"
+	"e2lshos/internal/telemetry"
+)
+
+// readSlot reads the slot of bucket idx of table (r, l).
+func readSlot(t *testing.T, ix *Index, r, l int, idx uint32) slot {
+	t.Helper()
+	blk, off := ix.tableEntryBlock(r, l, idx)
+	buf := make([]byte, blockstore.BlockSize)
+	if err := ix.readBlock(blk, buf, nil); err != nil {
+		t.Fatal(err)
+	}
+	return decodeSlot(binary.LittleEndian.Uint64(buf[off:]))
+}
+
+// roundZeroSlots returns, for each table, query q's round-0 base bucket and
+// its slot (the zero slot when the bucket is unoccupied).
+func roundZeroSlots(t *testing.T, ix *Index, q []float32) ([]uint32, []slot) {
+	t.Helper()
+	fam := ix.FamilyFor(0)
+	proj := make([]float64, ix.params.L*ix.params.M)
+	fam.Project(q, proj)
+	hashes := make([]uint32, ix.params.L)
+	fam.HashesAt(proj, ix.params.Radii[0], hashes)
+	idxs, slots := make([]uint32, len(hashes)), make([]slot, len(hashes))
+	for l, h := range hashes {
+		idxs[l], _ = lsh.SplitHash(h, ix.u)
+		if ix.isOccupied(0, l, idxs[l]) {
+			slots[l] = readSlot(t, ix, 0, l, idxs[l])
+		}
+	}
+	return idxs, slots
+}
+
+// chainSpy is the wave searcher with a Visit that first notes whether the
+// probed slot names a chain: count 0 and a head.
+type chainSpy struct {
+	*WaveSearcher
+	t      *testing.T
+	chains int
+}
+
+func (s *chainSpy) Visit(r, l int, h uint32) (bool, error) {
+	if idx, _ := lsh.SplitHash(h, s.ix.u); s.ix.isOccupied(r, l, idx) {
+		if sl := readSlot(s.t, s.ix, r, l, idx); sl.count == 0 && sl.addr != blockstore.Nil {
+			s.chains++
+		}
+	}
+	return s.WaveSearcher.Visit(r, l, h)
+}
+
+// probesChain reports whether the ladder, answering queries under kn,
+// probes a slot that names a chain. The build gives a bucket a chain only
+// when it outgrows one block, so on an index no update has touched such a
+// slot names two blocks or more. It is a property of the fixture and the
+// knobs, not of how deep a round reads: the wave searcher probes every
+// occupied bucket of every round the ladder walks, and the ladder walks the
+// same rounds whichever searcher runs it.
+func probesChain(t *testing.T, ix *Index, queries [][]float32, kn ladder.Knobs) bool {
+	t.Helper()
+	spy := &chainSpy{WaveSearcher: ix.NewWaveSearcher(), t: t}
+	spy.sizeArenas(ix.params.L * (1 + kn.MultiProbe))
+	for _, q := range queries {
+		if err := spy.lad.Run(context.Background(), spy, q, ix.data, kn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return spy.chains > 0
+}
+
+// TestChainGuardNeedsChains: TestWaveOptionMatrix's chained layout is only
+// worth its name if its queries probe chains. The guard it uses says so of
+// that fixture at both of the matrix's budgets, and fires on a fixture with
+// fewer objects than a block holds, where no bucket can chain.
+func TestChainGuardNeedsChains(t *testing.T) {
+	var chained Options
+	for _, lay := range bucketLayouts() {
+		if lay.name == "chained" {
+			chained = lay.opts
+		}
+	}
+	for _, c := range []struct {
+		name   string
+		n      int
+		opts   Options
+		chains bool
+	}{{"chained", 2000, chained, true}, {"no chains", 90, DefaultOptions(), false}} {
+		d, ix, _ := testSetup(t, c.n, 1000, c.opts)
+		if c.n <= ix.entriesPerBlock != !c.chains {
+			t.Fatalf("%s: %d objects against %d entries per block", c.name, c.n, ix.entriesPerBlock)
+		}
+		for _, sigma := range []int{1000, 2} {
+			for _, mp := range []int{0, 2} {
+				kn := ladder.Knobs{K: 5, Budget: sigma * ix.params.L, MultiProbe: mp}
+				if got := probesChain(t, ix, d.Queries, kn); got != c.chains {
+					t.Errorf("%s/sigma%d/mp%d: probesChain = %v, want %v", c.name, sigma, mp, got, c.chains)
+				}
+			}
+		}
+	}
+}
+
+// chainLen returns how many logical blocks the chain at head spans.
+func chainLen(t *testing.T, ix *Index, head blockstore.Addr) int {
+	t.Helper()
+	buf := make([]byte, ix.bucketBufBytes())
+	n := 0
+	for a := head; a != blockstore.Nil; n++ {
+		if err := ix.readLogicalBlock(a, buf, nil); err != nil {
+			t.Fatal(err)
+		}
+		a, _ = bucketHeader(buf)
+	}
+	return n
+}
+
+// TestWaveStopsReadingOnceDecided: once the budget decides a round, the wave
+// searcher reads no further chain wave. The fixture's query is object 0, so
+// its table-0 bucket — packed in one block, probed first — offers object 0
+// first, and a budget of one decides the round on it (k = 1 at distance 0
+// also ends the ladder there). Copies of a point that shares the query's
+// last-table bucket but not its first give that later probe a chain of at
+// least three blocks. The round's reads are then the table wave and the
+// first chain wave, nothing after.
+func TestWaveStopsReadingOnceDecided(t *testing.T) {
+	_, ix := buildUpdatableWith(t, 600, 0, DefaultOptions())
+	ix.SetPartitions(1)
+	q := append([]float32(nil), ix.data[0]...)
+	L := ix.params.L
+	qIdx, qSlots := roundZeroSlots(t, ix, q)
+	if qSlots[0].count == 0 {
+		t.Fatalf("table 0's bucket for the query is not packed: %+v", qSlots[0])
+	}
+
+	// A point in the query's last-table bucket but not in its first.
+	rng := rand.New(rand.NewSource(5))
+	var far []float32
+	for try := 0; far == nil; try++ {
+		if try == 100000 {
+			t.Fatal("no point shares the last table's bucket only")
+		}
+		p := make([]float32, len(q))
+		scale := float32(1+try%20) * 0.01
+		for i := range p {
+			p[i] = q[i] + scale*float32(rng.NormFloat64())
+		}
+		idxs, _ := roundZeroSlots(t, ix, p)
+		if idxs[L-1] == qIdx[L-1] && idxs[0] != qIdx[0] {
+			far = p
+		}
+	}
+	for range 3 * ix.entriesPerBlock {
+		if _, err := ix.Insert(far); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, qSlots = roundZeroSlots(t, ix, q)
+	if qSlots[0].count == 0 {
+		t.Fatalf("the inserts unpacked table 0's bucket: %+v", qSlots[0])
+	}
+	if n := chainLen(t, ix, qSlots[L-1].addr); qSlots[L-1].count != 0 || n < 3 {
+		t.Fatalf("last table's bucket is %+v with %d blocks, want a chain of ≥ 3", qSlots[L-1], n)
+	}
+
+	tr := telemetry.New(telemetry.Config{SampleRate: 1}).StartTrace()
+	kn := ladder.Knobs{K: 1, Budget: 1, Trace: tr}
+	res, st, err := ix.NewWaveSearcher().Run(context.Background(), q, kn, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Radii != 1 || len(res.Neighbors) != 1 || res.Neighbors[0].ID != 0 {
+		t.Fatalf("fixture did not end the ladder on object 0 in round 0: %+v %+v", res.Neighbors, st)
+	}
+	var waves []telemetry.Span
+	for _, sp := range tr.Spans() {
+		if sp.Stage == telemetry.StageIOWait {
+			waves = append(waves, sp)
+		}
+	}
+	if len(waves) < 2 {
+		t.Fatalf("round read %d waves, want the table wave and one chain wave", len(waves))
+	}
+	if first := int(waves[1].N) / ix.physPerBucket; st.BucketIOs != first {
+		t.Errorf("BucketIOs = %d, want the first chain wave's %d blocks", st.BucketIOs, first)
+	}
+	if len(waves) != 2 {
+		t.Errorf("round read %d waves, want the table wave and one chain wave", len(waves))
+	}
+	_, refSt, err := ix.NewSearcher().Run(context.Background(), q, ladder.Knobs{K: 1, Budget: 1}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if refSt.IOs() > st.IOs() {
+		t.Errorf("reference read %d blocks, the wave %d", refSt.IOs(), st.IOs())
+	}
+}
+
+// TestWaveTraceAttributesRound: a traced wave query's I/O stage is the sum of
+// its round's wave waits (and blocks), and project + io + verify is the
+// round, although verification now runs between the waves.
+func TestWaveTraceAttributesRound(t *testing.T) {
+	d, ix, _ := testSetup(t, 2000, 1000, DefaultOptions())
+	ix.SetPartitions(1)
+	col := telemetry.New(telemetry.Config{SampleRate: 1})
+	ws := ix.NewWaveSearcher()
+	rounds := 0
+	for _, q := range d.Queries {
+		tr := col.StartTrace()
+		kn := ladder.Knobs{K: 5, Budget: 2 * ix.params.L, MultiProbe: 1, Trace: tr}
+		if _, _, err := ws.Run(context.Background(), q, kn, nil); err != nil {
+			t.Fatal(err)
+		}
+		type round struct {
+			waitDur, waitN int64
+			stage          [telemetry.NumStages]telemetry.Span
+			has            [telemetry.NumStages]bool
+		}
+		var byRound []round
+		for _, sp := range tr.Spans() {
+			for int(sp.Round) >= len(byRound) {
+				byRound = append(byRound, round{})
+			}
+			r := &byRound[sp.Round]
+			if sp.Stage == telemetry.StageIOWait {
+				r.waitDur += int64(sp.Dur)
+				r.waitN += sp.N
+				continue
+			}
+			r.stage[sp.Stage], r.has[sp.Stage] = sp, true
+		}
+		for ri, r := range byRound {
+			if !r.has[telemetry.StageRound] {
+				t.Fatalf("round %d has no round span", ri)
+			}
+			rounds++
+			io := r.stage[telemetry.StageIO]
+			if int64(io.Dur) != r.waitDur || io.N != r.waitN {
+				t.Errorf("round %d: io stage %v over %d blocks, waves %v over %d",
+					ri, io.Dur, io.N, r.waitDur, r.waitN)
+			}
+			sum := r.stage[telemetry.StageProject].Dur + io.Dur + r.stage[telemetry.StageVerify].Dur
+			if total := r.stage[telemetry.StageRound].Dur; sum != total || r.stage[telemetry.StageVerify].Dur < 0 {
+				t.Errorf("round %d: project + io + verify = %v, round %v (verify %v)",
+					ri, sum, total, r.stage[telemetry.StageVerify].Dur)
+			}
+		}
+	}
+	if rounds == 0 {
+		t.Fatal("no traced rounds")
+	}
+}

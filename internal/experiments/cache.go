@@ -106,7 +106,7 @@ func CacheSweep(env *Env) (*CacheSweepResult, error) {
 		row.SeqMissRate = seq.MissRate()
 		row.SeqNIO = float64(seq.Misses()) / float64(cacheSweepPasses*nq)
 
-		// Wave searcher: same workload, whole rounds fetched as waves.
+		// Wave searcher: same workload, each round fetched as waves.
 		par, err := sweepCached(disk, bytes)
 		if err != nil {
 			return nil, err

@@ -82,16 +82,17 @@ type Rounds interface {
 	// budget is exhausted, which ends the round's probing.
 	Visit(r, l int, h uint32) (spent bool, err error)
 	// EndRound finishes the round: a searcher that only collected probes in
-	// Visit fetches and verifies here. It returns the round's demand-read
-	// window for the trace.
+	// Visit fetches and verifies here. It returns the round's demand reads
+	// for the trace.
 	EndRound(r int) (IO, error)
 }
 
-// IO is one round's demand-read window on the trace clock, with the logical
-// blocks read and how many the cache served. The zero value means the round
-// had no separate I/O stage.
+// IO is one round's demand reads: the trace-clock time spent waiting on
+// them, summed over the round's read waves (verification may run between
+// waves), with the logical blocks read and how many the cache served. The
+// zero value means the round had no separate I/O stage.
 type IO struct {
-	Start, End        time.Duration
+	Wait              time.Duration
 	Blocks, CacheHits int64
 }
 
@@ -275,11 +276,14 @@ func (d *Driver) Run(ctx context.Context, rounds Rounds, q []float32, data [][]f
 		if tr.Active() {
 			// Without an I/O stage of its own (in memory, or reads and checks
 			// interleaved bucket by bucket) the whole table walk is verify.
+			// With one, verify is the rest of the round after the projection
+			// and the read waits; the two interleave wave by wave, so the
+			// spans lay them end to end, reads first.
 			end, verifyStart := tr.Clock(), projEnd
 			tr.Add(telemetry.StageProject, r, roundStart, projEnd-roundStart, 0, 0)
 			if io != (IO{}) {
-				tr.Add(telemetry.StageIO, r, io.Start, io.End-io.Start, io.Blocks, io.CacheHits)
-				verifyStart = io.End
+				tr.Add(telemetry.StageIO, r, projEnd, io.Wait, io.Blocks, io.CacheHits)
+				verifyStart += io.Wait
 			}
 			tr.Add(telemetry.StageVerify, r, verifyStart, end-verifyStart, int64(d.Checked-checked0), 0)
 			tr.Add(telemetry.StageRound, r, roundStart, end-roundStart,
@@ -429,6 +433,29 @@ func (d *Driver) probe(rounds Rounds, fam *lsh.Family, r, mp int) error {
 	return nil
 }
 
+// Skips reports whether Verify, offered id now, would settle it without a
+// distance check: its partition has spent the round's budget (or is done),
+// or this query has already seen it. It changes nothing, and once true it
+// stays true for the rest of the round, so a searcher that gathers a batch
+// of candidates can leave such an id's vector unloaded; the id still goes
+// through Verify, which counts it.
+//
+//lsh:hotpath
+func (d *Driver) Skips(id uint32) bool {
+	pt := d.partOf(id)
+	return pt.checked >= pt.budget || d.seen[id] == d.epoch
+}
+
+// partOf returns the hash partition that owns id.
+//
+//lsh:hotpath
+func (d *Driver) partOf(id uint32) *partition {
+	if n := len(d.parts); n > 1 {
+		return &d.parts[shard.Of(id, n)]
+	}
+	return &d.parts[0]
+}
+
 // Verify offers one bucket entry as a candidate to its partition's ladder:
 // an object already seen by this query counts as a duplicate, a new one costs
 // a distance check, pruned against the partition's current k-th squared
@@ -441,10 +468,7 @@ func (d *Driver) probe(rounds Rounds, fam *lsh.Family, r, mp int) error {
 //
 //lsh:hotpath
 func (d *Driver) Verify(id uint32) bool {
-	pt := &d.parts[0]
-	if n := len(d.parts); n > 1 {
-		pt = &d.parts[shard.Of(id, n)]
-	}
+	pt := d.partOf(id)
 	if pt.checked >= pt.budget {
 		return false
 	}

@@ -25,6 +25,8 @@ type script struct {
 	// part ≥ 0 offers only the entries hash partition part of parts owns:
 	// what a shard built over that partition holds.
 	part, parts int
+	// verify, when set, offers the entries in place of d.Verify.
+	verify func(id uint32) bool
 }
 
 func (s *script) BeginRound(_ context.Context, r int, readahead bool) {
@@ -44,7 +46,11 @@ func (s *script) Visit(r, l int, _ uint32) (bool, error) {
 		if s.part >= 0 && shard.Of(id, s.parts) != s.part {
 			continue
 		}
-		if s.d.Verify(id) {
+		verify := s.d.Verify
+		if s.verify != nil {
+			verify = s.verify
+		}
+		if verify(id) {
 			return true, nil
 		}
 	}
@@ -100,6 +106,38 @@ func TestProbeOrderBudgetAndDedup(t *testing.T) {
 	}
 	if nb := d.AppendResult(nil); len(nb) != 1 || nb[0].ID != 5 {
 		t.Errorf("nearest to x=100 among {1..5} should be 5, got %+v", nb)
+	}
+}
+
+// TestSkipsPredictsVerify: Skips(id) holds exactly when Verify, offered id
+// next, settles it without a distance check — a duplicate, or a candidate of
+// a partition whose round budget is spent — with one partition and four.
+func TestSkipsPredictsVerify(t *testing.T) {
+	for _, parts := range []int{1, 4} {
+		_, s, data := fixture(t, 3, 100)
+		d := New(s.d.p, s.d.families, true, len(data), parts)
+		s.d = d
+		s.ids = map[int][]uint32{0: {1, 2, 3}, 1: {2, 3, 4, 5}, 2: {5, 6, 7, 0, 1}}
+		skipped, checked := 0, 0
+		s.verify = func(id uint32) bool {
+			skips, before := d.Skips(id), d.Checked
+			done := d.Verify(id)
+			if skips != (d.Checked == before) {
+				t.Errorf("parts %d id %d: Skips = %v, but Verify checked %d", parts, id, skips, d.Checked-before)
+			}
+			if skips {
+				skipped++
+			} else {
+				checked++
+			}
+			return done
+		}
+		if err := d.Run(context.Background(), s, []float32{100, 0}, data, Knobs{K: 1, Budget: 2}); err != nil {
+			t.Fatal(err)
+		}
+		if skipped == 0 || checked == 0 {
+			t.Errorf("parts %d: %d skipped, %d checked; want both", parts, skipped, checked)
+		}
 	}
 }
 
