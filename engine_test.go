@@ -246,7 +246,9 @@ func TestMultiProbeOption(t *testing.T) {
 	if !reflect.DeepEqual(probedBy["disk"], probedBy["disk+ioengine"]) {
 		t.Error("multi-probe answers differ between the in-line and the vectored index")
 	}
-	if inline.IOs() != vectored.IOs() || inline.Probes != vectored.Probes || inline.Checked != vectored.Checked {
+	// In line a round is read probe by probe, so it never reads more than
+	// the vectored index, whose slices read ahead of verification.
+	if inline.IOs() > vectored.IOs() || inline.Probes != vectored.Probes || inline.Checked != vectored.Checked {
 		t.Errorf("multi-probe logical work differs: in-line %+v, vectored %+v", inline, vectored)
 	}
 	if inline.PhysicalReads != 0 || vectored.PhysicalReads == 0 {

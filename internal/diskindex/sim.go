@@ -3,6 +3,7 @@ package diskindex
 import (
 	"context"
 	"iter"
+	"math"
 
 	"e2lshos/internal/ann"
 	"e2lshos/internal/blockstore"
@@ -26,9 +27,11 @@ type AsyncResult struct {
 // iter.Pull coroutine: where the wall-clock searcher reads a wave — a round's
 // table blocks, then each chain depth — the coroutine yields the wave to the
 // scheduler, which submits it as one vectored batch (sched.Ctx.ReadVec, §5.4)
-// and resumes the query once its last block has arrived. The neighbors are
-// therefore bitwise the reference Searcher's and the reads exactly the
-// WaveSearcher's, at any budget, block size and partition count.
+// and resumes the query once its last block has arrived. The scheduler takes
+// a round as one slice (see WaveSearcher). The neighbors are therefore
+// bitwise the reference Searcher's, and the reads exactly those of a
+// WaveSearcher whose queue depth covers a round, at any budget, block size
+// and partition count.
 //
 // CPU work is charged to the virtual clock through the shared cost model, so
 // the same function serves both the asynchronous (Fig 1B) and the
@@ -111,6 +114,8 @@ func (ix *Index) newSimSearcher(model costmodel.CPUModel, free *[]*simSearcher) 
 	s := &simSearcher{model: model, free: free}
 	s.init(ix, s)
 	s.sizeArenas(ix.params.L)
+	// The scheduler issues a round whole, as the paper's io_uring design does.
+	s.width = math.MaxInt
 	s.read = s.suspend
 	s.arrive = s.onBlock
 	return s

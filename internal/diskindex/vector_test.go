@@ -107,11 +107,12 @@ func TestVectoredFetchMatchesSerial(t *testing.T) {
 // the whole storage option matrix: whatever sits behind Index.readBatch — no
 // engine (the in-line body), an engine with only a cache, only queue depth,
 // cache + depth + readahead, or retries — the top-k is bitwise the reference
-// Searcher's (same knobs), the reference never reads more blocks than the
-// wave, and every logical counter is identical across the configurations.
-// Swept over multi-probe {0, 2}, a generous and a truncating budget, one and
-// four hash partitions, and the 512-byte, 4096-byte and chained bucket
-// layouts.
+// Searcher's (same knobs). In line, where a slice is one probe, the block
+// reads and entry counts are the reference's too; configurations of equal
+// width (queue depth) have identical logical counters, and a wider one never
+// reads fewer blocks than in line. Swept over multi-probe {0, 2}, a generous
+// and a truncating budget, one and four hash partitions, and the 512-byte,
+// 4096-byte and chained bucket layouts.
 func TestWaveOptionMatrix(t *testing.T) {
 	configs := []struct {
 		name       string
@@ -140,21 +141,25 @@ func TestWaveOptionMatrix(t *testing.T) {
 							}
 							ref := ix.NewSearcher()
 							want := make([][]ann.Neighbor, len(d.Queries))
-							refIOs := make([]int, len(d.Queries))
+							refSt := make([]Stats, len(d.Queries))
 							for qi, q := range d.Queries {
 								res, st, err := ref.Run(context.Background(), q, kn, nil)
 								if err != nil {
 									t.Fatal(err)
 								}
-								want[qi], refIOs[qi] = res.Neighbors, st.IOs()
+								want[qi], refSt[qi] = res.Neighbors, st
 							}
-							var first []Stats // the no-engine run's per-query logical stats
+							// Per width, the first configuration's per-query
+							// logical stats; width 1, in line, comes first.
+							byWidth := map[int][]Stats{}
 							truncated := false
 							for _, cfg := range configs {
 								view, engine := ix, cfg.eng.Depth > 0
 								if engine {
 									view = withEngine(t, ix, cfg.eng, cfg.cacheBytes, cfg.readahead)
 								}
+								width := max(cfg.eng.Depth, 1)
+								first, seen := byWidth[width]
 								ws := view.NewWaveSearcher()
 								var agg Stats
 								for qi, q := range d.Queries {
@@ -162,12 +167,16 @@ func TestWaveOptionMatrix(t *testing.T) {
 									if err != nil {
 										t.Fatal(err)
 									}
-									if !engine {
+									if !seen {
 										first = append(first, logicalStats(st))
 									}
 									compareRuns(t, cfg.name, qi, want[qi], got.Neighbors, first[qi], st, cfg.cacheBytes > 0, ix.physPerBucket)
-									if refIOs[qi] > st.IOs() {
-										t.Fatalf("%s query %d: the reference read %d blocks, the wave %d", cfg.name, qi, refIOs[qi], st.IOs())
+									if !engine {
+										if w, g := refCountersOf(refSt[qi]), refCountersOf(st); w != g {
+											t.Fatalf("query %d: in line the wave's counters are not the reference's\nwant: %+v\ngot:  %+v", qi, w, g)
+										}
+									} else if in := byWidth[1][qi].IOs(); in > st.IOs() {
+										t.Fatalf("%s query %d: in line the wave read %d blocks, at width %d %d", cfg.name, qi, in, width, st.IOs())
 									}
 									entries := st.Checked + st.Duplicates + st.FPRejected
 									if entries > st.EntriesScanned {
@@ -180,6 +189,7 @@ func TestWaveOptionMatrix(t *testing.T) {
 									agg.PhysicalReads += st.PhysicalReads
 									agg.CoalescedReads += st.CoalescedReads
 								}
+								byWidth[width] = first
 								// With an engine the rounds (multi-probe included) go
 								// out as vectored waves: physical reads are issued,
 								// and adjacent physical blocks coalesce.
@@ -205,6 +215,16 @@ func TestWaveOptionMatrix(t *testing.T) {
 			}
 		}
 	}
+}
+
+// refCounters is what the in-line wave searcher reads and verifies, which
+// the reference Searcher's run must match exactly.
+type refCounters struct {
+	TableIOs, BucketIOs, EntriesScanned, FPRejected, Checked, Duplicates int
+}
+
+func refCountersOf(st Stats) refCounters {
+	return refCounters{st.TableIOs, st.BucketIOs, st.EntriesScanned, st.FPRejected, st.Checked, st.Duplicates}
 }
 
 // compareRuns asserts neighbors (IDs and distances), logical stats, and the

@@ -16,21 +16,21 @@ import (
 
 // WaveSearcher is the serving searcher. Per search radius it collects every
 // probe of the round — each table's base bucket and, with multi-probe, its
-// perturbed neighbors — and fetches them as waves through Index.readBatch:
-// all table-entry blocks, then one wave per chain depth. After each wave it
-// verifies candidates in probe order under the budget, as far as the chains
-// read so far allow, and once the budget decides the round it reads no
-// further wave. How many of a wave's reads are in flight at once — the
-// paper's "many parallel read requests" — is the attached ioengine's queue
-// depth; without an engine the wave is read in line, one block after
-// another, on the calling goroutine.
+// perturbed neighbors — and reads them in probe order, in slices as wide as
+// the reads its reader overlaps: the attached ioengine's queue depth (the
+// paper's "many parallel read requests"), one probe in line, a whole round
+// under the simulator's scheduler. A slice is read as waves through
+// Index.readBatch: its table-entry blocks, then one wave per chain depth.
+// After each wave it verifies candidates in probe order under the budget, as
+// far as the chains read so far allow, and once the budget decides the round
+// it reads nothing more.
 //
 // The neighbors are bitwise those of the reference Searcher under the same
 // knobs: verification visits the same entries in the same order under the
-// same budget. The I/O counts differ only where the budget cuts a round
-// short: the reference stops reading at that block, a wave reads every table
-// block of the round and every chain to the depth of the wave that decided
-// it. So a wave never reads fewer blocks than the reference.
+// same budget. In line the blocks read and the entries counted are the
+// reference's too. A wider slice reads ahead of verification, so where the
+// budget cuts a round short it has read every table block of the deciding
+// slice and its chains to the deciding wave's depth: never fewer blocks.
 //
 // A WaveSearcher is safe for use by one goroutine at a time; run several
 // concurrently to batch queries, matching §6's multithreaded setup.
@@ -53,14 +53,19 @@ type WaveSearcher struct {
 	// The round's verification cursor: the next probe to verify, and how
 	// many of its ids are already verified.
 	vp, vi int
+	// width is the probes per slice, 0 for the index's queue depth; inline
+	// is set when that is 1.
+	width  int
+	inline bool
 	// read fetches one wave; it is Index.readBatch except under the
 	// virtual-time engine, which suspends the query there (see sim.go).
 	// bst is the running fetch's engine outcome, a field so that passing
-	// it through read does not move it to the heap. wait sums the round's
-	// wave waits on the trace clock (0 untraced).
-	read func(addrs []blockstore.Addr, dsts [][]byte, group int, bst *ioengine.BatchStats) ([]bool, error)
-	bst  ioengine.BatchStats
-	wait time.Duration
+	// it through read does not move it to the heap. wait and waitN sum the
+	// round's wave waits on the trace clock and their blocks (0 untraced).
+	read  func(addrs []blockstore.Addr, dsts [][]byte, group int, bst *ioengine.BatchStats) ([]bool, error)
+	bst   ioengine.BatchStats
+	wait  time.Duration
+	waitN int64
 }
 
 // NewWaveSearcher creates a searcher. The I/O engine may be attached before
@@ -100,13 +105,19 @@ func (s *WaveSearcher) sizeArenas(n int) {
 	s.dsts = make([][]byte, 0, n*phys)
 }
 
-// probe is one occupied bucket to fetch during a radius round.
+// probe is one occupied bucket to fetch during a radius round, with how many
+// of its chain's entries were scanned so far and the fingerprint-matched
+// ones among them, filled as the chain is read.
 type probe struct {
-	l   int
-	idx uint32
-	fp  uint32
-	ids []uint32 // fingerprint-matched object ids, filled as the chain is read
+	l       int
+	idx     uint32
+	fp      uint32
+	scanned int
+	ids     []match
 }
+
+// match is a matched entry: its id, and its chain's entries scanned through it.
+type match struct{ id, at uint32 }
 
 // BeginRound implements ladder.Rounds: on top of the shared readahead step
 // it empties the round's probe list.
@@ -116,17 +127,22 @@ func (s *WaveSearcher) BeginRound(ctx context.Context, r int, readahead bool) {
 }
 
 // EndRound implements ladder.Rounds: the round's probes are read as waves
-// and verified as their blocks land; see fetch.
+// and verified as their blocks land; see fetch. In line, where a wave is one
+// block, a traced round's waves are one StageIOWait span, so that a long
+// query's spans fit its trace.
 //
 //lsh:hotpath
 func (s *WaveSearcher) EndRound(r int) (ladder.IO, error) {
-	st := &s.lad.Stats
-	ios, hits := st.IOs(), st.CacheHits
+	st, tr := &s.lad.Stats, s.lad.Trace()
+	start, ios, hits := tr.Clock(), st.IOs(), st.CacheHits
 	if err := s.fetch(r, st); err != nil {
 		return ladder.IO{}, err
 	}
-	if !s.lad.Trace().Active() {
+	if !tr.Active() {
 		return ladder.IO{}, nil
+	}
+	if s.inline && s.waitN > 0 {
+		tr.Add(telemetry.StageIOWait, r, start, s.wait, s.waitN, 0)
 	}
 	return ladder.IO{Wait: s.wait, Blocks: int64(st.IOs() - ios), CacheHits: int64(st.CacheHits - hits)}, nil
 }
@@ -159,110 +175,120 @@ func (s *WaveSearcher) Visit(r, l int, h uint32) (bool, error) {
 	return false, nil
 }
 
-// fetch is the round's read-and-verify loop: every probe's table-entry
-// block as one wave, then every live chain's current logical block as one
-// wave per chain depth, until all chains drain or the round is decided.
-// After each wave it runs verify, so verification follows the reads wave by
-// wave, and once the driver reports the round decided no further wave is
-// issued. With an engine attached each wave is one vectored submission, so
-// adjacent blocks coalesce (a logical block spanning several physical
-// blocks contributes adjacent addresses), a block probed twice in one wave
-// is read once, and the backend sees the configured queue depth. It fills
-// each probe's fingerprint-matched ids and folds the I/O, entry and engine
-// counters into st. A chain cut short by an unreadable block is skipped
-// (degraded mode); the ids it collected before the cut still verify.
+// fetch is the round's read-and-verify loop. It reads the round's probes in
+// slices (see WaveSearcher): each slice's table-entry blocks as one wave,
+// then every live chain's current logical block as one wave per chain
+// depth, until the slice's chains drain or the round is decided. After each
+// wave it runs verify, and once the driver reports the round decided no
+// further wave or slice is issued. With an engine attached each wave is one
+// vectored submission, so adjacent blocks coalesce (a logical block spanning
+// several physical blocks contributes adjacent addresses), a block probed
+// twice in one wave is read once, and the backend sees the configured queue
+// depth. It fills each probe's fingerprint-matched ids and folds the I/O,
+// entry and engine counters into st. A chain cut short by an unreadable
+// block is skipped (degraded mode); the ids it collected before the cut
+// still verify.
 //
 //lsh:hotpath
 func (s *WaveSearcher) fetch(rIdx int, st *Stats) error {
-	s.wait = 0
-	probes := s.probes
-	if len(probes) == 0 {
-		return nil
+	s.wait, s.waitN = 0, 0
+	ix, probes := s.ix, s.probes
+	w := s.width
+	if w == 0 {
+		w = 1
+		if ix.ioeng != nil {
+			w = ix.ioeng.Depth()
+		}
 	}
-	ix := s.ix
+	s.inline = w == 1
 	bst := &s.bst
 	*bst = ioengine.BatchStats{}
 	s.vp, s.vi = 0, 0
-
-	// Wave 0: all table-entry blocks, stashing each probe's slot byte offset
-	// for the decode loop.
-	addrs, dsts, offs := s.addrs[:0], s.dsts[:0], s.offs[:0]
-	for i, pr := range probes {
-		blk, off := ix.tableEntryBlock(rIdx, pr.l, pr.idx)
-		addrs = append(addrs, blk)
-		offs = append(offs, off)
-		dsts = append(dsts, s.bufs[i][:blockstore.BlockSize])
-	}
-	ok, err := s.readWave(rIdx, addrs, dsts, 1)
-	if err != nil {
-		return err
-	}
-	live, heads := s.live[:0], s.heads[:0]
-	for i, pr := range probes {
-		if ok != nil && !ok[i] {
-			skipChain(st)
-			continue
-		}
-		st.TableIOs++
-		sl := decodeSlot(binary.LittleEndian.Uint64(s.bufs[i][offs[i] : offs[i]+8]))
-		if sl.addr != blockstore.Nil {
-			live = append(live, pr)
-			heads = append(heads, sl)
-		}
-	}
-
-	// Chain waves: one logical bucket block per live probe. s.heads holds the
-	// wave's slots while it is read, for the simulator's scan charge.
 	phys := ix.physPerBucket
-	for !s.verify(live) && len(live) > 0 {
-		addrs, dsts = addrs[:0], dsts[:0]
-		for i := range live {
-			for b := 0; b < phys; b++ {
-				addrs = append(addrs, heads[i].addr+blockstore.Addr(b))
-				dsts = append(dsts, s.bufs[i][b*blockstore.BlockSize:(b+1)*blockstore.BlockSize])
-			}
+	decided := false
+	for from := 0; from < len(probes) && !decided; from += w {
+		slice := probes[from : from+min(w, len(probes)-from)]
+		end := from + len(slice)
+		// Table wave, stashing each probe's slot byte offset for the decode.
+		addrs, dsts, offs := s.addrs[:0], s.dsts[:0], s.offs[:0]
+		for i, pr := range slice {
+			blk, off := ix.tableEntryBlock(rIdx, pr.l, pr.idx)
+			addrs = append(addrs, blk)
+			offs = append(offs, off)
+			dsts = append(dsts, s.bufs[i][:blockstore.BlockSize])
 		}
-		s.heads = heads
-		ok, err = s.readWave(rIdx, addrs, dsts, phys)
+		ok, err := s.readWave(rIdx, addrs, dsts, 1)
 		if err != nil {
 			return err
 		}
-		// live and heads compact in place: position i is consumed before any
-		// position ≤ i is rewritten.
-		nextLive, nextHeads := live[:0], heads[:0]
-		for i, pr := range live {
+		live, heads := s.live[:0], s.heads[:0]
+		for i, pr := range slice {
 			if ok != nil && !ok[i] {
 				skipChain(st)
 				continue
 			}
-			st.BucketIOs++
-			buf := s.bufs[i]
-			next, lo, hi := heads[i].span(buf)
-			s.lad.EntriesScanned += hi - lo
-			off := HeaderBytes + lo*EntryBytes
-			for e := lo; e < hi; e++ {
-				id, efp := ix.unpackEntry(getUint40(buf[off:]))
-				off += EntryBytes
-				if efp != pr.fp {
-					st.FPRejected++
-					continue
-				}
-				pr.ids = append(pr.ids, id)
-			}
-			if next != blockstore.Nil {
-				nextLive = append(nextLive, pr)
-				nextHeads = append(nextHeads, slot{addr: next})
+			st.TableIOs++
+			sl := decodeSlot(binary.LittleEndian.Uint64(s.bufs[i][offs[i] : offs[i]+8]))
+			if sl.addr != blockstore.Nil {
+				live = append(live, pr)
+				heads = append(heads, sl)
 			}
 		}
-		live, heads = nextLive, nextHeads
+
+		// Chain waves: one logical bucket block per live probe. s.heads holds
+		// the wave's slots while it is read, for the simulator's scan charge.
+		for decided = s.verify(live, end); !decided && len(live) > 0; decided = s.verify(live, end) {
+			addrs, dsts = addrs[:0], dsts[:0]
+			for i := range live {
+				for b := 0; b < phys; b++ {
+					addrs = append(addrs, heads[i].addr+blockstore.Addr(b))
+					dsts = append(dsts, s.bufs[i][b*blockstore.BlockSize:(b+1)*blockstore.BlockSize])
+				}
+			}
+			s.heads = heads
+			ok, err = s.readWave(rIdx, addrs, dsts, phys)
+			if err != nil {
+				return err
+			}
+			// live and heads compact in place: position i is consumed before
+			// any position ≤ i is rewritten.
+			nextLive, nextHeads := live[:0], heads[:0]
+			for i, pr := range live {
+				if ok != nil && !ok[i] {
+					skipChain(st)
+					continue
+				}
+				st.BucketIOs++
+				buf := s.bufs[i]
+				next, lo, hi := heads[i].span(buf)
+				s.lad.EntriesScanned += hi - lo
+				off := HeaderBytes + lo*EntryBytes
+				for e := lo; e < hi; e++ {
+					id, efp := ix.unpackEntry(getUint40(buf[off:]))
+					off += EntryBytes
+					if efp != pr.fp {
+						st.FPRejected++
+						continue
+					}
+					pr.ids = append(pr.ids, match{id: id, at: uint32(pr.scanned + e - lo + 1)})
+				}
+				pr.scanned += hi - lo
+				if next != blockstore.Nil {
+					nextLive = append(nextLive, pr)
+					nextHeads = append(nextHeads, slot{addr: next})
+				}
+			}
+			live, heads = nextLive, nextHeads
+		}
 	}
 	foldBatchStats(st, *bst)
 	return nil
 }
 
-// readWave reads one wave through s.read; on a traced query it records the
-// wave's wait as a StageIOWait span (N blocks asked for, M physical reads
-// they became) and adds it to s.wait.
+// readWave reads one wave through s.read; on a traced query it adds the
+// wave's wait and blocks to s.wait and s.waitN and, unless in line, records
+// it as a StageIOWait span (N blocks asked for, M physical reads they
+// became).
 //
 //lsh:hotpath
 func (s *WaveSearcher) readWave(rIdx int, addrs []blockstore.Addr, dsts [][]byte, group int) ([]bool, error) {
@@ -271,8 +297,11 @@ func (s *WaveSearcher) readWave(rIdx int, addrs []blockstore.Addr, dsts [][]byte
 	ok, err := s.read(addrs, dsts, group, &s.bst)
 	if err == nil && tr.Active() {
 		d := tr.Clock() - start
-		tr.Add(telemetry.StageIOWait, rIdx, start, d, int64(len(addrs)), int64(s.bst.PhysicalReads-phys))
 		s.wait += d
+		s.waitN += int64(len(addrs))
+		if !s.inline {
+			tr.Add(telemetry.StageIOWait, rIdx, start, d, int64(len(addrs)), int64(s.bst.PhysicalReads-phys))
+		}
 	}
 	return ok, err
 }
@@ -281,26 +310,28 @@ func (s *WaveSearcher) readWave(rIdx int, addrs []blockstore.Addr, dsts [][]byte
 // driver, in probe order, every fetched id from where the previous step
 // stopped up to the first probe whose chain is still being read (live[0]),
 // that probe's ids fetched so far included; once live is empty, every
-// remaining id. It reports whether the driver decided the round. The step's
-// candidates are gathered first, so that their slice-header loads overlap;
-// then each vector is prefetched verifyAhead candidates early, so the
-// distance kernel finds it in cache instead of waiting on DRAM. A candidate
-// the driver will settle without a distance check (Driver.Skips) keeps its
-// place in the order but loads and prefetches nothing.
+// remaining id of the slice, which ends at probe end. It reports whether the
+// driver decided the round. The step's candidates are gathered first, so
+// that their slice-header loads overlap; then each vector is prefetched
+// verifyAhead candidates early, so the distance kernel finds it in cache
+// instead of waiting on DRAM. A candidate the driver will settle without a
+// distance check (Driver.Skips) keeps its place in the order but loads and
+// prefetches nothing.
 //
 //lsh:hotpath
-func (s *WaveSearcher) verify(live []*probe) bool {
+func (s *WaveSearcher) verify(live []*probe, end int) bool {
 	var reading *probe
 	if len(live) > 0 {
 		reading = live[0]
 	}
 	lad, data, cands := s.lad, s.ix.data, s.cands[:0]
-	for ; s.vp < len(s.probes); s.vp, s.vi = s.vp+1, 0 {
+	vp, vi := s.vp, s.vi
+	for ; s.vp < end; s.vp, s.vi = s.vp+1, 0 {
 		pr := s.probes[s.vp]
-		for _, id := range pr.ids[s.vi:] {
-			c := candidate{id: id}
-			if !lad.Skips(id) {
-				c.vec = data[id]
+		for _, m := range pr.ids[s.vi:] {
+			c := candidate{id: m.id}
+			if !lad.Skips(m.id) {
+				c.vec = data[m.id]
 			}
 			cands = append(cands, c)
 		}
@@ -320,8 +351,22 @@ func (s *WaveSearcher) verify(live []*probe) bool {
 			vecmath.Prefetch(cands[j].vec)
 		}
 		if lad.Verify(c.id) {
+			s.unscan(vp, vi+i)
 			return true
 		}
 	}
 	return false
+}
+
+// unscan uncounts the entries scanned past the one that decided the round,
+// id i counting from probe vp's first, in that entry's chain, so that
+// EntriesScanned and FPRejected stop where the reference's do.
+func (s *WaveSearcher) unscan(vp, i int) {
+	for ; i >= len(s.probes[vp].ids); vp++ {
+		i -= len(s.probes[vp].ids)
+	}
+	pr := s.probes[vp]
+	past := pr.scanned - int(pr.ids[i].at)
+	s.lad.EntriesScanned -= past
+	s.lad.FPRejected -= past - (len(pr.ids) - 1 - i)
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"e2lshos/internal/blockstore"
+	"e2lshos/internal/ioengine"
 	"e2lshos/internal/ladder"
 	"e2lshos/internal/lsh"
 	"e2lshos/internal/telemetry"
@@ -124,15 +125,14 @@ func chainLen(t *testing.T, ix *Index, head blockstore.Addr) int {
 	return n
 }
 
-// TestWaveStopsReadingOnceDecided: once the budget decides a round, the wave
-// searcher reads no further chain wave. The fixture's query is object 0, so
-// its table-0 bucket — packed in one block, probed first — offers object 0
-// first, and a budget of one decides the round on it (k = 1 at distance 0
-// also ends the ladder there). Copies of a point that shares the query's
-// last-table bucket but not its first give that later probe a chain of at
-// least three blocks. The round's reads are then the table wave and the
-// first chain wave, nothing after.
-func TestWaveStopsReadingOnceDecided(t *testing.T) {
+// decidedFixture builds an index whose round 0 the query's first probe
+// decides. The query is object 0, so its table-0 bucket — packed in one
+// block, probed first — offers object 0 first, and a budget of one decides
+// the round on it (k = 1 at distance 0 also ends the ladder there). Copies
+// of a point that shares the query's last-table bucket but not its first
+// give that later probe a chain of at least three blocks.
+func decidedFixture(t *testing.T) (*Index, []float32) {
+	t.Helper()
 	_, ix := buildUpdatableWith(t, 600, 0, DefaultOptions())
 	ix.SetPartitions(1)
 	q := append([]float32(nil), ix.data[0]...)
@@ -171,7 +171,14 @@ func TestWaveStopsReadingOnceDecided(t *testing.T) {
 	if n := chainLen(t, ix, qSlots[L-1].addr); qSlots[L-1].count != 0 || n < 3 {
 		t.Fatalf("last table's bucket is %+v with %d blocks, want a chain of ≥ 3", qSlots[L-1], n)
 	}
+	return ix, q
+}
 
+// decidedRun runs decidedFixture's query, traced, on ix's wave searcher and
+// checks that it ended the ladder on object 0 in round 0. It returns the
+// stats and the round's StageIOWait spans.
+func decidedRun(t *testing.T, ix *Index, q []float32) (Stats, []telemetry.Span) {
+	t.Helper()
 	tr := telemetry.New(telemetry.Config{SampleRate: 1}).StartTrace()
 	kn := ladder.Knobs{K: 1, Budget: 1, Trace: tr}
 	res, st, err := ix.NewWaveSearcher().Run(context.Background(), q, kn, nil)
@@ -187,6 +194,20 @@ func TestWaveStopsReadingOnceDecided(t *testing.T) {
 			waves = append(waves, sp)
 		}
 	}
+	return st, waves
+}
+
+// TestWaveStopsReadingOnceDecided: once the budget decides a round, the wave
+// searcher reads no further chain wave. Read at a width that covers the
+// round (an engine of queue depth 64), the round is one slice, so its reads
+// are the table wave and the first chain wave, nothing after.
+func TestWaveStopsReadingOnceDecided(t *testing.T) {
+	ix, q := decidedFixture(t)
+	wide := withEngine(t, ix, ioengine.Options{Depth: 64}, 0, 0)
+	if d, L := wide.IOEngine().Depth(), ix.params.L; d < L {
+		t.Fatalf("width %d does not cover a round of %d probes", d, L)
+	}
+	st, waves := decidedRun(t, wide, q)
 	if len(waves) < 2 {
 		t.Fatalf("round read %d waves, want the table wave and one chain wave", len(waves))
 	}
@@ -200,58 +221,123 @@ func TestWaveStopsReadingOnceDecided(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if refSt.IOs() > st.IOs() {
-		t.Errorf("reference read %d blocks, the wave %d", refSt.IOs(), st.IOs())
+	if refSt.IOs() >= st.IOs() {
+		t.Errorf("reference read %d blocks, the wave %d: the fixture reads nothing past the decision", refSt.IOs(), st.IOs())
+	}
+}
+
+// TestWaveInlineReadsAsReference: in line a slice is one probe, so on the
+// same fixture the round stops where the reference's does — one table block
+// and one bucket block, with the reference's entry counts — and its reads
+// are traced as one span.
+func TestWaveInlineReadsAsReference(t *testing.T) {
+	ix, q := decidedFixture(t)
+	st, waves := decidedRun(t, ix, q)
+	_, refSt, err := ix.NewSearcher().Run(context.Background(), q, ladder.Knobs{K: 1, Budget: 1}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w, g := refCountersOf(refSt), refCountersOf(st); w != g || g.TableIOs != 1 || g.BucketIOs != 1 {
+		t.Errorf("in line the wave's counters are %+v, the reference's %+v; want one table and one bucket block", g, w)
+	}
+	if len(waves) != 1 || waves[0].N != int64(st.TableIOs+st.BucketIOs*ix.physPerBucket) {
+		t.Errorf("in-line round traced as %+v, want one span over its %d blocks", waves, st.IOs())
+	}
+}
+
+// TestWaveTraceFitsSpanBuffer: in line every wave is one block, so a span per
+// wave would overflow a long query's span buffer. A multi-probe-2 query that
+// climbs every rung of a chained index reads more blocks than the buffer
+// holds spans, and its trace drops none: each round's waves are one span.
+func TestWaveTraceFitsSpanBuffer(t *testing.T) {
+	var chained Options
+	for _, lay := range bucketLayouts() {
+		if lay.name == "chained" {
+			chained = lay.opts
+		}
+	}
+	d, ix, _ := testSetup(t, 2000, 1000, chained)
+	ix.SetPartitions(1)
+	col := telemetry.New(telemetry.Config{SampleRate: 1})
+	ws := ix.NewWaveSearcher()
+	most := 0
+	for qi, q := range d.Queries {
+		tr := col.StartTrace()
+		kn := ladder.Knobs{K: 500, MultiProbe: 2, Trace: tr}
+		_, st, err := ws.Run(context.Background(), q, kn, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		most = max(most, st.IOs())
+		if tr.Dropped() != 0 {
+			t.Errorf("query %d: %d spans dropped over %d rounds and %d blocks", qi, tr.Dropped(), st.Radii, st.IOs())
+		}
+		waits := 0
+		for _, sp := range tr.Spans() {
+			if sp.Stage == telemetry.StageIOWait {
+				waits++
+			}
+		}
+		if waits != st.Radii {
+			t.Errorf("query %d: %d wave spans over %d rounds, want one per round", qi, waits, st.Radii)
+		}
+	}
+	if most <= telemetry.MaxSpans {
+		t.Fatalf("no query reads more than %d blocks (most %d); fixture is vacuous", telemetry.MaxSpans, most)
 	}
 }
 
 // TestWaveTraceAttributesRound: a traced wave query's I/O stage is the sum of
 // its round's wave waits (and blocks), and project + io + verify is the
-// round, although verification now runs between the waves.
+// round, although verification runs between the waves. Checked in line,
+// where a round's waves are one span, and at queue depth 4, where a round is
+// several slices of a span per wave.
 func TestWaveTraceAttributesRound(t *testing.T) {
 	d, ix, _ := testSetup(t, 2000, 1000, DefaultOptions())
 	ix.SetPartitions(1)
 	col := telemetry.New(telemetry.Config{SampleRate: 1})
-	ws := ix.NewWaveSearcher()
 	rounds := 0
-	for _, q := range d.Queries {
-		tr := col.StartTrace()
-		kn := ladder.Knobs{K: 5, Budget: 2 * ix.params.L, MultiProbe: 1, Trace: tr}
-		if _, _, err := ws.Run(context.Background(), q, kn, nil); err != nil {
-			t.Fatal(err)
-		}
-		type round struct {
-			waitDur, waitN int64
-			stage          [telemetry.NumStages]telemetry.Span
-			has            [telemetry.NumStages]bool
-		}
-		var byRound []round
-		for _, sp := range tr.Spans() {
-			for int(sp.Round) >= len(byRound) {
-				byRound = append(byRound, round{})
+	for _, view := range []*Index{ix, engineAttached(t, ix, 4, 0, 0)} {
+		ws := view.NewWaveSearcher()
+		for _, q := range d.Queries {
+			tr := col.StartTrace()
+			kn := ladder.Knobs{K: 5, Budget: 2 * ix.params.L, MultiProbe: 1, Trace: tr}
+			if _, _, err := ws.Run(context.Background(), q, kn, nil); err != nil {
+				t.Fatal(err)
 			}
-			r := &byRound[sp.Round]
-			if sp.Stage == telemetry.StageIOWait {
-				r.waitDur += int64(sp.Dur)
-				r.waitN += sp.N
-				continue
+			type round struct {
+				waitDur, waitN int64
+				stage          [telemetry.NumStages]telemetry.Span
+				has            [telemetry.NumStages]bool
 			}
-			r.stage[sp.Stage], r.has[sp.Stage] = sp, true
-		}
-		for ri, r := range byRound {
-			if !r.has[telemetry.StageRound] {
-				t.Fatalf("round %d has no round span", ri)
+			var byRound []round
+			for _, sp := range tr.Spans() {
+				for int(sp.Round) >= len(byRound) {
+					byRound = append(byRound, round{})
+				}
+				r := &byRound[sp.Round]
+				if sp.Stage == telemetry.StageIOWait {
+					r.waitDur += int64(sp.Dur)
+					r.waitN += sp.N
+					continue
+				}
+				r.stage[sp.Stage], r.has[sp.Stage] = sp, true
 			}
-			rounds++
-			io := r.stage[telemetry.StageIO]
-			if int64(io.Dur) != r.waitDur || io.N != r.waitN {
-				t.Errorf("round %d: io stage %v over %d blocks, waves %v over %d",
-					ri, io.Dur, io.N, r.waitDur, r.waitN)
-			}
-			sum := r.stage[telemetry.StageProject].Dur + io.Dur + r.stage[telemetry.StageVerify].Dur
-			if total := r.stage[telemetry.StageRound].Dur; sum != total || r.stage[telemetry.StageVerify].Dur < 0 {
-				t.Errorf("round %d: project + io + verify = %v, round %v (verify %v)",
-					ri, sum, total, r.stage[telemetry.StageVerify].Dur)
+			for ri, r := range byRound {
+				if !r.has[telemetry.StageRound] {
+					t.Fatalf("round %d has no round span", ri)
+				}
+				rounds++
+				io := r.stage[telemetry.StageIO]
+				if int64(io.Dur) != r.waitDur || io.N != r.waitN {
+					t.Errorf("round %d: io stage %v over %d blocks, waves %v over %d",
+						ri, io.Dur, io.N, r.waitDur, r.waitN)
+				}
+				sum := r.stage[telemetry.StageProject].Dur + io.Dur + r.stage[telemetry.StageVerify].Dur
+				if total := r.stage[telemetry.StageRound].Dur; sum != total || r.stage[telemetry.StageVerify].Dur < 0 {
+					t.Errorf("round %d: project + io + verify = %v, round %v (verify %v)",
+						ri, sum, total, r.stage[telemetry.StageVerify].Dur)
+				}
 			}
 		}
 	}
