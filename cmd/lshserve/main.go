@@ -64,7 +64,7 @@ func run(ctx context.Context, args []string, out io.Writer, ready func(addr net.
 		maxQueue  = fs.Int("maxqueue", 0, "coalescer: admission bound (0 = 4x maxbatch)")
 		cacheMB   = fs.Int("cache", 0, "block cache in MiB (0 = uncached)")
 		readahead = fs.Int("readahead", 0, "bucket blocks prefetched per chain between radius rounds, into the block cache (0 = off)")
-		ioDepth   = fs.Int("iodepth", 0, "vectored I/O engine queue depth: a round is read in slices of this many probes, each slice's blocks batched and adjacent ones coalesced (0 = no engine: in-line reads, a round read probe by probe; or depth 16 when -cache or -retries attach one)")
+		ioDepth   = fs.Int("iodepth", 0, "vectored I/O engine queue depth: batched round submission, adjacent-block coalescing (0 = no engine: in-line reads, a round read probe by probe; or depth 16 when -cache or -retries attach one)")
 		retries   = fs.Int("retries", 0, "per-block read retries with backoff before a fault degrades the query (0 = off)")
 		metrics   = fs.Bool("metrics", true, "enable engine latency telemetry (per-stage histograms, served at /metrics)")
 		pprofOn   = fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")

@@ -117,15 +117,14 @@ func WithReadahead(depth int) StorageOption {
 
 // WithIOEngine routes every read of the index through a shared vectored
 // asynchronous I/O engine driving the backend at the given queue depth:
-// each radius round is read in slices of depth probes, each slice's table
-// entries and bucket-chain waves submitted as vectored batches, a block
-// asked for twice in one wave is read once, and runs of adjacent blocks
-// coalesce into single physical reads. Combine with WithBlockCache to serve
-// hits before any of that; alone, the engine still batches and coalesces
-// against the raw store. Stats then report PhysicalReads, CoalescedReads and
-// DedupedReads beside the logical N_IO, which exceeds the in-line index's
-// only where the budget cuts short a round a slice has read ahead of. The
-// engine is the only place reads overlap: an index built without
+// each radius round's table entries and bucket-chain waves are submitted as
+// vectored batches, a block asked for twice in one wave is read once, and
+// runs of adjacent blocks coalesce into single physical reads. Combine with
+// WithBlockCache to serve hits before any of that; alone, the engine still
+// batches and coalesces against the raw store. Stats then report
+// PhysicalReads, CoalescedReads and DedupedReads alongside the logical
+// N_IO, which exceeds the in-line index's only where the budget cuts short
+// a round the batch has read ahead of. The engine is the only place reads overlap: an index built without
 // it (and without WithBlockCache or WithRetries, which attach one at the
 // default depth of 16) reads its store one block at a time on the querying
 // goroutine — the right configuration for a RAM-resident store, where a

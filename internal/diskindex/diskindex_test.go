@@ -282,9 +282,9 @@ func TestChainTraversal(t *testing.T) {
 // TestAsyncMatchesServingSearcher: a virtual-time query runs the serving
 // WaveSearcher's ladder, so at any budget, k, projection mode, block size and
 // scheduling mode its neighbors are bitwise the reference Searcher's and its
-// work counters — reads included — are exactly those of a WaveSearcher that
-// reads a round as one slice, under the same knobs, and the engine's I/O
-// count is those logical reads in physical blocks.
+// work counters — reads included — are exactly those of a WaveSearcher with
+// an ioengine attached, under the same knobs, and the engine's I/O count is
+// those logical reads in physical blocks.
 func TestAsyncMatchesServingSearcher(t *testing.T) {
 	ctx := context.Background()
 	type schedMode struct {
@@ -297,13 +297,10 @@ func TestAsyncMatchesServingSearcher(t *testing.T) {
 		for _, share := range []bool{true, false} {
 			opts := Options{ShareProjections: share, Seed: 1, BucketBytes: bucketBytes}
 			d, ix, _ := testSetup(t, 2000, 1000, opts)
-			// The scheduler issues a round whole, so the serving searcher it
-			// is held to reads a round as one slice: an engine whose queue
-			// depth covers the round.
-			if ix.params.L > 64 {
-				t.Fatalf("a round of %d probes outgrows the queue depth", ix.params.L)
-			}
-			ref, wave := ix.NewSearcher(), engineAttached(t, ix, 64, 0, 0).NewWaveSearcher()
+			// The scheduler issues a round whole, as a serving searcher does
+			// with an engine attached, whatever its queue depth; in line it
+			// would read a round probe by probe.
+			ref, wave := ix.NewSearcher(), engineAttached(t, ix, 4, 0, 0).NewWaveSearcher()
 			for _, budget := range []int{0, 2, 8, ix.Params().S / 2} {
 				for _, k := range []int{1, 5} {
 					kn := ladder.Knobs{K: k, Budget: budget}

@@ -3,7 +3,6 @@ package diskindex
 import (
 	"context"
 	"iter"
-	"math"
 
 	"e2lshos/internal/ann"
 	"e2lshos/internal/blockstore"
@@ -30,8 +29,8 @@ type AsyncResult struct {
 // and resumes the query once its last block has arrived. The scheduler takes
 // a round as one slice (see WaveSearcher). The neighbors are therefore
 // bitwise the reference Searcher's, and the reads exactly those of a
-// WaveSearcher whose queue depth covers a round, at any budget, block size
-// and partition count.
+// WaveSearcher with an ioengine attached, at any budget, block size and
+// partition count.
 //
 // CPU work is charged to the virtual clock through the shared cost model, so
 // the same function serves both the asynchronous (Fig 1B) and the
@@ -115,7 +114,7 @@ func (ix *Index) newSimSearcher(model costmodel.CPUModel, free *[]*simSearcher) 
 	s.init(ix, s)
 	s.sizeArenas(ix.params.L)
 	// The scheduler issues a round whole, as the paper's io_uring design does.
-	s.width = math.MaxInt
+	s.whole = true
 	s.read = s.suspend
 	s.arrive = s.onBlock
 	return s

@@ -108,11 +108,13 @@ func TestVectoredFetchMatchesSerial(t *testing.T) {
 // engine (the in-line body), an engine with only a cache, only queue depth,
 // cache + depth + readahead, or retries — the top-k is bitwise the reference
 // Searcher's (same knobs). In line, where a slice is one probe, the block
-// reads and entry counts are the reference's too; configurations of equal
-// width (queue depth) have identical logical counters, and a wider one never
-// reads fewer blocks than in line. Swept over multi-probe {0, 2}, a generous
-// and a truncating budget, one and four hash partitions, and the 512-byte,
-// 4096-byte and chained bucket layouts.
+// reads and entry counts are the reference's too. Every engine configuration
+// reads a round as one slice, so their logical counters are identical; they
+// never read fewer blocks than in line, and the counters that do not depend
+// on the slice width (rounds, probes, checks, duplicates) equal the in-line
+// run's. Swept over multi-probe {0, 2}, a generous and a truncating budget,
+// one and four hash partitions, and the 512-byte, 4096-byte and chained
+// bucket layouts.
 func TestWaveOptionMatrix(t *testing.T) {
 	configs := []struct {
 		name       string
@@ -149,17 +151,20 @@ func TestWaveOptionMatrix(t *testing.T) {
 								}
 								want[qi], refSt[qi] = res.Neighbors, st
 							}
-							// Per width, the first configuration's per-query
-							// logical stats; width 1, in line, comes first.
-							byWidth := map[int][]Stats{}
+							// Per-query logical stats of the in-line run (which
+							// comes first) and of the first engine configuration.
+							var inline, batched []Stats
 							truncated := false
 							for _, cfg := range configs {
 								view, engine := ix, cfg.eng.Depth > 0
 								if engine {
 									view = withEngine(t, ix, cfg.eng, cfg.cacheBytes, cfg.readahead)
 								}
-								width := max(cfg.eng.Depth, 1)
-								first, seen := byWidth[width]
+								first := &inline
+								if engine {
+									first = &batched
+								}
+								seen := len(*first) > 0
 								ws := view.NewWaveSearcher()
 								var agg Stats
 								for qi, q := range d.Queries {
@@ -168,15 +173,17 @@ func TestWaveOptionMatrix(t *testing.T) {
 										t.Fatal(err)
 									}
 									if !seen {
-										first = append(first, logicalStats(st))
+										*first = append(*first, logicalStats(st))
 									}
-									compareRuns(t, cfg.name, qi, want[qi], got.Neighbors, first[qi], st, cfg.cacheBytes > 0, ix.physPerBucket)
+									compareRuns(t, cfg.name, qi, want[qi], got.Neighbors, (*first)[qi], st, cfg.cacheBytes > 0, ix.physPerBucket)
 									if !engine {
 										if w, g := refCountersOf(refSt[qi]), refCountersOf(st); w != g {
 											t.Fatalf("query %d: in line the wave's counters are not the reference's\nwant: %+v\ngot:  %+v", qi, w, g)
 										}
-									} else if in := byWidth[1][qi].IOs(); in > st.IOs() {
-										t.Fatalf("%s query %d: in line the wave read %d blocks, at width %d %d", cfg.name, qi, in, width, st.IOs())
+									} else if w, g := roundCountersOf(inline[qi]), roundCountersOf(st); w != g {
+										t.Fatalf("%s query %d: round counters differ from in line\nwant: %+v\ngot:  %+v", cfg.name, qi, w, g)
+									} else if in := inline[qi].IOs(); in > st.IOs() {
+										t.Fatalf("%s query %d: in line the wave read %d blocks, with the engine %d", cfg.name, qi, in, st.IOs())
 									}
 									entries := st.Checked + st.Duplicates + st.FPRejected
 									if entries > st.EntriesScanned {
@@ -189,7 +196,6 @@ func TestWaveOptionMatrix(t *testing.T) {
 									agg.PhysicalReads += st.PhysicalReads
 									agg.CoalescedReads += st.CoalescedReads
 								}
-								byWidth[width] = first
 								// With an engine the rounds (multi-probe included) go
 								// out as vectored waves: physical reads are issued,
 								// and adjacent physical blocks coalesce.
@@ -225,6 +231,16 @@ type refCounters struct {
 
 func refCountersOf(st Stats) refCounters {
 	return refCounters{st.TableIOs, st.BucketIOs, st.EntriesScanned, st.FPRejected, st.Checked, st.Duplicates}
+}
+
+// roundCounters is the logical work that does not depend on how a round's
+// probes are sliced into reads.
+type roundCounters struct {
+	Radii, Probes, NonEmptyProbes, Checked, Duplicates int
+}
+
+func roundCountersOf(st Stats) roundCounters {
+	return roundCounters{st.Radii, st.Probes, st.NonEmptyProbes, st.Checked, st.Duplicates}
 }
 
 // compareRuns asserts neighbors (IDs and distances), logical stats, and the

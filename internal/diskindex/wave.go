@@ -16,21 +16,22 @@ import (
 
 // WaveSearcher is the serving searcher. Per search radius it collects every
 // probe of the round — each table's base bucket and, with multi-probe, its
-// perturbed neighbors — and reads them in probe order, in slices as wide as
-// the reads its reader overlaps: the attached ioengine's queue depth (the
-// paper's "many parallel read requests"), one probe in line, a whole round
-// under the simulator's scheduler. A slice is read as waves through
-// Index.readBatch: its table-entry blocks, then one wave per chain depth.
-// After each wave it verifies candidates in probe order under the budget, as
-// far as the chains read so far allow, and once the budget decides the round
-// it reads nothing more.
+// perturbed neighbors — and reads them in probe order, in slices. With an
+// ioengine attached, or under the simulator's scheduler, a round is one
+// slice, its reads overlapped at the engine's queue depth (the paper's "many
+// parallel read requests"); in line, where nothing overlaps, a slice is one
+// probe. A slice is read as waves through Index.readBatch: its table-entry
+// blocks, then one wave per chain depth. After each wave it verifies
+// candidates in probe order under the budget, as far as the chains read so
+// far allow, and once the budget decides the round it reads nothing more.
 //
 // The neighbors are bitwise those of the reference Searcher under the same
 // knobs: verification visits the same entries in the same order under the
 // same budget. In line the blocks read and the entries counted are the
-// reference's too. A wider slice reads ahead of verification, so where the
-// budget cuts a round short it has read every table block of the deciding
-// slice and its chains to the deciding wave's depth: never fewer blocks.
+// reference's too. A whole-round slice reads ahead of verification, so where
+// the budget cuts a round short it has read every table block of the round
+// and its chains to the deciding wave's depth: never fewer blocks, and every
+// entry it decoded counted.
 //
 // A WaveSearcher is safe for use by one goroutine at a time; run several
 // concurrently to batch queries, matching §6's multithreaded setup.
@@ -53,10 +54,10 @@ type WaveSearcher struct {
 	// The round's verification cursor: the next probe to verify, and how
 	// many of its ids are already verified.
 	vp, vi int
-	// width is the probes per slice, 0 for the index's queue depth; inline
-	// is set when that is 1.
-	width  int
-	inline bool
+	// whole makes a round one slice even without an engine, as the
+	// simulator's scheduler issues it; inline is set for a fetch whose
+	// slices are one probe.
+	whole, inline bool
 	// read fetches one wave; it is Index.readBatch except under the
 	// virtual-time engine, which suspends the query there (see sim.go).
 	// bst is the running fetch's engine outcome, a field so that passing
@@ -105,19 +106,14 @@ func (s *WaveSearcher) sizeArenas(n int) {
 	s.dsts = make([][]byte, 0, n*phys)
 }
 
-// probe is one occupied bucket to fetch during a radius round, with how many
-// of its chain's entries were scanned so far and the fingerprint-matched
-// ones among them, filled as the chain is read.
+// probe is one occupied bucket to fetch during a radius round.
 type probe struct {
-	l       int
-	idx     uint32
-	fp      uint32
-	scanned int
-	ids     []match
+	l   int
+	idx uint32
+	fp  uint32
+	hi  int      // end of the entry range of its chain block decoded last
+	ids []uint32 // fingerprint-matched object ids, filled as the chain is read
 }
-
-// match is a matched entry: its id, and its chain's entries scanned through it.
-type match struct{ id, at uint32 }
 
 // BeginRound implements ladder.Rounds: on top of the shared readahead step
 // it empties the round's probe list.
@@ -193,14 +189,11 @@ func (s *WaveSearcher) Visit(r, l int, h uint32) (bool, error) {
 func (s *WaveSearcher) fetch(rIdx int, st *Stats) error {
 	s.wait, s.waitN = 0, 0
 	ix, probes := s.ix, s.probes
-	w := s.width
-	if w == 0 {
+	s.inline = ix.ioeng == nil && !s.whole
+	w := len(probes)
+	if s.inline {
 		w = 1
-		if ix.ioeng != nil {
-			w = ix.ioeng.Depth()
-		}
 	}
-	s.inline = w == 1
 	bst := &s.bst
 	*bst = ioengine.BatchStats{}
 	s.vp, s.vi = 0, 0
@@ -270,9 +263,9 @@ func (s *WaveSearcher) fetch(rIdx int, st *Stats) error {
 						st.FPRejected++
 						continue
 					}
-					pr.ids = append(pr.ids, match{id: id, at: uint32(pr.scanned + e - lo + 1)})
+					pr.ids = append(pr.ids, id)
 				}
-				pr.scanned += hi - lo
+				pr.hi = hi
 				if next != blockstore.Nil {
 					nextLive = append(nextLive, pr)
 					nextHeads = append(nextHeads, slot{addr: next})
@@ -328,10 +321,10 @@ func (s *WaveSearcher) verify(live []*probe, end int) bool {
 	vp, vi := s.vp, s.vi
 	for ; s.vp < end; s.vp, s.vi = s.vp+1, 0 {
 		pr := s.probes[s.vp]
-		for _, m := range pr.ids[s.vi:] {
-			c := candidate{id: m.id}
-			if !lad.Skips(m.id) {
-				c.vec = data[m.id]
+		for _, id := range pr.ids[s.vi:] {
+			c := candidate{id: id}
+			if !lad.Skips(id) {
+				c.vec = data[id]
 			}
 			cands = append(cands, c)
 		}
@@ -351,22 +344,35 @@ func (s *WaveSearcher) verify(live []*probe, end int) bool {
 			vecmath.Prefetch(cands[j].vec)
 		}
 		if lad.Verify(c.id) {
-			s.unscan(vp, vi+i)
+			if s.inline {
+				s.unscan(vp, vi+i)
+			}
 			return true
 		}
 	}
 	return false
 }
 
-// unscan uncounts the entries scanned past the one that decided the round,
-// id i counting from probe vp's first, in that entry's chain, so that
-// EntriesScanned and FPRejected stop where the reference's do.
+// unscan uncounts the entries scanned past the one that decided an in-line
+// round, id i counting from probe vp's first, so that EntriesScanned and
+// FPRejected stop where the reference's do. In line every earlier block's
+// ids were verified after that block's wave, so the deciding id and the
+// matched ids after it came from the block just read, still in s.bufs[0]:
+// walking its entries back from the end finds the deciding one.
 func (s *WaveSearcher) unscan(vp, i int) {
 	for ; i >= len(s.probes[vp].ids); vp++ {
 		i -= len(s.probes[vp].ids)
 	}
-	pr := s.probes[vp]
-	past := pr.scanned - int(pr.ids[i].at)
+	pr, buf := s.probes[vp], s.bufs[0]
+	after := len(pr.ids) - 1 - i
+	e := pr.hi
+	for seen := 0; seen <= after; {
+		e--
+		if _, efp := s.ix.unpackEntry(getUint40(buf[HeaderBytes+e*EntryBytes:])); efp == pr.fp {
+			seen++
+		}
+	}
+	past := pr.hi - 1 - e
 	s.lad.EntriesScanned -= past
-	s.lad.FPRejected -= past - (len(pr.ids) - 1 - i)
+	s.lad.FPRejected -= past - after
 }

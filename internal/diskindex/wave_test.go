@@ -198,14 +198,15 @@ func decidedRun(t *testing.T, ix *Index, q []float32) (Stats, []telemetry.Span) 
 }
 
 // TestWaveStopsReadingOnceDecided: once the budget decides a round, the wave
-// searcher reads no further chain wave. Read at a width that covers the
-// round (an engine of queue depth 64), the round is one slice, so its reads
-// are the table wave and the first chain wave, nothing after.
+// searcher reads no further chain wave. With an engine attached the round is
+// one slice even at a queue depth below its probe count, so its reads are
+// the table wave and the first chain wave, nothing after, and every entry
+// of that chain wave's blocks is counted as scanned.
 func TestWaveStopsReadingOnceDecided(t *testing.T) {
 	ix, q := decidedFixture(t)
-	wide := withEngine(t, ix, ioengine.Options{Depth: 64}, 0, 0)
-	if d, L := wide.IOEngine().Depth(), ix.params.L; d < L {
-		t.Fatalf("width %d does not cover a round of %d probes", d, L)
+	wide := withEngine(t, ix, ioengine.Options{Depth: 2}, 0, 0)
+	if d, L := wide.IOEngine().Depth(), ix.params.L; d >= L {
+		t.Fatalf("queue depth %d covers a round of %d probes; the fixture shows nothing", d, L)
 	}
 	st, waves := decidedRun(t, wide, q)
 	if len(waves) < 2 {
@@ -216,6 +217,22 @@ func TestWaveStopsReadingOnceDecided(t *testing.T) {
 	}
 	if len(waves) != 2 {
 		t.Errorf("round read %d waves, want the table wave and one chain wave", len(waves))
+	}
+	_, slots := roundZeroSlots(t, ix, q)
+	buf := make([]byte, ix.bucketBufBytes())
+	decoded := 0
+	for _, sl := range slots {
+		if sl.addr == blockstore.Nil {
+			continue
+		}
+		if err := ix.readLogicalBlock(sl.addr, buf, nil); err != nil {
+			t.Fatal(err)
+		}
+		_, lo, hi := sl.span(buf)
+		decoded += hi - lo
+	}
+	if st.EntriesScanned != decoded {
+		t.Errorf("EntriesScanned = %d, want the %d entries the chain wave decoded", st.EntriesScanned, decoded)
 	}
 	_, refSt, err := ix.NewSearcher().Run(context.Background(), q, ladder.Knobs{K: 1, Budget: 1}, nil)
 	if err != nil {
@@ -248,7 +265,9 @@ func TestWaveInlineReadsAsReference(t *testing.T) {
 // TestWaveTraceFitsSpanBuffer: in line every wave is one block, so a span per
 // wave would overflow a long query's span buffer. A multi-probe-2 query that
 // climbs every rung of a chained index reads more blocks than the buffer
-// holds spans, and its trace drops none: each round's waves are one span.
+// holds spans, and its trace drops none: in line each round's waves are one
+// span, and with an engine, even one shallower than a round, a round is one
+// slice of a span per chain depth.
 func TestWaveTraceFitsSpanBuffer(t *testing.T) {
 	var chained Options
 	for _, lay := range bucketLayouts() {
@@ -259,27 +278,29 @@ func TestWaveTraceFitsSpanBuffer(t *testing.T) {
 	d, ix, _ := testSetup(t, 2000, 1000, chained)
 	ix.SetPartitions(1)
 	col := telemetry.New(telemetry.Config{SampleRate: 1})
-	ws := ix.NewWaveSearcher()
 	most := 0
-	for qi, q := range d.Queries {
-		tr := col.StartTrace()
-		kn := ladder.Knobs{K: 500, MultiProbe: 2, Trace: tr}
-		_, st, err := ws.Run(context.Background(), q, kn, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		most = max(most, st.IOs())
-		if tr.Dropped() != 0 {
-			t.Errorf("query %d: %d spans dropped over %d rounds and %d blocks", qi, tr.Dropped(), st.Radii, st.IOs())
-		}
-		waits := 0
-		for _, sp := range tr.Spans() {
-			if sp.Stage == telemetry.StageIOWait {
-				waits++
+	for _, view := range []*Index{ix, engineAttached(t, ix, 2, 0, 0)} {
+		ws, inline := view.NewWaveSearcher(), view.IOEngine() == nil
+		for qi, q := range d.Queries {
+			tr := col.StartTrace()
+			kn := ladder.Knobs{K: 500, MultiProbe: 2, Trace: tr}
+			_, st, err := ws.Run(context.Background(), q, kn, nil)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		if waits != st.Radii {
-			t.Errorf("query %d: %d wave spans over %d rounds, want one per round", qi, waits, st.Radii)
+			most = max(most, st.IOs())
+			if tr.Dropped() != 0 {
+				t.Errorf("inline=%v query %d: %d spans dropped over %d rounds and %d blocks", inline, qi, tr.Dropped(), st.Radii, st.IOs())
+			}
+			waits := 0
+			for _, sp := range tr.Spans() {
+				if sp.Stage == telemetry.StageIOWait {
+					waits++
+				}
+			}
+			if inline && waits != st.Radii {
+				t.Errorf("query %d: %d wave spans over %d rounds, want one per round", qi, waits, st.Radii)
+			}
 		}
 	}
 	if most <= telemetry.MaxSpans {
@@ -291,7 +312,7 @@ func TestWaveTraceFitsSpanBuffer(t *testing.T) {
 // its round's wave waits (and blocks), and project + io + verify is the
 // round, although verification runs between the waves. Checked in line,
 // where a round's waves are one span, and at queue depth 4, where a round is
-// several slices of a span per wave.
+// one slice with a span per wave.
 func TestWaveTraceAttributesRound(t *testing.T) {
 	d, ix, _ := testSetup(t, 2000, 1000, DefaultOptions())
 	ix.SetPartitions(1)

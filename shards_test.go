@@ -103,15 +103,17 @@ func TestShardsMatchRouter(t *testing.T) {
 
 // TestSimulateMatchesBatchSearch: the virtual-time engine runs the serving
 // ladder over the index's hash partitions, so Simulate answers bit for bit
-// as BatchSearch does and, against an index that reads a round as one slice
-// as the simulator does, its N_IO is the mean of the queries' Stats.IOs().
+// as BatchSearch does and, against an index with an I/O engine, which reads
+// a round whole as the simulator does, its N_IO is the mean of the queries'
+// Stats.IOs().
 func TestSimulateMatchesBatchSearch(t *testing.T) {
 	ctx := context.Background()
 	d := shardsDataset(t)
 	for _, s := range []int{1, 4} {
-		// The simulator issues a round whole, so the index it is held to
-		// reads a round as one slice: an I/O engine deep enough to cover it.
-		ix, err := NewStorageIndex(d.Vectors, Config{Sigma: 2}, WithShards(s), WithIOEngine(64))
+		// The simulator issues a round whole, as the index does with an I/O
+		// engine attached at any queue depth; in line it would read a round
+		// probe by probe.
+		ix, err := NewStorageIndex(d.Vectors, Config{Sigma: 2}, WithShards(s), WithIOEngine(4))
 		if err != nil {
 			t.Fatal(err)
 		}
