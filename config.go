@@ -124,10 +124,11 @@ func WithReadahead(depth int) StorageOption {
 // batches and coalesces against the raw store. Stats then report
 // PhysicalReads, CoalescedReads and DedupedReads alongside the logical
 // N_IO, which exceeds the in-line index's only where the budget cuts short
-// a round the batch has read ahead of. The engine is the only place reads overlap: an index built without
-// it (and without WithBlockCache or WithRetries, which attach one at the
-// default depth of 16) reads its store one block at a time on the querying
-// goroutine — the right configuration for a RAM-resident store, where a
+// a round the batch has read ahead of. The engine is the only place reads
+// overlap: an index built without it (and without WithBlockCache or
+// WithRetries, which attach one at the default depth of 16) walks each
+// bucket block by block on the querying goroutine, as the reference
+// searcher does — the right configuration for a RAM-resident store, where a
 // hand-off costs more than the 512-byte copy it would parallelise.
 func WithIOEngine(depth int) StorageOption {
 	return func(s *storageSettings) { s.ioDepth = depth }

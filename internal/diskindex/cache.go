@@ -12,14 +12,15 @@ import (
 
 // This file is the index's read seam. Every wall-clock read — both
 // searchers, online updates, the invariant checker — goes through readOne
-// (one block) or readBatch (one wave), and each has exactly two bodies: the
-// attached ioengine, or the block store read in line on the calling
-// goroutine. Queue depth, the block cache, retries, coalescing, sharing one
-// read among a wave's duplicates and readahead all live inside the engine;
-// without one the index runs at depth 1 with none of them. The virtual-time engine (sim.go) gives the
-// WaveSearcher its own read hook in place of readBatch: it models the
-// paper's raw-device experiments, where §6.5's page cache is a simulation of
-// its own.
+// (one block), which has exactly two bodies: the attached ioengine, or the
+// block store read in line on the calling goroutine; with an engine
+// attached, the WaveSearcher's waves go through readBatch. Queue depth, the
+// block cache, retries, coalescing, sharing one read among a wave's
+// duplicates and readahead all live inside the engine; without one the
+// index runs at depth 1 with none of them. The virtual-time engine (sim.go)
+// gives the WaveSearcher its own read hook in place of readBatch: it models
+// the paper's raw-device experiments, where §6.5's page cache is a
+// simulation of its own.
 
 // AttachIOEngine routes the index's reads through the shared vectored I/O
 // engine, which must wrap this index's store. With readahead > 0 and a cache
@@ -71,32 +72,27 @@ func (ix *Index) readBlock(a blockstore.Addr, buf []byte, st *Stats) error {
 	return nil
 }
 
-// readBatch reads one wave: addrs[i] into dsts[i], where every `group`
-// consecutive positions are the adjacent physical blocks of one logical
-// block. It returns ok == nil when every block arrived; after a storage
-// fault ok[g] reports whether logical block g is intact, so the caller drops
-// only the chains that are actually unreadable. Any other error aborts.
+// readBatch reads one wave through the attached engine, which must exist:
+// addrs[i] into dsts[i], where every `group` consecutive positions are the
+// adjacent physical blocks of one logical block. It returns ok == nil when
+// every block arrived; after a storage fault ok[g] reports whether logical
+// block g is intact, so the caller drops only the chains that are actually
+// unreadable. Any other error aborts.
 //
-// With an engine the wave goes out as one vectored submission (coalescing,
-// in-wave dedup, queue depth), which the engine runs to completion like
-// readOne. Without one
-// — the degenerate configuration: depth 1, no cache, no goroutines — the
-// block-at-a-time loop below is the whole read: each block is read at most
-// once and a logical block is abandoned at its first bad physical block, so
-// one injected fault is exactly one faulted read. The same loop is the
-// engine's cold path behind a wave-level storage fault: the engine already
-// cached every healthy block of the failed wave and
+// The wave goes out as one vectored submission (coalescing, in-wave dedup,
+// queue depth), which the engine runs to completion like readOne. Behind a
+// wave-level storage fault the block-at-a-time loop below re-reads the wave:
+// the engine already cached every healthy block of the failed wave and
 // quarantined the condemned addresses, so the re-reads are cache hits or
-// fast fails, not a second trip through the backoff ladder.
+// fast fails, not a second trip through the backoff ladder. A logical block
+// is abandoned at its first bad physical block.
 //
 //lsh:hotpath
 func (ix *Index) readBatch(addrs []blockstore.Addr, dsts [][]byte, group int, bst *ioengine.BatchStats) ([]bool, error) {
-	if ix.ioeng != nil {
-		//lsh:ctxok the engine runs a wave to completion; cancellation is round-granular
-		err := ix.ioeng.ReadBatch(context.Background(), addrs, dsts, bst)
-		if !storageFault(err) {
-			return nil, err
-		}
+	//lsh:ctxok the engine runs a wave to completion; cancellation is round-granular
+	err := ix.ioeng.ReadBatch(context.Background(), addrs, dsts, bst)
+	if !storageFault(err) {
+		return nil, err
 	}
 	var ok []bool
 	for g := 0; g*group < len(addrs); g++ {

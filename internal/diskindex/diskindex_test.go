@@ -299,7 +299,7 @@ func TestAsyncMatchesServingSearcher(t *testing.T) {
 			d, ix, _ := testSetup(t, 2000, 1000, opts)
 			// The scheduler issues a round whole, as a serving searcher does
 			// with an engine attached, whatever its queue depth; in line it
-			// would read a round probe by probe.
+			// would walk each bucket and stop at the budget.
 			ref, wave := ix.NewSearcher(), engineAttached(t, ix, 4, 0, 0).NewWaveSearcher()
 			for _, budget := range []int{0, 2, 8, ix.Params().S / 2} {
 				for _, k := range []int{1, 5} {

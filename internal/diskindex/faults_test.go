@@ -65,7 +65,7 @@ func TestSyncSearchDegradesOnStorageFaults(t *testing.T) {
 	}
 }
 
-// TestWaveSearchDegradesOnStorageFaults: the in-line wave path keeps a
+// TestWaveSearchDegradesOnStorageFaults: the in-line wave searcher keeps a
 // probe's partially collected candidates when its chain is cut short,
 // answers every query, and counts exactly one faulted read per injected
 // failure (no block is read twice).

@@ -72,7 +72,9 @@ func TestLadderGoldenDigest(t *testing.T) {
 		}{{"generous", 1000 * disk.params.L}, {"truncating", 2 * disk.params.L}}
 		// One searcher of each kind serves every knob combination: a knob
 		// that left residue in a searcher would show up as a wrong digest.
-		ms, ref, ws := mem.NewSearcher(), disk.NewSearcher(), disk.NewWaveSearcher()
+		// The wave searcher reads through an engine: in line it walks its
+		// buckets as the reference does, and its column would copy ref/.
+		ms, ref, ws := mem.NewSearcher(), disk.NewSearcher(), engineAttached(t, disk, 4, 0, 0).NewWaveSearcher()
 		for _, b := range budgets {
 			for _, mp := range []int{0, 2} {
 				kn := ladder.Knobs{K: k, Budget: b.s, MultiProbe: mp}

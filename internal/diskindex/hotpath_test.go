@@ -40,9 +40,9 @@ func TestCachedSearchIntoZeroAllocs(t *testing.T) {
 }
 
 // TestWaveSearchIntoZeroAllocs is the contract of the default serving
-// configuration: on a RAM store with no engine attached, readBatch's in-line
-// body reads each wave on the calling goroutine, and the wave searcher
-// answers queries with zero allocations per query after warmup.
+// configuration: on a RAM store with no engine attached, the wave searcher
+// walks each bucket on the calling goroutine and answers queries with zero
+// allocations per query after warmup.
 func TestWaveSearchIntoZeroAllocs(t *testing.T) {
 	d, ix, _ := testSetup(t, 4000, 8, DefaultOptions())
 	s := ix.NewWaveSearcher()

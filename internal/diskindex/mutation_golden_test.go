@@ -29,9 +29,13 @@ func TestMutationGoldenDigest(t *testing.T) {
 		opts := DefaultOptions()
 		opts.TableBits = u
 		d, ix := buildUpdatableWith(t, n, 40, opts)
-		ref, ws := ix.NewSearcher(), ix.NewWaveSearcher()
+		ref := ix.NewSearcher()
 		queries := append(append([][]float32{}, d.Queries...), d.Vectors[n], d.Vectors[n+7], d.Vectors[0])
 		record := func(stage string) {
+			// The wave searcher reads through an engine, as the ladder
+			// golden's does, on a view made after the stage's updates: a
+			// view holds the dataset as it was when made.
+			ws := engineAttached(t, ix, 4, 0, 0).NewWaveSearcher()
 			budgets := []struct {
 				name string
 				s    int

@@ -4,12 +4,14 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"time"
 
 	"e2lshos/internal/ann"
 	"e2lshos/internal/blockcache"
 	"e2lshos/internal/blockstore"
 	"e2lshos/internal/ladder"
 	"e2lshos/internal/lsh"
+	"e2lshos/internal/vecmath"
 )
 
 // Stats is the one work-counter struct (see ladder.Stats): the disk searchers
@@ -51,6 +53,13 @@ type searcher struct {
 	nextHashes []uint32
 	raProj     []float64
 	pending    *blockcache.Handle
+	// The running round's reads, for the trace: their summed trace-clock
+	// wait, and the I/O and cache-hit counts when it began.
+	wait      time.Duration
+	ios, hits int
+	// cands holds a verification step's candidates in order (grown to the
+	// largest step seen).
+	cands []candidate
 }
 
 // init wires the shared state for the embedding searcher. Safe to call while
@@ -114,17 +123,31 @@ func (s *searcher) Run(ctx context.Context, q []float32, kn ladder.Knobs, dst []
 	return ann.Result{Neighbors: s.lad.AppendResult(dst[:0])}, s.lad.Stats, err
 }
 
-// BeginRound implements ladder.Rounds for both disk searchers: it settles the
-// readahead issued while the previous round was verifying (by now it has
-// usually drained) and, when allowed, starts prefetching the next round's
-// chains so they load while this round verifies.
+// BeginRound implements ladder.Rounds for both disk searchers: it opens the
+// round's read accounting (see roundIO), settles the readahead issued while
+// the previous round was verifying (by now it has usually drained) and, when
+// allowed, starts prefetching the next round's chains so they load while
+// this round verifies.
 func (s *searcher) BeginRound(ctx context.Context, r int, readahead bool) {
 	s.settle()
+	st := &s.lad.Stats
+	s.wait, s.ios, s.hits = 0, st.IOs(), st.CacheHits
 	ix := s.ix
 	if readahead && ix.readahead > 0 && r+1 < ix.params.R() {
 		ix.roundHashes(s.lad.Query(), r+1, s.lad.Proj(), s.raProj, s.nextHashes)
 		s.pending = ix.prefetchRound(ctx, r+1, s.nextHashes)
 	}
+}
+
+// roundIO returns the round's demand reads for a traced query: the summed
+// trace-clock wait of its reads, and the blocks read and cache hits since
+// BeginRound. Untraced, it is the zero IO.
+func (s *searcher) roundIO() ladder.IO {
+	if !s.lad.Trace().Active() {
+		return ladder.IO{}
+	}
+	st := &s.lad.Stats
+	return ladder.IO{Wait: s.wait, Blocks: int64(st.IOs() - s.ios), CacheHits: int64(st.CacheHits - s.hits)}
 }
 
 // settle folds a finished readahead walk into the stats.
@@ -137,11 +160,13 @@ func (s *searcher) settle() {
 
 // Searcher executes queries synchronously against the store's data plane:
 // no virtual time, just block reads, one at a time, stopping the moment a
-// round's budget is spent. It is the reference implementation the serving
-// WaveSearcher is tested against, and the I/O-count oracle for the Fig 3–8
-// analyses; it is not on the serving path. Reads and distance checks
-// interleave bucket by bucket, so a traced run reports them together as the
-// round's verify stage. Not safe for concurrent use; create one per worker.
+// round's budget is spent. It is the reference implementation the
+// WaveSearcher is tested against and the I/O-count oracle for the Fig 3–8
+// analyses; the WaveSearcher walks its rounds with the same code whenever
+// nothing would overlap its reads (no engine attached). Reads and distance
+// checks interleave bucket by bucket; a traced run reports the reads' summed
+// waits as the round's io stage and the rest of the walk as its verify
+// stage. Not safe for concurrent use; create one per worker.
 type Searcher struct {
 	searcher
 	buf []byte
@@ -154,19 +179,34 @@ func (ix *Index) NewSearcher() *Searcher {
 	return s
 }
 
-// Visit implements ladder.Rounds: it walks one bucket's chain, offering
-// fingerprint-matched entries to the driver's verification, and reports
-// whether the per-radius budget was exhausted.
+// Visit implements ladder.Rounds: it walks one bucket's chain; see walk.
 //
 //lsh:hotpath
-func (s *Searcher) Visit(r, l int, h uint32) (bool, error) {
+func (s *Searcher) Visit(r, l int, h uint32) (bool, error) { return s.walk(r, l, h, s.buf) }
+
+// EndRound implements ladder.Rounds; buckets were verified as visited.
+func (s *Searcher) EndRound(int) (ladder.IO, error) { return s.roundIO(), nil }
+
+// walk is §5.4's synchronous bucket walk: it reads bucket h of table l of
+// round r block by block into buf (bucketBufBytes long), offering each
+// block's fingerprint-matched entries to the driver's verification as one
+// batch (see check) as it lands, and reports whether the per-radius budget
+// was exhausted. The entries count up to the one that decided the round. On
+// a traced query it adds each read's trace-clock wait to the round's.
+//
+//lsh:hotpath
+func (s *searcher) walk(r, l int, h uint32, buf []byte) (bool, error) {
 	ix, lad, st := s.ix, s.lad, &s.lad.Stats
 	idx, fp := lsh.SplitHash(h, ix.u)
 	if !ix.isOccupied(r, l, idx) {
 		return false, nil
 	}
 	lad.NonEmptyProbes++
-	sl, err := s.readTableEntry(r, l, idx)
+	tr := lad.Trace()
+	start := tr.Clock()
+	blk, off := ix.tableEntryBlock(r, l, idx)
+	err := ix.readBlock(blk, buf[:blockstore.BlockSize], st)
+	s.wait += tr.Clock() - start
 	if err != nil {
 		if storageFault(err) {
 			// Unreadable table block after the I/O layer's retries: skip
@@ -177,8 +217,13 @@ func (s *Searcher) Visit(r, l int, h uint32) (bool, error) {
 		}
 		return false, err
 	}
+	st.TableIOs++
+	sl := decodeSlot(binary.LittleEndian.Uint64(buf[off : off+8]))
 	for sl.addr != blockstore.Nil {
-		if err := ix.readLogicalBlock(sl.addr, s.buf, st); err != nil {
+		start = tr.Clock()
+		err := ix.readLogicalBlock(sl.addr, buf, st)
+		s.wait += tr.Clock() - start
+		if err != nil {
 			if storageFault(err) {
 				// Abandon the rest of this chain; entries scanned from its
 				// earlier blocks already reached the accumulator and stay.
@@ -188,36 +233,76 @@ func (s *Searcher) Visit(r, l int, h uint32) (bool, error) {
 			return false, err
 		}
 		st.BucketIOs++
-		next, lo, hi := sl.span(s.buf)
+		next, lo, hi := sl.span(buf)
+		cands := s.cands[:0]
 		off := HeaderBytes + lo*EntryBytes
-		for i := lo; i < hi; i++ {
-			lad.EntriesScanned++
-			id, efp := ix.unpackEntry(getUint40(s.buf[off:]))
+		for e := lo; e < hi; e++ {
+			if id, efp := ix.unpackEntry(getUint40(buf[off:])); efp == fp {
+				cands = append(cands, s.candidate(id, e))
+			}
 			off += EntryBytes
-			if efp != fp {
-				st.FPRejected++
-				continue
-			}
-			if lad.Verify(id) {
-				return true, nil
-			}
+		}
+		s.cands = cands
+		n, matched, i := hi-lo, len(cands), s.check(cands)
+		if i >= 0 {
+			n, matched = int(cands[i].e)-lo+1, i+1
+		}
+		lad.EntriesScanned += n
+		st.FPRejected += n - matched
+		if i >= 0 {
+			return true, nil
 		}
 		sl = slot{addr: next}
 	}
 	return false, nil
 }
 
-// EndRound implements ladder.Rounds; buckets were verified as visited.
-func (s *Searcher) EndRound(int) (ladder.IO, error) { return ladder.IO{}, nil }
+// candidate is one fingerprint-matched bucket entry in verification order:
+// its id, its entry index in the block it came from (the walk's; a wave's
+// is 0), and the vector the driver will check (nil when Driver.Skips it).
+type candidate struct {
+	id  uint32
+	e   int32
+	vec []float32
+}
 
-// readTableEntry fetches the slot of table (r,l) entry idx.
+// candidate returns id's candidate at entry e.
 //
 //lsh:hotpath
-func (s *Searcher) readTableEntry(r, l int, idx uint32) (slot, error) {
-	blk, off := s.ix.tableEntryBlock(r, l, idx)
-	if err := s.ix.readBlock(blk, s.buf[:blockstore.BlockSize], &s.lad.Stats); err != nil {
-		return slot{}, err
+func (s *searcher) candidate(id uint32, e int) candidate {
+	c := candidate{id: id, e: int32(e)}
+	if !s.lad.Skips(id) {
+		c.vec = s.ix.data[id]
 	}
-	s.lad.TableIOs++
-	return decodeSlot(binary.LittleEndian.Uint64(s.buf[off : off+8])), nil
+	return c
+}
+
+// verifyAhead is how many candidates ahead of the one being verified check
+// prefetches: enough verifications to cover a DRAM miss, few enough that
+// the lines are still cached when their turn comes.
+const verifyAhead = 16
+
+// check offers cands to the driver in order and returns the index of the one
+// that decided the round, or -1. The candidates were gathered first, so that
+// their slice-header loads overlap; each vector is prefetched verifyAhead
+// candidates early, so the distance kernel finds it in cache instead of
+// waiting on DRAM. A candidate the driver will settle without a distance
+// check keeps its place in the order but prefetches nothing.
+//
+//lsh:hotpath
+func (s *searcher) check(cands []candidate) int {
+	for _, c := range cands[:min(verifyAhead, len(cands))] {
+		if c.vec != nil {
+			vecmath.Prefetch(c.vec)
+		}
+	}
+	for i, c := range cands {
+		if j := i + verifyAhead; j < len(cands) && cands[j].vec != nil {
+			vecmath.Prefetch(cands[j].vec)
+		}
+		if s.lad.Verify(c.id) {
+			return i
+		}
+	}
+	return -1
 }

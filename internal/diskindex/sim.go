@@ -23,14 +23,14 @@ type AsyncResult struct {
 // sched.QueryFunc answers queries[i] for top-k under a per-radius candidate
 // budget (0 means the index's built-in S) and stores the outcome in
 // results[i]. Every query runs the serving WaveSearcher's ladder, inside an
-// iter.Pull coroutine: where the wall-clock searcher reads a wave — a round's
-// table blocks, then each chain depth — the coroutine yields the wave to the
-// scheduler, which submits it as one vectored batch (sched.Ctx.ReadVec, §5.4)
-// and resumes the query once its last block has arrived. The scheduler takes
-// a round as one slice (see WaveSearcher). The neighbors are therefore
-// bitwise the reference Searcher's, and the reads exactly those of a
-// WaveSearcher with an ioengine attached, at any budget, block size and
-// partition count.
+// iter.Pull coroutine, and reads every round as waves, as the WaveSearcher
+// does with an engine attached (never walking it in line): where the
+// wall-clock searcher reads a wave — a round's table blocks, then each chain
+// depth — the coroutine yields the wave to the scheduler, which submits it
+// as one vectored batch (sched.Ctx.ReadVec, §5.4) and resumes the query once
+// its last block has arrived. The neighbors are therefore bitwise the
+// reference Searcher's, and the reads exactly those of a WaveSearcher with
+// an ioengine attached, at any budget, block size and partition count.
 //
 // CPU work is charged to the virtual clock through the shared cost model, so
 // the same function serves both the asynchronous (Fig 1B) and the

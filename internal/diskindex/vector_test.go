@@ -15,6 +15,7 @@ import (
 	"e2lshos/internal/ioengine"
 	"e2lshos/internal/iosim"
 	"e2lshos/internal/ladder"
+	"e2lshos/internal/telemetry"
 )
 
 // engineAttached returns a view of ix whose reads go through a fresh
@@ -104,17 +105,17 @@ func TestVectoredFetchMatchesSerial(t *testing.T) {
 }
 
 // TestWaveOptionMatrix is the serving searcher's equivalence criterion over
-// the whole storage option matrix: whatever sits behind Index.readBatch — no
-// engine (the in-line body), an engine with only a cache, only queue depth,
-// cache + depth + readahead, or retries — the top-k is bitwise the reference
-// Searcher's (same knobs). In line, where a slice is one probe, the block
-// reads and entry counts are the reference's too. Every engine configuration
-// reads a round as one slice, so their logical counters are identical; they
-// never read fewer blocks than in line, and the counters that do not depend
-// on the slice width (rounds, probes, checks, duplicates) equal the in-line
-// run's. Swept over multi-probe {0, 2}, a generous and a truncating budget,
-// one and four hash partitions, and the 512-byte, 4096-byte and chained
-// bucket layouts.
+// the whole storage option matrix: with no engine, an engine with only a
+// cache, only queue depth, cache + depth + readahead, or retries, the top-k
+// is bitwise the reference Searcher's (same knobs). In line, where the wave
+// searcher walks its buckets as the reference does, every logical counter
+// is the reference's too. Every engine configuration reads a round as
+// waves, so their logical counters are identical among themselves; against
+// the in-line run they check the same candidates over the same rounds and
+// never read fewer blocks (they probe the whole round where the walk stops
+// at the budget). Swept over multi-probe {0, 2}, a generous and a truncating
+// budget, one and four hash partitions, and the 512-byte, 4096-byte and
+// chained bucket layouts.
 func TestWaveOptionMatrix(t *testing.T) {
 	configs := []struct {
 		name       string
@@ -151,20 +152,16 @@ func TestWaveOptionMatrix(t *testing.T) {
 								}
 								want[qi], refSt[qi] = res.Neighbors, st
 							}
-							// Per-query logical stats of the in-line run (which
-							// comes first) and of the first engine configuration.
-							var inline, batched []Stats
+							// Per-query logical stats of the first engine
+							// configuration.
+							var batched []Stats
 							truncated := false
 							for _, cfg := range configs {
 								view, engine := ix, cfg.eng.Depth > 0
 								if engine {
 									view = withEngine(t, ix, cfg.eng, cfg.cacheBytes, cfg.readahead)
 								}
-								first := &inline
-								if engine {
-									first = &batched
-								}
-								seen := len(*first) > 0
+								seen := len(batched) > 0
 								ws := view.NewWaveSearcher()
 								var agg Stats
 								for qi, q := range d.Queries {
@@ -172,19 +169,19 @@ func TestWaveOptionMatrix(t *testing.T) {
 									if err != nil {
 										t.Fatal(err)
 									}
-									if !seen {
-										*first = append(*first, logicalStats(st))
-									}
-									compareRuns(t, cfg.name, qi, want[qi], got.Neighbors, (*first)[qi], st, cfg.cacheBytes > 0, ix.physPerBucket)
-									if !engine {
-										if w, g := refCountersOf(refSt[qi]), refCountersOf(st); w != g {
-											t.Fatalf("query %d: in line the wave's counters are not the reference's\nwant: %+v\ngot:  %+v", qi, w, g)
+									// In line the run is held to the reference's
+									// counters, which are then the in-line run's.
+									wantSt := refSt[qi]
+									if engine {
+										if !seen {
+											batched = append(batched, logicalStats(st))
 										}
-									} else if w, g := roundCountersOf(inline[qi]), roundCountersOf(st); w != g {
-										t.Fatalf("%s query %d: round counters differ from in line\nwant: %+v\ngot:  %+v", cfg.name, qi, w, g)
-									} else if in := inline[qi].IOs(); in > st.IOs() {
-										t.Fatalf("%s query %d: in line the wave read %d blocks, with the engine %d", cfg.name, qi, in, st.IOs())
+										wantSt = batched[qi]
+										if in := refSt[qi]; in.Radii != st.Radii || in.Checked != st.Checked || in.Duplicates != st.Duplicates || in.IOs() > st.IOs() {
+											t.Fatalf("%s query %d: not the in-line run's rounds and checks, or fewer blocks\nin line: %+v\ngot:     %+v", cfg.name, qi, in, st)
+										}
 									}
+									compareRuns(t, cfg.name, qi, want[qi], got.Neighbors, wantSt, st, cfg.cacheBytes > 0, ix.physPerBucket)
 									entries := st.Checked + st.Duplicates + st.FPRejected
 									if entries > st.EntriesScanned {
 										t.Fatalf("%s query %d: entry accounting broken: %+v", cfg.name, qi, st)
@@ -223,26 +220,6 @@ func TestWaveOptionMatrix(t *testing.T) {
 	}
 }
 
-// refCounters is what the in-line wave searcher reads and verifies, which
-// the reference Searcher's run must match exactly.
-type refCounters struct {
-	TableIOs, BucketIOs, EntriesScanned, FPRejected, Checked, Duplicates int
-}
-
-func refCountersOf(st Stats) refCounters {
-	return refCounters{st.TableIOs, st.BucketIOs, st.EntriesScanned, st.FPRejected, st.Checked, st.Duplicates}
-}
-
-// roundCounters is the logical work that does not depend on how a round's
-// probes are sliced into reads.
-type roundCounters struct {
-	Radii, Probes, NonEmptyProbes, Checked, Duplicates int
-}
-
-func roundCountersOf(st Stats) roundCounters {
-	return roundCounters{st.Radii, st.Probes, st.NonEmptyProbes, st.Checked, st.Duplicates}
-}
-
 // compareRuns asserts neighbors (IDs and distances), logical stats, and the
 // engine-path accounting invariants.
 func compareRuns(t *testing.T, which string, qi int, want, got []ann.Neighbor, wantSt, gotSt Stats, cached bool, phys int) {
@@ -274,7 +251,8 @@ func compareRuns(t *testing.T, which string, qi int, want, got []ann.Neighbor, w
 // TestEngineAttachedAfterSearcher: AttachIOEngine's contract is "attach
 // before issuing queries", not "before creating searchers" — a searcher
 // built first must route its next query through the late engine (readahead
-// included) instead of panicking or bypassing it.
+// included) instead of panicking or bypassing it, and read its rounds as
+// vectored waves rather than walking them in line.
 func TestEngineAttachedAfterSearcher(t *testing.T) {
 	d, ix, _ := testSetup(t, 1000, 8, DefaultOptions())
 	clone := *ix
@@ -288,11 +266,15 @@ func TestEngineAttachedAfterSearcher(t *testing.T) {
 		t.Fatal(err)
 	}
 	clone.AttachIOEngine(eng, 2)
-	if _, _, err := ps.Search(d.Queries[0], 1); err != nil {
+	tr := telemetry.New(telemetry.Config{SampleRate: 1}).StartTrace()
+	if _, _, err := ps.Run(context.Background(), d.Queries[0], ladder.Knobs{K: 1, Trace: tr}, nil); err != nil {
 		t.Fatalf("search after late engine attach: %v", err)
 	}
 	if eng.Counters().Reads == 0 {
 		t.Error("late-attached engine saw no traffic")
+	}
+	if !slices.ContainsFunc(tr.Spans(), func(sp telemetry.Span) bool { return sp.Stage == telemetry.StageIOWait }) {
+		t.Error("after a late engine attach the searcher still walks its rounds in line: no wave span")
 	}
 }
 

@@ -5,8 +5,11 @@ import (
 	"encoding/binary"
 	"math/rand"
 	"testing"
+	"time"
 
+	"e2lshos/internal/ann"
 	"e2lshos/internal/blockstore"
+	"e2lshos/internal/faultinject"
 	"e2lshos/internal/ioengine"
 	"e2lshos/internal/ladder"
 	"e2lshos/internal/lsh"
@@ -64,12 +67,13 @@ func (s *chainSpy) Visit(r, l int, h uint32) (bool, error) {
 // probes a slot that names a chain. The build gives a bucket a chain only
 // when it outgrows one block, so on an index no update has touched such a
 // slot names two blocks or more. It is a property of the fixture and the
-// knobs, not of how deep a round reads: the wave searcher probes every
-// occupied bucket of every round the ladder walks, and the ladder walks the
-// same rounds whichever searcher runs it.
+// knobs, not of how deep a round reads: with an engine attached the wave
+// searcher probes every occupied bucket of every round the ladder walks (in
+// line it would stop at the budget), and the ladder walks the same rounds
+// whichever searcher runs it.
 func probesChain(t *testing.T, ix *Index, queries [][]float32, kn ladder.Knobs) bool {
 	t.Helper()
-	spy := &chainSpy{WaveSearcher: ix.NewWaveSearcher(), t: t}
+	spy := &chainSpy{WaveSearcher: engineAttached(t, ix, 4, 0, 0).NewWaveSearcher(), t: t}
 	spy.sizeArenas(ix.params.L * (1 + kn.MultiProbe))
 	for _, q := range queries {
 		if err := spy.lad.Run(context.Background(), spy, q, ix.data, kn); err != nil {
@@ -243,31 +247,27 @@ func TestWaveStopsReadingOnceDecided(t *testing.T) {
 	}
 }
 
-// TestWaveInlineReadsAsReference: in line a slice is one probe, so on the
-// same fixture the round stops where the reference's does — one table block
-// and one bucket block, with the reference's entry counts — and its reads
-// are traced as one span.
+// TestWaveInlineReadsAsReference: in line the wave searcher walks its
+// buckets as the reference does, so on the same fixture the round stops
+// where the reference's does — one table block and one bucket block — with
+// every logical counter the reference's.
 func TestWaveInlineReadsAsReference(t *testing.T) {
 	ix, q := decidedFixture(t)
-	st, waves := decidedRun(t, ix, q)
+	st, _ := decidedRun(t, ix, q)
 	_, refSt, err := ix.NewSearcher().Run(context.Background(), q, ladder.Knobs{K: 1, Budget: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w, g := refCountersOf(refSt), refCountersOf(st); w != g || g.TableIOs != 1 || g.BucketIOs != 1 {
+	if w, g := logicalStats(refSt), logicalStats(st); w != g || g.TableIOs != 1 || g.BucketIOs != 1 {
 		t.Errorf("in line the wave's counters are %+v, the reference's %+v; want one table and one bucket block", g, w)
-	}
-	if len(waves) != 1 || waves[0].N != int64(st.TableIOs+st.BucketIOs*ix.physPerBucket) {
-		t.Errorf("in-line round traced as %+v, want one span over its %d blocks", waves, st.IOs())
 	}
 }
 
-// TestWaveTraceFitsSpanBuffer: in line every wave is one block, so a span per
-// wave would overflow a long query's span buffer. A multi-probe-2 query that
-// climbs every rung of a chained index reads more blocks than the buffer
-// holds spans, and its trace drops none: in line each round's waves are one
-// span, and with an engine, even one shallower than a round, a round is one
-// slice of a span per chain depth.
+// TestWaveTraceFitsSpanBuffer: a multi-probe-2 query that climbs every rung
+// of a chained index reads more blocks than the buffer holds spans, and its
+// trace drops none. In line no read is a span of its own (a round's reads
+// are its io stage), and with an engine, even one shallower than a round, a
+// round is a span per wave: the table wave and one per chain depth.
 func TestWaveTraceFitsSpanBuffer(t *testing.T) {
 	var chained Options
 	for _, lay := range bucketLayouts() {
@@ -298,8 +298,8 @@ func TestWaveTraceFitsSpanBuffer(t *testing.T) {
 					waits++
 				}
 			}
-			if inline && waits != st.Radii {
-				t.Errorf("query %d: %d wave spans over %d rounds, want one per round", qi, waits, st.Radii)
+			if inline && waits != 0 {
+				t.Errorf("query %d: %d wave spans in line, want none", qi, waits)
 			}
 		}
 	}
@@ -308,22 +308,33 @@ func TestWaveTraceFitsSpanBuffer(t *testing.T) {
 	}
 }
 
-// TestWaveTraceAttributesRound: a traced wave query's I/O stage is the sum of
-// its round's wave waits (and blocks), and project + io + verify is the
-// round, although verification runs between the waves. Checked in line,
-// where a round's waves are one span, and at queue depth 4, where a round is
-// one slice with a span per wave.
+// TestWaveTraceAttributesRound: a traced query's io stage covers its round's
+// reads, and project + io + verify is the round, although verification runs
+// between the reads. In line, where a round walks its buckets (the reference
+// and the wave searcher alike), the io stages' blocks are the query's and no
+// read is a wave span; at queue depth 4 a round's io stage is the sum of its
+// wave spans' waits and blocks.
 func TestWaveTraceAttributesRound(t *testing.T) {
 	d, ix, _ := testSetup(t, 2000, 1000, DefaultOptions())
 	ix.SetPartitions(1)
 	col := telemetry.New(telemetry.Config{SampleRate: 1})
 	rounds := 0
-	for _, view := range []*Index{ix, engineAttached(t, ix, 4, 0, 0)} {
-		ws := view.NewWaveSearcher()
-		for _, q := range d.Queries {
+	for _, c := range []struct {
+		name   string
+		inline bool
+		s      interface {
+			Run(context.Context, []float32, ladder.Knobs, []ann.Neighbor) (ann.Result, Stats, error)
+		}
+	}{
+		{"reference", true, ix.NewSearcher()},
+		{"in line", true, ix.NewWaveSearcher()},
+		{"engine", false, engineAttached(t, ix, 4, 0, 0).NewWaveSearcher()},
+	} {
+		for qi, q := range d.Queries {
 			tr := col.StartTrace()
 			kn := ladder.Knobs{K: 5, Budget: 2 * ix.params.L, MultiProbe: 1, Trace: tr}
-			if _, _, err := ws.Run(context.Background(), q, kn, nil); err != nil {
+			_, st, err := c.s.Run(context.Background(), q, kn, nil)
+			if err != nil {
 				t.Fatal(err)
 			}
 			type round struct {
@@ -332,37 +343,77 @@ func TestWaveTraceAttributesRound(t *testing.T) {
 				has            [telemetry.NumStages]bool
 			}
 			var byRound []round
+			waves := 0
 			for _, sp := range tr.Spans() {
 				for int(sp.Round) >= len(byRound) {
 					byRound = append(byRound, round{})
 				}
 				r := &byRound[sp.Round]
 				if sp.Stage == telemetry.StageIOWait {
+					waves++
 					r.waitDur += int64(sp.Dur)
 					r.waitN += sp.N
 					continue
 				}
 				r.stage[sp.Stage], r.has[sp.Stage] = sp, true
 			}
+			if c.inline && waves != 0 {
+				t.Errorf("%s query %d: %d wave spans, want none", c.name, qi, waves)
+			}
+			var blocks int64
 			for ri, r := range byRound {
 				if !r.has[telemetry.StageRound] {
-					t.Fatalf("round %d has no round span", ri)
+					t.Fatalf("%s query %d round %d has no round span", c.name, qi, ri)
 				}
 				rounds++
 				io := r.stage[telemetry.StageIO]
-				if int64(io.Dur) != r.waitDur || io.N != r.waitN {
-					t.Errorf("round %d: io stage %v over %d blocks, waves %v over %d",
-						ri, io.Dur, io.N, r.waitDur, r.waitN)
+				blocks += io.N
+				if !c.inline && (int64(io.Dur) != r.waitDur || io.N != r.waitN) {
+					t.Errorf("%s query %d round %d: io stage %v over %d blocks, waves %v over %d",
+						c.name, qi, ri, io.Dur, io.N, r.waitDur, r.waitN)
 				}
 				sum := r.stage[telemetry.StageProject].Dur + io.Dur + r.stage[telemetry.StageVerify].Dur
 				if total := r.stage[telemetry.StageRound].Dur; sum != total || r.stage[telemetry.StageVerify].Dur < 0 {
-					t.Errorf("round %d: project + io + verify = %v, round %v (verify %v)",
-						ri, sum, total, r.stage[telemetry.StageVerify].Dur)
+					t.Errorf("%s query %d round %d: project + io + verify = %v, round %v (verify %v)",
+						c.name, qi, ri, sum, total, r.stage[telemetry.StageVerify].Dur)
 				}
+			}
+			if blocks != int64(st.IOs()) {
+				t.Errorf("%s query %d: io stages over %d blocks, the query read %d", c.name, qi, blocks, st.IOs())
 			}
 		}
 	}
 	if rounds == 0 {
 		t.Fatal("no traced rounds")
+	}
+}
+
+// TestInlineIOStageCoversReads: in line a round's io stage is its reads'
+// summed wait, chain blocks included. On a store whose every read stalls,
+// each round's io stage lasts at least its blocks times the stall, for the
+// reference and the in-line wave searcher alike.
+func TestInlineIOStageCoversReads(t *testing.T) {
+	const stall = time.Millisecond
+	d, ix, _ := testSetup(t, 2000, 1000, DefaultOptions())
+	slow, _ := faultyCopy(t, ix, faultinject.Schedule{SlowRead: 1, SlowDelay: stall})
+	col := telemetry.New(telemetry.Config{SampleRate: 1})
+	for name, s := range map[string]interface {
+		Run(context.Context, []float32, ladder.Knobs, []ann.Neighbor) (ann.Result, Stats, error)
+	}{"reference": slow.NewSearcher(), "in line": slow.NewWaveSearcher()} {
+		for qi, q := range d.Queries[:3] {
+			tr := col.StartTrace()
+			_, st, err := s.Run(context.Background(), q, ladder.Knobs{K: 5, Trace: tr}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.BucketIOs == 0 {
+				t.Fatalf("%s query %d read no bucket block; fixture is vacuous", name, qi)
+			}
+			for _, sp := range tr.Spans() {
+				if sp.Stage == telemetry.StageIO && sp.Dur < time.Duration(sp.N)*stall {
+					t.Errorf("%s query %d round %d: io stage %v over %d blocks stalled %v each", name, qi, sp.Round, sp.Dur, sp.N, stall)
+				}
+			}
+		}
 	}
 }

@@ -88,8 +88,8 @@ type Rounds interface {
 }
 
 // IO is one round's demand reads: the trace-clock time spent waiting on
-// them, summed over the round's read waves (verification may run between
-// waves), with the logical blocks read and how many the cache served. The
+// them, summed over the round's reads (verification may run between
+// them), with the logical blocks read and how many the cache served. The
 // zero value means the round had no separate I/O stage.
 type IO struct {
 	Wait              time.Duration
@@ -274,11 +274,11 @@ func (d *Driver) Run(ctx context.Context, rounds Rounds, q []float32, data [][]f
 			break
 		}
 		if tr.Active() {
-			// Without an I/O stage of its own (in memory, or reads and checks
-			// interleaved bucket by bucket) the whole table walk is verify.
-			// With one, verify is the rest of the round after the projection
-			// and the read waits; the two interleave wave by wave, so the
-			// spans lay them end to end, reads first.
+			// Without an I/O stage of its own (in memory) the whole table walk
+			// is verify. With one, verify is the rest of the round after the
+			// projection and the read waits; the two interleave, wave by wave
+			// or bucket by bucket, so the spans lay them end to end, reads
+			// first.
 			end, verifyStart := tr.Clock(), projEnd
 			tr.Add(telemetry.StageProject, r, roundStart, projEnd-roundStart, 0, 0)
 			if io != (IO{}) {

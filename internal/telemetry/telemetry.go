@@ -42,8 +42,9 @@ const (
 	// through the pruned distance check). Span N = candidates checked.
 	StageVerify
 	// StageIOWait is one vectored wave's submit→complete wait on the I/O
-	// engine. Span N = blocks in the wave, M = physical reads it became. In
-	// line, where a wave is one block, it is a round's waves summed.
+	// engine (or the simulator's scheduler). Span N = blocks in the wave, M
+	// = physical reads it became. In line there are no waves: a round's
+	// reads are its StageIO alone.
 	StageIOWait
 	// StageIOOp is one physical backend operation inside the I/O engine,
 	// timed from submission (queue-depth semaphore) to completion. Observed

@@ -111,8 +111,8 @@ func TestSimulateMatchesBatchSearch(t *testing.T) {
 	d := shardsDataset(t)
 	for _, s := range []int{1, 4} {
 		// The simulator issues a round whole, as the index does with an I/O
-		// engine attached at any queue depth; in line it would read a round
-		// probe by probe.
+		// engine attached at any queue depth; in line it would walk each
+		// bucket and stop at the budget.
 		ix, err := NewStorageIndex(d.Vectors, Config{Sigma: 2}, WithShards(s), WithIOEngine(4))
 		if err != nil {
 			t.Fatal(err)

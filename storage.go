@@ -239,13 +239,13 @@ func (s *StorageIndex) IODepth() int {
 	return eng.Depth()
 }
 
-// Search answers a top-k query, fetching each radius round's probes as
-// waves: all table blocks, then one wave per bucket-chain depth. How many of
-// a wave's reads are in flight at once — the paper's "many parallel read
-// requests" — is the attached I/O engine's queue depth (WithIOEngine, or the
-// default depth under WithBlockCache/WithRetries); an index built with none
-// of them reads its store in line. It honors WithK, WithBudget and
-// WithMultiProbe.
+// Search answers a top-k query. With an I/O engine attached (WithIOEngine,
+// or the default depth under WithBlockCache/WithRetries) it fetches each
+// radius round's probes as waves: all table blocks, then one wave per
+// bucket-chain depth, as many reads in flight at once as the engine's queue
+// depth — the paper's "many parallel read requests". An index built with
+// none of them walks each bucket block by block in line. It honors WithK,
+// WithBudget and WithMultiProbe.
 func (s *StorageIndex) Search(ctx context.Context, q []float32, opts ...SearchOption) (Result, Stats, error) {
 	return engineSearch(ctx, s, q, opts)
 }
