@@ -63,13 +63,15 @@ crash:
 		./internal/diskindex
 	$(GO) test -race -count=1 -run 'TestWALFacadeConcurrentUpdates|TestBudgetedBatchSearchBesideInsert' .
 
-# Every benchmark three times over, then the build's hash pass at counts
-# that time it: the hash and projection kernels at lib-file-batch's shape
-# (L=15, M=25, d=128), and HashKeys at n=20000, d=128.
+# Every benchmark three times over, then at counts that time them: the
+# build's hash pass — the hash and projection kernels at lib-file-batch's
+# shape (L=15, M=25, d=128), and HashKeys at n=20000, d=128 — and the wave
+# searcher at serve-read's shape (n=100000, d=128, 4 partitions, k=10).
 bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=3x ./...
 	$(GO) test -run='^$$' -bench='HashesAt|ProjectBatch' -benchtime=20000x ./internal/lsh
 	$(GO) test -run='^$$' -bench=HashKeys -benchtime=5x ./internal/memindex
+	$(GO) test -run='^$$' -bench=ServedShape -benchtime=20x ./internal/diskindex
 
 # The repo's end-to-end benchmark (BENCHMARK.json's command): lshload's four
 # workloads against a real lshserve child and the file-backed facade. Pass

@@ -48,7 +48,7 @@ func (ix *Index) Cache() *blockcache.Cache {
 	return ix.ioeng.Cache()
 }
 
-// readOne reads one physical block through the attached engine or, without
+// readOne reads one block through the attached engine or, without
 // one, straight from the store. Demand reads always run to completion; query
 // cancellation stays at its documented radius-round granularity.
 //
@@ -73,47 +73,42 @@ func (ix *Index) readBlock(a blockstore.Addr, buf []byte, st *Stats) error {
 }
 
 // readBatch reads one wave through the attached engine, which must exist:
-// addrs[i] into dsts[i], where every `group` consecutive positions are the
-// adjacent physical blocks of one logical block. It returns ok == nil when
-// every block arrived; after a storage fault ok[g] reports whether logical
-// block g is intact, so the caller drops only the chains that are actually
-// unreadable. Any other error aborts.
+// addrs[i] into dsts[i]. It returns ok == nil when every block arrived;
+// after a storage fault ok[i] reports whether block i is intact, so the
+// caller drops only the chains that are actually unreadable. Any other
+// error aborts.
 //
 // The wave goes out as one vectored submission (coalescing, in-wave dedup,
 // queue depth), which the engine runs to completion like readOne. Behind a
 // wave-level storage fault the block-at-a-time loop below re-reads the wave:
 // the engine already cached every healthy block of the failed wave and
 // quarantined the condemned addresses, so the re-reads are cache hits or
-// fast fails, not a second trip through the backoff ladder. A logical block
-// is abandoned at its first bad physical block.
+// fast fails, not a second trip through the backoff ladder.
 //
 //lsh:hotpath
-func (ix *Index) readBatch(addrs []blockstore.Addr, dsts [][]byte, group int, bst *ioengine.BatchStats) ([]bool, error) {
+func (ix *Index) readBatch(addrs []blockstore.Addr, dsts [][]byte, bst *ioengine.BatchStats) ([]bool, error) {
 	//lsh:ctxok the engine runs a wave to completion; cancellation is round-granular
 	err := ix.ioeng.ReadBatch(context.Background(), addrs, dsts, bst)
 	if !storageFault(err) {
 		return nil, err
 	}
 	var ok []bool
-	for g := 0; g*group < len(addrs); g++ {
-		for i := g * group; i < (g+1)*group; i++ {
-			err := ix.readOne(addrs[i], dsts[i], bst)
-			if err == nil {
-				continue
-			}
-			if !storageFault(err) {
-				return nil, err
-			}
-			if ok == nil {
-				//lsh:allocok fault path: per-logical-block verdicts exist only after a failed read
-				ok = make([]bool, len(addrs)/group)
-				for j := range ok {
-					ok[j] = true
-				}
-			}
-			ok[g] = false
-			break
+	for i, a := range addrs {
+		err := ix.readOne(a, dsts[i], bst)
+		if err == nil {
+			continue
 		}
+		if !storageFault(err) {
+			return nil, err
+		}
+		if ok == nil {
+			//lsh:allocok fault path: per-block verdicts exist only after a failed read
+			ok = make([]bool, len(addrs))
+			for j := range ok {
+				ok[j] = true
+			}
+		}
+		ok[i] = false
 	}
 	return ok, nil
 }

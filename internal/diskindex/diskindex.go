@@ -3,12 +3,12 @@
 //
 // Layout (§5.1, Fig 9/10). The index lives in a 512-byte block store. For
 // every (search radius, compound hash) pair there is a hash table region —
-// an array of 2^u 8-byte slots — plus the bucket blocks. A bucket block holds
-// a 16-byte header (8-byte next-block address, 2-byte entry count, 6 bytes
-// reserved) followed by 5-byte object infos. Each object info packs the
-// object ID together with the fingerprint: the high (32−u) bits of the 32-bit
-// compound hash whose low u bits selected the bucket (§5.2), restoring full
-// 32-bit precision at scan time.
+// an array of 2^u 8-byte slots — plus the bucket blocks. A bucket block is
+// one store block: a 16-byte header (8-byte next-block address, 2-byte entry
+// count, 6 bytes reserved) followed by up to 99 5-byte object infos. Each
+// object info packs the object ID together with the fingerprint: the high
+// (32−u) bits of the 32-bit compound hash whose low u bits selected the
+// bucket (§5.2), restoring full 32-bit precision at scan time.
 //
 // A slot names a block address (44 bits), an entry offset and an entry count
 // (10 bits each). The build packs each table's buckets into shared blocks in
@@ -42,6 +42,9 @@ const (
 	HeaderBytes = 16
 	// EntryBytes is the packed object info size (§5.2).
 	EntryBytes = 5
+	// entriesPerBlock is how many object infos fit one bucket block:
+	// (512 − 16)/5 = 99 (§5.1).
+	entriesPerBlock = (blockstore.BlockSize - HeaderBytes) / EntryBytes
 	// addrsPerTableBlock is how many 8-byte slots fit one block.
 	addrsPerTableBlock = blockstore.BlockSize / 8
 
@@ -49,8 +52,7 @@ const (
 	// entry count of a packed bucket.
 	slotAddrBits  = 44
 	slotFieldBits = 10
-	// maxBlockEntries bounds entries per block so that a packed offset and
-	// count fit their fields: BucketBytes up to 5131.
+	// maxBlockEntries masks a packed offset or count out of its field.
 	maxBlockEntries = 1<<slotFieldBits - 1
 )
 
@@ -96,15 +98,9 @@ type Options struct {
 	// Seed drives hash function generation. Equal (params, options, data)
 	// produce byte-identical indexes.
 	Seed int64
-	// Workers bounds hashing parallelism; 0 means GOMAXPROCS.
-	Workers int
 	// TableBits is the paper's u: the hash bits consumed by the table. 0
 	// selects automatically (slightly below log2 n, §5.2).
 	TableBits uint
-	// BucketBytes is the logical bucket block size B. The default (0) is
-	// 512; Fig 3's analysis sweeps 128 and 4096 too. Sizes other than 512
-	// are served by the analysis searchers only.
-	BucketBytes int
 }
 
 // DefaultOptions returns the build options used by the experiment harness.
@@ -139,11 +135,6 @@ type Index struct {
 
 	u      uint // table bits
 	idBits uint // bits of an object ID inside an object info
-	// bucketBytes is the logical bucket block size; physPerBucket is how
-	// many 512-byte store blocks one logical block spans.
-	bucketBytes     int
-	physPerBucket   int
-	entriesPerBlock int
 
 	// tableBase[r][l] is the first block of the (r,l) hash table region.
 	tableBase [][]blockstore.Addr
@@ -189,10 +180,6 @@ func (ix *Index) SetPartitions(parts int) { ix.parts = parts }
 
 // TableBits returns the paper's u.
 func (ix *Index) TableBits() uint { return ix.u }
-
-// EntriesPerBlock returns how many object infos fit one bucket block:
-// (B − 16)/5, 99 for the default 512-byte block (§5.1).
-func (ix *Index) EntriesPerBlock() int { return ix.entriesPerBlock }
 
 // StorageBytes returns the on-storage index size (Table 6, "Index storage").
 func (ix *Index) StorageBytes() int64 { return ix.store.Bytes() }
@@ -267,15 +254,6 @@ func Build(data [][]float32, p lsh.Params, opts Options, store *blockstore.Store
 	if store == nil {
 		return nil, fmt.Errorf("diskindex: nil block store")
 	}
-	if opts.BucketBytes == 0 {
-		opts.BucketBytes = blockstore.BlockSize
-	}
-	if opts.BucketBytes < HeaderBytes+EntryBytes {
-		return nil, fmt.Errorf("diskindex: bucket block of %d bytes cannot hold any entry", opts.BucketBytes)
-	}
-	if (opts.BucketBytes-HeaderBytes)/EntryBytes > maxBlockEntries {
-		return nil, fmt.Errorf("diskindex: bucket block of %d bytes holds more than %d entries", opts.BucketBytes, maxBlockEntries)
-	}
 	u := opts.TableBits
 	if u == 0 {
 		u = autoTableBits(len(data))
@@ -298,16 +276,13 @@ func Build(data [][]float32, p lsh.Params, opts Options, store *blockstore.Store
 	}
 
 	ix := &Index{
-		params:          p,
-		opts:            opts,
-		data:            data,
-		store:           store,
-		u:               u,
-		idBits:          idBits,
-		bucketBytes:     opts.BucketBytes,
-		physPerBucket:   (opts.BucketBytes + blockstore.BlockSize - 1) / blockstore.BlockSize,
-		entriesPerBlock: (opts.BucketBytes - HeaderBytes) / EntryBytes,
-		upd:             &updState{},
+		params: p,
+		opts:   opts,
+		data:   data,
+		store:  store,
+		u:      u,
+		idBits: idBits,
+		upd:    &updState{},
 	}
 	fams, err := lsh.NewFamilies(p, opts.ShareProjections, opts.Seed)
 	if err != nil {
@@ -324,7 +299,7 @@ func Build(data [][]float32, p lsh.Params, opts Options, store *blockstore.Store
 func (ix *Index) build() error {
 	p := ix.params
 	n := len(ix.data)
-	keys := memindex.HashKeys(ix.data, ix.families, p, ix.opts.ShareProjections, ix.opts.Workers)
+	keys := memindex.HashKeys(ix.data, ix.families, p, ix.opts.ShareProjections)
 
 	numBuckets := uint32(1) << ix.u
 	mask := numBuckets - 1
@@ -333,8 +308,8 @@ func (ix *Index) build() error {
 	starts := make([]int32, numBuckets+1)
 	sorted := make([]uint32, n) // object ids grouped by bucket index
 	slots := make([]uint64, numBuckets)
-	packBuf := make([]byte, ix.bucketBytes)
-	chainBuf := make([]byte, ix.bucketBytes)
+	packBuf := make([]byte, blockstore.BlockSize)
+	chainBuf := make([]byte, blockstore.BlockSize)
 
 	ix.tableBase = make([][]blockstore.Addr, p.R())
 	ix.occupied = make([][][]uint64, p.R())
@@ -395,7 +370,7 @@ func (ix *Index) writeBuckets(hashes, objs []uint32, starts []int32, slots []uin
 		case len(bucket) == 0:
 			slots[idx] = 0
 			continue
-		case len(bucket) > ix.entriesPerBlock:
+		case len(bucket) > entriesPerBlock:
 			head, err := ix.writeChain(hashes, bucket, chainBuf)
 			if err != nil {
 				return err
@@ -403,11 +378,11 @@ func (ix *Index) writeBuckets(hashes, objs []uint32, starts []int32, slots []uin
 			slots[idx] = slot{addr: head}.encode()
 			continue
 		}
-		if open == blockstore.Nil || fill+len(bucket) > ix.entriesPerBlock {
+		if open == blockstore.Nil || fill+len(bucket) > entriesPerBlock {
 			if err := ix.closePacked(open, fill, packBuf); err != nil {
 				return err
 			}
-			open, fill = ix.store.AllocateRange(uint64(ix.physPerBucket)), 0
+			open, fill = ix.store.Allocate(), 0
 			clear(packBuf)
 		}
 		ix.putEntries(packBuf[HeaderBytes+fill*EntryBytes:], hashes, bucket)
@@ -423,7 +398,7 @@ func (ix *Index) closePacked(addr blockstore.Addr, fill int, buf []byte) error {
 		return nil
 	}
 	binary.LittleEndian.PutUint16(buf[8:10], uint16(fill))
-	return ix.writeLogicalBlock(addr, buf)
+	return ix.writeBucketBlock(addr, buf)
 }
 
 // putEntries encodes objs' object infos into dst, one after another.
@@ -436,65 +411,35 @@ func (ix *Index) putEntries(dst []byte, hashes, objs []uint32) {
 // writeChain writes one bucket's entries as a chain of bucket blocks and
 // returns the head block address.
 func (ix *Index) writeChain(hashes []uint32, objs []uint32, buf []byte) (blockstore.Addr, error) {
-	nBlocks := (len(objs) + ix.entriesPerBlock - 1) / ix.entriesPerBlock
-	base := ix.store.AllocateRange(uint64(nBlocks * ix.physPerBucket))
+	nBlocks := (len(objs) + entriesPerBlock - 1) / entriesPerBlock
+	base := ix.store.AllocateRange(uint64(nBlocks))
 	for b := 0; b < nBlocks; b++ {
-		lo := b * ix.entriesPerBlock
-		hi := lo + ix.entriesPerBlock
+		lo := b * entriesPerBlock
+		hi := lo + entriesPerBlock
 		if hi > len(objs) {
 			hi = len(objs)
 		}
 		clear(buf)
 		var next blockstore.Addr
 		if b+1 < nBlocks {
-			next = base + blockstore.Addr((b+1)*ix.physPerBucket)
+			next = base + blockstore.Addr(b+1)
 		}
 		binary.LittleEndian.PutUint64(buf[0:8], uint64(next))
 		binary.LittleEndian.PutUint16(buf[8:10], uint16(hi-lo))
 		ix.putEntries(buf[HeaderBytes:], hashes, objs[lo:hi])
-		if err := ix.writeLogicalBlock(base+blockstore.Addr(b*ix.physPerBucket), buf); err != nil {
+		if err := ix.writeBucketBlock(base+blockstore.Addr(b), buf); err != nil {
 			return 0, err
 		}
 	}
 	return base, nil
 }
 
-// writeLogicalBlock writes one logical bucket block (possibly spanning
-// several physical blocks), invalidating any cached copies.
-func (ix *Index) writeLogicalBlock(addr blockstore.Addr, buf []byte) error {
-	for i := 0; i < ix.physPerBucket; i++ {
-		lo := i * blockstore.BlockSize
-		hi := lo + blockstore.BlockSize
-		if hi > len(buf) {
-			hi = len(buf)
-		}
-		if lo >= hi {
-			break
-		}
-		if err := ix.store.WriteBlock(addr+blockstore.Addr(i), buf[lo:hi]); err != nil {
-			return err
-		}
-		ix.cacheInvalidate(addr + blockstore.Addr(i))
+// writeBucketBlock writes one bucket block, invalidating any cached copy.
+func (ix *Index) writeBucketBlock(addr blockstore.Addr, buf []byte) error {
+	if err := ix.store.WriteBlock(addr, buf); err != nil {
+		return err
 	}
-	return nil
-}
-
-// bucketBufBytes is the scratch size needed to read one logical bucket
-// block: whole physical blocks, even when B < 512.
-func (ix *Index) bucketBufBytes() int {
-	return ix.physPerBucket * blockstore.BlockSize
-}
-
-// readLogicalBlock reads one logical bucket block into buf, which must be
-// bucketBufBytes long. Only the first BucketBytes are meaningful. Engine
-// outcomes fold into st (nil on untracked paths).
-func (ix *Index) readLogicalBlock(addr blockstore.Addr, buf []byte, st *Stats) error {
-	for i := 0; i < ix.physPerBucket; i++ {
-		lo := i * blockstore.BlockSize
-		if err := ix.readBlock(addr+blockstore.Addr(i), buf[lo:lo+blockstore.BlockSize], st); err != nil {
-			return err
-		}
-	}
+	ix.cacheInvalidate(addr)
 	return nil
 }
 

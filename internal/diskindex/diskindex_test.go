@@ -66,11 +66,6 @@ func TestBuildValidation(t *testing.T) {
 		t.Error("nil store accepted")
 	}
 	bad := DefaultOptions()
-	bad.BucketBytes = 8 // smaller than header+entry
-	if _, err := Build(data, p, bad, store); err == nil {
-		t.Error("tiny bucket block accepted")
-	}
-	bad = DefaultOptions()
 	bad.TableBits = 40
 	if _, err := Build(data, p, bad, store); err == nil {
 		t.Error("oversized table bits accepted")
@@ -79,9 +74,8 @@ func TestBuildValidation(t *testing.T) {
 
 func TestEntriesPerBlockMatchesPaper(t *testing.T) {
 	// §5.1: (512 − 16)/5 = 99 objects per block.
-	_, ix, _ := testSetup(t, 500, 4, DefaultOptions())
-	if ix.EntriesPerBlock() != 99 {
-		t.Errorf("entries per block = %d, want 99", ix.EntriesPerBlock())
+	if entriesPerBlock != 99 {
+		t.Errorf("entries per block = %d, want 99", entriesPerBlock)
 	}
 }
 
@@ -226,33 +220,6 @@ func TestWaveEntryAccounting(t *testing.T) {
 	}
 }
 
-func TestSmallBucketBlocksNeedMoreIOs(t *testing.T) {
-	// Fig 3: smaller B means more bucket-block reads for the same search.
-	big := DefaultOptions()
-	big.BucketBytes = 4096
-	small := DefaultOptions()
-	small.BucketBytes = 128
-	d, ixBig, _ := testSetup(t, 3000, 64, big)
-	_, ixSmall, _ := testSetup(t, 3000, 64, small)
-	var bigIOs, smallIOs int
-	sb, ss := ixBig.NewSearcher(), ixSmall.NewSearcher()
-	for _, q := range d.Queries {
-		_, st, err := sb.Search(q, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bigIOs += st.IOs()
-		_, st, err = ss.Search(q, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		smallIOs += st.IOs()
-	}
-	if smallIOs <= bigIOs {
-		t.Errorf("B=128 used %d IOs, B=4096 used %d; smaller blocks must cost more IOs", smallIOs, bigIOs)
-	}
-}
-
 func TestChainTraversal(t *testing.T) {
 	// A tiny u forces buckets far larger than one block, exercising chains.
 	opts := DefaultOptions()
@@ -280,11 +247,11 @@ func TestChainTraversal(t *testing.T) {
 }
 
 // TestAsyncMatchesServingSearcher: a virtual-time query runs the serving
-// WaveSearcher's ladder, so at any budget, k, projection mode, block size and
-// scheduling mode its neighbors are bitwise the reference Searcher's and its
+// WaveSearcher's ladder, so at any budget, k, projection mode and scheduling
+// mode its neighbors are bitwise the reference Searcher's and its
 // work counters — reads included — are exactly those of a WaveSearcher with
 // an ioengine attached, under the same knobs, and the engine's I/O count is
-// those logical reads in physical blocks.
+// those reads.
 func TestAsyncMatchesServingSearcher(t *testing.T) {
 	ctx := context.Background()
 	type schedMode struct {
@@ -293,61 +260,59 @@ func TestAsyncMatchesServingSearcher(t *testing.T) {
 		sync bool
 	}
 	modes := []schedMode{{"sync", 1, true}, {"async1", 1, false}, {"async2", 2, false}}
-	for _, bucketBytes := range []int{512, 1024} {
-		for _, share := range []bool{true, false} {
-			opts := Options{ShareProjections: share, Seed: 1, BucketBytes: bucketBytes}
-			d, ix, _ := testSetup(t, 2000, 1000, opts)
-			// The scheduler issues a round whole, as a serving searcher does
-			// with an engine attached, whatever its queue depth; in line it
-			// would walk each bucket and stop at the budget.
-			ref, wave := ix.NewSearcher(), engineAttached(t, ix, 4, 0, 0).NewWaveSearcher()
-			for _, budget := range []int{0, 2, 8, ix.Params().S / 2} {
-				for _, k := range []int{1, 5} {
-					kn := ladder.Knobs{K: k, Budget: budget}
-					for _, m := range modes {
-						name := fmt.Sprintf("B=%d/share=%v/budget=%d/k=%d/%s", bucketBytes, share, budget, k, m.name)
-						pool, err := iosim.NewPool(iosim.CSSD, 2)
+	for _, share := range []bool{true, false} {
+		opts := Options{ShareProjections: share, Seed: 1}
+		d, ix, _ := testSetup(t, 2000, 1000, opts)
+		// The scheduler issues a round whole, as a serving searcher does
+		// with an engine attached, whatever its queue depth; in line it
+		// would walk each bucket and stop at the budget.
+		ref, wave := ix.NewSearcher(), engineAttached(t, ix, 4, 0, 0).NewWaveSearcher()
+		for _, budget := range []int{0, 2, 8, ix.Params().S / 2} {
+			for _, k := range []int{1, 5} {
+				kn := ladder.Knobs{K: k, Budget: budget}
+				for _, m := range modes {
+					name := fmt.Sprintf("share=%v/budget=%d/k=%d/%s", share, budget, k, m.name)
+					pool, err := iosim.NewPool(iosim.CSSD, 2)
+					if err != nil {
+						t.Fatal(err)
+					}
+					eng, err := sched.New(sched.Config{CPUs: m.cpus, Iface: iosim.IOUring, Pool: pool, Store: ix.Store(), Sync: m.sync})
+					if err != nil {
+						t.Fatal(err)
+					}
+					results := make([]AsyncResult, d.NQ())
+					rep, err := eng.RunBatch(d.NQ(), 4, ix.AsyncQueryFunc(costmodel.Default(), d.Queries, k, budget, results))
+					if err != nil {
+						t.Fatal(err)
+					}
+					var blocks int64
+					for qi, q := range d.Queries {
+						want, _, err := ref.Run(ctx, q, kn, nil)
 						if err != nil {
 							t.Fatal(err)
 						}
-						eng, err := sched.New(sched.Config{CPUs: m.cpus, Iface: iosim.IOUring, Pool: pool, Store: ix.Store(), Sync: m.sync})
+						_, wst, err := wave.Run(ctx, q, kn, nil)
 						if err != nil {
 							t.Fatal(err)
 						}
-						results := make([]AsyncResult, d.NQ())
-						rep, err := eng.RunBatch(d.NQ(), 4, ix.AsyncQueryFunc(costmodel.Default(), d.Queries, k, budget, results))
-						if err != nil {
-							t.Fatal(err)
+						got, gst := results[qi].Result, results[qi].Stats
+						if fmt.Sprint(got.Neighbors) != fmt.Sprint(want.Neighbors) {
+							t.Fatalf("%s query %d:\n async     %v\n reference %v", name, qi, got.Neighbors, want.Neighbors)
 						}
-						var physical int64
-						for qi, q := range d.Queries {
-							want, _, err := ref.Run(ctx, q, kn, nil)
-							if err != nil {
-								t.Fatal(err)
-							}
-							_, wst, err := wave.Run(ctx, q, kn, nil)
-							if err != nil {
-								t.Fatal(err)
-							}
-							got, gst := results[qi].Result, results[qi].Stats
-							if fmt.Sprint(got.Neighbors) != fmt.Sprint(want.Neighbors) {
-								t.Fatalf("%s query %d:\n async     %v\n reference %v", name, qi, got.Neighbors, want.Neighbors)
-							}
-							type counters struct {
-								Radii, Probes, NonEmptyProbes, EntriesScanned, Checked, Duplicates, TableIOs, BucketIOs int
-							}
-							of := func(st Stats) counters {
-								return counters{st.Radii, st.Probes, st.NonEmptyProbes, st.EntriesScanned,
-									st.Checked, st.Duplicates, st.TableIOs, st.BucketIOs}
-							}
-							if of(gst) != of(wst) {
-								t.Fatalf("%s query %d:\n async %+v\n wave  %+v", name, qi, of(gst), of(wst))
-							}
-							physical += int64(gst.TableIOs + gst.BucketIOs*ix.physPerBucket)
+						type counters struct {
+							Radii, Probes, NonEmptyProbes, EntriesScanned, Checked, Duplicates, TableIOs, BucketIOs int
 						}
-						if rep.IOs != physical {
-							t.Fatalf("%s: engine read %d blocks, the queries %d", name, rep.IOs, physical)
+						of := func(st Stats) counters {
+							return counters{st.Radii, st.Probes, st.NonEmptyProbes, st.EntriesScanned,
+								st.Checked, st.Duplicates, st.TableIOs, st.BucketIOs}
 						}
+						if of(gst) != of(wst) {
+							t.Fatalf("%s query %d:\n async %+v\n wave  %+v", name, qi, of(gst), of(wst))
+						}
+						blocks += int64(gst.IOs())
+					}
+					if rep.IOs != blocks {
+						t.Fatalf("%s: engine read %d blocks, the queries %d", name, rep.IOs, blocks)
 					}
 				}
 			}
@@ -542,7 +507,7 @@ func TestStoreBlocksConsistent(t *testing.T) {
 	// Every occupied bucket must resolve to a valid chain whose entries all
 	// carry the right u-bit index.
 	_, ix, _ := testSetup(t, 1000, 4, DefaultOptions())
-	buf := make([]byte, ix.bucketBufBytes())
+	buf := make([]byte, blockstore.BlockSize)
 	p := ix.params
 	for r := 0; r < p.R(); r++ {
 		for l := 0; l < p.L; l++ {
@@ -551,7 +516,7 @@ func TestStoreBlocksConsistent(t *testing.T) {
 					continue
 				}
 				blk, off := ix.tableEntryBlock(r, l, idx)
-				if err := ix.store.ReadBlock(blk, buf[:blockstore.BlockSize]); err != nil {
+				if err := ix.store.ReadBlock(blk, buf); err != nil {
 					t.Fatal(err)
 				}
 				sl := decodeSlot(getUint64(buf[off : off+8]))
@@ -560,7 +525,7 @@ func TestStoreBlocksConsistent(t *testing.T) {
 				}
 				total := 0
 				for w := sl; w.addr != blockstore.Nil; {
-					if err := ix.readLogicalBlock(w.addr, buf, nil); err != nil {
+					if err := ix.readBlock(w.addr, buf, nil); err != nil {
 						t.Fatal(err)
 					}
 					next, lo, hi := w.span(buf)

@@ -27,38 +27,28 @@ func FuzzUint40RoundTrip(f *testing.F) {
 // blocks plus chains for buckets longer than one block) and reads every
 // bucket back through the production slot decoder (decodeSlot, span,
 // getUint40, unpackEntry), asserting that every (id, fingerprint) pair comes
-// back in order — across fuzzed id widths and table bits, and bucket blocks
-// of 128, 512 and 4096 bytes.
+// back in order — across fuzzed id widths and table bits.
 func FuzzChainRoundTrip(f *testing.F) {
-	f.Add([]byte{0, 1, 2, 3, 4, 5}, uint8(10), uint8(12), uint8(1))
-	f.Add([]byte{255, 0, 255, 99, 0x80, 0xc0}, uint8(1), uint8(31), uint8(0))
-	f.Add([]byte{200, 7, 250, 13, 0xff}, uint8(14), uint8(16), uint8(2))
-	f.Add([]byte{}, uint8(20), uint8(8), uint8(1))
-	f.Fuzz(func(t *testing.T, raw []byte, idBitsRaw, uRaw, sizeSel uint8) {
+	f.Add([]byte{0, 1, 2, 3, 4, 5}, uint8(10), uint8(12))
+	f.Add([]byte{255, 0, 255, 99, 0x80, 0xc0}, uint8(1), uint8(31))
+	f.Add([]byte{200, 7, 250, 13, 0xff}, uint8(14), uint8(16))
+	f.Add([]byte{}, uint8(20), uint8(8))
+	f.Fuzz(func(t *testing.T, raw []byte, idBitsRaw, uRaw uint8) {
 		idBits := uint(idBitsRaw)%20 + 1 // 1..20
 		u := uint(uRaw)%31 + 1           // 1..31; fp has 32-u bits
 		if idBits+(32-u) > 8*EntryBytes {
 			t.Skip("id+fp wider than an object info")
 		}
-		bucketBytes := []int{128, 512, 4096}[int(sizeSel)%3]
-		ix := &Index{
-			store:           blockstore.NewMem(),
-			u:               u,
-			idBits:          idBits,
-			bucketBytes:     bucketBytes,
-			physPerBucket:   (bucketBytes + blockstore.BlockSize - 1) / blockstore.BlockSize,
-			entriesPerBlock: (bucketBytes - HeaderBytes) / EntryBytes,
-		}
+		ix := &Index{store: blockstore.NewMem(), u: u, idBits: idBits}
 		// A byte with its top bit clear is a bucket of that many entries; one
 		// with it set scales its low bits up to three blocks' worth. A table
 		// of 64 buckets is plenty to pack several blocks.
 		raw = raw[:min(len(raw), 64)]
-		epb := ix.entriesPerBlock
 		starts := []int32{0}
 		for _, b := range raw {
 			size := int(b)
 			if b&0x80 != 0 {
-				size = int(b&0x7f) * 3 * epb / 0x7f
+				size = int(b&0x7f) * 3 * entriesPerBlock / 0x7f
 			}
 			starts = append(starts, starts[len(starts)-1]+int32(size))
 		}
@@ -75,12 +65,12 @@ func FuzzChainRoundTrip(f *testing.F) {
 			hashes[i] = uint32(i)*2654435761 + 12345
 		}
 		slots := make([]uint64, len(raw))
-		packBuf, chainBuf := make([]byte, bucketBytes), make([]byte, bucketBytes)
+		packBuf, chainBuf := make([]byte, blockstore.BlockSize), make([]byte, blockstore.BlockSize)
 		if err := ix.writeBuckets(hashes, objs, starts, slots, packBuf, chainBuf); err != nil {
 			t.Fatal(err)
 		}
 
-		buf := make([]byte, ix.bucketBufBytes())
+		buf := make([]byte, blockstore.BlockSize)
 		for b, v := range slots {
 			want := objs[starts[b]:starts[b+1]]
 			sl := decodeSlot(v)
@@ -92,12 +82,12 @@ func FuzzChainRoundTrip(f *testing.F) {
 			}
 			var got []uint32
 			for w := sl; w.addr != blockstore.Nil; {
-				if err := ix.readLogicalBlock(w.addr, buf, nil); err != nil {
+				if err := ix.readBlock(w.addr, buf, nil); err != nil {
 					t.Fatal(err)
 				}
 				next, lo, hi := w.span(buf)
-				if hi > epb {
-					t.Fatalf("bucket %d: block %d holds entries up to %d, a block holds %d", b, w.addr, hi, epb)
+				if hi > entriesPerBlock {
+					t.Fatalf("bucket %d: block %d holds entries up to %d, a block holds %d", b, w.addr, hi, entriesPerBlock)
 				}
 				for i := lo; i < hi; i++ {
 					id, fp := ix.unpackEntry(getUint40(buf[HeaderBytes+i*EntryBytes:]))

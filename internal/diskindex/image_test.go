@@ -5,6 +5,8 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -69,4 +71,35 @@ func TestLoadRefusesVersion1(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "version 1") {
 		t.Fatalf("Load of a version 1 image: %v, want a version 1 refusal", err)
 	}
+}
+
+// TestLoadRefusesOtherBucketBlocks checks that an image whose header records
+// bucket blocks of other than one 512-byte store block is refused by Load
+// and LoadFile with an error naming both sizes.
+func TestLoadRefusesOtherBucketBlocks(t *testing.T) {
+	d, ix := buildUpdatable(t, 300, 0)
+	var img bytes.Buffer
+	if err := ix.Save(&img); err != nil {
+		t.Fatal(err)
+	}
+	b := img.Bytes()
+	const bucketBytesOff = 125 // magic, version, config, params, share, seed, table bits
+	if got := binary.LittleEndian.Uint64(b[bucketBytesOff:]); got != blockstore.BlockSize {
+		t.Fatalf("header bucket-bytes field holds %d, want %d", got, blockstore.BlockSize)
+	}
+	binary.LittleEndian.PutUint64(b[bucketBytesOff:], 4096)
+	refused := func(which string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), "4096") || !strings.Contains(err.Error(), "512") {
+			t.Fatalf("%s of a 4096-byte bucket image: %v, want a refusal naming 4096 and 512", which, err)
+		}
+	}
+	_, err := Load(bytes.NewReader(b), d.Vectors[:300], blockstore.NewMem())
+	refused("Load", err)
+	path := filepath.Join(t.TempDir(), "index.e2ix")
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = LoadFile(path, d.Vectors[:300])
+	refused("LoadFile", err)
 }

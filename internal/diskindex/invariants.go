@@ -36,10 +36,10 @@ func (ix *Index) CheckInvariants() error {
 	u.mu.RLock()
 	defer u.mu.RUnlock()
 	p := ix.params
-	keys := memindex.HashKeys(ix.data, ix.families, p, ix.opts.ShareProjections, ix.opts.Workers)
+	keys := memindex.HashKeys(ix.data, ix.families, p, ix.opts.ShareProjections)
 	numBuckets := uint32(1) << ix.u
 	mask := numBuckets - 1
-	buf := make([]byte, ix.bucketBufBytes())
+	buf := make([]byte, blockstore.BlockSize)
 	maxSteps := int(ix.store.NumBlocks()) + 1
 	seenInChain := make(map[uint32]bool)
 	// claimed[a][i] is set once a bucket has claimed entry i of block a.
@@ -64,13 +64,13 @@ func (ix *Index) CheckInvariants() error {
 					if steps++; steps > maxSteps {
 						return fmt.Errorf("diskindex: bucket (%d,%d,%d): chain cycle", r, l, idx)
 					}
-					if err := ix.readLogicalBlock(w.addr, buf, nil); err != nil {
+					if err := ix.readBlock(w.addr, buf, nil); err != nil {
 						return err
 					}
 					next, count := bucketHeader(buf)
-					if count < 1 || count > ix.entriesPerBlock {
+					if count < 1 || count > entriesPerBlock {
 						return fmt.Errorf("diskindex: bucket (%d,%d,%d) block %d: entry count %d outside [1,%d]",
-							r, l, idx, w.addr, count, ix.entriesPerBlock)
+							r, l, idx, w.addr, count, entriesPerBlock)
 					}
 					if w.count > 0 && (next != blockstore.Nil || w.off+w.count > count) {
 						return fmt.Errorf("diskindex: bucket (%d,%d,%d): packed range [%d,%d) in block %d of %d entries linking to %d",
@@ -79,7 +79,7 @@ func (ix *Index) CheckInvariants() error {
 					_, lo, hi := w.span(buf)
 					marks := claimed[w.addr]
 					if marks == nil {
-						marks = make([]bool, ix.entriesPerBlock)
+						marks = make([]bool, entriesPerBlock)
 						claimed[w.addr] = marks
 					}
 					for i := lo; i < hi; i++ {
@@ -142,7 +142,7 @@ func (ix *Index) walkBuckets(visit func(first bool, block []byte, lo, hi int)) e
 	defer u.mu.RUnlock()
 	p := ix.params
 	numBuckets := uint32(1) << ix.u
-	buf := make([]byte, ix.bucketBufBytes())
+	buf := make([]byte, blockstore.BlockSize)
 	maxSteps := int(ix.store.NumBlocks()) + 1
 	for r := 0; r < p.R(); r++ {
 		for l := 0; l < p.L; l++ {
@@ -159,7 +159,7 @@ func (ix *Index) walkBuckets(visit func(first bool, block []byte, lo, hi int)) e
 					if steps++; steps > maxSteps {
 						return fmt.Errorf("diskindex: bucket (%d,%d,%d): chain cycle", r, l, idx)
 					}
-					if err := ix.readLogicalBlock(w.addr, buf, nil); err != nil {
+					if err := ix.readBlock(w.addr, buf, nil); err != nil {
 						return err
 					}
 					next, lo, hi := w.span(buf)
@@ -174,11 +174,11 @@ func (ix *Index) walkBuckets(visit func(first bool, block []byte, lo, hi int)) e
 
 // UnpackedStorageBytes returns the size this index takes with one block per
 // bucket, the paper's layout (Table 6): the table regions plus, per bucket,
-// its entries in blocks of EntriesPerBlock. It is computed from the buckets'
+// its entries in blocks of entriesPerBlock. It is computed from the buckets'
 // entry counts; nothing is built.
 func (ix *Index) UnpackedStorageBytes() (int64, error) {
 	p := ix.params
-	epb := int64(ix.entriesPerBlock)
+	epb := int64(entriesPerBlock)
 	var blocks, entries int64
 	err := ix.walkBuckets(func(first bool, _ []byte, lo, hi int) {
 		if first {
@@ -191,6 +191,6 @@ func (ix *Index) UnpackedStorageBytes() (int64, error) {
 		return 0, err
 	}
 	blocks += (entries + epb - 1) / epb
-	blocks = blocks*int64(ix.physPerBucket) + int64(p.R()*p.L)*int64(ix.expectedTableBlocks())
+	blocks += int64(p.R()*p.L) * int64(ix.expectedTableBlocks())
 	return blocks * blockstore.BlockSize, nil
 }

@@ -37,7 +37,7 @@ func (ix *Index) Save(w io.Writer) error {
 		int64(p.N), int64(p.Dim), int64(p.M), int64(p.L), int64(p.S), p.P1, p.P2,
 		// Options
 		boolByte(ix.opts.ShareProjections), ix.opts.Seed,
-		uint32(ix.opts.TableBits), int64(ix.opts.BucketBytes),
+		uint32(ix.opts.TableBits), int64(blockstore.BlockSize), // bucket block bytes
 		// Layout
 		uint32(ix.u), uint32(ix.idBits),
 		int64(len(p.Radii)),
@@ -117,6 +117,9 @@ func Load(r io.Reader, data [][]float32, store *blockstore.Store) (*Index, error
 	if version != indexVersion {
 		return nil, fmt.Errorf("diskindex: unsupported version %d", version)
 	}
+	if bucketBytes != blockstore.BlockSize {
+		return nil, fmt.Errorf("diskindex: image has %d-byte bucket blocks; this build reads %d-byte ones only", bucketBytes, blockstore.BlockSize)
+	}
 	// The image may predate online inserts: those vectors ride in the WAL
 	// directory's tail sidecar and log, so data may legitimately be longer
 	// than the build-time n — only shorter is unrecoverable.
@@ -144,19 +147,15 @@ func Load(r io.Reader, data [][]float32, store *blockstore.Store) (*Index, error
 		ShareProjections: share == 1,
 		Seed:             seed,
 		TableBits:        uint(tableBits),
-		BucketBytes:      int(bucketBytes),
 	}
 	ix := &Index{
-		params:          params,
-		opts:            opts,
-		data:            data,
-		store:           store,
-		u:               uint(u),
-		idBits:          uint(idBits),
-		bucketBytes:     int(bucketBytes),
-		physPerBucket:   (int(bucketBytes) + blockstore.BlockSize - 1) / blockstore.BlockSize,
-		entriesPerBlock: (int(bucketBytes) - HeaderBytes) / EntryBytes,
-		upd:             &updState{},
+		params: params,
+		opts:   opts,
+		data:   data,
+		store:  store,
+		u:      uint(u),
+		idBits: uint(idBits),
+		upd:    &updState{},
 	}
 	fams, err := lsh.NewFamilies(params, ix.opts.ShareProjections, seed)
 	if err != nil {

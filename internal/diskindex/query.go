@@ -174,7 +174,7 @@ type Searcher struct {
 
 // NewSearcher returns a fresh reference searcher.
 func (ix *Index) NewSearcher() *Searcher {
-	s := &Searcher{buf: make([]byte, ix.bucketBufBytes())}
+	s := &Searcher{buf: make([]byte, blockstore.BlockSize)}
 	s.init(ix, s)
 	return s
 }
@@ -188,7 +188,7 @@ func (s *Searcher) Visit(r, l int, h uint32) (bool, error) { return s.walk(r, l,
 func (s *Searcher) EndRound(int) (ladder.IO, error) { return s.roundIO(), nil }
 
 // walk is §5.4's synchronous bucket walk: it reads bucket h of table l of
-// round r block by block into buf (bucketBufBytes long), offering each
+// round r block by block into buf (one block long), offering each
 // block's fingerprint-matched entries to the driver's verification as one
 // batch (see check) as it lands, and reports whether the per-radius budget
 // was exhausted. The entries count up to the one that decided the round. On
@@ -205,7 +205,7 @@ func (s *searcher) walk(r, l int, h uint32, buf []byte) (bool, error) {
 	tr := lad.Trace()
 	start := tr.Clock()
 	blk, off := ix.tableEntryBlock(r, l, idx)
-	err := ix.readBlock(blk, buf[:blockstore.BlockSize], st)
+	err := ix.readBlock(blk, buf, st)
 	s.wait += tr.Clock() - start
 	if err != nil {
 		if storageFault(err) {
@@ -221,7 +221,7 @@ func (s *searcher) walk(r, l int, h uint32, buf []byte) (bool, error) {
 	sl := decodeSlot(binary.LittleEndian.Uint64(buf[off : off+8]))
 	for sl.addr != blockstore.Nil {
 		start = tr.Clock()
-		err := ix.readLogicalBlock(sl.addr, buf, st)
+		err := ix.readBlock(sl.addr, buf, st)
 		s.wait += tr.Clock() - start
 		if err != nil {
 			if storageFault(err) {

@@ -30,7 +30,7 @@ type AsyncResult struct {
 // as one vectored batch (sched.Ctx.ReadVec, §5.4) and resumes the query once
 // its last block has arrived. The neighbors are therefore bitwise the
 // reference Searcher's, and the reads exactly those of a WaveSearcher with
-// an ioengine attached, at any budget, block size and partition count.
+// an ioengine attached, at any budget and partition count.
 //
 // CPU work is charged to the virtual clock through the shared cost model, so
 // the same function serves both the asynchronous (Fig 1B) and the
@@ -94,13 +94,12 @@ type simSearcher struct {
 	// charge.
 	checked, dups int
 
-	// The suspended wave: its addresses and destinations, the blocks per
-	// logical block, whether it is a round's table wave, the coalesced runs
-	// ReadVec charged, and how many blocks are still in flight. arrive is
-	// onBlock, bound once so that submitting a wave allocates nothing.
+	// The suspended wave: its addresses and destinations, whether it is a
+	// round's table wave, the coalesced runs ReadVec charged, and how many
+	// blocks are still in flight. arrive is onBlock, bound once so that
+	// submitting a wave allocates nothing.
 	wave        []blockstore.Addr
 	into        [][]byte
-	group       int
 	table       bool
 	runs        int
 	outstanding int
@@ -164,12 +163,12 @@ func (s *simSearcher) chargeVerified() {
 // suspend is the read hook, on the coroutine's side: it charges the
 // verifications the WaveSearcher ran since its previous wave and the batch
 // assembly, stashes the wave and yields until every block has been copied
-// into dsts. Failed reads arrived as zero blocks, so every logical block is
-// reported intact.
-func (s *simSearcher) suspend(addrs []blockstore.Addr, dsts [][]byte, group int, bst *ioengine.BatchStats) ([]bool, error) {
+// into dsts. Failed reads arrived as zero blocks, so every block is reported
+// intact.
+func (s *simSearcher) suspend(addrs []blockstore.Addr, dsts [][]byte, bst *ioengine.BatchStats) ([]bool, error) {
 	s.chargeVerified()
 	s.tc.Charge(costmodel.ToTime(s.model.BatchSubmit(len(addrs))))
-	s.wave, s.into, s.group = addrs, dsts, group
+	s.wave, s.into = addrs, dsts
 	s.yield(struct{}{})
 	s.table = false
 	bst.CoalescedReads += len(addrs) - s.runs
@@ -197,8 +196,8 @@ func (s *simSearcher) onBlock(i int, block []byte) {
 	copy(s.into[i], block)
 	if s.table {
 		s.tc.Charge(costmodel.ToTime(s.model.Scan(1)))
-	} else if i%s.group == 0 {
-		_, lo, hi := s.heads[i/s.group].span(block)
+	} else {
+		_, lo, hi := s.heads[i].span(block)
 		s.tc.Charge(costmodel.ToTime(s.model.Scan(hi - lo)))
 	}
 	s.arrived()

@@ -67,12 +67,12 @@ type updState struct {
 type updateScratch struct {
 	proj    []float64
 	hashes  []uint32
-	buf     []byte // one logical bucket block
-	headBuf []byte // second block, for delete's head swap
-	table   []byte // one physical block, for a table-entry rewrite
+	buf     []byte // one bucket block
+	headBuf []byte // second bucket block, for delete's head swap
+	table   []byte // one table block, for a table-entry rewrite
 }
 
-// scratchLocked returns the scratch sized for this index's layout.
+// scratchLocked returns the scratch, allocated on first use.
 func (u *updState) scratchLocked(ix *Index) *updateScratch {
 	sc := &u.scratch
 	p := ix.params
@@ -82,9 +82,9 @@ func (u *updState) scratchLocked(ix *Index) *updateScratch {
 	if len(sc.hashes) < p.L {
 		sc.hashes = make([]uint32, p.L)
 	}
-	if len(sc.buf) < ix.bucketBufBytes() {
-		sc.buf = make([]byte, ix.bucketBufBytes())
-		sc.headBuf = make([]byte, ix.bucketBufBytes())
+	if sc.buf == nil {
+		sc.buf = make([]byte, blockstore.BlockSize)
+		sc.headBuf = make([]byte, blockstore.BlockSize)
 		sc.table = make([]byte, blockstore.BlockSize)
 	}
 	return sc
@@ -166,7 +166,7 @@ func (ix *Index) insertEntryLocked(r, l int, idx, id, fp uint32, idem bool) erro
 	entry := ix.packEntry(id, fp)
 	if idem {
 		for w := sl; w.addr != blockstore.Nil; {
-			if err := ix.readLogicalBlock(w.addr, buf, nil); err != nil {
+			if err := ix.readBlock(w.addr, buf, nil); err != nil {
 				return err
 			}
 			next, lo, hi := w.span(buf)
@@ -185,15 +185,15 @@ func (ix *Index) insertEntryLocked(r, l int, idx, id, fp uint32, idem bool) erro
 		if err != nil {
 			return err
 		}
-		if count < ix.entriesPerBlock {
+		if count < entriesPerBlock {
 			putUint40(buf[HeaderBytes+count*EntryBytes:], entry)
 			binary.LittleEndian.PutUint16(buf[8:10], uint16(count+1))
 			return ix.writeHead(r, l, idx, sl, buf)
 		}
 		if sl.count > 0 {
 			// A full packed bucket: its copy becomes the chain's second block.
-			head = ix.store.AllocateRange(uint64(ix.physPerBucket))
-			if err := ix.writeLogicalBlock(head, buf[:ix.bucketBytes]); err != nil {
+			head = ix.store.Allocate()
+			if err := ix.writeBucketBlock(head, buf); err != nil {
 				return err
 			}
 		}
@@ -203,8 +203,8 @@ func (ix *Index) insertEntryLocked(r, l int, idx, id, fp uint32, idem bool) erro
 	binary.LittleEndian.PutUint64(buf[0:8], uint64(head))
 	binary.LittleEndian.PutUint16(buf[8:10], 1)
 	putUint40(buf[HeaderBytes:], entry)
-	newHead := ix.store.AllocateRange(uint64(ix.physPerBucket))
-	if err := ix.writeLogicalBlock(newHead, buf[:ix.bucketBytes]); err != nil {
+	newHead := ix.store.Allocate()
+	if err := ix.writeBucketBlock(newHead, buf); err != nil {
 		return err
 	}
 	if err := ix.storeTableEntryLocked(r, l, idx, slot{addr: newHead}); err != nil {
@@ -219,7 +219,7 @@ func (ix *Index) insertEntryLocked(r, l int, idx, id, fp uint32, idem bool) erro
 // their own (next = Nil): buf is then the chain block of its own the bucket
 // becomes when writeHead writes it.
 func (ix *Index) readHead(sl slot, buf []byte) (int, error) {
-	if err := ix.readLogicalBlock(sl.addr, buf, nil); err != nil {
+	if err := ix.readBlock(sl.addr, buf, nil); err != nil {
 		return 0, err
 	}
 	if sl.count == 0 {
@@ -238,10 +238,10 @@ func (ix *Index) readHead(sl slot, buf []byte) (int, error) {
 // (copy-on-write).
 func (ix *Index) writeHead(r, l int, idx uint32, sl slot, buf []byte) error {
 	if sl.count == 0 {
-		return ix.writeLogicalBlock(sl.addr, buf[:ix.bucketBytes])
+		return ix.writeBucketBlock(sl.addr, buf)
 	}
-	head := ix.store.AllocateRange(uint64(ix.physPerBucket))
-	if err := ix.writeLogicalBlock(head, buf[:ix.bucketBytes]); err != nil {
+	head := ix.store.Allocate()
+	if err := ix.writeBucketBlock(head, buf); err != nil {
 		return err
 	}
 	return ix.storeTableEntryLocked(r, l, idx, slot{addr: head})
@@ -324,7 +324,7 @@ func (ix *Index) deleteEntryLocked(r, l int, idx, id, fp uint32) (bool, error) {
 		if addr == head {
 			_, err = ix.readHead(sl, buf)
 		} else {
-			err = ix.readLogicalBlock(addr, buf, nil)
+			err = ix.readBlock(addr, buf, nil)
 		}
 		if err != nil {
 			return false, err
@@ -343,13 +343,13 @@ func (ix *Index) deleteEntryLocked(r, l int, idx, id, fp uint32) (bool, error) {
 				return true, ix.finishHeadShrink(r, l, idx, sl, buf, count-1)
 			}
 			// Found deeper in a chain: replace it with the head's last entry.
-			if err := ix.readLogicalBlock(head, headBuf, nil); err != nil {
+			if err := ix.readBlock(head, headBuf, nil); err != nil {
 				return false, err
 			}
 			_, headCount := bucketHeader(headBuf)
 			lastOff := HeaderBytes + (headCount-1)*EntryBytes
 			copy(buf[off:off+EntryBytes], headBuf[lastOff:lastOff+EntryBytes])
-			if err := ix.writeLogicalBlock(addr, buf[:ix.bucketBytes]); err != nil {
+			if err := ix.writeBucketBlock(addr, buf); err != nil {
 				return false, err
 			}
 			binary.LittleEndian.PutUint16(headBuf[8:10], uint16(headCount-1))
@@ -378,11 +378,10 @@ func (ix *Index) finishHeadShrink(r, l int, idx uint32, sl slot, buf []byte, new
 	return nil
 }
 
-// loadTableEntry reads the slot of (r, l, idx). buf must be at least one
-// block long.
+// loadTableEntry reads the slot of (r, l, idx) through buf, one block long.
 func (ix *Index) loadTableEntry(r, l int, idx uint32, buf []byte) (slot, error) {
 	blk, off := ix.tableEntryBlock(r, l, idx)
-	if err := ix.readBlock(blk, buf[:blockstore.BlockSize], nil); err != nil {
+	if err := ix.readBlock(blk, buf, nil); err != nil {
 		return slot{}, err
 	}
 	return decodeSlot(binary.LittleEndian.Uint64(buf[off : off+8])), nil

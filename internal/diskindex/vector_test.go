@@ -58,19 +58,18 @@ func logicalStats(st Stats) Stats {
 }
 
 // bucketLayouts are the on-storage shapes the equivalence tests sweep: the
-// default one-block buckets, logical blocks spanning eight adjacent physical
-// blocks, and a tiny table whose buckets overflow into chains.
+// default table, whose buckets mostly pack into shared blocks, and a tiny
+// table whose buckets overflow into chains.
 func bucketLayouts() []struct {
 	name string
 	opts Options
 } {
-	multiBlock, chained := DefaultOptions(), DefaultOptions()
-	multiBlock.BucketBytes = 4096
+	chained := DefaultOptions()
 	chained.TableBits = 6
 	return []struct {
 		name string
 		opts Options
-	}{{"512B", DefaultOptions()}, {"4096B", multiBlock}, {"chained", chained}}
+	}{{"512B", DefaultOptions()}, {"chained", chained}}
 }
 
 // TestVectoredFetchMatchesSerial: with the I/O engine attached, the reference
@@ -96,7 +95,7 @@ func TestVectoredFetchMatchesSerial(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						compareRuns(t, "sequential", qi, want.Neighbors, got.Neighbors, wantSt, gotSt, cacheBytes > 0, ix.physPerBucket)
+						compareRuns(t, "sequential", qi, want.Neighbors, got.Neighbors, wantSt, gotSt, cacheBytes > 0)
 					}
 				})
 			}
@@ -114,8 +113,7 @@ func TestVectoredFetchMatchesSerial(t *testing.T) {
 // the in-line run they check the same candidates over the same rounds and
 // never read fewer blocks (they probe the whole round where the walk stops
 // at the budget). Swept over multi-probe {0, 2}, a generous and a truncating
-// budget, one and four hash partitions, and the 512-byte, 4096-byte and
-// chained bucket layouts.
+// budget, one and four hash partitions, and both bucket layouts.
 func TestWaveOptionMatrix(t *testing.T) {
 	configs := []struct {
 		name       string
@@ -163,7 +161,7 @@ func TestWaveOptionMatrix(t *testing.T) {
 								}
 								seen := len(batched) > 0
 								ws := view.NewWaveSearcher()
-								var agg Stats
+								physical := 0
 								for qi, q := range d.Queries {
 									got, st, err := ws.Run(context.Background(), q, kn, nil)
 									if err != nil {
@@ -181,7 +179,7 @@ func TestWaveOptionMatrix(t *testing.T) {
 											t.Fatalf("%s query %d: not the in-line run's rounds and checks, or fewer blocks\nin line: %+v\ngot:     %+v", cfg.name, qi, in, st)
 										}
 									}
-									compareRuns(t, cfg.name, qi, want[qi], got.Neighbors, wantSt, st, cfg.cacheBytes > 0, ix.physPerBucket)
+									compareRuns(t, cfg.name, qi, want[qi], got.Neighbors, wantSt, st, cfg.cacheBytes > 0)
 									entries := st.Checked + st.Duplicates + st.FPRejected
 									if entries > st.EntriesScanned {
 										t.Fatalf("%s query %d: entry accounting broken: %+v", cfg.name, qi, st)
@@ -190,17 +188,12 @@ func TestWaveOptionMatrix(t *testing.T) {
 									if !engine && (st.PhysicalReads != 0 || st.CoalescedReads != 0 || st.DedupedReads != 0) {
 										t.Fatalf("query %d: engine counters without an engine: %+v", qi, st)
 									}
-									agg.PhysicalReads += st.PhysicalReads
-									agg.CoalescedReads += st.CoalescedReads
+									physical += st.PhysicalReads
 								}
 								// With an engine the rounds (multi-probe included) go
-								// out as vectored waves: physical reads are issued,
-								// and adjacent physical blocks coalesce.
-								if engine && agg.PhysicalReads == 0 {
+								// out as vectored waves: physical reads are issued.
+								if engine && physical == 0 {
 									t.Errorf("%s: no physical reads reported through the engine", cfg.name)
-								}
-								if engine && ix.physPerBucket > 1 && agg.CoalescedReads == 0 {
-									t.Errorf("%s: %d-block logical blocks never coalesced", cfg.name, ix.physPerBucket)
 								}
 							}
 							// A partition that is done leaves its later candidates
@@ -222,7 +215,7 @@ func TestWaveOptionMatrix(t *testing.T) {
 
 // compareRuns asserts neighbors (IDs and distances), logical stats, and the
 // engine-path accounting invariants.
-func compareRuns(t *testing.T, which string, qi int, want, got []ann.Neighbor, wantSt, gotSt Stats, cached bool, phys int) {
+func compareRuns(t *testing.T, which string, qi int, want, got []ann.Neighbor, wantSt, gotSt Stats, cached bool) {
 	t.Helper()
 	if len(want) != len(got) {
 		t.Fatalf("%s query %d: %d vs %d neighbors", which, qi, len(want), len(got))
@@ -236,11 +229,9 @@ func compareRuns(t *testing.T, which string, qi int, want, got []ann.Neighbor, w
 		t.Fatalf("%s query %d: logical stats diverged\nwant: %+v\ngot:  %+v", which, qi, w, g)
 	}
 	if cached {
-		// Cache outcomes are per physical block: a logical bucket block of
-		// physPerBucket blocks contributes that many outcomes, exactly as on
-		// the serial path.
-		if want := gotSt.TableIOs + gotSt.BucketIOs*phys; gotSt.CacheHits+gotSt.CacheMisses != want {
-			t.Fatalf("%s query %d: cache outcomes %d+%d do not cover %d physical reads",
+		// One cache outcome per block read, exactly as on the serial path.
+		if want := gotSt.IOs(); gotSt.CacheHits+gotSt.CacheMisses != want {
+			t.Fatalf("%s query %d: cache outcomes %d+%d do not cover %d block reads",
 				which, qi, gotSt.CacheHits, gotSt.CacheMisses, want)
 		}
 	} else if gotSt.CacheHits != 0 || gotSt.CacheMisses != 0 {
@@ -275,44 +266,6 @@ func TestEngineAttachedAfterSearcher(t *testing.T) {
 	}
 	if !slices.ContainsFunc(tr.Spans(), func(sp telemetry.Span) bool { return sp.Stage == telemetry.StageIOWait }) {
 		t.Error("after a late engine attach the searcher still walks its rounds in line: no wave span")
-	}
-}
-
-// TestVectoredCoalescingSavesReads: with multi-block buckets, one logical
-// bucket block spans adjacent physical blocks, so the vectored fetch must
-// coalesce them into fewer physical reads without changing logical N_IO.
-func TestVectoredCoalescingSavesReads(t *testing.T) {
-	opts := DefaultOptions()
-	opts.BucketBytes = 4096 // 8 physical blocks per logical bucket block
-	d, ix, _ := testSetup(t, 2000, 64, opts)
-	vec := engineAttached(t, ix, 16, 0, 0)
-	ps := vec.NewWaveSearcher()
-	var agg Stats
-	for _, q := range d.Queries {
-		_, st, err := ps.Search(q, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		agg.BucketIOs += st.BucketIOs
-		agg.CoalescedReads += st.CoalescedReads
-		agg.PhysicalReads += st.PhysicalReads
-		agg.DedupedReads += st.DedupedReads
-	}
-	if agg.BucketIOs == 0 {
-		t.Fatal("no bucket reads; test is vacuous")
-	}
-	// Every logical bucket block is 8 adjacent physical blocks: at least 7
-	// of every 8 physical reads must have been coalesced away.
-	if agg.CoalescedReads < agg.BucketIOs*7 {
-		t.Errorf("coalesced %d reads over %d logical bucket IOs; want >= %d",
-			agg.CoalescedReads, agg.BucketIOs, agg.BucketIOs*7)
-	}
-	// Every block the engine was asked for is one physical, coalesced or
-	// deduped read of some query.
-	reads := vec.IOEngine().Counters().Reads
-	if got := int64(agg.PhysicalReads + agg.CoalescedReads + agg.DedupedReads); got != reads {
-		t.Errorf("per-query stats inconsistent: %d phys + %d coalesced + %d deduped != %d engine reads",
-			agg.PhysicalReads, agg.CoalescedReads, agg.DedupedReads, reads)
 	}
 }
 

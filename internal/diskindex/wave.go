@@ -37,13 +37,12 @@ type WaveSearcher struct {
 	searcher
 	// Per-round arenas, sized for every probe a round can issue and reused
 	// across the searcher's queries: the probes (and their ids backing), one
-	// logical-block buffer per probe, and the flattened addr/buf slices of
-	// the current wave.
+	// block buffer per probe (block i of a wave lands in bufs[i]), and the
+	// addresses of the current wave.
 	probeBuf []probe
 	probes   []*probe
 	bufs     [][]byte
 	addrs    []blockstore.Addr
-	dsts     [][]byte
 	live     []*probe
 	heads    []slot
 	offs     []int
@@ -58,7 +57,7 @@ type WaveSearcher struct {
 	// virtual-time engine, which suspends the query there (see sim.go).
 	// bst is the running fetch's engine outcome, a field so that passing
 	// it through read does not move it to the heap.
-	read func(addrs []blockstore.Addr, dsts [][]byte, group int, bst *ioengine.BatchStats) ([]bool, error)
+	read func(addrs []blockstore.Addr, dsts [][]byte, bst *ioengine.BatchStats) ([]bool, error)
 	bst  ioengine.BatchStats
 }
 
@@ -86,17 +85,15 @@ func (s *WaveSearcher) sizeArenas(n int) {
 	if n <= len(s.probeBuf) {
 		return
 	}
-	phys := s.ix.physPerBucket
 	s.probeBuf = append(s.probeBuf, make([]probe, n-len(s.probeBuf))...)
 	for len(s.bufs) < n {
-		s.bufs = append(s.bufs, make([]byte, s.ix.bucketBufBytes()))
+		s.bufs = append(s.bufs, make([]byte, blockstore.BlockSize))
 	}
 	s.probes = make([]*probe, 0, n)
 	s.live = make([]*probe, 0, n)
 	s.heads = make([]slot, 0, n)
 	s.offs = make([]int, 0, n)
-	s.addrs = make([]blockstore.Addr, 0, n*phys)
-	s.dsts = make([][]byte, 0, n*phys)
+	s.addrs = make([]blockstore.Addr, 0, n)
 }
 
 // probe is one occupied bucket to fetch during a radius round.
@@ -151,17 +148,16 @@ func (s *WaveSearcher) Visit(r, l int, h uint32) (bool, error) {
 }
 
 // fetch is the round's read-and-verify loop. It reads the round's
-// table-entry blocks as one wave, then every live chain's current logical
-// block as one wave per chain depth, until the chains drain or the round is
-// decided. After each wave it runs verify, and once the driver reports the
-// round decided no further wave is issued. With an engine attached each
-// wave is one vectored submission, so adjacent blocks coalesce (a logical
-// block spanning several physical blocks contributes adjacent addresses), a
-// block probed twice in one wave is read once, and the backend sees the
-// configured queue depth. It fills each probe's fingerprint-matched ids and
-// folds the I/O, entry and engine counters into st. A chain cut short by an
-// unreadable block is skipped (degraded mode); the ids it collected before
-// the cut still verify.
+// table-entry blocks as one wave, then every live chain's current block as
+// one wave per chain depth, until the chains drain or the round is decided.
+// After each wave it runs verify, and once the driver reports the round
+// decided no further wave is issued. With an engine attached each wave is
+// one vectored submission, so adjacent blocks coalesce, a block probed twice
+// in one wave is read once, and the backend sees the configured queue
+// depth. It fills each probe's fingerprint-matched ids and folds the I/O,
+// entry and engine counters into st. A chain cut short by an unreadable
+// block is skipped (degraded mode); the ids it collected before the cut
+// still verify.
 //
 //lsh:hotpath
 func (s *WaveSearcher) fetch(rIdx int, st *Stats) error {
@@ -172,16 +168,14 @@ func (s *WaveSearcher) fetch(rIdx int, st *Stats) error {
 	bst := &s.bst
 	*bst = ioengine.BatchStats{}
 	s.vp, s.vi = 0, 0
-	phys := ix.physPerBucket
 	// Table wave, stashing each probe's slot byte offset for the decode.
-	addrs, dsts, offs := s.addrs[:0], s.dsts[:0], s.offs[:0]
-	for i, pr := range probes {
+	addrs, offs := s.addrs[:0], s.offs[:0]
+	for _, pr := range probes {
 		blk, off := ix.tableEntryBlock(rIdx, pr.l, pr.idx)
 		addrs = append(addrs, blk)
 		offs = append(offs, off)
-		dsts = append(dsts, s.bufs[i][:blockstore.BlockSize])
 	}
-	ok, err := s.readWave(rIdx, addrs, dsts, 1)
+	ok, err := s.readWave(rIdx, addrs)
 	if err != nil {
 		return err
 	}
@@ -199,18 +193,15 @@ func (s *WaveSearcher) fetch(rIdx int, st *Stats) error {
 		}
 	}
 
-	// Chain waves: one logical bucket block per live probe. s.heads holds
-	// the wave's slots while it is read, for the simulator's scan charge.
+	// Chain waves: one bucket block per live probe. s.heads holds the
+	// wave's slots while it is read, for the simulator's scan charge.
 	for !s.verify(live) && len(live) > 0 {
-		addrs, dsts = addrs[:0], dsts[:0]
-		for i := range live {
-			for b := 0; b < phys; b++ {
-				addrs = append(addrs, heads[i].addr+blockstore.Addr(b))
-				dsts = append(dsts, s.bufs[i][b*blockstore.BlockSize:(b+1)*blockstore.BlockSize])
-			}
+		addrs = addrs[:0]
+		for _, h := range heads {
+			addrs = append(addrs, h.addr)
 		}
 		s.heads = heads
-		ok, err = s.readWave(rIdx, addrs, dsts, phys)
+		ok, err = s.readWave(rIdx, addrs)
 		if err != nil {
 			return err
 		}
@@ -247,15 +238,15 @@ func (s *WaveSearcher) fetch(rIdx int, st *Stats) error {
 	return nil
 }
 
-// readWave reads one wave through s.read; on a traced query it adds the
-// wave's wait to the round's and records it as a StageIOWait span (N blocks
-// asked for, M physical reads they became).
+// readWave reads one wave through s.read, block i into s.bufs[i]; on a
+// traced query it adds the wave's wait to the round's and records it as a
+// StageIOWait span (N blocks asked for, M physical reads they became).
 //
 //lsh:hotpath
-func (s *WaveSearcher) readWave(rIdx int, addrs []blockstore.Addr, dsts [][]byte, group int) ([]bool, error) {
+func (s *WaveSearcher) readWave(rIdx int, addrs []blockstore.Addr) ([]bool, error) {
 	tr := s.lad.Trace()
 	start, phys := tr.Clock(), s.bst.PhysicalReads
-	ok, err := s.read(addrs, dsts, group, &s.bst)
+	ok, err := s.read(addrs, s.bufs[:len(addrs)], &s.bst)
 	if err == nil && tr.Active() {
 		d := tr.Clock() - start
 		s.wait += d

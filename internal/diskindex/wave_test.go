@@ -101,8 +101,8 @@ func TestChainGuardNeedsChains(t *testing.T) {
 		chains bool
 	}{{"chained", 2000, chained, true}, {"no chains", 90, DefaultOptions(), false}} {
 		d, ix, _ := testSetup(t, c.n, 1000, c.opts)
-		if c.n <= ix.entriesPerBlock != !c.chains {
-			t.Fatalf("%s: %d objects against %d entries per block", c.name, c.n, ix.entriesPerBlock)
+		if c.n <= entriesPerBlock != !c.chains {
+			t.Fatalf("%s: %d objects against %d entries per block", c.name, c.n, entriesPerBlock)
 		}
 		for _, sigma := range []int{1000, 2} {
 			for _, mp := range []int{0, 2} {
@@ -115,13 +115,13 @@ func TestChainGuardNeedsChains(t *testing.T) {
 	}
 }
 
-// chainLen returns how many logical blocks the chain at head spans.
+// chainLen returns how many blocks the chain at head spans.
 func chainLen(t *testing.T, ix *Index, head blockstore.Addr) int {
 	t.Helper()
-	buf := make([]byte, ix.bucketBufBytes())
+	buf := make([]byte, blockstore.BlockSize)
 	n := 0
 	for a := head; a != blockstore.Nil; n++ {
-		if err := ix.readLogicalBlock(a, buf, nil); err != nil {
+		if err := ix.readBlock(a, buf, nil); err != nil {
 			t.Fatal(err)
 		}
 		a, _ = bucketHeader(buf)
@@ -163,7 +163,7 @@ func decidedFixture(t *testing.T) (*Index, []float32) {
 			far = p
 		}
 	}
-	for range 3 * ix.entriesPerBlock {
+	for range 3 * entriesPerBlock {
 		if _, err := ix.Insert(far); err != nil {
 			t.Fatal(err)
 		}
@@ -216,20 +216,20 @@ func TestWaveStopsReadingOnceDecided(t *testing.T) {
 	if len(waves) < 2 {
 		t.Fatalf("round read %d waves, want the table wave and one chain wave", len(waves))
 	}
-	if first := int(waves[1].N) / ix.physPerBucket; st.BucketIOs != first {
+	if first := int(waves[1].N); st.BucketIOs != first {
 		t.Errorf("BucketIOs = %d, want the first chain wave's %d blocks", st.BucketIOs, first)
 	}
 	if len(waves) != 2 {
 		t.Errorf("round read %d waves, want the table wave and one chain wave", len(waves))
 	}
 	_, slots := roundZeroSlots(t, ix, q)
-	buf := make([]byte, ix.bucketBufBytes())
+	buf := make([]byte, blockstore.BlockSize)
 	decoded := 0
 	for _, sl := range slots {
 		if sl.addr == blockstore.Nil {
 			continue
 		}
-		if err := ix.readLogicalBlock(sl.addr, buf, nil); err != nil {
+		if err := ix.readBlock(sl.addr, buf, nil); err != nil {
 			t.Fatal(err)
 		}
 		_, lo, hi := sl.span(buf)

@@ -26,8 +26,6 @@ type Options struct {
 	// Seed drives hash function generation. Two indexes built with the same
 	// data, parameters and seed are identical.
 	Seed int64
-	// Workers bounds build parallelism; 0 means GOMAXPROCS.
-	Workers int
 }
 
 // DefaultOptions returns the options used by the experiment harness.
@@ -116,17 +114,12 @@ func Build(data [][]float32, p lsh.Params, opts Options) (*Index, error) {
 }
 
 // HashKeys computes the 32-bit compound hash of every object for every
-// (radius, table) pair, object-parallel across workers. The result is
-// indexed [radius][table][object]. It is shared by the in-memory and
-// on-storage index builders so both observe identical hashes.
-func HashKeys(data [][]float32, families []*lsh.Family, p lsh.Params, share bool, workers int) [][][]uint32 {
+// (radius, table) pair, object-parallel across GOMAXPROCS workers. The
+// result is indexed [radius][table][object]. It is shared by the in-memory
+// and on-storage index builders so both observe identical hashes.
+func HashKeys(data [][]float32, families []*lsh.Family, p lsh.Params, share bool) [][][]uint32 {
 	n := len(data)
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
+	workers := min(runtime.GOMAXPROCS(0), n)
 	keys := make([][][]uint32, p.R())
 	for r := range keys {
 		keys[r] = make([][]uint32, p.L)
@@ -192,11 +185,7 @@ func HashKeys(data [][]float32, families []*lsh.Family, p lsh.Params, share bool
 // (sorting), both deterministic.
 func (ix *Index) buildTables() error {
 	p := ix.params
-	workers := ix.opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	keys := HashKeys(ix.data, ix.families, p, ix.opts.ShareProjections, workers)
+	keys := HashKeys(ix.data, ix.families, p, ix.opts.ShareProjections)
 
 	// Freeze each table, table-parallel.
 	ix.tables = make([][]table, p.R())
@@ -206,7 +195,7 @@ func (ix *Index) buildTables() error {
 	type job struct{ r, l int }
 	jobs := make(chan job)
 	var tw sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for range runtime.GOMAXPROCS(0) {
 		tw.Add(1)
 		go func() {
 			defer tw.Done()
