@@ -12,6 +12,7 @@ import (
 	"os"
 	"reflect"
 	"regexp"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"testing"
@@ -186,9 +187,10 @@ var statsPromNames = []string{
 }
 
 // scrapeMetrics asserts the /metrics page carries every Stats counter by
-// name, the serving counters, and the latency summaries with their
-// p50/p99/p999 quantiles — the CI-side contract of the telemetry subsystem.
-func scrapeMetrics(t *testing.T, base string) {
+// name, the serving counters, the live-heap gauge, the latency summaries
+// with their p50/p99/p999 quantiles, and any extra names the engine under
+// test must add — the CI-side contract of the telemetry subsystem.
+func scrapeMetrics(t *testing.T, base string, extra ...string) {
 	t.Helper()
 	if want := reflect.TypeOf(e2lshos.Stats{}).NumField() + 1; len(statsPromNames) != want {
 		t.Fatalf("statsPromNames has %d entries for %d Stats fields (+ n_io); register the new counter's metric name",
@@ -215,9 +217,10 @@ func scrapeMetrics(t *testing.T, base string) {
 			t.Errorf("/metrics missing Stats counter %s", name)
 		}
 	}
-	for _, want := range []string{
+	for _, want := range append([]string{
 		"lsh_served_total", "lsh_failed_total", "lsh_canceled_total",
 		"lsh_shed_total", "lsh_uptime_seconds",
+		"lsh_go_heap_live_bytes", "lsh_go_gc_cpu_seconds_total", "lsh_go_cpu_seconds_total",
 		`lsh_http_request_seconds{quantile="0.5"}`,
 		`lsh_http_request_seconds{quantile="0.99"}`,
 		`lsh_http_request_seconds{quantile="0.999"}`,
@@ -227,7 +230,7 @@ func scrapeMetrics(t *testing.T, base string) {
 		// The sharded engine is telemetry-enabled by lshserve's -metrics
 		// default, so the per-stage engine summary must be present too.
 		`lsh_query_latency_seconds{stage="total"`,
-	} {
+	}, extra...) {
 		if !strings.Contains(page, want) {
 			t.Errorf("/metrics missing %q", want)
 		}
@@ -374,6 +377,43 @@ func floats(dim int) string {
 	return "[" + strings.Join(parts, ",") + "]"
 }
 
+// TestRunGCTarget: once built, lshserve serves at servingGCPercent unless
+// GOGC is set, when the operator's value stands, and run restores the
+// previous target when it returns.
+func TestRunGCTarget(t *testing.T) {
+	gcPercent := func() int {
+		p := debug.SetGCPercent(100)
+		debug.SetGCPercent(p)
+		return p
+	}
+	for _, tc := range []struct {
+		gogc string // "" leaves GOGC unset
+		want int
+	}{{"", servingGCPercent}, {"100", 100}} {
+		t.Setenv("GOGC", tc.gogc)
+		if tc.gogc == "" {
+			os.Unsetenv("GOGC") // t.Setenv restores the original afterwards
+		}
+		prev := debug.SetGCPercent(100)
+		ctx, cancel := context.WithCancel(context.Background())
+		served := make(chan int, 1)
+		var out bytes.Buffer
+		err := run(ctx, []string{"-addr", "127.0.0.1:0", "-n", "2000", "-queries", "10", "-k", "2"}, &out,
+			func(net.Addr) { served <- gcPercent(); cancel() })
+		cancel()
+		if err != nil {
+			t.Fatalf("GOGC=%q: %v\noutput:\n%s", tc.gogc, err, out.String())
+		}
+		if got := <-served; got != tc.want {
+			t.Errorf("GOGC=%q: served at GC percent %d, want %d", tc.gogc, got, tc.want)
+		}
+		if got := gcPercent(); got != 100 {
+			t.Errorf("GOGC=%q: GC percent %d after run returned, want 100 back", tc.gogc, got)
+		}
+		debug.SetGCPercent(prev)
+	}
+}
+
 // TestRunGracefulShutdown boots the real lshserve run loop on an ephemeral
 // port, serves one request, then cancels the context (what SIGINT does via
 // signal.NotifyContext) and requires a clean, prompt exit.
@@ -446,8 +486,9 @@ func TestRunGracefulShutdown(t *testing.T) {
 		t.Errorf("start-up memory line missing:\n%s", out.String())
 	}
 	// The run() flag defaults (-metrics on) must yield a complete scrape on
-	// the real serving loop, exactly as CI asserts on the httptest server.
-	scrapeMetrics(t, base)
+	// the real serving loop, exactly as CI asserts on the httptest server,
+	// and lshserve's one storage index reports its store's size.
+	scrapeMetrics(t, base, "lsh_index_store_bytes")
 
 	cancel() // stand-in for SIGINT: main wires the same ctx through signal.NotifyContext
 	select {

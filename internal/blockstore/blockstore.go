@@ -204,7 +204,7 @@ func (s *Store) WriteBlock(a Addr, data []byte) error {
 
 // memBackend stores blocks in fixed-size chunks to avoid one giant
 // allocation and to grow smoothly. On unix the chunks are mapped outside the
-// Go heap and unmapped once the backend is unreachable (chunk_mmap.go). The
+// Go heap and unmapped once the backend is unreachable (chunk.go). The
 // chunk table is guarded by an RWMutex so vectored reads may race writes to
 // other blocks (writes to the same block as a concurrent read remain the
 // caller's responsibility, as on a real device).

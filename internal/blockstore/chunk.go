@@ -1,40 +1,44 @@
-//go:build unix && !race
-
 package blockstore
 
 import (
 	"fmt"
 	"runtime"
 	"sync/atomic"
-	"syscall"
+
+	"e2lshos/internal/offheap"
 )
 
-// mappedChunks counts the memory backends' chunks currently mapped.
+// mappedChunks counts the memory backends' chunks currently mapped outside
+// the Go heap (always zero where offheap keeps slabs on the heap).
 var mappedChunks atomic.Int64
 
-// newChunk maps one zeroed chunk from anonymous memory outside the Go heap,
-// so a large RAM store is not live heap: the collector neither scans it nor
-// counts it toward the next heap goal. Under the race detector, which only
-// watches heap addresses, chunks stay on the heap (chunk_heap.go).
+// newChunk allocates one zeroed chunk through offheap: on unix a mapping
+// outside the Go heap, so a large RAM store is not live heap and the
+// collector neither scans it nor counts it toward the next heap goal.
 func newChunk() ([]byte, error) {
-	c, err := syscall.Mmap(-1, 0, chunkBlocks*BlockSize,
-		syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
+	c, err := offheap.Alloc(chunkBlocks * BlockSize)
 	if err != nil {
-		return nil, fmt.Errorf("blockstore: map %d-byte chunk: %w", chunkBlocks*BlockSize, err)
+		return nil, fmt.Errorf("blockstore: chunk: %w", err)
 	}
-	mappedChunks.Add(1)
+	if offheap.Mapped {
+		mappedChunks.Add(1)
+	}
 	return c, nil
 }
 
 // unmapOnGC arranges for m's chunks to be unmapped once m is unreachable. It
 // is called once, before m's first chunk is mapped. No slice of a chunk ever
 // leaves m (reads and writes copy), and every method that touches a chunk
-// releases m.mu after its copy, so m stays reachable while a copy runs.
+// releases m.mu after its copy, so m stays reachable while a copy runs. Heap
+// chunks need no finalizer: the collector frees them with m.
 func unmapOnGC(m *memBackend) {
+	if !offheap.Mapped {
+		return
+	}
 	runtime.SetFinalizer(m, func(m *memBackend) {
 		//lsh:nolock a finalizer runs once nothing else can reach m
 		for _, c := range m.chunks {
-			if syscall.Munmap(c) == nil {
+			if offheap.Free(c) == nil {
 				mappedChunks.Add(-1)
 			}
 		}

@@ -182,7 +182,12 @@ func (ix *Index) SetPartitions(parts int) { ix.parts = parts }
 func (ix *Index) TableBits() uint { return ix.u }
 
 // StorageBytes returns the on-storage index size (Table 6, "Index storage").
-func (ix *Index) StorageBytes() int64 { return ix.store.Bytes() }
+// Safe beside updates, which grow the store under the update lock.
+func (ix *Index) StorageBytes() int64 {
+	ix.upd.mu.RLock()
+	defer ix.upd.mu.RUnlock()
+	return ix.store.Bytes()
+}
 
 // MemBytes returns the DRAM footprint of index metadata: occupancy bitmaps,
 // table base addresses and hash functions (Table 6, "(Index mem)").
@@ -296,16 +301,25 @@ func Build(data [][]float32, p lsh.Params, opts Options, store *blockstore.Store
 }
 
 // build hashes every object and writes all table regions and bucket chains.
+// HashKeys fills one key slab per radius up front; radius r's slab is freed
+// as soon as its L tables are written, so while the store grows the keys
+// shrink, and the build holds the vectors plus the larger of the two rather
+// than their sum. The deferred FreeAll frees what an error leaves.
 func (ix *Index) build() error {
 	p := ix.params
 	n := len(ix.data)
-	keys := memindex.HashKeys(ix.data, ix.families, p, ix.opts.ShareProjections)
+	keys, err := memindex.HashKeys(ix.data, ix.families, p, ix.opts.ShareProjections)
+	if err != nil {
+		return err
+	}
+	defer keys.FreeAll()
 
 	numBuckets := uint32(1) << ix.u
 	mask := numBuckets - 1
 	// Reused scratch buffers.
 	counts := make([]int32, numBuckets)
 	starts := make([]int32, numBuckets+1)
+	fill := make([]int32, numBuckets)
 	sorted := make([]uint32, n) // object ids grouped by bucket index
 	slots := make([]uint64, numBuckets)
 	packBuf := make([]byte, blockstore.BlockSize)
@@ -317,7 +331,7 @@ func (ix *Index) build() error {
 		ix.tableBase[r] = make([]blockstore.Addr, p.L)
 		ix.occupied[r] = make([][]uint64, p.L)
 		for l := 0; l < p.L; l++ {
-			hashes := keys[r][l]
+			hashes := keys.Table(r, l)
 			// Group object ids by bucket index (stable counting sort).
 			clear(counts)
 			for _, h := range hashes {
@@ -327,7 +341,6 @@ func (ix *Index) build() error {
 			for i := uint32(0); i < numBuckets; i++ {
 				starts[i+1] = starts[i] + counts[i]
 			}
-			fill := make([]int32, numBuckets)
 			copy(fill, starts[:numBuckets])
 			for obj, h := range hashes {
 				idx := h & mask
@@ -350,8 +363,8 @@ func (ix *Index) build() error {
 			if err := ix.writeTableRegion(ix.tableBase[r][l], slots); err != nil {
 				return err
 			}
-			keys[r][l] = nil // release hash memory as tables freeze
 		}
+		keys.Free(r)
 	}
 	return nil
 }

@@ -36,7 +36,11 @@ func (ix *Index) CheckInvariants() error {
 	u.mu.RLock()
 	defer u.mu.RUnlock()
 	p := ix.params
-	keys := memindex.HashKeys(ix.data, ix.families, p, ix.opts.ShareProjections)
+	keys, err := memindex.HashKeys(ix.data, ix.families, p, ix.opts.ShareProjections)
+	if err != nil {
+		return err
+	}
+	defer keys.FreeAll()
 	numBuckets := uint32(1) << ix.u
 	mask := numBuckets - 1
 	buf := make([]byte, blockstore.BlockSize)
@@ -46,7 +50,7 @@ func (ix *Index) CheckInvariants() error {
 	claimed := make(map[blockstore.Addr][]bool)
 	for r := 0; r < p.R(); r++ {
 		for l := 0; l < p.L; l++ {
-			hashes := keys[r][l]
+			hashes := keys.Table(r, l)
 			for idx := uint32(0); idx < numBuckets; idx++ {
 				sl, err := ix.loadTableEntry(r, l, idx, buf)
 				if err != nil {

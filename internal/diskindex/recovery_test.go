@@ -130,6 +130,60 @@ func TestWALRecoveryRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReplayOfFreshInsertsReadsNoMoreThanLive: replaying inserts of objects
+// the checkpoint image does not hold reads no more blocks than the same
+// inserts applied live. Such an object has no entries in the loaded store,
+// so replay must not scan its buckets' chains for them.
+func TestReplayOfFreshInsertsReadsNoMoreThanLive(t *testing.T) {
+	d, err := dataset.Generate(dataset.Spec{
+		Name: "walfresh", N: 130, Queries: 5, Dim: 16, Clusters: 5, Spread: 0.05, Seed: 79,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n, k = 100, 20 // 7 ID bits leave 28 insert slots
+	p := smallParams(t, d, n)
+	dir := t.TempDir()
+	live := faultinject.Wrap(blockstore.NewMemBackend(), faultinject.Schedule{})
+	live.Disarm() // the build and the first checkpoint read blocks too
+	ix := walFixture(t, d, p, n, dir, WALConfig{}, live)
+	live.Arm()
+	for i := n; i < n+k; i++ {
+		if _, err := ix.Insert(d.Vectors[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	liveReads := live.Counters().Reads
+
+	replay := faultinject.Wrap(blockstore.NewMemBackend(), faultinject.Schedule{})
+	base := make([][]float32, n)
+	copy(base, d.Vectors[:n])
+	rec, err := OpenWAL(dir, base, blockstore.NewWithBackend(replay), WALConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := rec.RecoveryStats(); st.Replayed != k {
+		t.Fatalf("replayed %d records, want %d", st.Replayed, k)
+	}
+	replayReads := replay.Counters().Reads
+	t.Logf("%d fresh inserts: %d block reads live, %d in replay", k, liveReads, replayReads)
+	if replayReads > liveReads {
+		t.Errorf("replaying %d fresh inserts read %d blocks, applying them live %d", k, replayReads, liveReads)
+	}
+	if err := rec.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	counts, err := rec.EntryCounts()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := uint32(n); id < n+k; id++ {
+		if counts[id] != p.L*p.R() {
+			t.Fatalf("replayed insert %d has %d entries, want %d", id, counts[id], p.L*p.R())
+		}
+	}
+}
+
 func TestCheckpointTruncatesAndSurvives(t *testing.T) {
 	d, err := dataset.Generate(dataset.Spec{
 		Name: "walck", N: 140, Queries: 5, Dim: 16, Clusters: 5, Spread: 0.05, Seed: 78,

@@ -119,14 +119,18 @@ func (ix *Index) Insert(v []float32) (uint32, error) {
 
 // applyInsertLocked hashes v and adds its entry to every (radius, table)
 // chain. With idem set (WAL replay) each chain is first scanned for the
-// entry, so re-applying an already-applied record is a no-op per chain —
-// the idempotence that makes multi-block inserts atomic under replay.
+// entry when the object is already resident, so re-applying an
+// already-applied record is a no-op per chain — the idempotence that makes
+// multi-block inserts atomic under replay. A fresh object (id is the next
+// ID) skips the scan: a store just loaded from its checkpoint image holds
+// entries only for the objects resident when the image was taken.
 func (ix *Index) applyInsertLocked(id uint32, v []float32, idem bool) error {
 	u := ix.upd
 	sc := u.scratchLocked(ix)
 	switch {
 	case int(id) == len(ix.data):
 		ix.data = append(ix.data, v)
+		idem = false
 	case int(id) < len(ix.data):
 		// Replaying a record whose vector already made it into the dataset;
 		// the chain-level idempotence below sorts out the entries.

@@ -141,6 +141,10 @@ func BenchmarkHashKeys(b *testing.B) {
 	b.Logf("L=%d M=%d radii=%d", p.L, p.M, p.R())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		HashKeys(d.Vectors, fams, p, true)
+		keys, err := HashKeys(d.Vectors, fams, p, true)
+		if err != nil {
+			b.Fatal(err)
+		}
+		keys.FreeAll()
 	}
 }

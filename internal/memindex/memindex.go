@@ -11,10 +11,13 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
+	"unsafe"
 
 	"e2lshos/internal/ann"
 	"e2lshos/internal/ladder"
 	"e2lshos/internal/lsh"
+	"e2lshos/internal/offheap"
 )
 
 // Options configure index construction beyond the algorithmic parameters.
@@ -113,20 +116,78 @@ func Build(data [][]float32, p lsh.Params, opts Options) (*Index, error) {
 	return ix, nil
 }
 
-// HashKeys computes the 32-bit compound hash of every object for every
-// (radius, table) pair, object-parallel across GOMAXPROCS workers. The
-// result is indexed [radius][table][object]. It is shared by the in-memory
-// and on-storage index builders so both observe identical hashes.
-func HashKeys(data [][]float32, families []*lsh.Family, p lsh.Params, share bool) [][][]uint32 {
-	n := len(data)
-	workers := min(runtime.GOMAXPROCS(0), n)
-	keys := make([][][]uint32, p.R())
-	for r := range keys {
-		keys[r] = make([][]uint32, p.L)
-		for l := range keys[r] {
-			keys[r][l] = make([]uint32, n)
-		}
+// Keys holds the 32-bit compound hash of every object at every (radius,
+// table) pair: one slab of L·n keys per radius, allocated through
+// internal/offheap, so on unix the keys live outside the Go heap and each
+// radius's slab goes back to the operating system the moment it is freed.
+// The owner frees every slab it holds, on every return path: FreeAll after
+// use, or Free(r) as soon as radius r is no longer needed.
+type Keys struct {
+	n   int
+	mem [][]byte // per radius: the slab, table l's keys at [4·l·n, 4·(l+1)·n); nil once freed
+}
+
+// keySlabBytes counts the bytes of key slabs allocated and not yet freed.
+var keySlabBytes atomic.Int64
+
+// KeySlabBytes reports the bytes held by key slabs that have not been freed,
+// on or off the Go heap: zero whenever no HashKeys result is in use.
+func KeySlabBytes() int64 { return keySlabBytes.Load() }
+
+// Table returns the keys of table l at radius r, indexed by object ID. The
+// slice is valid only until Free(r) or FreeAll.
+func (k *Keys) Table(r, l int) []uint32 {
+	return k.slab(r)[l*k.n : (l+1)*k.n]
+}
+
+// slab views radius r's slab as keys (nil once freed). Both sides of
+// offheap.Alloc align it for uint32.
+func (k *Keys) slab(r int) []uint32 {
+	if k.mem[r] == nil {
+		return nil
 	}
+	return unsafe.Slice((*uint32)(unsafe.Pointer(&k.mem[r][0])), len(k.mem[r])/4)
+}
+
+// Free releases radius r's slab; a second call does nothing.
+func (k *Keys) Free(r int) {
+	if k.mem[r] == nil {
+		return
+	}
+	// A slab that fails to unmap stays mapped and counted, and the counter
+	// shows the leak.
+	if offheap.Free(k.mem[r]) == nil {
+		keySlabBytes.Add(-int64(len(k.mem[r])))
+	}
+	k.mem[r] = nil
+}
+
+// FreeAll releases every slab still held.
+func (k *Keys) FreeAll() {
+	for r := range k.mem {
+		k.Free(r)
+	}
+}
+
+// HashKeys computes the 32-bit compound hash of every object for every
+// (radius, table) pair, object-parallel across GOMAXPROCS workers. It is
+// shared by the in-memory and on-storage index builders so both observe
+// identical hashes. All R slabs are filled at once, because shared
+// projections are computed once per object and re-quantized at every radius;
+// the caller owns them from then on and must free each one (Keys).
+func HashKeys(data [][]float32, families []*lsh.Family, p lsh.Params, share bool) (*Keys, error) {
+	n := len(data)
+	keys := &Keys{n: n, mem: make([][]byte, p.R())}
+	for r := range keys.mem {
+		b, err := offheap.Alloc(p.L * n * 4)
+		if err != nil {
+			keys.FreeAll()
+			return nil, fmt.Errorf("memindex: hash keys: %w", err)
+		}
+		keySlabBytes.Add(int64(len(b)))
+		keys.mem[r] = b
+	}
+	workers := min(runtime.GOMAXPROCS(0), n)
 	var wg sync.WaitGroup
 	chunk := (n + workers - 1) / workers
 	for w := 0; w < workers; w++ {
@@ -166,10 +227,11 @@ func HashKeys(data [][]float32, families []*lsh.Family, p lsh.Params, share bool
 							}
 						}
 					}
+					slab := keys.slab(r)
 					for k := range vs {
 						fam.HashesAtBulk(proj[k], p.Radii[r], hashes)
 						for l := 0; l < p.L; l++ {
-							keys[r][l][obj+k] = hashes[l]
+							slab[l*n+obj+k] = hashes[l]
 						}
 					}
 				}
@@ -177,15 +239,19 @@ func HashKeys(data [][]float32, families []*lsh.Family, p lsh.Params, share bool
 		}(lo, hi)
 	}
 	wg.Wait()
-	return keys
+	return keys, nil
 }
 
 // buildTables hashes every object at every radius and freezes the buckets.
 // Work is parallelized over objects (hash computation) and then over tables
-// (sorting), both deterministic.
+// (sorting), both deterministic. The key slabs are freed before it returns.
 func (ix *Index) buildTables() error {
 	p := ix.params
-	keys := HashKeys(ix.data, ix.families, p, ix.opts.ShareProjections)
+	keys, err := HashKeys(ix.data, ix.families, p, ix.opts.ShareProjections)
+	if err != nil {
+		return err
+	}
+	defer keys.FreeAll()
 
 	// Freeze each table, table-parallel.
 	ix.tables = make([][]table, p.R())
@@ -200,7 +266,7 @@ func (ix *Index) buildTables() error {
 		go func() {
 			defer tw.Done()
 			for j := range jobs {
-				ix.tables[j.r][j.l] = freezeTable(keys[j.r][j.l])
+				ix.tables[j.r][j.l] = freezeTable(keys.Table(j.r, j.l))
 			}
 		}()
 	}

@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"runtime"
+	"runtime/metrics"
 	"strconv"
 	"sync"
 	"time"
@@ -754,6 +755,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // JSON keys), the serving counters, the always-on request-latency and
 // coalescer-wait summaries, the batch-size and queue-depth settings, the I/O
 // engine's retry and quarantine counters (lsh_io_*, when the engine has one),
+// the store's size and the Go runtime's live heap and GC CPU (lsh_go_*),
 // and — when the engine has telemetry or autotuning enabled — its per-stage
 // latency summaries and model state under the lsh_ prefix.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -798,6 +800,22 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if d, ok := s.eng.(interface{ IODepth() int }); ok {
 		telemetry.WriteGauge(w, "lsh_io_depth", float64(d.IODepth()))
 	}
+	// Where resident memory goes: the index store (on unix a RAM store sits
+	// outside the Go heap), the heap the last collection left live, and what
+	// collecting it costs against all the process's Go CPU.
+	if sb, ok := s.eng.(interface{ StorageBytes() int64 }); ok {
+		telemetry.WriteGauge(w, "lsh_index_store_bytes", float64(sb.StorageBytes()))
+	}
+	rt := []metrics.Sample{
+		{Name: "/gc/heap/live:bytes"},
+		{Name: "/cpu/classes/gc/total:cpu-seconds"},
+		{Name: "/cpu/classes/total:cpu-seconds"},
+		{Name: "/cpu/classes/idle:cpu-seconds"},
+	}
+	metrics.Read(rt)
+	telemetry.WriteGauge(w, "lsh_go_heap_live_bytes", float64(rt[0].Value.Uint64()))
+	telemetry.WriteCounter(w, "lsh_go_gc_cpu_seconds_total", rt[1].Value.Float64())
+	telemetry.WriteCounter(w, "lsh_go_cpu_seconds_total", rt[2].Value.Float64()-rt[3].Value.Float64())
 	if e, ok := s.eng.(interface{ IOCounters() IOEngineCounters }); ok {
 		c := e.IOCounters()
 		telemetry.WriteCounter(w, "lsh_io_reads_total", float64(c.Reads))

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -116,6 +117,59 @@ func TestServeInsertDelete(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q", want)
 		}
+	}
+}
+
+// TestMetricsStoreBytesBesideInserts: /metrics reads the store's size while
+// inserts grow it (under -race, the check that the read is synchronized), and
+// the gauge follows the growth.
+func TestMetricsStoreBytesBesideInserts(t *testing.T) {
+	ds, _, h := newUpdateServer(t)
+	gauge := func(name string) float64 {
+		met := httptest.NewRecorder()
+		h.ServeHTTP(met, httptest.NewRequest("GET", "/metrics", nil))
+		for _, line := range strings.Split(met.Body.String(), "\n") {
+			if v, ok := strings.CutPrefix(line, name+" "); ok {
+				f, err := strconv.ParseFloat(v, 64)
+				if err != nil {
+					t.Fatalf("%s: %v", line, err)
+				}
+				return f
+			}
+		}
+		t.Fatalf("/metrics has no %s", name)
+		return 0
+	}
+	before := gauge("lsh_index_store_bytes")
+	done := make(chan error, 1)
+	go func() {
+		for i := 1000; i < 1020; i++ { // 10 ID bits leave 24 insert slots
+			body, _ := json.Marshal(insertRequest{Vector: ds.Vectors[i]})
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/insert", bytes.NewReader(body)))
+			if rec.Code != 200 {
+				done <- fmt.Errorf("insert %d: %d %s", i, rec.Code, rec.Body)
+				return
+			}
+		}
+		done <- nil
+	}()
+	for scraping := true; scraping; {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			scraping = false
+		default:
+			gauge("lsh_index_store_bytes")
+		}
+	}
+	if after := gauge("lsh_index_store_bytes"); after <= before {
+		t.Errorf("50 inserts left lsh_index_store_bytes at %v (was %v)", after, before)
+	}
+	if live := gauge("lsh_go_heap_live_bytes"); live <= 0 {
+		t.Errorf("lsh_go_heap_live_bytes = %v", live)
 	}
 }
 
