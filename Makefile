@@ -55,13 +55,15 @@ chaos:
 # Crash-recovery gate: the crash-point sweep (every WAL append, sync, and
 # block write killed in fail-stop and torn-write mode, then recovered), the
 # concurrent update/search race tests (budgeted batches beside Insert
-# included) and the mutation-history golden digests, all under the race
+# included), the mutation-history golden digests and the storage-option
+# model test (random update/crash/reopen histories over partitions × I/O
+# engine × the three ways to open a crash-safe index), all under the race
 # detector.
 crash:
 	$(GO) test -race -count=1 \
 		-run 'TestCrashRecoverySweep|TestGroupCommitCrashKeepsPrefix|TestConcurrentInsertSearch|TestMutationGoldenDigest' \
 		./internal/diskindex
-	$(GO) test -race -count=1 -run 'TestWALFacadeConcurrentUpdates|TestBudgetedBatchSearchBesideInsert' .
+	$(GO) test -race -count=1 -run 'TestWALFacadeConcurrentUpdates|TestBudgetedBatchSearchBesideInsert|TestStorageOptionModel' .
 
 # Every benchmark three times over, then at counts that time them: the
 # build's hash pass — the hash and projection kernels at lib-file-batch's

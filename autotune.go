@@ -1,7 +1,6 @@
 package e2lshos
 
 import (
-	"fmt"
 	"sync/atomic"
 
 	"e2lshos/internal/autotune"
@@ -26,17 +25,6 @@ const (
 // policy.
 func ParseDegradePolicy(s string) (DegradePolicy, error) { return autotune.ParseDegradePolicy(s) }
 
-// AutotuneOption tunes EnableAutotune.
-type AutotuneOption func(*autotune.Config)
-
-// WithMinTrain sets how many full-ladder observations the self-recall model
-// needs before recall-target early stops are allowed (default 16).
-func WithMinTrain(n int) AutotuneOption { return func(c *autotune.Config) { c.MinTrain = n } }
-
-// WithExploreEvery keeps 1-in-n recall-targeted queries on the full ladder so
-// the model keeps learning under sustained tuned traffic (default 32).
-func WithExploreEvery(n int) AutotuneOption { return func(c *autotune.Config) { c.Explore = n } }
-
 // tune is the autotuning anchor the E2LSH engines embed, mirroring telem: an
 // atomically-swapped tuner, so autotuning can be enabled on a live engine and
 // the disabled query path costs exactly one atomic load.
@@ -52,20 +40,7 @@ func (t *tune) tuner() *autotune.Tuner { return t.tn.Load() }
 // every query (tuned or not) feeds the engine's online recall-vs-radius and
 // round-latency model. Safe to call on a live engine; calling again replaces
 // the tuner and forgets the model learned so far.
-func (t *tune) EnableAutotune(opts ...AutotuneOption) error {
-	var cfg autotune.Config
-	for _, o := range opts {
-		o(&cfg)
-	}
-	switch {
-	case cfg.MinTrain < 0:
-		return fmt.Errorf("e2lshos: negative autotune min-train %d", cfg.MinTrain)
-	case cfg.Explore < 0:
-		return fmt.Errorf("e2lshos: negative autotune explore period %d", cfg.Explore)
-	}
-	t.tn.Store(autotune.New(cfg))
-	return nil
-}
+func (t *tune) EnableAutotune() { t.tn.Store(autotune.New(autotune.Config{})) }
 
 // observeServedRecall feeds one shadow-scored served recall into the tuner's
 // guardrail margin (no-op while autotuning is disabled). ShardedIndex shadows

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"e2lshos/internal/autotune"
 	"e2lshos/internal/blockstore"
 	"e2lshos/internal/diskindex"
 	"e2lshos/internal/iosim"
@@ -71,9 +72,7 @@ func TestRecallTargetCutsIOs(t *testing.T) {
 	}
 	// Explore effectively off so the tuned phase below is all early-stop
 	// eligible; the warmup phase trains the model.
-	if err := ix.EnableAutotune(WithMinTrain(8), WithExploreEvery(1<<20)); err != nil {
-		t.Fatal(err)
-	}
+	ix.tn.Store(autotune.New(autotune.Config{MinTrain: 8, Explore: 1 << 20}))
 
 	// Full-ladder passes: train the model (two passes so the per-cell
 	// observation counts clear MinTrain broadly) and record the shadow
@@ -131,9 +130,7 @@ func wallStorageIndex(t *testing.T, d *Dataset, scale float64) *StorageIndex {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := diskindex.Build(d.Vectors, p, diskindex.Options{
-		ShareProjections: true, Seed: seed, TableBits: tableBits,
-	}, blockstore.NewWithBackend(wall))
+	ix, err := diskindex.Build(d.Vectors, p, diskindex.Options{Seed: seed, TableBits: tableBits}, blockstore.NewWithBackend(wall))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,9 +154,7 @@ func TestLatencyBudgetBoundsTail(t *testing.T) {
 	// cSSD's 139µs service time scaled to ~14µs keeps the test fast while
 	// still dominating compute.
 	ix := wallStorageIndex(t, d, 0.1)
-	if err := ix.EnableAutotune(WithMinTrain(4)); err != nil {
-		t.Fatal(err)
-	}
+	ix.tn.Store(autotune.New(autotune.Config{MinTrain: 4}))
 
 	// Warmup + baseline: full-ladder wall times, which also train the
 	// per-round duration EWMA the budget controller predicts with.

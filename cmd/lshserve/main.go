@@ -77,7 +77,7 @@ func run(ctx context.Context, args []string, out io.Writer, ready func(addr net.
 		recallTgt = fs.Float64("recall-target", 0, "server-default recall target in (0,1): stop each radius ladder once the learned self-recall model clears it (0 = off; implies -autotune)")
 		latBudget = fs.Duration("latency-budget", 0, "server-default per-query latency budget; queries degrade knobs mid-ladder to fit (0 = off; implies -autotune)")
 		degrade   = fs.String("degrade", "knobs", "out-of-budget behavior: knobs (graceful degradation) or stop")
-		walDir    = fs.String("wal", "", "WAL directory for durable online updates (POST /v1/insert, DELETE /v1/object/{id}): serves one crash-safe, unpartitioned storage engine, recovering from the directory when it already holds a checkpoint; the dataset flags must match across restarts (generation is deterministic)")
+		walDir    = fs.String("wal", "", "WAL directory for durable online updates (POST /v1/insert, DELETE /v1/object/{id}): serves one crash-safe storage index in one partition (-shards does not apply), recovering from the directory when it already holds a checkpoint; the dataset flags must match across restarts (generation is deterministic)")
 		fsyncEver = fs.Int("fsync-every", 1, "WAL group commit: fsync the log every N appends (needs -wal; N>1 trades a bounded ack-durability window for update throughput)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -118,47 +118,34 @@ func run(ctx context.Context, args []string, out io.Writer, ready func(addr net.
 		return err
 	}
 
-	// tunable is what every servable engine build must come back as: the
-	// Engine itself plus the observability/SLO surfaces the flags drive.
-	type tunable interface {
-		e2lshos.Engine
-		EnableTelemetry(opts ...e2lshos.TelemetryOption) error
-		EnableAutotune(opts ...e2lshos.AutotuneOption) error
-	}
-	var eng tunable
+	var eng *e2lshos.StorageIndex
 	if *walDir != "" {
-		// WAL mode: one crash-safe storage engine, unpartitioned (the log
-		// and its checkpoint generations do not yet cover partitions).
+		// WAL mode: one crash-safe storage index in one partition. The log
+		// would cover partitions too; one is the shape this mode serves, by
+		// choice.
 		walOpts := append(storageOpts, e2lshos.WithFsyncEvery(*fsyncEver))
-		six, err := e2lshos.OpenWALIndex(*walDir, ds.Vectors, walOpts...)
+		eng, err = e2lshos.OpenWALIndex(*walDir, ds.Vectors, walOpts...)
 		switch {
 		case err == nil:
-			rst := six.RecoveryStats()
+			rst := eng.RecoveryStats()
 			fmt.Fprintf(out, "recovered WAL generation %d from %s: %d records replayed (torn tail: %v)\n",
 				rst.Generation, *walDir, rst.Replayed, rst.TornTail)
 		case errors.Is(err, os.ErrNotExist):
 			fmt.Fprintf(out, "building crash-safe storage engine, logging to %s\n", *walDir)
-			six, err = e2lshos.NewStorageIndex(ds.Vectors, e2lshos.Config{Sigma: *sigma},
+			eng, err = e2lshos.NewStorageIndex(ds.Vectors, e2lshos.Config{Sigma: *sigma},
 				append(walOpts, e2lshos.WithWAL(*walDir))...)
-			if err != nil {
-				return err
-			}
-		default:
-			return err
 		}
-		eng = six
 	} else {
 		// One index, one walk of its tables per query; each hash partition
 		// climbs its own ladder, so the answers are those of -shards storage
 		// shards behind a router, at one partition's I/O.
 		fmt.Fprintf(out, "building one storage index in %d hash partitions (a ladder and top-k each over one table walk); %d execution slots\n",
 			*shards, runtime.GOMAXPROCS(0))
-		ix, err := e2lshos.NewStorageIndex(ds.Vectors, e2lshos.Config{Sigma: *sigma},
+		eng, err = e2lshos.NewStorageIndex(ds.Vectors, e2lshos.Config{Sigma: *sigma},
 			append(storageOpts, e2lshos.WithShards(*shards))...)
-		if err != nil {
-			return err
-		}
-		eng = ix
+	}
+	if err != nil {
+		return err
 	}
 	if *metrics || *traceSamp > 0 || *slowQuery > 0 {
 		topts := []e2lshos.TelemetryOption{e2lshos.WithTracing(*traceSamp)}
@@ -170,9 +157,7 @@ func run(ctx context.Context, args []string, out io.Writer, ready func(addr net.
 		}
 	}
 	if *autotune {
-		if err := eng.EnableAutotune(); err != nil {
-			return err
-		}
+		eng.EnableAutotune()
 		fmt.Fprintf(out, "autotune on (recall target %g, latency budget %v, degrade %s)\n",
 			*recallTgt, *latBudget, degradePolicy)
 	}

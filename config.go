@@ -75,13 +75,14 @@ func (c Config) derive(data [][]float32) (lsh.Params, int64, uint, error) {
 	return p, seed, c.TableBits, err
 }
 
-// StorageOption tunes the storage tier of NewStorageIndex and
-// OpenStorageIndex beyond the algorithmic Config: the I/O engine (queue
-// depth, block cache, readahead, retries) that sits between the query path
-// and the block store, and the write-ahead log. No option turns off the
-// CRC32C check of every block read. Unlike SearchOptions these are
-// build/open-time choices; the accuracy knobs stay in Config and the
-// per-query options.
+// StorageOption tunes the storage tier of NewStorageIndex, OpenStorageIndex
+// and OpenWALIndex beyond the algorithmic Config: the block store's backend,
+// the I/O engine (queue depth, block cache, readahead, retries) that sits
+// between the query path and the block store, the hash partitions and the
+// write-ahead log. Every option composes with every other and with all three
+// constructors. No option turns off the CRC32C check of every block read.
+// Unlike SearchOptions these are build/open-time choices; the accuracy knobs
+// stay in Config and the per-query options.
 type StorageOption func(*storageSettings)
 
 // storageSettings is the resolved storage option set.
@@ -147,10 +148,11 @@ func WithRetries(n int) StorageOption {
 
 // WithWAL makes online updates durable: Insert and Delete append a
 // checksummed record to a write-ahead log under dir before touching the
-// index, and ack only after the record is synced. NewStorageIndex writes an
-// initial checkpoint into dir (which must not already hold one — recover an
-// existing directory with OpenWALIndex instead); Checkpoint truncates the
-// log under a fresh checkpoint image.
+// index, and ack only after the record is synced. NewStorageIndex and
+// OpenStorageIndex write an initial checkpoint into dir (which must not
+// already hold one — recover an existing directory with OpenWALIndex
+// instead); Checkpoint truncates the log under a fresh checkpoint image. One
+// log serves every partition of a WithShards index.
 func WithWAL(dir string) StorageOption {
 	return func(s *storageSettings) { s.walDir = dir }
 }
@@ -164,11 +166,10 @@ func WithFsyncEvery(n int) StorageOption {
 	return func(s *storageSettings) { s.fsyncEvery = n }
 }
 
-// WithStorageBackend builds the index's block store over the supplied
-// backend instead of the default in-memory one — the injection point for
-// fault-injecting wrappers in chaos tests and for custom block devices.
-// Build-time only: OpenStorageIndex owns its store's backend and rejects
-// this option.
+// WithStorageBackend puts the index's block store over the supplied backend
+// instead of the default in-memory one — the injection point for
+// fault-injecting wrappers in chaos tests and for custom block devices. The
+// index is built, loaded or recovered into it, starting at its first block.
 func WithStorageBackend(b blockstore.Backend) StorageOption {
 	return func(s *storageSettings) { s.backend = b }
 }
@@ -184,8 +185,9 @@ func WithStorageBackend(b blockstore.Backend) StorageOption {
 // partition's ladder instead of the sum of s ladders. The index is still one
 // engine: a lone query runs on one goroutine. Every index is partitioned: the
 // default, WithShards(1), is one partition holding every object, the plain
-// E2LSH ladder. Every partition must own at least one object. Not yet
-// combinable with WithWAL.
+// E2LSH ladder. Every partition must own at least one object. Partitions are
+// not persisted: an opened or recovered index takes the count its open asks
+// for.
 func WithShards(s int) StorageOption {
 	return func(st *storageSettings) { st.shards = s }
 }
@@ -218,8 +220,6 @@ func resolveStorageSettings(opts []StorageOption) (storageSettings, error) {
 		return s, fmt.Errorf("e2lshos: WithFsyncEvery requires WithWAL (it tunes the log's group commit)")
 	case s.shards < 0:
 		return s, fmt.Errorf("e2lshos: negative shard count %d", s.shards)
-	case s.shards > 1 && s.walDir != "":
-		return s, fmt.Errorf("e2lshos: WithShards(%d) does not combine with WithWAL yet; a crash-safe index is unpartitioned", s.shards)
 	}
 	if s.ioDepth == 0 && (s.cacheBytes > 0 || s.retries > 0) {
 		s.ioDepth = defaultIODepth

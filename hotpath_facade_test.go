@@ -155,9 +155,7 @@ func TestTunedSearchZeroAllocs(t *testing.T) {
 				return testing.AllocsPerRun(100, search)
 			}
 			untuned := measure()
-			if err := ix.EnableAutotune(); err != nil {
-				t.Fatal(err)
-			}
+			ix.EnableAutotune()
 			if tuned := measure(); tuned != untuned {
 				t.Errorf("a tuned Search allocates %v times, an untuned one %v", tuned, untuned)
 			}

@@ -92,13 +92,12 @@ func NextRun(addrs []Addr, i int) int {
 }
 
 // Store couples a backend with a bump allocator and the out-of-band block
-// checksum table (see checksum.go). Checksums are on by default; toggle
-// before serving with SetChecksums — the flag itself is not synchronized.
+// checksum table (see checksum.go): every block written through it is
+// checksummed, and every read of such a block verified.
 type Store struct {
 	backend Backend
 	next    Addr
 	sums    sumTable
-	ckOff   bool
 }
 
 // NewMem returns a store backed by chunked in-memory slabs.
@@ -153,9 +152,6 @@ func (s *Store) ReadBlock(a Addr, buf []byte) error {
 	if err := s.backend.ReadBlock(a, buf); err != nil {
 		return err
 	}
-	if s.ckOff {
-		return nil
-	}
 	return s.sums.verify(a, buf)
 }
 
@@ -171,7 +167,7 @@ func (s *Store) ReadBlocks(addrs []Addr, bufs [][]byte) (int, error) {
 		}
 	}
 	ops, err := s.backend.ReadBlocks(addrs, bufs)
-	if err != nil || s.ckOff {
+	if err != nil {
 		return ops, err
 	}
 	// Verify every scattered-back block; the first mismatch wins, like the
@@ -196,9 +192,7 @@ func (s *Store) WriteBlock(a Addr, data []byte) error {
 	if err := s.backend.WriteBlock(a, data); err != nil {
 		return err
 	}
-	if !s.ckOff {
-		s.sums.record(a, Checksum(data))
-	}
+	s.sums.record(a, Checksum(data))
 	return nil
 }
 
@@ -443,21 +437,16 @@ func (fb *fileBackend) NumBlocks() uint64 { return fb.blocks.Load() }
 // existed have it clear and load exactly as before.
 const imageSumsFlag = uint64(1) << 63
 
-// WriteTo serializes the allocated blocks: an 8-byte block count followed by
-// block contents, each followed by its 4-byte little-endian CRC32C when
-// checksums are on (signalled by the header's imageSumsFlag bit). It lets a
-// memory-built index be persisted and later served from a file backend.
-// Blocks are re-verified against the checksum table as they stream out, so a
-// rotten block cannot be laundered into a clean-looking image.
+// WriteTo serializes the allocated blocks: an 8-byte block count with the
+// imageSumsFlag bit set, followed by block contents, each followed by its
+// 4-byte little-endian CRC32C. It lets a memory-built index be persisted and
+// later served from a file backend. Blocks are re-verified against the
+// checksum table as they stream out, so a rotten block cannot be laundered
+// into a clean-looking image.
 func (s *Store) WriteTo(w io.Writer) (int64, error) {
 	bw := bufio.NewWriterSize(w, 1<<20)
-	withSums := !s.ckOff
-	hdrCount := s.NumBlocks()
-	if withSums {
-		hdrCount |= imageSumsFlag
-	}
 	var hdr [8]byte
-	binary.LittleEndian.PutUint64(hdr[:], hdrCount)
+	binary.LittleEndian.PutUint64(hdr[:], s.NumBlocks()|imageSumsFlag)
 	if _, err := bw.Write(hdr[:]); err != nil {
 		return 0, fmt.Errorf("blockstore: write header: %w", err)
 	}
@@ -465,25 +454,18 @@ func (s *Store) WriteTo(w io.Writer) (int64, error) {
 	buf := make([]byte, BlockSize)
 	var trailer [4]byte
 	for a := Addr(1); a < s.next; a++ {
-		if err := s.backend.ReadBlock(a, buf); err != nil {
+		if err := s.ReadBlock(a, buf); err != nil {
 			return written, err
-		}
-		if withSums {
-			if err := s.sums.verify(a, buf); err != nil {
-				return written, err
-			}
 		}
 		if _, err := bw.Write(buf); err != nil {
 			return written, fmt.Errorf("blockstore: write block %d: %w", a, err)
 		}
 		written += BlockSize
-		if withSums {
-			binary.LittleEndian.PutUint32(trailer[:], Checksum(buf))
-			if _, err := bw.Write(trailer[:]); err != nil {
-				return written, fmt.Errorf("blockstore: write block %d checksum: %w", a, err)
-			}
-			written += 4
+		binary.LittleEndian.PutUint32(trailer[:], Checksum(buf))
+		if _, err := bw.Write(trailer[:]); err != nil {
+			return written, fmt.Errorf("blockstore: write block %d checksum: %w", a, err)
 		}
+		written += 4
 	}
 	return written, bw.Flush()
 }

@@ -149,21 +149,9 @@ func (t *sumTable) verify(a Addr, buf []byte) error {
 	return nil
 }
 
-// SetChecksums enables or disables block checksumming on this store.
-// Checksums are on by default; turning them off stops both recording on
-// writes and verification on reads (the recorded table is kept, so
-// re-enabling resumes verification of blocks written while on). Serving an
-// old image that predates checksums needs no switch — its blocks simply
-// have no recorded sums — so off exists for measuring overhead and for
-// callers that layer their own integrity checks.
-func (s *Store) SetChecksums(on bool) { s.ckOff = !on }
-
-// Checksums reports whether block checksumming is enabled.
-func (s *Store) Checksums() bool { return !s.ckOff }
-
 // ChecksummedBlocks returns how many blocks currently carry a recorded
-// checksum (diagnostics; equals NumBlocks on a store built with checksums
-// on).
+// checksum (diagnostics; equals NumBlocks on a store whose every block was
+// written through it).
 func (s *Store) ChecksummedBlocks() uint64 {
 	dir := s.sums.dir.Load()
 	if dir == nil {

@@ -2,6 +2,7 @@ package blockstore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -92,27 +93,6 @@ func TestChecksumDetectsBitRot(t *testing.T) {
 	}
 }
 
-func TestChecksumOff(t *testing.T) {
-	fb := &flipBackend{Backend: NewMemBackend(), flip: map[Addr]int{}}
-	s := NewWithBackend(fb)
-	s.SetChecksums(false)
-	if s.Checksums() {
-		t.Fatal("Checksums() = true after SetChecksums(false)")
-	}
-	a := s.Allocate()
-	if err := s.WriteBlock(a, []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	fb.flip[a] = 3
-	buf := make([]byte, BlockSize)
-	if err := s.ReadBlock(a, buf); err != nil {
-		t.Fatalf("checksum-off read: %v", err)
-	}
-	if s.ChecksummedBlocks() != 0 {
-		t.Errorf("ChecksummedBlocks = %d with checksums off", s.ChecksummedBlocks())
-	}
-}
-
 // TestChecksumOldDataReadable covers the compatibility contract: blocks that
 // predate the checksum table (an existing raw file, a backend filled outside
 // the store) read back fine because no sum is recorded for them.
@@ -179,21 +159,11 @@ func TestImageRoundTripChecksummed(t *testing.T) {
 // TestImageOldFormatReadable loads a pre-checksum image (header bit clear, no
 // trailers) and checks it still round-trips.
 func TestImageOldFormatReadable(t *testing.T) {
-	s := NewMem()
-	s.SetChecksums(false)
-	a := s.Allocate()
-	if err := s.WriteBlock(a, []byte("legacy")); err != nil {
-		t.Fatal(err)
-	}
-	var img bytes.Buffer
-	if _, err := s.WriteTo(&img); err != nil {
-		t.Fatal(err)
-	}
-	if img.Len() != 8+BlockSize {
-		t.Fatalf("legacy image is %d bytes, want %d", img.Len(), 8+BlockSize)
-	}
-	restored := NewMem() // checksums on: must still accept the old format
-	if _, err := restored.ReadFrom(bytes.NewReader(img.Bytes())); err != nil {
+	img := make([]byte, 8+BlockSize)
+	binary.LittleEndian.PutUint64(img, 1) // one block, imageSumsFlag clear
+	copy(img[8:], "legacy")
+	restored := NewMem()
+	if _, err := restored.ReadFrom(bytes.NewReader(img)); err != nil {
 		t.Fatal(err)
 	}
 	buf := make([]byte, BlockSize)
@@ -218,13 +188,12 @@ func TestChecksumShortWriteMatchesPadded(t *testing.T) {
 	}
 }
 
-// benchReadBlock reads full blocks round-robin through ReadBlock over a
-// store with checksumming on or off: the gap between the two is the CRC32C
-// integrity tax every block read of a storage index pays.
-func benchReadBlock(b *testing.B, checksums bool) {
+// BenchmarkReadBlockChecksummed reads full blocks round-robin through
+// ReadBlock, each verified against its CRC32C as every block read of a
+// storage index is.
+func BenchmarkReadBlockChecksummed(b *testing.B) {
 	const n = 1024
 	s := NewMem()
-	s.SetChecksums(checksums)
 	block := make([]byte, BlockSize)
 	for i := 0; i < n; i++ {
 		block[0], block[BlockSize-1] = byte(i), byte(i>>8)
@@ -241,10 +210,6 @@ func benchReadBlock(b *testing.B, checksums bool) {
 		}
 	}
 }
-
-func BenchmarkChecksumOn(b *testing.B) { benchReadBlock(b, true) }
-
-func BenchmarkChecksumOff(b *testing.B) { benchReadBlock(b, false) }
 
 // TestSumTableConcurrentRecordLookup: lookups take no lock, yet a reader
 // racing writers — growth of the table included — sees each block either

@@ -132,18 +132,6 @@ func (ix *Index) cacheInvalidate(a blockstore.Addr) {
 	}
 }
 
-// roundHashes computes the compound hashes of radius round rIdx for q into
-// dst. proj must hold q's shared projections; with per-radius families the
-// round's family projects into projScratch instead.
-func (ix *Index) roundHashes(q []float32, rIdx int, proj, projScratch []float64, dst []uint32) {
-	fam := ix.FamilyFor(rIdx)
-	if !ix.opts.ShareProjections {
-		fam.Project(q, projScratch)
-		proj = projScratch
-	}
-	fam.HashesAt(proj, ix.params.Radii[rIdx], dst)
-}
-
 // prefetchRound starts readahead for round rIdx given its compound hashes:
 // one walk per occupied bucket over the table block, the block its slot
 // names, and up to the configured depth of chain blocks, submitted to the

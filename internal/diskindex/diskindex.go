@@ -91,10 +91,9 @@ func (s slot) span(block []byte) (next blockstore.Addr, lo, hi int) {
 	return blockstore.Nil, s.off, s.off + s.count
 }
 
-// Options configure index construction.
+// Options configure index construction. One set of projection vectors
+// serves every radius (memindex's ShareProjections, always on here).
 type Options struct {
-	// ShareProjections mirrors memindex.Options.ShareProjections.
-	ShareProjections bool
 	// Seed drives hash function generation. Equal (params, options, data)
 	// produce byte-identical indexes.
 	Seed int64
@@ -105,7 +104,7 @@ type Options struct {
 
 // DefaultOptions returns the build options used by the experiment harness.
 func DefaultOptions() Options {
-	return Options{ShareProjections: true, Seed: 1}
+	return Options{Seed: 1}
 }
 
 // autoTableBits picks u slightly below log2 n so buckets average a few block
@@ -205,13 +204,8 @@ func (ix *Index) MemBytes() int64 {
 	return b
 }
 
-// FamilyFor returns the hash family used at radius index rIdx.
-func (ix *Index) FamilyFor(rIdx int) *lsh.Family {
-	if ix.opts.ShareProjections {
-		return ix.families[0]
-	}
-	return ix.families[rIdx]
-}
+// Family returns the hash family every radius shares.
+func (ix *Index) Family() *lsh.Family { return ix.families[0] }
 
 // isOccupied reports whether bucket idx of table (r,l) is non-empty.
 func (ix *Index) isOccupied(r, l int, idx uint32) bool {
@@ -289,7 +283,7 @@ func Build(data [][]float32, p lsh.Params, opts Options, store *blockstore.Store
 		idBits: idBits,
 		upd:    &updState{},
 	}
-	fams, err := lsh.NewFamilies(p, opts.ShareProjections, opts.Seed)
+	fams, err := lsh.NewFamilies(p, true, opts.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -308,7 +302,7 @@ func Build(data [][]float32, p lsh.Params, opts Options, store *blockstore.Store
 func (ix *Index) build() error {
 	p := ix.params
 	n := len(ix.data)
-	keys, err := memindex.HashKeys(ix.data, ix.families, p, ix.opts.ShareProjections)
+	keys, err := memindex.HashKeys(ix.data, ix.families, p, true)
 	if err != nil {
 		return err
 	}

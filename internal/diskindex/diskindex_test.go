@@ -43,9 +43,7 @@ func testSetup(t *testing.T, n int, sigma float64, opts Options) (*dataset.Datas
 	if err != nil {
 		t.Fatal(err)
 	}
-	mix, err := memindex.Build(d.Vectors, p, memindex.Options{
-		ShareProjections: opts.ShareProjections, Seed: opts.Seed,
-	})
+	mix, err := memindex.Build(d.Vectors, p, memindex.Options{ShareProjections: true, Seed: opts.Seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,11 +245,10 @@ func TestChainTraversal(t *testing.T) {
 }
 
 // TestAsyncMatchesServingSearcher: a virtual-time query runs the serving
-// WaveSearcher's ladder, so at any budget, k, projection mode and scheduling
-// mode its neighbors are bitwise the reference Searcher's and its
-// work counters — reads included — are exactly those of a WaveSearcher with
-// an ioengine attached, under the same knobs, and the engine's I/O count is
-// those reads.
+// WaveSearcher's ladder, so at any budget, k and scheduling mode its
+// neighbors are bitwise the reference Searcher's and its work counters —
+// reads included — are exactly those of a WaveSearcher with an ioengine
+// attached, under the same knobs, and the engine's I/O count is those reads.
 func TestAsyncMatchesServingSearcher(t *testing.T) {
 	ctx := context.Background()
 	type schedMode struct {
@@ -260,60 +257,57 @@ func TestAsyncMatchesServingSearcher(t *testing.T) {
 		sync bool
 	}
 	modes := []schedMode{{"sync", 1, true}, {"async1", 1, false}, {"async2", 2, false}}
-	for _, share := range []bool{true, false} {
-		opts := Options{ShareProjections: share, Seed: 1}
-		d, ix, _ := testSetup(t, 2000, 1000, opts)
-		// The scheduler issues a round whole, as a serving searcher does
-		// with an engine attached, whatever its queue depth; in line it
-		// would walk each bucket and stop at the budget.
-		ref, wave := ix.NewSearcher(), engineAttached(t, ix, 4, 0, 0).NewWaveSearcher()
-		for _, budget := range []int{0, 2, 8, ix.Params().S / 2} {
-			for _, k := range []int{1, 5} {
-				kn := ladder.Knobs{K: k, Budget: budget}
-				for _, m := range modes {
-					name := fmt.Sprintf("share=%v/budget=%d/k=%d/%s", share, budget, k, m.name)
-					pool, err := iosim.NewPool(iosim.CSSD, 2)
+	d, ix, _ := testSetup(t, 2000, 1000, DefaultOptions())
+	// The scheduler issues a round whole, as a serving searcher does
+	// with an engine attached, whatever its queue depth; in line it
+	// would walk each bucket and stop at the budget.
+	ref, wave := ix.NewSearcher(), engineAttached(t, ix, 4, 0, 0).NewWaveSearcher()
+	for _, budget := range []int{0, 2, 8, ix.Params().S / 2} {
+		for _, k := range []int{1, 5} {
+			kn := ladder.Knobs{K: k, Budget: budget}
+			for _, m := range modes {
+				name := fmt.Sprintf("budget=%d/k=%d/%s", budget, k, m.name)
+				pool, err := iosim.NewPool(iosim.CSSD, 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				eng, err := sched.New(sched.Config{CPUs: m.cpus, Iface: iosim.IOUring, Pool: pool, Store: ix.Store(), Sync: m.sync})
+				if err != nil {
+					t.Fatal(err)
+				}
+				results := make([]AsyncResult, d.NQ())
+				rep, err := eng.RunBatch(d.NQ(), 4, ix.AsyncQueryFunc(costmodel.Default(), d.Queries, k, budget, results))
+				if err != nil {
+					t.Fatal(err)
+				}
+				var blocks int64
+				for qi, q := range d.Queries {
+					want, _, err := ref.Run(ctx, q, kn, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
-					eng, err := sched.New(sched.Config{CPUs: m.cpus, Iface: iosim.IOUring, Pool: pool, Store: ix.Store(), Sync: m.sync})
+					_, wst, err := wave.Run(ctx, q, kn, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
-					results := make([]AsyncResult, d.NQ())
-					rep, err := eng.RunBatch(d.NQ(), 4, ix.AsyncQueryFunc(costmodel.Default(), d.Queries, k, budget, results))
-					if err != nil {
-						t.Fatal(err)
+					got, gst := results[qi].Result, results[qi].Stats
+					if fmt.Sprint(got.Neighbors) != fmt.Sprint(want.Neighbors) {
+						t.Fatalf("%s query %d:\n async     %v\n reference %v", name, qi, got.Neighbors, want.Neighbors)
 					}
-					var blocks int64
-					for qi, q := range d.Queries {
-						want, _, err := ref.Run(ctx, q, kn, nil)
-						if err != nil {
-							t.Fatal(err)
-						}
-						_, wst, err := wave.Run(ctx, q, kn, nil)
-						if err != nil {
-							t.Fatal(err)
-						}
-						got, gst := results[qi].Result, results[qi].Stats
-						if fmt.Sprint(got.Neighbors) != fmt.Sprint(want.Neighbors) {
-							t.Fatalf("%s query %d:\n async     %v\n reference %v", name, qi, got.Neighbors, want.Neighbors)
-						}
-						type counters struct {
-							Radii, Probes, NonEmptyProbes, EntriesScanned, Checked, Duplicates, TableIOs, BucketIOs int
-						}
-						of := func(st Stats) counters {
-							return counters{st.Radii, st.Probes, st.NonEmptyProbes, st.EntriesScanned,
-								st.Checked, st.Duplicates, st.TableIOs, st.BucketIOs}
-						}
-						if of(gst) != of(wst) {
-							t.Fatalf("%s query %d:\n async %+v\n wave  %+v", name, qi, of(gst), of(wst))
-						}
-						blocks += int64(gst.IOs())
+					type counters struct {
+						Radii, Probes, NonEmptyProbes, EntriesScanned, Checked, Duplicates, TableIOs, BucketIOs int
 					}
-					if rep.IOs != blocks {
-						t.Fatalf("%s: engine read %d blocks, the queries %d", name, rep.IOs, blocks)
+					of := func(st Stats) counters {
+						return counters{st.Radii, st.Probes, st.NonEmptyProbes, st.EntriesScanned,
+							st.Checked, st.Duplicates, st.TableIOs, st.BucketIOs}
 					}
+					if of(gst) != of(wst) {
+						t.Fatalf("%s query %d:\n async %+v\n wave  %+v", name, qi, of(gst), of(wst))
+					}
+					blocks += int64(gst.IOs())
+				}
+				if rep.IOs != blocks {
+					t.Fatalf("%s: engine read %d blocks, the queries %d", name, rep.IOs, blocks)
 				}
 			}
 		}
@@ -441,7 +435,12 @@ func TestSaveLoadFileBacked(t *testing.T) {
 	if err := ix.SaveFile(idxPath); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadFile(idxPath, d.Vectors)
+	store, f, err := blockstore.OpenFile(dir + "/blocks")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	loaded, err := LoadFile(idxPath, d.Vectors, store)
 	if err != nil {
 		t.Fatal(err)
 	}

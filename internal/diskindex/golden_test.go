@@ -60,47 +60,45 @@ func TestLadderGoldenDigest(t *testing.T) {
 	const k = 5
 	ctx := context.Background()
 	got := map[string]string{}
-	for _, share := range []bool{true, false} {
-		opts := DefaultOptions()
-		opts.ShareProjections = share
-		d, disk, mem := testSetup(t, 2000, 1000, opts)
-		// One hash partition is the unpartitioned ladder, digest for digest.
-		disk.SetPartitions(1)
-		budgets := []struct {
-			name string
-			s    int
-		}{{"generous", 1000 * disk.params.L}, {"truncating", 2 * disk.params.L}}
-		// One searcher of each kind serves every knob combination: a knob
-		// that left residue in a searcher would show up as a wrong digest.
-		// The wave searcher reads through an engine: in line it walks its
-		// buckets as the reference does, and its column would copy ref/.
-		ms, ref, ws := mem.NewSearcher(), disk.NewSearcher(), engineAttached(t, disk, 4, 0, 0).NewWaveSearcher()
-		for _, b := range budgets {
-			for _, mp := range []int{0, 2} {
-				kn := ladder.Knobs{K: k, Budget: b.s, MultiProbe: mp}
-				var memD, refD, waveD []string
-				for _, q := range d.Queries {
-					mres, mst, err := ms.Run(ctx, q, kn, nil)
-					if err != nil {
-						t.Fatal(err)
-					}
-					memD = append(memD, memDigest(mres, mst))
-					rres, rst, err := ref.Run(ctx, q, kn, nil)
-					if err != nil {
-						t.Fatal(err)
-					}
-					refD = append(refD, diskDigest(rres, rst))
-					wres, wst, err := ws.Run(ctx, q, kn, nil)
-					if err != nil {
-						t.Fatal(err)
-					}
-					waveD = append(waveD, diskDigest(wres, wst))
+	d, disk, mem := testSetup(t, 2000, 1000, DefaultOptions())
+	// One hash partition is the unpartitioned ladder, digest for digest.
+	disk.SetPartitions(1)
+	budgets := []struct {
+		name string
+		s    int
+	}{{"generous", 1000 * disk.params.L}, {"truncating", 2 * disk.params.L}}
+	// One searcher of each kind serves every knob combination: a knob
+	// that left residue in a searcher would show up as a wrong digest.
+	// The wave searcher reads through an engine: in line it walks its
+	// buckets as the reference does, and its column would copy ref/.
+	ms, ref, ws := mem.NewSearcher(), disk.NewSearcher(), engineAttached(t, disk, 4, 0, 0).NewWaveSearcher()
+	for _, b := range budgets {
+		for _, mp := range []int{0, 2} {
+			kn := ladder.Knobs{K: k, Budget: b.s, MultiProbe: mp}
+			var memD, refD, waveD []string
+			for _, q := range d.Queries {
+				mres, mst, err := ms.Run(ctx, q, kn, nil)
+				if err != nil {
+					t.Fatal(err)
 				}
-				key := fmt.Sprintf("mp=%d/budget=%s/share=%v", mp, b.name, share)
-				got["mem/"+key] = strings.Join(memD, " ")
-				got["ref/"+key] = strings.Join(refD, " ")
-				got["wave/"+key] = strings.Join(waveD, " ")
+				memD = append(memD, memDigest(mres, mst))
+				rres, rst, err := ref.Run(ctx, q, kn, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				refD = append(refD, diskDigest(rres, rst))
+				wres, wst, err := ws.Run(ctx, q, kn, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				waveD = append(waveD, diskDigest(wres, wst))
 			}
+			// Every index shares one projection set across radii; the key
+			// still says so, as the digests were recorded under it.
+			key := fmt.Sprintf("mp=%d/budget=%s/share=true", mp, b.name)
+			got["mem/"+key] = strings.Join(memD, " ")
+			got["ref/"+key] = strings.Join(refD, " ")
+			got["wave/"+key] = strings.Join(waveD, " ")
 		}
 	}
 

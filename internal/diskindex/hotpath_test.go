@@ -124,7 +124,7 @@ func TestInsertZeroAllocs(t *testing.T) {
 
 // slabBackend is a RAM backend of fixed capacity that never allocates after
 // construction, so a heap-byte count taken around index updates is the
-// index's own garbage and not the store growing.
+// index's own garbage and not the backend growing.
 type slabBackend struct {
 	data   []byte
 	blocks uint64
@@ -153,11 +153,11 @@ func (b *slabBackend) NumBlocks() uint64 { return b.blocks }
 // every one of its L·R chains gets a fresh head block and a rewritten table
 // entry. The rewrite used to read the table block into a local array that
 // escaped to the heap — one block of garbage per chain, 19.8 KB per insert
-// on this index.
+// on this index. The count includes the store's checksum table, which grows
+// by one 32 KiB chunk per 4096 fresh blocks (about 1 KB per insert here).
 func TestInsertFreshChainsAllocBytes(t *testing.T) {
 	const inserts, maxBytesPerInsert = 32, 2048
 	store := blockstore.NewWithBackend(&slabBackend{data: make([]byte, 64<<20)})
-	store.SetChecksums(false) // the checksum table grows with the store
 	ix, d := insertAllocIndex(t, store)
 	vecs := make([][]float32, inserts+1)
 	for i := range vecs {

@@ -17,11 +17,11 @@ import (
 
 // imageDigest is the SHA-256 of the saved n=20000, d=128 index below,
 // recorded with the portable Go projection and hash loops.
-const imageDigest = "6031a442cc6527390eb0305ce4235715b832be52d48708699a2b8842e0d4525b"
+const imageDigest = "5572c42e030e255a04a2abbd1f6b6cd928df14bc5bb5e5f3d5ace55b46ca075c"
 
 // TestImageDigest pins every byte of a built index's image — header, table
 // bitmaps and the block store's WriteTo bytes, which hold every hash the
-// build computed — at n=20000, d=128, shared and per-radius families. It
+// build computed — at n=20000, d=128. It
 // runs with the AVX-512 projection and hash kernels where the CPU has them
 // and without them under the purego tag (CI's purego step): both builds
 // must write the same image.
@@ -40,16 +40,12 @@ func TestImageDigest(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := sha256.New()
-	for _, share := range []bool{true, false} {
-		opts := DefaultOptions()
-		opts.ShareProjections = share
-		ix, err := Build(d.Vectors, p, opts, blockstore.NewMem())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := ix.Save(h); err != nil {
-			t.Fatal(err)
-		}
+	ix, err := Build(d.Vectors, p, DefaultOptions(), blockstore.NewMem())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.Save(h); err != nil {
+		t.Fatal(err)
 	}
 	if got := hex.EncodeToString(h.Sum(nil)); got != imageDigest {
 		t.Fatalf("index image digest %s, want %s (L=%d M=%d radii=%d)", got, imageDigest, p.L, p.M, p.R())
@@ -100,6 +96,27 @@ func TestLoadRefusesOtherBucketBlocks(t *testing.T) {
 	if err := os.WriteFile(path, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err = LoadFile(path, d.Vectors[:300])
+	_, err = LoadFile(path, d.Vectors[:300], blockstore.NewMem())
 	refused("LoadFile", err)
+}
+
+// TestLoadRefusesPerRadiusFamilies checks that an image whose share byte is 0
+// — built with a hash family per radius — is refused with an error naming
+// the byte, not served with one family's hashes against another's tables.
+func TestLoadRefusesPerRadiusFamilies(t *testing.T) {
+	d, ix := buildUpdatable(t, 300, 0)
+	var img bytes.Buffer
+	if err := ix.Save(&img); err != nil {
+		t.Fatal(err)
+	}
+	b := img.Bytes()
+	const shareOff = 112 // magic, version, config, params
+	if b[shareOff] != 1 {
+		t.Fatalf("header share byte holds %d, want 1", b[shareOff])
+	}
+	b[shareOff] = 0
+	_, err := Load(bytes.NewReader(b), d.Vectors[:300], blockstore.NewMem())
+	if err == nil || !strings.Contains(err.Error(), "share byte 0") {
+		t.Fatalf("Load of a share=0 image: %v, want a refusal naming the share byte", err)
+	}
 }

@@ -36,7 +36,7 @@ func (ix *Index) CheckInvariants() error {
 	u.mu.RLock()
 	defer u.mu.RUnlock()
 	p := ix.params
-	keys, err := memindex.HashKeys(ix.data, ix.families, p, ix.opts.ShareProjections)
+	keys, err := memindex.HashKeys(ix.data, ix.families, p, true)
 	if err != nil {
 		return err
 	}

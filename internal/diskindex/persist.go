@@ -36,7 +36,7 @@ func (ix *Index) Save(w io.Writer) error {
 		// Derived params
 		int64(p.N), int64(p.Dim), int64(p.M), int64(p.L), int64(p.S), p.P1, p.P2,
 		// Options
-		boolByte(ix.opts.ShareProjections), ix.opts.Seed,
+		byte(1), ix.opts.Seed, // 1: one projection set shared by every radius
 		uint32(ix.opts.TableBits), int64(blockstore.BlockSize), // bucket block bytes
 		// Layout
 		uint32(ix.u), uint32(ix.idBits),
@@ -72,13 +72,6 @@ func (ix *Index) Save(w io.Writer) error {
 		return err
 	}
 	return bw.Flush()
-}
-
-func boolByte(b bool) byte {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // Load restores an index saved by Save into the given store backend. data
@@ -120,6 +113,9 @@ func Load(r io.Reader, data [][]float32, store *blockstore.Store) (*Index, error
 	if bucketBytes != blockstore.BlockSize {
 		return nil, fmt.Errorf("diskindex: image has %d-byte bucket blocks; this build reads %d-byte ones only", bucketBytes, blockstore.BlockSize)
 	}
+	if share != 1 {
+		return nil, fmt.Errorf("diskindex: image has share byte %d (a hash family per radius); this build shares one family across radii only, so rebuild the index", share)
+	}
 	// The image may predate online inserts: those vectors ride in the WAL
 	// directory's tail sidecar and log, so data may legitimately be longer
 	// than the build-time n — only shorter is unrecoverable.
@@ -143,11 +139,7 @@ func Load(r io.Reader, data [][]float32, store *blockstore.Store) (*Index, error
 		N:      int(n), Dim: int(dim), M: int(m), L: int(l), S: int(s),
 		P1: p1, P2: p2, Radii: radii,
 	}
-	opts := Options{
-		ShareProjections: share == 1,
-		Seed:             seed,
-		TableBits:        uint(tableBits),
-	}
+	opts := Options{Seed: seed, TableBits: uint(tableBits)}
 	ix := &Index{
 		params: params,
 		opts:   opts,
@@ -157,7 +149,7 @@ func Load(r io.Reader, data [][]float32, store *blockstore.Store) (*Index, error
 		idBits: uint(idBits),
 		upd:    &updState{},
 	}
-	fams, err := lsh.NewFamilies(params, ix.opts.ShareProjections, seed)
+	fams, err := lsh.NewFamilies(params, true, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -202,12 +194,13 @@ func (ix *Index) SaveFile(path string) error {
 	return wal.WriteFileAtomic(path, func(f *os.File) error { return ix.Save(f) })
 }
 
-// LoadFile reads an index from the named file into a fresh in-memory store.
-func LoadFile(path string, data [][]float32) (*Index, error) {
+// LoadFile reads an index from the named file into store, restoring its
+// blocks from address 1.
+func LoadFile(path string, data [][]float32, store *blockstore.Store) (*Index, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("diskindex: open %s: %w", path, err)
 	}
 	defer f.Close()
-	return Load(f, data, blockstore.NewMem())
+	return Load(f, data, store)
 }

@@ -48,10 +48,9 @@ type searcher struct {
 	lad *ladder.Driver
 	// rounds is the embedding searcher, the driver's view of it.
 	rounds ladder.Rounds
-	// Readahead scratch: next-round hashes, a projection buffer for
-	// per-radius families, and the in-flight prefetch handle.
+	// Readahead scratch: next-round hashes and the in-flight prefetch
+	// handle.
 	nextHashes []uint32
-	raProj     []float64
 	pending    *blockcache.Handle
 	// The running round's reads, for the trace: their summed trace-clock
 	// wait, and the I/O and cache-hit counts when it began.
@@ -71,11 +70,8 @@ func (s *searcher) init(ix *Index, rounds ladder.Rounds) {
 	n := len(ix.data)
 	u.mu.RUnlock()
 	s.ix, s.rounds = ix, rounds
-	s.lad = ladder.New(ix.params, ix.families, ix.opts.ShareProjections, n, ix.parts)
+	s.lad = ladder.New(ix.params, ix.families, true, n, ix.parts)
 	s.nextHashes = make([]uint32, ix.params.L)
-	if !ix.opts.ShareProjections {
-		s.raProj = make([]float64, ix.params.L*ix.params.M)
-	}
 }
 
 // Search answers a top-k query with the index's built-in budget and classic
@@ -134,7 +130,7 @@ func (s *searcher) BeginRound(ctx context.Context, r int, readahead bool) {
 	s.wait, s.ios, s.hits = 0, st.IOs(), st.CacheHits
 	ix := s.ix
 	if readahead && ix.readahead > 0 && r+1 < ix.params.R() {
-		ix.roundHashes(s.lad.Query(), r+1, s.lad.Proj(), s.raProj, s.nextHashes)
+		ix.Family().HashesAt(s.lad.Proj(), ix.params.Radii[r+1], s.nextHashes)
 		s.pending = ix.prefetchRound(ctx, r+1, s.nextHashes)
 	}
 }

@@ -82,7 +82,8 @@ func (ix *Index) RecoveryStats() RecoveryStats {
 
 // InitWAL makes the index durable under dir: it writes generation 1 (a full
 // checkpoint image of the current state plus an empty log) and routes every
-// subsequent Insert/Delete through the log. The directory must not already
+// subsequent Insert/Delete through the log. OpenWAL's base is then the
+// vectors the index holds now. The directory must not already
 // hold a manifest — resuming an existing directory is OpenWAL's job, and
 // refusing here keeps a misconfigured restart from silently clobbering a
 // recoverable state.
@@ -102,7 +103,7 @@ func (ix *Index) InitWAL(dir string, cfg WALConfig) error {
 		return fmt.Errorf("diskindex: probe manifest: %w", err)
 	}
 	u.dir = dir
-	u.extN = ix.params.N // vectors the caller supplies at open; later ids checkpoint into the tail
+	u.extN = len(ix.data) // vectors the caller supplies at open; later ids checkpoint into the tail
 	u.fsyncEvery = cfg.FsyncEvery
 	u.crash = cfg.Crash
 	u.gen = 0

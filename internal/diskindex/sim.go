@@ -61,9 +61,7 @@ func (ix *Index) AsyncQueryFunc(model costmodel.CPUModel, queries [][]float32, k
 		ix.checkDim(q)
 		s.tc, s.out, s.done = tc, &results[qi], done
 		tc.Charge(costmodel.ToTime(model.QueryFixed))
-		if ix.opts.ShareProjections {
-			tc.Charge(costmodel.ToTime(model.ProjectionsGEMV(ix.params.Dim, ix.params.L*ix.params.M)))
-		}
+		tc.Charge(costmodel.ToTime(model.ProjectionsGEMV(ix.params.Dim, ix.params.L*ix.params.M)))
 		s.next, _ = iter.Pull(func(yield func(struct{}) bool) {
 			s.yield = yield
 			//lsh:ctxok a virtual-time query is never cancelled
@@ -124,9 +122,6 @@ func (ix *Index) newSimSearcher(model costmodel.CPUModel, free *[]*simSearcher) 
 // readahead stays off.
 func (s *simSearcher) BeginRound(ctx context.Context, r int, _ bool) {
 	p := s.ix.params
-	if !s.ix.opts.ShareProjections {
-		s.tc.Charge(costmodel.ToTime(s.model.ProjectionsGEMV(p.Dim, p.L*p.M)))
-	}
 	s.tc.Charge(costmodel.ToTime(s.model.Combines(p.L * p.M)))
 	s.table = true
 	s.WaveSearcher.BeginRound(ctx, r, false)

@@ -138,14 +138,9 @@ func (ix *Index) applyInsertLocked(id uint32, v []float32, idem bool) error {
 		return fmt.Errorf("diskindex: insert record for ID %d skips past %d resident objects", id, len(ix.data))
 	}
 	p := ix.params
-	if ix.opts.ShareProjections {
-		ix.families[0].Project(v, sc.proj)
-	}
+	fam := ix.Family()
+	fam.Project(v, sc.proj)
 	for r := 0; r < p.R(); r++ {
-		fam := ix.FamilyFor(r)
-		if !ix.opts.ShareProjections {
-			fam.Project(v, sc.proj)
-		}
 		fam.HashesAt(sc.proj, p.Radii[r], sc.hashes)
 		for l := 0; l < p.L; l++ {
 			idx, fp := lsh.SplitHash(sc.hashes[l], ix.u)
@@ -286,15 +281,10 @@ func (ix *Index) applyDeleteLocked(id uint32) (bool, error) {
 	u := ix.upd
 	sc := u.scratchLocked(ix)
 	p := ix.params
-	if ix.opts.ShareProjections {
-		ix.families[0].Project(v, sc.proj)
-	}
+	fam := ix.Family()
+	fam.Project(v, sc.proj)
 	removedAny := false
 	for r := 0; r < p.R(); r++ {
-		fam := ix.FamilyFor(r)
-		if !ix.opts.ShareProjections {
-			fam.Project(v, sc.proj)
-		}
 		fam.HashesAt(sc.proj, p.Radii[r], sc.hashes)
 		for l := 0; l < p.L; l++ {
 			idx, fp := lsh.SplitHash(sc.hashes[l], ix.u)

@@ -31,7 +31,7 @@ func readSlot(t *testing.T, ix *Index, r, l int, idx uint32) slot {
 // its slot (the zero slot when the bucket is unoccupied).
 func roundZeroSlots(t *testing.T, ix *Index, q []float32) ([]uint32, []slot) {
 	t.Helper()
-	fam := ix.FamilyFor(0)
+	fam := ix.Family()
 	proj := make([]float64, ix.params.L*ix.params.M)
 	fam.Project(q, proj)
 	hashes := make([]uint32, ix.params.L)

@@ -119,9 +119,7 @@ func AutotuneSweep(env *Env) (*AutotuneSweepResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	ix, err := diskindex.Build(ds.Vectors, params, diskindex.Options{
-		ShareProjections: true, Seed: env.Seed,
-	}, blockstore.NewMem())
+	ix, err := diskindex.Build(ds.Vectors, params, diskindex.Options{Seed: env.Seed}, blockstore.NewMem())
 	if err != nil {
 		return nil, err
 	}

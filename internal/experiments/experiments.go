@@ -157,9 +157,7 @@ func (ws *Workload) Disk(env *Env) (*diskindex.Index, error) {
 	if ws.disk != nil {
 		return ws.disk, nil
 	}
-	ix, err := diskindex.Build(ws.DS.Vectors, ws.Params, diskindex.Options{
-		ShareProjections: true, Seed: env.Seed,
-	}, blockstore.NewMem())
+	ix, err := diskindex.Build(ws.DS.Vectors, ws.Params, diskindex.Options{Seed: env.Seed}, blockstore.NewMem())
 	if err != nil {
 		return nil, err
 	}

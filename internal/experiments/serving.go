@@ -97,9 +97,7 @@ func runSharded(env *Env, ws *Workload, sigma float64, shards int) (shardedRun, 
 		if err != nil {
 			return shardedRun{}, err
 		}
-		ix, err := diskindex.Build(vectors, p, diskindex.Options{
-			ShareProjections: true, Seed: env.Seed,
-		}, blockstore.NewMem())
+		ix, err := diskindex.Build(vectors, p, diskindex.Options{Seed: env.Seed}, blockstore.NewMem())
 		if err != nil {
 			return shardedRun{}, err
 		}

@@ -60,21 +60,24 @@ type Options struct {
 	// Retries is the per-read retry budget: how many times a failed physical
 	// read of one block is re-attempted when the failure classifies as a
 	// transient storage fault (EIO, short read, checksum mismatch — anything
-	// except context cancellation and invalid addresses). 0 disables
-	// retries, quarantine included.
+	// except context cancellation and invalid addresses), after a backoff
+	// from retryBackoff. An address that exhausts the budget is quarantined
+	// (at most quarantineLimit of them). 0 disables retries, quarantine
+	// included.
 	Retries int
-	// RetryBackoff is the base delay before the first retry; it doubles per
-	// attempt, capped at 8x, with ±50% jitter so concurrent queries hitting
-	// the same sick device don't retry in lockstep. Defaults to 200µs. The
-	// engine's queue-depth slot is released while backing off, so a
-	// retrying read never stalls healthy traffic.
-	RetryBackoff time.Duration
-	// QuarantineLimit bounds the quarantine set: addresses that exhausted
-	// their retry budget fail fast on later reads instead of re-paying the
-	// full backoff ladder, until evicted FIFO by newer entrants. Defaults
-	// to 1024; only meaningful with Retries > 0.
-	QuarantineLimit int
 }
+
+// retryBackoff is the base delay before a first retry; it doubles per
+// attempt, capped at 8x, with ±50% jitter so concurrent queries hitting the
+// same sick device do not retry in lockstep. The engine's queue-depth slot
+// is released while backing off, so a retrying read never stalls healthy
+// traffic.
+const retryBackoff = 200 * time.Microsecond
+
+// quarantineLimit bounds the quarantine set: addresses that exhausted their
+// retry budget fail fast on later reads instead of re-paying the full
+// backoff ladder, until evicted FIFO by newer entrants.
+const quarantineLimit = 1024
 
 // BatchStats reports what one Read or ReadBatch call did, in the per-query
 // units the searchers fold into their Stats.
@@ -146,7 +149,6 @@ type Engine struct {
 	slots   atomic.Int64
 	handoff chan struct{} // buffered like a semaphore of depth slots
 	retries int
-	backoff time.Duration
 	epoch   time.Time // what operate's clock readings are offsets from
 	quar    quarantine
 
@@ -186,23 +188,13 @@ func New(src Source, opts Options) (*Engine, error) {
 	if opts.Retries < 0 {
 		return nil, fmt.Errorf("ioengine: negative retry budget %d", opts.Retries)
 	}
-	backoff := opts.RetryBackoff
-	if backoff <= 0 {
-		backoff = 200 * time.Microsecond
-	}
-	quarLimit := opts.QuarantineLimit
-	if quarLimit <= 0 {
-		quarLimit = 1024
-	}
 	return &Engine{
 		src:     src,
 		cache:   opts.Cache,
 		depth:   int64(opts.Depth),
 		handoff: make(chan struct{}, opts.Depth),
 		retries: opts.Retries,
-		backoff: backoff,
 		epoch:   time.Now(),
-		quar:    quarantine{limit: quarLimit},
 	}, nil
 }
 
@@ -339,7 +331,7 @@ func (e *Engine) readPhysical(ws *waveScratch, k int) error {
 // sleepBackoff waits before retry attempt (0-based), doubling from the base
 // and capping at 8x, jittered ±50% so retry storms decorrelate.
 func (e *Engine) sleepBackoff(attempt int) {
-	d := e.backoff << min(attempt, 3)
+	d := retryBackoff << min(attempt, 3)
 	d = time.Duration(float64(d) * (0.5 + rand.Float64()))
 	time.Sleep(d)
 }

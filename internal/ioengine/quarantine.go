@@ -16,8 +16,7 @@ import (
 // cannot grow the set without bound. The n fast path keeps the empty case
 // (every healthy engine, always) at one atomic load per vectored run.
 type quarantine struct {
-	limit int
-	n     atomic.Int32
+	n atomic.Int32
 
 	mu    sync.Mutex
 	m     map[blockstore.Addr]error //lsh:guardedby mu — addr -> the error that condemned it
@@ -66,7 +65,7 @@ func (q *quarantine) add(a blockstore.Addr, cause error) {
 		q.m[a] = cause
 		return
 	}
-	for len(q.m) >= q.limit && len(q.order) > 0 {
+	for len(q.m) >= quarantineLimit && len(q.order) > 0 {
 		old := q.order[0]
 		q.order = q.order[1:]
 		delete(q.m, old)

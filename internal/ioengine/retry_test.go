@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"testing"
-	"time"
 
 	"e2lshos/internal/blockcache"
 	"e2lshos/internal/blockstore"
@@ -28,12 +27,7 @@ func faultyStore(t *testing.T, n int, sch faultinject.Schedule) (*blockstore.Sto
 
 func retryEngine(t *testing.T, src Source, retries int, cache *blockcache.Cache) *Engine {
 	t.Helper()
-	e, err := New(src, Options{
-		Depth:        4,
-		Cache:        cache,
-		Retries:      retries,
-		RetryBackoff: 10 * time.Microsecond, // keep test backoff ladders fast
-	})
+	e, err := New(src, Options{Depth: 4, Cache: cache, Retries: retries})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,30 +201,44 @@ func TestInvalidAddrNotRetried(t *testing.T) {
 	}
 }
 
+// TestQuarantineBound fills the quarantine to one short of quarantineLimit,
+// then condemns four dead blocks through the engine: the set stops at the
+// limit, the oldest entrants released first, and the four newest fail fast.
 func TestQuarantineBound(t *testing.T) {
+	const dead = 4
 	perm := map[blockstore.Addr]bool{}
-	for a := blockstore.Addr(1); a <= 6; a++ {
+	for a := blockstore.Addr(1); a <= dead; a++ {
 		perm[a] = true
 	}
-	fb := faultinject.Wrap(blockstore.NewMemBackend(), faultinject.Schedule{Seed: 6, Permanent: perm})
-	s := blockstore.NewWithBackend(fb)
-	for i := 0; i < 8; i++ {
-		a := s.Allocate()
-		if err := s.WriteBlock(a, []byte{1}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	e, err := New(s, Options{Depth: 2, Retries: 1, RetryBackoff: time.Microsecond, QuarantineLimit: 3})
+	s, fb := faultyStore(t, dead+2, faultinject.Schedule{Seed: 6, Permanent: perm})
+	e, err := New(s, Options{Depth: 2, Retries: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Earlier condemned addresses, beyond the store; the backoff ladder
+	// each would cost through the engine is what this skips.
+	for i := 0; i < quarantineLimit-1; i++ {
+		e.quar.add(blockstore.Addr(1000+i), faultinject.ErrInjected)
+	}
 	buf := make([]byte, blockstore.BlockSize)
-	for a := blockstore.Addr(1); a <= 6; a++ {
+	for a := blockstore.Addr(1); a <= dead; a++ {
 		if err := e.Read(a, buf, nil); err == nil {
 			t.Fatalf("permanent block %d read succeeded", a)
 		}
 	}
-	if got := e.Counters().Quarantined; got != 3 {
-		t.Errorf("Quarantined = %d, want the limit 3", got)
+	if got := e.Counters().Quarantined; got != quarantineLimit {
+		t.Errorf("Quarantined = %d, want the limit %d", got, quarantineLimit)
+	}
+	if e.quar.check(1000) != nil || e.quar.check(1002) != nil || e.quar.check(1003) == nil {
+		t.Error("the three oldest entrants were not the ones released")
+	}
+	before := fb.Counters().Reads
+	for a := blockstore.Addr(1); a <= dead; a++ {
+		if err := e.Read(a, buf, nil); err == nil {
+			t.Fatalf("quarantined block %d read succeeded", a)
+		}
+	}
+	if got := fb.Counters().Reads; got != before {
+		t.Errorf("quarantined blocks reached the backend %d times", got-before)
 	}
 }

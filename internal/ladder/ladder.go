@@ -186,9 +186,6 @@ func (d *Driver) AppendResult(dst []ann.Neighbor) []ann.Neighbor {
 	return m.AppendResult(dst)
 }
 
-// Query returns the running query's vector.
-func (d *Driver) Query() []float32 { return d.q }
-
 // Proj returns the query's projections under the shared family (valid
 // during a run over shared projections).
 func (d *Driver) Proj() []float64 { return d.proj }

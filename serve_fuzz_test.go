@@ -32,9 +32,7 @@ func FuzzSearchV1Request(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	if err := ix.EnableAutotune(); err != nil {
-		f.Fatal(err)
-	}
+	ix.EnableAutotune()
 	srv, err := NewServer(ix, ServerConfig{Dim: 4, K: 3})
 	if err != nil {
 		f.Fatal(err)

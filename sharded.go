@@ -180,25 +180,16 @@ func (x *ShardedIndex) EnableTelemetry(opts ...TelemetryOption) error {
 }
 
 // EnableAutotune turns on the per-query recall/latency controller for the
-// whole sharded tree: the options propagate to every shard engine so each
-// learns its own recall-vs-radius model (shard geometries differ), and the
-// router keeps its own anchor so the serving layer can see autotuning is on.
-func (x *ShardedIndex) EnableAutotune(opts ...AutotuneOption) error {
-	if err := x.tune.EnableAutotune(opts...); err != nil {
-		return err
-	}
-	for i, eng := range x.engines {
-		t, ok := eng.(interface {
-			EnableAutotune(...AutotuneOption) error
-		})
-		if !ok {
-			continue
-		}
-		if err := t.EnableAutotune(opts...); err != nil {
-			return fmt.Errorf("e2lshos: enabling autotune on shard %d: %w", i, err)
+// whole sharded tree: every shard engine learns its own recall-vs-radius
+// model (shard geometries differ), and the router keeps its own anchor so
+// the serving layer can see autotuning is on.
+func (x *ShardedIndex) EnableAutotune() {
+	x.tune.EnableAutotune()
+	for _, eng := range x.engines {
+		if t, ok := eng.(interface{ EnableAutotune() }); ok {
+			t.EnableAutotune()
 		}
 	}
-	return nil
 }
 
 // observeServedRecall fans the guardrail observation out to every shard's

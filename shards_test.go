@@ -4,9 +4,10 @@ import (
 	"context"
 	"fmt"
 	"path/filepath"
-	"strings"
 	"testing"
 	"time"
+
+	"e2lshos/internal/blockstore"
 )
 
 // shardsDataset is clustered enough that the ladder climbs a few radii and
@@ -169,8 +170,9 @@ func TestShardsInsertFindsItself(t *testing.T) {
 }
 
 // TestShardsOptionChecks: WithShards refuses what it cannot serve — a
-// negative count, a partition left without objects, a write-ahead log — and
-// composes with the I/O engine's options and with OpenStorageIndex.
+// negative count, a partition left without objects — and composes with the
+// I/O engine's options, the write-ahead log and a caller's backend under all
+// three constructors: each answers as the plainly built partitioned index.
 func TestShardsOptionChecks(t *testing.T) {
 	d := shardsDataset(t)
 	cfg := Config{Sigma: 8}
@@ -179,13 +181,6 @@ func TestShardsOptionChecks(t *testing.T) {
 	}
 	if _, err := NewStorageIndex(d.Vectors[:3], cfg, WithShards(4)); err == nil {
 		t.Error("4 partitions over 3 objects accepted")
-	}
-	_, err := NewStorageIndex(d.Vectors, cfg, WithShards(2), WithWAL(t.TempDir()))
-	if err == nil || !strings.Contains(err.Error(), "WithWAL") {
-		t.Errorf("WithShards with WithWAL: err = %v, want a refusal naming WithWAL", err)
-	}
-	if _, err := OpenWALIndex(t.TempDir(), d.Vectors, WithShards(2)); err == nil {
-		t.Errorf("OpenWALIndex with WithShards: err = %v, want a refusal", err)
 	}
 
 	ctx := context.Background()
@@ -201,23 +196,45 @@ func TestShardsOptionChecks(t *testing.T) {
 	if err := plain.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	cached, err := NewStorageIndex(d.Vectors, cfg, WithShards(3),
-		WithBlockCache(1<<20), WithReadahead(2), WithIOEngine(4), WithRetries(2))
-	if err != nil {
-		t.Fatal(err)
+	builtDir, openedDir := t.TempDir(), t.TempDir()
+	opens := []struct {
+		name string
+		open func() (*StorageIndex, error)
+	}{
+		{"engine options", func() (*StorageIndex, error) {
+			return NewStorageIndex(d.Vectors, cfg, WithShards(3),
+				WithBlockCache(1<<20), WithReadahead(2), WithIOEngine(4), WithRetries(2))
+		}},
+		{"built with a WAL", func() (*StorageIndex, error) {
+			return NewStorageIndex(d.Vectors, cfg, WithShards(3), WithWAL(builtDir))
+		}},
+		{"recovered", func() (*StorageIndex, error) {
+			return OpenWALIndex(builtDir, d.Vectors, WithShards(3), WithIOEngine(4))
+		}},
+		{"opened", func() (*StorageIndex, error) {
+			return OpenStorageIndex(path, d.Vectors, WithShards(3), WithIOEngine(8))
+		}},
+		{"opened onto a backend with a WAL", func() (*StorageIndex, error) {
+			return OpenStorageIndex(path, d.Vectors, WithShards(3),
+				WithStorageBackend(blockstore.NewMemBackend()), WithWAL(openedDir))
+		}},
+		{"recovered onto a backend", func() (*StorageIndex, error) {
+			return OpenWALIndex(openedDir, d.Vectors, WithShards(3),
+				WithStorageBackend(blockstore.NewMemBackend()), WithBlockCache(1<<20))
+		}},
 	}
-	opened, err := OpenStorageIndex(path, d.Vectors, WithShards(3), WithIOEngine(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, eng := range map[string]Engine{"engine options": cached, "opened": opened} {
+	for _, o := range opens {
+		eng, err := o.open()
+		if err != nil {
+			t.Fatalf("%s: %v", o.name, err)
+		}
 		got, _, err := eng.BatchSearch(ctx, d.Queries, WithK(5))
 		if err != nil {
 			t.Fatal(err)
 		}
 		for qi := range want {
 			if fmt.Sprint(got[qi].Neighbors) != fmt.Sprint(want[qi].Neighbors) {
-				t.Fatalf("%s query %d: %v, want %v", name, qi, got[qi].Neighbors, want[qi].Neighbors)
+				t.Fatalf("%s query %d: %v, want %v", o.name, qi, got[qi].Neighbors, want[qi].Neighbors)
 			}
 		}
 	}
@@ -238,9 +255,7 @@ func TestShardsAutotunePerPartition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ix.EnableAutotune(); err != nil {
-		t.Fatal(err)
-	}
+	ix.EnableAutotune()
 	got, _, err := ix.BatchSearch(ctx, d.Queries, WithK(5))
 	if err != nil {
 		t.Fatal(err)

@@ -33,42 +33,21 @@ func (s *StorageIndex) EnableTelemetry(opts ...TelemetryOption) error {
 	return nil
 }
 
-// NewStorageIndex builds an E2LSHoS index over data into an in-memory block
-// store (persist with SaveFile). Storage options that ask for a feature of
-// the I/O engine — WithIOEngine's queue depth, WithBlockCache (and
-// WithReadahead on top of it), WithRetries — attach one; without any of
-// them queries read the store directly, one block at a time.
+// NewStorageIndex builds an E2LSHoS index over data into a block store: an
+// in-memory one, or one over the WithStorageBackend backend (persist with
+// SaveFile). Storage options that ask for a feature of the I/O engine —
+// WithIOEngine's queue depth, WithBlockCache (and WithReadahead on top of
+// it), WithRetries — attach one; without any of them queries read the store
+// directly, one block at a time. WithShards partitions the index and
+// WithWAL makes its updates durable.
 func NewStorageIndex(data [][]float32, cfg Config, opts ...StorageOption) (*StorageIndex, error) {
-	set, err := resolveStorageSettings(opts)
-	if err != nil {
-		return nil, err
-	}
-	p, seed, tableBits, err := cfg.derive(data)
-	if err != nil {
-		return nil, err
-	}
-	store := blockstore.NewMem()
-	if set.backend != nil {
-		store = blockstore.NewWithBackend(set.backend)
-	}
-	ix, err := diskindex.Build(data, p, diskindex.Options{
-		ShareProjections: true, Seed: seed, TableBits: tableBits,
-	}, store)
-	if err != nil {
-		return nil, err
-	}
-	if err := attachEngine(ix, set); err != nil {
-		return nil, err
-	}
-	if err := partition(ix, set.shards); err != nil {
-		return nil, err
-	}
-	if set.walDir != "" {
-		if err := ix.InitWAL(set.walDir, diskindex.WALConfig{FsyncEvery: set.fsyncEvery}); err != nil {
+	return openStorage(opts, false, func(store *blockstore.Store, _ storageSettings) (*diskindex.Index, error) {
+		p, seed, tableBits, err := cfg.derive(data)
+		if err != nil {
 			return nil, err
 		}
-	}
-	return &StorageIndex{ix: ix}, nil
+		return diskindex.Build(data, p, diskindex.Options{Seed: seed, TableBits: tableBits}, store)
+	})
 }
 
 // SaveFile persists the index (metadata and blocks) to the named file.
@@ -90,22 +69,50 @@ func (s *StorageIndex) ProbeStorage() error {
 	return nil
 }
 
-// OpenStorageIndex loads an index persisted by SaveFile. data must be the
-// vectors the index was built over (the database itself stays on DRAM, as
-// in the paper). Storage options apply as in NewStorageIndex; the cache is
-// runtime state and is never persisted.
+// OpenStorageIndex loads an index persisted by SaveFile into a block store
+// chosen as in NewStorageIndex. data must be the vectors the index was built
+// over (the database itself stays on DRAM, as in the paper). Every storage
+// option applies as in NewStorageIndex; the cache is runtime state and is
+// never persisted. Under WithWAL the loaded index starts a log in the
+// directory, which OpenWALIndex then recovers with the same data.
 func OpenStorageIndex(path string, data [][]float32, opts ...StorageOption) (*StorageIndex, error) {
+	return openStorage(opts, false, func(store *blockstore.Store, _ storageSettings) (*diskindex.Index, error) {
+		return diskindex.LoadFile(path, data, store)
+	})
+}
+
+// OpenWALIndex recovers a crash-safe index from a WAL directory started by
+// NewStorageIndex or OpenStorageIndex with WithWAL: it loads the newest
+// checkpoint image into a block store chosen as in NewStorageIndex and
+// replays the log's acked tail, so every update that was acked before the
+// crash (or clean shutdown) is searchable again. data must be the vectors
+// the log was started with — vectors inserted online afterwards are part of
+// the durable state and come back from the checkpoint and log themselves.
+// Every storage option applies as in NewStorageIndex (WithWAL is implied by
+// dir); RecoveryStats reports what the replay found.
+func OpenWALIndex(dir string, data [][]float32, opts ...StorageOption) (*StorageIndex, error) {
+	replay := func(store *blockstore.Store, set storageSettings) (*diskindex.Index, error) {
+		return diskindex.OpenWAL(dir, data, store, diskindex.WALConfig{FsyncEvery: set.fsyncEvery})
+	}
+	// WithWAL(dir) is appended so that WithFsyncEvery alone validates.
+	return openStorage(append(opts[:len(opts):len(opts)], WithWAL(dir)), true, replay)
+}
+
+// openStorage is the one open path of the three constructors: it resolves
+// the options, chooses the store (over the WithStorageBackend backend, else
+// in memory), has fill build, load or recover the index into it, attaches
+// the I/O engine, partitions the objects and, unless fill recovered a log,
+// starts one under WithWAL.
+func openStorage(opts []StorageOption, recovered bool, fill func(*blockstore.Store, storageSettings) (*diskindex.Index, error)) (*StorageIndex, error) {
 	set, err := resolveStorageSettings(opts)
 	if err != nil {
 		return nil, err
 	}
+	store := blockstore.NewMem()
 	if set.backend != nil {
-		return nil, fmt.Errorf("e2lshos: WithStorageBackend applies to NewStorageIndex only; a loaded index owns its store")
+		store = blockstore.NewWithBackend(set.backend)
 	}
-	if set.walDir != "" {
-		return nil, fmt.Errorf("e2lshos: WithWAL applies to NewStorageIndex only; recover a WAL directory with OpenWALIndex")
-	}
-	ix, err := diskindex.LoadFile(path, data)
+	ix, err := fill(store, set)
 	if err != nil {
 		return nil, err
 	}
@@ -115,33 +122,10 @@ func OpenStorageIndex(path string, data [][]float32, opts ...StorageOption) (*St
 	if err := partition(ix, set.shards); err != nil {
 		return nil, err
 	}
-	return &StorageIndex{ix: ix}, nil
-}
-
-// OpenWALIndex recovers a crash-safe index from a WAL directory created by
-// NewStorageIndex with WithWAL: it loads the newest checkpoint image and
-// replays the log's acked tail, so every update that was acked before the
-// crash (or clean shutdown) is searchable again. data must be the vectors
-// the index was BUILT over — vectors inserted online afterwards are part of
-// the durable state and come back from the checkpoint and log themselves.
-// Storage options apply as in OpenStorageIndex; RecoveryStats reports what
-// the replay found.
-func OpenWALIndex(dir string, data [][]float32, opts ...StorageOption) (*StorageIndex, error) {
-	// Resolve with the WAL directory set so WithFsyncEvery alone validates:
-	// here the log's presence is implied by the call itself.
-	set, err := resolveStorageSettings(append(opts[:len(opts):len(opts)], WithWAL(dir)))
-	if err != nil {
-		return nil, err
-	}
-	if set.backend != nil {
-		return nil, fmt.Errorf("e2lshos: WithStorageBackend applies to NewStorageIndex only; a recovered index owns its store")
-	}
-	ix, err := diskindex.OpenWAL(dir, data, blockstore.NewMem(), diskindex.WALConfig{FsyncEvery: set.fsyncEvery})
-	if err != nil {
-		return nil, err
-	}
-	if err := attachEngine(ix, set); err != nil {
-		return nil, err
+	if set.walDir != "" && !recovered {
+		if err := ix.InitWAL(set.walDir, diskindex.WALConfig{FsyncEvery: set.fsyncEvery}); err != nil {
+			return nil, err
+		}
 	}
 	return &StorageIndex{ix: ix}, nil
 }

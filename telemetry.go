@@ -31,16 +31,10 @@ func WithTracing(sampleRate float64) TelemetryOption {
 }
 
 // WithSlowQueryLog dumps the full span trace of every sampled query whose
-// end-to-end latency reaches threshold (to stderr unless
-// WithSlowQueryWriter redirects it). Queries over the threshold are counted
+// end-to-end latency reaches threshold to stderr. Queries over the threshold are counted
 // even when unsampled or when threshold filtering is the only telemetry on.
 func WithSlowQueryLog(threshold time.Duration) TelemetryOption {
 	return func(s *telemetrySettings) { s.slowThresh = threshold }
-}
-
-// WithSlowQueryWriter redirects the slow-query log.
-func WithSlowQueryWriter(w io.Writer) TelemetryOption {
-	return func(s *telemetrySettings) { s.slowW = w }
 }
 
 // telem is the telemetry anchor every engine embeds: an atomically-swapped

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -86,7 +87,7 @@ func TestTelemetryStorageStagesAndSlowLog(t *testing.T) {
 	if err := ix.EnableTelemetry(
 		WithTracing(1),
 		WithSlowQueryLog(time.Nanosecond), // every sampled query dumps
-		WithSlowQueryWriter(&slow),
+		slowQueryWriter(&slow),
 	); err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +192,7 @@ func TestServerSlowQueryTraceNamesStages(t *testing.T) {
 		return slow.Write(p)
 	})
 	if err := ix.EnableTelemetry(
-		WithTracing(1), WithSlowQueryLog(time.Nanosecond), WithSlowQueryWriter(lockedSlow),
+		WithTracing(1), WithSlowQueryLog(time.Nanosecond), slowQueryWriter(lockedSlow),
 	); err != nil {
 		t.Fatal(err)
 	}
@@ -225,6 +226,11 @@ func TestServerSlowQueryTraceNamesStages(t *testing.T) {
 			t.Errorf("served slow trace does not name the %s stage:\n%s", stage, dump)
 		}
 	}
+}
+
+// slowQueryWriter sends the slow-query log to w instead of stderr.
+func slowQueryWriter(w io.Writer) TelemetryOption {
+	return func(s *telemetrySettings) { s.slowW = w }
 }
 
 // writerFunc adapts a function to io.Writer.

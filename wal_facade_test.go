@@ -182,7 +182,8 @@ func TestBudgetedBatchSearchBesideInsert(t *testing.T) {
 	check()
 }
 
-// TestWALOptionValidation pins the option-combination errors.
+// TestWALOptionValidation pins the option-combination errors, and that an
+// opened image starts a log that OpenWALIndex recovers.
 func TestWALOptionValidation(t *testing.T) {
 	ds, err := GenerateDataset(DatasetSpec{
 		Name: "walv", N: 300, Queries: 1, Dim: 8,
@@ -205,10 +206,27 @@ func TestWALOptionValidation(t *testing.T) {
 	if err := ix.SaveFile(img); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenStorageIndex(img, ds.Vectors, WithWAL(t.TempDir())); err == nil {
-		t.Fatal("OpenStorageIndex accepted WithWAL")
-	}
 	if err := ix.Checkpoint(); err == nil {
 		t.Fatal("Checkpoint without WithWAL succeeded")
+	}
+	dir := t.TempDir()
+	opened, err := OpenStorageIndex(img, ds.Vectors, WithWAL(dir))
+	if err != nil {
+		t.Fatalf("OpenStorageIndex with WithWAL: %v", err)
+	}
+	id, err := opened.Insert(ds.Queries[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := OpenWALIndex(dir, ds.Vectors)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, _, err := rec.Search(context.Background(), ds.Queries[0], WithK(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := rec.RecoveryStats(); st.Replayed != 1 || len(res.Neighbors) == 0 || res.Neighbors[0].ID != id {
+		t.Fatalf("recovered the opened image's log: %+v, top neighbors %v, want insert %d", st, res.Neighbors, id)
 	}
 }
