@@ -16,11 +16,18 @@ type reader interface {
 	ReadBlock(a blockstore.Addr, buf []byte) error
 }
 
+// cacher is what readThrough drives: the product Cache, or the test-only
+// reference policy (reference_test.go).
+type cacher interface {
+	Get(a blockstore.Addr, buf []byte) bool
+	Put(a blockstore.Addr, data []byte)
+}
+
 // readThrough is the cache-aside read the tests drive the cache with: serve
 // from the cache when resident, otherwise read src and populate. It reports
 // whether the read was a hit. (Production reads go through ioengine, which
 // adds dedup in front of the same Get/Put pair.)
-func readThrough(c *Cache, src reader, a blockstore.Addr, buf []byte) (bool, error) {
+func readThrough(c cacher, src reader, a blockstore.Addr, buf []byte) (bool, error) {
 	if c.Get(a, buf) {
 		return true, nil
 	}
@@ -97,38 +104,6 @@ func TestReadThroughHitsAndMisses(t *testing.T) {
 	}
 }
 
-// TestLRUEvictionOrder: with a single shard in plain LRU mode, the least
-// recently used block is the one evicted.
-func TestLRUEvictionOrder(t *testing.T) {
-	c, err := New(3*blockstore.BlockSize, Options{Shards: 1, Policy: LRU})
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := &countingSource{}
-	buf := make([]byte, blockstore.BlockSize)
-	read := func(a blockstore.Addr) bool {
-		hit, err := readThrough(c, src, a, buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return hit
-	}
-	read(1)
-	read(2)
-	read(3) // cache: [3 2 1]
-	read(1) // touch 1: [1 3 2]
-	read(4) // evicts 2: [4 1 3]
-	if c.Len() != 3 {
-		t.Fatalf("resident %d blocks, want 3", c.Len())
-	}
-	if read(2) {
-		t.Error("evicted block 2 still resident")
-	} // evicts 3
-	if !read(4) || !read(1) {
-		t.Error("recently used blocks 4 and 1 were evicted before LRU block")
-	}
-}
-
 // TestTwoQScanResistance: a hot working set that has proven itself (touched,
 // evicted from probation, re-referenced into main) survives one cold scan of
 // many single-touch blocks, which a plain LRU of the same size does not.
@@ -138,7 +113,7 @@ func TestTwoQScanResistance(t *testing.T) {
 	for i := range hot {
 		hot[i] = blockstore.Addr(i + 1)
 	}
-	warm := func(t *testing.T, c *Cache, src *countingSource) {
+	warm := func(t *testing.T, c cacher, src *countingSource) {
 		buf := make([]byte, blockstore.BlockSize)
 		read := func(a blockstore.Addr) {
 			if _, err := readThrough(c, src, a, buf); err != nil {
@@ -158,7 +133,7 @@ func TestTwoQScanResistance(t *testing.T) {
 			read(a)
 		}
 	}
-	scanThenCount := func(t *testing.T, c *Cache, src *countingSource) int {
+	scanThenCount := func(t *testing.T, c cacher, src *countingSource) int {
 		buf := make([]byte, blockstore.BlockSize)
 		for i := 0; i < 4*capBlocks; i++ { // one long cold sweep
 			if _, err := readThrough(c, src, blockstore.Addr(100_000+i), buf); err != nil {
@@ -174,14 +149,11 @@ func TestTwoQScanResistance(t *testing.T) {
 		return resident
 	}
 
-	twoQ, err := New(capBlocks*blockstore.BlockSize, Options{Shards: 1, Policy: TwoQ})
+	twoQ, err := New(capBlocks*blockstore.BlockSize, Options{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	lru, err := New(capBlocks*blockstore.BlockSize, Options{Shards: 1, Policy: LRU})
-	if err != nil {
-		t.Fatal(err)
-	}
+	lru := newRefCache(capBlocks, 1, true)
 	src := &countingSource{}
 	warm(t, twoQ, src)
 	warm(t, lru, src)
@@ -302,5 +274,37 @@ func TestConcurrentReadThroughStress(t *testing.T) {
 	}
 	if c.Hits() == 0 {
 		t.Error("no hits on a skewed workload; cache inert")
+	}
+}
+
+// TestSteadyStateZeroAllocs: once warm, hits, misses, inserts that evict
+// (into probation, into main from a ghost, out to the ghost queue) and
+// invalidations allocate nothing.
+func TestSteadyStateZeroAllocs(t *testing.T) {
+	c, err := New(256*blockstore.BlockSize, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, blockstore.BlockSize)
+	next := blockstore.Addr(1)
+	round := func() {
+		for i := 0; i < 32; i++ {
+			for _, a := range []blockstore.Addr{next%32 + 1, next%2048 + 100} {
+				if !c.Get(a, buf) {
+					c.Put(a, buf)
+				}
+			}
+			c.Invalidate(next%2048/2 + 100)
+			next++
+		}
+	}
+	for i := 0; i < 64; i++ {
+		round()
+	}
+	if got := testing.AllocsPerRun(100, round); got != 0 {
+		t.Errorf("a warm round of gets, puts and invalidations allocates %v times, want 0", got)
+	}
+	if c.Hits() == 0 || c.Misses() == 0 {
+		t.Errorf("hits/misses = %d/%d: the round does not exercise both paths", c.Hits(), c.Misses())
 	}
 }

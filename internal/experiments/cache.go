@@ -20,9 +20,10 @@ import (
 // effective N_IO — reads that actually reach the backend — per searcher
 // (the sequential reference Searcher and the serving WaveSearcher).
 //
-// The sweep uses plain LRU on a single stripe: LRU's inclusion property
-// guarantees a monotonically non-increasing miss count as capacity grows on
-// the deterministic sequential stream, which the test suite asserts.
+// The sweep runs the product cache (2Q over the default stripes). 2Q has no
+// inclusion property, so a larger cache is not guaranteed to miss less on
+// every stream; on this repeated workload the sequential searcher's miss
+// rate still falls as capacity grows, which the test suite asserts.
 type CacheSweepResult struct {
 	Dataset string
 	// Passes is how many times the query set was repeated (the workload
@@ -95,7 +96,7 @@ func CacheSweep(env *Env) (*CacheSweepResult, error) {
 		}
 		row := CacheSweepRow{CacheBytes: bytes, CacheFrac: frac}
 
-		// Sequential searcher: deterministic stream, LRU inclusion applies.
+		// Sequential searcher: one deterministic stream.
 		seq, err := sweepCached(disk, bytes)
 		if err != nil {
 			return nil, err
@@ -127,11 +128,11 @@ func CacheSweep(env *Env) (*CacheSweepResult, error) {
 	return res, nil
 }
 
-// sweepCached attaches a fresh single-stripe LRU cache of the given size to
-// ix, inside the I/O engine every cached read goes through, replacing
-// whatever engine was attached before.
+// sweepCached attaches a fresh product cache of the given size to ix,
+// inside the I/O engine every cached read goes through, replacing whatever
+// engine was attached before.
 func sweepCached(ix *diskindex.Index, bytes int64) (*blockcache.Cache, error) {
-	cache, err := blockcache.New(bytes, blockcache.Options{Shards: 1, Policy: blockcache.LRU})
+	cache, err := blockcache.New(bytes, blockcache.Options{})
 	if err != nil {
 		return nil, err
 	}

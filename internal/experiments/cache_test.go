@@ -6,7 +6,8 @@ import (
 
 // TestCacheSweepMonotonicMissRate is the cachesweep acceptance property:
 // the sequential engine's miss rate decreases monotonically as the cache
-// grows (LRU inclusion on a deterministic stream), the effective N_IO never
+// grows (on this deterministic, repeated stream; 2Q has no inclusion
+// property that would guarantee it on every stream), the effective N_IO never
 // exceeds the uncached baseline, and a full-index cache on a repeated
 // workload cuts backend reads by well over 2x.
 func TestCacheSweepMonotonicMissRate(t *testing.T) {

@@ -44,7 +44,9 @@ func TestWallBackendTimesReads(t *testing.T) {
 	}
 
 	// A coalesced run of 4 adjacent blocks is one physical op: one service
-	// time, not four.
+	// time, not four. The backend counts the service times it charged, so
+	// the run is checked on that count; wall time only bounds it from below,
+	// since a sleep cannot end early but may end late on a loaded machine.
 	addrs := []blockstore.Addr{1, 2, 3, 4}
 	bufs := make([][]byte, len(addrs))
 	for i := range bufs {
@@ -55,18 +57,18 @@ func TestWallBackendTimesReads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	elapsed := time.Since(start)
+	if elapsed := time.Since(start); elapsed < 900*time.Microsecond {
+		t.Errorf("coalesced run took %v, want >= ~1ms service time", elapsed)
+	}
 	if nops != 1 {
 		t.Errorf("coalesced run took %d ops, want 1", nops)
-	}
-	if elapsed > 3*time.Millisecond {
-		t.Errorf("coalesced run took %v, want ~1 service time", elapsed)
 	}
 	for i, a := range addrs {
 		if bufs[i][0] != byte(a) {
 			t.Errorf("block %d corrupted", a)
 		}
 	}
+	// Ops counts service times: one for the QD1 read, one for the run.
 	if wall.Reads() != 5 || wall.Ops() != 2 {
 		t.Errorf("Reads/Ops = %d/%d, want 5/2", wall.Reads(), wall.Ops())
 	}

@@ -1,7 +1,7 @@
 // Package offheap hands out large, pointer-free byte slabs that live outside
 // the Go heap where the platform allows: the RAM block store's chunks
-// (internal/blockstore) and the build's per-radius hash keys
-// (internal/memindex). Memory outside the heap is neither scanned by the
+// (internal/blockstore), the build's per-radius hash keys
+// (internal/memindex) and the block cache's slab (internal/blockcache). Memory outside the heap is neither scanned by the
 // collector nor counted toward its next goal, and Free returns it to the
 // operating system at once instead of at the scavenger's pace.
 //

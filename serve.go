@@ -755,9 +755,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // JSON keys), the serving counters, the always-on request-latency and
 // coalescer-wait summaries, the batch-size and queue-depth settings, the I/O
 // engine's retry and quarantine counters (lsh_io_*, when the engine has one),
-// the store's size and the Go runtime's live heap and GC CPU (lsh_go_*),
-// and — when the engine has telemetry or autotuning enabled — its per-stage
-// latency summaries and model state under the lsh_ prefix.
+// the store's and the block cache's sizes, the Go runtime's live heap and GC
+// CPU (lsh_go_*), and — when the engine has telemetry or autotuning enabled —
+// its per-stage latency summaries and model state under the lsh_ prefix.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		http.Error(w, "GET required", http.StatusMethodNotAllowed)
@@ -800,11 +800,14 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if d, ok := s.eng.(interface{ IODepth() int }); ok {
 		telemetry.WriteGauge(w, "lsh_io_depth", float64(d.IODepth()))
 	}
-	// Where resident memory goes: the index store (on unix a RAM store sits
-	// outside the Go heap), the heap the last collection left live, and what
-	// collecting it costs against all the process's Go CPU.
+	// Where resident memory goes: the index store and the block cache (on
+	// unix both sit outside the Go heap), the heap the last collection left
+	// live, and what collecting it costs against all the process's Go CPU.
 	if sb, ok := s.eng.(interface{ StorageBytes() int64 }); ok {
 		telemetry.WriteGauge(w, "lsh_index_store_bytes", float64(sb.StorageBytes()))
+	}
+	if cb, ok := s.eng.(interface{ CacheResidentBytes() int64 }); ok {
+		telemetry.WriteGauge(w, "lsh_blockcache_resident_bytes", float64(cb.CacheResidentBytes()))
 	}
 	rt := []metrics.Sample{
 		{Name: "/gc/heap/live:bytes"},

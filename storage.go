@@ -196,6 +196,17 @@ func (s *StorageIndex) CacheStats() (hits, misses, prefetched int64) {
 	return c.Hits(), c.Misses(), c.Prefetched()
 }
 
+// CacheResidentBytes reports the bytes of the blocks resident in the block
+// cache (zero without WithBlockCache). On unix the cache sits outside the Go
+// heap; a Server exposes this as lsh_blockcache_resident_bytes.
+func (s *StorageIndex) CacheResidentBytes() int64 {
+	c := s.ix.Cache()
+	if c == nil {
+		return 0
+	}
+	return int64(c.Len()) * blockstore.BlockSize
+}
+
 // IOEngineCounters is the vectored engine's cumulative counter set: block
 // reads requested plus the fault-tolerance counters (retries issued, reads
 // failed after retries, quarantine fast-fails, and the current quarantine
