@@ -66,8 +66,8 @@ func run(ctx context.Context, args []string, out io.Writer, ready func(addr net.
 		maxBatch  = fs.Int("maxbatch", 32, "coalescer: max queries per batch (batches form while every execution slot is busy: one slot per processor)")
 		maxQueue  = fs.Int("maxqueue", 0, "coalescer: admission bound (0 = 4x maxbatch)")
 		cacheMB   = fs.Int("cache", 0, "block cache in MiB (0 = uncached)")
-		readahead = fs.Int("readahead", 0, "bucket blocks prefetched per chain between radius rounds, into the block cache (0 = off)")
-		ioDepth   = fs.Int("iodepth", 0, "vectored I/O engine queue depth: batched round submission, adjacent-block coalescing (0 = no engine: in-line reads, each bucket walked block by block; or depth 16 when -cache or -retries attach one)")
+		readahead = fs.Int("readahead", 0, "bucket blocks prefetched per chain between radius rounds, into the block cache, while the engine's backend blocks (0 = off)")
+		ioDepth   = fs.Int("iodepth", 0, "vectored I/O engine queue depth: while its backend blocks, batched round submission and adjacent-block coalescing; until then in-line reads through it (0 = no engine: in-line reads, each bucket walked block by block; or depth 16 when -cache or -retries attach one)")
 		retries   = fs.Int("retries", 0, "per-block read retries with backoff before a fault degrades the query (0 = off)")
 		metrics   = fs.Bool("metrics", true, "enable engine latency telemetry (per-stage histograms, served at /metrics)")
 		pprofOn   = fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")

@@ -487,9 +487,10 @@ func TestRunGracefulShutdown(t *testing.T) {
 	}
 	// The run() flag defaults (-metrics on) must yield a complete scrape on
 	// the real serving loop, exactly as CI asserts on the httptest server,
-	// and lshserve's one storage index reports its store's size and, under
-	// -cache, the bytes its block cache holds.
-	scrapeMetrics(t, base, "lsh_index_store_bytes", "lsh_blockcache_resident_bytes")
+	// and lshserve's one storage index reports its store's size, under
+	// -cache the bytes its block cache holds, and under -iodepth whether its
+	// engine's backend blocks.
+	scrapeMetrics(t, base, "lsh_index_store_bytes", "lsh_blockcache_resident_bytes", "lsh_io_blocking")
 
 	cancel() // stand-in for SIGINT: main wires the same ctx through signal.NotifyContext
 	select {

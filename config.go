@@ -111,16 +111,19 @@ func WithBlockCache(bytes int64) StorageOption {
 // rounds: while one round's candidates are being verified, the I/O engine
 // prefetches the next round's occupied table blocks and up to depth bucket
 // blocks per chain into the block cache, as vectored waves under its queue
-// depth. Requires WithBlockCache.
+// depth. It runs while the engine's backend blocks: over one that does not,
+// queries walk in line and nothing overlaps. Requires WithBlockCache.
 func WithReadahead(depth int) StorageOption {
 	return func(s *storageSettings) { s.readahead = depth }
 }
 
 // WithIOEngine routes every read of the index through a shared vectored
 // asynchronous I/O engine driving the backend at the given queue depth:
-// each radius round's table entries and bucket-chain waves are submitted as
-// vectored batches, a block asked for twice in one wave is read once, and
-// runs of adjacent blocks coalesce into single physical reads. Combine with
+// once the backend is seen to block, each radius round's table entries and
+// bucket-chain waves are submitted as vectored batches, a block asked for
+// twice in one wave is read once, and runs of adjacent blocks coalesce into
+// single physical reads; until then queries walk each bucket in line
+// through the engine, reading exactly the in-line index's blocks. Combine with
 // WithBlockCache to serve hits before any of that; alone, the engine still
 // batches and coalesces against the raw store. Stats then report
 // PhysicalReads, CoalescedReads and DedupedReads alongside the logical

@@ -339,7 +339,7 @@ func (r *batchRun) fail(err error) {
 	r.mu.Unlock()
 }
 
-// work is one pool goroutine: it checks out a querier and reuses it across
+// work is one pool worker: it checks out a querier and reuses it across
 // the queries it claims. A panic inside a searcher fails the batch instead of
 // the process, and the querier it happened in is not put back.
 func (r *batchRun) work() {
@@ -375,7 +375,7 @@ func (r *batchRun) work() {
 }
 
 // engineBatchSearch implements Engine.BatchSearch over an engineCore: a
-// worker pool over one batchRun.
+// worker pool over one batchRun, the caller among the workers.
 func engineBatchSearch(ctx context.Context, e engineCore, queries [][]float32, opts []SearchOption) ([]Result, Stats, error) {
 	r := e.scratch().runs.take()
 	if r == nil {
@@ -417,10 +417,13 @@ func engineBatchSearch(ctx context.Context, e engineCore, queries [][]float32, o
 	if r.col != nil || r.tn != nil {
 		r.waits = telemetry.QueueWaits(ctx)
 	}
+	// The calling goroutine is one of the workers: a batch of one query
+	// starts no goroutine and waits on nothing.
 	r.wg.Add(workers)
-	for w := 0; w < workers; w++ {
+	for w := 1; w < workers; w++ {
 		go r.work()
 	}
+	r.work()
 	r.wg.Wait()
 	err := r.firstErr
 	if err == nil {

@@ -6,6 +6,9 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"e2lshos/internal/blockstore"
+	"e2lshos/internal/faultinject"
 )
 
 // parityDataset is shared by the engine-parity tests: clustered enough that
@@ -204,8 +207,9 @@ func TestSearchCancellation(t *testing.T) {
 // TestMultiProbeOption: extra probes must visit at least as many buckets on
 // both E2LSH engines, and results must stay valid. On storage the extra
 // probes ride the same fetch waves as the base buckets: behind WithIOEngine
-// they go out as vectored reads, the answers are the in-line index's, and
-// the in-line walk, which stops at the budget, probes and reads no more.
+// over a backend that blocks they go out as vectored reads, the answers are
+// the in-line index's, and the in-line walk, which stops at the budget,
+// probes and reads no more.
 func TestMultiProbeOption(t *testing.T) {
 	ctx := context.Background()
 	d := parityDataset(t)
@@ -217,7 +221,7 @@ func TestMultiProbeOption(t *testing.T) {
 	}{
 		{"mem", func() (Engine, error) { return NewInMemoryIndex(d.Vectors, Config{}) }},
 		{"disk", func() (Engine, error) { return NewStorageIndex(d.Vectors, Config{}) }},
-		{"disk+ioengine", func() (Engine, error) { return NewStorageIndex(d.Vectors, Config{}, WithIOEngine(8)) }},
+		{"disk+ioengine", func() (Engine, error) { return blockingStorageIndex(t, d, Config{}, WithIOEngine(8)), nil }},
 	} {
 		eng, err := build.make()
 		if err != nil {
@@ -255,4 +259,29 @@ func TestMultiProbeOption(t *testing.T) {
 	if inline.PhysicalReads != 0 || vectored.PhysicalReads == 0 {
 		t.Errorf("PhysicalReads: in-line %d (want 0), vectored %d (want > 0)", inline.PhysicalReads, vectored.PhysicalReads)
 	}
+}
+
+// blockingStorageIndex is NewStorageIndex over a RAM backend whose every
+// read takes 15µs, past the I/O engine's 10µs blocking threshold, made
+// blocking by first queries: its queries read their rounds as waves. The
+// options must attach an engine.
+func blockingStorageIndex(t *testing.T, d *Dataset, cfg Config, opts ...StorageOption) *StorageIndex {
+	t.Helper()
+	fb := faultinject.Wrap(blockstore.NewMemBackend(), faultinject.Schedule{SlowRead: 1, SlowDelay: 15 * time.Microsecond})
+	fb.Disarm() // the build does not wait on reads
+	ix, err := NewStorageIndex(d.Vectors, cfg, append(opts, WithStorageBackend(fb))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fb.Arm()
+	for _, q := range d.Queries {
+		if ix.IOCounters().Blocking == 1 {
+			return ix
+		}
+		if _, _, err := ix.Search(context.Background(), q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	t.Fatal("the engine is not blocking after a pass of queries over a backend that blocks")
+	return nil
 }

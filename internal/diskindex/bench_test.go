@@ -95,7 +95,7 @@ func benchWaveSearch(b *testing.B, ix *Index, queries [][]float32, k int) {
 
 // benchFileWaveSearch runs benchWaveSearch on the file-backed index (make
 // bench runs three passes). The pair below prints the engine-to-in-line
-// ratio: what routing every wave through the I/O engine costs when the
+// ratio: what routing every read through the I/O engine costs when the
 // backend answers from the page cache.
 func benchFileWaveSearch(b *testing.B, depth int) {
 	d, ix := fileBenchIndex(b, depth)
@@ -157,7 +157,9 @@ func buildServed() (*dataset.Dataset, *Index, error) {
 // BenchmarkServedShape is the wave searcher at k = 10 on the served-shape
 // index, in line and through an engine of depth 16. Its vectors (51 MB)
 // outgrow the CPU caches, so verification pays the DRAM misses that the
-// 20 000-vector benchmarks above never see.
+// 20 000-vector benchmarks above never see. Over the warm file the engine
+// is not blocking, so its queries walk in line through Engine.Read and read
+// the Inline case's blocks: the pair prices the engine's single-block read.
 func BenchmarkServedShape(b *testing.B) {
 	d, ix := servedIndex(b)
 	b.Run("Inline", func(b *testing.B) { benchWaveSearch(b, ix, d.Queries, 10) })

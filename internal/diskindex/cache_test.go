@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"e2lshos/internal/ann"
 	"e2lshos/internal/blockstore"
@@ -22,6 +23,10 @@ type countingBackend struct {
 	blocks map[blockstore.Addr][blockstore.BlockSize]byte
 	max    uint64
 	reads  atomic.Int64
+	// stall, when set before the reads start, makes every read take that
+	// long, spinning (a timer can take a millisecond): a backend that
+	// blocks.
+	stall time.Duration
 }
 
 func newCountingBackend() *countingBackend {
@@ -29,6 +34,8 @@ func newCountingBackend() *countingBackend {
 }
 
 func (b *countingBackend) ReadBlock(a blockstore.Addr, buf []byte) error {
+	for start := time.Now(); time.Since(start) < b.stall; {
+	}
 	b.reads.Add(1)
 	b.mu.Lock()
 	blk := b.blocks[a] // zero block if never written
@@ -167,14 +174,18 @@ func TestCacheHalvesBackendReads(t *testing.T) {
 	}
 }
 
-// TestReadaheadPrefetchesAndAgrees: with readahead on, queries report
-// prefetched blocks, answers still match the uncached reference, and the
-// prefetched blocks turn later rounds' misses into hits on a cold cache.
+// TestReadaheadPrefetchesAndAgrees: with readahead on and a backend that
+// blocks, queries report prefetched blocks, answers still match the
+// uncached reference, and the prefetched blocks turn later rounds' misses
+// into hits on a cold cache.
 func TestReadaheadPrefetchesAndAgrees(t *testing.T) {
 	d, plain, _ := cacheSetup(t, 0, 0)
 	wantRes, _ := runRepeated(t, plain, d, 1)
 
 	_, cached, backend := cacheSetup(t, 64<<20, 4)
+	backend.stall = slowRead
+	tipBlocking(t, cached.IOEngine())
+	backend.reads.Store(0)
 	gotRes, st := runRepeated(t, cached, d, 1)
 	for qi := range wantRes {
 		for i := range wantRes[qi].Neighbors {

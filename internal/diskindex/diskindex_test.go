@@ -10,6 +10,7 @@ import (
 	"e2lshos/internal/blockstore"
 	"e2lshos/internal/costmodel"
 	"e2lshos/internal/dataset"
+	"e2lshos/internal/ioengine"
 	"e2lshos/internal/iosim"
 	"e2lshos/internal/ladder"
 	"e2lshos/internal/lsh"
@@ -259,9 +260,9 @@ func TestAsyncMatchesServingSearcher(t *testing.T) {
 	modes := []schedMode{{"sync", 1, true}, {"async1", 1, false}, {"async2", 2, false}}
 	d, ix, _ := testSetup(t, 2000, 1000, DefaultOptions())
 	// The scheduler issues a round whole, as a serving searcher does
-	// with an engine attached, whatever its queue depth; in line it
-	// would walk each bucket and stop at the budget.
-	ref, wave := ix.NewSearcher(), engineAttached(t, ix, 4, 0, 0).NewWaveSearcher()
+	// with an engine over a backend that blocks, whatever its queue depth;
+	// in line it would walk each bucket and stop at the budget.
+	ref, wave := ix.NewSearcher(), blockingEngine(t, ix, ioengine.Options{Depth: 4}, 0, 0).NewWaveSearcher()
 	for _, budget := range []int{0, 2, 8, ix.Params().S / 2} {
 		for _, k := range []int{1, 5} {
 			kn := ladder.Knobs{K: k, Budget: budget}

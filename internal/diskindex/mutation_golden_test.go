@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"e2lshos/internal/ioengine"
 	"e2lshos/internal/ladder"
 )
 
@@ -32,10 +33,11 @@ func TestMutationGoldenDigest(t *testing.T) {
 		ref := ix.NewSearcher()
 		queries := append(append([][]float32{}, d.Queries...), d.Vectors[n], d.Vectors[n+7], d.Vectors[0])
 		record := func(stage string) {
-			// The wave searcher reads through an engine, as the ladder
-			// golden's does, on a view made after the stage's updates: a
-			// view holds the dataset as it was when made.
-			ws := engineAttached(t, ix, 4, 0, 0).NewWaveSearcher()
+			// The wave searcher reads through an engine over a backend
+			// that blocks, as the ladder golden's does, on a view made
+			// after the stage's updates: a view holds the dataset and the
+			// blocks as they were when made.
+			ws := blockingEngine(t, ix, ioengine.Options{Depth: 4}, 0, 0).NewWaveSearcher()
 			budgets := []struct {
 				name string
 				s    int

@@ -48,6 +48,10 @@ type searcher struct {
 	lad *ladder.Driver
 	// rounds is the embedding searcher, the driver's view of it.
 	rounds ladder.Rounds
+	// overlap is whether the running query's reads can overlap: whether an
+	// engine is attached and blocking (see ioengine.Engine.Blocking), read
+	// once as the query's first round opens. Readahead runs only then.
+	overlap bool
 	// Readahead scratch: next-round hashes and the in-flight prefetch
 	// handle.
 	nextHashes []uint32
@@ -122,14 +126,18 @@ func (s *searcher) Run(ctx context.Context, q []float32, kn ladder.Knobs, dst []
 // BeginRound implements ladder.Rounds for both disk searchers: it opens the
 // round's read accounting (see roundIO), settles the readahead issued while
 // the previous round was verifying (by now it has usually drained) and, when
-// allowed, starts prefetching the next round's chains so they load while
-// this round verifies.
+// allowed and the query overlaps its reads, starts prefetching the next
+// round's chains so they load while this round verifies. As the query's
+// first round opens it reads whether the query overlaps.
 func (s *searcher) BeginRound(ctx context.Context, r int, readahead bool) {
 	s.settle()
 	st := &s.lad.Stats
 	s.wait, s.ios, s.hits = 0, st.IOs(), st.CacheHits
 	ix := s.ix
-	if readahead && ix.readahead > 0 && r+1 < ix.params.R() {
+	if r == 0 {
+		s.overlap = ix.ioeng != nil && ix.ioeng.Blocking()
+	}
+	if readahead && s.overlap && ix.readahead > 0 && r+1 < ix.params.R() {
 		ix.Family().HashesAt(s.lad.Proj(), ix.params.Radii[r+1], s.nextHashes)
 		s.pending = ix.prefetchRound(ctx, r+1, s.nextHashes)
 	}
@@ -159,7 +167,8 @@ func (s *searcher) settle() {
 // round's budget is spent. It is the reference implementation the
 // WaveSearcher is tested against and the I/O-count oracle for the Fig 3–8
 // analyses; the WaveSearcher walks its rounds with the same code whenever
-// nothing would overlap its reads (no engine attached). Reads and distance
+// nothing would overlap its reads (no engine attached, or one that is not
+// blocking). Reads and distance
 // checks interleave bucket by bucket; a traced run reports the reads' summed
 // waits as the round's io stage and the rest of the walk as its verify
 // stage. Not safe for concurrent use; create one per worker.

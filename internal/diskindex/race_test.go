@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"e2lshos/internal/ann"
+	"e2lshos/internal/ioengine"
 )
 
 func neighborIDs(ns []ann.Neighbor) []uint32 {
@@ -44,7 +45,8 @@ func TestConcurrentInsertSearch(t *testing.T) {
 		{"sequential", nil, mkSequential},
 		{"wave", nil, mkWave},
 		{"cached-readahead", func(t *testing.T, ix *Index) *Index {
-			return engineAttached(t, ix, 16, 1<<20, 2)
+			// Over a backend that blocks, so that readahead runs.
+			return blockingEngine(t, ix, ioengine.Options{Depth: 16}, 1<<20, 2)
 		}, mkWave},
 	}
 	for _, v := range variants {

@@ -12,6 +12,7 @@ import (
 	"e2lshos/internal/ann"
 	"e2lshos/internal/blockcache"
 	"e2lshos/internal/blockstore"
+	"e2lshos/internal/faultinject"
 	"e2lshos/internal/ioengine"
 	"e2lshos/internal/iosim"
 	"e2lshos/internal/ladder"
@@ -43,6 +44,41 @@ func withEngine(t testing.TB, ix *Index, opts ioengine.Options, cacheBytes int64
 	}
 	clone.AttachIOEngine(eng, readahead)
 	return &clone
+}
+
+// slowRead is how long every read of a blockingEngine view's store takes:
+// past ioengine's blocking threshold (10µs), short enough for a test.
+const slowRead = 15 * time.Microsecond
+
+// blockingEngine is withEngine over a copy of ix whose every read stalls
+// for slowRead, with the engine already blocking: every query on the view
+// reads its rounds as waves, fanned out at the engine's depth, and runs
+// readahead. The view holds ix's blocks as they are when it is made.
+func blockingEngine(t *testing.T, ix *Index, opts ioengine.Options, cacheBytes int64, readahead int) *Index {
+	t.Helper()
+	slow, _ := faultyCopy(t, ix, faultinject.Schedule{SlowRead: 1, SlowDelay: slowRead})
+	view := withEngine(t, slow, opts, cacheBytes, readahead)
+	tipBlocking(t, view.IOEngine())
+	return view
+}
+
+// tipBlocking reads a block through a fresh engine over a store whose reads
+// block, dropping it from the engine's cache each time, until the engine
+// says it is blocking.
+func tipBlocking(t *testing.T, eng *ioengine.Engine) {
+	t.Helper()
+	buf := make([]byte, blockstore.BlockSize)
+	for n := 0; !eng.Blocking(); n++ {
+		if n == 1024 {
+			t.Fatal("the engine is not blocking after 1024 slow reads")
+		}
+		if err := eng.Read(1, buf, nil); err != nil {
+			t.Fatal(err)
+		}
+		if c := eng.Cache(); c != nil {
+			c.Invalidate(1)
+		}
+	}
 }
 
 // logicalStats strips the physical-path counters (cache, coalescing, dedup,
@@ -108,8 +144,10 @@ func TestVectoredFetchMatchesSerial(t *testing.T) {
 // cache, only queue depth, cache + depth + readahead, or retries, the top-k
 // is bitwise the reference Searcher's (same knobs). In line, where the wave
 // searcher walks its buckets as the reference does, every logical counter
-// is the reference's too. Every engine configuration reads a round as
-// waves, so their logical counters are identical among themselves; against
+// is the reference's too. Every engine configuration runs over a backend
+// that blocks and reads a round as waves (TestNonBlockingEngineMatchesReference
+// covers engines that walk in line), so their logical counters are
+// identical among themselves; against
 // the in-line run they check the same candidates over the same rounds and
 // never read fewer blocks (they probe the whole round where the walk stops
 // at the budget). Swept over multi-probe {0, 2}, a generous and a truncating
@@ -157,7 +195,7 @@ func TestWaveOptionMatrix(t *testing.T) {
 							for _, cfg := range configs {
 								view, engine := ix, cfg.eng.Depth > 0
 								if engine {
-									view = withEngine(t, ix, cfg.eng, cfg.cacheBytes, cfg.readahead)
+									view = blockingEngine(t, ix, cfg.eng, cfg.cacheBytes, cfg.readahead)
 								}
 								seen := len(batched) > 0
 								ws := view.NewWaveSearcher()
@@ -242,11 +280,12 @@ func compareRuns(t *testing.T, which string, qi int, want, got []ann.Neighbor, w
 // TestEngineAttachedAfterSearcher: AttachIOEngine's contract is "attach
 // before issuing queries", not "before creating searchers" — a searcher
 // built first must route its next query through the late engine (readahead
-// included) instead of panicking or bypassing it, and read its rounds as
-// vectored waves rather than walking them in line.
+// included) instead of panicking or bypassing it, and, the engine's backend
+// blocking, read its rounds as vectored waves rather than walking them in
+// line.
 func TestEngineAttachedAfterSearcher(t *testing.T) {
 	d, ix, _ := testSetup(t, 1000, 8, DefaultOptions())
-	clone := *ix
+	clone, _ := faultyCopy(t, ix, faultinject.Schedule{SlowRead: 1, SlowDelay: slowRead})
 	ps := clone.NewWaveSearcher()
 	cache, err := blockcache.New(1<<20, blockcache.Options{})
 	if err != nil {
@@ -256,6 +295,7 @@ func TestEngineAttachedAfterSearcher(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	tipBlocking(t, eng)
 	clone.AttachIOEngine(eng, 2)
 	tr := telemetry.New(telemetry.Config{SampleRate: 1}).StartTrace()
 	if _, _, err := ps.Run(context.Background(), d.Queries[0], ladder.Knobs{K: 1, Trace: tr}, nil); err != nil {
@@ -270,12 +310,13 @@ func TestEngineAttachedAfterSearcher(t *testing.T) {
 }
 
 // TestVectoredReadaheadAgrees: engine-attached readahead (vectored prefetch
-// waves) must leave answers identical to the plain index and actually
-// prefetch on multi-round ladders.
+// waves), which runs while the engine's backend blocks, must leave answers
+// identical to the plain index and actually prefetch on multi-round
+// ladders.
 func TestVectoredReadaheadAgrees(t *testing.T) {
 	d, ix, _ := testSetup(t, 2000, 8, DefaultOptions())
 	plain := ix.NewSearcher()
-	vec := engineAttached(t, ix, 16, 64<<20, 4)
+	vec := blockingEngine(t, ix, ioengine.Options{Depth: 16}, 64<<20, 4)
 	vecSeq := vec.NewSearcher()
 	var agg Stats
 	for qi, q := range d.Queries {
@@ -378,6 +419,7 @@ func TestConcurrentSearchersOnSlowDevice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	tipBlocking(t, eng)
 	wall.AttachIOEngine(eng, 0)
 	queries := d.Queries[:5]
 	type answer struct {

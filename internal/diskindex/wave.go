@@ -12,17 +12,21 @@ import (
 	"e2lshos/internal/telemetry"
 )
 
-// WaveSearcher is the serving searcher. In line (no ioengine attached),
-// where nothing would overlap its reads, it walks each bucket as the
-// reference Searcher does (see searcher.walk), and its counters are the
-// reference's. With an engine, or under the simulator's scheduler, it
-// collects every probe of a round — each table's base bucket and, with
-// multi-probe, its perturbed neighbors — and reads them as waves through
-// Index.readBatch, overlapped at the engine's queue depth (the paper's "many
-// parallel read requests"): the round's table-entry blocks, then one wave
-// per chain depth. After each wave it verifies candidates in probe order
+// WaveSearcher is the serving searcher. Where nothing would overlap its
+// reads — no ioengine attached, or one whose backend does not block (see
+// ioengine.Engine.Blocking: a RAM slab, a warm file) — it walks each bucket
+// as the reference Searcher does (see searcher.walk), reading through the
+// engine's single-block Read when one is attached, and its logical
+// counters are the reference's. Over a backend that blocks, or under the
+// simulator's scheduler, it collects every probe of a round — each table's
+// base bucket and, with multi-probe, its perturbed neighbors — and reads
+// them as waves through Index.readBatch, overlapped at the engine's queue
+// depth (the paper's "many parallel read requests"): the round's
+// table-entry blocks, then one wave per chain depth, with readahead warming
+// the next round. After each wave it verifies candidates in probe order
 // under the budget, as far as the chains read so far allow, and once the
-// budget decides the round it reads nothing more.
+// budget decides the round it reads nothing more. Which of the two a query
+// does is decided once, as it starts.
 //
 // The neighbors are bitwise those of the reference Searcher under the same
 // knobs: verification visits the same entries in the same order under the
@@ -50,7 +54,7 @@ type WaveSearcher struct {
 	// many of its ids are already verified.
 	vp, vi int
 	// whole reads rounds as waves even without an engine, as the
-	// simulator's scheduler issues them; walking is set for a round that
+	// simulator's scheduler issues them; walking is set for a query that
 	// walks its buckets in line instead.
 	whole, walking bool
 	// read fetches one wave; it is Index.readBatch except under the
@@ -105,12 +109,13 @@ type probe struct {
 }
 
 // BeginRound implements ladder.Rounds: on top of the shared step it decides
-// whether the round walks in line (no engine attached, even one attached
-// after the searcher was made, and not the simulator's) and empties the
-// round's probe list.
+// whether the query walks in line (unless it is the simulator's, whenever
+// the shared step found nothing to overlap: no engine attached, even one
+// attached after the searcher was made, or one that is not blocking) and
+// empties the round's probe list.
 func (s *WaveSearcher) BeginRound(ctx context.Context, r int, readahead bool) {
 	s.searcher.BeginRound(ctx, r, readahead)
-	s.walking = s.ix.ioeng == nil && !s.whole
+	s.walking = !s.whole && !s.overlap
 	s.probes = s.probes[:0]
 }
 

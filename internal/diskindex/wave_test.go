@@ -67,13 +67,13 @@ func (s *chainSpy) Visit(r, l int, h uint32) (bool, error) {
 // probes a slot that names a chain. The build gives a bucket a chain only
 // when it outgrows one block, so on an index no update has touched such a
 // slot names two blocks or more. It is a property of the fixture and the
-// knobs, not of how deep a round reads: with an engine attached the wave
-// searcher probes every occupied bucket of every round the ladder walks (in
-// line it would stop at the budget), and the ladder walks the same rounds
-// whichever searcher runs it.
+// knobs, not of how deep a round reads: with an engine over a backend that
+// blocks the wave searcher probes every occupied bucket of every round the
+// ladder walks (in line it would stop at the budget), and the ladder walks
+// the same rounds whichever searcher runs it.
 func probesChain(t *testing.T, ix *Index, queries [][]float32, kn ladder.Knobs) bool {
 	t.Helper()
-	spy := &chainSpy{WaveSearcher: engineAttached(t, ix, 4, 0, 0).NewWaveSearcher(), t: t}
+	spy := &chainSpy{WaveSearcher: blockingEngine(t, ix, ioengine.Options{Depth: 4}, 0, 0).NewWaveSearcher(), t: t}
 	spy.sizeArenas(ix.params.L * (1 + kn.MultiProbe))
 	for _, q := range queries {
 		if err := spy.lad.Run(context.Background(), spy, q, ix.data, kn); err != nil {
@@ -202,13 +202,13 @@ func decidedRun(t *testing.T, ix *Index, q []float32) (Stats, []telemetry.Span) 
 }
 
 // TestWaveStopsReadingOnceDecided: once the budget decides a round, the wave
-// searcher reads no further chain wave. With an engine attached the round is
-// one slice even at a queue depth below its probe count, so its reads are
-// the table wave and the first chain wave, nothing after, and every entry
-// of that chain wave's blocks is counted as scanned.
+// searcher reads no further chain wave. With an engine over a backend that
+// blocks the round is one slice even at a queue depth below its probe
+// count, so its reads are the table wave and the first chain wave, nothing
+// after, and every entry of that chain wave's blocks is counted as scanned.
 func TestWaveStopsReadingOnceDecided(t *testing.T) {
 	ix, q := decidedFixture(t)
-	wide := withEngine(t, ix, ioengine.Options{Depth: 2}, 0, 0)
+	wide := blockingEngine(t, ix, ioengine.Options{Depth: 2}, 0, 0)
 	if d, L := wide.IOEngine().Depth(), ix.params.L; d >= L {
 		t.Fatalf("queue depth %d covers a round of %d probes; the fixture shows nothing", d, L)
 	}
@@ -266,8 +266,9 @@ func TestWaveInlineReadsAsReference(t *testing.T) {
 // TestWaveTraceFitsSpanBuffer: a multi-probe-2 query that climbs every rung
 // of a chained index reads more blocks than the buffer holds spans, and its
 // trace drops none. In line no read is a span of its own (a round's reads
-// are its io stage), and with an engine, even one shallower than a round, a
-// round is a span per wave: the table wave and one per chain depth.
+// are its io stage), and with an engine over a backend that blocks, even one
+// shallower than a round, a round is a span per wave: the table wave and
+// one per chain depth.
 func TestWaveTraceFitsSpanBuffer(t *testing.T) {
 	var chained Options
 	for _, lay := range bucketLayouts() {
@@ -279,7 +280,7 @@ func TestWaveTraceFitsSpanBuffer(t *testing.T) {
 	ix.SetPartitions(1)
 	col := telemetry.New(telemetry.Config{SampleRate: 1})
 	most := 0
-	for _, view := range []*Index{ix, engineAttached(t, ix, 2, 0, 0)} {
+	for _, view := range []*Index{ix, blockingEngine(t, ix, ioengine.Options{Depth: 2}, 0, 0)} {
 		ws, inline := view.NewWaveSearcher(), view.IOEngine() == nil
 		for qi, q := range d.Queries {
 			tr := col.StartTrace()
@@ -312,8 +313,8 @@ func TestWaveTraceFitsSpanBuffer(t *testing.T) {
 // reads, and project + io + verify is the round, although verification runs
 // between the reads. In line, where a round walks its buckets (the reference
 // and the wave searcher alike), the io stages' blocks are the query's and no
-// read is a wave span; at queue depth 4 a round's io stage is the sum of its
-// wave spans' waits and blocks.
+// read is a wave span; at queue depth 4 over a backend that blocks a round's
+// io stage is the sum of its wave spans' waits and blocks.
 func TestWaveTraceAttributesRound(t *testing.T) {
 	d, ix, _ := testSetup(t, 2000, 1000, DefaultOptions())
 	ix.SetPartitions(1)
@@ -328,7 +329,7 @@ func TestWaveTraceAttributesRound(t *testing.T) {
 	}{
 		{"reference", true, ix.NewSearcher()},
 		{"in line", true, ix.NewWaveSearcher()},
-		{"engine", false, engineAttached(t, ix, 4, 0, 0).NewWaveSearcher()},
+		{"engine", false, blockingEngine(t, ix, ioengine.Options{Depth: 4}, 0, 0).NewWaveSearcher()},
 	} {
 		for qi, q := range d.Queries {
 			tr := col.StartTrace()

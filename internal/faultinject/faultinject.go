@@ -51,7 +51,9 @@ type Schedule struct {
 	// SlowRead is the probability a read stalls for SlowDelay before
 	// completing normally (a stuck-slow device).
 	SlowRead float64
-	// SlowDelay is the stall for SlowRead faults (default 2ms).
+	// SlowDelay is the stall for SlowRead faults (default 2ms). A stall
+	// under spinBelow spins instead of sleeping, so it lasts SlowDelay and
+	// not a timer tick.
 	SlowDelay time.Duration
 	// FailFirst fails the first N reads (across all addresses) with EIO,
 	// then recovers: the fail-N-then-recover schedule of a device coming
@@ -203,6 +205,22 @@ func (b *Backend) decide(a blockstore.Addr) (fault, uint64) {
 	return faultNone, attempt
 }
 
+// spinBelow is the longest stall that spins on the clock. Timers are
+// coarser than this on some machines (a 20µs sleep can last a millisecond),
+// which would turn a device a few microseconds slow into one a millisecond
+// slow.
+const spinBelow = 100 * time.Microsecond
+
+// stall waits d: spinning under spinBelow, sleeping from it on.
+func stall(d time.Duration) {
+	if d >= spinBelow {
+		time.Sleep(d)
+		return
+	}
+	for start := time.Now(); time.Since(start) < d; {
+	}
+}
+
 func (b *Backend) ReadBlock(a blockstore.Addr, buf []byte) error {
 	if b.disarmed.Load() {
 		return b.inner.ReadBlock(a, buf)
@@ -224,7 +242,7 @@ func (b *Backend) ReadBlock(a blockstore.Addr, buf []byte) error {
 		return fmt.Errorf("faultinject: short read of block %d: %d of %d bytes: %w",
 			a, n, blockstore.BlockSize, ErrInjected)
 	case faultSlow:
-		time.Sleep(b.sch.SlowDelay)
+		stall(b.sch.SlowDelay)
 		return b.inner.ReadBlock(a, buf)
 	case faultFlip:
 		if err := b.inner.ReadBlock(a, buf); err != nil {

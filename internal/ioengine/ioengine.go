@@ -17,9 +17,12 @@
 //     by blockstore.MaxCoalesce. Up to Depth of them are in flight at once.
 //
 // A wave's runs are performed by the goroutine that asked for them, and
-// helpers — up to Depth−1 — are started only once the backend is seen to
-// block. A backend that answers from memory or the page cache pays for no
-// goroutine hand-off; a device still sees the wave at full depth.
+// helpers — up to Depth−1 — are started only while the engine is blocking
+// (see Blocking): after a run of backend operations that each took longer
+// than a few goroutine hand-offs. A backend that answers from memory or the
+// page cache pays for no goroutine hand-off; a device still sees the wave at
+// full depth. The searchers read the same signal to decide whether a query's
+// rounds go out as waves at all.
 //
 // Reads are never shared between calls: two queries that miss on the same
 // block both read it, as in the paper. Every read a call starts runs to
@@ -52,7 +55,9 @@ type Source interface {
 // Options tune engine construction.
 type Options struct {
 	// Depth is the maximum number of concurrent physical backend operations
-	// (the device queue depth the engine sustains). Must be >= 1.
+	// (the device queue depth the engine sustains); a single-block Read
+	// while the engine is not blocking is not counted against it. Must be
+	// >= 1.
 	Depth int
 	// Cache, when non-nil, serves demand hits and receives every miss's
 	// fill: one Get per demand read, one Put per backend read.
@@ -123,16 +128,21 @@ type Counters struct {
 	QuarantineHits int64
 	// Quarantined is the current size of the quarantine set (a gauge).
 	Quarantined int64
+	// Blocking is 1 while the engine is blocking (see Engine.Blocking), 0
+	// otherwise (a gauge).
+	Blocking int64
 }
 
 // Add folds o into c, which is how a sharded index totals its shards'
-// engines (Quarantined sums too: the shards' stores are disjoint).
+// engines (Quarantined sums too: the shards' stores are disjoint; Blocking
+// is 1 when any shard's engine is).
 func (c *Counters) Add(o Counters) {
 	c.Reads += o.Reads
 	c.RetriedReads += o.RetriedReads
 	c.FaultedReads += o.FaultedReads
 	c.QuarantineHits += o.QuarantineHits
 	c.Quarantined += o.Quarantined
+	c.Blocking = max(c.Blocking, o.Blocking)
 }
 
 // Engine is the shared submission layer. All methods are safe for
@@ -156,10 +166,10 @@ type Engine struct {
 	// cache-resident wave nor an all-miss one allocates in steady state.
 	scratch sync.Pool
 
-	// fast is whether the latest backend operation returned within
-	// blockingOp. While it holds, a wave runs on its calling goroutine
-	// alone; the zero value has a new engine fan its first wave out.
-	fast atomic.Bool
+	// slow is the length of the latest run of consecutive timed backend
+	// operations over blockingOp, capped at blockingRun; see Blocking. A new
+	// engine starts at zero, non-blocking.
+	slow atomic.Int32
 
 	reads    atomic.Int64
 	retried  atomic.Int64
@@ -206,23 +216,45 @@ func (e *Engine) Cache() *blockcache.Cache { return e.cache }
 
 // Counters returns the cumulative engine totals.
 func (e *Engine) Counters() Counters {
-	return Counters{
+	c := Counters{
 		Reads:          e.reads.Load(),
 		RetriedReads:   e.retried.Load(),
 		FaultedReads:   e.faulted.Load(),
 		QuarantineHits: e.quarHits.Load(),
 		Quarantined:    int64(e.quar.len()),
 	}
+	if e.Blocking() {
+		c.Blocking = 1
+	}
+	return c
 }
 
+// Blocking reports whether the backend blocks: whether the latest
+// blockingRun timed operations each took longer than blockingOp. While it
+// does, a wave's runs overlap on helper goroutines and the searchers read a
+// round whole as waves and run readahead; while it does not, overlapping
+// buys nothing and the searchers walk in line through Read, which then times
+// one read in timeEvery. Any timed operation under blockingOp makes the
+// engine non-blocking again, so one preempted read or collector pause cannot
+// flip a memory slab or a warm file into waves, while a device whose every
+// operation blocks turns blocking within blockingRun·timeEvery reads.
+//
+//lsh:hotpath
+func (e *Engine) Blocking() bool { return e.slow.Load() >= blockingRun }
+
 // Read fetches one block into buf (len >= BlockSize): from the cache when
-// it holds the block, else from the backend — one physical operation under
-// the depth bound, retried and quarantined like any other — filling the
-// cache.
+// it holds the block, else from the backend — one physical operation,
+// retried and quarantined like any other — filling the cache. While the
+// engine is blocking the operation waits for a depth slot and is timed.
+// While it is not, it takes no slot, as nothing queues on a backend that
+// does not block, and only one read in timeEvery reads the clock for the
+// blocking signal (every one does while a latency histogram is attached).
+// Read takes no arena either: the in-line walk that reads through it pays
+// the backend read and the read counter, and allocates nothing.
 //
 //lsh:hotpath
 func (e *Engine) Read(a blockstore.Addr, buf []byte, st *BatchStats) error {
-	e.reads.Add(1)
+	n := e.reads.Add(1)
 	if e.cache != nil && e.cache.Get(a, buf) {
 		if st != nil {
 			st.CacheHits++
@@ -235,11 +267,11 @@ func (e *Engine) Read(a blockstore.Addr, buf []byte, st *BatchStats) error {
 		}
 		st.PhysicalReads++
 	}
-	ws := e.getScratch()
-	defer e.putScratch(ws)
-	ws.lead(a, buf)
-	err := e.readPhysical(ws, 0)
-	e.fill(ws, 0, 1, err)
+	blocking := e.Blocking()
+	err := e.readPhysical(a, buf, blocking, blocking || n%timeEvery == 0)
+	if err == nil && e.cache != nil {
+		e.cache.Put(a, buf)
+	}
 	return err
 }
 
@@ -263,61 +295,127 @@ func retryable(err error) bool {
 // variable only so that tests can pin which side of it an operation falls.
 var blockingOp = 10 * time.Microsecond
 
-// operate performs one physical backend operation — block k of ws alone, or
-// the run of blocks [k, hi) — under the engine's depth bound, and remembers
-// whether the backend blocked. Times are offsets from the engine's epoch
-// (time.Since reads the monotonic clock only, half the price of time.Now).
-// The latency histogram observes submit→done, depth-slot wait included; the
-// blocking test looks at the backend alone, so fanned-out waves contending
-// for slots over a fast backend cannot keep the engine fanning out.
+// blockingRun is how many consecutive timed operations over blockingOp turn
+// the engine blocking: more than a preemption or a collector pause strings
+// together over a backend that does not block.
+const blockingRun = 8
+
+// timeEvery is how sparsely Read times its operations while the engine is
+// not blocking. Two clock readings cost a page-cache pread a sixth of its
+// time; one read in eight keeps the signal's cost under a percent of a walk
+// and still tips it within 64 reads of a device, about one query's worth.
+const timeEvery = 8
+
+// observe feeds one timed operation's backend time to the blocking signal.
+// Over blockingOp it lengthens the run of slow operations, up to
+// blockingRun; under it, it ends the run. Concurrent operations may lose an
+// update either way, which only delays the verdict by an operation.
 //
 //lsh:hotpath
-func (e *Engine) operate(ws *waveScratch, k, hi int) (err error) {
-	lat := e.lat.Load()
+func (e *Engine) observe(d time.Duration) {
+	n := e.slow.Load()
+	switch {
+	case d <= blockingOp:
+		if n != 0 {
+			e.slow.Store(0)
+		}
+	case n < blockingRun:
+		e.slow.Store(n + 1)
+	}
+}
+
+// acquire opens one timed physical operation: when queued it takes a depth
+// slot, waiting for one if every slot is held. It returns the submit time
+// the latency histogram lat (nil when none is attached) observes the
+// operation from. Times are offsets from the engine's epoch (time.Since
+// reads the monotonic clock only, half the price of time.Now).
+//
+//lsh:hotpath
+func (e *Engine) acquire(lat *telemetry.Histogram, queued bool) time.Duration {
 	var submitted time.Duration
-	if lat != nil {
+	if lat != nil && queued {
 		submitted = time.Since(e.epoch)
 	}
-	if e.slots.Add(1) > e.depth {
+	if queued && e.slots.Add(1) > e.depth {
 		<-e.handoff // every slot is held: take the next one released
 	}
-	started := time.Since(e.epoch)
-	if hi-k == 1 {
-		// Not through ReadBlocks: a run of one has nothing to coalesce.
-		err = e.src.ReadBlock(ws.addrs[k], ws.bufs[k])
-	} else {
-		_, err = e.src.ReadBlocks(ws.addrs[k:hi], ws.bufs[k:hi])
-	}
+	return submitted
+}
+
+// release closes an operation acquire opened, giving its depth slot back
+// when queued, and records it: the backend time, started to done, feeds the
+// blocking signal, and the histogram observes submit→done, depth-slot wait
+// included. The blocking test looks at the backend alone, so fanned-out
+// waves contending for slots over a fast backend cannot keep the engine
+// blocking.
+//
+//lsh:hotpath
+func (e *Engine) release(queued bool, lat *telemetry.Histogram, submitted, started time.Duration) {
 	done := time.Since(e.epoch)
-	if e.slots.Add(-1) >= e.depth {
+	if queued && e.slots.Add(-1) >= e.depth {
 		e.handoff <- struct{}{} // an operation is waiting: hand it this slot
 	}
-	if fast := done-started <= blockingOp; fast != e.fast.Load() {
-		e.fast.Store(fast)
-	}
+	e.observe(done - started)
 	if lat != nil {
+		if !queued {
+			submitted = started // nothing was waited for
+		}
 		lat.Observe(done - submitted)
 	}
+}
+
+// operate performs one physical backend operation on block a alone, under
+// the depth bound when queued (which implies timed): a run of one has
+// nothing to coalesce, so it does not go through ReadBlocks. An untimed
+// operation with no latency histogram attached is the bare backend read.
+//
+//lsh:hotpath
+func (e *Engine) operate(a blockstore.Addr, buf []byte, queued, timed bool) error {
+	lat := e.lat.Load()
+	if !timed && lat == nil {
+		return e.src.ReadBlock(a, buf)
+	}
+	submitted := e.acquire(lat, queued)
+	started := time.Since(e.epoch)
+	err := e.src.ReadBlock(a, buf)
+	e.release(queued, lat, submitted, started)
 	return err
 }
 
-// readPhysical is the fault-tolerant read of ws's block k behind Read and a
-// failed run's per-block salvage: quarantine fast-fail, then up to 1+Retries
-// attempts with capped exponential backoff. The depth slot is held per
-// attempt, never across a backoff sleep. An address that exhausts its
-// budget is quarantined so later queries fail it fast instead of re-paying
-// the ladder.
-func (e *Engine) readPhysical(ws *waveScratch, k int) error {
-	a := ws.addrs[k]
+// operateRun performs the run of ws's blocks [lo, hi) as one timed physical
+// backend operation under the depth bound.
+//
+//lsh:hotpath
+func (e *Engine) operateRun(ws *waveScratch, lo, hi int) error {
+	if hi-lo == 1 {
+		return e.operate(ws.addrs[lo], ws.bufs[lo], true, true)
+	}
+	lat := e.lat.Load()
+	submitted := e.acquire(lat, true)
+	started := time.Since(e.epoch)
+	_, err := e.src.ReadBlocks(ws.addrs[lo:hi], ws.bufs[lo:hi])
+	e.release(true, lat, submitted, started)
+	return err
+}
+
+// readPhysical is the fault-tolerant read of block a into buf behind Read
+// and a failed run's per-block salvage: quarantine fast-fail, then up to
+// 1+Retries attempts with capped exponential backoff, each operated as
+// queued and timed say. The depth slot is held per attempt, never across a
+// backoff sleep. An address that exhausts its budget is quarantined so
+// later queries fail it fast instead of re-paying the ladder.
+//
+//lsh:hotpath
+func (e *Engine) readPhysical(a blockstore.Addr, buf []byte, queued, timed bool) error {
 	if qerr := e.quar.check(a); qerr != nil {
 		e.quarHits.Add(1)
 		return qerr
 	}
-	err := e.operate(ws, k, k+1)
+	err := e.operate(a, buf, queued, timed)
 	for attempt := 0; attempt < e.retries && retryable(err); attempt++ {
 		e.retried.Add(1)
 		e.sleepBackoff(attempt)
-		err = e.operate(ws, k, k+1)
+		err = e.operate(a, buf, queued, timed)
 	}
 	if retryable(err) {
 		e.faulted.Add(1)
@@ -528,11 +626,10 @@ func (e *Engine) cacheProbe(a blockstore.Addr, buf []byte, quiet bool) bool {
 
 // submit performs the wave's runs and fills the cache. The calling
 // goroutine claims runs off a shared cursor and performs them itself; while
-// the backend answers without blocking (see blockingOp) that is the whole
-// submission. Once an operation is seen to block — or from the first run,
-// when the engine's latest operation did — up to Depth−1 helpers are
-// started on the same cursor, so a device still sees the wave at the
-// engine's queue depth.
+// the engine is not blocking (see Blocking) that is the whole submission.
+// Once it is — from the first run, or from the run whose operation tips it
+// — up to Depth−1 helpers are started on the same cursor, so a device still
+// sees the wave at the engine's queue depth.
 //
 //lsh:hotpath
 func (e *Engine) submit(ws *waveScratch) error {
@@ -555,7 +652,7 @@ func (e *Engine) submit(ws *waveScratch) error {
 //lsh:hotpath
 func (e *Engine) work(ws *waveScratch) {
 	for {
-		if !ws.fanned && !e.fast.Load() {
+		if !ws.fanned && e.Blocking() {
 			// One run stays with this goroutine; helpers take the rest.
 			if n := min(e.Depth(), len(ws.runs)-int(ws.cursor.Load())) - 1; n > 0 {
 				ws.fanned = true
@@ -592,7 +689,7 @@ func (e *Engine) work(ws *waveScratch) {
 //lsh:hotpath
 func (e *Engine) submitRun(ws *waveScratch, r run) error {
 	if !e.quar.containsAny(ws.addrs[r.lo:r.hi]) {
-		err := e.operate(ws, r.lo, r.hi)
+		err := e.operateRun(ws, r.lo, r.hi)
 		if err == nil || e.retries == 0 || !retryable(err) {
 			if err != nil && retryable(err) {
 				e.faulted.Add(1)
@@ -603,7 +700,7 @@ func (e *Engine) submitRun(ws *waveScratch, r run) error {
 	}
 	var firstErr error
 	for k := r.lo; k < r.hi; k++ {
-		berr := e.readPhysical(ws, k)
+		berr := e.readPhysical(ws.addrs[k], ws.bufs[k], true, true)
 		e.fill(ws, k, k+1, berr)
 		if berr != nil && firstErr == nil {
 			firstErr = berr

@@ -132,6 +132,12 @@ func TestReadBatchCoalescesAdjacentRuns(t *testing.T) {
 	}
 }
 
+// blocking puts eng in the state blockingRun slow operations leave it in.
+func blocking(eng *Engine) *Engine {
+	eng.slow.Store(blockingRun)
+	return eng
+}
+
 // TestReadBatchDuplicatesShareOneRead: duplicates within one wave cost one
 // backend read per distinct block, on an instant source (the wave runs on
 // its caller) and on a blocking one (the wave fans out to helpers), and
@@ -143,6 +149,9 @@ func TestReadBatchDuplicatesShareOneRead(t *testing.T) {
 			eng, err := New(src, Options{Depth: 2})
 			if err != nil {
 				t.Fatal(err)
+			}
+			if delay > 0 {
+				blocking(eng)
 			}
 			addrs := []blockstore.Addr{5, 7, 5, 5, 7}
 			bufs := make([][]byte, len(addrs))
@@ -162,8 +171,7 @@ func TestReadBatchDuplicatesShareOneRead(t *testing.T) {
 			if bst.DedupedReads != 3 || bst.PhysicalReads != 2 {
 				t.Errorf("DedupedReads = %d, PhysicalReads = %d; want 3 and 2", bst.DedupedReads, bst.PhysicalReads)
 			}
-			// A new engine fans its first wave out: over a blocking source
-			// the two reads overlap.
+			// A blocking engine fans the wave out: the two reads overlap.
 			if delay > 0 && src.maxIn.Load() != 2 {
 				t.Errorf("the blocking wave had %d reads in flight, want 2 (fanned out)", src.maxIn.Load())
 			}
@@ -206,10 +214,10 @@ func TestDepthBoundsBackendConcurrency(t *testing.T) {
 // TestDepthReachedOnBlockingSource is the lower bound to the test above: a
 // lone wave over a source that blocks is still overlapped to the engine's
 // depth, although a wave over an instant source runs on its caller alone. A
-// new engine fans its first wave out from the first run. An engine that has
-// only seen instant operations performs one run in line, sees it block, and
-// overlaps the rest — Depth−1 in flight and two service times — and the next
-// wave is at full depth again.
+// blocking engine fans a wave out from its first run. A new engine, and one
+// that has only seen instant operations, is not blocking: it performs
+// blockingRun runs in line, seeing each block, and overlaps the rest —
+// Depth−blockingRun in flight — and the next wave is at full depth.
 func TestDepthReachedOnBlockingSource(t *testing.T) {
 	const depth, service = 16, 2 * time.Millisecond
 	addrs := make([]blockstore.Addr, depth)
@@ -244,13 +252,37 @@ func TestDepthReachedOnBlockingSource(t *testing.T) {
 		}
 		t.Error(complaint)
 	}
-	check := func(what string, inFlight, wantInFlight int64, took time.Duration) string {
-		if inFlight < wantInFlight || took > 3*service {
+	// check wants wantInFlight operations overlapped, after inLine of them
+	// ran one at a time.
+	check := func(what string, inFlight, wantInFlight int64, inLine int, took time.Duration) string {
+		bound := time.Duration(inLine+3) * service
+		if inFlight < wantInFlight || took > bound {
 			return fmt.Sprintf("%s: %d operations in flight in %v, want %d within %v",
-				what, inFlight, took, wantInFlight, 3*service)
+				what, inFlight, took, wantInFlight, bound)
 		}
 		return ""
 	}
+	// tipped is a wave that finds the engine not blocking over a source
+	// that blocks, then the wave after it.
+	tipped := func(t *testing.T, eng *Engine, src *slowSource) string {
+		inFlight, took := wave(t, eng, src)
+		if c := check("the wave that finds the source blocking", inFlight, depth-blockingRun, blockingRun, took); c != "" {
+			return c
+		}
+		inFlight, took = wave(t, eng, src)
+		return check("the wave after it", inFlight, depth, 0, took)
+	}
+	t.Run("blocking engine", func(t *testing.T) {
+		attempt(t, func(t *testing.T) string {
+			src := &slowSource{store: testStore(t, 2*depth), delay: service}
+			eng, err := New(src, Options{Depth: depth})
+			if err != nil {
+				t.Fatal(err)
+			}
+			inFlight, took := wave(t, blocking(eng), src)
+			return check("a blocking engine's wave", inFlight, depth, 0, took)
+		})
+	})
 	t.Run("first wave", func(t *testing.T) {
 		attempt(t, func(t *testing.T) string {
 			src := &slowSource{store: testStore(t, 2*depth), delay: service}
@@ -258,8 +290,7 @@ func TestDepthReachedOnBlockingSource(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			inFlight, took := wave(t, eng, src)
-			return check("first wave", inFlight, depth, took)
+			return tipped(t, eng, src)
 		})
 	})
 	t.Run("after 100 waves on an instant source", func(t *testing.T) {
@@ -273,14 +304,85 @@ func TestDepthReachedOnBlockingSource(t *testing.T) {
 				wave(t, eng, src)
 			}
 			src.delay = service
-			inFlight, took := wave(t, eng, src)
-			if c := check("the wave that finds the source blocking", inFlight, depth-1, took); c != "" {
-				return c
-			}
-			inFlight, took = wave(t, eng, src)
-			return check("the wave after it", inFlight, depth, took)
+			return tipped(t, eng, src)
 		})
 	})
+}
+
+// TestBlockingSignal: a new engine is not blocking; a run of blockingRun
+// timed operations over blockingOp makes it blocking, one fewer does not,
+// and one timed operation under blockingOp ends the run, so slow operations
+// scattered among fast ones never tip it. A wave times every operation;
+// Read, while the engine is not blocking, one in timeEvery, and every one
+// once it is. The Counters gauge follows.
+func TestBlockingSignal(t *testing.T) {
+	src := &slowSource{store: testStore(t, 4)}
+	eng, err := New(src, Options{Depth: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, blockstore.BlockSize)
+	defer func(op time.Duration) { blockingOp = op }(blockingOp)
+	// pin makes every operation from here on count as slow or as fast by
+	// moving blockingOp to the far side of it.
+	pin := func(slow bool) {
+		blockingOp = time.Hour
+		if slow {
+			blockingOp = -1
+		}
+	}
+	// waves performs n one-block waves, each one timed operation.
+	waves := func(n int, slow bool) {
+		pin(slow)
+		for range n {
+			if err := eng.ReadBatch(context.Background(), []blockstore.Addr{1}, [][]byte{buf}, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	reads := func(n int, slow bool) {
+		pin(slow)
+		for range n {
+			if err := eng.Read(1, buf, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	want := func(what string, b bool) {
+		t.Helper()
+		if eng.Blocking() != b {
+			t.Errorf("%s: Blocking() = %v, want %v", what, eng.Blocking(), b)
+		}
+		if g, w := eng.Counters().Blocking, map[bool]int64{true: 1}[b]; g != w {
+			t.Errorf("%s: Counters().Blocking = %d, want %d", what, g, w)
+		}
+	}
+	want("new engine", false)
+	for range 10 {
+		waves(blockingRun-1, true)
+		waves(1, false)
+	}
+	want("runs of blockingRun-1 slow operations between fast ones", false)
+	waves(blockingRun-1, true)
+	want("blockingRun-1 slow operations", false)
+	waves(1, true)
+	want("blockingRun slow operations", true)
+	waves(100, true)
+	want("a longer run", true)
+	waves(1, false)
+	want("one fast operation", false)
+
+	// On a new engine Read's timeEvery-th, 2·timeEvery-th, … reads are the
+	// timed ones.
+	if eng, err = New(src, Options{Depth: 4}); err != nil {
+		t.Fatal(err)
+	}
+	reads(blockingRun*timeEvery-1, true)
+	want("blockingRun·timeEvery-1 slow reads, blockingRun-1 of them timed", false)
+	reads(1, true)
+	want("blockingRun·timeEvery slow reads", true)
+	reads(1, false)
+	want("one fast read on a blocking engine, which times every read", false)
 }
 
 func TestCacheInteraction(t *testing.T) {
@@ -592,6 +694,7 @@ func TestCounterFoldsEveryField(t *testing.T) {
 		a.Store(int64(i + 1))
 	}
 	eng.quar.add(1, errors.New("dead block"))
+	blocking(eng)
 	if zero := foldtest.ZeroFields(eng.Counters()); len(zero) > 0 {
 		t.Errorf("Engine.Counters() left %v unset", zero)
 	}
@@ -650,14 +753,13 @@ func TestAllMissWaveZeroAllocs(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			for i := 0; i < 3; i++ { // warm-up: the arena, the first wave's fan-out
+			for i := 0; i < 3; i++ { // warm-up: the arena
 				wave()
 			}
-			// The measured waves run in line. A memory read preempted past
-			// blockingOp would flip the engine to fanning out, and the
-			// helpers it starts allocate: that is the blocking path's cost,
-			// not this gate's subject. AllocsPerRun's own warm-up wave puts
-			// the engine back in its fast state.
+			// The measured waves run in line. Memory reads preempted past
+			// blockingOp would make the engine blocking, and the helpers it
+			// then starts allocate: that is the blocking path's cost, not
+			// this gate's subject.
 			defer func(op time.Duration) { blockingOp = op }(blockingOp)
 			blockingOp = time.Hour
 			want := testing.AllocsPerRun(100, fill)

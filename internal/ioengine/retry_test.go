@@ -181,6 +181,15 @@ func TestCorruptReadNeverCached(t *testing.T) {
 	if got := e.Counters().FaultedReads; got != 1 {
 		t.Errorf("FaultedReads = %d, want 1", got)
 	}
+	// Nor through a wave that fans out on a blocking engine.
+	addrs := []blockstore.Addr{1, 3}
+	bufs := [][]byte{buf, make([]byte, blockstore.BlockSize)}
+	if err := blocking(e).ReadBatch(context.Background(), addrs, bufs, nil); !blockstore.IsCorrupt(err) {
+		t.Fatalf("flipped wave read: %v", err)
+	}
+	if cache.Len() != 0 {
+		t.Fatalf("corrupt wave cached: cache holds %d blocks", cache.Len())
+	}
 }
 
 func TestInvalidAddrNotRetried(t *testing.T) {

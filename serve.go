@@ -754,7 +754,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // every Stats counter (as lsh_stats_<name>_total, names matching the /stats
 // JSON keys), the serving counters, the always-on request-latency and
 // coalescer-wait summaries, the batch-size and queue-depth settings, the I/O
-// engine's retry and quarantine counters (lsh_io_*, when the engine has one),
+// engine's retry and quarantine counters and its blocking gauge (lsh_io_*,
+// when the engine has one),
 // the store's and the block cache's sizes, the Go runtime's live heap and GC
 // CPU (lsh_go_*), and — when the engine has telemetry or autotuning enabled —
 // its per-stage latency summaries and model state under the lsh_ prefix.
@@ -826,6 +827,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		telemetry.WriteCounter(w, "lsh_io_faulted_reads_total", float64(c.FaultedReads))
 		telemetry.WriteCounter(w, "lsh_io_quarantine_hits_total", float64(c.QuarantineHits))
 		telemetry.WriteGauge(w, "lsh_io_quarantined", float64(c.Quarantined))
+		telemetry.WriteGauge(w, "lsh_io_blocking", float64(c.Blocking))
 	}
 
 	var lat, wait telemetry.HistSnapshot

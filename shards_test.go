@@ -112,12 +112,9 @@ func TestSimulateMatchesBatchSearch(t *testing.T) {
 	d := shardsDataset(t)
 	for _, s := range []int{1, 4} {
 		// The simulator issues a round whole, as the index does with an I/O
-		// engine attached at any queue depth; in line it would walk each
-		// bucket and stop at the budget.
-		ix, err := NewStorageIndex(d.Vectors, Config{Sigma: 2}, WithShards(s), WithIOEngine(4))
-		if err != nil {
-			t.Fatal(err)
-		}
+		// engine at any queue depth over a backend that blocks; in line it
+		// would walk each bucket and stop at the budget.
+		ix := blockingStorageIndex(t, d, Config{Sigma: 2}, WithShards(s), WithIOEngine(4))
 		for _, k := range []int{1, 10} {
 			name := fmt.Sprintf("s=%d/k=%d", s, k)
 			sts := make([]Stats, len(d.Queries))

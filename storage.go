@@ -210,8 +210,10 @@ func (s *StorageIndex) CacheResidentBytes() int64 {
 // IOEngineCounters is the vectored engine's cumulative counter set: block
 // reads requested plus the fault-tolerance counters (retries issued, reads
 // failed after retries, quarantine fast-fails, and the current quarantine
-// size — a gauge). How those reads split into cache hits, coalesced and
-// physical reads is per query, in Stats.
+// size — a gauge), and whether the engine's backend blocks — a gauge that
+// is 1 while queries read their rounds as waves and run readahead. How
+// those reads split into cache hits, coalesced and physical reads is per
+// query, in Stats.
 type IOEngineCounters = ioengine.Counters
 
 // IOCounters reports the cumulative vectored-engine counters across all
@@ -235,11 +237,11 @@ func (s *StorageIndex) IODepth() int {
 }
 
 // Search answers a top-k query. With an I/O engine attached (WithIOEngine,
-// or the default depth under WithBlockCache/WithRetries) it fetches each
-// radius round's probes as waves: all table blocks, then one wave per
-// bucket-chain depth, as many reads in flight at once as the engine's queue
-// depth — the paper's "many parallel read requests". An index built with
-// none of them walks each bucket block by block in line. It honors WithK,
+// or the default depth under WithBlockCache/WithRetries) whose backend
+// blocks, it fetches each radius round's probes as waves: all table blocks,
+// then one wave per bucket-chain depth, as many reads in flight at once as
+// the engine's queue depth — the paper's "many parallel read requests".
+// Otherwise it walks each bucket block by block in line. It honors WithK,
 // WithBudget and WithMultiProbe.
 func (s *StorageIndex) Search(ctx context.Context, q []float32, opts ...SearchOption) (Result, Stats, error) {
 	return engineSearch(ctx, s, q, opts)
