@@ -92,9 +92,14 @@ cover:
 
 # The size numbers CHANGES.md reports: non-test Go lines outside the
 # benchmark driver, how many //lsh:ladder loops the tree holds, how many
-# flags lshserve defines, and how many With* options the facade exports.
+# flags lshserve defines, how many With* options the facade exports, and
+# the non-test Go lines and in-module packages lshserve links (its build
+# for this GOOS/GOARCH, from go list -deps).
 size:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './cmd/lshload/*' | xargs cat | wc -l
 	@grep -rn 'lsh:ladder' --include='*.go' . | grep -v _test | grep -v analyzers | grep -v cmd/lshlint | wc -l
 	@echo "lshserve flags: $$(grep -cE '= fs\.[A-Za-z0-9]+\("' cmd/lshserve/main.go)"
 	@echo "facade With* options: $$(ls *.go | grep -v '_test\.go$$' | xargs cat | grep -c '^func With')"
+	@files=$$($(GO) list -deps -f '{{if .Module}}{{if eq .Module.Path "e2lshos"}}{{$$d := .Dir}}{{range .GoFiles}}{{$$d}}/{{.}} {{end}}{{end}}{{end}}' ./cmd/lshserve); \
+	pkgs=$$($(GO) list -deps -f '{{if .Module}}{{if eq .Module.Path "e2lshos"}}{{.ImportPath}}{{end}}{{end}}' ./cmd/lshserve | grep -c .); \
+	echo "lshserve links: $$(cat $$files | wc -l) lines in $$pkgs packages"

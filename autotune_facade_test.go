@@ -9,7 +9,7 @@ import (
 	"e2lshos/internal/autotune"
 	"e2lshos/internal/blockstore"
 	"e2lshos/internal/diskindex"
-	"e2lshos/internal/iosim"
+	"e2lshos/internal/faultinject"
 )
 
 // autotuneDataset builds the geometry the recall-target stop harvests: small
@@ -116,21 +116,17 @@ func TestRecallTargetCutsIOs(t *testing.T) {
 	}
 }
 
-// wallStorageIndex builds a StorageIndex whose block store pays scaled
-// cSSD-profile service times on the wall clock, so latency budgets have real
-// work to cut.
-func wallStorageIndex(t *testing.T, d *Dataset, scale float64) *StorageIndex {
+// wallStorageIndex builds a StorageIndex whose every block read stalls for
+// stall on the wall clock, so latency budgets have real work to cut.
+func wallStorageIndex(t *testing.T, d *Dataset, stall time.Duration) *StorageIndex {
 	t.Helper()
 	cfg := Config{Sigma: 16}
 	p, seed, tableBits, err := cfg.derive(d.Vectors)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wall, err := iosim.NewWallBackend(blockstore.NewMemBackend(), iosim.CSSD, scale)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix, err := diskindex.Build(d.Vectors, p, diskindex.Options{Seed: seed, TableBits: tableBits}, blockstore.NewWithBackend(wall))
+	slow := faultinject.Wrap(blockstore.NewMemBackend(), faultinject.Schedule{SlowRead: 1, SlowDelay: stall})
+	ix, err := diskindex.Build(d.Vectors, p, diskindex.Options{Seed: seed, TableBits: tableBits}, blockstore.NewWithBackend(slow))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,9 +147,10 @@ func TestLatencyBudgetBoundsTail(t *testing.T) {
 	ctx := context.Background()
 	d := autotuneDataset(t)
 	const k = 10
-	// cSSD's 139µs service time scaled to ~14µs keeps the test fast while
-	// still dominating compute.
-	ix := wallStorageIndex(t, d, 0.1)
+	// 100µs is the shortest stall the fault injector sleeps rather than
+	// spins: the reads leave the processor, as a device's do, and their
+	// time dominates compute.
+	ix := wallStorageIndex(t, d, 100*time.Microsecond)
 	ix.tn.Store(autotune.New(autotune.Config{MinTrain: 4}))
 
 	// Warmup + baseline: full-ladder wall times, which also train the

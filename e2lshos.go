@@ -12,8 +12,10 @@
 //     queried in vectored read waves at the I/O engine's queue depth, or
 //     run against the simulated storage stack for capacity planning.
 //
-// The small-index baselines the paper compares against (SRS, QALSH) run
-// inside the experiment harness, not behind Engine.
+// The small-index baselines the paper compares against (SRS, QALSH) and the
+// table and figure generators live in the experiment harness
+// (internal/experiments, run by cmd/lshbench), which this package does not
+// import.
 //
 // Every engine answers queries through
 //
@@ -31,17 +33,13 @@
 // any Engine over HTTP behind a micro-batching query coalescer (/v1/search,
 // /stats, /healthz — see cmd/lshserve).
 //
-// It also exposes the paper's full experiment harness (RunExperiment) and
-// synthetic clones of its eight evaluation datasets. See README.md for a
-// tour and DESIGN.md for the architecture.
+// It also exposes synthetic clones of the paper's eight evaluation datasets.
+// See README.md for a tour and DESIGN.md for the architecture.
 package e2lshos
 
 import (
-	"io"
-
 	"e2lshos/internal/ann"
 	"e2lshos/internal/dataset"
-	"e2lshos/internal/experiments"
 	"e2lshos/internal/ladder"
 )
 
@@ -107,41 +105,3 @@ func MeanRatio(got, exact []Result, k int) float64 { return ann.MeanRatio(got, e
 // MeanRecall returns the mean Recall@k over positionally-aligned result
 // sets.
 func MeanRecall(got, exact []Result, k int) float64 { return ann.MeanRecall(got, exact, k) }
-
-// ExperimentOptions scale the paper reproduction harness.
-type ExperimentOptions struct {
-	// Scale multiplies the paper's dataset sizes (default 0.02).
-	Scale float64
-	// MaxN caps per-dataset sizes (default 64000).
-	MaxN int
-	// Queries per dataset (default 40).
-	Queries int
-	// Seed for all randomized choices (default 1).
-	Seed int64
-}
-
-// ExperimentIDs lists the reproducible tables and figures.
-func ExperimentIDs() []string { return experiments.IDs() }
-
-// RunExperiment reproduces one paper table or figure (see DESIGN.md's
-// per-experiment index) and writes its rows to w.
-func RunExperiment(id string, opts ExperimentOptions, w io.Writer) error {
-	env := experiments.DefaultEnv()
-	if opts.Scale != 0 {
-		env.Scale = opts.Scale
-	}
-	if opts.MaxN != 0 {
-		env.MaxN = opts.MaxN
-		if env.MinN > env.MaxN {
-			env.MinN = env.MaxN
-		}
-	}
-	if opts.Queries != 0 {
-		env.Queries = opts.Queries
-	}
-	if opts.Seed != 0 {
-		env.Seed = opts.Seed
-	}
-	_, err := experiments.Run(env, id, w)
-	return err
-}

@@ -1,10 +1,8 @@
 package e2lshos
 
 import (
-	"bytes"
 	"context"
 	"path/filepath"
-	"strings"
 	"testing"
 )
 
@@ -219,23 +217,6 @@ func TestGeneratePaperDataset(t *testing.T) {
 	}
 	if d.N() < 1500 || d.Dim != 128 {
 		t.Errorf("unexpected clone shape: n=%d d=%d", d.N(), d.Dim)
-	}
-}
-
-func TestRunExperimentFacade(t *testing.T) {
-	var buf bytes.Buffer
-	opts := ExperimentOptions{Scale: 0.0001, MaxN: 2000, Queries: 10}
-	if err := RunExperiment("table3", opts, &buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "SPDK") {
-		t.Error("experiment output missing content")
-	}
-	if err := RunExperiment("missing", opts, &buf); err == nil {
-		t.Error("unknown experiment accepted")
-	}
-	if len(ExperimentIDs()) < 19 {
-		t.Errorf("only %d experiments registered", len(ExperimentIDs()))
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 // faultyCopy clones an index's blocks into a fresh store behind a
 // fault-injecting backend, so queries run against deterministic storage
 // faults without an I/O engine or cache in the way.
-func faultyCopy(t *testing.T, ix *Index, sch faultinject.Schedule) (*Index, *faultinject.Backend) {
+func faultyCopy(t testing.TB, ix *Index, sch faultinject.Schedule) (*Index, *faultinject.Backend) {
 	t.Helper()
 	inner := blockstore.NewMemBackend()
 	buf := make([]byte, blockstore.BlockSize)

@@ -1,7 +1,6 @@
 package diskindex
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"slices"
@@ -14,7 +13,6 @@ import (
 	"e2lshos/internal/blockstore"
 	"e2lshos/internal/faultinject"
 	"e2lshos/internal/ioengine"
-	"e2lshos/internal/iosim"
 	"e2lshos/internal/ladder"
 	"e2lshos/internal/telemetry"
 )
@@ -413,21 +411,15 @@ func TestConcurrentSearchersOnSlowDevice(t *testing.T) {
 		t.Skip("wall-clock timing test")
 	}
 	d, ix, _ := testSetup(t, 2000, 8, DefaultOptions())
-	// ~14µs per read: slow enough to overlap, fast enough for a test.
-	wall, _ := wallIndex(t, ix, d.Vectors, iosim.CSSD, 0.1)
-	eng, err := ioengine.New(wall.store, ioengine.Options{Depth: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tipBlocking(t, eng)
-	wall.AttachIOEngine(eng, 0)
+	dev := deviceEngine(t, ix, 32)
+	tipBlocking(t, dev.IOEngine())
 	queries := d.Queries[:5]
 	type answer struct {
 		res ann.Result
 		st  Stats
 	}
 	lone := make([]answer, len(queries))
-	ps := wall.NewWaveSearcher()
+	ps := dev.NewWaveSearcher()
 	for qi, q := range queries {
 		res, st, err := ps.Search(q, 1)
 		if err != nil {
@@ -441,7 +433,7 @@ func TestConcurrentSearchersOnSlowDevice(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ps := wall.NewWaveSearcher()
+			ps := dev.NewWaveSearcher()
 			// Everyone walks the same queries: maximal overlap.
 			for qi, q := range queries {
 				res, st, err := ps.Search(q, 1)
@@ -465,44 +457,31 @@ func TestConcurrentSearchersOnSlowDevice(t *testing.T) {
 	wg.Wait()
 }
 
-// wallIndex reloads ix onto a store timed like the given device (scaled), so
-// queue-depth effects show up on the wall clock.
-func wallIndex(t testing.TB, ix *Index, data [][]float32, spec iosim.DeviceSpec, scale float64) (*Index, *iosim.WallBackend) {
+// deviceRead is how long every read of a deviceEngine view's store takes:
+// the cSSD profile's QD1 service time, long enough to sleep rather than
+// spin, so a wave's reads overlap on the wall clock even on one processor.
+const deviceRead = 139 * time.Microsecond
+
+// deviceEngine is a copy of ix on a store whose every read takes deviceRead,
+// behind an I/O engine of the given queue depth: queue-depth effects show
+// up on the wall clock.
+func deviceEngine(t testing.TB, ix *Index, depth int) *Index {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := ix.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	wall, err := iosim.NewWallBackend(blockstore.NewMemBackend(), spec, scale)
-	if err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(bytes.NewReader(buf.Bytes()), data, blockstore.NewWithBackend(wall))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return loaded, wall
+	slow, _ := faultyCopy(t, ix, faultinject.Schedule{SlowRead: 1, SlowDelay: deviceRead})
+	return withEngine(t, slow, ioengine.Options{Depth: depth}, 0, 0)
 }
 
 // TestQueueDepthSpeedsUpSimulatedDevice is the wall-clock acceptance check
-// in miniature: on a cSSD-profile backend, the wave searcher through the
-// engine at QD=32 must beat QD=1 by well over the required 25%.
+// in miniature: on a store timed at the cSSD's QD1 service time, the wave
+// searcher through the engine at QD=32 must beat QD=1 by well over the
+// required 25%.
 func TestQueueDepthSpeedsUpSimulatedDevice(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock timing test")
 	}
 	d, ix, _ := testSetup(t, 2000, 8, DefaultOptions())
-	// Scale the cSSD's 139µs service time down to ~14µs to keep the test
-	// fast; the queue-depth ratio is scale-invariant.
-	const scale = 0.1
 	run := func(depth int) time.Duration {
-		wall, _ := wallIndex(t, ix, d.Vectors, iosim.CSSD, scale)
-		eng, err := ioengine.New(wall.store, ioengine.Options{Depth: depth})
-		if err != nil {
-			t.Fatal(err)
-		}
-		wall.AttachIOEngine(eng, 0)
-		ps := wall.NewWaveSearcher()
+		ps := deviceEngine(t, ix, depth).NewWaveSearcher()
 		start := time.Now()
 		for _, q := range d.Queries {
 			if _, _, err := ps.Search(q, 1); err != nil {
@@ -515,33 +494,30 @@ func TestQueueDepthSpeedsUpSimulatedDevice(t *testing.T) {
 	qd32 := run(32)
 	t.Logf("QD=1: %v, QD=32: %v (%.1fx)", qd1, qd32, float64(qd1)/float64(qd32))
 	if float64(qd32)*1.25 > float64(qd1) {
-		t.Errorf("QD=32 (%v) not >=25%% faster than QD=1 (%v) on the simulated cSSD", qd32, qd1)
+		t.Errorf("QD=32 (%v) not >=25%% faster than QD=1 (%v) on the device-timed store", qd32, qd1)
 	}
 }
 
 // BenchmarkParallelSearcherQD is the Table 2 analogue on the wall clock: the
-// same wave searcher, same queries, same simulated cSSD — only the I/O
+// same wave searcher, same queries, same device-timed store — only the I/O
 // engine's queue depth changes.
 func BenchmarkParallelSearcherQD(b *testing.B) {
 	d, _, ix := benchSetup(b)
 	for _, depth := range []int{1, 32} {
 		b.Run(fmt.Sprintf("QD%d", depth), func(b *testing.B) {
-			wall, backend := wallIndex(b, ix, d.Vectors, iosim.CSSD, 0.1)
-			eng, err := ioengine.New(wall.store, ioengine.Options{Depth: depth})
-			if err != nil {
-				b.Fatal(err)
-			}
-			wall.AttachIOEngine(eng, 0)
-			ps := wall.NewWaveSearcher()
+			ps := deviceEngine(b, ix, depth).NewWaveSearcher()
+			var st Stats
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := ps.Search(d.Queries[i%d.NQ()], 1); err != nil {
+				_, qst, err := ps.Search(d.Queries[i%d.NQ()], 1)
+				if err != nil {
 					b.Fatal(err)
 				}
+				st.Merge(qst)
 			}
 			b.StopTimer()
-			if ops := backend.Ops(); ops > 0 {
-				b.ReportMetric(float64(backend.Reads())/float64(ops), "blocks/op")
+			if st.PhysicalReads > 0 {
+				b.ReportMetric(float64(st.PhysicalReads+st.CoalescedReads)/float64(st.PhysicalReads), "blocks/op")
 			}
 		})
 	}

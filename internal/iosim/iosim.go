@@ -53,11 +53,6 @@ func (s DeviceSpec) MaxIOPS() float64 {
 	return float64(s.Dies) / s.ServiceTime.Seconds()
 }
 
-// QD1IOPS returns the queue-depth-1 random-read performance, 1/ServiceTime.
-func (s DeviceSpec) QD1IOPS() float64 {
-	return 1 / s.ServiceTime.Seconds()
-}
-
 // Validate reports whether the spec is usable.
 func (s DeviceSpec) Validate() error {
 	if s.Dies <= 0 {
@@ -227,15 +222,6 @@ func (p *Pool) DeviceFor(block uint64) *Device {
 // Submit routes one read for the given block address.
 func (p *Pool) Submit(now simclock.Time, block uint64) simclock.Time {
 	return p.DeviceFor(block).Submit(now)
-}
-
-// TotalCapacity sums device capacities.
-func (p *Pool) TotalCapacity() int64 {
-	var c int64
-	for _, d := range p.devices {
-		c += d.spec.CapacityBytes
-	}
-	return c
 }
 
 // MaxIOPS sums the saturated random-read performance of all devices.

@@ -171,11 +171,3 @@ func NewFamilies(p Params, share bool, seed int64) ([]*Family, error) {
 	}
 	return fams, nil
 }
-
-// SuccessProbability returns the theoretical probability that one (R,c)-NN
-// structure reports a near object that is present, 1 − (1 − p1^m)^L, before
-// candidate-budget truncation. The Eq. 5 parameterization targets 1/2 − 1/e.
-func (p Params) SuccessProbability() float64 {
-	perTable := math.Pow(p.P1, float64(p.M))
-	return 1 - math.Pow(1-perTable, float64(p.L))
-}

@@ -152,16 +152,3 @@ func TestMaxRadius(t *testing.T) {
 		t.Errorf("MaxRadius degenerate = %v, want 1", got)
 	}
 }
-
-func TestSuccessProbabilityReasonable(t *testing.T) {
-	// With Eq. 5-style parameters the success probability should be bounded
-	// away from 0 and 1.
-	p, err := Derive(DefaultConfig(), 50000, 32, 1, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp := p.SuccessProbability()
-	if sp <= 0.01 || sp >= 1 {
-		t.Errorf("success probability %v implausible (m=%d L=%d p1=%v)", sp, p.M, p.L, p.P1)
-	}
-}

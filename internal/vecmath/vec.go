@@ -163,17 +163,6 @@ func Scale(a []float32, s float32) {
 	}
 }
 
-// AddScaled adds s*b to a element-wise in place. The vectors must have the
-// same length.
-func AddScaled(a, b []float32, s float32) {
-	if len(a) != len(b) {
-		panic("vecmath: AddScaled length mismatch")
-	}
-	for i := range a {
-		a[i] += float32(s * b[i])
-	}
-}
-
 // MaxAbs returns the largest absolute coordinate value in the vector set,
 // i.e. the x_max of the paper's R_max = 2·x_max·√d bound. It returns 0 for an
 // empty set.

@@ -167,17 +167,6 @@ func TestNormAndScale(t *testing.T) {
 	}
 }
 
-func TestAddScaled(t *testing.T) {
-	a := []float32{1, 2, 3}
-	AddScaled(a, []float32{1, 1, 1}, 0.5)
-	want := []float32{1.5, 2.5, 3.5}
-	for i := range a {
-		if a[i] != want[i] {
-			t.Fatalf("AddScaled = %v, want %v", a, want)
-		}
-	}
-}
-
 func TestMaxAbs(t *testing.T) {
 	if got := MaxAbs(nil); got != 0 {
 		t.Errorf("MaxAbs(nil) = %v, want 0", got)
