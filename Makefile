@@ -55,13 +55,15 @@ chaos:
 # Crash-recovery gate: the crash-point sweep (every WAL append, sync, and
 # block write killed in fail-stop and torn-write mode, then recovered), the
 # concurrent update/search race tests (budgeted batches beside Insert
-# included), the mutation-history golden digests and the storage-option
+# included), the mutation-history golden digests, the packing updates keep
+# (untouched buckets' bytes, no growth on delete, freed blocks reused, the
+# stranded-bytes gauge against a recount) and the storage-option
 # model test (random update/crash/reopen histories over partitions × I/O
 # engine × the three ways to open a crash-safe index), all under the race
 # detector.
 crash:
 	$(GO) test -race -count=1 \
-		-run 'TestCrashRecoverySweep|TestGroupCommitCrashKeepsPrefix|TestConcurrentInsertSearch|TestMutationGoldenDigest' \
+		-run 'TestCrashRecoverySweep|TestGroupCommitCrashKeepsPrefix|TestConcurrentInsertSearch|TestMutationGoldenDigest|TestUpdatesKeepPacking|TestDeleteThenInsertReusesFreedHead|TestStrandedBytesMatchesRecount' \
 		./internal/diskindex
 	$(GO) test -race -count=1 -run 'TestWALFacadeConcurrentUpdates|TestBudgetedBatchSearchBesideInsert|TestStorageOptionModel' .
 

@@ -153,58 +153,68 @@ func TestLatencyBudgetBoundsTail(t *testing.T) {
 	ix := wallStorageIndex(t, d, 100*time.Microsecond)
 	ix.tn.Store(autotune.New(autotune.Config{MinTrain: 4}))
 
-	// Warmup + baseline: full-ladder wall times, which also train the
-	// per-round duration EWMA the budget controller predicts with.
-	base := make([]time.Duration, 0, 2*d.NQ())
-	for round := 0; round < 2; round++ {
+	// pass appends the wall time of one search of every query under opts
+	// to dst, and returns the searches' summed Stats and how many answered.
+	pass := func(dst []time.Duration, opts ...SearchOption) ([]time.Duration, Stats, int) {
+		var sum Stats
+		answered := 0
 		for _, q := range d.Queries {
 			t0 := time.Now()
-			if _, _, err := ix.Search(ctx, q, WithK(k)); err != nil {
+			res, st, err := ix.Search(ctx, q, opts...)
+			if err != nil {
 				t.Fatal(err)
 			}
-			base = append(base, time.Since(t0))
+			dst = append(dst, time.Since(t0))
+			sum.Merge(st)
+			if len(res.Neighbors) > 0 {
+				answered++
+			}
 		}
+		return dst, sum, answered
 	}
-	slices.Sort(base)
-	p50 := base[len(base)/2]
-	budget := p50 / 2
+	// Warmup: full-ladder wall times, which also train the per-round
+	// duration EWMA the budget controller predicts with, and set the budget
+	// at half their median.
+	warm, _, _ := pass(nil, WithK(k))
+	slices.Sort(warm)
+	budget := warm[len(warm)/2] / 2
 	if budget <= 0 {
-		t.Fatalf("degenerate baseline p50 %v", p50)
+		t.Fatalf("degenerate warmup p50 %v", warm[len(warm)/2])
 	}
 
+	// Untuned and budgeted passes alternate, so a change in the machine's
+	// speed lands on both sides alike, until each side holds passes·NQ
+	// samples: enough that the p99 index is not the maximum.
+	const passes = 3
+	var base, tuned []time.Duration
 	var tunedSt Stats
 	served := 0
-	tuned := make([]time.Duration, 0, d.NQ())
-	for _, q := range d.Queries {
-		t0 := time.Now()
-		res, st, err := ix.Search(ctx, q, WithK(k), WithTuning(SearchTuning{LatencyBudget: budget}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		tuned = append(tuned, time.Since(t0))
+	for i := 0; i < passes; i++ {
+		base, _, _ = pass(base, WithK(k))
+		var st Stats
+		var answered int
+		tuned, st, answered = pass(tuned, WithK(k), WithTuning(SearchTuning{LatencyBudget: budget}))
 		tunedSt.Merge(st)
-		if len(res.Neighbors) > 0 {
-			served++
-		}
+		served += answered
 	}
 
 	// Degradation, not shedding: nearly every query still answers.
-	if minServed := (d.NQ()*95 + 99) / 100; served < minServed {
-		t.Errorf("only %d/%d budgeted queries answered, want >= %d", served, d.NQ(), minServed)
+	if minServed := (len(tuned)*95 + 99) / 100; served < minServed {
+		t.Errorf("only %d/%d budgeted queries answered, want >= %d", served, len(tuned), minServed)
 	}
 	if tunedSt.BudgetExhausted == 0 && tunedSt.DegradedKnobs == 0 {
-		t.Error("a budget at half the baseline p50 triggered no controller action")
+		t.Error("a budget at half the warmup p50 triggered no controller action")
 	}
-	slices.Sort(tuned)
-	idx := len(tuned) * 99 / 100
-	if idx >= len(tuned) {
-		idx = len(tuned) - 1
+	p99 := func(ds []time.Duration) time.Duration {
+		slices.Sort(ds)
+		return ds[len(ds)*99/100]
 	}
-	tunedP99, baseP99 := tuned[idx], base[len(base)-1-len(base)/100]
-	// The stop decision lands between rounds, so one in-flight round can
-	// overshoot; a generous multiple keeps the bound meaningful without
-	// making the test timing-flaky.
-	if limit := baseP99; tunedP99 > limit {
-		t.Errorf("budgeted p99 %v above untuned p99 %v (budget %v)", tunedP99, limit, budget)
+	tunedP99, baseP99 := p99(tuned), p99(base)
+	t.Logf("%d samples a side: budgeted p99 %v, untuned p99 %v (budget %v)", len(tuned), tunedP99, baseP99, budget)
+	// The bound has no slack: the budgeted p99 may not exceed the untuned
+	// one. A stop lands between rounds, so a budgeted query can overshoot
+	// its budget by one round, but not the untuned ladder it cuts short.
+	if tunedP99 > baseP99 {
+		t.Errorf("budgeted p99 %v above untuned p99 %v (budget %v)", tunedP99, baseP99, budget)
 	}
 }

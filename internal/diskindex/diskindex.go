@@ -18,8 +18,9 @@
 // chain of blocks of its own, and its slot has count 0 and names the head.
 // Either way a probe costs one table-block read plus one read per block of
 // the bucket, as with the paper's one block per bucket, at a third of the
-// bytes. Online updates copy a packed bucket to a chain of its own before
-// changing it (update.go).
+// bytes. Online updates keep the packing: a packed bucket changes in place
+// or moves its entries to a packed block of the updates' own, and blocks
+// that deletes empty are reused (update.go).
 //
 // DRAM keeps only the table base addresses, per-table occupancy bitmaps
 // (so empty buckets cost zero I/O) and the hash functions — the small
@@ -186,6 +187,16 @@ func (ix *Index) StorageBytes() int64 {
 	ix.upd.mu.RLock()
 	defer ix.upd.mu.RUnlock()
 	return ix.store.Bytes()
+}
+
+// StrandedBytes returns how many of the store's bytes updates since the index
+// was built or opened have left holding nothing: packed entries no slot
+// names any more, and blocks on the free list (see update.go).
+func (ix *Index) StrandedBytes() int64 {
+	u := ix.upd
+	u.mu.RLock()
+	defer u.mu.RUnlock()
+	return u.dead*EntryBytes + int64(len(u.free))*blockstore.BlockSize
 }
 
 // MemBytes returns the DRAM footprint of index metadata: occupancy bitmaps,

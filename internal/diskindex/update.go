@@ -14,21 +14,30 @@ import (
 // Online updates (§7 of the paper): the paper notes that "the impact of
 // object insertion and deletion is small" compared to full rebuilds, which
 // consume SSD endurance. This file implements both operations directly on
-// the block layout:
+// the block layout and keeps the build's packing (see the package doc):
 //
-//   - Insert appends the object to the head block of each of its L·r
-//     buckets, prepending a fresh block when the head is full — one block
-//     write per (radius, table) pair, never a rebuild.
-//   - Delete removes the object's entries in place by swapping the last
-//     entry of the chain head into the vacated slot (lazy: blocks are never
-//     reclaimed, matching the paper's advice to rebuild sparingly).
-//   - Both copy on write: a bucket still packed into a block it shares with
-//     other buckets (see the package doc) is first copied into a chain block
-//     of its own, with the same entries in the same order, and its table
-//     slot is repointed with one table-block write. The shared block is
-//     never written, so the other buckets' bytes stay as built, and every
-//     bucket holds the entries, in the order, that one block per bucket
-//     would hold.
+//   - Insert adds the object's entry to each of its L·r buckets. A packed
+//     bucket whose range ends its block's fill appends in place while the
+//     block has room. Otherwise its entries and the new one move to the tail
+//     of the open update block, packed like the build's blocks (next = Nil,
+//     count = fill), and its old range is left dead. A bucket that fills a
+//     block becomes a chain, as does an empty bucket: a chain's head takes
+//     entries in place until it is full, then a fresh head is prepended —
+//     one block write per (radius, table) pair, never a rebuild.
+//   - Delete removes the object's entries in place, filling the hole with
+//     the last entry of the bucket's range, or of its chain's head. A range
+//     that ends its block's fill hands the vacated entry back to the block;
+//     a chain head that empties is unlinked.
+//   - Blocks that a delete empties and unlinks go on an in-memory free list,
+//     which the next prepend or update block takes from before the store
+//     grows.
+//
+// No bucket's entries or their order depend on where the bucket lives, so
+// every bucket reads the blocks, and holds the entries in the order, that
+// one block per bucket would. The free list, the open update block and the
+// count of dead entries are runtime state: an image keeps free blocks and
+// dead ranges as unreferenced bytes, and an index opened from it starts with
+// none.
 //
 // Updates are safe concurrently with queries: every mutation holds the
 // index's update lock exclusively and every searcher holds it shared for
@@ -59,17 +68,24 @@ type updState struct {
 	inserts   int64 //lsh:guardedby mu — applied this process
 	deletes   int64 //lsh:guardedby mu
 
+	// The packing's runtime state: blocks that deletes emptied and
+	// unlinked, the update block that moved buckets are packed into (Nil
+	// when none is open), and the packed entries no slot names any more.
+	free []blockstore.Addr //lsh:guardedby mu
+	open blockstore.Addr   //lsh:guardedby mu
+	dead int64             //lsh:guardedby mu
+
 	scratch updateScratch //lsh:guardedby mu
 }
 
 // updateScratch pools the update path's working memory, replacing the
 // per-call make()s the first implementation paid on every Insert.
 type updateScratch struct {
-	proj    []float64
-	hashes  []uint32
-	buf     []byte // one bucket block
-	headBuf []byte // second bucket block, for delete's head swap
-	table   []byte // one table block, for a table-entry rewrite
+	proj   []float64
+	hashes []uint32
+	buf    []byte // one bucket block
+	buf2   []byte // a second: the update block a bucket moves to, or a chain's head
+	table  []byte // one table block, for a table-entry rewrite
 }
 
 // scratchLocked returns the scratch, allocated on first use.
@@ -84,7 +100,7 @@ func (u *updState) scratchLocked(ix *Index) *updateScratch {
 	}
 	if sc.buf == nil {
 		sc.buf = make([]byte, blockstore.BlockSize)
-		sc.headBuf = make([]byte, blockstore.BlockSize)
+		sc.buf2 = make([]byte, blockstore.BlockSize)
 		sc.table = make([]byte, blockstore.BlockSize)
 	}
 	return sc
@@ -177,73 +193,122 @@ func (ix *Index) insertEntryLocked(r, l int, idx, id, fp uint32, idem bool) erro
 			w = slot{addr: next}
 		}
 	}
-	head := sl.addr
-	if head != blockstore.Nil {
-		// Try to append into the head block.
-		count, err := ix.readHead(sl, buf)
-		if err != nil {
-			return err
-		}
-		if count < entriesPerBlock {
-			putUint40(buf[HeaderBytes+count*EntryBytes:], entry)
-			binary.LittleEndian.PutUint16(buf[8:10], uint16(count+1))
-			return ix.writeHead(r, l, idx, sl, buf)
-		}
-		if sl.count > 0 {
-			// A full packed bucket: its copy becomes the chain's second block.
-			head = ix.store.Allocate()
-			if err := ix.writeBucketBlock(head, buf); err != nil {
-				return err
-			}
-		}
+	switch {
+	case sl.addr == blockstore.Nil:
+		return ix.prependLocked(r, l, idx, blockstore.Nil, entry)
+	case sl.count == 0:
+		return ix.insertChainLocked(r, l, idx, sl.addr, entry)
 	}
-	// Prepend a fresh head block chaining to the old head.
-	clear(buf)
-	binary.LittleEndian.PutUint64(buf[0:8], uint64(head))
-	binary.LittleEndian.PutUint16(buf[8:10], 1)
-	putUint40(buf[HeaderBytes:], entry)
-	newHead := ix.store.Allocate()
-	if err := ix.writeBucketBlock(newHead, buf); err != nil {
+	return ix.insertPackedLocked(r, l, idx, sl, entry)
+}
+
+// insertPackedLocked adds entry to the packed bucket sl: in place when its
+// range ends its block's fill and the block has room, else by moving it. A
+// bucket of entriesPerBlock entries fills its block alone, and that block
+// (next = Nil, count = fill) becomes the second of a chain as it stands.
+func (ix *Index) insertPackedLocked(r, l int, idx uint32, sl slot, entry uint64) error {
+	u := ix.upd
+	buf := u.scratch.buf
+	if err := ix.readBlock(sl.addr, buf, nil); err != nil {
 		return err
 	}
-	if err := ix.storeTableEntryLocked(r, l, idx, slot{addr: newHead}); err != nil {
+	_, fill := bucketHeader(buf)
+	switch {
+	case sl.off+sl.count == fill && fill < entriesPerBlock:
+		putUint40(buf[HeaderBytes+fill*EntryBytes:], entry)
+		binary.LittleEndian.PutUint16(buf[8:10], uint16(fill+1))
+		if err := ix.writeBucketBlock(sl.addr, buf); err != nil {
+			return err
+		}
+		sl.count++
+		return ix.storeTableEntryLocked(r, l, idx, sl)
+	case sl.count == entriesPerBlock:
+		if u.open == sl.addr {
+			u.open = blockstore.Nil
+		}
+		return ix.prependLocked(r, l, idx, sl.addr, entry)
+	}
+	return ix.moveLocked(r, l, idx, sl, buf, entry)
+}
+
+// moveLocked packs bucket sl's entries, which src (its block) holds, and
+// entry after them at the tail of the update block, opening a fresh one
+// when the open one lacks room, and repoints the slot. The old range is
+// left dead.
+func (ix *Index) moveLocked(r, l int, idx uint32, sl slot, src []byte, entry uint64) error {
+	u := ix.upd
+	dst := u.scratch.buf2
+	fill := entriesPerBlock // no update block is open
+	switch u.open {
+	case blockstore.Nil:
+	case sl.addr:
+		copy(dst, src)
+		_, fill = bucketHeader(dst)
+	default:
+		if err := ix.readBlock(u.open, dst, nil); err != nil {
+			return err
+		}
+		_, fill = bucketHeader(dst)
+	}
+	if fill+sl.count+1 > entriesPerBlock {
+		u.open, fill = ix.allocLocked(), 0
+		clear(dst)
+	}
+	at := dst[HeaderBytes+fill*EntryBytes:]
+	n := copy(at, src[HeaderBytes+sl.off*EntryBytes:HeaderBytes+(sl.off+sl.count)*EntryBytes])
+	putUint40(at[n:], entry)
+	binary.LittleEndian.PutUint16(dst[8:10], uint16(fill+sl.count+1))
+	if err := ix.writeBucketBlock(u.open, dst); err != nil {
+		return err
+	}
+	u.dead += int64(sl.count)
+	return ix.storeTableEntryLocked(r, l, idx, slot{addr: u.open, off: fill, count: sl.count + 1})
+}
+
+// insertChainLocked adds entry to the chain headed at head: in the head block
+// while it has room, else in a fresh head prepended to the chain.
+func (ix *Index) insertChainLocked(r, l int, idx uint32, head blockstore.Addr, entry uint64) error {
+	buf := ix.upd.scratch.buf
+	if err := ix.readBlock(head, buf, nil); err != nil {
+		return err
+	}
+	if _, count := bucketHeader(buf); count < entriesPerBlock {
+		putUint40(buf[HeaderBytes+count*EntryBytes:], entry)
+		binary.LittleEndian.PutUint16(buf[8:10], uint16(count+1))
+		return ix.writeBucketBlock(head, buf)
+	}
+	return ix.prependLocked(r, l, idx, head, entry)
+}
+
+// prependLocked makes a block holding only entry the head of bucket (r, l,
+// idx)'s chain, linked to next (Nil for a bucket that was empty).
+func (ix *Index) prependLocked(r, l int, idx uint32, next blockstore.Addr, entry uint64) error {
+	buf := ix.upd.scratch.buf
+	clear(buf)
+	binary.LittleEndian.PutUint64(buf[0:8], uint64(next))
+	binary.LittleEndian.PutUint16(buf[8:10], 1)
+	putUint40(buf[HeaderBytes:], entry)
+	head := ix.allocLocked()
+	if err := ix.writeBucketBlock(head, buf); err != nil {
+		return err
+	}
+	if err := ix.storeTableEntryLocked(r, l, idx, slot{addr: head}); err != nil {
 		return err
 	}
 	ix.setOccupied(r, l, idx)
 	return nil
 }
 
-// readHead reads the head block of bucket sl into buf and returns its entry
-// count. A packed bucket's entries move to the front of buf under a header of
-// their own (next = Nil): buf is then the chain block of its own the bucket
-// becomes when writeHead writes it.
-func (ix *Index) readHead(sl slot, buf []byte) (int, error) {
-	if err := ix.readBlock(sl.addr, buf, nil); err != nil {
-		return 0, err
+// allocLocked takes a block for a chain head or an update block: the one a
+// delete freed last, else a new one from the store.
+func (ix *Index) allocLocked() blockstore.Addr {
+	u := ix.upd
+	if n := len(u.free); n > 0 {
+		a := u.free[n-1]
+		u.free = u.free[:n-1]
+		return a
 	}
-	if sl.count == 0 {
-		_, count := bucketHeader(buf)
-		return count, nil
-	}
-	n := copy(buf[HeaderBytes:], buf[HeaderBytes+sl.off*EntryBytes:HeaderBytes+(sl.off+sl.count)*EntryBytes])
-	clear(buf[HeaderBytes+n:])
-	binary.LittleEndian.PutUint64(buf[0:8], uint64(blockstore.Nil))
-	binary.LittleEndian.PutUint16(buf[8:10], uint16(sl.count))
-	return sl.count, nil
-}
-
-// writeHead writes buf as bucket (r, l, idx)'s head block: in place for a
-// chain, or, for a packed bucket, to a new block the slot is repointed at
-// (copy-on-write).
-func (ix *Index) writeHead(r, l int, idx uint32, sl slot, buf []byte) error {
-	if sl.count == 0 {
-		return ix.writeBucketBlock(sl.addr, buf)
-	}
-	head := ix.store.Allocate()
-	if err := ix.writeBucketBlock(head, buf); err != nil {
-		return err
-	}
-	return ix.storeTableEntryLocked(r, l, idx, slot{addr: head})
+	return ix.store.Allocate()
 }
 
 // ErrUnknownID is wrapped by Delete's error when the ID was never assigned.
@@ -302,25 +367,68 @@ func (ix *Index) applyDeleteLocked(id uint32) (bool, error) {
 }
 
 // deleteEntryLocked removes the (id, fp) object info from bucket (r, l,
-// idx) by swapping in the last entry of the chain's head block.
+// idx), reporting whether the bucket held it.
 func (ix *Index) deleteEntryLocked(r, l int, idx, id, fp uint32) (bool, error) {
-	sc := &ix.upd.scratch
-	buf, headBuf := sc.buf, sc.headBuf
-	sl, err := ix.loadTableEntry(r, l, idx, buf)
+	sl, err := ix.loadTableEntry(r, l, idx, ix.upd.scratch.buf)
 	if err != nil || sl.addr == blockstore.Nil {
 		return false, err
 	}
 	entry := ix.packEntry(id, fp)
-	// Locate the entry. The head block is read as readHead gives it: a
-	// packed bucket is its own copy, the only block of its chain.
-	head := sl.addr
-	for addr := head; addr != blockstore.Nil; {
-		if addr == head {
-			_, err = ix.readHead(sl, buf)
-		} else {
-			err = ix.readBlock(addr, buf, nil)
+	if sl.count == 0 {
+		return ix.deleteChainLocked(r, l, idx, sl.addr, entry)
+	}
+	return ix.deletePackedLocked(r, l, idx, sl, entry)
+}
+
+// deletePackedLocked removes entry from the packed bucket sl in its block:
+// the range's own last entry moves into the hole and the slot's count drops
+// by one, clearing the slot and its occupancy bit at zero. A range that ends
+// its block's fill hands the vacated entry back to the block; any other
+// leaves it dead. A block whose fill reaches zero holds nothing any slot
+// names and goes on the free list, unless it is the open update block.
+func (ix *Index) deletePackedLocked(r, l int, idx uint32, sl slot, entry uint64) (bool, error) {
+	u := ix.upd
+	buf := u.scratch.buf
+	if err := ix.readBlock(sl.addr, buf, nil); err != nil {
+		return false, err
+	}
+	last := sl.off + sl.count - 1
+	for i := sl.off; i <= last; i++ {
+		off := HeaderBytes + i*EntryBytes
+		if getUint40(buf[off:]) != entry {
+			continue
 		}
-		if err != nil {
+		lastOff := HeaderBytes + last*EntryBytes
+		copy(buf[off:off+EntryBytes], buf[lastOff:lastOff+EntryBytes])
+		_, fill := bucketHeader(buf)
+		if last == fill-1 {
+			fill = last
+			binary.LittleEndian.PutUint16(buf[8:10], uint16(fill))
+		} else {
+			u.dead++
+		}
+		if err := ix.writeBucketBlock(sl.addr, buf); err != nil {
+			return false, err
+		}
+		if fill == 0 && sl.addr != u.open {
+			u.free = append(u.free, sl.addr)
+		}
+		if sl.count--; sl.count == 0 {
+			sl = slot{}
+			ix.clearOccupied(r, l, idx)
+		}
+		return true, ix.storeTableEntryLocked(r, l, idx, sl)
+	}
+	return false, nil
+}
+
+// deleteChainLocked removes entry from the chain headed at head by moving the
+// last entry of the head block into the hole.
+func (ix *Index) deleteChainLocked(r, l int, idx uint32, head blockstore.Addr, entry uint64) (bool, error) {
+	sc := &ix.upd.scratch
+	buf, headBuf := sc.buf, sc.buf2
+	for addr := head; addr != blockstore.Nil; {
+		if err := ix.readBlock(addr, buf, nil); err != nil {
 			return false, err
 		}
 		next, count := bucketHeader(buf)
@@ -334,9 +442,9 @@ func (ix *Index) deleteEntryLocked(r, l int, idx, id, fp uint32) (bool, error) {
 				lastOff := HeaderBytes + (count-1)*EntryBytes
 				copy(buf[off:off+EntryBytes], buf[lastOff:lastOff+EntryBytes])
 				binary.LittleEndian.PutUint16(buf[8:10], uint16(count-1))
-				return true, ix.finishHeadShrink(r, l, idx, sl, buf, count-1)
+				return true, ix.shrinkHeadLocked(r, l, idx, head, buf, count-1)
 			}
-			// Found deeper in a chain: replace it with the head's last entry.
+			// Found deeper in the chain: replace it with the head's last entry.
 			if err := ix.readBlock(head, headBuf, nil); err != nil {
 				return false, err
 			}
@@ -347,25 +455,25 @@ func (ix *Index) deleteEntryLocked(r, l int, idx, id, fp uint32) (bool, error) {
 				return false, err
 			}
 			binary.LittleEndian.PutUint16(headBuf[8:10], uint16(headCount-1))
-			return true, ix.finishHeadShrink(r, l, idx, sl, headBuf, headCount-1)
+			return true, ix.shrinkHeadLocked(r, l, idx, head, headBuf, headCount-1)
 		}
 		addr = next
 	}
 	return false, nil
 }
 
-// finishHeadShrink writes back a head block whose count dropped by one,
-// unlinking it when it became empty.
-func (ix *Index) finishHeadShrink(r, l int, idx uint32, sl slot, buf []byte, newCount int) error {
-	if newCount > 0 {
-		return ix.writeHead(r, l, idx, sl, buf)
+// shrinkHeadLocked writes back a chain's head block whose count dropped to
+// count, or, when it emptied, points the slot at the rest of the chain and
+// puts the head on the free list.
+func (ix *Index) shrinkHeadLocked(r, l int, idx uint32, head blockstore.Addr, buf []byte, count int) error {
+	if count > 0 {
+		return ix.writeBucketBlock(head, buf)
 	}
-	// Head emptied: point the table at the rest of the chain (the emptied
-	// block itself is leaked — deletion is lazy, as documented).
 	next, _ := bucketHeader(buf)
 	if err := ix.storeTableEntryLocked(r, l, idx, slot{addr: next}); err != nil {
 		return err
 	}
+	ix.upd.free = append(ix.upd.free, head)
 	if next == blockstore.Nil {
 		ix.clearOccupied(r, l, idx)
 	}

@@ -305,12 +305,22 @@ func TestChainGrowthOnManyInserts(t *testing.T) {
 	}
 }
 
-// packedBlocks returns a copy of every block that holds packed buckets, and
-// how many buckets are packed.
-func packedBlocks(t *testing.T, ix *Index) (map[blockstore.Addr][]byte, int) {
+// bucketKey names one bucket: its radius, table and index.
+type bucketKey struct {
+	r, l int
+	idx  uint32
+}
+
+// packedRange is a packed bucket's slot and the bytes of its range.
+type packedRange struct {
+	sl    slot
+	bytes string
+}
+
+// packedRanges returns the slot and range bytes of every packed bucket.
+func packedRanges(t *testing.T, ix *Index) map[bucketKey]packedRange {
 	t.Helper()
-	blocks := map[blockstore.Addr][]byte{}
-	packed := 0
+	out := map[bucketKey]packedRange{}
 	buf := make([]byte, blockstore.BlockSize)
 	p := ix.params
 	for r := 0; r < p.R(); r++ {
@@ -323,59 +333,315 @@ func packedBlocks(t *testing.T, ix *Index) (map[blockstore.Addr][]byte, int) {
 				if sl.count == 0 {
 					continue
 				}
-				packed++
-				if blocks[sl.addr] == nil {
-					b := make([]byte, blockstore.BlockSize)
-					if err := ix.store.ReadBlock(sl.addr, b); err != nil {
+				if err := ix.store.ReadBlock(sl.addr, buf); err != nil {
+					t.Fatal(err)
+				}
+				out[bucketKey{r, l, idx}] = packedRange{sl, string(buf[HeaderBytes+sl.off*EntryBytes : HeaderBytes+(sl.off+sl.count)*EntryBytes])}
+			}
+		}
+	}
+	return out
+}
+
+// bucketsOf returns the L·R buckets v hashes into, radius by radius.
+func bucketsOf(ix *Index, v []float32) []bucketKey {
+	p := ix.params
+	fam := ix.Family()
+	proj := make([]float64, p.L*p.M)
+	hashes := make([]uint32, p.L)
+	fam.Project(v, proj)
+	var keys []bucketKey
+	for r := 0; r < p.R(); r++ {
+		fam.HashesAt(proj, p.Radii[r], hashes)
+		for l, h := range hashes {
+			idx, _ := lsh.SplitHash(h, ix.u)
+			keys = append(keys, bucketKey{r, l, idx})
+		}
+	}
+	return keys
+}
+
+// TestUpdatesKeepPacking: an update changes only the buckets of the object
+// it names, in place or by moving their entries, so every other bucket keeps
+// its slot and the bytes of its range in the block it shares. A delete
+// allocates nothing, whether it names a built object or an inserted one. An
+// insert grows the store by the entries of the buckets it moves and the
+// chain heads it prepends, 3.7 KB on this index; maxInsertBytes is under
+// half the 10.7 KB that giving each moved bucket a block of its own costs.
+func TestUpdatesKeepPacking(t *testing.T) {
+	const n, inserts, maxInsertBytes = 3800, 200, 5120
+	d, ix := buildUpdatable(t, n, inserts)
+	before := packedRanges(t, ix)
+	blocks := map[blockstore.Addr]bool{}
+	for _, pr := range before {
+		blocks[pr.sl.addr] = true
+	}
+	if len(before) <= len(blocks) {
+		t.Fatalf("%d packed buckets in %d blocks: no block is shared", len(before), len(blocks))
+	}
+	touched := map[bucketKey]bool{}
+	touch := func(v []float32) {
+		for _, k := range bucketsOf(ix, v) {
+			touched[k] = true
+		}
+	}
+
+	size := ix.StorageBytes()
+	var ids []uint32
+	for i := n; i < n+inserts; i++ {
+		id, err := ix.Insert(d.Vectors[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+		touch(d.Vectors[i])
+	}
+	grown := ix.StorageBytes() - size
+	t.Logf("%d inserts grew the store %d B, %d B each (L·R = %d)", inserts, grown, grown/inserts, ix.params.L*ix.params.R())
+	if grown > inserts*maxInsertBytes {
+		t.Errorf("%d inserts grew the store by %d B, over %d B each", inserts, grown, maxInsertBytes)
+	}
+
+	size = ix.StorageBytes()
+	deletes := 0
+	for id := uint32(3); id < n; id += 19 {
+		if _, err := ix.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+		touch(ix.data[id])
+		deletes++
+	}
+	for _, id := range ids[:inserts/2] {
+		if _, err := ix.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+		touch(ix.data[id])
+		deletes++
+	}
+	if grown := ix.StorageBytes() - size; grown != 0 {
+		t.Errorf("%d deletes grew the store by %d B", deletes, grown)
+	}
+
+	after := packedRanges(t, ix)
+	kept := 0
+	for k, pr := range before {
+		if touched[k] {
+			continue
+		}
+		if after[k] != pr {
+			t.Fatalf("bucket %+v, which no update named, went from %+v to %+v", k, pr, after[k])
+		}
+		kept++
+	}
+	if kept == 0 || kept == len(before) {
+		t.Fatalf("%d of %d packed buckets untouched: the history does not split them", kept, len(before))
+	}
+	if err := ix.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDeleteThenInsertReusesFreedHead: on a long chain, the delete that
+// empties the head unlinks it and the insert that follows prepends the
+// block it freed, so the pair leaves the store's size as it was.
+func TestDeleteThenInsertReusesFreedHead(t *testing.T) {
+	d, ix := buildUpdatable(t, 600, 0)
+	v := d.Vectors[3]
+	keys := bucketsOf(ix, v)
+	buf := make([]byte, blockstore.BlockSize)
+	// heads returns the head block of every chain v's buckets hold.
+	heads := func() map[blockstore.Addr]bool {
+		out := map[blockstore.Addr]bool{}
+		for _, k := range keys {
+			sl, err := ix.loadTableEntry(k.r, k.l, k.idx, buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sl.count != 0 || sl.addr == blockstore.Nil {
+				t.Fatalf("bucket %+v is not a chain: %+v", k, sl)
+			}
+			out[sl.addr] = true
+		}
+		return out
+	}
+	// 150 copies of one vector push every one of its buckets past a block.
+	var dups []uint32
+	for i := 0; i < 150; i++ {
+		id, err := ix.Insert(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dups = append(dups, id)
+	}
+	k := keys[0]
+	sl, err := ix.loadTableEntry(k.r, k.l, k.idx, buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.store.ReadBlock(sl.addr, buf); err != nil {
+		t.Fatal(err)
+	}
+	next, count := bucketHeader(buf)
+	if next == blockstore.Nil {
+		t.Fatalf("bucket %+v is a chain of one block", k)
+	}
+	size := ix.StorageBytes()
+	var freed map[blockstore.Addr]bool
+	for ; count > 0; count-- {
+		was := heads()
+		if _, err := ix.Delete(dups[len(dups)-1]); err != nil {
+			t.Fatal(err)
+		}
+		dups = dups[:len(dups)-1]
+		freed = was
+		for a := range heads() {
+			delete(freed, a)
+		}
+	}
+	if !freed[sl.addr] {
+		t.Fatalf("deleting the %+v head's entries left block %d linked", k, sl.addr)
+	}
+	if _, err := ix.Insert(v); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ix.loadTableEntry(k.r, k.l, k.idx, buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !freed[got.addr] {
+		t.Errorf("the insert prepended block %d, not one of the %d heads the last delete freed", got.addr, len(freed))
+	}
+	if grown := ix.StorageBytes() - size; grown != 0 {
+		t.Errorf("deleting a chain head's entries and inserting one grew the store by %d B", grown)
+	}
+	if err := ix.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// strandedRecount recounts StrandedBytes from the store: a block that is
+// neither a table block, a chain's nor on the free list is a packed block,
+// whose entries up to its fill that no slot names are dead.
+func strandedRecount(t *testing.T, ix *Index) int64 {
+	t.Helper()
+	p := ix.params
+	buf := make([]byte, blockstore.BlockSize)
+	table := map[blockstore.Addr]bool{}
+	chain := map[blockstore.Addr]bool{}
+	live := map[blockstore.Addr]int{}
+	for r := 0; r < p.R(); r++ {
+		for l := 0; l < p.L; l++ {
+			for b := uint64(0); b < ix.expectedTableBlocks(); b++ {
+				table[ix.tableBase[r][l]+blockstore.Addr(b)] = true
+			}
+			for idx := uint32(0); idx < 1<<ix.u; idx++ {
+				sl, err := ix.loadTableEntry(r, l, idx, buf)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if sl.count > 0 {
+					live[sl.addr] += sl.count
+					continue
+				}
+				for a := sl.addr; a != blockstore.Nil; {
+					chain[a] = true
+					if err := ix.store.ReadBlock(a, buf); err != nil {
 						t.Fatal(err)
 					}
-					blocks[sl.addr] = b
+					a, _ = bucketHeader(buf)
 				}
 			}
 		}
 	}
-	return blocks, packed
-}
-
-// TestMutationLeavesSharedBlocks: inserts and deletes copy the packed buckets
-// they touch into blocks of their own, so the blocks those buckets shared
-// keep every byte as built, for the buckets still packed in them.
-func TestMutationLeavesSharedBlocks(t *testing.T) {
-	d, ix := buildUpdatable(t, 600, 20)
-	before, packed := packedBlocks(t, ix)
-	if packed <= len(before) {
-		t.Fatalf("%d packed buckets in %d blocks: no block is shared", packed, len(before))
+	free := map[blockstore.Addr]bool{}
+	for _, a := range ix.upd.free {
+		if free[a] || chain[a] || live[a] > 0 || a == ix.upd.open {
+			t.Fatalf("free block %d is listed twice, linked or open", a)
+		}
+		free[a] = true
 	}
-	for i := 600; i < 620; i++ {
-		if _, err := ix.Insert(d.Vectors[i]); err != nil {
+	var dead int
+	for a := blockstore.Addr(1); uint64(a) <= ix.store.NumBlocks(); a++ {
+		if table[a] || chain[a] || free[a] {
+			continue
+		}
+		if err := ix.store.ReadBlock(a, buf); err != nil {
 			t.Fatal(err)
 		}
+		_, fill := bucketHeader(buf)
+		dead += fill - live[a]
 	}
-	for id := uint32(3); id < 600; id += 37 {
+	return int64(dead)*EntryBytes + int64(len(free))*blockstore.BlockSize
+}
+
+// TestStrandedBytesMatchesRecount: the gauge updates keep equals a recount
+// from the store after a history that moves buckets, deletes from packed
+// ranges and chains, and empties chain heads.
+func TestStrandedBytesMatchesRecount(t *testing.T) {
+	d, ix := buildUpdatable(t, 600, 20)
+	if got := ix.StrandedBytes(); got != 0 {
+		t.Fatalf("a fresh build strands %d B", got)
+	}
+	check := func(stage string) {
+		t.Helper()
+		want := strandedRecount(t, ix)
+		if got := ix.StrandedBytes(); got != want {
+			t.Fatalf("%s: StrandedBytes = %d, recount %d", stage, got, want)
+		}
+		t.Logf("%s: %d B stranded, %d free blocks", stage, want, len(ix.upd.free))
+	}
+	var ids []uint32
+	for i := 600; i < 620; i++ {
+		id, err := ix.Insert(d.Vectors[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	for i := 0; i < 110; i++ {
+		id, err := ix.Insert(d.Vectors[5])
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	check("inserts")
+	for id := uint32(1); id < 600; id += 23 {
 		if _, err := ix.Delete(id); err != nil {
 			t.Fatal(err)
 		}
 	}
-	after, stillPacked := packedBlocks(t, ix)
-	if stillPacked >= packed {
-		t.Fatalf("%d buckets packed before the updates, %d after: nothing was copied on write", packed, stillPacked)
-	}
-	for a, b := range before {
-		got := make([]byte, blockstore.BlockSize)
-		if err := ix.store.ReadBlock(a, got); err != nil {
+	for i := len(ids) - 1; i >= 0; i -= 2 {
+		if _, err := ix.Delete(ids[i]); err != nil {
 			t.Fatal(err)
 		}
-		if string(got) != string(b) {
-			t.Fatalf("packed block %d was rewritten by an update", a)
+	}
+	check("deletes")
+	if ix.StrandedBytes() == 0 {
+		t.Fatal("the history stranded nothing")
+	}
+	for i := 600; i < 610; i++ {
+		if _, err := ix.Insert(d.Vectors[i]); err != nil {
+			t.Fatal(err)
 		}
 	}
-	for a := range after {
-		if before[a] == nil {
-			t.Fatalf("an update packed a bucket into block %d", a)
-		}
-	}
+	check("reinserts")
 	if err := ix.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+	// Deleting every object, newest first, empties every chain head and
+	// every packed block whose entries go last-first: all go on the free
+	// list.
+	free := len(ix.upd.free)
+	for id := len(ix.data) - 1; id >= 0; id-- {
+		if _, err := ix.Delete(uint32(id)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("all deleted")
+	if occupiedBuckets(ix) != 0 || len(ix.upd.free) <= free {
+		t.Fatalf("deleting every object left %d buckets occupied and %d blocks free (was %d)",
+			occupiedBuckets(ix), len(ix.upd.free), free)
 	}
 }
 

@@ -500,24 +500,19 @@ func TestQueueDepthSpeedsUpSimulatedDevice(t *testing.T) {
 
 // BenchmarkParallelSearcherQD is the Table 2 analogue on the wall clock: the
 // same wave searcher, same queries, same device-timed store — only the I/O
-// engine's queue depth changes.
+// engine's queue depth changes. It reports ns/op alone: the waves of this
+// index never hold adjacent blocks, so blocks per backend read is 1 at every
+// depth and says nothing of coalescing.
 func BenchmarkParallelSearcherQD(b *testing.B) {
 	d, _, ix := benchSetup(b)
 	for _, depth := range []int{1, 32} {
 		b.Run(fmt.Sprintf("QD%d", depth), func(b *testing.B) {
 			ps := deviceEngine(b, ix, depth).NewWaveSearcher()
-			var st Stats
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_, qst, err := ps.Search(d.Queries[i%d.NQ()], 1)
-				if err != nil {
+				if _, _, err := ps.Search(d.Queries[i%d.NQ()], 1); err != nil {
 					b.Fatal(err)
 				}
-				st.Merge(qst)
-			}
-			b.StopTimer()
-			if st.PhysicalReads > 0 {
-				b.ReportMetric(float64(st.PhysicalReads+st.CoalescedReads)/float64(st.PhysicalReads), "blocks/op")
 			}
 		})
 	}

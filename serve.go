@@ -801,11 +801,16 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if d, ok := s.eng.(interface{ IODepth() int }); ok {
 		telemetry.WriteGauge(w, "lsh_io_depth", float64(d.IODepth()))
 	}
-	// Where resident memory goes: the index store and the block cache (on
-	// unix both sit outside the Go heap), the heap the last collection left
-	// live, and what collecting it costs against all the process's Go CPU.
-	if sb, ok := s.eng.(interface{ StorageBytes() int64 }); ok {
+	// Where resident memory goes: the index store (with the part of it that
+	// updates left holding nothing) and the block cache, both outside the Go
+	// heap on unix; the heap the last collection left live; and what
+	// collecting it costs against all the process's Go CPU.
+	if sb, ok := s.eng.(interface {
+		StorageBytes() int64
+		StrandedBytes() int64
+	}); ok {
 		telemetry.WriteGauge(w, "lsh_index_store_bytes", float64(sb.StorageBytes()))
+		telemetry.WriteGauge(w, "lsh_index_stranded_bytes", float64(sb.StrandedBytes()))
 	}
 	if cb, ok := s.eng.(interface{ CacheResidentBytes() int64 }); ok {
 		telemetry.WriteGauge(w, "lsh_blockcache_resident_bytes", float64(cb.CacheResidentBytes()))

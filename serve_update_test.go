@@ -120,9 +120,11 @@ func TestServeInsertDelete(t *testing.T) {
 	}
 }
 
-// TestMetricsStoreBytesBesideInserts: /metrics reads the store's size while
-// inserts grow it (under -race, the check that the read is synchronized), and
-// the gauge follows the growth.
+// TestMetricsStoreBytesBesideInserts: /metrics reads the store's size and
+// its stranded bytes while inserts grow them (under -race, the check that
+// the reads are synchronized), and the gauges follow: the store grows, and
+// the bytes that moved buckets left behind, none on a fresh build, are some
+// but not all of it.
 func TestMetricsStoreBytesBesideInserts(t *testing.T) {
 	ds, _, h := newUpdateServer(t)
 	gauge := func(name string) float64 {
@@ -141,6 +143,9 @@ func TestMetricsStoreBytesBesideInserts(t *testing.T) {
 		return 0
 	}
 	before := gauge("lsh_index_store_bytes")
+	if stranded := gauge("lsh_index_stranded_bytes"); stranded != 0 {
+		t.Errorf("a fresh build strands %v bytes", stranded)
+	}
 	done := make(chan error, 1)
 	go func() {
 		for i := 1000; i < 1020; i++ { // 10 ID bits leave 24 insert slots
@@ -163,10 +168,15 @@ func TestMetricsStoreBytesBesideInserts(t *testing.T) {
 			scraping = false
 		default:
 			gauge("lsh_index_store_bytes")
+			gauge("lsh_index_stranded_bytes")
 		}
 	}
-	if after := gauge("lsh_index_store_bytes"); after <= before {
-		t.Errorf("50 inserts left lsh_index_store_bytes at %v (was %v)", after, before)
+	after := gauge("lsh_index_store_bytes")
+	if after <= before {
+		t.Errorf("20 inserts left lsh_index_store_bytes at %v (was %v)", after, before)
+	}
+	if stranded := gauge("lsh_index_stranded_bytes"); stranded <= 0 || stranded >= after {
+		t.Errorf("after 20 inserts lsh_index_stranded_bytes = %v of %v store bytes", stranded, after)
 	}
 	if live := gauge("lsh_go_heap_live_bytes"); live <= 0 {
 		t.Errorf("lsh_go_heap_live_bytes = %v", live)

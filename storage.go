@@ -255,6 +255,11 @@ func (s *StorageIndex) BatchSearch(ctx context.Context, queries [][]float32, opt
 // StorageBytes reports the on-storage index size.
 func (s *StorageIndex) StorageBytes() int64 { return s.ix.StorageBytes() }
 
+// StrandedBytes reports how much of StorageBytes the updates applied since
+// the index was built or opened left holding nothing: entries vacated in
+// blocks that other buckets share, and emptied blocks awaiting reuse.
+func (s *StorageIndex) StrandedBytes() int64 { return s.ix.StrandedBytes() }
+
 // MemBytes reports the DRAM metadata footprint (bitmaps, table addresses,
 // hash functions).
 func (s *StorageIndex) MemBytes() int64 { return s.ix.MemBytes() }
@@ -267,9 +272,11 @@ func (s *StorageIndex) MemBytes() int64 { return s.ix.MemBytes() }
 func (s *StorageIndex) Insert(v []float32) (uint32, error) { return s.ix.Insert(v) }
 
 // Delete removes an object online, reporting whether any index entry was
-// removed. Vacated blocks are not reclaimed (lazy deletion); rebuild to
-// compact. Safe to call concurrently with searches and other updates; with
-// WithWAL the delete is durable before it returns.
+// removed. Entries are removed in place; a block the delete empties is
+// reused by later updates, and an entry vacated in a block that other
+// buckets share stays stranded until a rebuild (see StrandedBytes). Safe to
+// call concurrently with searches and other updates; with WithWAL the
+// delete is durable before it returns.
 func (s *StorageIndex) Delete(id uint32) (bool, error) { return s.ix.Delete(id) }
 
 func (s *StorageIndex) newQuerier() querier { return s.ix.NewWaveSearcher() }
